@@ -176,25 +176,9 @@ class SecureCatalog:
     def bump_generation(self, table: str) -> None:
         self.data_generations[table] += 1
 
-    def generations_for(self, tables: Iterable[str]
-                        ) -> Tuple[Tuple[str, Tuple[int, int]], ...]:
-        """Snapshot of the (data, stats) generations a plan depends on."""
-        return tuple(sorted(
-            (t, (self.data_generations[t], self.stats_generations[t]))
-            for t in tables
-        ))
-
     # ------------------------------------------------------------------
     # statistics catalog
     # ------------------------------------------------------------------
-    def stats_for(self, table: str) -> TableStats:
-        try:
-            return self.stats[table]
-        except KeyError:
-            raise PlanError(
-                f"no statistics gathered for {table!r}"
-            ) from None
-
     def selectivity(self, table: str, column: str,
                     predicate: Predicate) -> float:
         """Estimated selectivity of ``predicate`` over live rows."""

@@ -738,9 +738,6 @@ class CompactionManager:
         return job.progress("in-progress")
 
     # ------------------------------------------------------------------
-    def is_dirty(self, table: str) -> bool:
-        return is_dirty(self._db.catalog, table)
-
     def dirty_tables(self) -> List[str]:
         catalog = self._db.catalog
         return [t for t in catalog.schema.tables if is_dirty(catalog, t)]

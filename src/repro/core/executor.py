@@ -15,6 +15,7 @@ figures (15/16) rely on.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -41,6 +42,7 @@ from repro.core.plan import (
     VisPlan,
     VisStrategy,
 )
+from repro.hardware.ram import QueryWindow
 from repro.storage.runs import (IdRun, U32FileBuilder, U32View,
                                 difference_sorted)
 
@@ -127,6 +129,69 @@ class QueryStats:
         if result_rows is not None:
             combined.result_rows = result_rows
         return combined
+
+
+class CostWindow:
+    """Cost capture of one statement (or batch) on one token.
+
+    The one place a :class:`QueryStats` is produced: opening the window
+    snapshots the token's cost ledger and channel byte counters,
+    :meth:`stats` reports what was charged since.  The ledger/channel
+    deltas span everything between the two; secure-RAM attribution
+    windows open and close per *phase* (:meth:`ram_window` -- the
+    contextvar window stack is process-wide, so windows of different
+    shards must never nest) and the largest phase peak is kept --
+    phases drain their allocations before returning, so the max over
+    phases is the true peak.
+    """
+
+    def __init__(self, token):
+        self.token = token
+        self._before = token.ledger.snapshot()
+        ch = token.channel.stats
+        self._in0 = ch.bytes_to_secure
+        self._out0 = ch.bytes_to_untrusted
+        self._peak = 0
+
+    @contextmanager
+    def ram_window(self) -> Iterator[QueryWindow]:
+        """One phase's per-query RAM attribution window.
+
+        Ensures the reported peak is the peak of *this* statement's
+        allocations, even when other statements interleave on the
+        shared token (service admission control).
+        """
+        with self.token.ram.query_window() as window:
+            try:
+                yield window
+            finally:
+                self._peak = max(self._peak, window.peak)
+
+    def stats(self, result_rows: int = 0) -> QueryStats:
+        """Everything charged to the token since the window opened."""
+        before, after = self._before, self.token.ledger.snapshot()
+        by_op: Dict[str, float] = {}
+        for label, parts in after.time_us.items():
+            delta = sum(parts.values()) - sum(
+                before.time_us.get(label, {}).values()
+            )
+            if delta > 1e-12:
+                by_op[label] = delta / 1e6
+        counters = {
+            k: after.counters[k] - before.counters.get(k, 0)
+            for k in after.counters
+            if after.counters[k] != before.counters.get(k, 0)
+        }
+        ch = self.token.channel.stats
+        return QueryStats(
+            total_s=sum(by_op.values()),
+            by_operator=by_op,
+            counters=counters,
+            bytes_to_secure=ch.bytes_to_secure - self._in0,
+            bytes_to_untrusted=ch.bytes_to_untrusted - self._out0,
+            ram_peak=self._peak,
+            result_rows=result_rows,
+        )
 
 
 @dataclass

@@ -64,7 +64,7 @@ from repro.core.compaction import (DEFAULT_HEADROOM_FACTOR,
                                    CompactionManager, CompactionProgress,
                                    TableCompactionStatus)
 from repro.core.dml import DmlExecutor, DmlResult
-from repro.core.executor import QepSjExecutor, QueryResult, QueryStats
+from repro.core.executor import CostWindow, QepSjExecutor, QueryResult
 from repro.core.loader import Loader
 from repro.core.operators import ExecContext
 from repro.core.plan import ProjectionMode, QueryPlan, VisPlan
@@ -87,53 +87,37 @@ from repro.untrusted.engine import UntrustedEngine
 from repro.untrusted.server import VisServer
 
 
-class GhostDB:
-    """A GhostDB instance: one secure token plus one Untrusted engine.
+class StatementFrontEnd:
+    """The statement surface one token and a fleet of tokens share.
 
-    ``GhostDB(shards=N)`` with ``N > 1`` returns a
-    :class:`~repro.shard.fleet.ShardedGhostDB` instead: N independent
-    tokens behind the same statement API, with SELECTs scattered and
-    gathered across them (see :mod:`repro.shard`).
+    Parse, kind checks, bind, parameter substitution, dispatch,
+    sessions and prepared statements exist once, here.  A database
+    class supplies only the hooks that differ between one token and N:
+
+    * ``_register_table(table)`` -- record one ``CREATE TABLE``;
+    * ``_queue_rows(table, rows)`` -- queue pre-``build()`` rows;
+    * ``_run_dml(bound)`` -- apply one bound INSERT or DELETE;
+    * ``_plan(bound, *knobs)`` -- plan one bound SELECT;
+    * ``execute_plan(plan, announce=...)`` -- run one plan;
+    * ``table_generations`` -- the per-table ``(data, stats)`` map plan
+      caches and snapshot pins compare against;
+    * ``schema``, ``_binder``, ``_built``, ``_finalize_schema()`` --
+      the schema state behind all of the above.
     """
 
-    def __new__(cls, config: Optional[TokenConfig] = None,
-                indexed_columns: Optional[Dict[str, Sequence[str]]] = None,
-                shards: Optional[int] = None):
-        if cls is GhostDB and shards is not None and shards > 1:
-            from repro.shard.fleet import ShardedGhostDB
-            # not a GhostDB subclass, so __init__ below is skipped
-            return ShardedGhostDB(shards, config=config,
-                                  indexed_columns=indexed_columns)
-        return super().__new__(cls)
+    #: what :meth:`Session.prepare` hands out over this database
+    _statement_cls = PreparedStatement
 
-    def __init__(self, config: Optional[TokenConfig] = None,
-                 indexed_columns: Optional[Dict[str, Sequence[str]]] = None,
-                 shards: Optional[int] = None):
-        if shards is not None and shards < 1:
-            raise ValueError("shards must be >= 1")
-        self.token = SecureToken(config)
-        self._ddl_tables: List[Table] = []
-        self._indexed_columns = indexed_columns
-        self.schema: Optional[Schema] = None
-        self.untrusted: Optional[UntrustedEngine] = None
-        self.catalog: Optional[SecureCatalog] = None
-        self._loader: Optional[Loader] = None
-        self._binder: Optional[Binder] = None
-        self._vis_server: Optional[VisServer] = None
-        self._planner: Optional[Planner] = None
-        self._reference: Optional[ReferenceEngine] = None
-        self._dml: Optional[DmlExecutor] = None
-        self._compactor: Optional[CompactionManager] = None
+    def __init__(self):
         self._sessions: "weakref.WeakSet[Session]" = weakref.WeakSet()
         self._default_session: Optional[Session] = None
-        self._generation = 0
         # exactly-once DML: the service writer lane records responses
         # here under client idempotency keys (persisted in snapshots)
         self.ikeys = IdempotencyLedger()
-        # the last statement's undo journal: armed (uncommitted) when a
-        # DML crashed mid-flight, committed otherwise -- recover()
-        # rolls back the former, the fleet's abort path the latter
-        self._journal: Optional[StatementJournal] = None
+
+    def _require_built(self) -> None:
+        if not self._built:
+            raise GhostDBError("call build() before querying")
 
     # ------------------------------------------------------------------
     # the unified statement entry point
@@ -187,9 +171,9 @@ class GhostDB:
         if isinstance(parsed, ast.InsertStatement):
             bound = self._binder.bind_insert(parsed, sql)
             bound = self._substitute_dml(bound, params)
-            if self.catalog is None:
+            if not self._built:
                 # before build(): inserts ride the bulk provisioning path
-                self._loader.add_rows(bound.table, bound.rows)
+                self._queue_rows(bound.table, bound.rows)
                 return None
             return self._run_dml(bound)
         if isinstance(parsed, ast.DeleteStatement):
@@ -213,6 +197,127 @@ class GhostDB:
             return bound
         return bound.substitute(tuple(params))
 
+    def load(self, table: str, rows: Sequence[Tuple]) -> None:
+        """Queue rows for ``table`` (data columns only; ids are dense)."""
+        self._finalize_schema()
+        if self._built:
+            raise SchemaError("database already built")
+        self._queue_rows(table, rows)
+
+    # ------------------------------------------------------------------
+    # binding and planning
+    # ------------------------------------------------------------------
+    def _bind(self, sql: str, parsed: Optional[ast.SelectQuery] = None):
+        """Bind ``sql`` (or its already-parsed AST), normalizing
+        aggregate projections and appending the ordering step's
+        internal sort columns."""
+        bound = (self._binder.bind(parsed, sql) if parsed is not None
+                 else self._binder.bind_sql(sql))
+        if bound.is_aggregate:
+            bound = dataclasses.replace(
+                bound, projections=effective_projections(bound)
+            )
+        return sort_projections(bound, self.schema)
+
+    def plan_query(self, sql: str,
+                   vis_strategy: StrategyLike = None,
+                   cross: Optional[bool] = None,
+                   projection: Union[str, ProjectionMode] = "project",
+                   order_method: SortMethodLike = None):
+        """Bind and plan without executing."""
+        self._require_built()
+        bound = self._bind(sql)
+        if bound.has_parameters:
+            raise BindError(
+                f"statement has {bound.param_count} unbound ? "
+                f"placeholder(s): use prepare() and execute(params)"
+            )
+        return self._plan(bound, vis_strategy, cross, projection,
+                          order_method)
+
+    def _generations_for(self, tables) -> Tuple:
+        """Snapshot of the (data, stats) generations a plan depends on."""
+        gens = self.table_generations
+        return tuple(sorted((t, gens[t]) for t in tables))
+
+    # ------------------------------------------------------------------
+    # sessions and prepared statements
+    # ------------------------------------------------------------------
+    def session(self, plan_cache_capacity: int = 64) -> Session:
+        """A new session (own plan cache) over this database."""
+        return Session(self, plan_cache_capacity)
+
+    def _session_default(self) -> Session:
+        if self._default_session is None:
+            self._default_session = Session(self)
+        return self._default_session
+
+    def prepare(self, sql: str,
+                vis_strategy: StrategyLike = None,
+                cross: Optional[bool] = None,
+                projection: Union[str, ProjectionMode] = "project",
+                order_method: SortMethodLike = None,
+                ) -> PreparedStatement:
+        """Bind ``sql`` once for repeated execution.
+
+        ``?`` placeholders in predicates are substituted per call of
+        :meth:`PreparedStatement.execute`; the plan is computed on the
+        first execution and reused (one planner invocation per
+        template, not per query).  Uses the default session's plan
+        cache -- create a dedicated :meth:`session` for isolation.
+        """
+        self._require_built()
+        return self._session_default().prepare(sql, vis_strategy, cross,
+                                               projection, order_method)
+
+
+class GhostDB(StatementFrontEnd):
+    """A GhostDB instance: one secure token plus one Untrusted engine.
+
+    ``GhostDB(shards=N)`` with ``N > 1`` returns a
+    :class:`~repro.shard.fleet.ShardedGhostDB` instead: N independent
+    tokens behind the same statement API, with SELECTs scattered and
+    gathered across them (see :mod:`repro.shard`).
+    """
+
+    def __new__(cls, config: Optional[TokenConfig] = None,
+                indexed_columns: Optional[Dict[str, Sequence[str]]] = None,
+                shards: Optional[int] = None):
+        if cls is GhostDB and shards is not None and shards > 1:
+            from repro.shard.fleet import ShardedGhostDB
+            # not a GhostDB subclass, so __init__ below is skipped
+            return ShardedGhostDB(shards, config=config,
+                                  indexed_columns=indexed_columns)
+        return super().__new__(cls)
+
+    def __init__(self, config: Optional[TokenConfig] = None,
+                 indexed_columns: Optional[Dict[str, Sequence[str]]] = None,
+                 shards: Optional[int] = None):
+        if shards is not None and shards < 1:
+            raise ValueError("shards must be >= 1")
+        super().__init__()
+        self.token = SecureToken(config)
+        self._ddl_tables: List[Table] = []
+        self._indexed_columns = indexed_columns
+        self.schema: Optional[Schema] = None
+        self.untrusted: Optional[UntrustedEngine] = None
+        self.catalog: Optional[SecureCatalog] = None
+        self._loader: Optional[Loader] = None
+        self._binder: Optional[Binder] = None
+        self._vis_server: Optional[VisServer] = None
+        self._planner: Optional[Planner] = None
+        self._reference: Optional[ReferenceEngine] = None
+        self._dml: Optional[DmlExecutor] = None
+        self._compactor: Optional[CompactionManager] = None
+        self._generation = 0
+        # the last statement's undo journal: armed (uncommitted) when a
+        # DML crashed mid-flight, committed otherwise -- recover()
+        # rolls back the former, the fleet's abort path the latter
+        self._journal: Optional[StatementJournal] = None
+
+    # ------------------------------------------------------------------
+    # statement hooks (see StatementFrontEnd)
+    # ------------------------------------------------------------------
     def _run_dml(self, bound: Union[BoundInsert, BoundDelete]
                  ) -> DmlResult:
         """Apply one DML statement inside a per-statement cost window.
@@ -224,33 +329,31 @@ class GhostDB:
         journal is kept until the next statement so a fleet-level abort
         can still undo this shard (:meth:`undo_last_dml`).
         """
-        before = self.token.ledger.snapshot()
-        ch = self.token.channel.stats
-        in_before, out_before = ch.bytes_to_secure, ch.bytes_to_untrusted
-        journal = StatementJournal(self, bound.table)
-        try:
-            with self.token.ram.query_window() as window:
-                if isinstance(bound, BoundInsert):
-                    statement = "insert"
-                    affected = self._dml.insert(bound)
-                else:
-                    statement = "delete"
-                    affected = self._dml.delete(bound)
-        except BaseException:
-            journal.detach()
-            self._journal = journal  # uncommitted: recover() rolls back
-            raise
-        journal.detach()
-        journal.committed = True
-        self._journal = journal
-        stats = self._stats_between(before, self.token.ledger.snapshot(),
-                                    rows=())
-        stats.bytes_to_secure = ch.bytes_to_secure - in_before
-        stats.bytes_to_untrusted = ch.bytes_to_untrusted - out_before
-        stats.ram_peak = window.peak
-        stats.result_rows = affected
+        cost = CostWindow(self.token)
+        with StatementJournal(self, bound.table), cost.ram_window():
+            if isinstance(bound, BoundInsert):
+                statement = "insert"
+                affected = self._dml.insert(bound)
+            else:
+                statement = "delete"
+                affected = self._dml.delete(bound)
         return DmlResult(statement=statement, table=bound.table,
-                         rows_affected=affected, stats=stats)
+                         rows_affected=affected,
+                         stats=cost.stats(affected))
+
+    def _plan(self, bound, vis_strategy: StrategyLike = None,
+              cross: Optional[bool] = None,
+              projection: Union[str, ProjectionMode] = "project",
+              order_method: SortMethodLike = None) -> QueryPlan:
+        return self._planner.plan(bound, vis_strategy, cross, projection,
+                                  order_method)
+
+    def _queue_rows(self, table: str, rows: Sequence[Tuple]) -> None:
+        self._loader.add_rows(table, rows)
+
+    @property
+    def _built(self) -> bool:
+        return self.catalog is not None
 
     # ------------------------------------------------------------------
     # schema definition and loading
@@ -269,13 +372,6 @@ class GhostDB:
             self._loader = Loader(self.schema, self.token, self.untrusted,
                                   self._indexed_columns)
             self._binder = Binder(self.schema)
-
-    def load(self, table: str, rows: Sequence[Tuple]) -> None:
-        """Queue rows for ``table`` (data columns only; ids are dense)."""
-        self._finalize_schema()
-        if self.catalog is not None:
-            raise SchemaError("database already built")
-        self._loader.add_rows(table, rows)
 
     def build(self) -> None:
         """Build hidden images, SKTs and climbing indexes on the token.
@@ -303,42 +399,9 @@ class GhostDB:
         # previous catalog died with that catalog's token image
         self._compactor = CompactionManager(self)
 
-    def _require_built(self) -> None:
-        if self.catalog is None:
-            raise GhostDBError("call build() before querying")
-
     # ------------------------------------------------------------------
     # querying
     # ------------------------------------------------------------------
-    def _bind(self, sql: str, parsed: Optional[ast.SelectQuery] = None):
-        """Bind ``sql`` (or its already-parsed AST), normalizing
-        aggregate projections and appending the ordering step's
-        internal sort columns."""
-        bound = (self._binder.bind(parsed, sql) if parsed is not None
-                 else self._binder.bind_sql(sql))
-        if bound.is_aggregate:
-            bound = dataclasses.replace(
-                bound, projections=effective_projections(bound)
-            )
-        return sort_projections(bound, self.schema)
-
-    def plan_query(self, sql: str,
-                   vis_strategy: StrategyLike = None,
-                   cross: Optional[bool] = None,
-                   projection: Union[str, ProjectionMode] = "project",
-                   order_method: SortMethodLike = None,
-                   ) -> QueryPlan:
-        """Bind and plan without executing."""
-        self._require_built()
-        bound = self._bind(sql)
-        if bound.has_parameters:
-            raise BindError(
-                f"statement has {bound.param_count} unbound ? "
-                f"placeholder(s): use prepare() and execute(params)"
-            )
-        return self._planner.plan(bound, vis_strategy, cross, projection,
-                                  order_method)
-
     def explain(self, sql: str, analyze: bool = False, **kwargs) -> str:
         """Human-readable plan description.
 
@@ -388,47 +451,7 @@ class GhostDB:
         Vis cache with ``{(table, columns): VisResult}`` entries that a
         batched prefetch already downloaded.
         """
-        self._require_built()
-        before = self.token.ledger.snapshot()
-        ch = self.token.channel.stats
-        in_before, out_before = ch.bytes_to_secure, ch.bytes_to_untrusted
-        with self.token.ram.query_window() as window:
-            if announce:
-                # the query text itself is the one thing Secure reveals
-                with self.token.label("Vis"):
-                    self.token.channel.to_untrusted(
-                        max(1, len(plan.bound.sql)), kind="query",
-                        description=plan.bound.sql[:80],
-                    )
-            ctx = ExecContext(self.token, self.catalog, self._vis_server,
-                              plan.bound)
-            if vis_seed:
-                for (table, columns), result in vis_seed.items():
-                    ctx.seed_vis(table, result, columns)
-            sj = QepSjExecutor(ctx).execute(plan)
-            try:
-                names, rows = ProjectionExecutor(ctx).execute(
-                    sj, plan.projection_mode
-                )
-            finally:
-                sj.free()
-            if plan.bound.is_aggregate:
-                names, rows = apply_aggregates(plan.bound,
-                                               plan.bound.projections, rows)
-            elif plan.bound.distinct:
-                rows = dedup_rows(rows)
-            if plan.order is not None:
-                rows = OrderByExecutor(ctx, plan.order).execute(rows)
-        names, rows = strip_internal_columns(plan.bound, names, rows)
-        after = self.token.ledger.snapshot()
-        stats = self._stats_between(before, after, rows)
-        stats.bytes_to_secure = ch.bytes_to_secure - in_before
-        stats.bytes_to_untrusted = ch.bytes_to_untrusted - out_before
-        # the per-query attribution window ensures this is the peak of
-        # *this* query's allocations, even when other statements
-        # interleave on the shared token (service admission control)
-        stats.ram_peak = window.peak
-        return QueryResult(columns=names, rows=rows, stats=stats, plan=plan)
+        return self._run_plan(plan, announce, vis_seed, finish=True)
 
     def execute_fragment(self, plan: QueryPlan, *, announce: bool = True,
                          vis_seed: Optional[Dict] = None) -> QueryResult:
@@ -445,22 +468,28 @@ class GhostDB:
         anchor-id tail the gather merges by -- and the cost window is
         accounted identically to a standalone query.
         """
+        return self._run_plan(plan, announce, vis_seed, finish=False)
+
+    def _run_plan(self, plan: QueryPlan, announce: bool,
+                  vis_seed: Optional[Dict], finish: bool) -> QueryResult:
+        """QEPSJ + projection (+ ordering) inside one cost window;
+        ``finish`` adds the whole-result stages a fragment leaves to
+        the gather: aggregation / DISTINCT and internal-column strip."""
         self._require_built()
-        before = self.token.ledger.snapshot()
-        ch = self.token.channel.stats
-        in_before, out_before = ch.bytes_to_secure, ch.bytes_to_untrusted
-        with self.token.ram.query_window() as window:
+        bound = plan.bound
+        cost = CostWindow(self.token)
+        with cost.ram_window():
             if announce:
-                # each shard's channel carries its own audited copy of
-                # the (public) query text: the no-leak invariant stays
-                # checkable per channel
+                # the query text itself is the one thing Secure reveals
+                # (each shard's channel carries its own audited copy of
+                # it: the no-leak invariant stays checkable per channel)
                 with self.token.label("Vis"):
                     self.token.channel.to_untrusted(
-                        max(1, len(plan.bound.sql)), kind="query",
-                        description=plan.bound.sql[:80],
+                        max(1, len(bound.sql)), kind="query",
+                        description=bound.sql[:80],
                     )
             ctx = ExecContext(self.token, self.catalog, self._vis_server,
-                              plan.bound)
+                              bound)
             if vis_seed:
                 for (table, columns), result in vis_seed.items():
                     ctx.seed_vis(table, result, columns)
@@ -471,41 +500,21 @@ class GhostDB:
                 )
             finally:
                 sj.free()
+            if finish:
+                if bound.is_aggregate:
+                    names, rows = apply_aggregates(
+                        bound, bound.projections, rows)
+                elif bound.distinct:
+                    rows = dedup_rows(rows)
             if plan.order is not None:
                 rows = OrderByExecutor(ctx, plan.order).execute(rows)
-        after = self.token.ledger.snapshot()
-        stats = self._stats_between(before, after, rows)
-        stats.bytes_to_secure = ch.bytes_to_secure - in_before
-        stats.bytes_to_untrusted = ch.bytes_to_untrusted - out_before
-        stats.ram_peak = window.peak
-        return QueryResult(columns=names, rows=rows, stats=stats, plan=plan)
+        if finish:
+            names, rows = strip_internal_columns(bound, names, rows)
+        return QueryResult(columns=names, rows=rows,
+                           stats=cost.stats(len(rows)), plan=plan)
 
     # ------------------------------------------------------------------
-    def _stats_between(self, before, after, rows) -> QueryStats:
-        by_op: Dict[str, float] = {}
-        for label, parts in after.time_us.items():
-            delta = sum(parts.values()) - sum(
-                before.time_us.get(label, {}).values()
-            )
-            if delta > 1e-12:
-                by_op[label] = delta / 1e6
-        counters = {
-            k: after.counters[k] - before.counters.get(k, 0)
-            for k in after.counters
-            if after.counters[k] != before.counters.get(k, 0)
-        }
-        return QueryStats(
-            total_s=sum(by_op.values()),
-            by_operator=by_op,
-            counters=counters,
-            bytes_to_secure=0,
-            bytes_to_untrusted=0,
-            ram_peak=0,
-            result_rows=len(rows),
-        )
-
-    # ------------------------------------------------------------------
-    # sessions, prepared statements, batched execution
+    # generations, batched execution
     # ------------------------------------------------------------------
     @property
     def generation(self) -> int:
@@ -530,33 +539,6 @@ class GhostDB:
                 self.catalog.stats_generations[t])
             for t in self.schema.tables
         }
-
-    def session(self, plan_cache_capacity: int = 64) -> Session:
-        """A new session (own plan cache) over this database."""
-        return Session(self, plan_cache_capacity)
-
-    def _session_default(self) -> Session:
-        if self._default_session is None:
-            self._default_session = Session(self)
-        return self._default_session
-
-    def prepare(self, sql: str,
-                vis_strategy: StrategyLike = None,
-                cross: Optional[bool] = None,
-                projection: Union[str, ProjectionMode] = "project",
-                order_method: SortMethodLike = None,
-                ) -> PreparedStatement:
-        """Bind ``sql`` once for repeated execution.
-
-        ``?`` placeholders in predicates are substituted per call of
-        :meth:`PreparedStatement.execute`; the plan is computed on the
-        first execution and reused (one planner invocation per
-        template, not per query).  Uses the default session's plan
-        cache -- create a dedicated :meth:`session` for isolation.
-        """
-        self._require_built()
-        return self._session_default().prepare(sql, vis_strategy, cross,
-                                               projection, order_method)
 
     def query_many(self,
                    sql: Union[str, Sequence[str]],
@@ -618,47 +600,21 @@ class GhostDB:
         self._require_built()
         return self._compactor.status()
 
-    def rebuild(self,
-                indexed_columns: Optional[Dict[str, Sequence[str]]] = None
-                ) -> None:
-        """Fold all accumulated DML debt back into built structures.
+    def rebuild(self, indexed_columns: Dict[str, Sequence[str]]) -> None:
+        """Re-provision the token under a new set of indexed columns.
 
-        Historically this re-provisioned the entire token from the
-        retained raw rows -- a stop-the-world rebuild.  It now survives
-        as a thin shim: without arguments it simply loops
-        :meth:`compact` over every dirty table (per-table, bounded
-        steps internally, same end state), resets the cost ledger as
-        the old rebuild did, and bumps :attr:`generation`.
+        Changing which attributes are indexed genuinely requires
+        rebuilding the token image from the (compacted) raw rows; every
+        other kind of DML debt is folded by :meth:`compact`.  Flushes
+        every session's plan cache when the selection changed and bumps
+        :attr:`generation`.
 
-        Passing ``indexed_columns`` still takes the full
-        re-provisioning path, since changing which attributes are
-        indexed genuinely requires rebuilding from scratch; that path
-        flushes every session's plan cache when the selection changed.
-
-        Either way cache invalidation is routed through the per-table
+        Cache invalidation is otherwise routed through the per-table
         generations: only tables whose own DML was folded bump, so
         plans over untouched tables keep serving from every session's
         cache.
         """
         self._require_built()
-        if indexed_columns is not None:
-            self._full_reprovision(indexed_columns)
-            return
-        # one pass in any order converges: compact(T) folds T's whole
-        # subtree, and it never re-dirties tables (the +1 pass is a
-        # safety net, not an expectation)
-        for _ in range(len(self.schema.tables) + 1):
-            dirty = self._compactor.dirty_tables()
-            if not dirty:
-                break
-            for table in dirty:
-                self._compactor.compact(table)
-        self.token.reset_costs()
-        self._generation += 1
-
-    def _full_reprovision(
-            self, indexed_columns: Dict[str, Sequence[str]]) -> None:
-        """Rebuild the token image from scratch (index-set changes)."""
         raw_rows = self._compacted_rows()
         old = self.catalog
         dirty = {

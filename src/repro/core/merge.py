@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.execmode import scalar_exec
 from repro.errors import PlanError
-from repro.flash.store import FlashStore
+from repro.flash.store import FlashFile, FlashStore
 from repro.hardware.ram import SecureRam
 from repro.storage.runs import (IdRun, U32FileBuilder, dedupe_sorted,
                                 galloping_search, union_sorted)
@@ -302,8 +302,14 @@ class MergeOperator:
         self.reductions = 0
 
     # ------------------------------------------------------------------
-    def _reduce_group(self, runs: List[IdRun], fold: int) -> List[IdRun]:
-        """Merge the ``fold`` smallest flash runs of a group into one."""
+    def _reduce_group(self, runs: List[IdRun], fold: int,
+                      temps: List[FlashFile]) -> List[IdRun]:
+        """Merge the ``fold`` smallest flash runs of a group into one.
+
+        ``temps`` tracks the reduced runs' flash files: an earlier
+        reduction this fold consumes is freed here, the new one is
+        appended for the stream to free when it closes.
+        """
         flash = sorted(
             (r for r in runs if r.buffers_needed > 0), key=lambda r: r.count
         )
@@ -324,12 +330,23 @@ class MergeOperator:
                     builder.append_words(chunk)
             view = builder.finish()
         self.reductions += 1
+        for victim in victims:
+            if victim.view.file in temps:
+                temps.remove(victim.view.file)
+                victim.view.file.free()
+        temps.append(view.file)
         return memory + rest + [IdRun.flash(view)]
 
     def _fit_to_budget(self, groups: List[List[IdRun]],
-                       reserve_buffers: int) -> List[List[IdRun]]:
-        """Reduction phase: shrink run counts until buffers suffice."""
+                       reserve_buffers: int
+                       ) -> Tuple[List[List[IdRun]], List[FlashFile]]:
+        """Reduction phase: shrink run counts until buffers suffice.
+
+        Returns the fitted groups plus the reduction temporaries they
+        read from; the caller frees those once the merge is consumed.
+        """
         groups = [list(g) for g in groups]
+        temps: List[FlashFile] = []
         while True:
             needed = sum(r.buffers_needed for g in groups for r in g)
             # the reserve is advisory: never starve Merge below one open
@@ -339,7 +356,7 @@ class MergeOperator:
                 min(1, self.ram.free_buffers),
             )
             if needed <= budget:
-                return groups
+                return groups, temps
             # reduce the group holding the most flash runs
             target = max(
                 range(len(groups)),
@@ -360,7 +377,8 @@ class MergeOperator:
             # budget below 3 buffers is transiently exceeded rather
             # than failing the plan.
             fold = min(n_flash, max(2, budget - 1))
-            groups[target] = self._reduce_group(groups[target], fold)
+            groups[target] = self._reduce_group(groups[target], fold,
+                                                temps)
 
     # ------------------------------------------------------------------
     def stream_chunks(self, groups: Sequence[Sequence[IdRun]],
@@ -373,7 +391,7 @@ class MergeOperator:
         """
         if not groups:
             return iter(())
-        fitted = self._fit_to_budget(list(groups), reserve_buffers)
+        fitted, temps = self._fit_to_budget(list(groups), reserve_buffers)
 
         def _run() -> Iterator[List[int]]:
             page_iters: List[Iterator[List[int]]] = []
@@ -394,8 +412,11 @@ class MergeOperator:
                         break
                     yield chunk
             finally:
-                # free the buffers of any page not read to exhaustion
+                # free the buffers of any page not read to exhaustion,
+                # then the reduction runs those pages came from
                 _close_all(page_iters)
+                for temp in temps:
+                    temp.free()
 
         return _run()
 
@@ -413,7 +434,7 @@ class MergeOperator:
                                                       reserve_buffers))
         if not groups:
             return iter(())
-        fitted = self._fit_to_budget(list(groups), reserve_buffers)
+        fitted, temps = self._fit_to_budget(list(groups), reserve_buffers)
         leaf_iters: List[Iterator[int]] = []
         union_iters: List[Iterator[int]] = []
         for g in fitted:
@@ -434,8 +455,11 @@ class MergeOperator:
                             break
                     yield value
             finally:
-                # free the buffers of any leaf not read to exhaustion
+                # free the buffers of any leaf not read to exhaustion,
+                # then the reduction runs those leaves came from
                 _close_all(leaf_iters)
+                for temp in temps:
+                    temp.free()
 
         return _run()
 

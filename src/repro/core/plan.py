@@ -191,12 +191,13 @@ class QepSjResult:
     approx_tables: Set[str] = field(default_factory=set)
 
     def free(self) -> None:
-        """Release temporary flash files held by the result."""
-        files = set()
-        if self.anchor_ids is not None:
-            files.add(self.anchor_ids.file)
-        if self.columns:
-            for view in self.columns.values():
-                files.add(view.file)
-        for f in files:
-            f.free()
+        """Release temporary flash files held by the result.
+
+        In first-seen order: the order of frees is the order of the
+        FTL's free-page list, which a snapshot persists, so it must
+        not depend on object addresses (as iterating a ``set`` would).
+        """
+        views = [self.anchor_ids] if self.anchor_ids is not None else []
+        views.extend((self.columns or {}).values())
+        for view in views:
+            view.file.free()    # idempotent: shared files free once

@@ -125,6 +125,11 @@ class StatementJournal:
     snapshot.  Ops against files that no longer exist (a statement's
     temporary merge runs) are skipped -- they were created and freed
     inside the journaled window.
+
+    Used as a context manager around the mutation: leaving the block
+    stops the flash notifications and parks the journal on
+    ``db._journal`` -- *committed* on a clean exit, still armed when
+    the statement died mid-flight (``recover()`` rolls that one back).
     """
 
     def __init__(self, db: "GhostDB", table: str):
@@ -157,6 +162,14 @@ class StatementJournal:
         """Stop receiving flash notifications (keeps the undo log)."""
         if self.db.token.store.journal is self:
             self.db.token.store.journal = None
+
+    def __enter__(self) -> "StatementJournal":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.detach()
+        self.committed = exc_type is None
+        self.db._journal = self
 
     # ------------------------------------------------------------------
     # engine-side snapshot

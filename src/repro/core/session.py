@@ -12,8 +12,9 @@ module adds the reusable infrastructure on top of the facade:
 * :class:`PlanCache` -- an LRU cache of :class:`QueryPlan` objects
   keyed on the *normalized* SQL text plus the strategy knobs, so
   whitespace or keyword-case variants of one query share a plan.  The
-  cache is explicitly invalidated when the database is rebuilt.
-* :class:`Session` -- one client's view of a :class:`GhostDB`: its own
+  cache is explicitly invalidated when the index set is re-provisioned.
+* :class:`Session` -- one client's view of a :class:`GhostDB` (or of a
+  fleet: the session asks its database to plan and to run): its own
   plan cache and the batched execution path :meth:`Session.query_many`,
   which amortizes the planner's selectivity probes and the
   Secure -> Untrusted round trips (query announcements and Vis
@@ -32,12 +33,13 @@ from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple, Union)
 
-from repro.core.executor import QueryResult, QueryStats
+from repro.core.executor import CostWindow, QueryResult, QueryStats
 from repro.core.operators import to_vis_predicates
 from repro.core.plan import ProjectionMode, QueryPlan
 from repro.core.planner import (SortMethodLike, StrategyLike, _coerce_mode,
                                 _coerce_sort_method, _coerce_strategy)
-from repro.errors import BindError, GhostDBError, SnapshotError
+from repro.errors import GhostDBError, SnapshotError
+from repro.hardware.token import SecureToken
 from repro.sql.binder import BoundQuery
 from repro.sql.lexer import normalize_sql
 from repro.untrusted.server import VisRequest, VisResult
@@ -82,9 +84,9 @@ class PlanCache:
     INSERT into ``Patients`` invalidates only plans touching
     ``Patients``, never a cached ``Doctors``-only plan, and a stats
     change that could flip a cost-based strategy choice invalidates
-    exactly like a data change.  ``GhostDB.rebuild()`` relies on the
-    same mechanism: it bumps the generations of the tables mutated
-    since the last build instead of flushing the cache globally.
+    exactly like a data change.  Compaction relies on the same
+    mechanism: it bumps the generations of the tables whose DML it
+    folded instead of flushing the cache globally.
     """
 
     def __init__(self, capacity: int = 64):
@@ -134,7 +136,7 @@ class PlanCache:
             self.evictions += 1
 
     def invalidate(self) -> None:
-        """Drop every cached plan (the database was rebuilt)."""
+        """Drop every cached plan (the index set changed)."""
         self._plans.clear()
         self.invalidations += 1
 
@@ -155,12 +157,8 @@ class PreparedStatement:
                  parsed=None):
         self.session = session
         self.sql = sql
-        self._vis_strategy = vis_strategy
-        self._cross = cross
-        self._projection = projection
-        self._order_method = order_method
-        self._key = plan_key(sql, vis_strategy, cross, projection,
-                             order_method)
+        self._knobs = (vis_strategy, cross, projection, order_method)
+        self._key = plan_key(sql, *self._knobs)
         db = session.db
         db._require_built()
         self.template: BoundQuery = db._bind(sql, parsed)
@@ -180,18 +178,18 @@ class PreparedStatement:
         (pinned) generation map instead of the live one -- the service
         layer plans against the same snapshot it executes under.
         """
+        return self._cached_plan(bound, generations)
+
+    def _cached_plan(self, bound: BoundQuery,
+                     generations: Optional[Dict[str, Tuple[int, int]]]):
         db = self.session.db
         cache = self.session.plan_cache
         gens = generations if generations is not None \
             else db.table_generations
         plan = cache.get(self._key, gens)
         if plan is None:
-            plan = db._planner.plan(
-                bound, self._vis_strategy, self._cross, self._projection,
-                self._order_method,
-            )
-            cache.put(self._key, plan,
-                      db.catalog.generations_for(bound.tables))
+            plan = db._plan(bound, *self._knobs)
+            cache.put(self._key, plan, db._generations_for(bound.tables))
         return plan
 
     def execute(self, params: Sequence = ()) -> QueryResult:
@@ -240,7 +238,8 @@ class Session:
 
     Sessions are cheap; a server would hold one per connection.  All
     sessions share the database's token and Untrusted engine -- only
-    the caching layer is per-session.  ``GhostDB.rebuild()`` calls
+    the caching layer is per-session.  Re-provisioning under a new
+    index set (``GhostDB.rebuild(indexed_columns)``) calls
     :meth:`invalidate` on every live session.
     """
 
@@ -262,8 +261,8 @@ class Session:
                 order_method: SortMethodLike = None,
                 parsed=None) -> PreparedStatement:
         """Bind ``sql`` (which may contain ``?`` placeholders) once."""
-        return PreparedStatement(self, sql, vis_strategy, cross,
-                                 projection, order_method, parsed)
+        return self.db._statement_cls(self, sql, vis_strategy, cross,
+                                      projection, order_method, parsed)
 
     def query(self, sql: str, params: Optional[Sequence] = None,
               vis_strategy: StrategyLike = None,
@@ -274,23 +273,28 @@ class Session:
         """Like legacy ``GhostDB.query`` but through the plan cache.
 
         ``parsed`` lets callers that already parsed the statement
-        (``GhostDB.execute``) skip the re-parse; parameterized calls
-        reuse a cached bound template, so a hot loop re-binds nothing.
+        (``GhostDB.execute``) skip the re-parse; every call reuses a
+        cached bound template, so a hot loop re-binds nothing.
         """
-        if params is not None:
-            key = plan_key(sql, vis_strategy, cross, projection,
-                           order_method)
-            stmt = self._statements.get(key)
-            if stmt is None:
-                stmt = self.prepare(sql, vis_strategy, cross, projection,
-                                    order_method, parsed)
-                self._statements[key] = stmt
-                while len(self._statements) > self.plan_cache.capacity:
-                    self._statements.popitem(last=False)
-            return stmt.execute(params)
-        plan = self._plan_cached(sql, vis_strategy, cross, projection,
-                                 order_method, parsed)
-        return self.db.execute_plan(plan)
+        stmt = self._statement(sql, vis_strategy, cross, projection,
+                               order_method, parsed)
+        return stmt.execute(params if params is not None else ())
+
+    def _statement(self, sql: str, vis_strategy: StrategyLike,
+                   cross: Optional[bool],
+                   projection: Union[str, ProjectionMode],
+                   order_method: SortMethodLike = None,
+                   parsed=None) -> PreparedStatement:
+        """The session's cached prepared statement for ``sql``."""
+        key = plan_key(sql, vis_strategy, cross, projection, order_method)
+        stmt = self._statements.get(key)
+        if stmt is None:
+            stmt = self.prepare(sql, vis_strategy, cross, projection,
+                                order_method, parsed)
+            self._statements[key] = stmt
+            while len(self._statements) > self.plan_cache.capacity:
+                self._statements.popitem(last=False)
+        return stmt
 
     def query_many(self,
                    sql: Union[str, Sequence[str]],
@@ -331,7 +335,7 @@ class Session:
                                    projection, order_method, prefetch_vis)
 
     def invalidate(self) -> None:
-        """Drop cached plans (called by ``GhostDB.rebuild()``)."""
+        """Drop cached plans (the index set was re-provisioned)."""
         self.plan_cache.invalidate()
 
     # ------------------------------------------------------------------
@@ -387,38 +391,16 @@ class Session:
             )
 
     # ------------------------------------------------------------------
-    def _plan_cached(self, sql: str, vis_strategy: StrategyLike,
-                     cross: Optional[bool],
-                     projection: Union[str, ProjectionMode],
-                     order_method: SortMethodLike = None,
-                     parsed=None) -> QueryPlan:
-        key = plan_key(sql, vis_strategy, cross, projection, order_method)
-        plan = self.plan_cache.get(key, self.db.table_generations)
-        if plan is None:
-            bound = self.db._bind(sql, parsed)
-            if bound.has_parameters:
-                raise BindError(
-                    "statement has ? placeholders: use prepare() or "
-                    "pass params"
-                )
-            plan = self.db._planner.plan(bound, vis_strategy, cross,
-                                         projection, order_method)
-            self.plan_cache.put(key, plan,
-                                self.db.catalog.generations_for(
-                                    bound.tables))
-        return plan
-
-    # ------------------------------------------------------------------
     # batched execution
     # ------------------------------------------------------------------
     def _run_template_batch(self, stmt: PreparedStatement,
                             param_sets: Sequence[Sequence],
                             prefetch_vis: bool) -> BatchResult:
+        window = self._open_window()
         param_sets = [tuple(p) for p in param_sets]
         if not param_sets:
             return BatchResult([], QueryStats.aggregate(()), 0, 0)
         bounds = [stmt.template.substitute(p) for p in param_sets]
-        window = self._open_window()
         plan = stmt.plan_for(bounds[0])
         plans = [plan.with_bound(b) for b in bounds]
         # one audited message carries the template and every value set
@@ -432,23 +414,34 @@ class Session:
                        projection: Union[str, ProjectionMode],
                        order_method: SortMethodLike,
                        prefetch_vis: bool) -> BatchResult:
+        window = self._open_window()
         if not sqls:
             return BatchResult([], QueryStats.aggregate(()), 0, 0)
-        window = self._open_window()
-        plans = [self._plan_cached(s, vis_strategy, cross, projection,
+        plans = []
+        for sql in sqls:
+            stmt = self._statement(sql, vis_strategy, cross, projection,
                                    order_method)
-                 for s in sqls]
+            # () fails the bind check when the text has ? placeholders
+            bound = stmt.template.substitute(())
+            plans.append(stmt.plan_for(bound).with_bound(bound))
         nbytes = sum(max(1, len(s)) for s in sqls)
         self._announce_batch(nbytes, len(plans), sqls[0])
         return self._execute_plans(plans, prefetch_vis, window)
 
     # ------------------------------------------------------------------
-    def _open_window(self) -> Tuple:
-        """Snapshot the token's ledgers before a batch."""
+    def _open_window(self) -> Tuple[CostWindow, int, int]:
+        """Open the batch's cost window (plus the planner/cache marks).
+
+        A batch amortizes round trips on *one* token's channel and Vis
+        server, so a fleet session has no batched path.
+        """
         db = self.db
-        ch = db.token.channel.stats
-        return (db.token.ledger.snapshot(), ch.bytes_to_secure,
-                ch.bytes_to_untrusted, db._planner.plans_built,
+        if not isinstance(db.token, SecureToken):
+            raise GhostDBError(
+                "batched execution (query_many/execute_many) runs on a "
+                "single token; execute fleet statements one by one"
+            )
+        return (CostWindow(db.token), db._planner.plans_built,
                 self.plan_cache.hits)
 
     def _announce_batch(self, nbytes: int, n: int, head_sql: str) -> None:
@@ -507,15 +500,12 @@ class Session:
             db.execute_plan(plan, announce=False, vis_seed=seed)
             for plan, seed in zip(plans, seeds)
         ]
-        before, in0, out0, plans0, hits0 = window
-        ch = db.token.channel.stats
+        cost, plans0, hits0 = window
         per_query = QueryStats.aggregate(r.stats for r in results)
-        stats = db._stats_between(before, db.token.ledger.snapshot(),
-                                  rows=())
-        stats.result_rows = per_query.result_rows
+        stats = cost.stats(per_query.result_rows)
+        # each query ran in its own RAM window; the batch peak is the
+        # largest of them
         stats.ram_peak = per_query.ram_peak
-        stats.bytes_to_secure = ch.bytes_to_secure - in0
-        stats.bytes_to_untrusted = ch.bytes_to_untrusted - out0
         return BatchResult(
             results=results, stats=stats,
             plans_computed=db._planner.plans_built - plans0,

@@ -230,9 +230,6 @@ class TableStats:
         for name, pos in self._positions:
             self.columns[name].remove(row[pos])
 
-    def column(self, name: str) -> Optional[ColumnStats]:
-        return self.columns.get(name)
-
     def distinct(self, name: str) -> Optional[int]:
         """Estimated live distinct values of one column.
 

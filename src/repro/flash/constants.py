@@ -46,11 +46,6 @@ class FlashParams:
     erase_block_us: float = 0.0  # the paper's cost model folds erases into writes
     gc_free_block_threshold: int = 4
 
-    @property
-    def capacity_bytes(self) -> int:
-        """Raw capacity of the NAND array in bytes."""
-        return self.page_size * self.pages_per_block * self.n_blocks
-
     def read_time_us(self, nbytes: int) -> float:
         """Time to read one page and move ``nbytes`` of it into RAM."""
         return self.read_page_us + nbytes * self.byte_transfer_ns / 1000.0

@@ -179,18 +179,9 @@ class Ftl:
     # ------------------------------------------------------------------
     # occupancy
     # ------------------------------------------------------------------
-    @property
-    def free_block_count(self) -> int:
-        return len(self._free_blocks)
-
     def mapped_pages(self) -> int:
         """Number of logical pages currently holding data."""
         return len(self._p2l)
-
-    @property
-    def total_pages(self) -> int:
-        """Size of the logical page space (== physical pages)."""
-        return len(self._l2p)
 
     def headroom_pages(self) -> int:
         """Logical pages that can still be written before the device

@@ -209,10 +209,6 @@ class ClimbingIndex:
     # append-only maintenance
     # ------------------------------------------------------------------
     @property
-    def _entry_width(self) -> int:
-        return self.key_codec.width + ID_SIZE
-
-    @property
     def delta_entries(self) -> int:
         """Entries appended since the bulk build."""
         return len(self._delta)

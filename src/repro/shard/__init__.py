@@ -22,12 +22,11 @@ channel.  :class:`~repro.shard.fleet.ShardedGhostDB` -- reachable as
   applies shard-wise without a fleet-level trusted party.
 """
 
-from repro.shard.fleet import FleetQueryPlan, FleetSession, ShardedGhostDB
+from repro.shard.fleet import FleetQueryPlan, ShardedGhostDB
 from repro.shard.router import ShardRouter
 
 __all__ = [
     "FleetQueryPlan",
-    "FleetSession",
     "ShardRouter",
     "ShardedGhostDB",
 ]

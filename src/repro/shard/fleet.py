@@ -31,40 +31,32 @@ counters and per-operator work sum (see
 from __future__ import annotations
 
 import dataclasses
-import weakref
-from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.aggregate import apply_aggregates, effective_projections
+from repro.core.aggregate import apply_aggregates
 from repro.core.compaction import (DEFAULT_HEADROOM_FACTOR,
                                    DEFAULT_PAGES_PER_STEP,
                                    CompactionProgress)
 from repro.core.dml import DmlResult
-from repro.core.executor import QueryResult, QueryStats
-from repro.core.ghostdb import GhostDB
+from repro.core.executor import CostWindow, QueryResult, QueryStats
+from repro.core.ghostdb import GhostDB, StatementFrontEnd
 from repro.core.plan import (OrderPlan, ProjectionMode, QueryPlan,
                              SortMethod)
 from repro.core.planner import (SortMethodLike, StrategyLike,
                                 scatter_order)
-from repro.core.recovery import (IdempotencyLedger, RecoveryReport,
-                                 StatementJournal)
+from repro.core.recovery import RecoveryReport, StatementJournal
 from repro.core.reference import ReferenceEngine
-from repro.core.session import PlanCache, plan_key
-from repro.core.sort import (dedup_rows, sort_projections,
-                             strip_internal_columns)
-from repro.errors import (BindError, CompactionDeclined, GhostDBError,
-                          SchemaError, ShardDown, ShardUnavailable,
-                          SnapshotError)
+from repro.core.session import PreparedStatement
+from repro.core.sort import dedup_rows, strip_internal_columns
+from repro.errors import (CompactionDeclined, GhostDBError, SchemaError,
+                          ShardDown, ShardUnavailable)
 from repro.hardware.token import (SecureToken, TokenConfig,
                                   fleet_admission_ram)
-from repro.schema.ddl import column_from_def
 from repro.schema.model import Table
 from repro.shard import gather
 from repro.shard.router import ShardRouter
-from repro.sql import ast
 from repro.sql.binder import (BoundDelete, BoundInsert, BoundQuery,
                               with_anchor_id_tail)
-from repro.sql.parser import parse
 
 
 class FleetToken:
@@ -81,14 +73,6 @@ class FleetToken:
     def __init__(self, tokens: List[SecureToken]):
         self.tokens = tokens
         self.ram = fleet_admission_ram(tokens)
-
-    def elapsed_s(self) -> float:
-        """Fleet makespan: the slowest token's simulated clock."""
-        return max(t.elapsed_s() for t in self.tokens)
-
-    def reset_costs(self) -> None:
-        for t in self.tokens:
-            t.reset_costs()
 
     def set_throughput(self, mbps: float) -> None:
         for t in self.tokens:
@@ -167,153 +151,67 @@ class FleetQueryPlan:
         return "\n".join(lines)
 
 
-class FleetPreparedStatement:
-    """Prepared statement over the fleet (plan once per shard set)."""
+class FleetPreparedStatement(PreparedStatement):
+    """Prepared statement over the fleet (plan once per shard set).
 
-    def __init__(self, session: "FleetSession", sql: str,
-                 vis_strategy: StrategyLike = None,
-                 cross: Optional[bool] = None,
-                 projection: Union[str, ProjectionMode] = "project",
-                 order_method: SortMethodLike = None,
-                 parsed=None):
-        self.session = session
-        self.sql = sql
-        self._knobs = (vis_strategy, cross, projection, order_method)
-        self._key = plan_key(sql, vis_strategy, cross, projection,
-                             order_method)
-        db = session.db
-        db._require_built()
-        self.template: BoundQuery = db._bind(sql, parsed)
-        self.executions = 0
-
-    @property
-    def param_count(self) -> int:
-        return self.template.param_count
+    Shares everything with the single-token statement; the two methods
+    are defined here (not inherited) so outside-in tracers can tell a
+    fleet statement from the per-shard work nested inside it.
+    """
 
     def plan_for(self, bound: BoundQuery,
                  generations: Optional[Dict[str, Tuple[int, int]]] = None
                  ) -> FleetQueryPlan:
-        db = self.session.db
-        cache = self.session.plan_cache
-        gens = generations if generations is not None \
-            else db.table_generations
-        plan = cache.get(self._key, gens)
-        if plan is None:
-            plan = db._plan_fleet(bound, *self._knobs)
-            cache.put(self._key, plan, db._generations_for(bound.tables))
-        return plan
+        return self._cached_plan(bound, generations)
 
     def execute(self, params: Sequence = ()) -> QueryResult:
-        bound = self.template.substitute(tuple(params))
-        plan = self.plan_for(bound).with_bound(bound)
-        self.executions += 1
-        return self.session.db._execute_fleet_plan(plan)
+        return super().execute(params)
 
 
-class FleetSession:
-    """Per-client plan cache and pinned execution over the fleet.
+class ShardedGhostDB(StatementFrontEnd):
+    """N GhostDB shards behind the single-database statement API.
 
-    Duck-compatible with :class:`~repro.core.session.Session` where
-    the service layer needs it: ``prepare`` / ``query`` /
-    ``plan_cache`` / ``pin_generations`` / ``execute_pinned``.
+    The statement surface (``execute`` / ``prepare`` / ``session`` /
+    ``plan_query`` / ``load``) is the shared
+    :class:`~repro.core.ghostdb.StatementFrontEnd`; this class supplies
+    its hooks -- ``_register_table`` (broadcast), ``_queue_rows``
+    (route root rows), ``_run_dml`` (route / broadcast / two-phase),
+    ``_plan`` (scatter or route), ``execute_plan`` (scatter-gather),
+    ``table_generations`` (summed) -- and the fleet-only operations.
+
+    ``n_shards`` is the shard count, or the shards themselves when a
+    fleet image is restored (:func:`repro.shard.persist.restore_fleet`).
     """
 
-    def __init__(self, db: "ShardedGhostDB",
-                 plan_cache_capacity: int = 64):
-        db._require_built()
-        self.db = db
-        self.plan_cache = PlanCache(plan_cache_capacity)
-        self._statements: "OrderedDict" = OrderedDict()
-        db._sessions.add(self)
+    _statement_cls = FleetPreparedStatement
 
-    def prepare(self, sql: str,
-                vis_strategy: StrategyLike = None,
-                cross: Optional[bool] = None,
-                projection: Union[str, ProjectionMode] = "project",
-                order_method: SortMethodLike = None,
-                parsed=None) -> FleetPreparedStatement:
-        return FleetPreparedStatement(self, sql, vis_strategy, cross,
-                                      projection, order_method, parsed)
-
-    def query(self, sql: str, params: Optional[Sequence] = None,
-              vis_strategy: StrategyLike = None,
-              cross: Optional[bool] = None,
-              projection: Union[str, ProjectionMode] = "project",
-              order_method: SortMethodLike = None,
-              parsed=None) -> QueryResult:
-        key = plan_key(sql, vis_strategy, cross, projection,
-                       order_method)
-        stmt = self._statements.get(key)
-        if stmt is None:
-            stmt = self.prepare(sql, vis_strategy, cross, projection,
-                                order_method, parsed)
-            self._statements[key] = stmt
-            while len(self._statements) > self.plan_cache.capacity:
-                self._statements.popitem(last=False)
-        return stmt.execute(tuple(params) if params is not None else ())
-
-    def invalidate(self) -> None:
-        self.plan_cache.invalidate()
-
-    def pin_generations(self, tables=None) -> Dict[str, Tuple[int, int]]:
-        gens = self.db.table_generations
-        if tables is None:
-            return dict(gens)
-        return {t: gens[t] for t in tables}
-
-    def execute_pinned(self, plan: FleetQueryPlan,
-                       pinned: Dict[str, Tuple[int, int]],
-                       announce: bool = True) -> QueryResult:
-        self._check_pin(plan, pinned, "at statement start")
-        result = self.db._execute_fleet_plan(plan, announce=announce)
-        self._check_pin(plan, pinned, "after execution")
-        return result
-
-    def _check_pin(self, plan: FleetQueryPlan,
-                   pinned: Dict[str, Tuple[int, int]], when: str) -> None:
-        live = self.db.table_generations
-        moved = {
-            t: (gen, live.get(t))
-            for t, gen in pinned.items()
-            if t in plan.bound.tables and live.get(t) != gen
-        }
-        if moved:
-            raise SnapshotError(
-                f"pinned generations moved {when}: {moved}"
-            )
-
-
-class ShardedGhostDB:
-    """N GhostDB shards behind the single-database statement API."""
-
-    def __init__(self, n_shards: int,
+    def __init__(self, n_shards: Union[int, Sequence[GhostDB]],
                  config: Optional[TokenConfig] = None,
                  indexed_columns: Optional[Dict[str, Sequence[str]]] = None):
-        if n_shards < 2:
+        super().__init__()
+        if isinstance(n_shards, int):
+            shards = [
+                GhostDB(config=config, indexed_columns=indexed_columns)
+                for _ in range(n_shards)
+            ]
+        else:
+            shards = list(n_shards)
+        if len(shards) < 2:
             raise ValueError(
                 "ShardedGhostDB needs shards >= 2; use GhostDB() for "
                 "a single token"
             )
-        self.n_shards = n_shards
-        self.shards: List[GhostDB] = [
-            GhostDB(config=config, indexed_columns=indexed_columns)
-            for _ in range(n_shards)
-        ]
-        self.router = ShardRouter(n_shards)
-        self.token = FleetToken([s.token for s in self.shards])
-        self._ddl: List[str] = []
+        self.n_shards = len(shards)
+        self.shards: List[GhostDB] = shards
+        self.router = ShardRouter(self.n_shards)
+        self.token = FleetToken([s.token for s in shards])
         #: per-shard monotone local root id -> global root id
-        self._root_maps: List[List[int]] = [[] for _ in range(n_shards)]
+        self._root_maps: List[List[int]] = [[] for _ in shards]
         self._next_root_gid = 0
-        self._sessions: "weakref.WeakSet[FleetSession]" = weakref.WeakSet()
-        self._default_session: Optional[FleetSession] = None
-        self._generation = 0
         #: optional :class:`repro.faults.fleet.FleetFaults` injector
         self.faults = None
         #: shards this fleet has observed dead (degraded mode)
         self._down: set = set()
-        #: fleet-level idempotency ledger (the service layer's view)
-        self.ikeys = IdempotencyLedger()
 
     # ------------------------------------------------------------------
     # degraded-fleet plumbing
@@ -404,13 +302,9 @@ class ShardedGhostDB:
         for shard in self.shards:
             shard._finalize_schema()
 
-    def _require_built(self) -> None:
-        if self.shards[0].catalog is None:
-            raise GhostDBError("call build() before querying")
-
     @property
-    def generation(self) -> int:
-        return self._generation
+    def _built(self) -> bool:
+        return self.shards[0].catalog is not None
 
     @property
     def table_generations(self) -> Dict[str, Tuple[int, int]]:
@@ -421,7 +315,7 @@ class ShardedGhostDB:
         unchanged -- including for root inserts that touch only one
         shard.
         """
-        if self.shards[0].catalog is None:
+        if not self._built:
             return {}
         per_shard = [s.table_generations for s in self.shards]
         return {
@@ -430,73 +324,14 @@ class ShardedGhostDB:
             for t in per_shard[0]
         }
 
-    def _generations_for(self, tables) -> Tuple:
-        gens = self.table_generations
-        return tuple(sorted((t, gens[t]) for t in tables))
-
-    # ------------------------------------------------------------------
-    # statements
-    # ------------------------------------------------------------------
-    def execute(self, sql: str, params: Optional[Sequence] = None,
-                vis_strategy: StrategyLike = None,
-                cross: Optional[bool] = None,
-                projection: Union[str, ProjectionMode] = "project",
-                order_method: SortMethodLike = None,
-                ) -> Union[QueryResult, DmlResult, None]:
-        """Execute one statement with single-token semantics (see
-        :meth:`repro.core.ghostdb.GhostDB.execute`)."""
-        parsed = parse(sql)
-        if not isinstance(parsed, ast.SelectQuery) and \
-                order_method is not None:
-            raise BindError(
-                f"order_method {order_method!r} applies to SELECT "
-                f"statements only"
-            )
-        if isinstance(parsed, ast.CreateTable):
-            if params:
-                raise BindError("DDL statements take no parameters")
-            # parse once here to surface errors once, then register on
-            # every shard (each shard owns its schema object)
-            Table(parsed.name,
-                  [column_from_def(c) for c in parsed.columns])
-            self._ddl.append(sql)
-            for shard in self.shards:
-                shard.execute(sql)
-            return None
-        if isinstance(parsed, ast.SelectQuery):
-            self._require_built()
-            return self._session_default().query(
-                sql, params, vis_strategy, cross, projection,
-                order_method=order_method, parsed=parsed,
-            )
-        self._finalize_schema()
-        if isinstance(parsed, ast.InsertStatement):
-            bound = self._binder.bind_insert(parsed, sql)
-            bound = GhostDB._substitute_dml(bound, params)
-            if self.shards[0].catalog is None:
-                self._route_load(bound.table, bound.rows)
-                return None
-            return self._run_dml_fleet(bound)
-        if isinstance(parsed, ast.DeleteStatement):
-            self._require_built()
-            bound = self._binder.bind_delete(parsed, sql)
-            return self._run_dml_fleet(
-                GhostDB._substitute_dml(bound, params))
-        raise BindError(
-            f"unsupported statement {type(parsed).__name__}"
-        )  # pragma: no cover - parser is exhaustive
-
     # ------------------------------------------------------------------
     # loading and building
     # ------------------------------------------------------------------
-    def load(self, table: str, rows: Sequence[Tuple]) -> None:
-        """Queue rows, routing the root's across the fleet."""
-        self._finalize_schema()
-        if self.shards[0].catalog is not None:
-            raise SchemaError("database already built")
-        self._route_load(table, rows)
+    def _register_table(self, table: Table) -> None:
+        for shard in self.shards:
+            shard._register_table(table)
 
-    def _route_load(self, table: str, rows: Sequence[Tuple]) -> None:
+    def _queue_rows(self, table: str, rows: Sequence[Tuple]) -> None:
         if table != self.root:
             for shard in self.shards:
                 shard.load(table, rows)
@@ -515,7 +350,7 @@ class ShardedGhostDB:
     def build(self) -> None:
         """Provision every shard's token (costs start from zero)."""
         self._finalize_schema()
-        if self.shards[0].catalog is not None:
+        if self._built:
             raise SchemaError("database already built")
         for shard in self.shards:
             shard.build()
@@ -523,21 +358,12 @@ class ShardedGhostDB:
     # ------------------------------------------------------------------
     # planning
     # ------------------------------------------------------------------
-    def _bind(self, sql: str, parsed=None) -> BoundQuery:
-        bound = (self._binder.bind(parsed, sql) if parsed is not None
-                 else self._binder.bind_sql(sql))
-        if bound.is_aggregate:
-            bound = dataclasses.replace(
-                bound, projections=effective_projections(bound)
-            )
-        return sort_projections(bound, self.schema)
-
-    def _plan_fleet(self, bound: BoundQuery,
-                    vis_strategy: StrategyLike = None,
-                    cross: Optional[bool] = None,
-                    projection: Union[str, ProjectionMode] = "project",
-                    order_method: SortMethodLike = None,
-                    ) -> FleetQueryPlan:
+    def _plan(self, bound: BoundQuery,
+              vis_strategy: StrategyLike = None,
+              cross: Optional[bool] = None,
+              projection: Union[str, ProjectionMode] = "project",
+              order_method: SortMethodLike = None,
+              ) -> FleetQueryPlan:
         """Plan one SELECT across the fleet.
 
         A query whose table set avoids the root reads only replicated
@@ -595,22 +421,6 @@ class ShardedGhostDB:
             gather_order=gather_order, order_pushdown=pushdown,
         )
 
-    def plan_query(self, sql: str,
-                   vis_strategy: StrategyLike = None,
-                   cross: Optional[bool] = None,
-                   projection: Union[str, ProjectionMode] = "project",
-                   order_method: SortMethodLike = None,
-                   ) -> FleetQueryPlan:
-        self._require_built()
-        bound = self._bind(sql)
-        if bound.has_parameters:
-            raise BindError(
-                f"statement has {bound.param_count} unbound ? "
-                f"placeholder(s): use prepare() and execute(params)"
-            )
-        return self._plan_fleet(bound, vis_strategy, cross, projection,
-                                order_method)
-
     def explain(self, sql: str, analyze: bool = False, **kwargs) -> str:
         """Fleet plan description: per-shard candidate costs plus the
         gather merge premium.  ``analyze=True`` executes the fleet
@@ -627,7 +437,7 @@ class ShardedGhostDB:
             text += (f"\ngather merge: ~{est_rows} rows x {n_cols} "
                      f"cols est -> {merge_s * 1e3:.3f} ms")
         if analyze:
-            result = self._execute_fleet_plan(plan)
+            result = self.execute_plan(plan)
             per_shard = ", ".join(
                 f"shard{k}={s.total_s:.6f}s"
                 for k, s in enumerate(result.shard_stats))
@@ -653,8 +463,9 @@ class ShardedGhostDB:
     # ------------------------------------------------------------------
     # scatter-gather execution
     # ------------------------------------------------------------------
-    def _execute_fleet_plan(self, plan: FleetQueryPlan, *,
-                            announce: bool = True) -> QueryResult:
+    def execute_plan(self, plan: FleetQueryPlan, *,
+                     announce: bool = True) -> QueryResult:
+        """Run one fleet plan: route it whole, or scatter and gather."""
         if not plan.scatter:
             k = plan.shard_id
             try:
@@ -665,7 +476,6 @@ class ShardedGhostDB:
                 k = self._next_live_shard(k)
             result = self.shards[k].execute_plan(
                 plan.shard_plans[0], announce=announce)
-            result.shard_stats = [result.stats]
             result = QueryResult(columns=result.columns,
                                  rows=result.rows,
                                  stats=result.stats, plan=plan)
@@ -731,31 +541,10 @@ class ShardedGhostDB:
         return strip_internal_columns(plan.scatter_bound, names, rows)
 
     # ------------------------------------------------------------------
-    # sessions
-    # ------------------------------------------------------------------
-    def session(self, plan_cache_capacity: int = 64) -> FleetSession:
-        return FleetSession(self, plan_cache_capacity)
-
-    def _session_default(self) -> FleetSession:
-        if self._default_session is None:
-            self._default_session = FleetSession(self)
-        return self._default_session
-
-    def prepare(self, sql: str,
-                vis_strategy: StrategyLike = None,
-                cross: Optional[bool] = None,
-                projection: Union[str, ProjectionMode] = "project",
-                order_method: SortMethodLike = None,
-                ) -> FleetPreparedStatement:
-        self._require_built()
-        return self._session_default().prepare(
-            sql, vis_strategy, cross, projection, order_method)
-
-    # ------------------------------------------------------------------
     # DML
     # ------------------------------------------------------------------
-    def _run_dml_fleet(self, bound: Union[BoundInsert, BoundDelete]
-                       ) -> DmlResult:
+    def _run_dml(self, bound: Union[BoundInsert, BoundDelete]
+                 ) -> DmlResult:
         if isinstance(bound, BoundInsert):
             if bound.table == self.root:
                 return self._insert_root(bound)
@@ -847,50 +636,37 @@ class ShardedGhostDB:
         shard mutates, exactly like the single token's sequential
         check-then-apply.
         """
-        if bound.has_parameters:
-            raise BindError(
-                f"statement has {bound.param_count} unbound ? "
-                f"placeholder(s); pass params to execute()"
-            )
         for k in range(self.n_shards):
             self._touch_shard(k)
-        meters = [_ShardMeter(shard) for shard in self.shards]
+        costs = [CostWindow(shard.token) for shard in self.shards]
         ids: List[List[int]] = []
-        for k, (shard, meter) in enumerate(zip(self.shards, meters)):
+        for k, (shard, cost) in enumerate(zip(self.shards, costs)):
             self._touch_shard(k)
-            with meter.window():
+            with cost.ram_window():
                 ids.append(shard._dml.delete_candidates(bound))
-        for k, (shard, meter, shard_ids) in enumerate(
-                zip(self.shards, meters, ids)):
+        for k, (shard, cost, shard_ids) in enumerate(
+                zip(self.shards, costs, ids)):
             self._touch_shard(k)
-            with meter.window():
+            with cost.ram_window():
                 shard._dml.check_restrict(bound.table, shard_ids)
         counts = []
         applied: List[int] = []
         try:
-            for k, (shard, meter, shard_ids) in enumerate(
-                    zip(self.shards, meters, ids)):
+            for k, (shard, cost, shard_ids) in enumerate(
+                    zip(self.shards, costs, ids)):
                 self._touch_shard(k)
                 # arm an undo journal exactly like _run_dml does, so a
                 # later shard's failure can roll this apply back
-                journal = StatementJournal(shard, bound.table)
-                try:
-                    with meter.window():
-                        counts.append(
-                            shard._dml.apply_delete(bound, shard_ids))
-                except BaseException:
-                    journal.detach()
-                    shard._journal = journal   # uncommitted
-                    raise
-                journal.detach()
-                journal.committed = True
-                shard._journal = journal
+                with StatementJournal(shard, bound.table), \
+                        cost.ram_window():
+                    counts.append(
+                        shard._dml.apply_delete(bound, shard_ids))
                 applied.append(k)
         except GhostDBError:
             for k in reversed(applied):
                 self.shards[k].undo_last_dml()
             raise
-        stats = QueryStats.parallel([m.stats() for m in meters])
+        stats = QueryStats.parallel([c.stats() for c in costs])
         stats.result_rows = counts[0]
         return DmlResult(statement="delete", table=bound.table,
                          rows_affected=counts[0], stats=stats)
@@ -969,27 +745,6 @@ class ShardedGhostDB:
         self._require_built()
         return self.shards[0].compaction_status()
 
-    def rebuild(self, indexed_columns=None) -> None:
-        """Fold all DML debt on every shard (see ``GhostDB.rebuild``)."""
-        self._require_built()
-        if indexed_columns is not None:
-            raise GhostDBError(
-                "changing indexed columns on a fleet is not supported; "
-                "rebuild the fleet from the raw rows instead"
-            )
-        for _ in range(len(self.schema.tables) + 1):
-            dirty: List[str] = []
-            for table in self.schema.tables:
-                if any(table in s._compactor.dirty_tables()
-                       for s in self.shards):
-                    dirty.append(table)
-            if not dirty:
-                break
-            for table in dirty:
-                self.compact(table)
-        self.token.reset_costs()
-        self._generation += 1
-
     # ------------------------------------------------------------------
     # statistics, audit, reports
     # ------------------------------------------------------------------
@@ -1067,59 +822,6 @@ class ShardedGhostDB:
         :mod:`repro.shard.persist`)."""
         from repro.shard.persist import snapshot_fleet
         return snapshot_fleet(self, path)
-
-    @classmethod
-    def restore(cls, path: str, verify: bool = False) -> "ShardedGhostDB":
-        from repro.shard.persist import restore_fleet
-        return restore_fleet(path, verify=verify)
-
-
-class _ShardMeter:
-    """Per-shard cost capture across the phases of a fleet statement.
-
-    The ledger/channel deltas span all phases; RAM windows open and
-    close around each phase separately (the contextvar window stack is
-    process-wide, so windows of different shards must never nest) and
-    the meter keeps the largest phase peak -- phases drain their
-    allocations before returning, so the max over phases is the true
-    per-shard peak.
-    """
-
-    def __init__(self, shard: GhostDB):
-        self.shard = shard
-        self._before = shard.token.ledger.snapshot()
-        ch = shard.token.channel.stats
-        self._in0 = ch.bytes_to_secure
-        self._out0 = ch.bytes_to_untrusted
-        self._peak = 0
-
-    def window(self):
-        meter = self
-
-        class _Window:
-            def __enter__(self):
-                self._w = meter.shard.token.ram.query_window()
-                self._inner = self._w.__enter__()
-                return self._inner
-
-            def __exit__(self, *exc):
-                try:
-                    return self._w.__exit__(*exc)
-                finally:
-                    meter._peak = max(meter._peak, self._inner.peak)
-
-        return _Window()
-
-    def stats(self) -> QueryStats:
-        shard = self.shard
-        stats = shard._stats_between(self._before,
-                                     shard.token.ledger.snapshot(),
-                                     rows=())
-        ch = shard.token.channel.stats
-        stats.bytes_to_secure = ch.bytes_to_secure - self._in0
-        stats.bytes_to_untrusted = ch.bytes_to_untrusted - self._out0
-        stats.ram_peak = self._peak
-        return stats
 
 
 def _combine_progress(progs: List[CompactionProgress]

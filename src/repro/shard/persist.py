@@ -25,6 +25,7 @@ import json
 import os
 from typing import TYPE_CHECKING, Dict
 
+from repro.core.recovery import IdempotencyLedger
 from repro.errors import ImageError, PersistError
 from repro.persist.image import restore_db, snapshot_db
 
@@ -81,8 +82,7 @@ def snapshot_fleet(db: "ShardedGhostDB", path: str) -> Dict[str, int]:
 
 def restore_fleet(path: str, verify: bool = False) -> "ShardedGhostDB":
     """Rebuild a :class:`ShardedGhostDB` from a fleet manifest."""
-    from repro.shard.fleet import FleetToken, ShardedGhostDB
-    from repro.shard.router import ShardRouter
+    from repro.shard.fleet import ShardedGhostDB
 
     try:
         with open(path, "rb") as fh:
@@ -112,21 +112,9 @@ def restore_fleet(path: str, verify: bool = False) -> "ShardedGhostDB":
             f"fleet manifest lists {len(shards)} image(s) for "
             f"{n} shard(s)"
         )
-    fleet = object.__new__(ShardedGhostDB)
-    fleet.n_shards = n
-    fleet.shards = shards
-    fleet.router = ShardRouter(n)
-    fleet.token = FleetToken([s.token for s in shards])
-    fleet._ddl = []
+    fleet = ShardedGhostDB(shards)
     fleet._root_maps = [list(m) for m in manifest["root_maps"]]
     fleet._next_root_gid = manifest["next_root_gid"]
-    import weakref
-    fleet._sessions = weakref.WeakSet()
-    fleet._default_session = None
-    fleet._generation = max(s._generation for s in shards)
-    fleet.faults = None
-    fleet._down = set()
-    from repro.core.recovery import IdempotencyLedger
     fleet.ikeys = IdempotencyLedger.from_meta(manifest.get("ikeys"))
     if fleet.root != manifest["root"]:
         raise ImageError(

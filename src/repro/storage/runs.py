@@ -313,13 +313,6 @@ class U32View:
             # (Merge frees unexhausted inputs deterministically)
             pages.close()
 
-    def to_list(self, ram: Optional[SecureRam] = None) -> List[int]:
-        """Materialize the whole view as a Python list (caller accounts RAM)."""
-        out: List[int] = []
-        for page in self.iter_pages(ram):
-            out.extend(page)
-        return out
-
     def _read_at(self, index: int) -> int:
         """Point-read one id of the view (4 bytes moved, charged)."""
         page_size = self.file._store.ftl.params.page_size

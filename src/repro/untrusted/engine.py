@@ -33,23 +33,6 @@ class VisPredicate:
     value2: object = None
     values: Optional[Tuple] = None
 
-    def matches(self, cell) -> bool:
-        if self.op == "=":
-            return cell == self.value
-        if self.op == "<":
-            return cell < self.value
-        if self.op == "<=":
-            return cell <= self.value
-        if self.op == ">":
-            return cell > self.value
-        if self.op == ">=":
-            return cell >= self.value
-        if self.op == "between":
-            return self.value <= cell <= self.value2
-        if self.op == "in":
-            return cell in (self.values or ())
-        raise StorageError(f"unknown predicate op {self.op!r}")
-
 
 class UntrustedEngine:
     """In-memory store of the Visible images of all tables."""

@@ -18,8 +18,8 @@ from repro import DmlResult, GhostDB
 from repro.errors import BindError, GhostDBError, StorageError
 
 
-def make_db():
-    db = GhostDB()
+def make_db(shards=None):
+    db = GhostDB(shards=shards)
     db.execute("CREATE TABLE P (id int, fk int HIDDEN REFERENCES C, "
                "v int, h int HIDDEN)")
     db.execute("CREATE TABLE C (id int, v int, h int HIDDEN)")
@@ -75,11 +75,25 @@ def test_execute_with_params_everywhere():
 
 
 def test_unbound_dml_placeholders_rejected():
-    db = make_db()
-    with pytest.raises(BindError):
-        db.execute("INSERT INTO C VALUES (?, 1)")
-    with pytest.raises(BindError):
-        db.execute("DELETE FROM C WHERE C.v = ?")
+    # one front end serves a token and a fleet: check both shapes
+    for shards in (None, 2):
+        db = make_db(shards)
+        with pytest.raises(BindError):
+            db.execute("INSERT INTO C VALUES (?, 1)")
+        with pytest.raises(BindError):
+            db.execute("DELETE FROM C WHERE C.v = ?")
+
+
+def test_ddl_takes_no_parameters():
+    for shards in (None, 2):
+        db = GhostDB(shards=shards)
+        with pytest.raises(BindError):
+            db.execute("CREATE TABLE T (id int, v int)", params=(1,))
+        # the rejected statement registered nothing
+        db.execute("CREATE TABLE T (id int, v int)")
+        db.execute("INSERT INTO T VALUES (4)")
+        db.build()
+        assert db.execute("SELECT T.v FROM T").rows == [(4,)]
 
 
 def test_delete_before_build_rejected():
@@ -170,7 +184,8 @@ def test_rebuild_compacts_tombstones_and_remaps_fks():
     db.execute("DELETE FROM C WHERE C.v = 0")
     before = sorted(db.execute("SELECT P.v, C.v FROM P, C "
                                "WHERE P.fk = C.id").rows)
-    db.rebuild()
+    db.compact("C")                  # renumbers C, so it folds P too
+    db.compact("P")
     assert db.catalog.n_rows("P") == 46          # compacted
     assert not any(db.catalog.tombstones.values())
     after = check(db, "SELECT P.v, C.v FROM P, C WHERE P.fk = C.id")

@@ -228,3 +228,56 @@ def test_batch_and_scalar_streams_agree_on_duplicated_runs(monkeypatch):
     monkeypatch.delenv("REPRO_SCALAR_EXEC", raising=False)
     assert results["batch"] == results["scalar"]
     assert results["batch"][0] == [2, 4, 6]
+
+
+# ---------------------------------------------------------------------------
+# reduction temporaries are freed (regression: one leaked file per merge)
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("mode", ["batch", "scalar"])
+def test_reduction_runs_are_freed_when_the_merge_closes(monkeypatch, mode):
+    """Several folds in a row: a fold that consumes an earlier reduced
+    run frees it, the stream's close frees the survivors -- also when
+    the consumer stops early, and through ``to_flash``."""
+    if mode == "scalar":
+        monkeypatch.setenv("REPRO_SCALAR_EXEC", "1")
+    else:
+        monkeypatch.delenv("REPRO_SCALAR_EXEC", raising=False)
+    store, ram = make_env(ram_pages=4)
+    op = MergeOperator(store, ram)
+    group = [flash_run(store, list(range(i, 200 + i, 7))) for i in range(12)]
+    expected = sorted({v for i in range(12) for v in range(i, 200 + i, 7)})
+    before = (store.n_files, store.ftl.mapped_pages())
+
+    assert list(op.stream([group])) == expected
+    assert op.reductions > 1          # later folds consumed earlier ones
+    assert (store.n_files, store.ftl.mapped_pages()) == before
+
+    partial = op.stream([group])
+    assert next(partial) == expected[0]
+    partial.close()
+    assert (store.n_files, store.ftl.mapped_pages()) == before
+
+    view = op.to_flash([group])
+    assert list(view.iterate(ram)) == expected
+    view.file.free()
+    assert (store.n_files, store.ftl.mapped_pages()) == before
+    ram.assert_all_freed()
+
+
+def test_repeated_prepared_query_q_does_not_grow_flash(db):
+    """The leak as a workload saw it: Query Q at T1.v1 < 200 reduces
+    its Merge inputs, and each execution used to strand one temp file."""
+    stmt = db.prepare(
+        "SELECT T0.id, T1.id, T12.id, T1.v1 FROM T0, T1, T12 "
+        "WHERE T0.fk1 = T1.id AND T1.fk12 = T12.id "
+        "AND T1.v1 < ? AND T12.h2 = 2")
+    store, ftl = db.token.store, db.token.ftl
+    spilled = 0
+    for _ in range(3):
+        for params in ((50,), (200,)):
+            before = (store.n_files, ftl.mapped_pages())
+            result = stmt.execute(params)
+            spilled += result.stats.counters.get("pages_written", 0)
+            assert (store.n_files, ftl.mapped_pages()) == before
+    assert spilled > 0                # the statements did write temps

@@ -19,10 +19,12 @@ from repro.hardware.token import TokenConfig
 ORDER_METHODS = ("external-sort", "top-k-heap", "index-order")
 
 
-def build_small_db(token_config=None, n_children=40, n_parents=300):
+def build_small_db(token_config=None, n_children=40, n_parents=300,
+                   shards=None):
     """A two-table database with an indexed hidden float column."""
     db = GhostDB(config=token_config,
-                 indexed_columns={"C": ("h",), "P": ("hp",)})
+                 indexed_columns={"C": ("h",), "P": ("hp",)},
+                 shards=shards)
     db.execute("CREATE TABLE P (id int, fk int HIDDEN REFERENCES C, "
                "v int, hp float HIDDEN)")
     db.execute("CREATE TABLE C (id int, h int HIDDEN, w int)")
@@ -36,6 +38,14 @@ def build_small_db(token_config=None, n_children=40, n_parents=300):
 @pytest.fixture(scope="module")
 def small_db():
     return build_small_db()
+
+
+@pytest.fixture(scope="module")
+def both_shapes(small_db):
+    """One token and a 2-shard fleet: the statement front end
+    (``execute`` / ``plan_query``) is shared, so its rejections are
+    checked on both."""
+    return (small_db, build_small_db(shards=2))
 
 
 def assert_oracle(db, sql, **kwargs):
@@ -209,8 +219,8 @@ def test_index_order_gated_by_dml_and_restored_by_rebuild():
         db.execute(sql, order_method="index-order")
     result = assert_oracle(db, sql)
     assert result.plan.order.method is not SortMethod.INDEX_ORDER
-    # a compacting rebuild folds the delta log back: available again
-    db.rebuild()
+    # compaction folds the delta log back: available again
+    db.compact("P")
     result = db.execute(sql, order_method="index-order")
     assert result.rows == db.reference_query(sql)[1]
 
@@ -314,12 +324,13 @@ def test_distinct_with_order_by_and_limit(small_db):
     assert len(result.rows) == len(set(result.rows))
 
 
-def test_distinct_order_key_must_be_selected(small_db):
-    with pytest.raises(BindError):
-        small_db.plan_query(
-            "SELECT DISTINCT C.h FROM P, C WHERE P.fk = C.id "
-            "ORDER BY C.w"
-        )
+def test_distinct_order_key_must_be_selected(both_shapes):
+    for db in both_shapes:
+        with pytest.raises(BindError):
+            db.plan_query(
+                "SELECT DISTINCT C.h FROM P, C WHERE P.fk = C.id "
+                "ORDER BY C.w"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +374,14 @@ def test_two_buffer_token_fails_at_plan_time_not_mid_sort():
 
 
 def test_order_method_rejected_on_dml():
-    db = build_small_db(n_children=10, n_parents=20)
-    with pytest.raises(BindError):
-        db.execute("INSERT INTO P VALUES (1, 2, 3.0)",
-                   order_method="top-k-heap")
-    with pytest.raises(BindError):
-        db.execute("DELETE FROM P WHERE v = 999",
-                   order_method="external-sort")
+    for shards in (None, 2):
+        db = build_small_db(n_children=10, n_parents=20, shards=shards)
+        with pytest.raises(BindError):
+            db.execute("INSERT INTO P VALUES (1, 2, 3.0)",
+                       order_method="top-k-heap")
+        with pytest.raises(BindError):
+            db.execute("DELETE FROM P WHERE v = 999",
+                       order_method="external-sort")
 
 
 def test_external_estimate_prices_reductions_at_tiny_budgets():
@@ -401,16 +413,18 @@ def test_external_estimate_prices_reductions_at_tiny_budgets():
 # binder / parser rejections
 # ---------------------------------------------------------------------------
 
-def test_binder_rejects_order_key_outside_group_by(small_db):
-    with pytest.raises(BindError):
-        small_db.plan_query(
-            "SELECT C.h, COUNT(*) FROM C GROUP BY C.h ORDER BY C.w"
-        )
+def test_binder_rejects_order_key_outside_group_by(both_shapes):
+    for db in both_shapes:
+        with pytest.raises(BindError):
+            db.plan_query(
+                "SELECT C.h, COUNT(*) FROM C GROUP BY C.h ORDER BY C.w"
+            )
 
 
-def test_binder_rejects_unknown_order_column(small_db):
-    with pytest.raises(BindError):
-        small_db.plan_query("SELECT P.id FROM P ORDER BY P.nope")
+def test_binder_rejects_unknown_order_column(both_shapes):
+    for db in both_shapes:
+        with pytest.raises(BindError):
+            db.plan_query("SELECT P.id FROM P ORDER BY P.nope")
 
 
 def test_parser_rejects_negative_and_fractional_bounds(small_db):

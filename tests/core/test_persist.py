@@ -6,10 +6,14 @@ indistinguishable -- statistics sketches, storage report, audited
 outbound channel, simulated elapsed time, query rows and query costs.
 """
 
+import os
 import struct
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.core.ghostdb import GhostDB
 from repro.errors import ImageError, PersistError
 from repro.persist import IMAGE_MAGIC, image_info
@@ -165,3 +169,37 @@ def test_torn_and_corrupt_images_are_rejected(tmp_path):
     _flip_byte(bad_blob, header_size + info["meta_bytes"] + 2)
     with pytest.raises(ImageError):
         GhostDB.restore(str(bad_blob), verify=True)
+
+
+# ---------------------------------------------------------------------------
+# the image is a function of the statements, not of the process
+# ---------------------------------------------------------------------------
+
+_DETERMINISM_SCRIPT = """
+import sys
+from repro.workloads.synthetic import SyntheticConfig, build_synthetic
+db = build_synthetic(SyntheticConfig(scale=0.0005, full_indexing=True))
+db.execute("INSERT INTO T0 VALUES (1, 2, 3, 4, 5)")
+db.execute("DELETE FROM T0 WHERE T0.v1 = 3")
+db.compact("T0")
+db.execute("SELECT T0.id, T1.id, T12.id, T1.v1 FROM T0, T1, T12 "
+           "WHERE T0.fk1 = T1.id AND T1.fk12 = T12.id "
+           "AND T1.v1 < 200 AND T12.h2 = 2")
+db.snapshot(sys.argv[1])
+"""
+
+
+def test_image_bytes_do_not_depend_on_the_process(tmp_path):
+    """Regression: an SJoin result freed its temp files in ``set``
+    order, i.e. by object address, so the FTL free list -- and the
+    image sha -- differed between two processes that ran the same
+    statements."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    images = []
+    for seed in ("1", "2"):
+        path = tmp_path / f"seed{seed}.img"
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", _DETERMINISM_SCRIPT,
+                        str(path)], check=True, env=env, timeout=120)
+        images.append(path.read_bytes())
+    assert images[0] == images[1]

@@ -1,5 +1,5 @@
 """Tests for the query-service layer: prepared statements, the LRU
-plan cache with rebuild invalidation, batched execution, and the
+plan cache with compaction / re-provisioning invalidation, batched execution, and the
 regression fixes riding along (per-query ``ram_peak``, reserve-aware
 merge reduction is covered in ``test_merge_operator``)."""
 
@@ -10,8 +10,8 @@ from repro.core.session import PlanCache, plan_key
 from repro.errors import BindError, GhostDBError
 
 
-def make_db():
-    db = GhostDB()
+def make_db(shards=None):
+    db = GhostDB(shards=shards)
     db.execute("CREATE TABLE P (id int, fk int HIDDEN REFERENCES C, "
                    "v int, h int HIDDEN)")
     db.execute("CREATE TABLE C (id int, v int, h int HIDDEN)")
@@ -159,20 +159,19 @@ def test_sessions_have_isolated_caches():
 
 
 # ---------------------------------------------------------------------------
-# rebuild invalidation
+# compaction / re-provisioning invalidation
 # ---------------------------------------------------------------------------
 
 def test_rebuild_keeps_plans_of_untouched_tables():
-    """An identity rebuild (no DML since build) must not flush the
+    """Compacting clean tables (no DML since build) must not flush the
     cache: invalidation is routed through per-table generations, and
-    untouched tables' generations carry across the rebuild."""
+    untouched tables' generations do not move."""
     db = make_db()
     session = db.session()
     sql = "SELECT C.id FROM C WHERE C.h = 1"
     first = session.query(sql)
     assert len(session.plan_cache) == 1
-    db.rebuild()
-    assert db.generation == 1
+    assert db.compact("P").state == "clean"
     assert len(session.plan_cache) == 1
     assert session.plan_cache.invalidations == 0
     again = session.query(sql)
@@ -182,7 +181,7 @@ def test_rebuild_keeps_plans_of_untouched_tables():
 
 
 def test_rebuild_stale_drops_only_mutated_tables():
-    """Regression (PR-3 satellite): rebuild() after DML used to flush
+    """Regression (PR-3 satellite): folding DML debt used to flush
     every session's plan cache globally; now only plans touching the
     mutated tables stale-drop, selectively, on their next lookup."""
     db = make_db()
@@ -195,7 +194,7 @@ def test_rebuild_stale_drops_only_mutated_tables():
     session.query(p_sql)                   # refresh P's entry post-DML
     assert session.plan_cache.stale_drops == 1
 
-    db.rebuild()                           # compacts P; C is untouched
+    db.compact("P")                        # folds P; C is untouched
     assert session.plan_cache.invalidations == 0
     assert len(session.plan_cache) == 2    # nothing flushed eagerly
 
@@ -221,8 +220,9 @@ def test_rebuild_with_new_indexes_still_flushes_globally():
 def test_rebuild_preserves_data_and_statements():
     db = make_db()
     stmt = db.prepare(TEMPLATE)
+    db.execute("INSERT INTO P VALUES (1, 7, 2)")   # debt for the fold
     before = stmt.execute((1, 30))
-    db.rebuild()
+    assert db.compact("P").state == "done"
     after = stmt.execute((1, 30))
     assert sorted(after.rows) == sorted(before.rows)
 
@@ -341,6 +341,22 @@ def test_empty_batch():
     batch = db.query_many(TEMPLATE, [])
     assert len(batch) == 0
     assert batch.stats.result_rows == 0
+
+
+def test_fleet_session_has_no_batched_path():
+    """Batching amortizes round trips on one token's channel; a fleet
+    session must say so (GhostDBError), not die on a missing
+    attribute -- and must keep serving ordinary statements."""
+    fleet = make_db(shards=2)
+    session = fleet.session()
+    with pytest.raises(GhostDBError):
+        session.query_many(TEMPLATE, [(1, 20)])
+    with pytest.raises(GhostDBError):
+        session.query_many([concrete(1, 20)])
+    with pytest.raises(GhostDBError):
+        session.prepare(TEMPLATE).execute_many([(1, 20)])
+    result = session.query(TEMPLATE, params=(1, 20))
+    assert result.rows == fleet.reference_query(concrete(1, 20))[1]
 
 
 def test_param_sets_with_sql_list_rejected():

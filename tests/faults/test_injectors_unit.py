@@ -173,3 +173,40 @@ def test_touch_shard_remembers_the_death():
     assert set(reports) == {0, 1}
     assert isinstance(reports[0], RecoveryReport)
     assert fleet.fleet_health()[1]["up"]
+
+
+def test_root_free_select_reroutes_to_the_next_live_shard():
+    """A root-free SELECT reads replicated tables only, so when its
+    home shard is dead the fleet answers from the next live one --
+    oracle-identically -- instead of failing the statement."""
+    fleet = build_pc(shards=3)
+    sql = "SELECT C.id, C.w FROM C WHERE C.h = 2"
+    home = fleet.router.shard_for_statement(sql)
+    assert fleet.plan_query(sql).shard_id == home
+    _, expected = fleet.reference_query(sql)
+    assert fleet.execute(sql).rows == expected          # healthy fleet
+
+    fleet.faults = FleetFaults(down=(home,))
+    survivor = (home + 1) % 3
+    asked_before = len(fleet.audit_outbound()[survivor])
+    result = fleet.execute(sql)
+    assert result.rows == expected
+    assert len(result.shard_stats) == 1
+    # the next live shard did the work; the dead one stayed untouched
+    assert len(fleet.audit_outbound()[survivor]) > asked_before
+    health = fleet.fleet_health()
+    assert not health[home]["up"]
+    assert all(health[k]["up"] for k in range(3) if k != home)
+    # a scatter still needs every shard: it fails and names the dead one
+    with pytest.raises(ShardUnavailable, match=f"shard {home}"):
+        fleet.execute("SELECT P.id FROM P WHERE P.v < 5")
+
+    # revived + recovered, the home shard serves the statement again
+    fleet.faults.revive(home)
+    assert set(fleet.recover()) == {0, 1, 2}
+    assert fleet.fleet_health()[home]["up"]
+    asked_before = len(fleet.audit_outbound()[home])
+    assert fleet.execute(sql).rows == expected
+    assert len(fleet.audit_outbound()[home]) > asked_before
+    for probe in PROBES:
+        assert_oracle(fleet, probe)

@@ -1,0 +1,68 @@
+"""Fleet smoke for the maintenance surface no other suite drives:
+``analyze()``, ``compaction_status()`` and ``set_throughput()`` on a
+``GhostDB(shards=N)``."""
+
+import math
+
+from repro import GhostDB
+
+
+def build_fleet(shards=2):
+    db = GhostDB(shards=shards)
+    db.execute("CREATE TABLE P (id int, fk int HIDDEN REFERENCES C, "
+               "v int, h int HIDDEN)")
+    db.execute("CREATE TABLE C (id int, v int, h int HIDDEN)")
+    db.load("C", [(i, i % 2) for i in range(10)])
+    db.load("P", [(i % 10, i, i % 4) for i in range(60)])
+    db.build()
+    return db
+
+
+def test_analyze_refreshes_every_shard_and_stales_cached_plans():
+    fleet = build_fleet()
+    sql = "SELECT P.id FROM P WHERE P.v < 20"
+    session = fleet.session()
+    session.query(sql)
+    fleet.execute("DELETE FROM P WHERE P.v >= 50")
+    before = fleet.table_generations
+    summaries = fleet.analyze()
+    assert set(summaries) == {0, 1}
+    assert all(set(s) == {"P", "C"} for s in summaries.values())
+    # per-shard P sketches cover disjoint slices that add up to the
+    # live root; the replicated C is seen whole by every shard
+    assert sum(s["P"]["v"]["n"] for s in summaries.values()) == 50
+    assert all(s["P"]["v"]["max"] < 50 for s in summaries.values())
+    assert all(s["C"]["v"]["n"] == 10 for s in summaries.values())
+    assert summaries == fleet.statistics()
+    # a stats refresh invalidates exactly like a data change
+    after = fleet.table_generations
+    assert all(after[t][1] > before[t][1] for t in after)
+    drops = session.plan_cache.stale_drops
+    assert session.query(sql).rows == fleet.reference_query(sql)[1]
+    assert session.plan_cache.stale_drops == drops + 1
+
+
+def test_compaction_status_tracks_replicated_debt():
+    fleet = build_fleet()
+    assert not any(s.dirty for s in fleet.compaction_status().values())
+    fleet.execute("INSERT INTO C VALUES (77, 1)")
+    status = fleet.compaction_status()
+    assert status["C"].dirty and "C" in status["C"].describe()
+    assert status == fleet.shards[0].compaction_status()
+    assert fleet.compact("C").done
+    assert not fleet.compaction_status()["C"].dirty
+
+
+def test_set_throughput_reprices_every_shard_channel():
+    fleet = build_fleet()
+    sql = "SELECT P.id, P.v FROM P WHERE P.v < 40"
+    fast = fleet.execute(sql)
+    fleet.set_throughput(0.3)
+    assert all(math.isclose(s.token.channel.throughput_mbps, 0.3)
+               for s in fleet.shards)
+    slow = fleet.execute(sql)
+    assert slow.rows == fast.rows
+    assert slow.stats.bytes_to_secure == fast.stats.bytes_to_secure
+    assert slow.stats.total_s > fast.stats.total_s
+    assert all(s.total_s > f.total_s
+               for s, f in zip(slow.shard_stats, fast.shard_stats))
