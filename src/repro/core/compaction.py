@@ -734,8 +734,20 @@ class CompactionManager:
             steps += 1
             if done:
                 self._jobs.pop(table, None)
+                self._abort_orphans()
                 return job.progress("done")
         return job.progress("in-progress")
+
+    def _abort_orphans(self) -> None:
+        """Abort the jobs a swap just left without work: it folded
+        their table's debt too (a ripple index they share), so the
+        table is clean, no ``compact`` call will step them again, and
+        their shadow files would sit on flash -- and block
+        ``snapshot`` -- for good.  A job whose table is still dirty
+        stays: its next step restarts it, and is counted."""
+        catalog = self._db.catalog
+        for table in [t for t in self._jobs if not is_dirty(catalog, t)]:
+            self._jobs.pop(table).abort()
 
     # ------------------------------------------------------------------
     def dirty_tables(self) -> List[str]:

@@ -303,7 +303,7 @@ class QepSjExecutor:
             if vp.strategy is VisStrategy.PRE:
                 groups.append(op_ci_ids(ctx, table, ids, anchor))
             elif vp.strategy is VisStrategy.POST:
-                bf = op_build_bf(ctx, iter(ids), len(ids),
+                bf = op_build_bf(ctx, ids, len(ids),
                                  max_bytes=bloom_budget)
                 post_blooms.append((table, bf))
                 approx.add(table)

@@ -241,10 +241,7 @@ def op_build_bf(ctx: ExecContext, ids: Iterable[int], n_items: int,
     with ctx.label(label):
         bf = BloomFilter(ctx.ram, n_items, max_bytes=max_bytes,
                          label="post-filter bloom")
-        if isinstance(ids, (list, tuple)):
-            bf.add_many(ids)
-        else:
-            bf.add_all(ids)
+        bf.add_all(ids)
     return bf
 
 
@@ -263,7 +260,7 @@ def op_probe_bf_chunks(bf: BloomFilter, chunks: Iterator[Chunk],
     per id (identical bits to the scalar probe)."""
     for cols in chunks:
         keep = bf.contains_many(cols[position])
-        if all(keep):
+        if 0 not in keep:
             yield cols
             continue
         filtered = [list(compress(col, keep)) for col in cols]

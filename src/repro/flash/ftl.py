@@ -202,6 +202,7 @@ class Ftl:
 
     def _invalidate(self, ppn: int) -> None:
         self._p2l.pop(ppn, None)
+        self.nand.discard_page(ppn)
         self._invalid_per_block[self.nand.block_of(ppn)] += 1
 
     def _claim_physical_page(self) -> int:

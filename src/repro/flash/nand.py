@@ -170,6 +170,19 @@ class NandFlash:
             f"(torn write or corrupt image)"
         )
 
+    def discard_page(self, ppn: int) -> None:
+        """Forget the payload of a page its owner invalidated.
+
+        The page stays PROGRAMMED until its block is erased, but no
+        mapped read, GC move or durable image touches an invalid page
+        again, so its bytes would only pile up in host memory until the
+        array wraps (512 MB at the default geometry).
+        """
+        self._data.pop(ppn, None)
+        self._spare.pop(ppn, None)
+        if self._backing:
+            self._backing.pop(ppn, None)
+
     def erase_block(self, block: int) -> None:
         """Erase every page of ``block`` and bump its wear counter."""
         if not 0 <= block < self.params.n_blocks:

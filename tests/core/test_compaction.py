@@ -106,6 +106,32 @@ def test_compacting_parent_folds_the_whole_subtree():
     assert not db._compactor.dirty_tables()
 
 
+def test_parent_swap_aborts_the_child_job_it_left_without_work(tmp_path):
+    """A bounded job on C that P's swap overtakes (C clean afterwards)
+    must not linger: nothing would ever step it again, its shadow files
+    would stay on flash and ``snapshot`` would refuse for good."""
+    db, twin = make_db(), make_db()
+    for side in (db, twin):
+        side.execute("INSERT INTO P VALUES (1, 90, 0.25)")
+        side.execute("DELETE FROM P WHERE P.v < 10")
+    files_before = db.token.store.n_files
+    while True:                       # step C until it owns shadow files
+        assert not db.compact("C", max_steps=1, pages_per_step=1).done
+        if db.token.store.n_files > files_before:
+            break
+    assert db.compact("P").done and twin.compact("P").done
+    assert not db._compactor.dirty_tables()
+    assert not db._compactor._jobs
+    # no shadow file survives: same files and pages as the twin that
+    # never started the C job, and no restart was counted for it
+    assert db.token.store.n_files == twin.token.store.n_files
+    assert db.token.ftl.mapped_pages() == twin.token.ftl.mapped_pages()
+    assert not db.token.ledger.counters.get("compaction_restarts")
+    db.snapshot(str(tmp_path / "db.img"))
+    for sql in PROBES:
+        assert_oracle(db, sql)
+
+
 def test_interleaved_dml_restarts_the_job():
     db = make_db()
     db.execute("DELETE FROM P WHERE P.v < 30")

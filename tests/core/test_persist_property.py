@@ -14,7 +14,7 @@ import random
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.ghostdb import GhostDB
@@ -28,6 +28,8 @@ from test_persist import assert_twins_identical
 
 @settings(max_examples=8, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
+# a 1-step job on C that a later compact("P") overtakes and leaves clean
+@example(78286)
 def test_property_snapshot_restore_continues_like_the_live_twin(seed):
     rng = random.Random(seed)
     db, n_c = build_random_db(random.Random(seed))
@@ -49,6 +51,9 @@ def test_property_snapshot_restore_continues_like_the_live_twin(seed):
                 db.snapshot(path)
             finish_all_compactions(db)
             finish_all_compactions(twin)
+        # every table clean means no job (and none of its shadow
+        # files) is left behind
+        assert not db._compactor._jobs
         db.snapshot(path)
         restored = GhostDB.restore(path, verify=True)
 

@@ -8,6 +8,9 @@ import pytest
 from repro import GhostDB
 from repro.core.session import PlanCache, plan_key
 from repro.errors import BindError, GhostDBError
+from repro.service.loadgen import TEMPLATE_FIG10, TEMPLATE_FIG12
+from repro.workloads.synthetic import (SyntheticConfig, build_synthetic,
+                                       sv_to_v1_bound)
 
 
 def make_db(shards=None):
@@ -406,3 +409,36 @@ def test_ram_peak_stable_across_repetitions():
     first = db.execute(sql).stats.ram_peak
     second = db.execute(sql).stats.ram_peak
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# a kept plan run far from the parameters it was planned for
+# ---------------------------------------------------------------------------
+
+Q_TOPK = ("SELECT T0.id, T1.v1, T1.v2 FROM T0, T1 "
+          "WHERE T0.fk1 = T1.id AND T1.v1 < ? AND T0.h3 = ? "
+          "ORDER BY T1.v2 DESC, T0.id LIMIT 20")
+Q_GROUP = ("SELECT T1.v1, COUNT(*), SUM(T1.v2), MIN(T1.v2), MAX(T1.v2) "
+           "FROM T0, T1 WHERE T0.fk1 = T1.id AND T1.v1 < ? AND T0.h3 = ? "
+           "GROUP BY T1.v1")
+
+
+def test_sniffed_plan_leaves_no_temp_file_at_other_selectivities():
+    """perfbench finding 2 (a Query Q plan prepared at sV .05 and run at
+    sV .2 left one ``__temp_N`` flash page behind per execution) stays
+    fixed: whatever selectivity a prepared plan was sniffed at, running
+    it at any other leaves the flash file and page counts where they
+    were and every RAM allocation freed."""
+    db = build_synthetic(SyntheticConfig(scale=0.002, full_indexing=True))
+    store, ftl = db.token.store, db.token.ftl
+    for sql, hidden in ((TEMPLATE_FIG10, 2), (TEMPLATE_FIG12, 2),
+                        (Q_TOPK, 7), (Q_GROUP, 7)):
+        for planned_at in (0.01, 0.05, 0.2):
+            stmt = db.prepare(sql)
+            stmt.execute((sv_to_v1_bound(planned_at), hidden))
+            before = store.n_files, ftl.mapped_pages()
+            for run_at in (0.01, 0.05, 0.2, 0.5):
+                stmt.execute((sv_to_v1_bound(run_at), hidden))
+                assert (store.n_files, ftl.mapped_pages()) == before, \
+                    (sql, planned_at, run_at)
+    db.token.ram.assert_all_freed()

@@ -35,6 +35,24 @@ def test_rewrite_is_out_of_place_and_visible():
     assert ftl.read(lpn) == b"v2"
 
 
+def test_invalidated_pages_hold_no_payload_before_their_erase():
+    """A rewrite or trim leaves the old physical page PROGRAMMED (it
+    cannot be reused before an erase) but drops its bytes: the array
+    keeps payloads for mapped pages only, however long GC stays away."""
+    ftl, _ = make_ftl(n_blocks=64, pages_per_block=4)
+    (a, b) = ftl.allocate(2)
+    for i in range(20):
+        ftl.write(a, bytes([i]) * 64)
+    ftl.write(b, b"kept")
+    ftl.trim(a)
+    assert ftl.gc_runs == 0
+    nand = ftl.nand
+    assert set(nand._data) == set(ftl._p2l) == {ftl._l2p[b]}
+    assert set(nand._spare) == set(nand._data)
+    assert sum(nand._state) == 21
+    assert ftl.read(b) == b"kept"
+
+
 def test_partial_read_with_offset():
     ftl, _ = make_ftl()
     (lpn,) = ftl.allocate(1)

@@ -1,5 +1,7 @@
 """Unit and property tests for Bloom filters."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -105,3 +107,74 @@ def test_property_expected_fp_monotone_in_budget(n):
             >= false_positive_rate(6, 4)
             >= false_positive_rate(8, 4)
             >= false_positive_rate(12, 4))
+
+
+# ---------------------------------------------------------------------------
+# the bulk lane kernel against its specification: scalar add / in
+# ---------------------------------------------------------------------------
+
+#: around the scalar cut-over, around one page of lanes, several pages
+BATCH_LENGTHS = (0, 1, 2, 7, 8, 9, 511, 512, 513, 1300)
+#: lane-packer edge cases: the u32 range ends, and index keys read as
+#: integers that exceed one 64-bit lane (the scalar mixer masks them)
+EDGE_IDS = (0, 1, 2**32 - 1, 2**63, 2**64 - 1, 2**64, 2**64 + 1, 2**80 - 1)
+
+
+def random_ids(rng, n):
+    width = rng.choice((16, 32, 32, 32, 90))
+    ids = [rng.randrange(1 << width) for _ in range(n)]
+    for i in rng.sample(range(n), min(n, 3)):
+        ids[i] = rng.choice(EDGE_IDS)
+    return ids
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9),
+       lengths=st.lists(st.sampled_from(BATCH_LENGTHS),
+                        min_size=1, max_size=3),
+       # odd byte caps: m_bits is a multiple of 8 but not of 64
+       cap=st.sampled_from((None, 1, 9, 13, 77, 1001)),
+       n_hashes=st.sampled_from((1, 4, 4, 7)))
+def test_property_bulk_kernel_equals_scalar_spec(seed, lengths, cap,
+                                                 n_hashes):
+    """add -> probe -> add -> probe: after every bulk add the bit vector
+    equals a scalar ``add`` loop's byte for byte, and every bulk probe
+    equals ``x in bf`` element-wise (so the flag cache is dropped by
+    each add)."""
+    rng = random.Random(seed)
+    n_items = max(1, sum(lengths))
+    spec = BloomFilter(None, n_items, max_bytes=cap, n_hashes=n_hashes)
+    bulk = BloomFilter(None, n_items, max_bytes=cap, n_hashes=n_hashes)
+    assert bulk.m_bits == spec.m_bits
+    seen = []
+    for n in lengths:
+        batch = random_ids(rng, n)
+        for item in batch:
+            spec.add(item)
+        if rng.random() < 0.5:
+            bulk.add_many(batch)
+        else:
+            bulk.add_all(iter(batch))
+        assert bulk._bits == spec._bits
+        assert bulk.count_added == spec.count_added
+        seen += batch
+        n_probes = rng.choice(BATCH_LENGTHS)
+        n_members = min(len(seen), int(n_probes * rng.choice((0, .2, 1))))
+        probes = (rng.sample(seen, n_members)
+                  + random_ids(rng, n_probes - n_members))
+        rng.shuffle(probes)
+        keep = bulk.contains_many(probes)
+        assert isinstance(keep, bytes)
+        assert list(keep) == [item in spec for item in probes]
+
+
+def test_bulk_probe_of_only_members_and_only_strangers():
+    """Both ends of the early exit: no lane ever leaves, every lane
+    leaves in the first round."""
+    members = list(range(0, 4000, 2))
+    bf = BloomFilter(None, len(members), bits_per_item=64)
+    bf.add_many(members)
+    assert bf.contains_many(members) == b"\1" * len(members)
+    strangers = [x for x in range(1, 4000, 2) if x not in bf]
+    assert len(strangers) > 1900
+    assert bf.contains_many(strangers) == bytes(len(strangers))
