@@ -1,49 +1,35 @@
-"""Shared benchmark fixtures: databases built once per session, plus a
-results directory where every figure's table is written."""
-
-import os
-import pathlib
+"""Shared benchmark fixtures: the databases, built once per session,
+and the golden-table check every figure's test goes through."""
 
 import pytest
 
-from repro.bench.experiments import (
-    build_bench_medical,
-    build_bench_synthetic,
-    format_table,
-)
-
-RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
-
-#: rounds for the perf-smoke benchmarks; CI sets 5+ so the committed
-#: BENCH_pr*.json points carry a real wall_s_stddev
-BENCH_ROUNDS = max(1, int(os.environ.get("GHOSTDB_BENCH_ROUNDS", "1")))
-
-
-@pytest.fixture(scope="session")
-def bench_rounds() -> int:
-    """How many rounds the perf-smoke figures run (GHOSTDB_BENCH_ROUNDS)."""
-    return BENCH_ROUNDS
+from repro.bench.experiments import DATABASES
+from repro.bench.report import check_golden, run_table
 
 
 @pytest.fixture(scope="session")
 def synthetic_db():
-    return build_bench_synthetic()
+    return DATABASES["syn"]()
 
 
 @pytest.fixture(scope="session")
 def medical_db():
-    return build_bench_medical()
+    return DATABASES["med"]()
 
 
-@pytest.fixture(scope="session")
-def save_table():
-    """Write a figure's row table under results/ and echo it."""
-    RESULTS_DIR.mkdir(exist_ok=True)
+@pytest.fixture
+def golden_table(request):
+    """Recompute one registered table, compare it byte for byte with the
+    committed ``results/`` file, and return its rows for the paper-claim
+    assertions.  Nothing is written: ``python -m repro.bench.report`` is
+    the only writer."""
+    fixture_of = {"syn": "synthetic_db", "med": "medical_db"}
 
-    def _save(name: str, rows, title: str) -> str:
-        text = format_table(rows, title)
-        (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-        print("\n" + text)
-        return text
+    def _check(name: str):
+        rows, files = run_table(
+            name, lambda kind: request.getfixturevalue(fixture_of[kind]))
+        print("\n" + files[f"{name}.txt"], end="")
+        check_golden(name, files)
+        return rows
 
-    return _save
+    return _check

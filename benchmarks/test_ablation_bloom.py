@@ -9,36 +9,9 @@ demonstrated here directly rather than inside Figure 8.)
 
 import pytest
 
-from repro.hardware.ram import SecureRam
-from repro.index.bloom import BloomFilter, false_positive_rate
 
-
-def measured_fp_rate(n_items: int, max_bytes: int) -> float:
-    ram = SecureRam(capacity=1 << 22)
-    with BloomFilter(ram, n_items, max_bytes=max_bytes) as bf:
-        bf.add_all(range(n_items))
-        probes = range(n_items, 4 * n_items)
-        fps = sum(1 for x in probes if x in bf)
-        return fps / (3 * n_items)
-
-
-def test_ablation_bloom_degradation(benchmark, save_table):
-    n = 20000
-
-    def sweep():
-        rows = []
-        for ratio in (8, 6, 4, 2, 1):
-            max_bytes = n * ratio // 8
-            rows.append({
-                "bits_per_item": ratio,
-                "measured_fp": measured_fp_rate(n, max_bytes),
-                "theoretical_fp": false_positive_rate(ratio, 4),
-            })
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    save_table("ablation_bloom", rows,
-               "Ablation: Bloom fp rate vs bits-per-item (4 hashes)")
+def test_ablation_bloom_degradation(golden_table):
+    rows = golden_table("ablation_bloom")
     # paper's two anchor points: 0.024 at m=8n, 0.055 at m=6n
     by = {r["bits_per_item"]: r for r in rows}
     assert by[8]["measured_fp"] == pytest.approx(0.024, abs=0.015)
@@ -48,31 +21,9 @@ def test_ablation_bloom_degradation(benchmark, save_table):
     assert fps == sorted(fps)
 
 
-def test_ablation_post_filter_under_ram_pressure(benchmark, save_table):
+def test_ablation_post_filter_under_ram_pressure(golden_table):
     """End-to-end: a Post-Filter query on a RAM-starved token stores
     more Bloom false positives than on the paper's 64 KB token."""
-    from repro.hardware.token import TokenConfig
-    from repro.workloads.queries import query_q
-    from repro.workloads.synthetic import SyntheticConfig, build_synthetic
-
-    def sweep():
-        out = []
-        for ram_bytes in (65536, 12288):
-            db = build_synthetic(
-                SyntheticConfig(scale=0.005),
-                token_config=TokenConfig(ram_bytes=ram_bytes),
-            )
-            result = db.execute(query_q(0.5), vis_strategy="post",
-                              cross=False)
-            out.append({
-                "ram_bytes": ram_bytes,
-                "time_s": result.stats.total_s,
-                "rows": result.stats.result_rows,
-            })
-        return out
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    save_table("ablation_post_ram", rows,
-               "Ablation: Post-Filter on 64KB vs 12KB RAM (sV=0.5)")
+    rows = golden_table("ablation_post_ram")
     assert rows[0]["rows"] == rows[1]["rows"]  # correctness unaffected
     assert rows[1]["time_s"] >= rows[0]["time_s"] * 0.99

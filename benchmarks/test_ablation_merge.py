@@ -6,51 +6,9 @@ flash temporaries.  This bench quantifies the cost of that write-
 intensive fallback as RAM shrinks.
 """
 
-from repro.core.merge import MergeOperator
-from repro.flash.constants import FlashParams
-from repro.flash.ftl import Ftl
-from repro.flash.nand import NandFlash
-from repro.flash.stats import CostLedger
-from repro.flash.store import FlashStore
-from repro.hardware.ram import SecureRam
-from repro.storage.runs import IdRun, write_u32s
 
-PAGE = 2048
-N_SUBLISTS = 48
-IDS_PER_LIST = 2000
-
-
-def run_merge(ram_buffers: int):
-    params = FlashParams(page_size=PAGE)
-    ledger = CostLedger()
-    store = FlashStore(Ftl(NandFlash(params), ledger, params))
-    ram = SecureRam(capacity=ram_buffers * PAGE, page_size=PAGE)
-    group = [
-        IdRun.flash(write_u32s(
-            store, range(i, i + IDS_PER_LIST * N_SUBLISTS, N_SUBLISTS)
-        ))
-        for i in range(N_SUBLISTS)
-    ]
-    ledger.reset()
-    op = MergeOperator(store, ram)
-    count = sum(1 for _ in op.stream([group]))
-    return {
-        "ram_buffers": ram_buffers,
-        "time_s": ledger.total_time_s(),
-        "pages_written": ledger.counters.get("pages_written", 0),
-        "reductions": op.reductions,
-        "ids_out": count,
-    }
-
-
-def test_ablation_merge_reduction(benchmark, save_table):
-    def sweep():
-        return [run_merge(b) for b in (64, 32, 16, 8, 4)]
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    save_table("ablation_merge_reduction", rows,
-               "Ablation: Merge cost vs RAM buffers "
-               f"({N_SUBLISTS} sublists of {IDS_PER_LIST} ids)")
+def test_ablation_merge_reduction(golden_table):
+    rows = golden_table("ablation_merge_reduction")
 
     # all budgets produce the same result
     assert len({r["ids_out"] for r in rows}) == 1

@@ -5,36 +5,10 @@ GhostDB's operators degrade gracefully (more Merge reductions, more
 MJoin passes, smaller Blooms) rather than failing as RAM shrinks.
 """
 
-from repro.hardware.token import TokenConfig
-from repro.workloads.queries import query_q_with_hidden_projection
-from repro.workloads.synthetic import SyntheticConfig, build_synthetic
 
-RAM_SIZES = (131072, 65536, 32768, 16384)
-
-
-def test_ablation_ram_size(benchmark, save_table):
-    def sweep():
-        rows = []
-        expected = None
-        for ram_bytes in RAM_SIZES:
-            db = build_synthetic(
-                SyntheticConfig(scale=0.005),
-                token_config=TokenConfig(ram_bytes=ram_bytes),
-            )
-            result = db.execute(query_q_with_hidden_projection(0.2))
-            if expected is None:
-                expected = sorted(result.rows)
-            assert sorted(result.rows) == expected
-            rows.append({
-                "ram_bytes": ram_bytes,
-                "time_s": result.stats.total_s,
-                "ram_peak": result.stats.ram_peak,
-            })
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    save_table("ablation_ram_size", rows,
-               "Ablation: query cost vs secure RAM size (sV=0.2)")
+def test_ablation_ram_size(golden_table):
+    # (the driver itself fails if any RAM size returns different rows)
+    rows = golden_table("ablation_ram_size")
     # the budget is honoured at every size
     for row in rows:
         assert row["ram_peak"] <= row["ram_bytes"]

@@ -11,13 +11,11 @@ Paper's claims checked here:
 
 import pytest
 
-from repro.bench.experiments import fig7_index_size, section63_real_sizes
+from repro.bench.experiments import PAPER_REAL_SIZES_MB
 
 
-def test_fig07_index_size(benchmark, save_table):
-    rows = benchmark.pedantic(fig7_index_size, rounds=1, iterations=1)
-    save_table("fig07_index_size",
-               rows, "Figure 7: index storage cost (MB), paper scale")
+def test_fig07_index_size(golden_table):
+    rows = golden_table("fig07_index_size")
 
     for row in rows:
         assert row["FullIndex"] >= row["BasicIndex"]
@@ -29,15 +27,9 @@ def test_fig07_index_size(benchmark, save_table):
     assert rows[-1]["FullIndex"] > 0.7 * rows[-1]["DBSize"]
 
 
-def test_section63_real_dataset_sizes(benchmark, save_table):
-    sizes = benchmark.pedantic(section63_real_sizes, rounds=1, iterations=1)
-    paper = {"FullIndex": 57, "BasicIndex": 56, "StarIndex": 36,
-             "JoinIndex": 26, "DBSize": 169}
-    rows = [
-        {"scheme": k, "measured_MB": v, "paper_MB": paper[k]}
-        for k, v in sizes.items()
-    ]
-    save_table("section63_real_sizes", rows,
-               "Section 6.3: real data set index sizes")
-    for key, expected in paper.items():
-        assert sizes[key] == pytest.approx(expected, rel=0.35), key
+def test_section63_real_dataset_sizes(golden_table):
+    rows = golden_table("section63_real_sizes")
+    assert {r["scheme"] for r in rows} == set(PAPER_REAL_SIZES_MB)
+    for row in rows:
+        assert row["measured_MB"] == pytest.approx(
+            row["paper_MB"], rel=0.35), row["scheme"]

@@ -6,15 +6,9 @@ as this selectivity decreases" (factor 1.8 at sV=0.01, 2.3 at sV=0.5
 for Pre).
 """
 
-from repro.bench.experiments import SV_GRID, fig8_cross_filtering
 
-
-def test_fig08_cross_filtering(benchmark, synthetic_db, save_table):
-    rows = benchmark.pedantic(
-        fig8_cross_filtering, args=(synthetic_db,), rounds=1, iterations=1
-    )
-    save_table("fig08_cross_filtering", rows,
-               "Figure 8: Filtering vs Cross-Filtering (seconds, sH=0.1)")
+def test_fig08_cross_filtering(golden_table):
+    rows = golden_table("fig08_cross_filtering")
 
     for row in rows:
         assert row["Cross-Pre-Filter"] <= row["Pre-Filter"] * 1.05

@@ -5,16 +5,11 @@ for values of sV greater than 0.1", because beyond that point SJoin
 touches every SKT page and pre-filtering loses its edge.
 """
 
-from repro.bench.experiments import fig9_crosspre_vs_crosspost
+from repro.workloads.queries import query_q
 
 
-def test_fig09_crosspre_vs_crosspost(benchmark, synthetic_db, save_table):
-    rows = benchmark.pedantic(
-        fig9_crosspre_vs_crosspost, args=(synthetic_db,),
-        rounds=1, iterations=1,
-    )
-    save_table("fig09_crosspre_vs_crosspost", rows,
-               "Figure 9: Cross-Pre vs Cross-Post (seconds, sH=0.1)")
+def test_fig09_crosspre_vs_crosspost(golden_table):
+    rows = golden_table("fig09_crosspre_vs_crosspost")
 
     by_sv = {row["sv"]: row for row in rows}
     # high selectivity: pre wins
@@ -25,18 +20,13 @@ def test_fig09_crosspre_vs_crosspost(benchmark, synthetic_db, save_table):
             <= by_sv[0.5]["Cross-Pre-Filter"])
 
 
-def test_fig09_sjoin_saturation(benchmark, synthetic_db):
+def test_fig09_sjoin_saturation(synthetic_db):
     """Mechanism check: at sV=0.5 SJoin reads nearly every SKT page,
     at sV=0.001 only a fraction (the page-skipping effect)."""
-    from repro.workloads.queries import query_q
-
     def sjoin_pages(sv):
         before = synthetic_db.token.ledger.counters["pages_read"]
         synthetic_db.execute(query_q(sv), vis_strategy="pre", cross=True)
         return synthetic_db.token.ledger.counters["pages_read"] - before
 
-    low, high = benchmark.pedantic(
-        lambda: (sjoin_pages(0.001), sjoin_pages(0.5)),
-        rounds=1, iterations=1,
-    )
+    low, high = sjoin_pages(0.001), sjoin_pages(0.5)
     assert high > 3 * low

@@ -6,17 +6,9 @@ than Pre-Filter."  NoFilter shows the cost of postponing the selection
 to projection time regardless of selectivity.
 """
 
-from repro.bench.experiments import fig10_pre_vs_post
 
-
-def test_fig10_pre_vs_post(benchmark, synthetic_db, save_table,
-                           bench_rounds):
-    rows = benchmark.pedantic(
-        fig10_pre_vs_post, args=(synthetic_db,), rounds=bench_rounds,
-        iterations=1
-    )
-    save_table("fig10_pre_vs_post", rows,
-               "Figure 10: Pre vs Post-Filtering, no Cross (seconds)")
+def test_fig10_pre_vs_post(golden_table):
+    rows = golden_table("fig10_pre_vs_post")
 
     by_sv = {row["sv"]: row for row in rows}
     # Pre wins at very high selectivity

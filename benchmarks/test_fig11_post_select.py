@@ -6,16 +6,9 @@ Bloom-based Post-Filter -- "the figure justifies why we did not
 consider Post-Select as a relevant strategy".
 """
 
-from repro.bench.experiments import fig11_post_alternatives
 
-
-def test_fig11_post_alternatives(benchmark, synthetic_db, save_table):
-    rows = benchmark.pedantic(
-        fig11_post_alternatives, args=(synthetic_db,),
-        rounds=1, iterations=1,
-    )
-    save_table("fig11_post_alternatives", rows,
-               "Figure 11: Post-Filter vs Post-Select (seconds)")
+def test_fig11_post_alternatives(golden_table):
+    rows = golden_table("fig11_post_alternatives")
 
     # Bloom post-filter never loses badly to exact post-select, and at
     # low selectivity (big Vis ID lists -> many exact passes) it wins

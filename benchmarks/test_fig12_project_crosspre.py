@@ -5,16 +5,9 @@ and the gap increases with sV"; Project-NoBF pays extra MJoin
 iterations for the irrelevant values sent by Untrusted.
 """
 
-from repro.bench.experiments import fig12_project_crosspre
 
-
-def test_fig12_project_crosspre(benchmark, synthetic_db, save_table):
-    rows = benchmark.pedantic(
-        fig12_project_crosspre, args=(synthetic_db,),
-        rounds=1, iterations=1,
-    )
-    save_table("fig12_project_crosspre", rows,
-               "Figure 12: projecting in Cross-Pre execution (seconds)")
+def test_fig12_project_crosspre(golden_table):
+    rows = golden_table("fig12_project_crosspre")
 
     by_sv = {row["sv"]: row for row in rows}
     # Project beats Brute-Force at moderate/low selectivity and the gap

@@ -8,13 +8,8 @@ false positives and the effectiveness of the Project algorithm".
 from repro.bench.experiments import fig12_project_crosspre, fig13_project_crosspost
 
 
-def test_fig13_project_crosspost(benchmark, synthetic_db, save_table):
-    rows = benchmark.pedantic(
-        fig13_project_crosspost, args=(synthetic_db,),
-        rounds=1, iterations=1,
-    )
-    save_table("fig13_project_crosspost", rows,
-               "Figure 13: projecting in Cross-Post execution (seconds)")
+def test_fig13_project_crosspost(golden_table):
+    rows = golden_table("fig13_project_crosspost")
 
     by_sv = {row["sv"]: row for row in rows}
     assert by_sv[0.1]["Project"] < by_sv[0.1]["Brute-Force"]
@@ -22,12 +17,9 @@ def test_fig13_project_crosspost(benchmark, synthetic_db, save_table):
         assert row["Project"] <= row["Project-NoBF"] * 1.05
 
 
-def test_fig13_false_positive_impact_insignificant(benchmark, synthetic_db):
+def test_fig13_false_positive_impact_insignificant(synthetic_db):
     """Project under Post (with Bloom fps) costs about the same as under
     Pre (exact QEPSJ) -- the paper's headline for this figure."""
-    pre, post = benchmark.pedantic(
-        lambda: (fig12_project_crosspre(synthetic_db, sv_grid=(0.1,))[0],
-                 fig13_project_crosspost(synthetic_db, sv_grid=(0.1,))[0]),
-        rounds=1, iterations=1,
-    )
+    pre = fig12_project_crosspre(synthetic_db, sv_grid=(0.1,))[0]
+    post = fig13_project_crosspost(synthetic_db, sv_grid=(0.1,))[0]
     assert post["Project"] <= pre["Project"] * 1.5

@@ -5,17 +5,9 @@ Paper's claim: "for this query, a communication throughput lesser than
 ~1.3 MBps and flattens beyond.
 """
 
-from repro.bench.experiments import fig14_throughput
 
-
-def test_fig14_throughput(benchmark, synthetic_db, save_table,
-                          bench_rounds):
-    rows = benchmark.pedantic(
-        fig14_throughput, args=(synthetic_db,), rounds=bench_rounds,
-        iterations=1
-    )
-    save_table("fig14_throughput", rows,
-               "Figure 14: query time vs channel throughput (seconds)")
+def test_fig14_throughput(golden_table):
+    rows = golden_table("fig14_throughput")
 
     for series in ("Project1", "Project2", "Project3"):
         values = [row[series] for row in rows]

@@ -5,17 +5,9 @@ at sV=0.20 "the SJoin cost is the same in PRE20 and POST20 while the
 Merge cost is much higher in PRE20 than in POST20".
 """
 
-from repro.bench.experiments import fig15_decomposition_synthetic
 
-
-def test_fig15_decomposition_synthetic(benchmark, synthetic_db, save_table):
-    rows = benchmark.pedantic(
-        fig15_decomposition_synthetic, args=(synthetic_db,),
-        rounds=1, iterations=1,
-    )
-    save_table("fig15_decomposition_synthetic", rows,
-               "Figure 15: cost decomposition, synthetic (seconds, "
-               "communication excluded)")
+def test_fig15_decomposition_synthetic(golden_table):
+    rows = golden_table("fig15_decomposition_synthetic")
 
     by = {row["config"]: row for row in rows}
     assert by["PRE1"]["total_excl_comm"] <= by["POST1"]["total_excl_comm"]

@@ -6,20 +6,9 @@ SJoin operator is dominant in all histograms" because the
 Measurements/Patients fan-in is ~92.
 """
 
-from repro.bench.experiments import (
-    fig15_decomposition_synthetic,
-    fig16_decomposition_real,
-)
 
-
-def test_fig16_decomposition_real(benchmark, medical_db, save_table):
-    rows = benchmark.pedantic(
-        fig16_decomposition_real, args=(medical_db,),
-        rounds=1, iterations=1,
-    )
-    save_table("fig16_decomposition_real", rows,
-               "Figure 16: cost decomposition, medical data (seconds, "
-               "communication excluded)")
+def test_fig16_decomposition_real(golden_table):
+    rows = golden_table("fig16_decomposition_real")
 
     meaningful = [r for r in rows if r["total_excl_comm"] > 0.005]
     assert meaningful, "all bars too small to compare"
@@ -29,21 +18,9 @@ def test_fig16_decomposition_real(benchmark, medical_db, save_table):
         assert row["SJoin"] > 0.4 * row["total_excl_comm"], row["config"]
 
 
-def test_fig16_time_tracks_root_size(benchmark, medical_db, synthetic_db, save_table):
+def test_fig16_time_tracks_root_size(golden_table):
     """Real-data times are well below synthetic ones (root 1.3M vs 10M
     tuples at paper scale; both scaled by the same factor here)."""
-    syn, real = benchmark.pedantic(
-        lambda: (fig15_decomposition_synthetic(synthetic_db,
-                                               sv_values=(0.05,)),
-                 fig16_decomposition_real(medical_db, sv_values=(0.05,))),
-        rounds=1, iterations=1,
-    )
-    rows = [
-        {"dataset": "synthetic", **{k: v for k, v in syn[0].items()
-                                    if k != "config"}},
-        {"dataset": "medical", **{k: v for k, v in real[0].items()
-                                  if k != "config"}},
-    ]
-    save_table("fig16_root_size_ratio", rows,
-               "Figure 16 check: real vs synthetic total (PRE, sV=0.05)")
-    assert (real[0]["total_excl_comm"] < syn[0]["total_excl_comm"])
+    syn, real = golden_table("fig16_root_size_ratio")
+    assert (syn["dataset"], real["dataset"]) == ("synthetic", "medical")
+    assert real["total_excl_comm"] < syn["total_excl_comm"]

@@ -4,91 +4,17 @@ The scale-out claim: N tokens answer the root-anchored query mix
 faster than one, because each shard's QEPSJ touches only its slice of
 T0 and the shards run on disjoint hardware (the fleet's simulated time
 is ``max`` over shards plus a priced gather merge, never the sum).
-The benchmark runs the same query mix at 1/2/4/8 shards and reports
+The driver runs the same query mix at 1/2/4/8 shards and reports
 *simulated* queries-per-second -- wall q/s cannot improve in-process,
-where shards execute sequentially under one interpreter -- asserting
-that simulated throughput improves monotonically from 1 to 4 shards.
+where shards execute sequentially under one interpreter -- and this
+test asserts that simulated throughput improves monotonically from 1
+to 4 shards.
 """
 
-import json
-import pathlib
 
-from repro.workloads.queries import query_q, query_q_with_hidden_projection
-from repro.workloads.synthetic import SyntheticConfig, build_synthetic
-
-RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
-
-SHARD_GRID = (1, 2, 4, 8)
-SCALE = 0.004          # T0 = 40K rows: enough work to dominate merges
-
-
-def query_mix():
-    """The fig10/fig12 template mix the fleet is scored on."""
-    mix = []
-    for sv in (0.01, 0.05, 0.1):
-        mix.append((query_q(sv), {}))                       # fig10 auto
-        mix.append((query_q(sv), {"vis_strategy": "pre",
-                                  "cross": False}))
-        mix.append((query_q(sv), {"vis_strategy": "post",
-                                  "cross": False}))
-        mix.append((query_q_with_hidden_projection(sv),     # fig12
-                    {"vis_strategy": "pre", "cross": True,
-                     "projection": "project"}))
-    return mix
-
-
-def run_mix(db):
-    """(simulated seconds, row checksum) over the whole mix."""
-    total_s = 0.0
-    checksum = 0
-    for sql, kwargs in query_mix():
-        result = db.execute(sql, **kwargs)
-        total_s += result.stats.total_s
-        checksum += len(result.rows)
-    return total_s, checksum
-
-
-def test_shard_scaling(benchmark, save_table, bench_rounds):
-    cfg = SyntheticConfig(scale=SCALE, full_indexing=True)
-    fleets = {n: build_synthetic(cfg, shards=n) for n in SHARD_GRID}
-    n_queries = len(query_mix())
-
-    rows = []
-    checksums = {}
-
-    def run_all():
-        rows.clear()
-        for n, db in fleets.items():
-            sim_s, checksum = run_mix(db)
-            checksums[n] = checksum
-            rows.append({
-                "shards": n,
-                "simulated_s": round(sim_s, 4),
-                "sim_qps": round(n_queries / sim_s, 2),
-                "speedup_vs_1": 0.0,    # filled below
-            })
-
-    benchmark.pedantic(run_all, rounds=bench_rounds, iterations=1)
-
-    base = next(r for r in rows if r["shards"] == 1)
-    for row in rows:
-        row["speedup_vs_1"] = round(
-            base["simulated_s"] / row["simulated_s"], 2)
-
-    save_table("shard_scaling", rows,
-               "Scale-out: simulated q/s of the fig10/fig12 mix "
-               "vs shard count")
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "shard_scaling.json").write_text(json.dumps({
-        "n_queries": n_queries,
-        "scale": SCALE,
-        "points": [{"shards": r["shards"],
-                    "simulated_s": r["simulated_s"],
-                    "sim_qps": r["sim_qps"]} for r in rows],
-    }, indent=2) + "\n")
-
-    # every fleet size answered the mix with identical row counts
-    assert len(set(checksums.values())) == 1, checksums
+def test_shard_scaling(golden_table):
+    # (the driver itself fails if the fleet sizes disagree on row counts)
+    rows = golden_table("shard_scaling")
 
     # the tentpole claim: q/s improves monotonically 1 -> 2 -> 4
     by_shards = {r["shards"]: r["sim_qps"] for r in rows}

@@ -7,15 +7,9 @@ merge sort is the always-available fallback that pays run spills.  The
 cost-based pick must track the best method within a small factor.
 """
 
-from repro.bench.experiments import sort_topk
 
-
-def test_sort_topk(benchmark, medical_db, save_table, bench_rounds):
-    rows = benchmark.pedantic(
-        sort_topk, args=(medical_db,), rounds=bench_rounds, iterations=1
-    )
-    save_table("sort_topk", rows,
-               "Ordered retrieval: per-method cost vs LIMIT k (seconds)")
+def test_sort_topk(golden_table):
+    rows = golden_table("sort_topk")
 
     by_k = {row["k"]: row for row in rows}
     # a tiny LIMIT never pays flash I/O on the heap path (tolerance:

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Profile the perf-smoke benchmark drivers and print cProfile top-N.
+"""Profile four figure drivers and print cProfile top-N.
 
 Usage::
 

@@ -1,41 +1,3 @@
-"""Experiment harness regenerating every table and figure of the paper."""
-
-from repro.bench.experiments import (
-    DECOMPOSITION_SV,
-    SV_GRID,
-    THROUGHPUTS_MBPS,
-    build_bench_medical,
-    build_bench_synthetic,
-    fig7_index_size,
-    fig8_cross_filtering,
-    fig9_crosspre_vs_crosspost,
-    fig10_pre_vs_post,
-    fig11_post_alternatives,
-    fig12_project_crosspre,
-    fig13_project_crosspost,
-    fig14_throughput,
-    fig15_decomposition_synthetic,
-    fig16_decomposition_real,
-    format_table,
-    section63_real_sizes,
-)
-
-__all__ = [
-    "DECOMPOSITION_SV",
-    "SV_GRID",
-    "THROUGHPUTS_MBPS",
-    "build_bench_medical",
-    "build_bench_synthetic",
-    "fig7_index_size",
-    "fig8_cross_filtering",
-    "fig9_crosspre_vs_crosspost",
-    "fig10_pre_vs_post",
-    "fig11_post_alternatives",
-    "fig12_project_crosspre",
-    "fig13_project_crosspost",
-    "fig14_throughput",
-    "fig15_decomposition_synthetic",
-    "fig16_decomposition_real",
-    "format_table",
-    "section63_real_sizes",
-]
+"""Experiment harness: one driver per table and figure of the paper
+(:mod:`repro.bench.experiments`, with the registry of golden tables)
+and their one writer and checker (:mod:`repro.bench.report`)."""

@@ -13,12 +13,18 @@ set; shapes, orderings and crossover points are preserved.
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List, Optional, Sequence
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from repro.core.ghostdb import GhostDB
+from repro.core.merge import MergeOperator
 from repro.errors import PlanError
+from repro.flash.constants import PAGE_SIZE
+from repro.hardware.ram import SecureRam
+from repro.hardware.token import SecureToken, TokenConfig
+from repro.index.bloom import BloomFilter, false_positive_rate
 from repro.index.sizing import IndexSizingModel, TableSpec
+from repro.storage.runs import IdRun, write_u32s
 from repro.workloads.medical import (
     MedicalConfig,
     PAPER_CARDINALITIES as MEDICAL_CARDS,
@@ -42,11 +48,33 @@ from repro.workloads.synthetic import (
 #: figures sweep the Visible selectivity on a log axis (paper x-axis)
 SV_GRID = (0.001, 0.005, 0.01, 0.05, 0.1, 0.2, 0.5)
 
-#: both data sets are scaled by 1/100 by default so the paper's
+#: both data sets are scaled by 1/100 so the paper's
 #: root-table ratio (10M vs 1.3M tuples) -- and with it Figure 16's
 #: "roughly 1/10 of the synthetic time" observation -- is preserved
-SYN_SCALE = float(os.environ.get("GHOSTDB_BENCH_SCALE", "0.01"))
-MED_SCALE = float(os.environ.get("GHOSTDB_BENCH_MED_SCALE", "0.01"))
+SYN_SCALE = 0.01
+MED_SCALE = 0.01
+
+
+class Table(NamedTuple):
+    """One golden table under ``results/``: what computes it, from what."""
+
+    title: str
+    runner: Callable[..., List[Dict]]
+    needs: Tuple[str, ...]      # shared DATABASES it takes, in argument order
+    json_of: Optional[Callable[[List[Dict]], Dict]]     # rows -> <name>.json
+
+
+#: table name (= file stem under ``results/``) -> its :class:`Table`;
+#: ``repro.bench.report`` writes from it, ``benchmarks/`` compares by it
+TABLES: Dict[str, Table] = {}
+
+
+def table(name: str, title: str, needs: Tuple[str, ...] = (), json_of=None):
+    """Register the decorated driver as the runner of ``results/<name>``."""
+    def register(runner):
+        TABLES[name] = Table(title, runner, needs, json_of)
+        return runner
+    return register
 
 
 def build_bench_synthetic() -> GhostDB:
@@ -57,6 +85,13 @@ def build_bench_synthetic() -> GhostDB:
 def build_bench_medical() -> GhostDB:
     """The medical data set at the benchmark scale."""
     return build_medical(MedicalConfig(scale=MED_SCALE))
+
+
+#: the read-only databases the figure drivers share, built once per run
+DATABASES: Dict[str, Callable[[], GhostDB]] = {
+    "syn": build_bench_synthetic,
+    "med": build_bench_medical,
+}
 
 
 def format_table(rows: Sequence[Dict], title: str = "") -> str:
@@ -118,6 +153,7 @@ def real_sizing_model() -> IndexSizingModel:
     ], attr_distinct=100_000)
 
 
+@table("fig07_index_size", "Figure 7: index storage cost (MB), paper scale")
 def fig7_index_size() -> List[Dict]:
     """Storage cost (MB) of the four indexation schemes vs #attrs."""
     return synthetic_sizing_model().figure7_rows(range(6))
@@ -130,63 +166,73 @@ def section63_real_sizes() -> Dict[str, float]:
     )
 
 
+#: the magnitudes section 6.3 reports for the real data set (MB)
+PAPER_REAL_SIZES_MB = {"FullIndex": 57, "BasicIndex": 56, "StarIndex": 36,
+                       "JoinIndex": 26, "DBSize": 169}
+
+
+@table("section63_real_sizes", "Section 6.3: real data set index sizes")
+def section63_rows() -> List[Dict]:
+    """Measured vs paper index sizes, one row per indexation scheme."""
+    return [{"scheme": k, "measured_MB": v,
+             "paper_MB": PAPER_REAL_SIZES_MB[k]}
+            for k, v in section63_real_sizes().items()]
+
+
 # ---------------------------------------------------------------------------
 # Figures 8-11: selections and joins
 # ---------------------------------------------------------------------------
 
+def _sv_sweep(db: GhostDB, sql_of, series: Dict[str, Dict],
+              sv_grid: Sequence[float]) -> List[Dict]:
+    """One row per Visible selectivity, one column of simulated seconds
+    per labelled set of ``db.execute`` strategy knobs."""
+    return [{"sv": sv, **{label: _timed(db, sql_of(sv), **knobs)
+                          for label, knobs in series.items()}}
+            for sv in sv_grid]
+
+
+def _knobs(strategy: str, cross: bool = False, **more) -> Dict:
+    return dict(vis_strategy=strategy, cross=cross, **more)
+
+
+@table("fig08_cross_filtering",
+       "Figure 8: Filtering vs Cross-Filtering (seconds, sH=0.1)", ("syn",))
 def fig8_cross_filtering(db: GhostDB,
                          sv_grid: Sequence[float] = SV_GRID) -> List[Dict]:
     """Pre vs Cross-Pre and Post vs Cross-Post (sH = 0.1)."""
-    rows = []
-    for sv in sv_grid:
-        sql = query_q(sv)
-        rows.append({
-            "sv": sv,
-            "Pre-Filter": _timed(db, sql, vis_strategy="pre", cross=False),
-            "Cross-Pre-Filter": _timed(db, sql, vis_strategy="pre",
-                                       cross=True),
-            "Post-Filter": _timed(db, sql, vis_strategy="post",
-                                  cross=False),
-            "Cross-Post-Filter": _timed(db, sql, vis_strategy="post",
-                                        cross=True),
-        })
-    return rows
+    return _sv_sweep(db, query_q, {
+        "Pre-Filter": _knobs("pre"),
+        "Cross-Pre-Filter": _knobs("pre", True),
+        "Post-Filter": _knobs("post"),
+        "Cross-Post-Filter": _knobs("post", True),
+    }, sv_grid)
 
 
+@table("fig09_crosspre_vs_crosspost",
+       "Figure 9: Cross-Pre vs Cross-Post (seconds, sH=0.1)", ("syn",))
 def fig9_crosspre_vs_crosspost(db: GhostDB,
                                sv_grid: Sequence[float] = SV_GRID
                                ) -> List[Dict]:
     """Cross-Pre vs Cross-Post across the Visible selectivity grid."""
-    rows = []
-    for sv in sv_grid:
-        sql = query_q(sv)
-        rows.append({
-            "sv": sv,
-            "Cross-Pre-Filter": _timed(db, sql, vis_strategy="pre",
-                                       cross=True),
-            "Cross-Post-Filter": _timed(db, sql, vis_strategy="post",
-                                        cross=True),
-        })
-    return rows
+    return _sv_sweep(db, query_q, {
+        "Cross-Pre-Filter": _knobs("pre", True),
+        "Cross-Post-Filter": _knobs("post", True),
+    }, sv_grid)
 
 
+@table("fig10_pre_vs_post",
+       "Figure 10: Pre vs Post-Filtering, no Cross (seconds)", ("syn",))
 def fig10_pre_vs_post(db: GhostDB,
                       sv_grid: Sequence[float] = SV_GRID) -> List[Dict]:
     """Pre vs Post without the Cross optimization, plus NoFilter, plus
     the cost-based optimizer's pick (no knobs) for comparison."""
-    rows = []
-    for sv in sv_grid:
-        sql = query_q(sv)
-        rows.append({
-            "sv": sv,
-            "Pre-Filter": _timed(db, sql, vis_strategy="pre", cross=False),
-            "Post-Filter": _timed(db, sql, vis_strategy="post",
-                                  cross=False),
-            "NoFilter": _timed(db, sql, vis_strategy="nofilter",
-                               cross=False),
-            "Auto": _timed(db, sql),
-        })
-    return rows
+    return _sv_sweep(db, query_q, {
+        "Pre-Filter": _knobs("pre"),
+        "Post-Filter": _knobs("post"),
+        "NoFilter": _knobs("nofilter"),
+        "Auto": {},
+    }, sv_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -247,26 +293,18 @@ def optimizer_differential(db: GhostDB, sql_of,
     return rows
 
 
+@table("fig11_post_alternatives",
+       "Figure 11: Post-Filter vs Post-Select (seconds)", ("syn",))
 def fig11_post_alternatives(db: GhostDB,
                             sv_grid: Sequence[float] = SV_GRID
                             ) -> List[Dict]:
     """Bloom Post-Filter vs exact Post-Select (plain and Cross)."""
-    rows = []
-    for sv in sv_grid:
-        sql = query_q(sv)
-        rows.append({
-            "sv": sv,
-            "Post-Filter": _timed(db, sql, vis_strategy="post",
-                                  cross=False),
-            "Post-Select": _timed(db, sql, vis_strategy="post-select",
-                                  cross=False),
-            "Cross-Post-Filter": _timed(db, sql, vis_strategy="post",
-                                        cross=True),
-            "Cross-Post-Select": _timed(db, sql,
-                                        vis_strategy="post-select",
-                                        cross=True),
-        })
-    return rows
+    return _sv_sweep(db, query_q, {
+        "Post-Filter": _knobs("post"),
+        "Post-Select": _knobs("post-select"),
+        "Cross-Post-Filter": _knobs("post", True),
+        "Cross-Post-Select": _knobs("post-select", True),
+    }, sv_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -275,21 +313,15 @@ def fig11_post_alternatives(db: GhostDB,
 
 def _projection_rows(db: GhostDB, strategy: str,
                      sv_grid: Sequence[float]) -> List[Dict]:
-    rows = []
-    for sv in sv_grid:
-        sql = query_q_with_hidden_projection(sv)
-        rows.append({
-            "sv": sv,
-            "Project": _timed(db, sql, vis_strategy=strategy, cross=True,
-                              projection="project"),
-            "Project-NoBF": _timed(db, sql, vis_strategy=strategy,
-                                   cross=True, projection="project-nobf"),
-            "Brute-Force": _timed(db, sql, vis_strategy=strategy,
-                                  cross=True, projection="brute-force"),
-        })
-    return rows
+    return _sv_sweep(db, query_q_with_hidden_projection, {
+        "Project": _knobs(strategy, True, projection="project"),
+        "Project-NoBF": _knobs(strategy, True, projection="project-nobf"),
+        "Brute-Force": _knobs(strategy, True, projection="brute-force"),
+    }, sv_grid)
 
 
+@table("fig12_project_crosspre",
+       "Figure 12: projecting in Cross-Pre execution (seconds)", ("syn",))
 def fig12_project_crosspre(db: GhostDB,
                            sv_grid: Sequence[float] = SV_GRID
                            ) -> List[Dict]:
@@ -297,6 +329,8 @@ def fig12_project_crosspre(db: GhostDB,
     return _projection_rows(db, "pre", sv_grid)
 
 
+@table("fig13_project_crosspost",
+       "Figure 13: projecting in Cross-Post execution (seconds)", ("syn",))
 def fig13_project_crosspost(db: GhostDB,
                             sv_grid: Sequence[float] = SV_GRID
                             ) -> List[Dict]:
@@ -315,6 +349,8 @@ TOPK_GRID: Sequence[Optional[int]] = (1, 10, 100, None)
 ORDER_METHODS = ("external-sort", "top-k-heap", "index-order")
 
 
+@table("sort_topk",
+       "Ordered retrieval: per-method cost vs LIMIT k (seconds)", ("med",))
 def sort_topk(db: GhostDB,
               k_grid: Sequence[Optional[int]] = TOPK_GRID) -> List[Dict]:
     """Ordered retrieval cost per execution method across LIMIT k.
@@ -358,6 +394,8 @@ def sort_topk(db: GhostDB,
 THROUGHPUTS_MBPS = (0.3, 0.5, 0.75, 1.0, 1.3, 2.0, 3.0, 5.0, 7.5, 10.0)
 
 
+@table("fig14_throughput",
+       "Figure 14: query time vs channel throughput (seconds)", ("syn",))
 def fig14_throughput(db: GhostDB,
                      throughputs: Sequence[float] = THROUGHPUTS_MBPS,
                      sv: float = 0.01) -> List[Dict]:
@@ -405,16 +443,35 @@ def _decomposition(db: GhostDB, sql_of, sv_values) -> List[Dict]:
     return rows
 
 
+@table("fig15_decomposition_synthetic",
+       "Figure 15: cost decomposition, synthetic (seconds, "
+       "communication excluded)", ("syn",))
 def fig15_decomposition_synthetic(db: GhostDB,
                                   sv_values=DECOMPOSITION_SV) -> List[Dict]:
     """Per-operator cost decomposition of query Q (synthetic)."""
     return _decomposition(db, query_q, sv_values)
 
 
+@table("fig16_decomposition_real",
+       "Figure 16: cost decomposition, medical data (seconds, "
+       "communication excluded)", ("med",))
 def fig16_decomposition_real(db: GhostDB,
                              sv_values=DECOMPOSITION_SV) -> List[Dict]:
     """Per-operator cost decomposition of query Q (medical data)."""
     return _decomposition(db, medical_query_q, sv_values)
+
+
+@table("fig16_root_size_ratio",
+       "Figure 16 check: real vs synthetic total (PRE, sV=0.05)",
+       ("syn", "med"))
+def fig16_root_size_ratio(syn_db: GhostDB, med_db: GhostDB) -> List[Dict]:
+    """The PRE bar at sV=0.05 on both data sets (root 10M vs 1.3M tuples
+    at paper scale; both scaled by the same factor here)."""
+    bars = {"synthetic": fig15_decomposition_synthetic(syn_db, (0.05,))[0],
+            "medical": fig16_decomposition_real(med_db, (0.05,))[0]}
+    return [{"dataset": dataset,
+             **{k: v for k, v in bar.items() if k != "config"}}
+            for dataset, bar in bars.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -482,4 +539,162 @@ def compaction_churn(db: GhostDB, batches: int = CHURN_BATCHES,
         rows.append(probe(b, prog, compact_s() - before))
     before = compact_s()
     rows.append(probe("final", db.compact("T0"), compact_s() - before))
+    if any(status.dirty for status in db.compaction_status().values()):
+        raise AssertionError("the finished job left compaction debt behind")
+    return rows
+
+
+@table("compaction_churn",
+       "Compaction churn: query time and worst per-step pause per DML "
+       "batch (simulated seconds)")
+def compaction_churn_rows() -> List[Dict]:
+    """The churn driver on its own private database."""
+    return compaction_churn(build_bench_churn())
+
+
+# ---------------------------------------------------------------------------
+# ablations: Bloom accuracy, RAM pressure, Merge reduction
+# ---------------------------------------------------------------------------
+
+def measured_fp_rate(n_items: int, max_bytes: int) -> float:
+    """False-positive share of 3n never-added probes on an n-item filter."""
+    ram = SecureRam(capacity=1 << 22)
+    with BloomFilter(ram, n_items, max_bytes=max_bytes) as bf:
+        bf.add_all(range(n_items))
+        fps = sum(1 for x in range(n_items, 4 * n_items) if x in bf)
+        return fps / (3 * n_items)
+
+
+@table("ablation_bloom",
+       "Ablation: Bloom fp rate vs bits-per-item (4 hashes)")
+def ablation_bloom() -> List[Dict]:
+    """Bloom accuracy as the m/n ratio degrades (the mechanism behind
+    the Cross-Post gains once the Vis ID list outgrows the RAM)."""
+    n = 20000
+    return [{"bits_per_item": ratio,
+             "measured_fp": measured_fp_rate(n, n * ratio // 8),
+             "theoretical_fp": false_positive_rate(ratio, 4)}
+            for ratio in (8, 6, 4, 2, 1)]
+
+
+def _ram_sweep(ram_sizes: Sequence[int], sql: str, **knobs):
+    """(ram_bytes, result) of one query on tokens of shrinking RAM."""
+    for ram_bytes in ram_sizes:
+        db = build_synthetic(SyntheticConfig(scale=0.005),
+                             token_config=TokenConfig(ram_bytes=ram_bytes))
+        yield ram_bytes, db.execute(sql, **knobs)
+
+
+@table("ablation_post_ram",
+       "Ablation: Post-Filter on 64KB vs 12KB RAM (sV=0.5)")
+def ablation_post_ram() -> List[Dict]:
+    """A Post-Filter query on the paper's token vs a RAM-starved one."""
+    return [{"ram_bytes": ram_bytes, "time_s": result.stats.total_s,
+             "rows": result.stats.result_rows}
+            for ram_bytes, result in _ram_sweep(
+                (65536, 12288), query_q(0.5), **_knobs("post"))]
+
+
+@table("ablation_ram_size",
+       "Ablation: query cost vs secure RAM size (sV=0.2)")
+def ablation_ram_size() -> List[Dict]:
+    """End-to-end query cost as the secure RAM shrinks; every size must
+    return the same rows."""
+    rows, answers = [], set()
+    for ram_bytes, result in _ram_sweep(
+            (131072, 65536, 32768, 16384),
+            query_q_with_hidden_projection(0.2)):
+        answers.add(tuple(sorted(result.rows)))
+        rows.append({"ram_bytes": ram_bytes, "time_s": result.stats.total_s,
+                     "ram_peak": result.stats.ram_peak})
+    if len(answers) != 1:
+        raise AssertionError("rows diverge across RAM sizes")
+    return rows
+
+
+MERGE_SUBLISTS = 48
+MERGE_IDS_PER_LIST = 2000
+
+
+def merge_reduction(ram_buffers: int) -> Dict:
+    """Merge ``MERGE_SUBLISTS`` interleaved id sublists with one buffer
+    per open sublist; too few buffers force flash pre-merges (sec. 3.4)."""
+    token = SecureToken(TokenConfig(ram_bytes=ram_buffers * PAGE_SIZE))
+    group = [
+        IdRun.flash(write_u32s(token.store, range(
+            i, i + MERGE_IDS_PER_LIST * MERGE_SUBLISTS, MERGE_SUBLISTS)))
+        for i in range(MERGE_SUBLISTS)
+    ]
+    token.reset_costs()
+    op = MergeOperator(token.store, token.ram)
+    count = sum(1 for _ in op.stream([group]))
+    return {
+        "ram_buffers": ram_buffers,
+        "time_s": token.elapsed_s(),
+        "pages_written": token.ledger.counters.get("pages_written", 0),
+        "reductions": op.reductions,
+        "ids_out": count,
+    }
+
+
+@table("ablation_merge_reduction",
+       "Ablation: Merge cost vs RAM buffers "
+       f"({MERGE_SUBLISTS} sublists of {MERGE_IDS_PER_LIST} ids)")
+def ablation_merge_reduction() -> List[Dict]:
+    """The write-intensive reduction fallback as RAM shrinks."""
+    return [merge_reduction(b) for b in (64, 32, 16, 8, 4)]
+
+
+# ---------------------------------------------------------------------------
+# scale-out: simulated throughput of the fig10/fig12 mix vs fleet size
+# ---------------------------------------------------------------------------
+
+SHARD_GRID = (1, 2, 4, 8)
+SHARD_SCALE = 0.004          # T0 = 40K rows: enough work to dominate merges
+
+
+#: the fig10 (auto, forced pre, forced post) / fig12 template mix the
+#: fleet is scored on
+SHARD_MIX = tuple(
+    (sql_of(sv), knobs)
+    for sv in (0.01, 0.05, 0.1)
+    for sql_of, knobs in (
+        (query_q, {}), (query_q, _knobs("pre")), (query_q, _knobs("post")),
+        (query_q_with_hidden_projection,
+         _knobs("pre", True, projection="project")))
+)
+
+
+def _shard_points(rows: List[Dict]) -> Dict:
+    return {
+        "n_queries": len(SHARD_MIX),
+        "scale": SHARD_SCALE,
+        "points": [{k: r[k] for k in ("shards", "simulated_s", "sim_qps")}
+                   for r in rows],
+    }
+
+
+@table("shard_scaling",
+       "Scale-out: simulated q/s of the fig10/fig12 mix vs shard count",
+       json_of=_shard_points)
+def shard_scaling() -> List[Dict]:
+    """Simulated seconds and q/s of the mix at each fleet size (wall q/s
+    cannot improve in-process, where shards run under one interpreter);
+    every fleet must return the same number of rows."""
+    cfg = SyntheticConfig(scale=SHARD_SCALE, full_indexing=True)
+    rows, row_counts = [], set()
+    for n in SHARD_GRID:
+        db = build_synthetic(cfg, shards=n)
+        results = [db.execute(sql, **knobs) for sql, knobs in SHARD_MIX]
+        sim_s = 0.0
+        for result in results:
+            sim_s += result.stats.total_s
+        row_counts.add(sum(len(result.rows) for result in results))
+        rows.append({"shards": n, "simulated_s": round(sim_s, 4),
+                     "sim_qps": round(len(SHARD_MIX) / sim_s, 2)})
+    if len(row_counts) != 1:
+        raise AssertionError(f"fleet sizes disagree on rows: {row_counts}")
+    for row in rows:
+        row["speedup_vs_1"] = round(
+            rows[0]["simulated_s"] / row["simulated_s"], 2)
     return rows

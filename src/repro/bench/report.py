@@ -1,99 +1,100 @@
-"""Reproduce-everything driver: ``python -m repro.bench.report``.
+"""The golden tables under ``results/`` and their one writer.
 
-Runs every experiment of the paper's evaluation section in sequence,
-prints each figure's table, and writes them under ``results/``.  This
-is the scriptable equivalent of ``pytest benchmarks/ --benchmark-only``
-without the pytest machinery.
+Every table of the evaluation reports *simulated* seconds, a
+deterministic function of ``src/``, so the committed files are golden:
+the ``benchmarks/`` tests recompute each table and compare it byte for
+byte (:func:`check_golden`); this module is the only thing that writes
+them::
 
-Options::
+    python -m repro.bench.report                      # all tables
+    python -m repro.bench.report fig10_pre_vs_post    # a subset
 
-    python -m repro.bench.report                 # all figures
-    python -m repro.bench.report fig8 fig15      # a subset
-    GHOSTDB_BENCH_SCALE=0.02 python -m repro.bench.report
+A change that *intends* to move a simulated number regenerates the
+affected tables with this command and commits the diff.
 """
 
 from __future__ import annotations
 
+import difflib
+import json
 import pathlib
 import sys
-import time
-from typing import Dict, List
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.bench import experiments as exp
+from repro.bench.experiments import DATABASES, TABLES, format_table
 
-RESULTS_DIR = pathlib.Path("results")
-
-
-def _sizes_rows() -> List[Dict]:
-    paper = {"FullIndex": 57, "BasicIndex": 56, "StarIndex": 36,
-             "JoinIndex": 26, "DBSize": 169}
-    return [
-        {"scheme": k, "measured_MB": v, "paper_MB": paper[k]}
-        for k, v in exp.section63_real_sizes().items()
-    ]
+RESULTS_DIR = pathlib.Path(__file__).resolve().parents[3] / "results"
 
 
-def build_registry() -> Dict[str, tuple]:
-    """name -> (needs: 'syn'|'med'|None, runner, title)."""
-    return {
-        "fig7": (None, lambda _: exp.fig7_index_size(),
-                 "Figure 7: index storage cost (MB), paper scale"),
-        "real_sizes": (None, lambda _: _sizes_rows(),
-                       "Section 6.3: real data set index sizes (MB)"),
-        "fig8": ("syn", exp.fig8_cross_filtering,
-                 "Figure 8: Filtering vs Cross-Filtering (s)"),
-        "fig9": ("syn", exp.fig9_crosspre_vs_crosspost,
-                 "Figure 9: Cross-Pre vs Cross-Post (s)"),
-        "fig10": ("syn", exp.fig10_pre_vs_post,
-                  "Figure 10: Pre vs Post, no Cross (s)"),
-        "fig11": ("syn", exp.fig11_post_alternatives,
-                  "Figure 11: Post-Filter vs Post-Select (s)"),
-        "fig12": ("syn", exp.fig12_project_crosspre,
-                  "Figure 12: projection under Cross-Pre (s)"),
-        "fig13": ("syn", exp.fig13_project_crosspost,
-                  "Figure 13: projection under Cross-Post (s)"),
-        "fig14": ("syn", exp.fig14_throughput,
-                  "Figure 14: time vs channel throughput (s)"),
-        "fig15": ("syn", exp.fig15_decomposition_synthetic,
-                  "Figure 15: cost decomposition, synthetic (s)"),
-        "fig16": ("med", exp.fig16_decomposition_real,
-                  "Figure 16: cost decomposition, medical (s)"),
-    }
+def run_table(name: str, db_of: Callable[[str], object]
+              ) -> Tuple[List[Dict], Dict[str, str]]:
+    """Compute one registered table: its rows, and the text of every
+    file it owns (``<name>.txt``, plus ``<name>.json`` if it has one).
+    ``db_of`` hands out the shared databases by ``DATABASES`` kind."""
+    spec = TABLES[name]
+    dbs = [db_of(kind) for kind in spec.needs]
+    for db in dbs:
+        # statement costs are deltas of the cumulative ledger's floats:
+        # starting every table from the zeroed ledger of a fresh build
+        # keeps its last ulp -- hence a digit at a rounding boundary --
+        # independent of which tables ran on the database before it
+        db.token.reset_costs()
+    rows = spec.runner(*dbs)
+    files = {f"{name}.txt": format_table(rows, spec.title) + "\n"}
+    if spec.json_of is not None:
+        files[f"{name}.json"] = json.dumps(spec.json_of(rows),
+                                           indent=2) + "\n"
+    return rows, files
 
 
-def main(argv: List[str] | None = None) -> int:
-    """Regenerate the requested experiment tables under results/."""
-    argv = sys.argv[1:] if argv is None else argv
-    registry = build_registry()
-    wanted = argv or list(registry)
-    unknown = [w for w in wanted if w not in registry]
-    if unknown:
-        print(f"unknown experiments: {unknown}; "
-              f"available: {list(registry)}")
-        return 2
+def check_golden(name: str, files: Dict[str, str],
+                 results_dir: pathlib.Path = RESULTS_DIR) -> None:
+    """Fail unless every file of table ``name`` matches its committed
+    bytes; a missing golden file fails too, it is never created here."""
+    for filename, text in files.items():
+        path = results_dir / filename
+        golden = path.read_text() if path.exists() else None
+        if golden == text:
+            continue
+        state = "is missing" if golden is None else "drifted"
+        diff = "".join(difflib.unified_diff(
+            (golden or "").splitlines(keepends=True),
+            text.splitlines(keepends=True),
+            f"{path} (committed)", f"{filename} (computed)"))
+        raise AssertionError(
+            f"golden table {filename} {state}:\n{diff}\n"
+            f"If the change is meant to move this number, regenerate "
+            f"with\n    python -m repro.bench.report {name}\n"
+            f"and commit the diff; otherwise it is a reproduction bug.")
 
-    RESULTS_DIR.mkdir(exist_ok=True)
+
+def regenerate(names: Optional[Sequence[str]] = None,
+               results_dir: pathlib.Path = RESULTS_DIR) -> None:
+    """(Re)write the named tables -- all of them by default."""
     databases: Dict[str, object] = {}
 
-    def _get_db(kind: str):
+    def db_of(kind: str):
         if kind not in databases:
-            print(f"[building {kind} database "
-                  f"(scale={'%.3f' % (exp.SYN_SCALE if kind == 'syn' else exp.MED_SCALE)})...]")
-            databases[kind] = (exp.build_bench_synthetic()
-                               if kind == "syn"
-                               else exp.build_bench_medical())
+            print(f"[building the {kind} database ...]")
+            databases[kind] = DATABASES[kind]()
         return databases[kind]
 
-    for name in wanted:
-        needs, runner, title = registry[name]
-        start = time.time()
-        rows = runner(_get_db(needs)) if needs else runner(None)
-        wall = time.time() - start
-        text = exp.format_table(rows, title)
-        (RESULTS_DIR / f"report_{name}.txt").write_text(text + "\n")
-        print()
-        print(text)
-        print(f"[{name}: {wall:.1f}s wall]")
+    results_dir.mkdir(exist_ok=True)
+    for name in names or TABLES:
+        _, files = run_table(name, db_of)
+        for filename, text in files.items():
+            (results_dir / filename).write_text(text)
+        print("\n" + files[f"{name}.txt"], end="")
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """``python -m repro.bench.report [table ...]``."""
+    names = sys.argv[1:] if argv is None else argv
+    unknown = [n for n in names if n not in TABLES]
+    if unknown:
+        print(f"unknown tables: {unknown}; available: {list(TABLES)}")
+        return 2
+    regenerate(names)
     print(f"\ntables written under {RESULTS_DIR}/")
     return 0
 

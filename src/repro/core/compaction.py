@@ -57,11 +57,11 @@ later ``_full_reprovision`` still knows what is clean.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
+from repro.core.loader import ancestor_maps
 from repro.core.stats import TableStats
 from repro.errors import CompactionDeclined
 from repro.index.climbing import ClimbingIndex
@@ -146,55 +146,6 @@ def is_dirty(catalog: "SecureCatalog", table: str) -> bool:
     if any(catalog.fk_deltas.get(u) for u in subtree(catalog.schema, table)):
         return True
     return any(idx.delta_entries for _, idx in ripple_indexes(catalog, table))
-
-
-def _live_ancestor_maps(catalog: "SecureCatalog", remap_table: str,
-                        id_map: Dict[int, int]
-                        ) -> Dict[str, Dict[str, Dict[int, List[int]]]]:
-    """``maps[D][A][idD]`` = sorted live ids of ancestor ``A`` whose fk
-    chain reaches ``D`` tuple ``idD`` -- the loader's ancestor maps,
-    recomputed over *live* rows with ``remap_table``'s ids translated
-    through ``id_map`` (all other tables keep their ids).
-
-    Tombstoned rows are excluded at every level: a fresh bulk build
-    from live data is exactly what a from-scratch re-provision would
-    produce once every table is compacted, and dropping dead ancestor
-    ids early only removes entries the executor would filter anyway.
-    """
-    schema = catalog.schema
-
-    def out_id(table: str, rid: int) -> int:
-        return id_map[rid] if table == remap_table else rid
-
-    maps: Dict[str, Dict[str, Dict[int, List[int]]]] = {
-        name: {} for name in schema.tables
-    }
-    order = sorted(schema.tables, key=schema.depth)
-    for name in order:
-        parent = schema.parent(name)
-        if parent is None:
-            continue
-        t_parent = schema.table(parent)
-        pos = t_parent.column_position(schema.fk_to(parent, name).name)
-        dead_c = catalog.tombstones[name] if name != remap_table else set()
-        dead_p = catalog.tombstones[parent] if parent != remap_table else set()
-        direct: Dict[int, List[int]] = {
-            out_id(name, rid): []
-            for rid in range(len(catalog.raw_rows[name]))
-            if rid not in dead_c and (name != remap_table or rid in id_map)
-        }
-        for pid, row in enumerate(catalog.raw_rows[parent]):
-            if pid in dead_p or (parent == remap_table and pid not in id_map):
-                continue
-            direct[out_id(name, row[pos])].append(out_id(parent, pid))
-        maps[name][parent] = direct
-        for higher, pmap in maps[parent].items():
-            maps[name][higher] = {
-                i: sorted(heapq.merge(*(pmap[p] for p in parents)))
-                if parents else []
-                for i, parents in direct.items()
-            }
-    return maps
 
 
 # ----------------------------------------------------------------------
@@ -566,7 +517,8 @@ class CompactionJob:
         # ---- ripple indexes: one fresh bulk build per step -----------
         new_indexes: List[Tuple[Tuple, ClimbingIndex]] = []
         if folds:
-            anc_maps = _live_ancestor_maps(catalog, T, id_map)
+            anc_maps = ancestor_maps(schema, catalog.raw_rows,
+                                     catalog.tombstones, (T, id_map))
             yield "ancestor-maps"
         for (kind, d_table, col), idx in folds:
             self._charge_index_read(idx)

@@ -63,22 +63,18 @@ class QueryStats:
         return self.by_operator.get(label, 0.0)
 
     @classmethod
-    def aggregate(cls, parts: Iterable["QueryStats"]) -> "QueryStats":
-        """Combine per-query reports into one (batch execution).
-
-        Times, byte counts and row counts sum; ``ram_peak`` takes the
-        maximum, since the queries of a batch run sequentially on one
-        token and never hold RAM simultaneously.
-        """
+    def _fold(cls, parts: Iterable["QueryStats"]) -> "QueryStats":
+        """Sum the work of ``parts`` (per-operator seconds, counters,
+        bytes, rows) and take the largest ``ram_peak``; ``total_s`` is
+        left at zero for the caller's combination rule."""
         by_op: Dict[str, float] = {}
         counters: Dict[str, int] = {}
-        total = QueryStats(
+        total = cls(
             total_s=0.0, by_operator=by_op, counters=counters,
             bytes_to_secure=0, bytes_to_untrusted=0, ram_peak=0,
             result_rows=0,
         )
         for part in parts:
-            total.total_s += part.total_s
             for label, seconds in part.by_operator.items():
                 by_op[label] = by_op.get(label, 0.0) + seconds
             for key, value in part.counters.items():
@@ -87,6 +83,20 @@ class QueryStats:
             total.bytes_to_untrusted += part.bytes_to_untrusted
             total.ram_peak = max(total.ram_peak, part.ram_peak)
             total.result_rows += part.result_rows
+        return total
+
+    @classmethod
+    def aggregate(cls, parts: Iterable["QueryStats"]) -> "QueryStats":
+        """Combine per-query reports into one (batch execution).
+
+        Times, byte counts and row counts sum; ``ram_peak`` takes the
+        maximum, since the queries of a batch run sequentially on one
+        token and never hold RAM simultaneously.
+        """
+        parts = list(parts)
+        total = cls._fold(parts)
+        for part in parts:      # left fold: builtin sum() compensates
+            total.total_s += part.total_s
         return total
 
     @classmethod
@@ -105,26 +115,11 @@ class QueryStats:
         largest single-token peak: shard RAM budgets are not fungible.
         """
         parts = list(parts)
-        by_op: Dict[str, float] = {}
-        counters: Dict[str, int] = {}
-        combined = cls(
-            total_s=merge_s, by_operator=by_op, counters=counters,
-            bytes_to_secure=0, bytes_to_untrusted=0, ram_peak=0,
-            result_rows=0,
-        )
-        makespan = 0.0
-        for part in parts:
-            makespan = max(makespan, part.total_s)
-            for label, seconds in part.by_operator.items():
-                by_op[label] = by_op.get(label, 0.0) + seconds
-            for key, value in part.counters.items():
-                counters[key] = counters.get(key, 0) + value
-            combined.bytes_to_secure += part.bytes_to_secure
-            combined.bytes_to_untrusted += part.bytes_to_untrusted
-            combined.ram_peak = max(combined.ram_peak, part.ram_peak)
-            combined.result_rows += part.result_rows
-        combined.total_s += makespan
+        combined = cls._fold(parts)
+        combined.total_s = merge_s + max(
+            (part.total_s for part in parts), default=0.0)
         if merge_s:
+            by_op = combined.by_operator
             by_op["Gather"] = by_op.get("Gather", 0.0) + merge_s
         if result_rows is not None:
             combined.result_rows = result_rows

@@ -19,7 +19,7 @@ For each table the loader:
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import StorageError
 from repro.core.catalog import SecureCatalog, TableImage
@@ -31,6 +31,56 @@ from repro.schema.model import Schema
 from repro.storage.codec import RowCodec
 from repro.storage.heap import HeapFile
 from repro.untrusted.engine import UntrustedEngine
+
+
+def ancestor_maps(schema: Schema, rows: Dict[str, List[Tuple]],
+                  dead: Optional[Dict[str, Set[int]]] = None,
+                  remap: Optional[Tuple[str, Dict[int, int]]] = None
+                  ) -> Dict[str, Dict[str, Dict[int, List[int]]]]:
+    """``maps[T][A][idT]`` = sorted ids of ancestor ``A`` whose fk chain
+    reaches ``T`` tuple ``idT``.
+
+    The bulk loader passes only ``rows``.  Compaction recomputes the
+    maps over *live* rows: ids in ``dead[table]`` are left out at every
+    level, and ``remap = (table, id_map)`` renumbers that one table
+    through ``id_map``, whose keys are exactly its live ids -- what a
+    from-scratch build of the live rows would produce.
+    """
+    # table -> {old id: output id} of its live rows; absent = all, as is
+    live: Dict[str, Dict[int, int]] = {remap[0]: remap[1]} if remap else {}
+    for table, gone in (dead or {}).items():
+        if gone and table not in live:
+            live[table] = {rid: rid for rid in range(len(rows[table]))
+                           if rid not in gone}
+    maps: Dict[str, Dict[str, Dict[int, List[int]]]] = {
+        name: {} for name in schema.tables
+    }
+    for name in sorted(schema.tables, key=schema.depth):
+        parent = schema.parent(name)
+        if parent is None:
+            continue
+        pos = schema.table(parent).column_position(
+            schema.fk_to(parent, name).name)
+        ids_c, ids_p = live.get(name), live.get(parent)
+        direct: Dict[int, List[int]] = {
+            i: [] for i in (range(len(rows[name])) if ids_c is None
+                            else ids_c.values())
+        }
+        for pid, row in enumerate(rows[parent]):
+            if ids_p is not None:
+                if pid not in ids_p:
+                    continue
+                pid = ids_p[pid]
+            fk = row[pos]
+            direct[fk if ids_c is None else ids_c[fk]].append(pid)
+        maps[name][parent] = direct
+        for higher, pmap in maps[parent].items():
+            maps[name][higher] = {
+                i: sorted(heapq.merge(*(pmap[p] for p in parents)))
+                if parents else []
+                for i, parents in direct.items()
+            }
+    return maps
 
 
 class Loader:
@@ -81,7 +131,7 @@ class Loader:
             self._load_hidden_images(catalog)
             desc_maps = self._compute_descendant_maps()
             self._build_skts(catalog, desc_maps)
-            anc_maps = self._compute_ancestor_maps()
+            anc_maps = ancestor_maps(self.schema, self._pending)
             self._build_indexes(catalog, anc_maps)
             self._gather_stats(catalog)
         self.built = True
@@ -164,31 +214,6 @@ class Loader:
             catalog.skts[name] = SubtreeKeyTable.build(
                 self.token.store, name, cols, rows, self.token.page_size
             )
-
-    # ------------------------------------------------------------------
-    def _compute_ancestor_maps(self) -> Dict[str, Dict[str, Dict[int, List[int]]]]:
-        """``maps[T][A][idT]`` = sorted ids of ancestor A referencing idT."""
-        maps: Dict[str, Dict[str, Dict[int, List[int]]]] = {
-            name: {} for name in self.schema.tables
-        }
-        order = sorted(self.schema.tables, key=self.schema.depth)
-        for name in order:
-            parent = self.schema.parent(name)
-            if parent is None:
-                continue
-            direct: Dict[int, List[int]] = {
-                i: [] for i in range(len(self._pending[name]))
-            }
-            for pid, fk in enumerate(self._fk_values(parent, name)):
-                direct[fk].append(pid)
-            maps[name][parent] = direct
-            for higher, pmap in maps[parent].items():
-                maps[name][higher] = {
-                    i: sorted(heapq.merge(*(pmap[p] for p in parents)))
-                    if parents else []
-                    for i, parents in direct.items()
-                }
-        return maps
 
     def _build_indexes(self, catalog: SecureCatalog, anc_maps) -> None:
         for name in self.schema.tables:

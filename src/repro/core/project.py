@@ -5,7 +5,10 @@ values that will not survive the hidden predicates; Bloom-based
 post-filtering leaves false positives in the QEPSJ result; and RAM is
 tiny.  The Project algorithm therefore:
 
-1. works table by table over the vertically partitioned QEPSJ result,
+1. works table by table over the vertically partitioned QEPSJ result
+   (Fig. 5 line 1, the SJoin to every projected table, is already done
+   by QEPSJ: ``tables_needed_beyond_anchor`` makes its result carry an
+   id column per projected non-anchor table),
 2. Bloom-filters the irrelevant values sent by Untrusted (``sigma_VH``),
 3. builds ``<pos, vlist, hlist>`` tuples per table with the multi-pass
    ``MJoin`` bounded by RAM,
@@ -23,13 +26,7 @@ import heapq
 from itertools import compress
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.core.operators import (
-    PROJECT_LABEL,
-    ExecContext,
-    op_sjoin,
-    op_store_columns,
-    op_vis,
-)
+from repro.core.operators import PROJECT_LABEL, ExecContext, op_vis
 from repro.core.plan import ProjectionMode, QepSjResult
 from repro.index.bloom import BloomFilter
 from repro.sql.binder import BoundColumn
@@ -114,7 +111,6 @@ class ProjectionExecutor:
         names = [str(c) for c in self.bound.projections]
         if sj.count == 0:
             return names, []
-        sj = self._ensure_columns(sj)
         if mode is ProjectionMode.BRUTE_FORCE:
             return names, self._brute_force(sj)
         per_table = self._tables_with_values()
@@ -133,31 +129,6 @@ class ProjectionExecutor:
             for h in heaps:
                 h.free()
         return names, rows
-
-    # ------------------------------------------------------------------
-    def _ensure_columns(self, sj: QepSjResult) -> QepSjResult:
-        """Fig. 5 line 1: SJoin for tables the QEPSJ did not reach yet."""
-        needed = {t for t in self._tables_with_values() if t != self.anchor}
-        for col in self.bound.projections:
-            src = self._source_of(col)
-            if src[0] == "id" and src[1] != self.anchor:
-                needed.add(src[1])
-        have = set(sj.columns or ())
-        missing = [t for t in sorted(needed) if t not in have]
-        if not missing:
-            return sj
-        ctx = self.ctx
-        anchor_iter = sj.anchor_ids.iterate(ctx.ram, label="anchor ids")
-        tuples = op_sjoin(ctx, self.anchor, anchor_iter, missing)
-        columns, count = op_store_columns(ctx, tuples,
-                                          [self.anchor] + missing)
-        new_columns = dict(sj.columns or {})
-        new_columns.update(columns)
-        new_columns[self.anchor] = columns[self.anchor]
-        return QepSjResult(anchor=sj.anchor, count=count,
-                           anchor_ids=columns[self.anchor],
-                           columns=new_columns,
-                           approx_tables=set(sj.approx_tables))
 
     # ------------------------------------------------------------------
     # MJoin

@@ -15,7 +15,7 @@ package turns it into a service many clients can drive at once:
   DML/compaction writer lane.
 * :mod:`repro.service.client` -- sync and async client libraries.
 * :mod:`repro.service.loadgen` -- the N-clients x template-mix load
-  generator behind the ``service_loadgen`` perf-smoke figure.
+  generator behind ``benchmarks/test_service_loadgen.py``.
 """
 
 from repro.service.admission import AdmissionController, AdmissionTicket

@@ -6,8 +6,8 @@ has each run ``n_queries`` parameterized executions of the paper's
 Query Q templates (the Figure 10 shape and its Figure 12 variant with
 a hidden projection), at randomized visible selectivities.  Reports
 client-observed wall-clock throughput and latency percentiles plus the
-server's admission counters -- the ``service_loadgen`` perf-smoke
-figure.
+server's admission counters (``benchmarks/test_service_loadgen.py``
+asserts on them and prints the wall numbers).
 
 Wall-clock here measures the *service*: framing, scheduling, admission
 and thread handoff around the simulated token.  The simulated-time

@@ -32,15 +32,14 @@ from test_persist import assert_twins_identical
 @example(78286)
 def test_property_snapshot_restore_continues_like_the_live_twin(seed):
     rng = random.Random(seed)
-    db, n_c = build_random_db(random.Random(seed))
-    twin, _ = build_random_db(random.Random(seed))
+    db = build_random_db(random.Random(seed))
+    twin = build_random_db(random.Random(seed))
 
     # identical random histories on both sides (twin rng streams)
     rng_a, rng_b = random.Random(seed + 1), random.Random(seed + 1)
     for _ in range(rng.randint(4, 9)):
-        next_n_c = apply_random_op(db, rng_a, n_c)
-        apply_random_op(twin, rng_b, n_c)
-        n_c = next_n_c
+        apply_random_op(db, rng_a)
+        apply_random_op(twin, rng_b)
 
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "db.img")
@@ -60,9 +59,8 @@ def test_property_snapshot_restore_continues_like_the_live_twin(seed):
         # the restored image continues exactly like the live twin
         rng_a, rng_b = random.Random(seed + 2), random.Random(seed + 2)
         for _ in range(rng.randint(2, 5)):
-            next_n_c = apply_random_op(restored, rng_a, n_c)
-            apply_random_op(twin, rng_b, n_c)
-            n_c = next_n_c
+            apply_random_op(restored, rng_a)
+            apply_random_op(twin, rng_b)
             sql = rng.choice(PROBES)
             assert_oracle(restored, sql)
             assert_oracle(twin, sql)
