@@ -1,11 +1,15 @@
 #!/usr/bin/env python
-"""Docs CI gate: intra-repo markdown links must resolve, examples must run.
+"""Docs CI gate: links resolve, named API exists, examples run.
 
-Two checks, both simple on purpose:
+Three checks, all simple on purpose:
 
 * every relative link target in a tracked ``*.md`` file (README.md,
   docs/, CHANGES.md, ...) must exist on disk -- links to headings
   (``path#anchor``) are checked for the file part;
+* every ``GhostDB.name``, ``db.name(`` and ``Session.name`` written in
+  an inline code span of README.md / docs/ARCHITECTURE.md must be an
+  attribute of that class, so the docs cannot describe a removed
+  method;
 * with ``--run-examples``, every script under ``examples/`` is executed
   with ``PYTHONPATH=src`` and must exit 0.
 
@@ -13,7 +17,7 @@ Usage::
 
     PYTHONPATH=src python scripts/check_docs.py [--run-examples]
 
-Exits non-zero listing every broken link / failing example.
+Exits non-zero listing every broken link / stale name / failing example.
 """
 
 from __future__ import annotations
@@ -31,6 +35,13 @@ _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
 #: targets that are not repo files
 _EXTERNAL = ("http://", "https://", "mailto:", "#")
+
+#: the docs whose inline code spans may name the public API
+_API_DOCS = ("README.md", "docs/ARCHITECTURE.md")
+_FENCE = re.compile(r"```.*?```", re.DOTALL)
+_SPAN = re.compile(r"`([^`\n]+)`")
+_API_NAME = re.compile(r"(?<![\w.])(?:(GhostDB|Session)\.([A-Za-z_]\w*)"
+                       r"|db\.([A-Za-z_]\w*)\()")
 
 
 def iter_markdown_files() -> list:
@@ -52,7 +63,7 @@ def broken_links() -> list:
         text = md.read_text()
         # fenced code blocks routinely contain (parenthesised) pseudo
         # links; strip them before matching
-        text = re.sub(r"```.*?```", "", text, flags=re.DOTALL)
+        text = _FENCE.sub("", text)
         for match in _LINK.finditer(text):
             target = match.group(1)
             if target.startswith(_EXTERNAL):
@@ -63,6 +74,24 @@ def broken_links() -> list:
             if not (md.parent / file_part).exists():
                 broken.append((md.relative_to(REPO), target))
     return broken
+
+
+def stale_api_names() -> list:
+    """Every (file, line, span) naming an attribute its class lacks."""
+    from repro.core.ghostdb import GhostDB
+    from repro.core.session import Session
+    classes = {"GhostDB": GhostDB, "Session": Session, "": GhostDB}
+    stale = []
+    for doc in _API_DOCS:
+        # blank the fenced blocks but keep their newlines (line numbers)
+        text = _FENCE.sub(lambda m: "\n" * m.group(0).count("\n"),
+                          (REPO / doc).read_text())
+        for lineno, line in enumerate(text.splitlines(), 1):
+            for span in _SPAN.findall(line):
+                for cls, attr, db_attr in _API_NAME.findall(span):
+                    if not hasattr(classes[cls], attr or db_attr):
+                        stale.append((doc, lineno, span))
+    return stale
 
 
 def run_examples() -> list:
@@ -93,6 +122,9 @@ def main(argv: list) -> int:
     if not broken:
         print(f"links ok across {len(iter_markdown_files())} markdown "
               f"file(s)")
+    for doc, lineno, span in stale_api_names():
+        print(f"STALE API NAME {doc}:{lineno}: `{span}`")
+        ok = False
     if "--run-examples" in argv:
         for script, stderr in run_examples():
             print(f"EXAMPLE FAILED {script}:\n{stderr}")

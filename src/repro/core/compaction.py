@@ -1,11 +1,9 @@
 """Incremental per-table compaction: bounded steps, no stop-the-world.
 
-The incremental-DML layer (PR 4/5 of the roadmap) made every mutation
-append-only: deletes tombstone, inserts tail-append, climbing indexes
-grow flash delta logs, and fk deltas let lookups climb to appended
-parents.  Reclaiming that debt used to require ``rebuild()`` -- a
-stop-the-world re-provisioning of the *entire* database from retained
-raw rows.  This module retires that hammer.
+Every mutation is append-only: deletes tombstone, inserts tail-append,
+climbing indexes grow flash delta logs, and fk deltas let lookups
+climb to appended parents.  This module reclaims that debt without
+re-provisioning the database from raw rows.
 
 :class:`CompactionManager` compacts **one table at a time, in bounded
 steps**.  A :class:`CompactionJob` is a generator-backed state machine;
@@ -48,11 +46,11 @@ out-of-space error halfway through a fold.
 Interleaved DML is detected, not locked out: the job snapshots the
 per-table data generations when it starts, and the manager aborts and
 restarts the job (shadow files freed, ``restarts`` counted) if any
-generation moved between steps.  Plan-cache behaviour matches the old
-rebuild exactly: ``data_generations[T]`` bumps only when ``T`` itself
-had DML folded in (appends or a remap), so cached plans of untouched
-tables survive; ``built_generations`` of the whole subtree syncs so a
-later ``_full_reprovision`` still knows what is clean.
+generation moved between steps.  ``data_generations[T]`` bumps only
+when ``T`` itself had DML folded in (appends or a remap), so cached
+plans of untouched tables survive; ``built_generations`` of the whole
+subtree syncs so a later ``GhostDB.rebuild(indexed_columns)`` still
+knows what is clean.
 """
 
 from __future__ import annotations

@@ -13,9 +13,12 @@ only the statistics catalog and the token's hardware parameters.
 Nothing here touches flash or the channel: estimation is free and
 leak-free.
 
-The formulas deliberately mirror the operators in
+Each helper names the code path it prices in
 :mod:`repro.core.operators`, :mod:`repro.core.executor` and
-:mod:`repro.core.project`; each helper names the code path it prices.
+:mod:`repro.core.project`.  The rules both sides must agree on -- which
+tables QEPSJ carries, which values are projected, the Bloom, Post-Select
+and MJoin RAM envelopes -- are functions those modules own and this one
+calls with ``ram.capacity`` where the operator passes ``ram.free_bytes``.
 """
 
 from __future__ import annotations
@@ -25,7 +28,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.catalog import SecureCatalog
+from repro.core.executor import post_bloom_budget, tables_beyond_anchor
+from repro.core.operators import post_select_chunk_ids
 from repro.core.plan import ProjectionMode, SortMethod, VisStrategy
+from repro.core.project import mjoin_chunk_rows, projected_values
 from repro.errors import PlanError
 from repro.hardware.token import SecureToken
 from repro.index.bloom import DEFAULT_HASHES, false_positive_rate
@@ -368,12 +374,11 @@ class CostModel:
         return levels * per_level
 
     def _bloom_geometry(self, n_items: float,
-                        reserve_buffers: int) -> Tuple[int, float]:
-        """Post-Filter Bloom size and fp rate within the RAM envelope
-        (mirrors the ``bloom_budget`` computation in the executor)."""
+                        n_extra: int) -> Tuple[int, float]:
+        """Post-Filter Bloom size and fp rate within the RAM envelope."""
         n = max(1, round(n_items))
-        budget = max(1024,
-                     self.token.ram.capacity - reserve_buffers * self.page)
+        budget = post_bloom_budget(self.token.ram.capacity, n_extra,
+                                   self.page)
         m_bytes = min(n, budget)             # 8 bits per item ideally
         fp = false_positive_rate(m_bytes * 8 / n, DEFAULT_HASHES)
         return m_bytes, fp
@@ -425,7 +430,7 @@ class CostModel:
             ))
 
         # ---- per-table strategies ----------------------------------
-        extra_tables = self._extra_tables(bound, choices)
+        extra_tables = tables_beyond_anchor(bound, choices)
         reserve = 4 + len(extra_tables)
         count_sj = n_anchor * sH_all      # anchor ids entering SJoin
         if anchor in sV:
@@ -464,7 +469,8 @@ class CostModel:
                 merge_ids += n_eff * fan
                 flash_groups += 1
             elif choice.strategy is VisStrategy.POST:
-                m_bytes, fp = self._bloom_geometry(n_eff, reserve)
+                m_bytes, fp = self._bloom_geometry(n_eff,
+                                                   len(extra_tables))
                 post_factor *= sV[t] + fp * (1.0 - sV[t])
                 ram_sj += m_bytes
             elif choice.strategy is VisStrategy.POST_SELECT:
@@ -491,9 +497,8 @@ class CostModel:
         # ---- Post-Select passes over the stored columns ------------
         count_final = count_store
         for t, n_eff in post_select:
-            chunk_ids = max(1024,
-                            (self.token.ram.capacity - 8192) // 4)
-            passes = math.ceil(max(1.0, n_eff) / chunk_ids)
+            passes = math.ceil(max(1.0, n_eff) / post_select_chunk_ids(
+                self.token.ram.capacity))
             acc.flash("Project",
                       passes * self._t_ids_read(round(count_store)))
             # exact rewrite of every stored column
@@ -527,34 +532,9 @@ class CostModel:
         return acc.finish()
 
     # ------------------------------------------------------------------
-    def _extra_tables(self, bound: BoundQuery,
-                      choices: Dict[str, Choice]) -> List[str]:
-        """Mirror of ``QepSjExecutor.tables_needed_beyond_anchor``."""
-        needed: List[str] = []
-        for col in bound.projections:
-            source = (col.column.references if col.column.is_foreign_key
-                      else col.table)
-            if source != bound.anchor and source not in needed:
-                needed.append(source)
-        for t, choice in choices.items():
-            if t != bound.anchor and choice.strategy in (
-                    VisStrategy.POST, VisStrategy.POST_SELECT,
-                    VisStrategy.NOFILTER) and t not in needed:
-                needed.append(t)
-        return needed
-
-    def _projected_values(self, bound: BoundQuery
-                          ) -> Dict[str, Dict[str, List]]:
-        """Per table: projected vis/hid value columns (non-id)."""
-        out: Dict[str, Dict[str, List]] = {}
-        for col in bound.projections:
-            if col.column.is_id or col.column.is_foreign_key:
-                continue
-            entry = out.setdefault(col.table, {"vis": [], "hid": []})
-            kind = "hid" if col.column.hidden else "vis"
-            if col.column not in entry[kind]:
-                entry[kind].append(col.column)
-        return out
+    def _width(self, table: str, names: List[str]) -> int:
+        columns = self.catalog.schema.table(table)
+        return sum(columns.column(n).type.width for n in names)
 
     def _estimate_projection(self, acc: _Acc, bound: BoundQuery,
                              choices: Dict[str, Choice],
@@ -566,7 +546,7 @@ class CostModel:
             return
         catalog = self.catalog
         anchor = bound.anchor
-        per_table = self._projected_values(bound)
+        per_table = projected_values(bound)
         approx = {t for t, c in choices.items()
                   if c.strategy in (VisStrategy.POST, VisStrategy.NOFILTER)}
         mjoined = (set(per_table) | approx) - {anchor}
@@ -582,7 +562,7 @@ class CostModel:
             candidates = count
             if has_vis_side:
                 # sigma_VH: Vis rows download (+ values), Bloom filter
-                width = sum(c.type.width for c in attrs["vis"])
+                width = self._width(t, attrs["vis"])
                 n_rows = nV.get(t, self._live(t))
                 if attrs["vis"]:
                     inbound = round(n_rows) * (4 + width)
@@ -608,11 +588,9 @@ class CostModel:
                         candidates, image.heap.file.n_pages
                     ) * self._t_node())
             # MJoin: RAM-bounded passes over the t column
-            entry_bytes = 4 + sum(c.type.width
-                                  for c in attrs["vis"] + attrs["hid"])
-            chunk_cap = max(1, (self.token.ram.capacity - 2 * self.page)
-                            // entry_bytes)
-            passes = math.ceil(max(1.0, candidates) / chunk_cap)
+            entry_bytes = 4 + self._width(t, attrs["vis"] + attrs["hid"])
+            passes = math.ceil(max(1.0, candidates) / mjoin_chunk_rows(
+                self.token.ram.capacity, self.page, entry_bytes))
             acc.flash("Project", passes * self._t_ids_read(round(count)))
             # matched <pos, values> heap writes + the final-join scan
             matched = min(candidates, count)
@@ -634,7 +612,7 @@ class CostModel:
         # anchor-side values
         anchor_attrs = per_table.get(anchor, {"vis": [], "hid": []})
         if anchor_attrs["vis"]:
-            width = sum(c.type.width for c in anchor_attrs["vis"])
+            width = self._width(anchor, anchor_attrs["vis"])
             n_rows = nV.get(anchor, self._live(anchor))
             inbound = round(n_rows) * (4 + width)
             acc.channel("Vis", self._t_chan(inbound), inbound=inbound)
@@ -773,7 +751,7 @@ class CostModel:
             n_rows = self._live(t)
             if attrs["vis"] or t in {s.table for s in
                                      bound.visible_selections()}:
-                width = max(1, sum(c.type.width for c in attrs["vis"]))
+                width = max(1, self._width(t, attrs["vis"]))
                 inbound = round(n_rows * (4 + width))
                 acc.channel("Vis", self._t_chan(inbound), inbound=inbound)
                 pages = math.ceil(n_rows * width / max(1, self.page - 4))

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
+                    Tuple)
 
 from repro.core.execmode import scalar_exec
 from repro.core.merge import CHUNK, MergeOperator
@@ -43,6 +44,7 @@ from repro.core.plan import (
     VisStrategy,
 )
 from repro.hardware.ram import QueryWindow
+from repro.sql.binder import BoundQuery
 from repro.storage.runs import (IdRun, U32FileBuilder, U32View,
                                 difference_sorted)
 
@@ -199,40 +201,43 @@ class QueryResult:
     plan: QueryPlan
 
 
+def tables_beyond_anchor(bound: BoundQuery,
+                         decided: Mapping[str, object]) -> List[str]:
+    """Non-anchor tables whose IDs the QEPSJ result must carry.
+
+    Every projected table (a projected foreign key ``P.fk -> C`` is
+    exactly ``C``'s id in the joined row, so it is served from ``C``'s
+    column), then every table in ``decided`` -- table -> anything with
+    a ``.strategy`` -- whose visible selection is applied after the
+    SJoin.
+    """
+    needed: List[str] = []
+    for col in bound.projections:
+        source = (col.column.references if col.column.is_foreign_key
+                  else col.table)
+        if source != bound.anchor and source not in needed:
+            needed.append(source)
+    for table, choice in decided.items():
+        if table != bound.anchor and table not in needed \
+                and choice.strategy is not VisStrategy.PRE:
+            needed.append(table)
+    return needed
+
+
+def post_bloom_budget(avail_bytes: int, n_extra: int, page: int) -> int:
+    """Bytes a Post-Filter Bloom may take.  It must leave RAM for the
+    pipelined Merge -> SJoin -> Store pass (4 buffers plus one per
+    carried table); when it cannot get m=8n within that envelope its
+    accuracy degrades smoothly (paper section 3.4)."""
+    return max(1024, avail_bytes - (4 + n_extra) * page)
+
+
 class QepSjExecutor:
     """Runs the selection-join phase of one plan."""
 
     def __init__(self, ctx: ExecContext):
         self.ctx = ctx
         self.merge = MergeOperator(ctx.store, ctx.ram)
-
-    # ------------------------------------------------------------------
-    def tables_needed_beyond_anchor(self, plan: QueryPlan) -> List[str]:
-        """Non-anchor tables whose IDs the QEPSJ result must carry."""
-        bound = plan.bound
-        needed: List[str] = []
-        for col in bound.projections:
-            source = self._projection_table(col)
-            if source != bound.anchor and source not in needed:
-                needed.append(source)
-        for table, vp in plan.vis_plans.items():
-            if table == bound.anchor:
-                continue
-            if vp.strategy in (VisStrategy.POST, VisStrategy.POST_SELECT,
-                               VisStrategy.NOFILTER):
-                if table not in needed:
-                    needed.append(table)
-        return needed
-
-    def _projection_table(self, col) -> str:
-        """Which table's ID column backs a projected column.
-
-        A projected foreign key ``P.fk -> C`` is exactly ``C``'s id in
-        the joined row, so it is served from ``C``'s column.
-        """
-        if col.column.is_foreign_key:
-            return col.column.references
-        return col.table
 
     # ------------------------------------------------------------------
     def _cross_runs_at(self, table: str) -> List[List[IdRun]]:
@@ -276,15 +281,9 @@ class QepSjExecutor:
         post_blooms: List[Tuple[str, object]] = []
         post_selects: List[Tuple[str, List[int]]] = []
         approx: set[str] = set()
-        extra_tables = self.tables_needed_beyond_anchor(plan)
-        # a Post Bloom must leave RAM for the pipelined Merge -> SJoin ->
-        # Store pass; when it cannot get m=8n within that envelope its
-        # accuracy degrades smoothly (paper section 3.4)
-        pipeline_buffers = 4 + len(extra_tables)
-        bloom_budget = max(
-            1024,
-            ctx.ram.free_bytes - pipeline_buffers * ctx.token.page_size,
-        )
+        extra_tables = tables_beyond_anchor(bound, plan.vis_plans)
+        bloom_budget = post_bloom_budget(
+            ctx.ram.free_bytes, len(extra_tables), ctx.token.page_size)
 
         for sel in bound.hidden_selections():
             groups.append(op_ci(ctx, sel, anchor))

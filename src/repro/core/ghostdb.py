@@ -29,9 +29,8 @@ Every statement goes through one entry point, ``db.execute()``::
 and takes ``?`` placeholders via ``params``.  SELECTs run through the
 default session's plan cache; DML returns a
 :class:`~repro.core.dml.DmlResult` whose cost scales with the
-appended/affected rows, not the table size.  (The historical
-``db.execute_ddl()``/``db.query()`` shims are gone; ``execute()`` is
-the one entry point.)
+appended/affected rows, not the table size.  ``execute()`` is the one
+statement entry point.
 
 Repeated query templates should go through the prepared-statement
 layer, which plans once and substitutes parameters per execution::
@@ -309,7 +308,6 @@ class GhostDB(StatementFrontEnd):
         self._reference: Optional[ReferenceEngine] = None
         self._dml: Optional[DmlExecutor] = None
         self._compactor: Optional[CompactionManager] = None
-        self._generation = 0
         # the last statement's undo journal: armed (uncommitted) when a
         # DML crashed mid-flight, committed otherwise -- recover()
         # rolls back the former, the fleet's abort path the latter
@@ -517,11 +515,6 @@ class GhostDB(StatementFrontEnd):
     # generations, batched execution
     # ------------------------------------------------------------------
     @property
-    def generation(self) -> int:
-        """Bumped by :meth:`rebuild`; plans are valid per generation."""
-        return self._generation
-
-    @property
     def table_generations(self) -> Dict[str, Tuple[int, int]]:
         """Per-table ``(data, stats)`` generations.
 
@@ -606,8 +599,7 @@ class GhostDB(StatementFrontEnd):
         Changing which attributes are indexed genuinely requires
         rebuilding the token image from the (compacted) raw rows; every
         other kind of DML debt is folded by :meth:`compact`.  Flushes
-        every session's plan cache when the selection changed and bumps
-        :attr:`generation`.
+        every session's plan cache when the selection changed.
 
         Cache invalidation is otherwise routed through the per-table
         generations: only tables whose own DML was folded bump, so
@@ -639,7 +631,6 @@ class GhostDB(StatementFrontEnd):
             self.catalog.built_generations[t] = gen
         self._wire_engines()
         self.token.reset_costs()
-        self._generation += 1
         if reindexed:
             for session in list(self._sessions):
                 session.invalidate()

@@ -321,6 +321,12 @@ def op_store_columns_chunks(ctx: ExecContext, chunks: Iterator[Chunk],
 # Post-Select (exact alternative to Post-Filter, Figure 11)
 # ---------------------------------------------------------------------------
 
+def post_select_chunk_ids(avail_bytes: int) -> int:
+    """Vis ids one Post-Select pass holds: ``avail_bytes`` less an 8 KB
+    reserve for the column cursors and builders, never under 4 KB."""
+    return max(4096, avail_bytes - 8192) // 4
+
+
 class PostSelectFilter:
     """Exact post-selection: chunk the Vis IDs through RAM.
 
@@ -329,12 +335,10 @@ class PostSelectFilter:
     Post-Filter as the Visible selectivity drops.
     """
 
-    def __init__(self, ctx: ExecContext, ids: List[int],
-                 reserve_bytes: int = 8192):
+    def __init__(self, ctx: ExecContext, ids: List[int]):
         self.ctx = ctx
         self.ids = ids
-        self.chunk_bytes = max(4096, ctx.ram.free_bytes - reserve_bytes)
-        self.chunk_size = max(1, self.chunk_bytes // 4)
+        self.chunk_size = post_select_chunk_ids(ctx.ram.free_bytes)
 
     @property
     def n_passes(self) -> int:

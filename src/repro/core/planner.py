@@ -73,39 +73,16 @@ def scatter_order(order: Optional[OrderPlan]) -> Optional[OrderPlan]:
     return dataclasses.replace(order, offset=0, limit=stop)
 
 
-def _coerce_strategy(value: StrategyLike) -> Optional[VisStrategy]:
-    if value is None or isinstance(value, VisStrategy):
+def coerce(enum_cls, value, what: str):
+    """``value`` -- a member of ``enum_cls`` or its string -- as a member."""
+    if isinstance(value, enum_cls):
         return value
     try:
-        return VisStrategy(value)
+        return enum_cls(value)
     except ValueError:
-        names = [s.value for s in VisStrategy]
+        names = [m.value for m in enum_cls]
         raise PlanError(
-            f"unknown strategy {value!r}; expected one of {names}"
-        ) from None
-
-
-def _coerce_mode(value: Union[str, ProjectionMode]) -> ProjectionMode:
-    if isinstance(value, ProjectionMode):
-        return value
-    try:
-        return ProjectionMode(value)
-    except ValueError:
-        names = [m.value for m in ProjectionMode]
-        raise PlanError(
-            f"unknown projection mode {value!r}; expected one of {names}"
-        ) from None
-
-
-def _coerce_sort_method(value: SortMethodLike) -> Optional[SortMethod]:
-    if value is None or isinstance(value, SortMethod):
-        return value
-    try:
-        return SortMethod(value)
-    except ValueError:
-        names = [m.value for m in SortMethod]
-        raise PlanError(
-            f"unknown order method {value!r}; expected one of {names}"
+            f"unknown {what} {value!r}; expected one of {names}"
         ) from None
 
 
@@ -352,8 +329,11 @@ class Planner:
         executes (external-sort / top-k-heap / index-order); ``None``
         lets the cost model pick.
         """
-        override = _coerce_strategy(vis_strategy)
-        mode = _coerce_mode(projection)
+        override = (None if vis_strategy is None
+                    else coerce(VisStrategy, vis_strategy, "strategy"))
+        mode = coerce(ProjectionMode, projection, "projection mode")
+        method = (None if order_method is None
+                  else coerce(SortMethod, order_method, "order method"))
         vis_plans: Dict[str, VisPlan] = {}
         tables_with_vis = self._vis_tables(bound)
         free_tables = [t for t in tables_with_vis if t != bound.anchor]
@@ -391,6 +371,6 @@ class Planner:
         self.plans_built += 1
         return QueryPlan(
             bound=bound, vis_plans=vis_plans, projection_mode=mode,
-            order=self._plan_order(bound, _coerce_sort_method(order_method)),
+            order=self._plan_order(bound, method),
             cost_report=report,
         )

@@ -7,8 +7,8 @@ tiny.  The Project algorithm therefore:
 
 1. works table by table over the vertically partitioned QEPSJ result
    (Fig. 5 line 1, the SJoin to every projected table, is already done
-   by QEPSJ: ``tables_needed_beyond_anchor`` makes its result carry an
-   id column per projected non-anchor table),
+   by QEPSJ: ``tables_beyond_anchor`` makes its result carry an id
+   column per projected non-anchor table),
 2. Bloom-filters the irrelevant values sent by Untrusted (``sigma_VH``),
 3. builds ``<pos, vlist, hlist>`` tuples per table with the multi-pass
    ``MJoin`` bounded by RAM,
@@ -29,7 +29,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.core.operators import PROJECT_LABEL, ExecContext, op_vis
 from repro.core.plan import ProjectionMode, QepSjResult
 from repro.index.bloom import BloomFilter
-from repro.sql.binder import BoundColumn
+from repro.sql.binder import BoundColumn, BoundQuery
 from repro.storage.codec import IntType, RowCodec
 from repro.storage.heap import HeapFile
 from repro.untrusted.server import VisResult
@@ -71,6 +71,37 @@ class _HiddenFetcher:
         return self._rows[rid]
 
 
+def _source_of(col: BoundColumn) -> Tuple:
+    """Classify a projected column: ('id', t) | ('vis'|'hid', t, name)."""
+    if col.column.is_id:
+        return ("id", col.table)
+    if col.column.is_foreign_key:
+        return ("id", col.column.references)
+    if col.column.hidden:
+        return ("hid", col.table, col.column.name)
+    return ("vis", col.table, col.column.name)
+
+
+def projected_values(bound: BoundQuery) -> Dict[str, Dict[str, List[str]]]:
+    """Per table: which vis/hid attribute names are projected."""
+    out: Dict[str, Dict[str, List[str]]] = {}
+    for col in bound.projections:
+        src = _source_of(col)
+        if src[0] == "id":
+            continue
+        kind, table, name = src
+        entry = out.setdefault(table, {"vis": [], "hid": []})
+        if name not in entry[kind]:
+            entry[kind].append(name)
+    return out
+
+
+def mjoin_chunk_rows(avail_bytes: int, page: int, entry_bytes: int) -> int:
+    """``<pos, values>`` candidates one MJoin pass holds in RAM beside
+    its column cursor and output page."""
+    return max(1, (avail_bytes - 2 * page) // entry_bytes)
+
+
 class ProjectionExecutor:
     """Executes QEPP over one QEPSJ result."""
 
@@ -80,32 +111,6 @@ class ProjectionExecutor:
         self.anchor = ctx.bound.anchor
 
     # ------------------------------------------------------------------
-    # projection source analysis
-    # ------------------------------------------------------------------
-    def _source_of(self, col: BoundColumn) -> Tuple:
-        """Classify a projected column: ('id', t) | ('vis'|'hid', t, name)."""
-        if col.column.is_id:
-            return ("id", col.table)
-        if col.column.is_foreign_key:
-            return ("id", col.column.references)
-        if col.column.hidden:
-            return ("hid", col.table, col.column.name)
-        return ("vis", col.table, col.column.name)
-
-    def _tables_with_values(self) -> Dict[str, Dict[str, List[str]]]:
-        """Per table: which vis/hid attribute names are projected."""
-        out: Dict[str, Dict[str, List[str]]] = {}
-        for col in self.bound.projections:
-            src = self._source_of(col)
-            if src[0] == "id":
-                continue
-            kind, table, name = src
-            entry = out.setdefault(table, {"vis": [], "hid": []})
-            if name not in entry[kind]:
-                entry[kind].append(name)
-        return out
-
-    # ------------------------------------------------------------------
     def execute(self, sj: QepSjResult, mode: ProjectionMode
                 ) -> Tuple[List[str], List[Tuple]]:
         names = [str(c) for c in self.bound.projections]
@@ -113,7 +118,7 @@ class ProjectionExecutor:
             return names, []
         if mode is ProjectionMode.BRUTE_FORCE:
             return names, self._brute_force(sj)
-        per_table = self._tables_with_values()
+        per_table = projected_values(self.bound)
         mjoined = set(per_table) | set(sj.approx_tables)
         mjoined.discard(self.anchor)
         pass_heaps: Dict[str, List[HeapFile]] = {}
@@ -189,10 +194,8 @@ class ProjectionExecutor:
 
         entry_bytes = 4 + sum(t.width for t in vis_types + hid_types)
         codec = RowCodec([IntType(4)] + vis_types + hid_types)
-        chunk_capacity = max(
-            1,
-            (ctx.ram.free_bytes - 2 * ctx.token.page_size) // entry_bytes,
-        )
+        chunk_capacity = mjoin_chunk_rows(
+            ctx.ram.free_bytes, ctx.token.page_size, entry_bytes)
         heaps: List[HeapFile] = []
         column = sj.columns[table]
         pass_no = 0
@@ -247,7 +250,7 @@ class ProjectionExecutor:
         # id columns consumed position-by-position
         id_iters: Dict[str, Iterator[int]] = {}
         for col in self.bound.projections:
-            src = self._source_of(col)
+            src = _source_of(col)
             if src[0] == "id" and src[1] != anchor:
                 t = src[1]
                 if t not in id_iters:
@@ -299,7 +302,7 @@ class ProjectionExecutor:
                   val_pos: Dict[Tuple[str, str], int]) -> Tuple:
         out: List = []
         for col in self.bound.projections:
-            src = self._source_of(col)
+            src = _source_of(col)
             if src[0] == "id":
                 out.append(aid if src[1] == self.anchor
                            else ids_here[src[1]])
@@ -325,7 +328,7 @@ class ProjectionExecutor:
         point reads for every QEPSJ result row.
         """
         ctx = self.ctx
-        per_table = self._tables_with_values()
+        per_table = projected_values(self.bound)
         needed = set(per_table) | set(sj.approx_tables)
 
         vis_heaps: Dict[str, HeapFile] = {}
@@ -394,7 +397,7 @@ class ProjectionExecutor:
                     continue
                 out: List = []
                 for col in self.bound.projections:
-                    src = self._source_of(col)
+                    src = _source_of(col)
                     if src[0] == "id":
                         out.append(current.get(src[1], aid))
                     else:

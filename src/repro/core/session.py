@@ -1,9 +1,9 @@
 """Query-service layer: prepared statements, plan caching, batching.
 
-``GhostDB.query()`` re-lexes, re-binds and re-plans its SQL on every
-call -- fine for one-off experiments, wasteful for production-style
-workloads that pose the same query template thousands of times.  This
-module adds the reusable infrastructure on top of the facade:
+Production-style workloads pose the same query template thousands of
+times; lexing, binding and planning it anew on every call would be
+wasted host work.  This module is the reusable infrastructure every
+SELECT of ``GhostDB.execute()`` runs through:
 
 * :class:`PreparedStatement` -- bind once, execute many.  ``?``
   placeholders in predicates are substituted per execution; the plan
@@ -35,9 +35,9 @@ from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
 
 from repro.core.executor import CostWindow, QueryResult, QueryStats
 from repro.core.operators import to_vis_predicates
-from repro.core.plan import ProjectionMode, QueryPlan
-from repro.core.planner import (SortMethodLike, StrategyLike, _coerce_mode,
-                                _coerce_sort_method, _coerce_strategy)
+from repro.core.plan import (ProjectionMode, QueryPlan, SortMethod,
+                             VisStrategy)
+from repro.core.planner import SortMethodLike, StrategyLike, coerce
 from repro.errors import GhostDBError, SnapshotError
 from repro.hardware.token import SecureToken
 from repro.sql.binder import BoundQuery
@@ -58,14 +58,14 @@ def plan_key(sql: str, vis_strategy: StrategyLike, cross: Optional[bool],
              projection: Union[str, ProjectionMode],
              order_method: SortMethodLike = None) -> PlanKey:
     """Cache key for one (statement, strategy-knobs) combination."""
-    strategy = _coerce_strategy(vis_strategy)
-    method = _coerce_sort_method(order_method)
     return (
         normalize_sql(sql),
-        strategy.value if strategy is not None else None,
+        None if vis_strategy is None
+        else coerce(VisStrategy, vis_strategy, "strategy").value,
         cross,
-        _coerce_mode(projection).value,
-        method.value if method is not None else None,
+        coerce(ProjectionMode, projection, "projection mode").value,
+        None if order_method is None
+        else coerce(SortMethod, order_method, "order method").value,
     )
 
 
@@ -270,7 +270,7 @@ class Session:
               projection: Union[str, ProjectionMode] = "project",
               order_method: SortMethodLike = None,
               parsed=None) -> QueryResult:
-        """Like legacy ``GhostDB.query`` but through the plan cache.
+        """Run one SELECT through the session's plan cache.
 
         ``parsed`` lets callers that already parsed the statement
         (``GhostDB.execute``) skip the re-parse; every call reuses a

@@ -17,10 +17,10 @@ Two bookkeeping layers sit next to the allocator itself:
   through a :mod:`contextvars` stack, so windows opened by different
   asyncio tasks (or ``to_thread`` contexts) never see each other's
   allocations: two interleaved queries each report their *own* peak
-  instead of smearing a shared high-water mark.  The legacy
-  :meth:`SecureRam.reset_peak` global window survives for direct
-  callers, but every per-statement report in the engine goes through
-  windows.
+  instead of smearing a shared high-water mark.  Every
+  per-statement report in the engine goes through windows;
+  :meth:`SecureRam.reset_peak` is the global (token-wide) window for
+  direct callers.
 * :class:`RamReservations` is the admission-control ledger used by the
   query service: *planned* peak claims are reserved against the budget
   before a query is allowed to run, and the ledger hard-asserts that

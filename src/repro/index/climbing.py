@@ -33,7 +33,7 @@ from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Set,
 
 from repro.errors import IndexError_
 from repro.flash.constants import ID_SIZE
-from repro.flash.store import FlashStore
+from repro.flash.store import FlashFile, FlashStore
 from repro.hardware.ram import SecureRam
 from repro.index.bloom import BloomFilter
 from repro.index.btree import BPlusTree
@@ -77,13 +77,13 @@ class ClimbingIndex:
     """Value -> per-level sorted ID sublists, on flash."""
 
     def __init__(self, name: str, levels: Sequence[str], key_codec: KeyCodec,
-                 btree: BPlusTree, run_files: Dict[str, "U32FileBuilder"],
+                 btree: BPlusTree, run_files: Dict[str, FlashFile],
                  store: Optional[FlashStore] = None):
         self.name = name
         self.levels = list(levels)        # levels[0] is the indexed table
         self.key_codec = key_codec
         self.btree = btree
-        self._runs = run_files            # finished builders, per level
+        self._runs = run_files            # one u32 run file per level
         self.n_entries = btree.n_entries
         # append-only delta: (encoded key, own id) entries since build
         self._store = store if store is not None else btree.file._store
@@ -144,15 +144,15 @@ class ClimbingIndex:
                 payload += (builder.mark() - start).to_bytes(4, "little")
             entries.append((key_bytes, bytes(payload)))
 
-        for builder in builders.values():
-            builder.finish()
+        run_files = {level: builder.finish().file
+                     for level, builder in builders.items()}
         btree = BPlusTree.bulk_build(
             store, f"ci_{name}_tree", entries,
             key_width=key_codec.width,
             payload_width=_DESC_W * len(levels),
             page_size=page_size, ram=ram,
         )
-        return cls(name, levels, key_codec, btree, builders, store)
+        return cls(name, levels, key_codec, btree, run_files, store)
 
     # ------------------------------------------------------------------
     # lookups
@@ -170,7 +170,7 @@ class ClimbingIndex:
         off = level_pos * _DESC_W
         start = int.from_bytes(payload[off:off + 4], "little")
         count = int.from_bytes(payload[off + 4:off + 8], "little")
-        return U32View(self._runs[level].file, start, count)
+        return U32View(self._runs[level], start, count)
 
     def lookup(self, predicate: Predicate, level: str,
                ram: Optional[SecureRam] = None) -> List[U32View]:
@@ -424,7 +424,7 @@ class ClimbingIndex:
         into a freshly bulk-built replacement.
         """
         files = [self.btree.file]
-        files.extend(b.file for b in self._runs.values())
+        files.extend(self._runs.values())
         if self._delta_file is not None:
             files.append(self._delta_file)
         return files
@@ -435,8 +435,8 @@ class ClimbingIndex:
 
     def free(self) -> None:
         self.btree.free()
-        for builder in self._runs.values():
-            builder.file.free()
+        for run_file in self._runs.values():
+            run_file.free()
         if self._delta_file is not None:
             self._delta_file.free()
             self._delta_file = None

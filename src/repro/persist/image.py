@@ -50,7 +50,6 @@ from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
 from repro.core.catalog import SecureCatalog, TableImage
 from repro.errors import ImageError, PersistError
-from repro.flash.constants import ID_SIZE
 from repro.flash.store import FlashFile, FlashStore
 from repro.hardware.token import SecureToken
 from repro.index.btree import BPlusTree
@@ -60,7 +59,6 @@ from repro.index.skt import SubtreeKeyTable
 from repro.sql.binder import Binder
 from repro.storage.codec import IntType, RowCodec
 from repro.storage.heap import HeapFile
-from repro.storage.runs import U32FileBuilder
 from repro.untrusted.engine import UntrustedEngine
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle with ghostdb
@@ -95,10 +93,8 @@ def _index_meta(ci: ClimbingIndex) -> Dict[str, Any]:
             "n_entries": bt.n_entries,
             "n_leaves": bt.n_leaves,
         },
-        "runs": {
-            level: {"file": b.file.name, "count": b.count}
-            for level, b in ci._runs.items()
-        },
+        "runs": {level: {"file": f.name}
+                 for level, f in ci._runs.items()},
         # the delta log's logical entries; replayed through _bloom_add
         # on restore so the Bloom filter (hashes, size doublings) comes
         # back bit-identical
@@ -199,7 +195,6 @@ def snapshot_db(db: "GhostDB", path: str) -> Dict[str, Any]:
         "throughput_mbps": channel.throughput_mbps,
         "schema": db.schema,
         "indexed_columns": db._indexed_columns,
-        "generation": db._generation,
         "ledger": {
             "counters": dict(token.ledger.counters),
             "time_us": {
@@ -323,17 +318,8 @@ def _restore_index(store: FlashStore, m: Dict[str, Any]) -> ClimbingIndex:
         bm["page_size"], bm["root_page"], bm["height"],
         bm["n_entries"], bm["n_leaves"],
     )
-    runs: Dict[str, U32FileBuilder] = {}
-    for level, rm in m["runs"].items():
-        builder = object.__new__(U32FileBuilder)
-        builder.file = store.get(rm["file"])
-        builder.page_size = store.ftl.params.page_size
-        builder.per_page = builder.page_size // ID_SIZE
-        builder._buf_alloc = None
-        builder._buffer = bytearray()
-        builder.count = rm["count"]
-        builder._finished = True
-        runs[level] = builder
+    runs = {level: store.get(rm["file"])
+            for level, rm in m["runs"].items()}
     ci = ClimbingIndex(m["name"], m["levels"], KeyCodec(m["column_type"]),
                        btree, runs, store)
     # replaying the appends through _bloom_add reproduces the delta-key
@@ -502,7 +488,6 @@ def restore_db(path: str, verify: bool = False) -> "GhostDB":
     db.untrusted._rows = meta["untrusted_rows"]
     db._binder = Binder(db.schema)
     db.catalog = _restore_catalog(db, meta)
-    db._generation = meta["generation"]
     db._wire_engines()
     db._compactor._seq = meta["compactor_seq"]
     from repro.core.recovery import IdempotencyLedger

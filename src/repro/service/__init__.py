@@ -1,7 +1,7 @@
 """Concurrent query service: a wire front-end for one GhostDB token.
 
-The core engine (PRs 1-6) is a single-caller, in-process library; this
-package turns it into a service many clients can drive at once:
+The core engine is a single-caller, in-process library; this package
+turns it into a service many clients can drive at once:
 
 * :mod:`repro.service.protocol` -- the framed (length-prefixed JSON)
   wire format shared by server and clients.
@@ -13,7 +13,8 @@ package turns it into a service many clients can drive at once:
   concurrent client sessions onto one token, with snapshot-isolated
   readers (per-statement generation pins) and a single serialized
   DML/compaction writer lane.
-* :mod:`repro.service.client` -- sync and async client libraries.
+* :mod:`repro.service.client` -- the asyncio client and its blocking
+  facade (one transport).
 * :mod:`repro.service.loadgen` -- the N-clients x template-mix load
   generator behind ``benchmarks/test_service_loadgen.py``.
 """

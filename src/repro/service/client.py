@@ -1,47 +1,40 @@
-"""Client libraries for the GhostDB query service.
+"""Client library for the GhostDB query service: one transport.
 
-Two flavors over the same framed protocol:
-
-* :class:`GhostClient` -- a blocking socket client, one request in
-  flight at a time.  The ergonomic choice for scripts and examples.
-* :class:`AsyncGhostClient` -- an asyncio client that pipelines: many
+* :class:`AsyncGhostClient` -- the asyncio client.  It pipelines: many
   coroutines may issue requests concurrently over one connection, and
   a background reader task routes each response to its caller by the
-  echoed request id.  This is what the load generator and the
-  concurrency property suite drive.
+  echoed request id.
+* :class:`GhostClient` -- its blocking facade for scripts and tests:
+  the same methods, run one at a time on a private event loop.
 
 Server-reported failures raise :class:`ServiceError`, which carries
 the server's ``error_type`` (the engine exception class name, e.g.
 ``CompactionDeclined`` or ``SnapshotError``) for callers that branch
 on it.
 
-Failure handling (PR 10): every request is bounded by ``timeout_s``
-and raises a clean :class:`ServiceTimeout` when the server goes quiet
--- a dead server can no longer hang a client forever.  With
-``retries > 0`` the clients transparently reconnect and retry
-transport-level failures (timeouts, drops, torn frames) with
-exponential backoff.  Retried ``execute`` DML carries an *idempotency
-key*, generated once per logical statement and resent verbatim on
-every attempt; the server's writer lane records the response under
-that key, so a statement whose response was lost on the wire is
-answered from the record instead of being applied twice
-(exactly-once).  Only ``execute``, ``ping`` and ``server_stats`` are
-retried: prepared-statement ids are per-connection, and
-``compact``/``snapshot`` carry no idempotency key.
+Failure handling: every request is bounded by ``timeout_s`` and raises
+a clean :class:`ServiceTimeout` when the server goes quiet (a late
+response is dropped by its request id).  With ``retries > 0`` the
+client transparently reconnects and retries transport-level failures
+(timeouts, drops, torn frames) with exponential backoff.  Retried
+``execute`` DML carries an *idempotency key*, generated once per
+logical statement and resent verbatim on every attempt; the server's
+writer lane records the response under that key, so a statement whose
+response was lost on the wire is answered from the record instead of
+being applied twice (exactly-once).  Only ``execute``, ``ping`` and
+``server_stats`` are retried: prepared-statement ids are
+per-connection, and ``compact``/``snapshot`` carry no idempotency key.
 """
 
 from __future__ import annotations
 
 import asyncio
-import socket
-import time
 import uuid
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import GhostDBError
-from repro.service.protocol import (FrameError, read_frame, read_frame_sync,
-                                    write_frame, write_frame_sync)
+from repro.service.protocol import FrameError, read_frame, write_frame
 
 #: default per-request timeout (seconds)
 DEFAULT_TIMEOUT_S = 30.0
@@ -129,129 +122,6 @@ def _retryable(exc: Exception) -> bool:
     if isinstance(exc, ServiceError):
         return exc.error_type in _RETRYABLE_TYPES
     return isinstance(exc, (FrameError, ConnectionError, OSError))
-
-
-class GhostClient:
-    """Blocking client: connect, request, response, repeat."""
-
-    def __init__(self, host: str, port: int, timeout: float = DEFAULT_TIMEOUT_S,
-                 timeout_s: Optional[float] = None, retries: int = 0,
-                 backoff_s: float = DEFAULT_BACKOFF_S):
-        self._host = host
-        self._port = port
-        self.timeout_s = timeout if timeout_s is None else timeout_s
-        self.retries = retries
-        self.backoff_s = backoff_s
-        self.timeouts_total = 0
-        self.retries_total = 0
-        self._desynced = False
-        self._sock = socket.create_connection((host, port),
-                                              timeout=self.timeout_s)
-        self._next_id = 1
-
-    def close(self) -> None:
-        self._sock.close()
-
-    def __enter__(self) -> "GhostClient":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def reconnect(self) -> None:
-        """Drop the connection and open a fresh one."""
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-        self._sock = socket.create_connection(
-            (self._host, self._port), timeout=self.timeout_s)
-        self._desynced = False
-
-    # ------------------------------------------------------------------
-    def _call(self, payload: dict) -> dict:
-        if self._desynced:
-            # a timed-out request may still be answered later; its
-            # response would be matched to the wrong call on this
-            # socket, so start clean
-            self.reconnect()
-        request = dict(payload)
-        request["id"] = self._next_id
-        self._next_id += 1
-        try:
-            write_frame_sync(self._sock, request)
-            return _check(read_frame_sync(self._sock))
-        except socket.timeout:
-            self.timeouts_total += 1
-            self._desynced = True
-            raise ServiceTimeout(
-                f"no response within {self.timeout_s}s"
-            ) from None
-
-    def _call_with_retries(self, payload: dict) -> dict:
-        attempts = max(0, self.retries) + 1
-        delay = self.backoff_s
-        last: Optional[Exception] = None
-        for i in range(attempts):
-            if i:
-                self.retries_total += 1
-                time.sleep(delay)
-                delay *= 2
-                try:
-                    self.reconnect()
-                except OSError as exc:
-                    last = exc
-                    continue
-            try:
-                return self._call(payload)
-            except (ServiceError, FrameError, ConnectionError,
-                    OSError) as exc:
-                if not _retryable(exc):
-                    raise
-                last = exc
-        raise last
-
-    def execute(self, sql: str,
-                params: Optional[Sequence] = None) -> ServiceResult:
-        """Run one statement of any supported kind.
-
-        DML statements carry an idempotency key, generated once per
-        call and reused across retries: however many times the request
-        is resent, the server applies the statement exactly once.
-        """
-        payload = {"op": "execute", "sql": sql,
-                   "params": list(params) if params else None}
-        if _is_dml(sql):
-            payload["ikey"] = uuid.uuid4().hex
-        return ServiceResult.from_response(self._call_with_retries(payload))
-
-    def prepare(self, sql: str) -> int:
-        """Prepare a SELECT template; returns the statement id."""
-        return self._call({"op": "prepare", "sql": sql})["stmt"]
-
-    def exec_stmt(self, stmt: int,
-                  params: Sequence = ()) -> ServiceResult:
-        """Execute a prepared statement with ``params``."""
-        return ServiceResult.from_response(self._call(
-            {"op": "exec_stmt", "stmt": stmt, "params": list(params)}))
-
-    def compact(self, table: str,
-                max_steps: Optional[int] = None) -> ServiceResult:
-        """Ask the server to (incrementally) compact ``table``."""
-        return ServiceResult.from_response(self._call(
-            {"op": "compact", "table": table, "max_steps": max_steps}))
-
-    def snapshot(self, path: str) -> Dict[str, Any]:
-        """Ask the server to write a durable token image to ``path``."""
-        return self._call({"op": "snapshot", "path": path})
-
-    def server_stats(self) -> Dict[str, Any]:
-        """The server's counter snapshot (admission, service, cache)."""
-        return self._call_with_retries({"op": "stats"})
-
-    def ping(self) -> bool:
-        """Liveness probe."""
-        return self._call_with_retries({"op": "ping"})["kind"] == "pong"
 
 
 class AsyncGhostClient:
@@ -431,3 +301,81 @@ class AsyncGhostClient:
         """Liveness probe."""
         return (await self._call_with_retries({"op": "ping"}))["kind"] == \
             "pong"
+
+
+def _forwarded(name: str) -> property:
+    return property(lambda self: getattr(self._client, name),
+                    lambda self, value: setattr(self._client, name, value))
+
+
+class GhostClient:
+    """Blocking client: one :class:`AsyncGhostClient` on a private loop.
+
+    Each method runs the coroutine of the same name (same arguments,
+    result and errors) to completion on an event loop this object
+    owns, and the five settings/counters below live on that client.
+    One caller at a time, never from inside a running event loop.
+    """
+
+    timeout_s = _forwarded("timeout_s")
+    retries = _forwarded("retries")
+    backoff_s = _forwarded("backoff_s")
+    timeouts_total = _forwarded("timeouts_total")
+    retries_total = _forwarded("retries_total")
+
+    def __init__(self, host: str, port: int,
+                 timeout_s: Optional[float] = DEFAULT_TIMEOUT_S,
+                 retries: int = 0, backoff_s: float = DEFAULT_BACKOFF_S):
+        self._loop = asyncio.new_event_loop()
+        try:
+            self._client = self._run(AsyncGhostClient.connect(
+                host, port, timeout_s, retries, backoff_s))
+        except BaseException:
+            self._loop.close()
+            raise
+
+    def _run(self, coro):
+        if self._loop.is_closed():
+            coro.close()
+            raise ServiceError("client is closed", "ConnectionLost")
+        return self._loop.run_until_complete(coro)
+
+    def close(self) -> None:
+        if not self._loop.is_closed():
+            self._run(self._client.close())
+            self._loop.close()
+
+    def __enter__(self) -> "GhostClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def reconnect(self) -> None:
+        self._run(self._client.reconnect())
+
+    def _call(self, payload: dict) -> dict:
+        return self._run(self._client._call(payload))
+
+    def execute(self, sql: str,
+                params: Optional[Sequence] = None) -> ServiceResult:
+        return self._run(self._client.execute(sql, params))
+
+    def prepare(self, sql: str) -> int:
+        return self._run(self._client.prepare(sql))
+
+    def exec_stmt(self, stmt: int, params: Sequence = ()) -> ServiceResult:
+        return self._run(self._client.exec_stmt(stmt, params))
+
+    def compact(self, table: str,
+                max_steps: Optional[int] = None) -> ServiceResult:
+        return self._run(self._client.compact(table, max_steps))
+
+    def snapshot(self, path: str) -> Dict[str, Any]:
+        return self._run(self._client.snapshot(path))
+
+    def server_stats(self) -> Dict[str, Any]:
+        return self._run(self._client.server_stats())
+
+    def ping(self) -> bool:
+        return self._run(self._client.ping())

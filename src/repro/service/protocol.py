@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import socket
 import struct
 from typing import Optional
 
@@ -118,42 +117,3 @@ async def write_frame(writer, payload: dict, fault=None) -> None:
             return
     writer.write(frame)
     await writer.drain()
-
-
-# ----------------------------------------------------------------------
-# blocking-socket variants (the sync client)
-# ----------------------------------------------------------------------
-def _recv_exactly(sock: socket.socket, n: int) -> Optional[bytes]:
-    chunks = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            if chunks:
-                raise FrameError("connection closed mid-frame")
-            return None
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def read_frame_sync(sock: socket.socket) -> Optional[dict]:
-    """Read one frame from a blocking socket; ``None`` on clean EOF."""
-    prefix = _recv_exactly(sock, LENGTH_PREFIX.size)
-    if prefix is None:
-        return None
-    (length,) = LENGTH_PREFIX.unpack(prefix)
-    if length > MAX_FRAME_BYTES:
-        raise FrameError(
-            f"peer announced a {length}-byte frame "
-            f"(limit {MAX_FRAME_BYTES})"
-        )
-    body = _recv_exactly(sock, length)
-    if body is None:
-        raise FrameError("connection closed mid-frame")
-    return decode_frame(body)
-
-
-def write_frame_sync(sock: socket.socket, payload: dict) -> None:
-    """Write one frame to a blocking socket."""
-    sock.sendall(encode_frame(payload))

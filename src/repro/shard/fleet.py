@@ -31,7 +31,8 @@ counters and per-operator work sum (see
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
 from repro.core.aggregate import apply_aggregates
 from repro.core.compaction import (DEFAULT_HEADROOM_FACTOR,
@@ -559,6 +560,39 @@ class ShardedGhostDB(StatementFrontEnd):
         return self._broadcast_dml(
             bound, sum_affected=(bound.table == self.root))
 
+    def _write_all_or_nothing(self, targets: Sequence[int],
+                              check: Callable[[], None],
+                              step: Callable[[int], Any]) -> List[Any]:
+        """The fleet's one write path: ``step(k)`` on every target
+        shard, or on none.
+
+        Every target is probed and ``check()`` validates the whole
+        statement before any shard mutates, as a single token does.
+        ``step(k)`` applies under an undo journal: when a later shard
+        fails or dies, the shards already written roll back to their
+        pre-statement generations before the error surfaces.
+        """
+        for k in targets:
+            self._touch_shard(k)
+        check()
+        results: List[Any] = []
+        try:
+            for k in targets:
+                self._touch_shard(k)
+                results.append(step(k))
+        except GhostDBError:
+            for k in reversed(targets[:len(results)]):
+                self.shards[k].undo_last_dml()
+            raise
+        return results
+
+    @staticmethod
+    def _dml_result(statement: str, table: str, affected: int,
+                    shard_stats: List[QueryStats]) -> DmlResult:
+        stats = QueryStats.parallel(shard_stats, result_rows=affected)
+        return DmlResult(statement=statement, table=table,
+                         rows_affected=affected, stats=stats)
+
     def _insert_root(self, bound: BoundInsert) -> DmlResult:
         start = self._next_root_gid
         per_shard_gids: List[List[int]] = [[] for _ in self.shards]
@@ -572,59 +606,34 @@ class ShardedGhostDB(StatementFrontEnd):
             k: dataclasses.replace(bound, rows=tuple(rows))
             for k, rows in enumerate(per_shard_rows) if rows
         }
-        # validate every slice before any shard mutates: a single
-        # token validates the whole statement up front, and the fleet
-        # must keep that all-or-nothing contract
-        for k in sub:
-            self._touch_shard(k)
-        for k, sub_bound in sub.items():
-            self.shards[k]._dml.validate_insert(sub_bound)
-        results = []
-        applied: List[int] = []
-        try:
+
+        def validate_slices() -> None:
             for k, sub_bound in sub.items():
-                self._touch_shard(k)
-                results.append(self.shards[k]._run_dml(sub_bound))
-                applied.append(k)
-        except GhostDBError:
-            for k in reversed(applied):
-                self.shards[k].undo_last_dml()
-            raise
+                self.shards[k]._dml.validate_insert(sub_bound)
+
+        results = self._write_all_or_nothing(
+            list(sub), validate_slices,
+            lambda k: self.shards[k]._run_dml(sub[k]))
         for k, gids in enumerate(per_shard_gids):
             self._root_maps[k].extend(gids)
         self._next_root_gid = start + len(bound.rows)
-        stats = QueryStats.parallel([r.stats for r in results])
-        stats.result_rows = len(bound.rows)
-        return DmlResult(statement="insert", table=bound.table,
-                         rows_affected=len(bound.rows), stats=stats)
+        return self._dml_result("insert", bound.table, len(bound.rows),
+                                [r.stats for r in results])
 
     def _broadcast_dml(self, bound, sum_affected: bool = False
                        ) -> DmlResult:
-        for k in range(self.n_shards):
-            self._touch_shard(k)
-        if isinstance(bound, BoundInsert):
-            # pre-validate once; the targets are replicated identically
-            self.shards[0]._dml.validate_insert(bound)
-        results = []
-        applied: List[int] = []
-        try:
-            for k, shard in enumerate(self.shards):
-                self._touch_shard(k)
-                results.append(shard._run_dml(bound))
-                applied.append(k)
-        except GhostDBError:
-            # all-or-nothing: roll the already-written shards back to
-            # their pre-statement generations before failing
-            for k in reversed(applied):
-                self.shards[k].undo_last_dml()
-            raise
+        def validate_once() -> None:
+            if isinstance(bound, BoundInsert):
+                # the targets are replicated identically
+                self.shards[0]._dml.validate_insert(bound)
+
+        results = self._write_all_or_nothing(
+            range(self.n_shards), validate_once,
+            lambda k: self.shards[k]._run_dml(bound))
         affected = (sum(r.rows_affected for r in results)
                     if sum_affected else results[0].rows_affected)
-        stats = QueryStats.parallel([r.stats for r in results])
-        stats.result_rows = affected
-        return DmlResult(statement=results[0].statement,
-                         table=bound.table, rows_affected=affected,
-                         stats=stats)
+        return self._dml_result(results[0].statement, bound.table,
+                                affected, [r.stats for r in results])
 
     def _delete_two_phase(self, bound: BoundDelete) -> DmlResult:
         """Delete from a root-referenced table, fleet-atomically.
@@ -636,40 +645,30 @@ class ShardedGhostDB(StatementFrontEnd):
         shard mutates, exactly like the single token's sequential
         check-then-apply.
         """
-        for k in range(self.n_shards):
-            self._touch_shard(k)
         costs = [CostWindow(shard.token) for shard in self.shards]
         ids: List[List[int]] = []
-        for k, (shard, cost) in enumerate(zip(self.shards, costs)):
-            self._touch_shard(k)
-            with cost.ram_window():
-                ids.append(shard._dml.delete_candidates(bound))
-        for k, (shard, cost, shard_ids) in enumerate(
-                zip(self.shards, costs, ids)):
-            self._touch_shard(k)
-            with cost.ram_window():
-                shard._dml.check_restrict(bound.table, shard_ids)
-        counts = []
-        applied: List[int] = []
-        try:
-            for k, (shard, cost, shard_ids) in enumerate(
-                    zip(self.shards, costs, ids)):
+
+        def candidates_then_restrict() -> None:
+            for k, (shard, cost) in enumerate(zip(self.shards, costs)):
                 self._touch_shard(k)
-                # arm an undo journal exactly like _run_dml does, so a
-                # later shard's failure can roll this apply back
-                with StatementJournal(shard, bound.table), \
-                        cost.ram_window():
-                    counts.append(
-                        shard._dml.apply_delete(bound, shard_ids))
-                applied.append(k)
-        except GhostDBError:
-            for k in reversed(applied):
-                self.shards[k].undo_last_dml()
-            raise
-        stats = QueryStats.parallel([c.stats() for c in costs])
-        stats.result_rows = counts[0]
-        return DmlResult(statement="delete", table=bound.table,
-                         rows_affected=counts[0], stats=stats)
+                with cost.ram_window():
+                    ids.append(shard._dml.delete_candidates(bound))
+            for k, (shard, cost) in enumerate(zip(self.shards, costs)):
+                self._touch_shard(k)
+                with cost.ram_window():
+                    shard._dml.check_restrict(bound.table, ids[k])
+
+        def apply(k: int) -> int:
+            # arm an undo journal exactly like _run_dml does, so a
+            # later shard's failure can roll this apply back
+            with StatementJournal(self.shards[k], bound.table), \
+                    costs[k].ram_window():
+                return self.shards[k]._dml.apply_delete(bound, ids[k])
+
+        counts = self._write_all_or_nothing(
+            range(self.n_shards), candidates_then_restrict, apply)
+        return self._dml_result("delete", bound.table, counts[0],
+                                [c.stats() for c in costs])
 
     # ------------------------------------------------------------------
     # compaction

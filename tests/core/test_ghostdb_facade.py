@@ -116,12 +116,11 @@ def test_storage_report_available_after_build():
 
 
 def test_deprecated_shims_are_gone():
-    """The two-majors-old ``execute_ddl``/``query`` shims are removed;
-    ``execute()`` is the single statement entry point and warns about
-    nothing."""
+    """``execute()`` is the single statement entry point -- no separate
+    DDL or query method beside it -- and warns about nothing."""
     db = GhostDB()
-    assert not hasattr(db, "execute_ddl")
-    assert not hasattr(db, "query")
+    assert [n for n in dir(db) if n.startswith(("execute", "query"))] == [
+        "execute", "execute_fragment", "execute_plan", "query_many"]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         db.execute("CREATE TABLE X (id int, v int, h int HIDDEN)")

@@ -124,3 +124,39 @@ def test_scatter_and_compaction_name_the_dead_shard(fleet_image, seed):
     for sql in PROBES:
         assert_oracle(fleet, sql)
     assert_no_leak(fleet)
+
+
+def test_root_insert_rolls_back_when_its_second_shard_dies_at_apply(
+        fleet_image):
+    """A multi-row root INSERT spans shards; the shard written first
+    must be undone when the next one dies at its apply touch."""
+    fleet = GhostDB.restore(fleet_image)
+    n_rows = 4
+    start = fleet._next_root_gid
+    targets = list(dict.fromkeys(
+        fleet.router.shard_of(start + i) for i in range(n_rows)))
+    assert len(targets) >= 2
+    first, second = targets[:2]
+    before = _gens(fleet)
+    maps_before = [list(m) for m in fleet._root_maps]
+    # touches: one probe per target, then one per apply, in target order
+    fleet.faults = FleetFaults(kill_at=(second, len(targets) + 1))
+    sql = "INSERT INTO P VALUES " + ", ".join(["(?, ?, ?)"] * n_rows)
+    params = [x for i in range(n_rows) for x in (i % 10, 900 + i, 1.5)]
+    with pytest.raises(ShardUnavailable):
+        fleet.execute(sql, params=params)
+    assert fleet.faults.killed == [second]
+    assert fleet.faults.touches == len(targets) + 2   # died at its apply
+    assert _gens(fleet)[first] == before[first]       # undone
+    assert _gens(fleet) == before
+    assert fleet._root_maps == maps_before
+    assert fleet._next_root_gid == start
+
+    fleet.faults.kill_at = None          # disarm, then bring it back
+    fleet.faults.revive(second)
+    fleet.recover()
+    assert all(h["up"] for h in fleet.fleet_health().values())
+    for probe in PROBES + ("SELECT P.id FROM P WHERE P.v >= 900",):
+        assert_oracle(fleet, probe)
+    assert fleet.execute("SELECT P.id FROM P WHERE P.v >= 900").rows == []
+    assert_no_leak(fleet)

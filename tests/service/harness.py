@@ -22,8 +22,8 @@ def build_db(scale: float = 0.0005):
 def serving(db):
     """Run a :class:`GhostServer` on a background event-loop thread.
 
-    Lets blocking-socket clients drive the server from the test's own
-    thread; async tests may instead use ``async with GhostServer(db)``
+    Lets the blocking ``GhostClient`` drive the server from the test's
+    own thread; async tests may instead use ``async with GhostServer(db)``
     inside their own event loop.
     """
     loop = asyncio.new_event_loop()

@@ -1,15 +1,13 @@
 """Wire-frame round trips, limits and EOF behavior."""
 
 import asyncio
-import socket
 import struct
 
 import pytest
 
 from repro.service.protocol import (LENGTH_PREFIX, MAX_FRAME_BYTES,
                                     FrameError, decode_frame, encode_frame,
-                                    read_frame, read_frame_sync,
-                                    write_frame_sync)
+                                    read_frame)
 
 
 def test_round_trip():
@@ -53,21 +51,6 @@ def test_oversized_prefix_rejected_before_body_async():
     asyncio.run(run())
 
 
-def test_oversized_prefix_rejected_before_body_sync():
-    """Sync codec twin: the peer announces 2**32-1 bytes and sends
-    nothing else; read_frame_sync must raise on the prefix alone
-    instead of blocking on the (never-arriving) body."""
-    a, b = socket.socketpair()
-    try:
-        b.settimeout(5)                 # a hang fails fast, not forever
-        a.sendall(struct.pack("!I", 0xFFFFFFFF))
-        with pytest.raises(FrameError):
-            read_frame_sync(b)
-    finally:
-        a.close()
-        b.close()
-
-
 def test_async_clean_eof_and_truncation():
     async def run():
         reader = asyncio.StreamReader()
@@ -82,26 +65,3 @@ def test_async_clean_eof_and_truncation():
             await read_frame(reader)
 
     asyncio.run(run())
-
-
-def test_sync_round_trip_and_eof():
-    a, b = socket.socketpair()
-    try:
-        write_frame_sync(a, {"id": 3, "op": "ping"})
-        assert read_frame_sync(b) == {"id": 3, "op": "ping"}
-        a.close()
-        assert read_frame_sync(b) is None     # clean EOF
-    finally:
-        b.close()
-
-
-def test_sync_truncation_raises():
-    a, b = socket.socketpair()
-    try:
-        frame = encode_frame({"id": 9, "op": "ping"})
-        a.sendall(frame[: len(frame) - 1])
-        a.close()
-        with pytest.raises(FrameError):
-            read_frame_sync(b)
-    finally:
-        b.close()

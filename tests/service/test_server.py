@@ -4,6 +4,7 @@ import asyncio
 
 import pytest
 
+from repro.core.plan import SortMethod
 from repro.service.client import AsyncGhostClient, GhostClient, ServiceError
 from repro.service.server import plan_ram_claim
 from repro.workloads.queries import query_q
@@ -95,6 +96,31 @@ def test_error_responses_keep_connection_alive(db):
             assert client.ping()          # connection survived it all
             stats = client.server_stats()
             assert stats["service"]["errors_total"] == 4
+
+
+def test_order_by_statements_admit_under_their_priced_claim(db):
+    """ORDER BY through admission: the pledge covers the ordering step."""
+    external = ("SELECT T0.id, T1.v1 FROM T0, T1 WHERE T0.fk1 = T1.id "
+                "AND T1.v1 < 500 ORDER BY T1.v1, T0.id")
+    top_k = ("SELECT T0.id, T0.v1 FROM T0 WHERE T0.v1 < 40 "
+             "ORDER BY T0.v1 DESC, T0.id LIMIT 5")
+    keyless = "SELECT T0.id, T0.v1 FROM T0 WHERE T0.v1 < 40 LIMIT 7"
+    methods = [db.plan_query(q).order.method
+               for q in (external, top_k, keyless)]
+    assert methods == [SortMethod.EXTERNAL, SortMethod.TOP_K,
+                       SortMethod.TRUNCATE]
+    with serving(db) as server:
+        with GhostClient(server.host, server.port) as client:
+            for sql in (external, top_k, keyless):
+                result = client.execute(sql)
+                assert result.rows == db.reference_query(sql)[1]
+                assert result.stats["ram_peak"] <= result.stats["ram_claim"]
+                if sql is external:
+                    # the spilling sort, not the QEPSJ estimate, sets
+                    # this statement's pledge
+                    chosen = db.plan_query(sql).order.report.chosen
+                    assert chosen.n_runs > 1
+                    assert result.stats["ram_claim"] >= chosen.ram_peak
 
 
 def test_async_pipelining_many_concurrent_requests(db):

@@ -8,7 +8,7 @@ import pytest
 from repro.core.ghostdb import GhostDB
 from repro.faults import WireFaults
 from repro.service.client import (AsyncGhostClient, GhostClient,
-                                  ServiceTimeout)
+                                  ServiceError, ServiceTimeout)
 from repro.service.server import GhostServer
 
 from harness import serving
@@ -41,6 +41,33 @@ def test_sync_client_times_out_cleanly_on_a_stalled_server():
             assert client.timeouts_total == 1
         finally:
             client.close()
+
+
+def test_sync_client_retries_dropped_frames_to_exactly_once():
+    db = _mini_db()
+    with serving(db) as server:
+        server.wire_faults = WireFaults(drop_every=2)
+        with GhostClient("127.0.0.1", server.port, timeout_s=2.0,
+                         retries=2, backoff_s=0.01) as client:
+            for i in range(4):
+                result = client.execute("INSERT INTO P VALUES (?, ?)",
+                                        params=(i % 4, 200 + i))
+                assert result.kind == "dml"
+            assert client.retries_total > 0      # the schedule dropped
+    for i in range(4):
+        assert _count_v(db, 200 + i) == 1        # applied exactly once
+
+
+def test_sync_client_close_is_idempotent_and_final():
+    db = _mini_db()
+    with serving(db) as server:
+        client = GhostClient("127.0.0.1", server.port)
+        assert client.ping()
+        client.close()
+        client.close()                           # a no-op, not an error
+        with pytest.raises(ServiceError) as exc:  # raises, never hangs
+            client.ping()
+        assert exc.value.error_type == "ConnectionLost"
 
 
 def test_async_client_times_out_cleanly_on_a_stalled_server():
