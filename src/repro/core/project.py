@@ -143,7 +143,7 @@ class ProjectionExecutor:
         """Fig. 5 lines 3-4: Bloom-filter the irrelevant Vis rows."""
         ctx = self.ctx
         if not use_bloom:
-            return list(vis.rows)
+            return vis.rows
         with ctx.label(PROJECT_LABEL):
             reserve = 4 * ctx.token.page_size
             bf = BloomFilter(ctx.ram, sj.count,
@@ -155,8 +155,7 @@ class ProjectionExecutor:
             for page in sj.columns[table].iter_pages(ctx.ram,
                                                      "qepsj column"):
                 bf.add_many(page)
-            keep = bf.contains_many([row[0] for row in vis.rows])
-            filtered = list(compress(vis.rows, keep))
+            filtered = list(compress(vis.rows, bf.contains_many(vis.ids)))
             bf.free()
         return filtered
 

@@ -35,7 +35,6 @@ is real work on a real token.
 
 from __future__ import annotations
 
-import copy
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
@@ -190,13 +189,13 @@ class StatementJournal:
                 "tombstones": set(cat.tombstones[t]),
                 "fk_lens": {cid: len(parents)
                             for cid, parents in cat.fk_deltas[t].items()},
-                "untrusted_len": len(self.db.untrusted._rows.get(t, ())),
+                "untrusted_len": self.db.untrusted.n_rows(t),
                 "data_gen": cat.data_generations[t],
                 "stats_gen": cat.stats_generations[t],
             }
         self._tombstone_log_keys = set(cat._tombstone_logs)
         stats = cat.stats.get(self.table)
-        self._stats = copy.deepcopy(stats) if stats is not None else None
+        self._stats = stats.copy() if stats is not None else None
         self._indexes: Dict[Tuple[str, Optional[str]], Dict[str, Any]] = {}
         for (tbl, col), ci in cat.attr_indexes.items():
             if tbl == self.table:
@@ -209,7 +208,8 @@ class StatementJournal:
     def _capture_index(ci) -> Dict[str, Any]:
         return {
             "delta_len": len(ci._delta),
-            "bloom": copy.deepcopy(ci._delta_bloom),
+            "bloom": (ci._delta_bloom.copy()
+                      if ci._delta_bloom is not None else None),
             "had_delta_file": ci._delta_file is not None,
         }
 
@@ -262,9 +262,7 @@ class StatementJournal:
                     del deltas[cid]
                 else:
                     del deltas[cid][keep:]
-            rows = self.db.untrusted._rows.get(t)
-            if rows is not None:
-                del rows[saved["untrusted_len"]:]
+            self.db.untrusted.truncate(t, saved["untrusted_len"])
             cat.data_generations[t] = saved["data_gen"]
             cat.stats_generations[t] = saved["stats_gen"]
         for t in list(cat._tombstone_logs):

@@ -32,7 +32,7 @@ outbound probe.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.index.climbing import Predicate
@@ -66,6 +66,10 @@ class ColumnStats:
         for value in values:
             stats.add(value)
         return stats
+
+    def copy(self) -> "ColumnStats":
+        """An equal, independent sketch (the DML journal's snapshot)."""
+        return replace(self, counts=Counter(self.counts))
 
     def add(self, value) -> None:
         """Record one inserted value."""
@@ -212,6 +216,13 @@ class TableStats:
         for row in rows:
             stats.add_row(row)
         return stats
+
+    def copy(self) -> "TableStats":
+        """An equal, independent catalog entry: the sketches are
+        copied, the immutable schema ``Table`` is shared."""
+        twin = TableStats(self.table, self.capacity)
+        twin.columns = {name: s.copy() for name, s in self.columns.items()}
+        return twin
 
     @property
     def n_rows(self) -> int:

@@ -235,7 +235,7 @@ def snapshot_db(db: "GhostDB", path: str) -> Dict[str, Any]:
             for f in token.store._files.values()
         ],
         "catalog": _catalog_meta(db.catalog),
-        "untrusted_rows": db.untrusted._rows,
+        "untrusted_rows": db.untrusted.export_rows(),
         # shadow-file suffix counter: persisted so post-restore
         # compaction never reuses a ~cN tag already live in the store
         "compactor_seq": db._compactor._seq,
@@ -484,8 +484,8 @@ def restore_db(path: str, verify: bool = False) -> "GhostDB":
 
     # --- schema, untrusted engine, catalog, engines
     db.schema = meta["schema"]
-    db.untrusted = UntrustedEngine(db.schema)
-    db.untrusted._rows = meta["untrusted_rows"]
+    db.untrusted = UntrustedEngine.import_rows(
+        db.schema, meta["untrusted_rows"])
     db._binder = Binder(db.schema)
     db.catalog = _restore_catalog(db, meta)
     db._wire_engines()

@@ -19,7 +19,7 @@ a Vis transfer consumes no secure RAM by itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.flash.constants import ID_SIZE
 from repro.hardware.token import SecureToken
@@ -52,9 +52,10 @@ class VisResult:
 
     @property
     def rows(self) -> List[Tuple]:
-        """``(id, col...)`` tuples; id-only results synthesize ``(id,)``."""
+        """``(id, col...)`` tuples; an id-only result synthesizes
+        ``(id,)`` on first use."""
         if self._rows is None:
-            return [(i,) for i in self.ids]
+            self._rows = [(i,) for i in self.ids]
         return self._rows
 
     @property
@@ -73,31 +74,36 @@ class VisServer:
         self.token = token
         self.requests_served = 0
         self.batches_served = 0
+        self._row_widths: Dict[Tuple[str, Tuple[str, ...]], int] = {}
 
     # ------------------------------------------------------------------
     def _row_width(self, table: str, columns: Sequence[str]) -> int:
-        widths = {
-            c.name: c.type.width
-            for c in self.engine.visible_columns(table)
-        }
-        return ID_SIZE + sum(widths[c] for c in columns)
+        """Wire bytes of one ``(id, col...)`` row (kept per request
+        shape: the schema is fixed for the engine's lifetime)."""
+        key = (table, tuple(columns))
+        width = self._row_widths.get(key)
+        if width is None:
+            widths = {
+                c.name: c.type.width
+                for c in self.engine.visible_columns(table)
+            }
+            width = self._row_widths[key] = ID_SIZE + sum(
+                widths[c] for c in columns)
+        return width
 
     def _serve(self, request: VisRequest) -> VisResult:
         """Evaluate one request; charges only the inbound transfer."""
         self.requests_served += 1
-        if request.columns:
-            rows = self.engine.select_rows(
-                request.table, request.predicates, request.columns
-            )
-            ids = [r[0] for r in rows]
+        ids, rows = self.engine.select(
+            request.table, request.predicates, request.columns)
+        if rows is None:
+            self.token.channel.to_secure(len(ids) * ID_SIZE,
+                                         f"Vis({request.table}) ids")
+        else:
             nbytes = len(rows) * self._row_width(request.table,
                                                  request.columns)
             self.token.channel.to_secure(nbytes, f"Vis({request.table})")
-            return VisResult(ids=ids, rows=rows)
-        ids = self.engine.select_ids(request.table, request.predicates)
-        self.token.channel.to_secure(len(ids) * ID_SIZE,
-                                     f"Vis({request.table}) ids")
-        return VisResult(ids=ids)
+        return VisResult(ids=ids, rows=rows)
 
     def vis(self, request: VisRequest) -> VisResult:
         """Execute one Vis exchange, charging both channel directions."""
