@@ -32,17 +32,6 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from repro.errors import StorageError
 from repro.schema.model import Column, Schema
 
-#: A span wider than this share of the table is scanned instead of
-#: taken from the index.  Measured (``v1 < k`` on 3 K / 30 K / 100 K
-#: random rows, best of 7, two sessions): bisecting the span and putting
-#: its ids back in id order takes 0.1 / 0.2-0.3 / 0.45-0.65 / 0.6-0.7 /
-#: 0.85-1.0 / 1.05-1.45 of the one-closure-call-per-row scan's time at
-#: span / n = 0.1 / 0.2 / 0.4 / 0.5 / 0.7 / 0.9, alike at all three
-#: sizes -- the scan is no slower from 0.7 on.  (With a second predicate
-#: the scan costs 6-8x more per row and loses at every width; one
-#: constant, set where the cheapest scan breaks even.)
-_SCAN_ABOVE = 0.7
-
 #: Rows appended since an index was built are scanned; once they are
 #: more than this share of the table the index is rebuilt over them.
 _FOLD_ABOVE = 0.125
@@ -252,6 +241,25 @@ class UntrustedEngine:
                 rows, self._col_pos(table, column))
         return index
 
+    def _narrowest(self, table: str, predicates: Sequence[VisPredicate]
+                   ) -> Optional[Tuple[int, List[Tuple[int, int]],
+                                       _ColumnIndex, VisPredicate]]:
+        """``(width, spans, index, predicate)`` of the predicate whose
+        index span is the narrowest; None when some predicate cannot be
+        answered from an index (its column does not order, or its
+        constant does not compare with it), which leaves the whole
+        selection -- and what such a comparison means -- to the scan."""
+        best = None
+        for p in predicates:
+            index = self._index(table, p.column)
+            spans = index.spans(p) if index is not None else None
+            if spans is None:
+                return None
+            width = sum(hi - lo for lo, hi in spans)
+            if best is None or width < best[0]:
+                best = (width, spans, index, p)
+        return best
+
     def select_ids(self, table: str,
                    predicates: Sequence[VisPredicate]) -> List[int]:
         """IDs of rows satisfying all ``predicates`` (sorted): the one
@@ -261,25 +269,16 @@ class UntrustedEngine:
         rows ``[0, covered)``; the other predicates filter those, and
         the ``_matcher`` scan answers for rows ``[covered, n)`` -- the
         rows appended since that index was built, or every row
-        (``covered == 0``) when no predicate has a usable index or the
-        narrowest span is wider than ``_SCAN_ABOVE``.
+        (``covered == 0``) when :meth:`_narrowest` finds no span.
         """
         rows = self._rows[table]
         match = self._matcher(table, predicates)
         if match is None:
             self.rows_examined += len(rows)
             return list(range(len(rows)))
-        best = None
-        for p in predicates:
-            index = self._index(table, p.column)
-            spans = index.spans(p) if index is not None else None
-            if spans is None:
-                continue
-            width = sum(hi - lo for lo, hi in spans)
-            if best is None or width < best[0]:
-                best = (width, spans, index, p)
         covered, ids = 0, []
-        if best is not None and best[0] <= _SCAN_ABOVE * len(rows):
+        best = self._narrowest(table, predicates)
+        if best is not None:
             width, spans, index, narrowest = best
             covered = len(index.ids)
             candidates = array("I")
@@ -297,16 +296,9 @@ class UntrustedEngine:
                    if match(row))
         return ids
 
-    def select(self, table: str, predicates: Sequence[VisPredicate],
-               columns: Sequence[str] = ()
-               ) -> Tuple[List[int], Optional[List[Tuple]]]:
-        """One visible selection: the matching ids (sorted) and, when
-        ``columns`` are asked for, their ``(id, col...)`` tuples."""
-        ids = self.select_ids(table, predicates)
-        return ids, self._project(table, ids, columns) if columns else None
-
-    def _project(self, table: str, ids: List[int],
-                 columns: Sequence[str]) -> List[Tuple]:
+    def project(self, table: str, ids: List[int],
+                columns: Sequence[str]) -> List[Tuple]:
+        """``(id, col...)`` tuples of the rows ``ids``, in that order."""
         positions = [self._col_pos(table, c) for c in columns]
         picked = list(map(self._rows[table].__getitem__, ids))
         return list(zip(ids, *(map(itemgetter(pos), picked)
@@ -315,7 +307,7 @@ class UntrustedEngine:
     def select_rows(self, table: str, predicates: Sequence[VisPredicate],
                     columns: Sequence[str]) -> List[Tuple]:
         """``(id, col...)`` tuples for matching rows, sorted by id."""
-        return self._project(
+        return self.project(
             table, self.select_ids(table, predicates), columns)
 
     def count(self, table: str,

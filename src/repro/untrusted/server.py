@@ -94,15 +94,14 @@ class VisServer:
     def _serve(self, request: VisRequest) -> VisResult:
         """Evaluate one request; charges only the inbound transfer."""
         self.requests_served += 1
-        ids, rows = self.engine.select(
-            request.table, request.predicates, request.columns)
-        if rows is None:
+        ids = self.engine.select_ids(request.table, request.predicates)
+        if not request.columns:
             self.token.channel.to_secure(len(ids) * ID_SIZE,
                                          f"Vis({request.table}) ids")
-        else:
-            nbytes = len(rows) * self._row_width(request.table,
-                                                 request.columns)
-            self.token.channel.to_secure(nbytes, f"Vis({request.table})")
+            return VisResult(ids=ids)
+        rows = self.engine.project(request.table, ids, request.columns)
+        nbytes = len(rows) * self._row_width(request.table, request.columns)
+        self.token.channel.to_secure(nbytes, f"Vis({request.table})")
         return VisResult(ids=ids, rows=rows)
 
     def vis(self, request: VisRequest) -> VisResult:

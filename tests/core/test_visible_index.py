@@ -4,9 +4,9 @@ from a scan."""
 
 import pytest
 
-import repro.untrusted.engine as untrusted_engine
 from repro import GhostDB
 from repro.errors import GhostDBError
+from repro.untrusted.engine import UntrustedEngine
 from repro.workloads.queries import query_q
 
 READ = "SELECT C.id, C.v FROM C WHERE C.v = ?"
@@ -88,7 +88,8 @@ def test_outbound_audit_log_is_identical_with_and_without_the_index(
                 db.untrusted.rows_examined - examined)
 
     *indexed, indexed_work = run()
-    monkeypatch.setattr(untrusted_engine, "_SCAN_ABOVE", -1.0)
+    monkeypatch.setattr(UntrustedEngine, "_index",
+                        lambda self, table, column: None)
     *scanned, scanned_work = run()
     assert indexed == scanned
     assert {kind for kind, _, _ in indexed[1]} == {"query", "vis_request"}
