@@ -1,7 +1,8 @@
 #!/usr/bin/env python
-"""Docs CI gate: links resolve, named API exists, examples run.
+"""Docs CI gate: links resolve, named API exists, state has one owner,
+examples run.
 
-Three checks, all simple on purpose:
+Four checks, all simple on purpose:
 
 * every relative link target in a tracked ``*.md`` file (README.md,
   docs/, CHANGES.md, ...) must exist on disk -- links to headings
@@ -10,6 +11,13 @@ Three checks, all simple on purpose:
   an inline code span of README.md / docs/ARCHITECTURE.md must be an
   attribute of that class, so the docs cannot describe a removed
   method;
+* the modules that orchestrate persistence and recovery
+  (``src/repro/persist/``, ``shard/persist.py``, ``core/recovery.py``)
+  may not read or assign a ``_private`` attribute on anything but
+  ``self`` / ``cls``: what a structure persists and rolls back is
+  written down in its own class (``to_meta`` / ``from_meta`` /
+  ``savepoint`` / ``rollback``), not in the module that calls it.  The
+  same count is printed, not gated, for the rest of ``src/``;
 * with ``--run-examples``, every script under ``examples/`` is executed
   with ``PYTHONPATH=src`` and must exit 0.
 
@@ -22,6 +30,7 @@ Exits non-zero listing every broken link / stale name / failing example.
 
 from __future__ import annotations
 
+import ast
 import os
 import pathlib
 import re
@@ -42,6 +51,11 @@ _FENCE = re.compile(r"```.*?```", re.DOTALL)
 _SPAN = re.compile(r"`([^`\n]+)`")
 _API_NAME = re.compile(r"(?<![\w.])(?:(GhostDB|Session)\.([A-Za-z_]\w*)"
                        r"|db\.([A-Za-z_]\w*)\()")
+
+
+#: modules whose job is orchestration: no foreign private access at all
+_ORCHESTRATORS = ("src/repro/persist/", "src/repro/shard/persist.py",
+                  "src/repro/core/recovery.py")
 
 
 def iter_markdown_files() -> list:
@@ -94,6 +108,24 @@ def stale_api_names() -> list:
     return stale
 
 
+def foreign_private_accesses() -> dict:
+    """Per ``src/`` module, every ``(line, expr)`` that touches a
+    single-underscore attribute of a receiver other than self / cls."""
+    found = {}
+    for path in sorted((REPO / "src").rglob("*.py")):
+        hits = [
+            (node.lineno, ast.unparse(node))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            and node.attr.startswith("_") and not node.attr.startswith("__")
+            and not (isinstance(node.value, ast.Name)
+                     and node.value.id in ("self", "cls"))
+        ]
+        if hits:
+            found[str(path.relative_to(REPO))] = sorted(hits)
+    return found
+
+
 def run_examples() -> list:
     """Run every examples/ script; returns the ones that failed."""
     failed = []
@@ -125,6 +157,17 @@ def main(argv: list) -> int:
     for doc, lineno, span in stale_api_names():
         print(f"STALE API NAME {doc}:{lineno}: `{span}`")
         ok = False
+    elsewhere = []
+    for module, hits in foreign_private_accesses().items():
+        if not module.startswith(_ORCHESTRATORS):
+            elsewhere.append(f"{module.removeprefix('src/repro/')} "
+                             f"{len(hits)}")
+            continue
+        for lineno, expr in hits:
+            print(f"FOREIGN PRIVATE ACCESS {module}:{lineno}: {expr}")
+            ok = False
+    print("foreign private accesses outside persist/recovery (not "
+          "gated): " + ", ".join(elsewhere))
     if "--run-examples" in argv:
         for script, stderr in run_examples():
             print(f"EXAMPLE FAILED {script}:\n{stderr}")

@@ -27,7 +27,7 @@ treat statistics changes exactly like data changes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.stats import TableStats
 from repro.errors import PlanError
@@ -38,6 +38,7 @@ from repro.index.skt import SubtreeKeyTable
 from repro.flash.constants import ID_SIZE
 from repro.flash.store import FlashFile
 from repro.schema.model import Column, Schema, Table
+from repro.storage.codec import ColumnType, IntType, RowCodec
 from repro.storage.heap import HeapFile, append_fixed_record
 
 
@@ -78,7 +79,6 @@ class SecureCatalog:
         self.data_generations: Dict[str, int] = {
             name: 0 for name in schema.tables
         }
-        self._tombstone_logs: Dict[str, FlashFile] = {}
         # --- statistics catalog (planner metadata, token-resident) ---
         self.stats: Dict[str, TableStats] = {}
         self.stats_generations: Dict[str, int] = {
@@ -87,6 +87,133 @@ class SecureCatalog:
         # generations as of this catalog's (re)build; a rebuild compares
         # against them to find the tables mutated since
         self.built_generations: Dict[str, int] = dict(self.data_generations)
+
+    # ------------------------------------------------------------------
+    # durable form
+    # ------------------------------------------------------------------
+    def to_meta(self) -> Dict[str, Any]:
+        """Durable form of everything the catalog tracks.
+
+        Flash-resident structures go as file name plus header (row ``i``
+        of an image heap or an SKT is tuple ``i``: the table's row count
+        is theirs too; tombstone logs are found by name), in-RAM state
+        as is -- except that tombstone sets are sorted and indexes
+        listed in key order, so image bytes depend on the statements
+        executed, never on hash seeds or insertion history.
+        """
+        return {
+            "images": {
+                name: (img.n_rows, [c.name for c in img.hidden_columns],
+                       img.heap.file.name if img.heap else None)
+                for name, img in self.images.items()
+            },
+            "skts": {owner: (skt.columns, skt.heap.file.name)
+                     for owner, skt in self.skts.items()},
+            "attr_indexes": [(key, ci.to_meta()) for key, ci
+                             in sorted(self.attr_indexes.items())],
+            "id_indexes": [(table, ci.to_meta()) for table, ci
+                           in sorted(self.id_indexes.items())],
+            "raw_rows": self.raw_rows,
+            "tombstones": {t: sorted(s)
+                           for t, s in self.tombstones.items()},
+            "fk_deltas": self.fk_deltas,
+            "generations": (self.data_generations, self.stats_generations,
+                            self.built_generations),
+            "stats": self.stats,
+        }
+
+    def from_meta(self, meta: Dict[str, Any]) -> None:
+        """Adopt :meth:`to_meta` output over this catalog's schema and
+        token (whose flash store already holds the files)."""
+        store = self.token.store
+
+        def heap(file_name: str, types: List[ColumnType],
+                 n_rows: int) -> HeapFile:
+            opened = HeapFile(store.get(file_name), RowCodec(types),
+                              self.token.page_size)
+            opened.n_rows = n_rows
+            return opened
+
+        for name, (n_rows, hidden, heap_file) in meta["images"].items():
+            table = self.schema.table(name)
+            columns = [table.column(c) for c in hidden]
+            self.images[name] = TableImage(
+                table, n_rows, columns,
+                heap(heap_file, [c.type for c in columns], n_rows)
+                if heap_file else None)
+        for owner, (columns, heap_file) in meta["skts"].items():
+            self.skts[owner] = SubtreeKeyTable(
+                owner, columns, heap(heap_file, [IntType(4)] * len(columns),
+                                     self.images[owner].n_rows))
+        for key, index_meta in meta["attr_indexes"]:
+            self.attr_indexes[key] = ClimbingIndex.from_meta(store,
+                                                             index_meta)
+        for table, index_meta in meta["id_indexes"]:
+            self.id_indexes[table] = ClimbingIndex.from_meta(store,
+                                                             index_meta)
+        self.raw_rows = meta["raw_rows"]
+        self.tombstones = {t: set(ids)
+                           for t, ids in meta["tombstones"].items()}
+        self.fk_deltas = meta["fk_deltas"]
+        (self.data_generations, self.stats_generations,
+         self.built_generations) = meta["generations"]
+        self.stats = meta["stats"]
+
+    # ------------------------------------------------------------------
+    # savepoints (statement rollback)
+    # ------------------------------------------------------------------
+    def savepoint(self, table: str, deleting: bool) -> Dict[str, Any]:
+        """What :meth:`rollback` needs to undo one DML statement on
+        ``table``, and nothing the statement cannot touch.
+
+        An INSERT only appends -- rows, fk-delta edges, index delta
+        entries -- so lengths undo it; a DELETE (``deleting``) only
+        tombstones, so it adds a copy of ``table``'s tombstone set.
+        Both move ``table``'s sketches and generations.  No other
+        table is looked at: arming a statement costs the same whatever
+        debt the database carries.
+        """
+        return {
+            "table": table,
+            "n_rows": self.images[table].n_rows,
+            "tombstones": set(self.tombstones[table]) if deleting else None,
+            "stats": self.stats[table].copy(),
+            "generations": (self.data_generations[table],
+                            self.stats_generations[table]),
+            "indexes": [(ci, ci.savepoint())
+                        for ci in self.indexes_on(table)],
+        }
+
+    def rollback(self, savepoint: Dict[str, Any]) -> None:
+        """Back to :meth:`savepoint`: what the catalog keeps in RAM (the
+        flash content is the statement journal's to undo, first)."""
+        table, n_rows = savepoint["table"], savepoint["n_rows"]
+        image = self.images[table]
+        image.n_rows = n_rows
+        if image.heap is not None:
+            image.heap.n_rows = n_rows
+        if table in self.skts:
+            self.skts[table].heap.n_rows = n_rows
+        del self.raw_rows[table][n_rows:]
+        # edges the statement recorded lead to its own rows: parent ids
+        # at or past the old row count, at the tail of each edge list
+        for fk in self.schema.table(table).foreign_keys:
+            edges = self.fk_deltas[fk.references]
+            for child_id, parents in list(edges.items()):
+                while parents and parents[-1] >= n_rows:
+                    parents.pop()
+                if not parents:
+                    del edges[child_id]
+        if savepoint["tombstones"] is not None:
+            # the reference oracle shares the set: mutate in place
+            dead = self.tombstones[table]
+            dead.clear()
+            dead.update(savepoint["tombstones"])
+        self.stats[table] = savepoint["stats"]
+        (self.data_generations[table],
+         self.stats_generations[table]) = savepoint["generations"]
+        for ci, index_savepoint in savepoint["indexes"]:
+            ci.rollback(index_savepoint)
 
     # ------------------------------------------------------------------
     def image(self, table: str) -> TableImage:
@@ -120,6 +247,14 @@ class SecureCatalog:
         except KeyError:
             raise PlanError(f"no id climbing index for {table!r}") from None
 
+    def indexes_on(self, table: str) -> List[ClimbingIndex]:
+        """The climbing indexes anchored on ``table`` (attr, then id)."""
+        out = [ci for (t, _), ci in sorted(self.attr_indexes.items())
+               if t == table]
+        if table in self.id_indexes:
+            out.append(self.id_indexes[table])
+        return out
+
     # ------------------------------------------------------------------
     # incremental-DML state
     # ------------------------------------------------------------------
@@ -141,10 +276,9 @@ class SecureCatalog:
         reclaims the space when tombstones accumulate.
         """
         dead = self.tombstones[table]
-        log = self._tombstone_logs.get(table)
+        log = self._tombstone_log(table)
         if log is None:
             log = self.token.store.create(f"tombstones_{table}")
-            self._tombstone_logs[table] = log
         n_before = len(dead)
         for rid in ids:
             if rid not in dead:
@@ -153,16 +287,23 @@ class SecureCatalog:
                 dead.add(rid)
         return len(dead) - n_before
 
+    def _tombstone_log(self, table: str) -> Optional[FlashFile]:
+        """``table``'s tombstone log, if a delete ever created it (the
+        flash store's directory is the only record of that)."""
+        store = self.token.store
+        name = f"tombstones_{table}"
+        return store.get(name) if store.exists(name) else None
+
     def tombstone_log_bytes(self, table: str) -> int:
         """Flash bytes of ``table``'s tombstone log (compaction report)."""
-        log = self._tombstone_logs.get(table)
+        log = self._tombstone_log(table)
         return log.n_bytes if log is not None else 0
 
     def drop_tombstone_log(self, table: str) -> None:
         """Free ``table``'s tombstone log after a compaction folded the
         deletions into the rebuilt image (the in-RAM set is cleared by
         the caller, in place -- the reference oracle shares it)."""
-        log = self._tombstone_logs.pop(table, None)
+        log = self._tombstone_log(table)
         if log is not None:
             log.free()
 
@@ -239,8 +380,8 @@ class SecureCatalog:
         """Flash bytes per component family (for documentation/tests)."""
         report = {"hidden_images": 0, "skts": 0, "attr_indexes": 0,
                   "id_indexes": 0, "tombstones": 0}
-        for log in self._tombstone_logs.values():
-            report["tombstones"] += log.n_bytes
+        for name in self.schema.tables:
+            report["tombstones"] += self.tombstone_log_bytes(name)
         for img in self.images.values():
             if img.heap is not None:
                 report["hidden_images"] += img.heap.file.n_bytes

@@ -123,17 +123,6 @@ def index_needs_fold(catalog: "SecureCatalog", table: str,
     return any(catalog.fk_deltas.get(u) for u in idx.levels if u in sub)
 
 
-def table_indexes(catalog: "SecureCatalog", table: str
-                  ) -> List[ClimbingIndex]:
-    """The climbing indexes anchored on ``table`` (attr + id)."""
-    out = [idx for (t, _c), idx in sorted(catalog.attr_indexes.items())
-           if t == table]
-    idx = catalog.id_indexes.get(table)
-    if idx is not None:
-        out.append(idx)
-    return out
-
-
 def is_dirty(catalog: "SecureCatalog", table: str) -> bool:
     """Whether ``table`` has any foldable debt: tombstones, a subtree
     fk delta, or delta-log entries on a ripple index.  Pure appends
@@ -710,6 +699,20 @@ class CompactionManager:
         return CompactionAdvisor(self._db.catalog, headroom_factor) \
             .assess(table)
 
+    def in_flight(self) -> List[str]:
+        """Tables with a started, unfinished job (sorted).  A restored
+        image could not resume one: snapshots wait for this to be empty."""
+        return sorted(self._jobs)
+
+    def to_meta(self) -> int:
+        """Durable form: the shadow-tag sequence, so compaction after a
+        restore never reuses a ``~cN`` tag already live in the store."""
+        return self._seq
+
+    def from_meta(self, meta: int) -> None:
+        """Adopt :meth:`to_meta` output."""
+        self._seq = meta
+
     def job_phase(self, table: str) -> Optional[str]:
         job = self._jobs.get(table)
         if job is None:
@@ -723,7 +726,7 @@ class CompactionManager:
         files, so aborting frees them and leaves the live structures
         untouched (abort-and-restart is the compaction crash contract).
         """
-        aborted = sorted(self._jobs)
+        aborted = self.in_flight()
         for job in self._jobs.values():
             job.abort()
         self._jobs.clear()
@@ -735,7 +738,7 @@ class CompactionManager:
         advisor = CompactionAdvisor(catalog)
         out: Dict[str, TableCompactionStatus] = {}
         for table in catalog.schema.tables:
-            own = table_indexes(catalog, table)
+            own = catalog.indexes_on(table)
             out[table] = TableCompactionStatus(
                 table=table,
                 dirty=is_dirty(catalog, table),

@@ -75,7 +75,7 @@ from repro.core.reference import ReferenceEngine
 from repro.core.session import BatchResult, PreparedStatement, Session
 from repro.core.sort import (OrderByExecutor, dedup_rows, sort_projections,
                              strip_internal_columns)
-from repro.errors import BindError, GhostDBError, SchemaError
+from repro.errors import BindError, GhostDBError, ImageError, SchemaError
 from repro.hardware.token import SecureToken, TokenConfig
 from repro.schema.ddl import column_from_def
 from repro.schema.model import Schema, Table
@@ -242,9 +242,9 @@ class StatementFrontEnd:
     # ------------------------------------------------------------------
     # sessions and prepared statements
     # ------------------------------------------------------------------
-    def session(self, plan_cache_capacity: int = 64) -> Session:
+    def session(self) -> Session:
         """A new session (own plan cache) over this database."""
-        return Session(self, plan_cache_capacity)
+        return Session(self)
 
     def _session_default(self) -> Session:
         if self._default_session is None:
@@ -328,7 +328,7 @@ class GhostDB(StatementFrontEnd):
         can still undo this shard (:meth:`undo_last_dml`).
         """
         cost = CostWindow(self.token)
-        with StatementJournal(self, bound.table), cost.ram_window():
+        with StatementJournal(self, bound), cost.ram_window():
             if isinstance(bound, BoundInsert):
                 statement = "insert"
                 affected = self._dml.insert(bound)
@@ -387,7 +387,7 @@ class GhostDB(StatementFrontEnd):
     def _wire_engines(self) -> None:
         """(Re)create the engines that live on top of one catalog."""
         self._vis_server = VisServer(self.untrusted, self.token)
-        self._planner = Planner(self.catalog, self._vis_server)
+        self._planner = Planner(self.catalog)
         self._reference = ReferenceEngine(self.schema,
                                           self.catalog.raw_rows,
                                           self.catalog.tombstones)
@@ -451,8 +451,8 @@ class GhostDB(StatementFrontEnd):
         """
         return self._run_plan(plan, announce, vis_seed, finish=True)
 
-    def execute_fragment(self, plan: QueryPlan, *, announce: bool = True,
-                         vis_seed: Optional[Dict] = None) -> QueryResult:
+    def execute_fragment(self, plan: QueryPlan, *,
+                         announce: bool = True) -> QueryResult:
         """Run one *shard fragment* of a scattered query.
 
         Like :meth:`execute_plan` but without the global finishing
@@ -466,7 +466,7 @@ class GhostDB(StatementFrontEnd):
         anchor-id tail the gather merges by -- and the cost window is
         accounted identically to a standalone query.
         """
-        return self._run_plan(plan, announce, vis_seed, finish=False)
+        return self._run_plan(plan, announce, None, finish=False)
 
     def _run_plan(self, plan: QueryPlan, announce: bool,
                   vis_seed: Optional[Dict], finish: bool) -> QueryResult:
@@ -726,21 +726,62 @@ class GhostDB(StatementFrontEnd):
         :class:`~repro.errors.ImageError` on torn, truncated or
         corrupt images.
 
-        Fleet manifests (written by ``GhostDB(shards=N).snapshot()``)
-        are detected by magic and restored to a
+        The file is read once; its metadata says what ``kind`` of image
+        it is.  A fleet manifest (written by
+        ``GhostDB(shards=N).snapshot()``) restores to a
         :class:`~repro.shard.fleet.ShardedGhostDB` -- one entry point
         for both deployment shapes.
         """
-        from repro.shard.persist import FLEET_MAGIC, restore_fleet
-        try:
-            with open(path, "rb") as fh:
-                magic = fh.read(len(FLEET_MAGIC))
-        except OSError:
-            magic = b""  # restore_db raises its canonical ImageError
-        if magic == FLEET_MAGIC:
-            return restore_fleet(path, verify=verify)
-        from repro.persist.image import restore_db
-        return restore_db(path, verify=verify)
+        from repro.persist.image import read_image
+        meta, blob = read_image(path, verify)
+        kind = meta.get("kind")
+        if kind == "fleet":
+            from repro.shard.persist import restore_fleet
+            return restore_fleet(path, meta, verify)
+        if kind != "token":
+            raise ImageError(f"image {path!r} is of unknown kind {kind!r}")
+        return cls.from_meta(meta, blob)
+
+    def compactions_in_flight(self) -> List[str]:
+        """Tables with a started, unfinished compaction job (sorted);
+        :meth:`snapshot` refuses until there is none."""
+        return self._compactor.in_flight() if self._built else []
+
+    def to_meta(self) -> Tuple[Dict, bytes]:
+        """Durable form of the database, as ``(meta, blob)``: each
+        layer's own ``to_meta`` under its name, the token's page
+        payloads as the blob.  The engines wired over the catalog
+        (planner, DML, Vis server, oracle) hold no state of their own
+        and sessions belong to their clients."""
+        token_meta, blob = self.token.to_meta()
+        meta = {
+            "token": token_meta,
+            "schema": self.schema,
+            "indexed_columns": self._indexed_columns,
+            "untrusted": self.untrusted.to_meta(),
+            "catalog": self.catalog.to_meta(),
+            "compactor": self._compactor.to_meta(),
+            "ikeys": self.ikeys.to_meta(),
+        }
+        return meta, blob
+
+    @classmethod
+    def from_meta(cls, meta: Dict, blob) -> "GhostDB":
+        """A built database from :meth:`to_meta` output; ``blob`` backs
+        the token's flash pages lazily."""
+        db = cls(config=meta["token"]["config"],
+                 indexed_columns=meta["indexed_columns"])
+        db.token.from_meta(meta["token"], blob)
+        db.schema = meta["schema"]
+        db._binder = Binder(db.schema)
+        db.untrusted = UntrustedEngine.from_meta(db.schema,
+                                                 meta["untrusted"])
+        db.catalog = SecureCatalog(db.schema, db.token)
+        db.catalog.from_meta(meta["catalog"])
+        db._wire_engines()
+        db._compactor.from_meta(meta["compactor"])
+        db.ikeys = IdempotencyLedger.from_meta(meta["ikeys"])
+        return db
 
     # ------------------------------------------------------------------
     # crash recovery
@@ -776,6 +817,11 @@ class GhostDB(StatementFrontEnd):
         report.corrupt_pages = self.token.ftl.scan_mapped()
         self.token.store.page_cache.clear()
         return report
+
+    def keep_journal(self, journal: StatementJournal) -> None:
+        """Take over the undo journal of the statement that just ended
+        -- committed or not -- replacing the previous one."""
+        self._journal = journal
 
     def undo_last_dml(self) -> Optional[str]:
         """Roll back the last *committed* DML statement, if undoable.

@@ -54,15 +54,6 @@ def _dedupe(it: Iterator[int]) -> Iterator[int]:
             prev = x
 
 
-def union_runs(runs: Sequence[IdRun], ram: Optional[SecureRam]
-               ) -> Iterator[int]:
-    """Stream the sorted, deduplicated union of ``runs``."""
-    if not runs:
-        return iter(())
-    iters = [run.iterate(ram, label="merge input") for run in runs]
-    return _dedupe(heapq.merge(*iters))
-
-
 def intersect_iters(iters: List[Iterator[int]]) -> Iterator[int]:
     """Stream the intersection of sorted, deduplicated iterators."""
     if not iters:
@@ -462,20 +453,3 @@ class MergeOperator:
                     temp.free()
 
         return _run()
-
-    def to_flash(self, groups: Sequence[Sequence[IdRun]],
-                 reserve_buffers: int = 0):
-        """Materialize the Merge result as a flash-resident run view."""
-        builder = U32FileBuilder(self.store, self.ram, label="merge output")
-        if not scalar_exec():
-            stream = self.stream_chunks(groups,
-                                        reserve_buffers=reserve_buffers + 1)
-            with self.ledger.label(MERGE_LABEL):
-                for chunk in stream:
-                    builder.append_words(chunk)
-                return builder.finish()
-        stream = self.stream(groups, reserve_buffers=reserve_buffers + 1)
-        with self.ledger.label(MERGE_LABEL):
-            for value in stream:
-                builder.add(value)
-            return builder.finish()

@@ -235,10 +235,9 @@ def op_sjoin_chunks(ctx: ExecContext, anchor: str,
 # ---------------------------------------------------------------------------
 
 def op_build_bf(ctx: ExecContext, ids: Iterable[int], n_items: int,
-                max_bytes: Optional[int] = None,
-                label: str = BLOOM_LABEL) -> BloomFilter:
+                max_bytes: Optional[int] = None) -> BloomFilter:
     """``BuildBF``: Bloom filter over an ID stream (RAM-resident)."""
-    with ctx.label(label):
+    with ctx.label(BLOOM_LABEL):
         bf = BloomFilter(ctx.ram, n_items, max_bytes=max_bytes,
                          label="post-filter bloom")
         bf.add_all(ids)

@@ -45,7 +45,6 @@ from repro.core.plan import (
 from repro.errors import PlanError
 from repro.index.climbing import ClimbingIndex
 from repro.sql.binder import BoundQuery
-from repro.untrusted.server import VisServer
 
 #: full-enumeration ceiling; beyond it the planner decides tables
 #: greedily one at a time (assignments grow as 8^tables)
@@ -89,9 +88,8 @@ def coerce(enum_cls, value, what: str):
 class Planner:
     """Builds :class:`QueryPlan` objects for bound queries."""
 
-    def __init__(self, catalog: SecureCatalog, vis_server: VisServer):
+    def __init__(self, catalog: SecureCatalog):
         self.catalog = catalog
-        self.vis = vis_server
         self.cost_model = CostModel(catalog, catalog.token)
         self.plans_built = 0
 

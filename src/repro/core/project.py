@@ -122,13 +122,10 @@ class ProjectionExecutor:
         mjoined = set(per_table) | set(sj.approx_tables)
         mjoined.discard(self.anchor)
         pass_heaps: Dict[str, List[HeapFile]] = {}
-        value_types: Dict[str, List] = {}
         for table in sorted(mjoined):
             attrs = per_table.get(table, {"vis": [], "hid": []})
-            heaps, types = self._mjoin_table(sj, table, attrs["vis"],
-                                             attrs["hid"], mode)
-            pass_heaps[table] = heaps
-            value_types[table] = types
+            pass_heaps[table] = self._mjoin_table(
+                sj, table, attrs["vis"], attrs["hid"], mode)
         rows = self._final_join(sj, per_table, pass_heaps)
         for heaps in pass_heaps.values():
             for h in heaps:
@@ -161,8 +158,7 @@ class ProjectionExecutor:
 
     def _mjoin_table(self, sj: QepSjResult, table: str,
                      vis_cols: List[str], hid_cols: List[str],
-                     mode: ProjectionMode
-                     ) -> Tuple[List[HeapFile], List]:
+                     mode: ProjectionMode) -> List[HeapFile]:
         """Fig. 5 lines 5-6: build sorted ``<pos, values...>`` runs."""
         ctx = self.ctx
         schema_table = ctx.catalog.schema.table(table)
@@ -220,7 +216,7 @@ class ProjectionExecutor:
                         codec, out_rows, ctx.token.page_size,
                     ))
             pass_no += 1
-        return heaps, vis_types + hid_types
+        return heaps
 
     # ------------------------------------------------------------------
     # final position-ordered join (Fig. 5 line 7)

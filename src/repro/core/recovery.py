@@ -5,14 +5,15 @@ inconsistent token" into "milliseconds of deterministic cleanup":
 
 * :class:`StatementJournal` -- armed around every INSERT/DELETE.  The
   flash store notifies it after each successful page mutation (append,
-  out-of-place rewrite, file create) and the journal snapshots the
-  cheap engine-side state (row counts, tombstone sets, fk-delta
-  shapes, generations) plus the statement table's statistics sketches
-  and index delta state.  ``rollback()`` undoes the flash mutations in
-  reverse order and restores the engine snapshot, leaving the database
-  exactly at its pre-statement generations.  A journal from a
-  *committed* statement is kept until the next one so the fleet's
-  two-phase DML can abort an already-applied shard
+  out-of-place rewrite, file create); the engine side is one
+  :meth:`SecureCatalog.savepoint
+  <repro.core.catalog.SecureCatalog.savepoint>` of the statement's
+  table plus Untrusted's row count.  ``rollback()`` undoes the flash
+  mutations in reverse order and rolls the catalog back to the
+  savepoint, leaving the database exactly at its pre-statement
+  generations.  A journal from a *committed* statement is kept until
+  the next one so the fleet's two-phase DML can abort an
+  already-applied shard
   (:meth:`~repro.core.ghostdb.GhostDB.undo_last_dml`).
 
 * :class:`IdempotencyLedger` -- the exactly-once half of the retry
@@ -37,7 +38,9 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
+
+from repro.sql.binder import BoundDelete, BoundInsert
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.ghostdb import GhostDB
@@ -77,12 +80,12 @@ class IdempotencyLedger:
         return [[k, v] for k, v in self._entries.items()]
 
     @classmethod
-    def from_meta(cls, entries: Optional[List[List[Any]]],
-                  capacity: int = IKEY_CAPACITY) -> "IdempotencyLedger":
+    def from_meta(cls, entries: Optional[List[List[Any]]]
+                  ) -> "IdempotencyLedger":
         """Rebuild from :meth:`to_meta` output (None -> empty)."""
-        ledger = cls(capacity)
+        ledger = cls()
         for key, response in entries or []:
-            ledger._entries[key] = response
+            ledger.record(key, response)
         return ledger
 
 
@@ -116,29 +119,35 @@ class RecoveryReport:
 class StatementJournal:
     """Undo log for one DML statement.
 
-    Armed before the statement mutates anything: snapshots the
-    engine-side state and registers itself with the token's flash
-    store, which calls :meth:`note_append` / :meth:`note_rewrite` /
+    Armed before the statement ``bound`` mutates anything: takes a
+    catalog savepoint of the statement's table -- which records only
+    what that kind of statement can change -- notes Untrusted's row
+    count, and registers itself with the token's flash store, which
+    calls :meth:`note_append` / :meth:`note_rewrite` /
     :meth:`note_create` after each successful page mutation.
-    :meth:`rollback` replays the flash ops in reverse and restores the
-    snapshot.  Ops against files that no longer exist (a statement's
-    temporary merge runs) are skipped -- they were created and freed
-    inside the journaled window.
+    :meth:`rollback` replays the flash ops in reverse and rolls the
+    catalog back.  Ops against files that no longer exist (a
+    statement's temporary merge runs) are skipped -- they were created
+    and freed inside the journaled window.
 
     Used as a context manager around the mutation: leaving the block
-    stops the flash notifications and parks the journal on
-    ``db._journal`` -- *committed* on a clean exit, still armed when
-    the statement died mid-flight (``recover()`` rolls that one back).
+    stops the flash notifications and hands the journal to the database
+    (:meth:`~repro.core.ghostdb.GhostDB.keep_journal`) -- *committed*
+    on a clean exit, still armed when the statement died mid-flight
+    (``recover()`` rolls that one back).
     """
 
-    def __init__(self, db: "GhostDB", table: str):
+    def __init__(self, db: "GhostDB",
+                 bound: Union[BoundInsert, BoundDelete]):
         self.db = db
-        self.table = table
+        self.table = bound.table
         self.committed = False
         self.rolled_back = False
         # (op, file_name, *details), chronological
         self.ops: List[Tuple] = []
-        self._capture()
+        self._savepoint = db.catalog.savepoint(
+            self.table, deleting=isinstance(bound, BoundDelete))
+        self._untrusted_rows = db.untrusted.n_rows(self.table)
         db.token.store.journal = self
 
     # ------------------------------------------------------------------
@@ -168,56 +177,14 @@ class StatementJournal:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.detach()
         self.committed = exc_type is None
-        self.db._journal = self
-
-    # ------------------------------------------------------------------
-    # engine-side snapshot
-    # ------------------------------------------------------------------
-    def _capture(self) -> None:
-        cat = self.db.catalog
-        self._scalars: Dict[str, Dict[str, Any]] = {}
-        for t in cat.schema.tables:
-            img = cat.images.get(t)
-            skt = cat.skts.get(t)
-            self._scalars[t] = {
-                "image_rows": img.n_rows if img is not None else None,
-                "heap_rows": (img.heap.n_rows
-                              if img is not None and img.heap is not None
-                              else None),
-                "skt_rows": skt.heap.n_rows if skt is not None else None,
-                "raw_len": len(cat.raw_rows.get(t, ())),
-                "tombstones": set(cat.tombstones[t]),
-                "fk_lens": {cid: len(parents)
-                            for cid, parents in cat.fk_deltas[t].items()},
-                "untrusted_len": self.db.untrusted.n_rows(t),
-                "data_gen": cat.data_generations[t],
-                "stats_gen": cat.stats_generations[t],
-            }
-        self._tombstone_log_keys = set(cat._tombstone_logs)
-        stats = cat.stats.get(self.table)
-        self._stats = stats.copy() if stats is not None else None
-        self._indexes: Dict[Tuple[str, Optional[str]], Dict[str, Any]] = {}
-        for (tbl, col), ci in cat.attr_indexes.items():
-            if tbl == self.table:
-                self._indexes[(tbl, col)] = self._capture_index(ci)
-        ci = cat.id_indexes.get(self.table)
-        if ci is not None:
-            self._indexes[(self.table, None)] = self._capture_index(ci)
-
-    @staticmethod
-    def _capture_index(ci) -> Dict[str, Any]:
-        return {
-            "delta_len": len(ci._delta),
-            "bloom": (ci._delta_bloom.copy()
-                      if ci._delta_bloom is not None else None),
-            "had_delta_file": ci._delta_file is not None,
-        }
+        self.db.keep_journal(self)
 
     # ------------------------------------------------------------------
     # rollback
     # ------------------------------------------------------------------
     def rollback(self) -> None:
-        """Undo the statement: flash ops in reverse, then the snapshot."""
+        """Undo the statement: flash ops in reverse, then the catalog
+        savepoint and Untrusted's appended rows."""
         if self.rolled_back:
             return
         self.detach()
@@ -233,48 +200,6 @@ class StatementJournal:
                 file.write_page(op[2], op[3])
             else:  # create
                 file.free()
-        self._restore_engine()
+        self.db.catalog.rollback(self._savepoint)
+        self.db.untrusted.truncate(self.table, self._untrusted_rows)
         self.rolled_back = True
-
-    def _restore_engine(self) -> None:
-        cat = self.db.catalog
-        for t, saved in self._scalars.items():
-            img = cat.images.get(t)
-            if img is not None and saved["image_rows"] is not None:
-                img.n_rows = saved["image_rows"]
-                if img.heap is not None and saved["heap_rows"] is not None:
-                    img.heap.n_rows = saved["heap_rows"]
-            skt = cat.skts.get(t)
-            if skt is not None and saved["skt_rows"] is not None:
-                skt.heap.n_rows = saved["skt_rows"]
-            raw = cat.raw_rows.get(t)
-            if raw is not None:
-                del raw[saved["raw_len"]:]
-            # the reference oracle shares the tombstone set: mutate in
-            # place, never rebind
-            dead = cat.tombstones[t]
-            dead.clear()
-            dead.update(saved["tombstones"])
-            deltas = cat.fk_deltas[t]
-            for cid in list(deltas):
-                keep = saved["fk_lens"].get(cid)
-                if keep is None:
-                    del deltas[cid]
-                else:
-                    del deltas[cid][keep:]
-            self.db.untrusted.truncate(t, saved["untrusted_len"])
-            cat.data_generations[t] = saved["data_gen"]
-            cat.stats_generations[t] = saved["stats_gen"]
-        for t in list(cat._tombstone_logs):
-            if t not in self._tombstone_log_keys:
-                # its flash file was freed by the create-op rollback
-                del cat._tombstone_logs[t]
-        if self._stats is not None:
-            cat.stats[self.table] = self._stats
-        for (tbl, col), saved in self._indexes.items():
-            ci = (cat.id_indexes[tbl] if col is None
-                  else cat.attr_indexes[(tbl, col)])
-            del ci._delta[saved["delta_len"]:]
-            ci._delta_bloom = saved["bloom"]
-            if not saved["had_delta_file"]:
-                ci._delta_file = None

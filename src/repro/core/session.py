@@ -199,14 +199,13 @@ class PreparedStatement:
         self.executions += 1
         return self.session.db.execute_plan(plan)
 
-    def execute_many(self, param_sets: Sequence[Sequence],
-                     prefetch_vis: bool = True) -> "BatchResult":
+    def execute_many(self, param_sets: Sequence[Sequence]
+                     ) -> "BatchResult":
         """Run the template once per parameter set, batched.
 
         See :meth:`Session.query_many` for the amortizations applied.
         """
-        return self.session._run_template_batch(self, param_sets,
-                                                prefetch_vis)
+        return self.session._run_template_batch(self, param_sets, True)
 
 
 @dataclass
@@ -243,10 +242,10 @@ class Session:
     :meth:`invalidate` on every live session.
     """
 
-    def __init__(self, db: "GhostDB", plan_cache_capacity: int = 64):
+    def __init__(self, db: "GhostDB"):
         db._require_built()
         self.db = db
-        self.plan_cache = PlanCache(plan_cache_capacity)
+        self.plan_cache = PlanCache()
         # bound templates are schema-derived (data-independent), so
         # this cache survives DML and rebuilds
         self._statements: "OrderedDict[PlanKey, PreparedStatement]" = \
@@ -356,8 +355,7 @@ class Session:
         return {t: gens[t] for t in tables}
 
     def execute_pinned(self, plan: QueryPlan,
-                       pinned: Dict[str, Tuple[int, int]],
-                       announce: bool = True) -> QueryResult:
+                       pinned: Dict[str, Tuple[int, int]]) -> QueryResult:
         """Run an already-planned SELECT under a generation pin.
 
         Raises :class:`~repro.errors.SnapshotError` if any touched
@@ -369,7 +367,7 @@ class Session:
         *enforces* the isolation the architecture provides.)
         """
         self._check_pin(plan, pinned, "at statement start")
-        result = self.db.execute_plan(plan, announce=announce)
+        result = self.db.execute_plan(plan)
         self._check_pin(plan, pinned, "after execution")
         return result
 

@@ -150,7 +150,7 @@ class ExternalSorter:
     """RAM-bounded external merge sort over encoded sort records.
 
     Run formation reserves one RAM chunk (everything left above the
-    ``reserve_buffers`` promised to the output side), sorts it, and
+    ``RESERVE_BUFFERS`` promised to the output side), sorts it, and
     spills it as one value-ordered run -- a :class:`U32View` slice of a
     shared packed-u32 flash file, exactly how climbing-index runs are
     stored.  When the input fits one chunk nothing is spilled.  The
@@ -159,12 +159,14 @@ class ExternalSorter:
     (the Merge operator's section-3.4 discipline).
     """
 
+    #: page buffers left to the output side during run formation/merge
+    RESERVE_BUFFERS = 2
+
     def __init__(self, store: FlashStore, ram: SecureRam,
-                 codec: SortKeyCodec, reserve_buffers: int = 2):
+                 codec: SortKeyCodec):
         self.store = store
         self.ram = ram
         self.codec = codec
-        self.reserve_buffers = reserve_buffers
         #: runs spilled to flash during run formation (0 = in-RAM sort)
         self.spilled_runs = 0
         #: reduction passes the merge needed on top of the final merge
@@ -175,7 +177,7 @@ class ExternalSorter:
         """Stream ``records`` in ascending order."""
         entry = self.codec.entry_bytes
         chunk_bytes = max(entry, self.ram.free_bytes
-                          - self.reserve_buffers * self.ram.page_size)
+                          - self.RESERVE_BUFFERS * self.ram.page_size)
         capacity = max(1, chunk_bytes // entry)
         it = iter(records)
         first = list(itertools.islice(it, capacity))
@@ -235,7 +237,7 @@ class ExternalSorter:
     # ------------------------------------------------------------------
     def _budget(self) -> int:
         """Open-run buffers available to the merge (advisory floor 1)."""
-        return max(self.ram.free_buffers - self.reserve_buffers,
+        return max(self.ram.free_buffers - self.RESERVE_BUFFERS,
                    min(1, self.ram.free_buffers))
 
     def _fit_to_budget(self, runs: List[U32View],

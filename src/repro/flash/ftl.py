@@ -18,7 +18,8 @@ block.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from array import array
+from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import BadAddressError, OutOfSpaceError
 from repro.flash.constants import FlashParams
@@ -50,6 +51,47 @@ class Ftl:
         # statistics visible to tests
         self.gc_runs = 0
         self.gc_pages_moved = 0
+
+    # ------------------------------------------------------------------
+    # durable form
+    # ------------------------------------------------------------------
+    #: allocator, write-frontier and GC state: scalars / int vectors
+    _DURABLE_SCALARS = ("_active_block", "_frontier", "_next_lpn",
+                        "gc_runs", "gc_pages_moved")
+    _DURABLE_VECTORS = ("_invalid_per_block", "_free_blocks", "_free_lpns")
+
+    def to_meta(self) -> Tuple[Dict[str, Any], bytes]:
+        """Durable form of the mapping and of the array below it, as
+        ``(meta, blob)``: the logical->physical map, the fields named
+        above, and :meth:`NandFlash.to_meta` over exactly the mapped
+        pages (ascending ``ppn``).
+
+        Every lpn at or past ``_next_lpn`` was never allocated and is
+        unmapped, so only the allocated prefix of the map is stored --
+        the big vector of a mostly-empty device stays tiny.  The
+        physical->logical map is the inverse and is not stored.
+        """
+        nand_meta, blob = self.nand.to_meta(sorted(self._p2l))
+        meta = {"nand": nand_meta,
+                "l2p": array("q", self._l2p[:self._next_lpn]).tobytes()}
+        for name in self._DURABLE_SCALARS:
+            meta[name] = getattr(self, name)
+        for name in self._DURABLE_VECTORS:
+            meta[name] = array("q", getattr(self, name)).tobytes()
+        return meta, blob
+
+    def from_meta(self, meta: Dict[str, Any], blob) -> None:
+        """Adopt :meth:`to_meta` output (``blob`` backs the NAND lazily):
+        same mapping, same free lists, same future GC behaviour."""
+        self.nand.from_meta(meta["nand"], blob)
+        prefix = array("q", meta["l2p"]).tolist()
+        self._l2p = prefix + [_UNMAPPED] * (self.nand.n_pages - len(prefix))
+        self._p2l = {ppn: lpn for lpn, ppn in enumerate(prefix)
+                     if ppn != _UNMAPPED}
+        for name in self._DURABLE_SCALARS:
+            setattr(self, name, meta[name])
+        for name in self._DURABLE_VECTORS:
+            setattr(self, name, array("q", meta[name]).tolist())
 
     # ------------------------------------------------------------------
     # logical page allocation

@@ -26,9 +26,11 @@ a persistent mismatch surfaces as :class:`~repro.errors.FlashCorruption`.
 from __future__ import annotations
 
 import zlib
-from typing import Callable, Optional
+from array import array
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
-from repro.errors import BadAddressError, FlashCorruption, PowerLoss, ProgramError
+from repro.errors import (BadAddressError, FlashCorruption, ImageError,
+                          PowerLoss, ProgramError)
 from repro.flash.constants import FlashParams
 
 #: page states
@@ -65,18 +67,59 @@ class NandFlash:
         #: reads healed by the internal retry loop (visible to tests)
         self.read_retries = 0
 
-    def attach_backing(self, buf, mapping: dict[int, tuple[int, int]]) -> None:
-        """Serve unread page payloads lazily out of ``buf``.
+    def to_meta(self, ppns: Iterable[int]) -> Tuple[Dict[str, bytes], bytes]:
+        """Durable form of the array, as ``(meta, blob)``: every page's
+        ERASED/PROGRAMMED state, the wear counters, and for the pages
+        ``ppns`` -- the ones their owner, the FTL, still maps -- a
+        directory of flattened ``(ppn, offset, length, crc)`` quadruples
+        into ``blob``, their payloads back to back.
 
-        ``mapping[ppn] = (offset, length)`` locates each backed page's
-        payload inside ``buf`` (typically a ``memoryview`` over an
-        ``mmap`` of the durable image).  A backed page behaves exactly
-        like a programmed one; its bytes are only copied into the
-        in-memory array on first :meth:`read_page`, and an
-        :meth:`erase_block` simply drops the backing entries.
+        Invalid pages keep their state but drop payload and CRC: no
+        read path reaches them before their block is erased, and a
+        host-visible image must not hold what was logically deleted.
+        Fault hook, power latch and ``read_retries`` belong to the
+        running device, not to its content.
         """
-        self._backing_buf = buf
-        self._backing = dict(mapping)
+        pages = array("q")
+        parts = []
+        offset = 0
+        for ppn in ppns:
+            # the verified physical accessor: falls through to the lazy
+            # backing, so re-snapshotting a restored array works
+            payload = self.read_page(ppn)
+            pages.extend((ppn, offset, len(payload), self._spare[ppn]))
+            parts.append(payload)
+            offset += len(payload)
+        meta = {
+            "state": bytes(self._state),
+            "erase_counts": array("q", self.erase_counts).tobytes(),
+            "pages": pages.tobytes(),
+        }
+        return meta, b"".join(parts)
+
+    def from_meta(self, meta: Dict[str, bytes], blob) -> None:
+        """Adopt :meth:`to_meta` output; payloads stay in ``blob``
+        (typically a ``memoryview`` over an ``mmap`` of the image).
+
+        A backed page behaves exactly like a programmed one: its bytes
+        are copied into the in-memory array on first :meth:`read_page`,
+        an :meth:`erase_block` drops the backing entry, and its spare
+        CRC came back with the directory, so torn writes that predate
+        the snapshot are still detected.
+        """
+        if len(meta["state"]) != self.n_pages:
+            raise ImageError(
+                f"image flash geometry ({len(meta['state'])} pages) does "
+                f"not match its own config ({self.n_pages} pages)"
+            )
+        self._state = bytearray(meta["state"])
+        self.erase_counts = array("q", meta["erase_counts"]).tolist()
+        pages = array("q", meta["pages"])
+        self._data = {}
+        self._backing_buf = blob
+        ppns = pages[0::4]
+        self._backing = dict(zip(ppns, zip(pages[1::4], pages[2::4])))
+        self._spare = dict(zip(ppns, pages[3::4]))
 
     def power_on(self) -> None:
         """Clear the power-loss latch; the array accepts I/O again."""
@@ -101,11 +144,6 @@ class NandFlash:
     # ------------------------------------------------------------------
     # physical operations
     # ------------------------------------------------------------------
-    def is_erased(self, ppn: int) -> bool:
-        """Whether ``ppn`` may be programmed."""
-        self._check_ppn(ppn)
-        return self._state[ppn] == ERASED
-
     def program_page(self, ppn: int, data: bytes) -> None:
         """Program one page.  Raises if the page was not erased first."""
         self._check_ppn(ppn)

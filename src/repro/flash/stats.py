@@ -107,6 +107,17 @@ class CostLedger:
         self.counters.clear()
         self.time_us_by_label.clear()
 
+    def to_meta(self) -> "LedgerSnapshot":
+        """Durable form: the totals (the label stack is a statement's)."""
+        return self.snapshot()
+
+    def from_meta(self, meta: "LedgerSnapshot") -> None:
+        """Adopt :meth:`to_meta` output as this ledger's totals."""
+        self.reset()
+        self.counters.update(meta.counters)
+        for label, parts in meta.time_us.items():
+            self.time_us_by_label[label].update(parts)
+
 
 class LedgerSnapshot:
     """Immutable copy of a ledger's totals, used for interval accounting."""
@@ -117,7 +128,3 @@ class LedgerSnapshot:
 
     def total_time_us(self) -> float:
         return sum(sum(parts.values()) for parts in self.time_us.values())
-
-    def elapsed_since(self, earlier: "LedgerSnapshot") -> float:
-        """Simulated microseconds between two snapshots."""
-        return self.total_time_us() - earlier.total_time_us()

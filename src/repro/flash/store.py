@@ -16,9 +16,8 @@ bytes never live in accounted secure RAM and never save simulated I/O.
 
 from __future__ import annotations
 
-import itertools
 from collections import OrderedDict
-from typing import Dict, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import BadAddressError, StorageError
 from repro.flash.ftl import Ftl
@@ -83,6 +82,21 @@ class FlashFile:
         self._lpns: list[int] = []
         self._page_fill: list[int] = []  # bytes stored per page
         self.closed = False
+
+    def to_meta(self) -> Tuple[str, List[int], List[int]]:
+        """Durable form: name, logical pages in order, bytes per page
+        (the lists are not copied)."""
+        return self.name, self._lpns, self._page_fill
+
+    @classmethod
+    def from_meta(cls, store: "FlashStore",
+                  meta: Tuple[str, List[int], List[int]]) -> "FlashFile":
+        """An open file of ``store`` over :meth:`to_meta` output,
+        adopted as is."""
+        name, lpns, fills = meta
+        f = cls(store, name)
+        f._lpns, f._page_fill = lpns, fills
+        return f
 
     # ------------------------------------------------------------------
     @property
@@ -205,7 +219,7 @@ class FlashStore:
         self.ftl = ftl
         self.page_cache = PageCache(page_cache_capacity)
         self._files: Dict[str, FlashFile] = {}
-        self._temp_ids = itertools.count()
+        self._next_temp = 0
         # armed StatementJournal (repro.core.recovery) during a DML
         # statement; None otherwise -- files notify it after every
         # successful mutation so a crashed statement can be rolled back
@@ -233,10 +247,25 @@ class FlashStore:
 
     def create_temp(self) -> FlashFile:
         """Create a uniquely named temporary file (caller frees it)."""
-        return self.create(f"__temp_{next(self._temp_ids)}")
+        name = f"__temp_{self._next_temp}"
+        self._next_temp += 1
+        return self.create(name)
 
     def _forget(self, name: str) -> None:
         self._files.pop(name, None)
+
+    def to_meta(self) -> Dict[str, Any]:
+        """Durable form: the file directory (creation order) and the
+        temp-name counter.  The page cache is host-side only and the
+        armed journal belongs to a statement; neither is kept."""
+        return {"files": [f.to_meta() for f in self._files.values()],
+                "next_temp": self._next_temp}
+
+    def from_meta(self, meta: Dict[str, Any]) -> None:
+        """Adopt :meth:`to_meta` output over this store's FTL."""
+        self._files = {f.name: f for f in
+                       (FlashFile.from_meta(self, m) for m in meta["files"])}
+        self._next_temp = meta["next_temp"]
 
     # ------------------------------------------------------------------
     @property

@@ -9,6 +9,7 @@ off one object.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Dict, Tuple
 
 from repro.flash.constants import ID_SIZE, RAM_SIZE, FlashParams
 from repro.flash.ftl import Ftl
@@ -53,10 +54,6 @@ class SecureToken:
         return self.config.flash.page_size
 
     @property
-    def id_size(self) -> int:
-        return ID_SIZE
-
-    @property
     def ids_per_page(self) -> int:
         """How many 4-byte tuple identifiers fit in one flash page."""
         return self.page_size // ID_SIZE
@@ -77,10 +74,32 @@ class SecureToken:
     def reset_costs(self) -> None:
         """Zero timers/counters (storage content is preserved)."""
         self.ledger.reset()
-        self.channel.stats.bytes_to_secure = 0
-        self.channel.stats.bytes_to_untrusted = 0
-        self.channel.stats.messages_to_secure = 0
-        self.channel.stats.messages_to_untrusted = 0
+        self.channel.reset_counters()
+
+    # ------------------------------------------------------------------
+    # durable form
+    # ------------------------------------------------------------------
+    def to_meta(self) -> Tuple[Dict[str, Any], bytes]:
+        """Durable form of the whole key, as ``(meta, blob)``: each
+        layer's own ``to_meta`` under its name, plus the page payloads.
+        Secure RAM is volatile and holds nothing between statements."""
+        ftl_meta, blob = self.ftl.to_meta()
+        meta = {
+            "config": self.config,
+            "ledger": self.ledger.to_meta(),
+            "channel": self.channel.to_meta(),
+            "ftl": ftl_meta,
+            "store": self.store.to_meta(),
+        }
+        return meta, blob
+
+    def from_meta(self, meta: Dict[str, Any], blob) -> None:
+        """Adopt :meth:`to_meta` output on a token built from the same
+        ``config``; ``blob`` backs the NAND pages lazily."""
+        self.ledger.from_meta(meta["ledger"])
+        self.channel.from_meta(meta["channel"])
+        self.ftl.from_meta(meta["ftl"], blob)
+        self.store.from_meta(meta["store"])
 
 
 def fleet_admission_ram(tokens: "list[SecureToken]") -> SecureRam:

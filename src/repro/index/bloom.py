@@ -179,16 +179,6 @@ class BloomFilter:
         self._flags: Optional[bytes] = None
         self.count_added = 0
 
-    def copy(self) -> "BloomFilter":
-        """An equal, independent *unaccounted* filter: same sizing and
-        bits, no RAM allocation (the DML journal's snapshot of a
-        climbing index's delta-key filter, which owns none either)."""
-        twin = BloomFilter.__new__(BloomFilter)
-        twin.__dict__.update(self.__dict__)
-        twin._alloc = None
-        twin._bits = bytearray(self._bits)
-        return twin
-
     # ------------------------------------------------------------------
     @property
     def nbytes(self) -> int:

@@ -7,8 +7,8 @@ Traversal holds at most one RAM buffer per level, matching the paper's
 "CI requires at most one buffer per B+-Tree level".
 
 GhostDB is read-mostly on the token ("simple queries and updates are
-of little concern"), so the tree is bulk-built at load time; point
-inserts are supported for completeness via whole-node rewrite.
+of little concern"), so the tree is bulk-built at load time and never
+modified: appended keys go to the climbing index's delta log.
 """
 
 from __future__ import annotations
@@ -263,35 +263,17 @@ class BPlusTree:
             self._free_buffers(bufs)
 
     # ------------------------------------------------------------------
-    def insert(self, key: bytes, payload: bytes) -> None:
-        """Point insert via leaf rewrite (no split support: load-time API).
+    def to_meta(self) -> Tuple:
+        """Durable form: the node file's name and the tree header (the
+        parsed-node memo is a host-side cache and is not kept)."""
+        return (self.file.name, self.key_width, self.payload_width,
+                self.page_size, self.root_page, self.height,
+                self.n_entries, self.n_leaves)
 
-        Provided for completeness; raises when the target leaf is full,
-        since GhostDB rebuilds its indexes on bulk refresh.
-        """
-        if self.n_entries == 0:
-            body = bytearray([_LEAF]) + (1).to_bytes(2, "little")
-            body += key + payload
-            self.file.write_page(self.root_page, bytes(body))
-            self._node_cache.pop(self.root_page, None)
-            self.n_entries = 1
-            return
-        leaf, keys, payloads = self._descend_to_leaf(key)
-        cap = self.leaf_capacity(self.page_size, self.key_width,
-                                 self.payload_width)
-        if len(keys) >= cap:
-            raise IndexError_("leaf full: rebuild the index to insert more")
-        pos = bisect.bisect_left(keys, key)
-        if pos < len(keys) and keys[pos] == key:
-            raise IndexError_("duplicate key")
-        keys.insert(pos, key)
-        payloads.insert(pos, payload)
-        body = bytearray([_LEAF]) + len(keys).to_bytes(2, "little")
-        for k, p in zip(keys, payloads):
-            body += k + p
-        self.file.write_page(leaf, bytes(body))
-        self._node_cache.pop(leaf, None)
-        self.n_entries += 1
+    @classmethod
+    def from_meta(cls, store: FlashStore, meta: Tuple) -> "BPlusTree":
+        """The tree over ``store``'s node file, from :meth:`to_meta`."""
+        return cls(store.get(meta[0]), *meta[1:])
 
     def free(self) -> None:
         self.file.free()

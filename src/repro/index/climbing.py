@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Set, Tuple)
 
 from repro.errors import IndexError_
 from repro.flash.constants import ID_SIZE
@@ -78,18 +78,18 @@ class ClimbingIndex:
 
     def __init__(self, name: str, levels: Sequence[str], key_codec: KeyCodec,
                  btree: BPlusTree, run_files: Dict[str, FlashFile],
-                 store: Optional[FlashStore] = None):
+                 store: FlashStore):
         self.name = name
         self.levels = list(levels)        # levels[0] is the indexed table
         self.key_codec = key_codec
         self.btree = btree
         self._runs = run_files            # one u32 run file per level
         self.n_entries = btree.n_entries
-        # append-only delta: (encoded key, own id) entries since build
-        self._store = store if store is not None else btree.file._store
-        self._delta: List[Tuple[bytes, int]] = []
-        self._delta_file = None           # created on first append
-        self._delta_bloom: Optional[BloomFilter] = None
+        self._store = store
+        # append-only delta: _delta, (encoded key, own id) entries since
+        # the build; _delta_file, their flash log, created on first
+        # append; _delta_bloom, the filter over their keys
+        self._replay_delta(())
 
     # ------------------------------------------------------------------
     # build
@@ -100,8 +100,7 @@ class ClimbingIndex:
               levels: Sequence[str],
               items: Iterable[Tuple[object, int]],
               ancestor_ids: Dict[str, Dict[int, Sequence[int]]],
-              page_size: int,
-              ram: Optional[SecureRam] = None) -> "ClimbingIndex":
+              page_size: int) -> "ClimbingIndex":
         """Build an index over ``items`` = (value, id-of-levels[0]) pairs.
 
         ``ancestor_ids[level][id]`` lists, sorted, the IDs of ``level``
@@ -118,9 +117,7 @@ class ClimbingIndex:
         key_codec = KeyCodec(column_type)
 
         builders = {
-            level: U32FileBuilder(store, ram,
-                                  name=f"ci_{name}_runs_{level}",
-                                  label=f"ci build {name}")
+            level: U32FileBuilder(store, name=f"ci_{name}_runs_{level}")
             for level in levels
         }
         sorted_items = sorted(items, key=lambda it: key_codec.encode(it[0]))
@@ -150,9 +147,66 @@ class ClimbingIndex:
             store, f"ci_{name}_tree", entries,
             key_width=key_codec.width,
             payload_width=_DESC_W * len(levels),
-            page_size=page_size, ram=ram,
+            page_size=page_size,
         )
         return cls(name, levels, key_codec, btree, run_files, store)
+
+    # ------------------------------------------------------------------
+    # durable form, savepoints
+    # ------------------------------------------------------------------
+    def to_meta(self) -> Dict[str, Any]:
+        """Durable form: identity, the tree header, the run files'
+        names and the delta log's logical entries (not copied).  The
+        delta file is found by name and the delta Bloom filter is
+        recomputed from the entries, so neither is stored."""
+        return {
+            "name": self.name,
+            "levels": self.levels,
+            "column_type": self.key_codec.column_type,
+            "btree": self.btree.to_meta(),
+            "runs": {level: f.name for level, f in self._runs.items()},
+            "delta": self._delta,
+        }
+
+    @classmethod
+    def from_meta(cls, store: FlashStore,
+                  meta: Dict[str, Any]) -> "ClimbingIndex":
+        """The index over ``store``'s files, from :meth:`to_meta`."""
+        ci = cls(meta["name"], meta["levels"],
+                 KeyCodec(meta["column_type"]),
+                 BPlusTree.from_meta(store, meta["btree"]),
+                 {level: store.get(name)
+                  for level, name in meta["runs"].items()}, store)
+        ci._replay_delta(meta["delta"])
+        return ci
+
+    def _replay_delta(self, entries: Sequence[Tuple[bytes, int]]) -> None:
+        """Make ``entries`` the delta log's in-RAM state.  Replaying the
+        appends through :meth:`_bloom_add` reproduces the delta-key
+        Bloom filter bit for bit, every rebuild-on-overflow doubling
+        included; the flash file exists exactly while the log is
+        non-empty (:meth:`append` creates it)."""
+        self._delta = []
+        self._delta_bloom = None
+        for key, own_id in entries:
+            self._delta.append((key, own_id))
+            self._bloom_add(key)
+        self._delta_file = (self._store.get(f"ci_{self.name}_delta")
+                            if entries else None)
+
+    def savepoint(self) -> int:
+        """What :meth:`rollback` needs: the delta log's length."""
+        return len(self._delta)
+
+    def rollback(self, savepoint: int) -> None:
+        """Forget the entries appended since :meth:`savepoint` (their
+        flash pages are the statement journal's to truncate)."""
+        if len(self._delta) != savepoint:
+            self._replay_delta(self._delta[:savepoint])
+        elif not savepoint:
+            # a first append that died before its entry was recorded
+            # may have created the file; the journal frees it
+            self._delta_file = None
 
     # ------------------------------------------------------------------
     # lookups

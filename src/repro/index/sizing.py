@@ -44,13 +44,13 @@ class TableSpec:
     hidden_attr_widths: Sequence[int] = field(default_factory=tuple)
 
 
-def _btree_bytes(n_entries: int, key_width: int, payload_width: int,
-                 page_size: int = PAGE_SIZE) -> int:
+def _btree_bytes(n_entries: int, key_width: int,
+                 payload_width: int) -> int:
     """Approximate size of a bulk-built B+-tree (leaves + internals)."""
     if n_entries == 0:
         return 0
     leaf_bytes = n_entries * (key_width + payload_width)
-    fanout = max(2, page_size // (key_width + _CHILD_PTR))
+    fanout = max(2, PAGE_SIZE // (key_width + _CHILD_PTR))
     # geometric series of internal levels
     internal = leaf_bytes / fanout * (fanout / (fanout - 1))
     return int(leaf_bytes + internal)
@@ -60,14 +60,10 @@ class IndexSizingModel:
     """Computes Fig.-7 curves for a tree-structured schema."""
 
     def __init__(self, tables: Sequence[TableSpec],
-                 page_size: int = PAGE_SIZE,
-                 attr_key_width: int = 8,
                  attr_distinct: int = 1000):
         self.tables: Dict[str, TableSpec] = {t.name: t for t in tables}
         if len(self.tables) != len(tables):
             raise SchemaError("duplicate table name in sizing spec")
-        self.page_size = page_size
-        self.attr_key_width = attr_key_width
         # indexed attributes draw from a bounded domain; the ID runs --
         # not the value B+-tree -- dominate index size (paper section 3.2)
         self.attr_distinct = attr_distinct
@@ -133,8 +129,7 @@ class IndexSizingModel:
         """One climbing index on a hidden attribute: ID runs + value tree."""
         runs = sum(self.tables[lv].rows * ID_SIZE for lv in levels)
         n_entries = min(self.tables[table].rows, self.attr_distinct)
-        tree = _btree_bytes(n_entries, self.attr_key_width,
-                            8 * len(levels), self.page_size)
+        tree = _btree_bytes(n_entries, 8, 8 * len(levels))
         return runs + tree
 
     def _id_index_bytes(self, table: str, levels: Sequence[str]) -> int:
@@ -142,13 +137,12 @@ class IndexSizingModel:
         if not levels:
             return 0
         runs = sum(self.tables[lv].rows * ID_SIZE for lv in levels)
-        tree = _btree_bytes(self.tables[table].rows, 8, 8 * len(levels),
-                            self.page_size)
+        tree = _btree_bytes(self.tables[table].rows, 8, 8 * len(levels))
         return runs + tree
 
     def _pk_index_bytes(self, table: str) -> int:
         """A traditional primary-key B+-tree (Star/Join schemes)."""
-        return _btree_bytes(self.tables[table].rows, 8, 8, self.page_size)
+        return _btree_bytes(self.tables[table].rows, 8, 8)
 
     def _skt_full(self, name: str) -> int:
         """Full SKT bytes: one column per descendant (traditional layout
@@ -206,8 +200,7 @@ class IndexSizingModel:
             for child in self._children[name]:
                 # join index on the edge name -> child: keyed on the
                 # child id, ID runs hold the referencing parent ids
-                total += _btree_bytes(self.tables[child].rows, 8, 8,
-                                      self.page_size)
+                total += _btree_bytes(self.tables[child].rows, 8, 8)
                 total += t.rows * ID_SIZE
             total += n_indexed_hidden * self._attr_index_bytes(name, [name])
         return total
@@ -240,8 +233,7 @@ class IndexSizingModel:
             star += k * self._attr_index_bytes(name, [name])
             join += self._pk_index_bytes(name)
             for child in self._children[name]:
-                join += _btree_bytes(self.tables[child].rows, 8, 8,
-                                     self.page_size)
+                join += _btree_bytes(self.tables[child].rows, 8, 8)
                 join += t.rows * ID_SIZE
             join += k * self._attr_index_bytes(name, [name])
         mb = 1.0 / 1e6

@@ -165,8 +165,7 @@ class HiddenPartAdvisor:
         return flagged
 
 
-def rewrite_ddl(ddl_statements: Sequence[str],
-                samples: Optional[Dict[str, Sequence[Tuple]]] = None
+def rewrite_ddl(ddl_statements: Sequence[str]
                 ) -> Tuple[List[str], AdvisorReport]:
     """Annotate plain CREATE TABLE statements with advised HIDDEN flags.
 
@@ -197,7 +196,7 @@ def rewrite_ddl(ddl_statements: Sequence[str],
         tables.append(Table(stmt.name, cols))
 
     schema = Schema(tables)
-    report = HiddenPartAdvisor(schema, samples).advise()
+    report = HiddenPartAdvisor(schema).advise()
     hidden = report.hidden_columns()
 
     rewritten: List[str] = []

@@ -50,6 +50,13 @@ DEFAULT_TEMPLATES = (TEMPLATE_FIG10, TEMPLATE_FIG12)
 #: visible selectivities the generator samples from (paper range)
 SELECTIVITIES = (0.001, 0.01, 0.1)
 
+#: client ``i`` draws its queries from ``random.Random(SEED + i)``
+SEED = 7
+
+#: transport retries per request (the client's default read timeout
+#: applies); recovered retries are reported, not hidden
+RETRIES = 2
+
 
 @dataclass
 class LoadgenReport:
@@ -108,11 +115,8 @@ def _error_bucket(exc: Exception) -> str:
 async def _client_run(host: str, port: int, templates: Sequence[str],
                       n_queries: int, rng: random.Random,
                       latencies_ms: List[float],
-                      error_types: Dict[str, int],
-                      timeout_s: float, retries: int) -> None:
-    client = await AsyncGhostClient.connect(host, port,
-                                            timeout_s=timeout_s,
-                                            retries=retries)
+                      error_types: Dict[str, int]) -> None:
+    client = await AsyncGhostClient.connect(host, port, retries=RETRIES)
     async with client:
         stmts = [await client.prepare(t) for t in templates]
         for _ in range(n_queries):
@@ -141,17 +145,15 @@ async def _client_run(host: str, port: int, templates: Sequence[str],
                 error_types.get("Retried", 0) + client.retries_total)
 
 
-async def _run(db: GhostDB, n_clients: int, n_queries: int, seed: int,
-               templates: Sequence[str], timeout_s: float,
-               retries: int) -> LoadgenReport:
+async def _run(db: GhostDB, n_clients: int, n_queries: int,
+               templates: Sequence[str]) -> LoadgenReport:
     async with GhostServer(db) as server:
         latencies_ms: List[float] = []
         error_types: Dict[str, int] = {}
         t0 = time.perf_counter()
         await asyncio.gather(*[
             _client_run(server.host, server.port, templates, n_queries,
-                        random.Random(seed + i), latencies_ms, error_types,
-                        timeout_s, retries)
+                        random.Random(SEED + i), latencies_ms, error_types)
             for i in range(n_clients)
         ])
         wall_s = time.perf_counter() - t0
@@ -181,20 +183,17 @@ async def _run(db: GhostDB, n_clients: int, n_queries: int, seed: int,
 
 
 def run_loadgen(db: GhostDB, n_clients: int = 8, n_queries: int = 25,
-                seed: int = 7,
-                templates: Sequence[str] = DEFAULT_TEMPLATES,
-                timeout_s: float = 30.0, retries: int = 2
+                templates: Sequence[str] = DEFAULT_TEMPLATES
                 ) -> LoadgenReport:
     """Run the load generator against ``db`` and report throughput.
 
     ``n_queries`` is per client; the report counts completed queries
-    across all clients.  Deterministic per ``seed`` in *which* queries
-    run (wall-clock numbers vary with the machine, as any wall-clock
-    benchmark does).  Clients run with a read ``timeout_s`` and
-    ``retries`` transport retries; observed timeouts and retry
+    across all clients.  Deterministic in *which* queries run
+    (wall-clock numbers vary with the machine, as any wall-clock
+    benchmark does).  Clients run with the default read timeout and
+    ``RETRIES`` transport retries; observed timeouts and retry
     attempts are folded into ``report.error_types`` under the
     ``TimeoutObserved`` / ``Retried`` buckets so a retry storm is
     visible even when every query eventually succeeds.
     """
-    return asyncio.run(_run(db, n_clients, n_queries, seed, templates,
-                            timeout_s, retries))
+    return asyncio.run(_run(db, n_clients, n_queries, templates))

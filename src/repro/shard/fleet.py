@@ -45,12 +45,13 @@ from repro.core.plan import (OrderPlan, ProjectionMode, QueryPlan,
                              SortMethod)
 from repro.core.planner import (SortMethodLike, StrategyLike,
                                 scatter_order)
-from repro.core.recovery import RecoveryReport, StatementJournal
+from repro.core.recovery import (IdempotencyLedger, RecoveryReport,
+                                 StatementJournal)
 from repro.core.reference import ReferenceEngine
 from repro.core.session import PreparedStatement
 from repro.core.sort import dedup_rows, strip_internal_columns
-from repro.errors import (CompactionDeclined, GhostDBError, SchemaError,
-                          ShardDown, ShardUnavailable)
+from repro.errors import (CompactionDeclined, GhostDBError, ImageError,
+                          SchemaError, ShardDown, ShardUnavailable)
 from repro.hardware.token import (SecureToken, TokenConfig,
                                   fleet_admission_ram)
 from repro.schema.model import Table
@@ -661,7 +662,7 @@ class ShardedGhostDB(StatementFrontEnd):
         def apply(k: int) -> int:
             # arm an undo journal exactly like _run_dml does, so a
             # later shard's failure can roll this apply back
-            with StatementJournal(self.shards[k], bound.table), \
+            with StatementJournal(self.shards[k], bound), \
                     costs[k].ram_window():
                 return self.shards[k]._dml.apply_delete(bound, ids[k])
 
@@ -821,6 +822,37 @@ class ShardedGhostDB(StatementFrontEnd):
         :mod:`repro.shard.persist`)."""
         from repro.shard.persist import snapshot_fleet
         return snapshot_fleet(self, path)
+
+    def to_meta(self) -> Dict[str, Any]:
+        """Durable form of the coordinator: what the shards' own images
+        cannot reconstruct."""
+        return {
+            "n_shards": self.n_shards,
+            "root": self.root,
+            "next_root_gid": self._next_root_gid,
+            "root_maps": self._root_maps,
+            "ikeys": self.ikeys.to_meta(),
+        }
+
+    @classmethod
+    def from_meta(cls, meta: Dict[str, Any],
+                  shards: Sequence[GhostDB]) -> "ShardedGhostDB":
+        """The fleet over restored ``shards``, from :meth:`to_meta`."""
+        if not len(shards) == len(meta["root_maps"]) == meta["n_shards"]:
+            raise ImageError(
+                f"fleet manifest for {meta['n_shards']} shard(s) holds "
+                f"{len(meta['root_maps'])} root map(s)"
+            )
+        fleet = cls(shards)
+        if fleet.root != meta["root"]:
+            raise ImageError(
+                f"fleet manifest root {meta['root']!r} does not match "
+                f"restored schema root {fleet.root!r}"
+            )
+        fleet._root_maps = meta["root_maps"]
+        fleet._next_root_gid = meta["next_root_gid"]
+        fleet.ikeys = IdempotencyLedger.from_meta(meta["ikeys"])
+        return fleet
 
 
 def _combine_progress(progs: List[CompactionProgress]

@@ -147,13 +147,6 @@ class BoundQuery:
         return [s for s in self.selections
                 if not s.visible and (table is None or s.table == table)]
 
-    def projected_tables(self) -> List[str]:
-        seen: List[str] = []
-        for p in self.projections:
-            if p.table not in seen:
-                seen.append(p.table)
-        return seen
-
 
 def with_anchor_id_tail(bound: BoundQuery, schema: Schema
                         ) -> Tuple[BoundQuery, int, int]:

@@ -207,8 +207,7 @@ class U32FileBuilder:
 
     def extend(self, values: Iterable[int]) -> None:
         """Append every value of ``values`` in order."""
-        for v in values:
-            self.add(v)
+        self.append_words(list(values))
 
     def mark(self) -> int:
         """Current position (in ids); use to delimit views."""
@@ -344,10 +343,9 @@ class U32View:
 
 
 def write_u32s(store: FlashStore, values: Iterable[int],
-               ram: Optional[SecureRam] = None,
-               label: str = "u32 write") -> U32View:
+               ram: Optional[SecureRam] = None) -> U32View:
     """Write a fresh packed u32 temp file holding ``values``."""
-    builder = U32FileBuilder(store, ram, label=label)
+    builder = U32FileBuilder(store, ram, label="u32 write")
     builder.extend(values)
     return builder.finish()
 

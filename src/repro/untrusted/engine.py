@@ -166,17 +166,17 @@ class UntrustedEngine:
             del rows[n:]
             self._indexes[table].clear()
 
-    def export_rows(self) -> Dict[str, List[Tuple]]:
-        """Every table's row list, not copied: what the durable image
-        stores of Untrusted (indexes are rebuilt on demand)."""
+    def to_meta(self) -> Dict[str, List[Tuple]]:
+        """Durable form: every table's row list, not copied (indexes
+        are rebuilt on demand)."""
         return self._rows
 
     @classmethod
-    def import_rows(cls, schema: Schema,
-                    rows: Dict[str, List[Tuple]]) -> "UntrustedEngine":
-        """An engine over :meth:`export_rows` output, adopted as is."""
+    def from_meta(cls, schema: Schema,
+                  meta: Dict[str, List[Tuple]]) -> "UntrustedEngine":
+        """An engine over :meth:`to_meta` output, adopted as is."""
         restored = cls(schema)
-        restored._rows = rows
+        restored._rows = meta
         return restored
 
     def visible_columns(self, table: str) -> List[Column]:
@@ -303,12 +303,6 @@ class UntrustedEngine:
         picked = list(map(self._rows[table].__getitem__, ids))
         return list(zip(ids, *(map(itemgetter(pos), picked)
                                for pos in positions)))
-
-    def select_rows(self, table: str, predicates: Sequence[VisPredicate],
-                    columns: Sequence[str]) -> List[Tuple]:
-        """``(id, col...)`` tuples for matching rows, sorted by id."""
-        return self.project(
-            table, self.select_ids(table, predicates), columns)
 
     def count(self, table: str,
               predicates: Sequence[VisPredicate]) -> int:

@@ -167,21 +167,3 @@ class VisServer:
             description=f"Compact({table}) {len(dead_ids)} rows dropped",
         )
         return self.engine.compact(table, dead_ids)
-
-    def count(self, table: str,
-              predicates: Sequence[VisPredicate]) -> int:
-        """Count-only exchange.
-
-        Earlier planners probed selectivities this way; the cost-based
-        planner now reads its own statistics catalog instead, so this
-        survives as a diagnostic/tooling exchange (still leak-free:
-        the request is query-derived).
-        """
-        req = VisRequest(table, tuple(predicates))
-        self.token.channel.to_untrusted(
-            req.wire_size(), kind="vis_request",
-            description=f"Vis-count({table})",
-        )
-        self.token.channel.to_secure(ID_SIZE, "vis count")
-        self.requests_served += 1
-        return self.engine.count(table, predicates)

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.ghostdb import GhostDB
-from repro.hardware.token import TokenConfig
 
 PAPER_CARDINALITIES = {
     "Measurements": 1_300_000,
@@ -74,12 +73,11 @@ class MedicalConfig:
         return max(5, int(PAPER_CARDINALITIES[table] * self.scale))
 
 
-def build_medical(config: Optional[MedicalConfig] = None,
-                  token_config: Optional[TokenConfig] = None) -> GhostDB:
+def build_medical(config: Optional[MedicalConfig] = None) -> GhostDB:
     """Create, load and build the medical GhostDB."""
     cfg = config or MedicalConfig()
     rng = random.Random(cfg.seed)
-    db = GhostDB(config=token_config, indexed_columns=dict(INDEXES))
+    db = GhostDB(indexed_columns=dict(INDEXES))
     for ddl in DDL:
         db.execute(ddl)
     n = {t: cfg.cardinality(t) for t in PAPER_CARDINALITIES}

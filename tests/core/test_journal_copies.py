@@ -1,9 +1,18 @@
-"""The DML journal's snapshots are purpose-built copies: each must be
-equal to its original and share no mutable state with it."""
+"""What the DML journal keeps of the engine, and what that costs.
 
+The sketch copies a catalog savepoint takes must be equal to their
+originals and share no mutable state with them; the savepoint as a
+whole must hold nothing that grows with the database's accumulated
+debt; and rolling a statement back must land exactly on the
+pre-statement export."""
+
+import copy
+
+from repro.core.ghostdb import GhostDB
+from repro.core.recovery import StatementJournal
 from repro.core.stats import ColumnStats, TableStats
-from repro.index.bloom import BloomFilter
 from repro.schema.ddl import schema_from_sql
+from repro.sql.parser import parse
 
 
 def sketch_state(s):
@@ -62,19 +71,102 @@ def test_table_stats_copy_is_equal_and_independent():
     assert_independent(stats, twin, table_state, mutate)
 
 
-def test_bloom_filter_copy_is_equal_and_independent():
-    bloom = BloomFilter(None, 64)
-    bloom.add_many(list(range(0, 40, 2)))
-    probe = list(range(0, 2000, 7))
-    bloom.contains_many(probe)                # caches the flag bytes
-    twin = bloom.copy()
-    assert twin._alloc is None
-    assert twin.contains_many(probe) == bloom.contains_many(probe)
+# ---------------------------------------------------------------------------
+# the journal: O(statement) to arm, exact to roll back
+# ---------------------------------------------------------------------------
 
-    added = iter(range(1001, 2000, 7))
-    assert_independent(bloom, twin, bloom_state,
-                       lambda b: b.add(next(added)))
-    # each side's batch probe (flag cache) still agrees with its own
-    # bits: the copied cache was dropped by the add, not shared stale
-    for b in (bloom, twin):
-        assert b.contains_many(probe) == bytes(map(b.__contains__, probe))
+N_ROWS, N_DEAD = 25_000, 20_000
+EIGHT_ROWS = ", ".join(f"({i}, {i % 5}, {i % 3})" for i in range(8))
+
+
+def indebted_db():
+    """Root ``P`` (fk to ``C``) carrying 20 000 tombstones.  Every
+    sketched column has at most five distinct values, so no legitimate
+    copy of ``P``'s own sketches outgrows an eight-row statement."""
+    db = GhostDB()
+    db.execute("CREATE TABLE P (id int, fk int HIDDEN REFERENCES C, "
+               "v int, hp int HIDDEN)")
+    db.execute("CREATE TABLE C (id int, h int HIDDEN, w int)")
+    db.load("C", [(i % 4, i % 5) for i in range(10)])
+    db.load("P", [(i % 10, i % 5, i % 3) for i in range(N_ROWS)])
+    db.build()
+    assert db.execute("DELETE FROM P WHERE P.v < 4").rows_affected == N_DEAD
+    return db
+
+
+def container_sizes(root, skip):
+    """Lengths of every container reachable from ``root`` through
+    attributes and container items, not entering the objects in
+    ``skip`` (live structures the journal merely points at)."""
+    sizes, seen, todo = [], set(), [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or id(obj) in skip or isinstance(obj, str):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (bytes, bytearray)):
+            sizes.append(len(obj))
+        elif isinstance(obj, dict):
+            sizes.append(len(obj))
+            todo.extend(obj.keys())
+            todo.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            sizes.append(len(obj))
+            todo.extend(obj)
+        elif hasattr(obj, "__dict__"):
+            todo.extend(vars(obj).values())
+    return sizes
+
+
+def test_arming_a_journal_for_an_insert_copies_nothing_that_grows_with_debt():
+    db = indebted_db()
+    assert len(db.catalog.tombstones["P"]) == N_DEAD
+    sql = f"INSERT INTO P VALUES {EIGHT_ROWS}"
+    bound = db._binder.bind_insert(parse(sql), sql)
+    live = [db, *db.catalog.attr_indexes.values(),
+            *db.catalog.id_indexes.values(), *db.schema.tables.values()]
+    with StatementJournal(db, bound) as journal:
+        sizes = container_sizes(journal, {id(obj) for obj in live})
+    assert sizes and max(sizes) <= len(bound.rows) == 8
+
+
+def engine_export(db):
+    """Everything a statement can change, comparable with ``==``: the
+    catalog's own export (sketches and delta Blooms spelled out, they
+    define no equality), Untrusted's row counts, flash occupancy."""
+    catalog = db.catalog
+    meta = copy.deepcopy(catalog.to_meta())
+    meta["stats"] = {t: table_state(s) for t, s in catalog.stats.items()}
+    blooms = {
+        ci.name: (ci.delta_entries, ci.delta_log_pages,
+                  ci._delta_bloom and (bytes(ci._delta_bloom._bits),
+                                       ci._delta_bloom.count_added))
+        for ci in [*catalog.attr_indexes.values(),
+                   *catalog.id_indexes.values()]
+    }
+    visible = {t: db.untrusted.n_rows(t) for t in db.schema.tables}
+    return (meta, blooms, visible, db.storage_report(),
+            db.token.store.n_files, db.table_generations)
+
+
+def test_rollback_lands_on_the_pre_statement_export():
+    db = indebted_db()
+    statements = [
+        # the first insert ever: its delta logs and Blooms are created,
+        # then must be gone again
+        f"INSERT INTO P VALUES {EIGHT_ROWS}",
+        "DELETE FROM P WHERE P.v = 4 AND P.hp = 1",
+        "INSERT INTO C VALUES (3, 4)",
+        "DELETE FROM C WHERE C.w = 77",          # matches nothing
+    ]
+    for kept in (None, "INSERT INTO P VALUES (1, 4, 2), (2, 4, 0)"):
+        if kept:            # now on top of existing delta logs and edges
+            db.execute(kept)
+        for sql in statements:
+            before = engine_export(db)
+            db.execute(sql)
+            assert engine_export(db) != before or "77" in sql
+            assert db.undo_last_dml() == sql.split()[2]
+            assert engine_export(db) == before, sql
+    _, oracle = db.reference_query("SELECT P.id FROM P WHERE P.hp = 2")
+    assert db.execute("SELECT P.id FROM P WHERE P.hp = 2").rows == oracle

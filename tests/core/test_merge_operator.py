@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.merge import MergeOperator, intersect_iters, union_runs
+from repro.core.merge import MergeOperator, intersect_iters
 from repro.errors import PlanError
 from repro.flash.constants import FlashParams
 from repro.flash.ftl import Ftl
@@ -32,7 +32,8 @@ def test_union_of_sorted_runs():
     store, ram = make_env()
     runs = [flash_run(store, [1, 5, 9]), flash_run(store, [2, 5, 7]),
             IdRun.memory([5, 100])]
-    assert list(union_runs(runs, ram)) == [1, 2, 5, 7, 9, 100]
+    assert list(MergeOperator(store, ram).stream([runs])) == \
+        [1, 2, 5, 7, 9, 100]
 
 
 def test_intersection_semantics():
@@ -141,14 +142,6 @@ def test_buffers_freed_on_early_abandonment():
     assert ram.used == 0
 
 
-def test_to_flash_materializes():
-    store, ram = make_env()
-    op = MergeOperator(store, ram)
-    view = op.to_flash([[flash_run(store, [1, 2, 3])]])
-    assert list(view.iterate()) == [1, 2, 3]
-    assert ram.used == 0
-
-
 def test_intersect_iters_plain():
     got = list(intersect_iters([iter([1, 2, 3, 7]), iter([2, 7, 9])]))
     assert got == [2, 7]
@@ -238,7 +231,7 @@ def test_batch_and_scalar_streams_agree_on_duplicated_runs(monkeypatch):
 def test_reduction_runs_are_freed_when_the_merge_closes(monkeypatch, mode):
     """Several folds in a row: a fold that consumes an earlier reduced
     run frees it, the stream's close frees the survivors -- also when
-    the consumer stops early, and through ``to_flash``."""
+    the consumer stops early."""
     if mode == "scalar":
         monkeypatch.setenv("REPRO_SCALAR_EXEC", "1")
     else:
@@ -256,11 +249,6 @@ def test_reduction_runs_are_freed_when_the_merge_closes(monkeypatch, mode):
     partial = op.stream([group])
     assert next(partial) == expected[0]
     partial.close()
-    assert (store.n_files, store.ftl.mapped_pages()) == before
-
-    view = op.to_flash([group])
-    assert list(view.iterate(ram)) == expected
-    view.file.free()
     assert (store.n_files, store.ftl.mapped_pages()) == before
     ram.assert_all_freed()
 

@@ -43,7 +43,7 @@ def test_property_snapshot_restore_continues_like_the_live_twin(seed):
 
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "db.img")
-        if db._compactor._jobs:
+        if db.compactions_in_flight():
             # a bounded job is mid-flight: this is NOT a quiescent
             # point and the snapshot must refuse to run
             with pytest.raises(PersistError):
@@ -52,7 +52,7 @@ def test_property_snapshot_restore_continues_like_the_live_twin(seed):
             finish_all_compactions(twin)
         # every table clean means no job (and none of its shadow
         # files) is left behind
-        assert not db._compactor._jobs
+        assert not db.compactions_in_flight()
         db.snapshot(path)
         restored = GhostDB.restore(path, verify=True)
 

@@ -96,6 +96,48 @@ def test_selectivity_exact_within_capacity(values):
         sum(1 for v in values if v in (probe, probe + 1)) / n)
 
 
+#: a spilled sketch spreads its untracked values uniformly over
+#: [min, max]; on uniform data that costs at most this much selectivity
+RESIDUAL_ERROR = 0.02
+
+
+def test_spilled_sketch_estimates_ranges_from_the_residual():
+    """Past its capacity a sketch answers range predicates from the
+    tracked values plus the residual's share of the [min, max] span
+    (``_bounds_of`` / ``_interval_fraction``): close on uniform data,
+    for every range operator, whatever the insertion order."""
+    import random
+    values = list(range(10_000))
+    random.Random(5).shuffle(values)
+    sketch = ColumnStats.from_values(values, capacity=100)
+    assert len(sketch.counts) == 100 and sketch.residual_count == 9_900
+    n = len(values)
+    for predicate, exact in [
+        (Predicate("<", 2_500), 2_500 / n),
+        (Predicate("<=", 7_000), 7_001 / n),
+        (Predicate(">", 9_000), 999 / n),
+        (Predicate(">=", 5_000), 5_000 / n),
+        (Predicate("between", 1_000, 4_000), 3_001 / n),
+        (Predicate("<", -5), 0.0),                # below the span
+        (Predicate(">=", -5), 1.0),               # covers the span
+        (Predicate("between", 20_000, 30_000), 0.0),
+    ]:
+        assert abs(sketch.selectivity(predicate) - exact) <= \
+            RESIDUAL_ERROR, predicate
+
+
+def test_spilled_char_sketch_assumes_half_the_residual():
+    """Strings have no span to interpolate over: the residual of a
+    ``char`` column counts half towards any range."""
+    values = [f"k{i:05d}" for i in range(10_000)]
+    sketch = ColumnStats.from_values(values, capacity=100)
+    assert sketch.residual_count == 9_900
+    for predicate in (Predicate("<", "k00100"), Predicate(">=", "k00100"),
+                      Predicate("between", "k02000", "k02001")):
+        # at most the 100 tracked values (1 %) pull away from one half
+        assert abs(sketch.selectivity(predicate) - 0.5) <= 0.01, predicate
+
+
 # ---------------------------------------------------------------------------
 # end-to-end: the catalog's stats under random INSERT/DELETE
 # ---------------------------------------------------------------------------

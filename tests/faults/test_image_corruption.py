@@ -1,20 +1,20 @@
-"""Corrupt every structural boundary of the durable image formats.
+"""Corrupt every structural boundary of the durable image format.
 
 Restore must reject each mutation with :class:`PersistError` (or its
 :class:`ImageError` subclass) and never hand back a partial database;
 the pristine image must keep restoring bit-identically afterwards.
 """
 
-import json
 import os
+import pickle
 import shutil
+import zlib
 
 import pytest
 
 from repro.core.ghostdb import GhostDB
-from repro.errors import PersistError
-from repro.persist.image import _HEADER
-from repro.shard.persist import FLEET_MAGIC
+from repro.errors import ImageError, PersistError
+from repro.persist.image import _HEADER, read_image, write_image
 
 from chaos import PROBES, assert_oracle
 
@@ -84,7 +84,7 @@ def test_pristine_image_still_restores(single_image):
 
 
 # ----------------------------------------------------------------------
-# the fleet manifest (GHOSTFLT) and its shard images
+# the fleet manifest (the same container, kind "fleet") and its shards
 # ----------------------------------------------------------------------
 def _fleet_copy(fleet_image, tmp_path):
     """Copy the manifest and its shard images into ``tmp_path``."""
@@ -98,49 +98,100 @@ def _fleet_copy(fleet_image, tmp_path):
 
 
 def _rewrite_manifest(path, fn):
-    raw = open(path, "rb").read()
-    manifest = json.loads(raw[len(FLEET_MAGIC):].decode("utf-8"))
-    fn(manifest)
-    with open(path, "wb") as fh:
-        fh.write(FLEET_MAGIC + json.dumps(manifest).encode("utf-8"))
+    """Edit the manifest's metadata and write it back as a *valid*
+    container (fresh checksums): only restore's own cross-checks stand
+    between such a manifest and a wrong fleet."""
+    meta, _ = read_image(path)
+    fn(meta)
+    write_image(path, meta)
+
+
+@pytest.mark.parametrize("boundary", sorted(IMAGE_MUTATIONS))
+def test_corrupt_fleet_manifest_is_rejected(fleet_image, tmp_path,
+                                            boundary):
+    """The manifest is a GHOSTIMG like any other: the same table of
+    structural mutations, the same rejections."""
+    dst = _fleet_copy(fleet_image, tmp_path)
+    _mutate(dst, dst, IMAGE_MUTATIONS[boundary])
+    with pytest.raises(PersistError):
+        GhostDB.restore(dst)
 
 
 def test_fleet_manifest_bad_magic(fleet_image, tmp_path):
     dst = _fleet_copy(fleet_image, tmp_path)
-    raw = bytearray(open(dst, "rb").read())
-    raw[0] ^= 0xFF
-    open(dst, "wb").write(bytes(raw))
-    with pytest.raises(PersistError):
+    _mutate(dst, dst, lambda raw: b"NOTANIMG" + raw[8:])
+    with pytest.raises(ImageError, match="magic"):
         GhostDB.restore(dst)
 
 
 def test_fleet_manifest_truncated_json(fleet_image, tmp_path):
     dst = _fleet_copy(fleet_image, tmp_path)
-    raw = open(dst, "rb").read()
-    open(dst, "wb").write(raw[:len(raw) // 2])
-    with pytest.raises(PersistError):
+    _mutate(dst, dst, lambda raw: raw[:len(raw) // 2])
+    with pytest.raises(ImageError, match="torn|truncated"):
         GhostDB.restore(dst)
 
 
 def test_fleet_manifest_wrong_version(fleet_image, tmp_path):
     dst = _fleet_copy(fleet_image, tmp_path)
-    _rewrite_manifest(dst, lambda m: m.update(version=99))
-    with pytest.raises(PersistError):
+    _mutate(dst, dst,
+            lambda raw: raw[:8] + (99).to_bytes(4, "big") + raw[12:])
+    with pytest.raises(ImageError, match="version 99"):
         GhostDB.restore(dst)
 
 
 def test_fleet_manifest_shard_count_mismatch(fleet_image, tmp_path):
     dst = _fleet_copy(fleet_image, tmp_path)
-    _rewrite_manifest(dst, lambda m: m["shard_images"].pop())
-    with pytest.raises(PersistError):
+    _rewrite_manifest(dst, lambda m: m.update(n_shards=1))
+    with pytest.raises(ImageError, match="1 shard"):
+        GhostDB.restore(dst)
+    _rewrite_manifest(dst, lambda m: m.update(n_shards=3))
+    with pytest.raises(ImageError):         # no third shard image
         GhostDB.restore(dst)
 
 
 def test_fleet_manifest_root_mismatch(fleet_image, tmp_path):
     dst = _fleet_copy(fleet_image, tmp_path)
     _rewrite_manifest(dst, lambda m: m.update(root="C"))
-    with pytest.raises(PersistError):
+    with pytest.raises(ImageError, match="root"):
         GhostDB.restore(dst)
+
+
+@pytest.mark.parametrize("verify", [False, True])
+def test_fleet_manifest_edited_root_maps_are_rejected(fleet_image, tmp_path,
+                                                      verify):
+    """The hole the JSON manifest had: swap two ``root_maps`` entries
+    between the shards -- still well-formed -- and the fleet restored,
+    answering with the wrong rows.  The maps are now under the
+    container's metadata checksum like every token image's state."""
+    dst = _fleet_copy(fleet_image, tmp_path)
+    meta, _ = read_image(dst)
+    maps = meta["root_maps"]
+    maps[0][0], maps[1][0] = maps[1][0], maps[0][0]
+    edited = zlib.compress(pickle.dumps(meta, protocol=4), 6)
+
+    def splice(raw):
+        # a careful editor: lengths fixed up, content hashes left alone
+        fields = list(_HEADER.unpack_from(raw))
+        old_len, fields[2] = fields[2], len(edited)
+        fields[4] += len(edited) - old_len
+        return _HEADER.pack(*fields) + edited + bytes(raw[_H + old_len:])
+    _mutate(dst, dst, splice)
+    with pytest.raises(ImageError, match="checksum"):
+        GhostDB.restore(dst, verify=verify)
+
+
+@pytest.mark.parametrize("verify", [False, True])
+def test_fleet_manifest_any_flipped_byte_is_rejected(fleet_image, tmp_path,
+                                                     verify):
+    dst = _fleet_copy(fleet_image, tmp_path)
+    pristine = open(dst, "rb").read()
+    for off in range(len(pristine)):
+        _mutate(dst, dst, lambda raw: _flip(raw, off))
+        with pytest.raises(ImageError):
+            GhostDB.restore(dst, verify=verify)
+        with open(dst, "wb") as fh:
+            fh.write(pristine)
+    GhostDB.restore(dst, verify=verify)       # pristine again: restores
 
 
 def test_fleet_missing_shard_image(fleet_image, tmp_path):

@@ -47,7 +47,7 @@ def test_erase_clears_all_pages_of_block(nand):
     nand.erase_block(1)
     for ppn in (4, 5, 6, 7):
         assert nand.read_page(ppn) == b""
-        assert nand.is_erased(ppn)
+        nand.program_page(ppn, b"again")      # erased: programmable
 
 
 def test_erase_count_tracks_wear(nand):

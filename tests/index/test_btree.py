@@ -115,23 +115,6 @@ def test_traversal_holds_height_buffers():
     assert ram.peak_used == tree.height * 2048
 
 
-def test_insert_into_leaf():
-    store = make_store()
-    entries = [(encode_int(i * 2), b"\x01" * 4) for i in range(4)]
-    tree = BPlusTree.bulk_build(store, "i", entries, 8, 4, PAGE)
-    tree.insert(encode_int(3), b"\x02" * 4)
-    assert tree.lookup(encode_int(3)) == b"\x02" * 4
-    with pytest.raises(IndexError_):
-        tree.insert(encode_int(3), b"\x03" * 4)  # duplicate
-
-
-def test_insert_into_empty_tree():
-    store = make_store()
-    tree = BPlusTree.bulk_build(store, "i0", [], 8, 4, PAGE)
-    tree.insert(encode_int(1), b"pay1")
-    assert tree.lookup(encode_int(1)) == b"pay1"
-
-
 def test_width_mismatch_rejected():
     store = make_store()
     with pytest.raises(IndexError_):

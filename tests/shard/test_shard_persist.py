@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.ghostdb import GhostDB
 from repro.errors import ImageError, PersistError
-from repro.shard.persist import FLEET_MAGIC
+from repro.persist import image_info
 from repro.workloads.queries import query_q
 from repro.workloads.synthetic import SyntheticConfig, build_synthetic
 
@@ -72,7 +72,8 @@ def test_fleet_round_trip_is_bit_identical(tmp_path):
     path = str(tmp_path / "fleet.img")
     summary = db.snapshot(path)
     assert summary["shards"] == N_SHARDS
-    assert summary["manifest_bytes"] > len(FLEET_MAGIC)
+    assert summary["manifest_bytes"] == image_info(path)["bytes"]
+    assert image_info(path)["blob_bytes"] == 0
     for k in range(N_SHARDS):
         assert os.path.exists(f"{path}.shard{k}")
 
@@ -125,7 +126,7 @@ def test_restore_rejects_torn_manifest(tmp_path):
 
 
 def test_single_image_magic_still_restores_plain_db(tmp_path):
-    """The magic sniff must not break single-token restore."""
+    """The ``kind`` dispatch must not break single-token restore."""
     single = build_synthetic(SyntheticConfig(scale=SCALE,
                                              full_indexing=True))
     path = str(tmp_path / "db.img")

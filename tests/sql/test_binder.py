@@ -126,11 +126,3 @@ def test_bare_column_with_aggregate_rejected(binder):
 def test_group_by_without_aggregate_rejected(binder):
     with pytest.raises(BindError):
         binder.bind_sql("SELECT T2.v1 FROM T2 GROUP BY T2.v1")
-
-
-def test_projected_tables_order(binder):
-    bound = binder.bind_sql(
-        "SELECT T12.h2, T0.v1, T12.v1 FROM T0, T1, T12 "
-        "WHERE T0.fk1 = T1.id AND T1.fk12 = T12.id"
-    )
-    assert bound.projected_tables() == ["T12", "T0"]
