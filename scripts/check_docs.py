@@ -1,8 +1,8 @@
 #!/usr/bin/env python
-"""Docs CI gate: links resolve, named API exists, state has one owner,
-examples run.
+"""Docs CI gate: links resolve, named API exists, state and the operator
+table have one owner each, examples run.
 
-Four checks, all simple on purpose:
+Five checks, all simple on purpose:
 
 * every relative link target in a tracked ``*.md`` file (README.md,
   docs/, CHANGES.md, ...) must exist on disk -- links to headings
@@ -18,6 +18,11 @@ Four checks, all simple on purpose:
   written down in its own class (``to_meta`` / ``from_meta`` /
   ``savepoint`` / ``rollback``), not in the module that calls it.  The
   same count is printed, not gated, for the rest of ``src/``;
+* inside ``src/repro`` only the predicate module, the SQL lexer and
+  parser, and the test oracle may compare anything with the operator
+  names ``"between"`` or ``"<="``: every spelled-out operator table has
+  those two branches, so a second copy of what ``col op constant``
+  means cannot grow back beside ``repro/predicate.py`` unnoticed;
 * with ``--run-examples``, every script under ``examples/`` is executed
   with ``PYTHONPATH=src`` and must exit 0.
 
@@ -56,6 +61,11 @@ _API_NAME = re.compile(r"(?<![\w.])(?:(GhostDB|Session)\.([A-Za-z_]\w*)"
 #: modules whose job is orchestration: no foreign private access at all
 _ORCHESTRATORS = ("src/repro/persist/", "src/repro/shard/persist.py",
                   "src/repro/core/recovery.py")
+
+
+#: the modules that may spell out the seven-operator table
+_OPERATOR_OWNERS = ("src/repro/predicate.py", "src/repro/sql/lexer.py",
+                    "src/repro/sql/parser.py", "src/repro/core/reference.py")
 
 
 def iter_markdown_files() -> list:
@@ -108,21 +118,45 @@ def stale_api_names() -> list:
     return stale
 
 
+def src_modules() -> list:
+    """``(repo-relative path, parsed AST)`` of every module in ``src/``."""
+    return [(str(path.relative_to(REPO)), ast.parse(path.read_text()))
+            for path in sorted((REPO / "src").rglob("*.py"))]
+
+
 def foreign_private_accesses() -> dict:
     """Per ``src/`` module, every ``(line, expr)`` that touches a
     single-underscore attribute of a receiver other than self / cls."""
     found = {}
-    for path in sorted((REPO / "src").rglob("*.py")):
+    for module, tree in src_modules():
         hits = [
             (node.lineno, ast.unparse(node))
-            for node in ast.walk(ast.parse(path.read_text()))
+            for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)
             and node.attr.startswith("_") and not node.attr.startswith("__")
             and not (isinstance(node.value, ast.Name)
                      and node.value.id in ("self", "cls"))
         ]
         if hits:
-            found[str(path.relative_to(REPO))] = sorted(hits)
+            found[module] = sorted(hits)
+    return found
+
+
+def foreign_operator_chains() -> list:
+    """Every ``(module, line, expr)`` outside the operator table's
+    owners where a comparison involves ``"between"`` or ``"<="``,
+    directly or inside an ``in (...)`` tuple."""
+    found = []
+    for module, tree in src_modules():
+        if module in _OPERATOR_OWNERS:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(leaf, ast.Constant)
+                    and leaf.value in ("between", "<=")
+                    for side in (node.left, *node.comparators)
+                    for leaf in ast.walk(side)):
+                found.append((module, node.lineno, ast.unparse(node)))
     return found
 
 
@@ -168,6 +202,10 @@ def main(argv: list) -> int:
             ok = False
     print("foreign private accesses outside persist/recovery (not "
           "gated): " + ", ".join(elsewhere))
+    for module, lineno, expr in foreign_operator_chains():
+        print(f"OPERATOR CHAIN OUTSIDE repro/predicate.py "
+              f"{module}:{lineno}: {expr}")
+        ok = False
     if "--run-examples" in argv:
         for script, stderr in run_examples():
             print(f"EXAMPLE FAILED {script}:\n{stderr}")

@@ -32,11 +32,11 @@ from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 from repro.core.stats import TableStats
 from repro.errors import PlanError
 from repro.hardware.token import SecureToken
-from repro.index.climbing import Predicate
 from repro.index.climbing import ClimbingIndex
 from repro.index.skt import SubtreeKeyTable
 from repro.flash.constants import ID_SIZE
 from repro.flash.store import FlashFile
+from repro.predicate import Predicate
 from repro.schema.model import Column, Schema, Table
 from repro.storage.codec import ColumnType, IntType, RowCodec
 from repro.storage.heap import HeapFile, append_fixed_record

@@ -316,11 +316,9 @@ class CostModel:
                       level_rows: int, selectivity: float) -> float:
         """One ``op_ci`` call: descent + run read + delta-log climb."""
         tree = index.btree
-        op = sel.predicate.op
-        if op in ("=", "in"):
-            n_keys = (len(set(sel.predicate.values or ()))
-                      if op == "in" else 1)
-            descent = n_keys * self._descent_us(tree)
+        points = sel.predicate.points()
+        if points is not None:
+            descent = len(set(points)) * self._descent_us(tree)
         else:
             # range(): one descent plus a leaf scan of the matched span
             span_leaves = max(1.0, selectivity * tree.n_leaves)
@@ -331,7 +329,7 @@ class CostModel:
         # Bloom proves the sought key was never appended
         delta = 0.0
         if index.delta_entries:
-            if op in ("=", "in"):
+            if points is not None:
                 appended_frac = index.delta_entries / max(1, tree.n_entries)
                 p_scan = min(1.0, index.delta_bloom_fp + appended_frac)
             else:

@@ -34,8 +34,7 @@ from repro.errors import BindError, GhostDBError, StorageError
 from repro.hardware.token import SecureToken
 from repro.schema.model import Schema, Table
 from repro.sql.binder import (BoundColumn, BoundDelete, BoundInsert,
-                              BoundQuery)
-from repro.storage.codec import RowCodec
+                              BoundQuery, typed_value)
 from repro.untrusted.server import VisServer
 
 DML_LABEL = "Dml"
@@ -101,8 +100,10 @@ class DmlExecutor:
     def validate_insert(self, bound: BoundInsert):
         """All side-effect-free INSERT checks, before anything mutates.
 
-        Validates *before* any side effect: fk targets must exist and
-        be live, hidden values must pack into the image codec.  Split
+        Validates *before* any side effect: every value must satisfy
+        its column type's ``typed`` rule -- visible values as much as
+        hidden ones, or one bad row would poison Untrusted's image and
+        the sketches -- and fk targets must exist and be live.  Split
         out of :meth:`insert` so a multi-shard fleet can pre-validate
         every shard's slice of a statement before applying any of them
         (the all-or-nothing contract a single token gets for free).
@@ -121,11 +122,13 @@ class DmlExecutor:
                          for c in table.visible_columns]
         fk_positions = [(c, table.column_position(c.name))
                         for c in table.foreign_keys]
+        value_positions = [(c, table.column_position(c.name))
+                           for c in table.data_columns
+                           if not c.is_foreign_key]
+        for row in bound.rows:
+            for column, pos in value_positions:
+                typed_value(bound.table, column, row[pos])
         self._check_foreign_keys(bound, fk_positions)
-        if hidden:
-            codec = RowCodec([c.type for c in hidden])
-            for row in bound.rows:
-                codec.pack(tuple(row[p] for p in hid_positions))
         return table, hidden, hid_positions, vis_positions, fk_positions
 
     def _check_foreign_keys(self, bound: BoundInsert,

@@ -135,9 +135,6 @@ class _PageCursor:
             self.pos = 0
         return True
 
-    def close(self) -> None:
-        self._pages.close()
-
 
 def union_pages(page_iters: List[Iterator[List[int]]]
                 ) -> Iterator[List[int]]:
@@ -232,9 +229,6 @@ class _UnionCursor:
             self.pos = len(self.chunk)
         for chunk in self._chunks:
             yield chunk
-
-    def close(self) -> None:
-        self._chunks.close()
 
 
 def intersect_pages(cursors: List["_UnionCursor"]) -> Iterator[List[int]]:

@@ -24,10 +24,9 @@ from repro.core.catalog import SecureCatalog
 from repro.core.execmode import scalar_exec
 from repro.hardware.token import SecureToken
 from repro.index.bloom import BloomFilter
-from repro.index.climbing import Predicate as IndexPredicate
+from repro.predicate import Predicate
 from repro.sql.binder import BoundQuery, BoundSelection
 from repro.storage.runs import IdRun, U32FileBuilder, U32View
-from repro.untrusted.engine import VisPredicate
 from repro.untrusted.server import VisRequest, VisResult, VisServer
 
 VIS_LABEL = "Vis"
@@ -75,18 +74,16 @@ class ExecContext:
 # Vis
 # ---------------------------------------------------------------------------
 
-def to_vis_predicates(selections: Sequence[BoundSelection]
-                      ) -> Tuple[VisPredicate, ...]:
-    """Convert bound visible selections to wire predicates."""
-    out = []
-    for s in selections:
-        p = s.predicate
-        out.append(VisPredicate(
-            column=s.column.name, op=p.op, value=p.value,
-            value2=p.value2,
-            values=tuple(p.values) if p.values is not None else None,
-        ))
-    return tuple(out)
+def vis_request(bound: BoundQuery, table: str,
+                columns: Sequence[str] = ()) -> VisRequest:
+    """The Vis request for ``table``: its visible selections as
+    ``(column, predicate)`` pairs, plus the columns to project."""
+    return VisRequest(
+        table,
+        tuple((s.column.name, s.predicate)
+              for s in bound.visible_selections(table)),
+        tuple(columns),
+    )
 
 
 def op_vis(ctx: ExecContext, table: str,
@@ -110,11 +107,9 @@ def op_vis(ctx: ExecContext, table: str,
                 if cached_table == table:
                     ctx._vis_cache[key] = VisResult(ids=cached.ids)
                     return ctx._vis_cache[key]
-        preds = to_vis_predicates(ctx.bound.visible_selections(table))
         with ctx.label(VIS_LABEL):
             ctx._vis_cache[key] = ctx.vis.vis(
-                VisRequest(table, preds, tuple(columns))
-            )
+                vis_request(ctx.bound, table, columns))
     return ctx._vis_cache[key]
 
 
@@ -149,7 +144,7 @@ def op_ci_ids(ctx: ExecContext, table: str, ids: Sequence[int],
     index = ctx.catalog.id_index(table)
     with ctx.label(CI_LABEL):
         views, extra = index.lookup_all(
-            IndexPredicate("in", values=list(ids)), target, ctx.ram,
+            Predicate("in", values=ids), target, ctx.ram,
             ctx.catalog.fk_deltas,
         )
     runs = [IdRun.flash(v) for v in views]

@@ -34,7 +34,7 @@ from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple, Union)
 
 from repro.core.executor import CostWindow, QueryResult, QueryStats
-from repro.core.operators import to_vis_predicates
+from repro.core.operators import vis_request
 from repro.core.plan import (ProjectionMode, QueryPlan, SortMethod,
                              VisStrategy)
 from repro.core.planner import SortMethodLike, StrategyLike, coerce
@@ -205,7 +205,7 @@ class PreparedStatement:
 
         See :meth:`Session.query_many` for the amortizations applied.
         """
-        return self.session._run_template_batch(self, param_sets, True)
+        return self.session._run_template_batch(self, param_sets)
 
 
 @dataclass
@@ -301,8 +301,7 @@ class Session:
                    vis_strategy: StrategyLike = None,
                    cross: Optional[bool] = None,
                    projection: Union[str, ProjectionMode] = "project",
-                   order_method: SortMethodLike = None,
-                   prefetch_vis: bool = True) -> BatchResult:
+                   order_method: SortMethodLike = None) -> BatchResult:
         """Execute a batch of queries with amortized round trips.
 
         Two shapes are accepted:
@@ -324,14 +323,14 @@ class Session:
                                 order_method)
             if param_sets is None:
                 param_sets = [()]
-            return self._run_template_batch(stmt, param_sets, prefetch_vis)
+            return self._run_template_batch(stmt, param_sets)
         if param_sets is not None:
             raise GhostDBError(
                 "param_sets requires a single SQL template, not a list "
                 "of statements"
             )
         return self._run_sql_batch(list(sql), vis_strategy, cross,
-                                   projection, order_method, prefetch_vis)
+                                   projection, order_method)
 
     def invalidate(self) -> None:
         """Drop cached plans (the index set was re-provisioned)."""
@@ -392,8 +391,8 @@ class Session:
     # batched execution
     # ------------------------------------------------------------------
     def _run_template_batch(self, stmt: PreparedStatement,
-                            param_sets: Sequence[Sequence],
-                            prefetch_vis: bool) -> BatchResult:
+                            param_sets: Sequence[Sequence]
+                            ) -> BatchResult:
         window = self._open_window()
         param_sets = [tuple(p) for p in param_sets]
         if not param_sets:
@@ -405,13 +404,12 @@ class Session:
         nbytes = max(1, len(stmt.sql)) + 8 * stmt.param_count * len(bounds)
         self._announce_batch(nbytes, len(plans), stmt.sql)
         stmt.executions += len(plans)
-        return self._execute_plans(plans, prefetch_vis, window)
+        return self._execute_plans(plans, window)
 
     def _run_sql_batch(self, sqls: List[str],
                        vis_strategy: StrategyLike, cross: Optional[bool],
                        projection: Union[str, ProjectionMode],
-                       order_method: SortMethodLike,
-                       prefetch_vis: bool) -> BatchResult:
+                       order_method: SortMethodLike) -> BatchResult:
         window = self._open_window()
         if not sqls:
             return BatchResult([], QueryStats.aggregate(()), 0, 0)
@@ -424,7 +422,7 @@ class Session:
             plans.append(stmt.plan_for(bound).with_bound(bound))
         nbytes = sum(max(1, len(s)) for s in sqls)
         self._announce_batch(nbytes, len(plans), sqls[0])
-        return self._execute_plans(plans, prefetch_vis, window)
+        return self._execute_plans(plans, window)
 
     # ------------------------------------------------------------------
     def _open_window(self) -> Tuple[CostWindow, int, int]:
@@ -467,10 +465,7 @@ class Session:
         for plan in plans:
             per_plan = []
             for table in plan.vis_plans:
-                preds = to_vis_predicates(
-                    plan.bound.visible_selections(table)
-                )
-                request = VisRequest(table, preds)
+                request = vis_request(plan.bound, table)
                 unique.setdefault(request, None)
                 per_plan.append(((table, ()), request))
             wanted.append(per_plan)
@@ -487,16 +482,12 @@ class Session:
             for per_plan in wanted
         ]
 
-    def _execute_plans(self, plans: List[QueryPlan], prefetch_vis: bool,
+    def _execute_plans(self, plans: List[QueryPlan],
                        window: Tuple) -> BatchResult:
         db = self.db
-        seeds: Sequence[Optional[Dict]] = (
-            self._prefetch_vis(plans) if prefetch_vis
-            else [None] * len(plans)
-        )
         results = [
             db.execute_plan(plan, announce=False, vis_seed=seed)
-            for plan, seed in zip(plans, seeds)
+            for plan, seed in zip(plans, self._prefetch_vis(plans))
         ]
         cost, plans0, hits0 = window
         per_query = QueryStats.aggregate(r.stats for r in results)

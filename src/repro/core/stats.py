@@ -35,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.index.climbing import Predicate
+from repro.predicate import Predicate
 from repro.schema.model import Table
 
 #: distinct values tracked exactly before spilling into the residual;
@@ -152,41 +152,22 @@ class ColumnStats:
             return 0.5
 
     def _range_count(self, predicate: Predicate) -> float:
-        def _in_range(value) -> bool:
-            op = predicate.op
-            if op == "<":
-                return value < predicate.value
-            if op == "<=":
-                return value <= predicate.value
-            if op == ">":
-                return value > predicate.value
-            if op == ">=":
-                return value >= predicate.value
-            return predicate.value <= value <= predicate.value2
-        tracked = sum(c for v, c in self.counts.items() if _in_range(v))
+        match = predicate.matcher()
+        tracked = sum(c for v, c in self.counts.items() if match(v))
         if self.residual_count:
-            lo, hi = self._bounds_of(predicate)
-            tracked += self.residual_count * self._interval_fraction(lo, hi)
+            lo, _, hi, _ = predicate.bounds()
+            tracked += self.residual_count * self._interval_fraction(
+                self.min_key if lo is None else lo,
+                self.max_key if hi is None else hi)
         return tracked
-
-    def _bounds_of(self, predicate: Predicate) -> Tuple:
-        op = predicate.op
-        if op in ("<", "<="):
-            return self.min_key, predicate.value
-        if op in (">", ">="):
-            return predicate.value, self.max_key
-        return predicate.value, predicate.value2
 
     def selectivity(self, predicate: Predicate) -> float:
         """Estimated fraction of live rows satisfying ``predicate``."""
         if self.n <= 0:
             return 0.0
-        op = predicate.op
-        if op == "=":
-            matched = self._eq_count(predicate.value)
-        elif op == "in":
-            matched = sum(self._eq_count(v)
-                          for v in set(predicate.values or ()))
+        points = predicate.points()
+        if points is not None:
+            matched = sum(self._eq_count(v) for v in set(points))
         else:
             matched = self._range_count(predicate)
         return max(0.0, min(1.0, matched / self.n))

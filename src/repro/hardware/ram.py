@@ -169,12 +169,6 @@ class Allocation:
             self.ram._release(-delta)
         self.nbytes = nbytes
 
-    def __enter__(self) -> "Allocation":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.free()
-
 
 class SecureRam:
     """Byte-accurate allocator over the token's RAM budget."""

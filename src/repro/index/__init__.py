@@ -3,7 +3,7 @@ Subtree Key Tables, Bloom filters and the Fig.-7 sizing model."""
 
 from repro.index.bloom import BloomFilter, false_positive_rate
 from repro.index.btree import BPlusTree
-from repro.index.climbing import ClimbingIndex, Predicate
+from repro.index.climbing import ClimbingIndex
 from repro.index.keys import KeyCodec
 from repro.index.sizing import IndexSizingModel, TableSpec
 from repro.index.skt import SubtreeKeyTable
@@ -14,7 +14,6 @@ __all__ = [
     "ClimbingIndex",
     "IndexSizingModel",
     "KeyCodec",
-    "Predicate",
     "SubtreeKeyTable",
     "TableSpec",
     "false_positive_rate",

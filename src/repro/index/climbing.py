@@ -38,6 +38,7 @@ from repro.hardware.ram import SecureRam
 from repro.index.bloom import BloomFilter
 from repro.index.btree import BPlusTree
 from repro.index.keys import KeyCodec
+from repro.predicate import Predicate
 from repro.storage.codec import ColumnType
 from repro.storage.heap import append_fixed_record
 from repro.storage.runs import U32FileBuilder, U32View, intersect_sorted
@@ -50,27 +51,6 @@ _DELTA_BLOOM_ITEMS = 256
 #: ``fk_deltas[child_table][child_id]`` = new parent ids appended since
 #: the build (maintained by the catalog, consumed by lookups)
 FkDeltas = Dict[str, Dict[int, List[int]]]
-
-
-class Predicate:
-    """A selection predicate ``attr op value`` usable against an index."""
-
-    OPS = ("=", "<", "<=", ">", ">=", "between", "in")
-
-    def __init__(self, op: str, value=None, value2=None, values=None):
-        if op not in self.OPS:
-            raise IndexError_(f"unsupported predicate operator {op!r}")
-        self.op = op
-        self.value = value
-        self.value2 = value2
-        self.values = values
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self.op == "in":
-            return f"Predicate(in, {len(self.values or [])} values)"
-        if self.op == "between":
-            return f"Predicate(between {self.value} and {self.value2})"
-        return f"Predicate({self.op} {self.value})"
 
 
 class ClimbingIndex:
@@ -236,8 +216,9 @@ class ClimbingIndex:
         entries -- :meth:`lookup_all` adds appended rows.
         """
         pos = self._level_pos(level)
+        keyed = predicate.map(self.key_codec.encode)
         return [self._view(p, pos, level)
-                for p in self._matching_payloads(predicate, ram)]
+                for p in self._matching_payloads(keyed, ram)]
 
     def scan_level(self, level: str, ram: Optional[SecureRam] = None,
                    reverse: bool = False) -> Iterator[U32View]:
@@ -328,28 +309,9 @@ class ClimbingIndex:
             return False
         return int.from_bytes(key, "big") in self._delta_bloom
 
-    def _key_matches(self, key: bytes, predicate: Predicate) -> bool:
-        """Evaluate ``predicate`` on an encoded key (order-preserving)."""
-        enc = self.key_codec.encode
-        op = predicate.op
-        if op == "=":
-            return key == enc(predicate.value)
-        if op == "<":
-            return key < enc(predicate.value)
-        if op == "<=":
-            return key <= enc(predicate.value)
-        if op == ">":
-            return key > enc(predicate.value)
-        if op == ">=":
-            return key >= enc(predicate.value)
-        if op == "between":
-            return enc(predicate.value) <= key <= enc(predicate.value2)
-        if op == "in":
-            return any(key == enc(v) for v in predicate.values or ())
-        raise IndexError_(f"unsupported predicate operator {op!r}")
-
-    def _delta_matches(self, predicate: Predicate) -> List[int]:
-        """Own-table ids of delta entries satisfying ``predicate``.
+    def _delta_matches(self, keyed: Predicate) -> List[int]:
+        """Own-table ids of delta entries satisfying ``keyed``, a
+        predicate over encoded keys (the encoding preserves order).
 
         Equality and IN predicates consult the delta-key Bloom filter
         first, skipping the log scan entirely when no sought key was
@@ -358,18 +320,14 @@ class ClimbingIndex:
         """
         if not self._delta:
             return []
-        enc = self.key_codec.encode
-        if predicate.op == "=":
-            if not self._bloom_may_contain(enc(predicate.value)):
-                return []
-        elif predicate.op == "in":
-            sought = [enc(v) for v in predicate.values or ()]
-            if not any(self._bloom_may_contain(k) for k in sought):
-                return []
+        sought = keyed.points()
+        if sought is not None and not any(
+                map(self._bloom_may_contain, sought)):
+            return []
         for page in range(self._delta_file.n_pages):
             self._delta_file.read_page(page)
-        return [own_id for key, own_id in self._delta
-                if self._key_matches(key, predicate)]
+        match = keyed.matcher()
+        return [own_id for key, own_id in self._delta if match(key)]
 
     def lookup_all(self, predicate: Predicate, level: str,
                    ram: Optional[SecureRam] = None,
@@ -386,9 +344,10 @@ class ClimbingIndex:
         build this degenerates to :meth:`lookup` at zero extra cost.
         """
         pos = self._level_pos(level)
-        payloads: List[bytes] = self._matching_payloads(predicate, ram)
+        keyed = predicate.map(self.key_codec.encode)
+        payloads: List[bytes] = self._matching_payloads(keyed, ram)
         views = [self._view(p, pos, level) for p in payloads]
-        delta_ids = self._delta_matches(predicate)
+        delta_ids = self._delta_matches(keyed)
         if pos == 0:
             return views, sorted(set(delta_ids))
         fk_deltas = fk_deltas or {}
@@ -442,31 +401,16 @@ class ClimbingIndex:
             out.update(edge[child])
         return out
 
-    def _matching_payloads(self, predicate: Predicate,
+    def _matching_payloads(self, keyed: Predicate,
                            ram: Optional[SecureRam] = None) -> List[bytes]:
-        """Leaf payloads of base entries matching ``predicate``."""
-        enc = self.key_codec.encode
-        if predicate.op == "=":
-            payload = self.btree.lookup(enc(predicate.value), ram)
-            return [payload] if payload is not None else []
-        if predicate.op == "in":
-            if predicate.values is None:
-                raise IndexError_("'in' predicate without values")
-            keys = sorted(enc(v) for v in predicate.values)
-            return [p for _, p in self.btree.lookup_many(keys, ram)
+        """Leaf payloads of base entries matching ``keyed`` (a
+        predicate over encoded keys): one descent per sought key, or
+        one descent plus a leaf scan of the range."""
+        keys = keyed.points()
+        if keys is not None:
+            return [p for _, p in self.btree.lookup_many(sorted(keys), ram)
                     if p is not None]
-        lo = hi = None
-        lo_inc = hi_inc = True
-        if predicate.op == "<":
-            hi, hi_inc = enc(predicate.value), False
-        elif predicate.op == "<=":
-            hi = enc(predicate.value)
-        elif predicate.op == ">":
-            lo, lo_inc = enc(predicate.value), False
-        elif predicate.op == ">=":
-            lo = enc(predicate.value)
-        elif predicate.op == "between":
-            lo, hi = enc(predicate.value), enc(predicate.value2)
+        lo, lo_inc, hi, hi_inc = keyed.bounds()
         return [p for _, p in self.btree.range(lo, hi, lo_inc, hi_inc,
                                                ram)]
 

@@ -110,6 +110,3 @@ class SubtreeKeyTable:
         old = self.heap
         self.heap = heap
         old.free()
-
-    def free(self) -> None:
-        self.heap.free()

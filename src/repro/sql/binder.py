@@ -5,7 +5,11 @@ queried tables form a connected subtree joined along foreign-key
 edges, picks the *anchor* table (the topmost queried table -- the root
 of the queried subtree, whose IDs the QEPSJ produces), and classifies
 each selection predicate as Visible (computable by Untrusted) or
-Hidden (climbing-index lookup on Secure).
+Hidden (climbing-index lookup on Secure).  Each selection becomes one
+:class:`repro.predicate.Predicate` whose constants are typed against
+the column here (:func:`typed_value`: literals at bind time, ``?``
+values when :meth:`BoundSelection.substitute` fills them), so both
+sides of the trust boundary evaluate the same well-typed comparison.
 
 For DML, it normalizes INSERT rows into declaration order and splits
 them along the trust boundary (visible half / hidden half / foreign
@@ -21,8 +25,8 @@ import dataclasses
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.errors import BindError
-from repro.index.climbing import Predicate as IndexPredicate
+from repro.errors import BindError, StorageError
+from repro.predicate import Predicate
 from repro.schema.model import Column, Schema
 from repro.sql import ast
 from repro.sql.parser import parse
@@ -43,17 +47,40 @@ class BoundColumn:
         return f"{self.table}.{self.column.name}"
 
 
+def typed_value(table: str, column: Column, value):
+    """``value`` as ``table.column`` holds it, by the column type's
+    ``typed`` rule: the one place a statement's constants and inserted
+    values are checked.  A ``?`` placeholder passes through; it is
+    typed when :meth:`BoundSelection.substitute` fills it."""
+    if isinstance(value, ast.Parameter):
+        return value
+    try:
+        return column.type.typed(value)
+    except StorageError as exc:
+        raise BindError(f"{table}.{column.name}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class BoundSelection:
-    """One selection predicate, classified and index-ready."""
+    """One selection predicate, classified, its constants typed."""
 
     table: str
     column: Column
-    predicate: IndexPredicate
+    predicate: Predicate
 
     @property
     def visible(self) -> bool:
         return not self.column.hidden
+
+    def substitute(self, params: Sequence) -> "BoundSelection":
+        """Fill (and type) this selection's ``?`` placeholders."""
+        def fill(value):
+            if isinstance(value, ast.Parameter):
+                return typed_value(self.table, self.column,
+                                   params[value.index])
+            return value
+        return BoundSelection(self.table, self.column,
+                              self.predicate.map(fill))
 
 
 @dataclass(frozen=True)
@@ -133,7 +160,8 @@ class BoundQuery:
             return self
         return dataclasses.replace(
             self,
-            selections=_substitute_selections(self.selections, params),
+            selections=tuple(s.substitute(params)
+                             for s in self.selections),
             param_count=0,
         )
 
@@ -247,42 +275,17 @@ class BoundDelete:
             return self
         return dataclasses.replace(
             self,
-            selections=_substitute_selections(self.selections, params),
+            selections=tuple(s.substitute(params)
+                             for s in self.selections),
             param_count=0,
         )
 
 
-def _substitute_selections(selections: Sequence[BoundSelection],
-                           params: Sequence
-                           ) -> Tuple[BoundSelection, ...]:
-    def _fill(value):
-        if isinstance(value, ast.Parameter):
-            return params[value.index]
-        return value
-
-    return tuple(
-        BoundSelection(
-            s.table, s.column,
-            IndexPredicate(
-                s.predicate.op,
-                _fill(s.predicate.value),
-                _fill(s.predicate.value2),
-                ([_fill(v) for v in s.predicate.values]
-                 if s.predicate.values is not None else None),
-            ),
-        )
-        for s in selections
-    )
-
-
 def _count_parameters(selections: Sequence[BoundSelection]) -> int:
     """Number of ``?`` placeholders referenced by the selections."""
-    indices = []
-    for s in selections:
-        p = s.predicate
-        for value in (p.value, p.value2, *(p.values or ())):
-            if isinstance(value, ast.Parameter):
-                indices.append(value.index)
+    indices = [value.index for s in selections
+               for value in s.predicate.constants()
+               if isinstance(value, ast.Parameter)]
     return max(indices) + 1 if indices else 0
 
 
@@ -525,21 +528,20 @@ class Binder:
 
     def _bind_selection(self, pred, tables: List[str]) -> BoundSelection:
         if isinstance(pred, ast.Comparison):
-            bound = self._resolve(pred.column, tables)
-            index_pred = IndexPredicate(pred.op, pred.value)
+            predicate = Predicate(pred.op, pred.value)
         elif isinstance(pred, ast.BetweenPredicate):
-            bound = self._resolve(pred.column, tables)
-            index_pred = IndexPredicate("between", pred.low, pred.high)
+            predicate = Predicate("between", pred.low, pred.high)
         elif isinstance(pred, ast.InPredicate):
-            bound = self._resolve(pred.column, tables)
-            index_pred = IndexPredicate("in", values=list(pred.values))
+            predicate = Predicate("in", values=pred.values)
         else:  # pragma: no cover - parser only yields the above
             raise BindError(f"unsupported predicate {pred!r}")
+        bound = self._resolve(pred.column, tables)
         if bound.column.is_id:
             raise BindError(
                 f"selections on surrogate keys ({bound}) are not supported"
             )
-        return BoundSelection(bound.table, bound.column, index_pred)
+        return BoundSelection(bound.table, bound.column, predicate.map(
+            lambda value: typed_value(bound.table, bound.column, value)))
 
     def _bind_aggregate(self, agg: ast.Aggregate,
                         tables: List[str]) -> BoundAggregate:

@@ -7,7 +7,13 @@ lets SKTs omit the sorted-on identifier and lets MJoin/Brute-Force seek
 straight to a tuple.
 
 Supported column types: ``IntType`` (2/4/8 bytes, signed), ``FloatType``
-(8 bytes IEEE), ``CharType(n)`` (NUL-padded UTF-8).
+(8 bytes IEEE), ``CharType(n)`` (NUL-padded UTF-8).  Each type's
+``typed(value)`` is the one rule for what a statement may compare with
+or insert into a column of that type: it returns the value as the
+column holds it (an integral float becomes an int for an int column,
+an int a float for a float column) or raises
+:class:`~repro.errors.StorageError`, so no evaluator ever meets a
+constant its column does not order with.
 
 Two access granularities exist side by side:
 
@@ -22,12 +28,14 @@ Two access granularities exist side by side:
 from __future__ import annotations
 
 import struct
+import sys
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.errors import StorageError
 
 _INT_CODES = {2: "h", 4: "i", 8: "q"}
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -48,6 +56,18 @@ class IntType:
     def struct_code(self) -> str:
         return _INT_CODES[self.size]
 
+    def typed(self, value) -> int:
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        bound = 1 << (8 * self.size - 1)
+        if isinstance(value, bool) or not isinstance(value, int) \
+                or not -bound <= value < bound:
+            raise StorageError(
+                f"a {self.size}-byte int column takes an integer that "
+                f"fits it, not {value!r}"
+            )
+        return value
+
     def pack(self, value) -> bytes:
         return int(value).to_bytes(self.size, "little", signed=True)
 
@@ -66,6 +86,16 @@ class FloatType:
     @property
     def struct_code(self) -> str:
         return "d"
+
+    def typed(self, value) -> float:
+        # int/float comparisons are exact, so an int beyond the double
+        # range is turned away here rather than overflowing in float()
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not -_FLOAT_MAX <= value <= _FLOAT_MAX:   # NaN: False
+            raise StorageError(
+                f"a float column takes a finite number, not {value!r}"
+            )
+        return float(value)
 
     def pack(self, value) -> bytes:
         return struct.pack("<d", float(value))
@@ -92,35 +122,32 @@ class CharType:
     def struct_code(self) -> str:
         return f"{self.size}s"
 
-    def pack(self, value) -> bytes:
+    def encoded(self, value) -> bytes:
+        """``value`` as checked UTF-8 bytes, unpadded (``struct`` pads
+        a short ``s`` field itself but silently truncates a long one)."""
         raw = str(value).encode("utf-8")
         if len(raw) > self.size:
             raise StorageError(
                 f"string of {len(raw)} bytes exceeds char({self.size})"
             )
-        return raw.ljust(self.size, b"\x00")
+        return raw
+
+    def typed(self, value) -> str:
+        if not isinstance(value, str):
+            raise StorageError(
+                f"a char({self.size}) column takes a string, not {value!r}"
+            )
+        self.encoded(value)
+        return value
+
+    def pack(self, value) -> bytes:
+        return self.encoded(value).ljust(self.size, b"\x00")
 
     def unpack(self, raw: bytes):
         return raw.rstrip(b"\x00").decode("utf-8")
 
 
 ColumnType = IntType | FloatType | CharType
-
-
-def _char_prep(size: int):
-    """Converter turning a value into checked, encoded char bytes.
-
-    ``struct`` NUL-pads short ``s`` fields exactly like
-    :meth:`CharType.pack`, but silently truncates long ones -- so
-    overflow is checked here, preserving the scalar error."""
-    def prep(value) -> bytes:
-        raw = str(value).encode("utf-8")
-        if len(raw) > size:
-            raise StorageError(
-                f"string of {len(raw)} bytes exceeds char({size})"
-            )
-        return raw
-    return prep
 
 
 class RowCodec:
@@ -141,7 +168,7 @@ class RowCodec:
         self._char_cols = [i for i, t in enumerate(self.types)
                            if isinstance(t, CharType)]
         self._preps = [
-            _char_prep(t.size) if isinstance(t, CharType)
+            t.encoded if isinstance(t, CharType)
             else (float if isinstance(t, FloatType) else int)
             for t in self.types
         ]

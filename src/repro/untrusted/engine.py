@@ -24,12 +24,12 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter, le
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
+from repro.predicate import Predicate
 from repro.schema.model import Column, Schema
 
 #: Rows appended since an index was built are scanned; once they are
@@ -37,15 +37,8 @@ from repro.schema.model import Column, Schema
 _FOLD_ABOVE = 0.125
 
 
-@dataclass(frozen=True)
-class VisPredicate:
-    """One visible selection, as shipped inside a Vis request."""
-
-    column: str
-    op: str                      # = < <= > >= between in
-    value: object = None
-    value2: object = None
-    values: Optional[Tuple] = None
+#: one visible selection as shipped inside a Vis request
+VisSelection = Tuple[str, Predicate]
 
 
 class _ColumnIndex(NamedTuple):
@@ -70,33 +63,26 @@ class _ColumnIndex(NamedTuple):
             return None
         return cls(keys, array("I", order))
 
-    def spans(self, p: VisPredicate) -> Optional[List[Tuple[int, int]]]:
+    def spans(self, p: Predicate) -> Optional[List[Tuple[int, int]]]:
         """``[lo, hi)`` slices of the order holding exactly the indexed
         rows that satisfy ``p``; None when ``p``'s constants do not
         compare with the column (the scan decides what that means)."""
-        keys, op = self.keys, p.op
-        constants = (p.values or () if op == "in" else
-                     (p.value, p.value2) if op == "between" else (p.value,))
-        if any(c != c for c in constants):
+        keys = self.keys
+        if any(c != c for c in p.constants()):
             return None  # a NaN bisects to a span, yet matches no row
         try:
-            if op == "=":
-                spans = [(bisect_left(keys, p.value),
-                          bisect_right(keys, p.value))]
-            elif op == "<":
-                spans = [(0, bisect_left(keys, p.value))]
-            elif op == "<=":
-                spans = [(0, bisect_right(keys, p.value))]
-            elif op == ">":
-                spans = [(bisect_right(keys, p.value), len(keys))]
-            elif op == ">=":
-                spans = [(bisect_left(keys, p.value), len(keys))]
-            elif op == "between":
-                spans = [(bisect_left(keys, p.value),
-                          bisect_right(keys, p.value2))]
-            else:  # in: one = span per distinct constant
+            points = p.points()
+            if points is not None:  # one = span per distinct constant
                 spans = [(bisect_left(keys, v), bisect_right(keys, v))
-                         for v in set(constants)]
+                         for v in set(points)]
+            else:
+                lo, lo_inc, hi, hi_inc = p.bounds()
+                spans = [(
+                    0 if lo is None else
+                    (bisect_left if lo_inc else bisect_right)(keys, lo),
+                    len(keys) if hi is None else
+                    (bisect_right if hi_inc else bisect_left)(keys, hi),
+                )]
         except TypeError:
             return None
         return [(lo, hi) for lo, hi in spans if lo < hi]
@@ -193,41 +179,21 @@ class UntrustedEngine:
             f"{column!r} is not a visible column of {table!r}"
         )
 
-    def _matcher(self, table: str, predicates: Sequence[VisPredicate]):
+    def _matcher(self, table: str, predicates: Sequence[VisSelection]):
         """A compiled ``row -> bool`` for ``predicates`` (or None).
 
         This scan is what a selection *means*; the index only answers
-        faster.  A single closure call per row replaces one
-        ``matches()`` dispatch per predicate.
+        faster.  Each predicate contributes its operator-specialised
+        ``matcher()``, so no operator is dispatched per row.
         """
         if not predicates:
             return None
-        tests = []
-        for p in predicates:
-            pos = self._col_pos(table, p.column)
-            op, v, v2 = p.op, p.value, p.value2
-            if op == "=":
-                tests.append(lambda row, pos=pos, v=v: row[pos] == v)
-            elif op == "<":
-                tests.append(lambda row, pos=pos, v=v: row[pos] < v)
-            elif op == "<=":
-                tests.append(lambda row, pos=pos, v=v: row[pos] <= v)
-            elif op == ">":
-                tests.append(lambda row, pos=pos, v=v: row[pos] > v)
-            elif op == ">=":
-                tests.append(lambda row, pos=pos, v=v: row[pos] >= v)
-            elif op == "between":
-                tests.append(lambda row, pos=pos, v=v, v2=v2:
-                             v <= row[pos] <= v2)
-            elif op == "in":
-                allowed = frozenset(p.values or ())
-                tests.append(lambda row, pos=pos, allowed=allowed:
-                             row[pos] in allowed)
-            else:
-                raise StorageError(f"unknown predicate op {op!r}")
+        tests = [(self._col_pos(table, column), p.matcher())
+                 for column, p in predicates]
         if len(tests) == 1:
-            return tests[0]
-        return lambda row, tests=tests: all(t(row) for t in tests)
+            (pos, match), = tests
+            return lambda row: match(row[pos])
+        return lambda row: all(match(row[pos]) for pos, match in tests)
 
     def _index(self, table: str, column: str) -> Optional[_ColumnIndex]:
         """The index of ``table.column``: built on first use, rebuilt
@@ -241,27 +207,28 @@ class UntrustedEngine:
                 rows, self._col_pos(table, column))
         return index
 
-    def _narrowest(self, table: str, predicates: Sequence[VisPredicate]
+    def _narrowest(self, table: str, predicates: Sequence[VisSelection]
                    ) -> Optional[Tuple[int, List[Tuple[int, int]],
-                                       _ColumnIndex, VisPredicate]]:
-        """``(width, spans, index, predicate)`` of the predicate whose
+                                       _ColumnIndex, VisSelection]]:
+        """``(width, spans, index, selection)`` of the predicate whose
         index span is the narrowest; None when some predicate cannot be
         answered from an index (its column does not order, or its
         constant does not compare with it), which leaves the whole
         selection -- and what such a comparison means -- to the scan."""
         best = None
-        for p in predicates:
-            index = self._index(table, p.column)
+        for selection in predicates:
+            column, p = selection
+            index = self._index(table, column)
             spans = index.spans(p) if index is not None else None
             if spans is None:
                 return None
             width = sum(hi - lo for lo, hi in spans)
             if best is None or width < best[0]:
-                best = (width, spans, index, p)
+                best = (width, spans, index, selection)
         return best
 
     def select_ids(self, table: str,
-                   predicates: Sequence[VisPredicate]) -> List[int]:
+                   predicates: Sequence[VisSelection]) -> List[int]:
         """IDs of rows satisfying all ``predicates`` (sorted): the one
         candidate routine every selection goes through.
 
@@ -303,8 +270,3 @@ class UntrustedEngine:
         picked = list(map(self._rows[table].__getitem__, ids))
         return list(zip(ids, *(map(itemgetter(pos), picked)
                                for pos in positions)))
-
-    def count(self, table: str,
-              predicates: Sequence[VisPredicate]) -> int:
-        """Cardinality of the visible selection (planner statistics)."""
-        return len(self.select_ids(table, predicates))

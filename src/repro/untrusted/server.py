@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.flash.constants import ID_SIZE
 from repro.hardware.token import SecureToken
-from repro.untrusted.engine import UntrustedEngine, VisPredicate
+from repro.untrusted.engine import UntrustedEngine, VisSelection
 
 
 @dataclass(frozen=True)
@@ -31,14 +31,14 @@ class VisRequest:
     """What Secure asks of Untrusted -- all fields are query-derived."""
 
     table: str
-    predicates: Tuple[VisPredicate, ...]
+    predicates: Tuple[VisSelection, ...]
     columns: Tuple[str, ...] = ()
 
     def wire_size(self) -> int:
         """Approximate request size on the wire, in bytes."""
         size = len(self.table) + 2
-        for p in self.predicates:
-            size += len(p.column) + len(p.op) + 12
+        for column, predicate in self.predicates:
+            size += len(column) + len(predicate.op) + 12
         size += sum(len(c) + 1 for c in self.columns)
         return size
 
@@ -57,10 +57,6 @@ class VisResult:
         if self._rows is None:
             self._rows = [(i,) for i in self.ids]
         return self._rows
-
-    @property
-    def count(self) -> int:
-        return len(self.ids)
 
 
 class VisServer:

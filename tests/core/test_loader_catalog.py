@@ -5,7 +5,7 @@ import pytest
 from repro.core.loader import Loader
 from repro.errors import PlanError, StorageError
 from repro.hardware.token import SecureToken
-from repro.index.climbing import Predicate
+from repro.predicate import Predicate
 from repro.schema.ddl import schema_from_sql
 from repro.untrusted.engine import UntrustedEngine
 

@@ -369,15 +369,6 @@ def test_param_sets_with_sql_list_rejected():
                       param_sets=[(1,)])
 
 
-def test_batch_without_prefetch_matches_reference():
-    db = make_db()
-    param_sets = [(1, 20), (0, 35)]
-    batch = db.query_many(TEMPLATE, param_sets, prefetch_vis=False)
-    for result, params in zip(batch, param_sets):
-        _, expected = db.reference_query(concrete(*params))
-        assert sorted(result.rows) == sorted(expected)
-
-
 def test_batched_queries_stay_leak_free():
     """The batched path sends only query texts and Vis requests."""
     db = make_db()

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro import GhostDB
 from repro.core.stats import ColumnStats, TableStats
-from repro.index.climbing import Predicate
+from repro.predicate import Predicate
 
 values_st = st.integers(min_value=-50, max_value=50)
 

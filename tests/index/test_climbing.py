@@ -10,8 +10,9 @@ from repro.flash.ftl import Ftl
 from repro.flash.nand import NandFlash
 from repro.flash.stats import CostLedger
 from repro.flash.store import FlashStore
-from repro.index.climbing import ClimbingIndex, Predicate
+from repro.index.climbing import ClimbingIndex
 from repro.index.skt import SubtreeKeyTable
+from repro.predicate import Predicate
 from repro.storage.codec import IntType
 
 PAGE = 256

@@ -98,6 +98,36 @@ def test_error_responses_keep_connection_alive(db):
             assert stats["service"]["errors_total"] == 4
 
 
+def test_ill_typed_statements_are_error_responses_not_an_outage(fresh_db):
+    """One bad INSERT over the wire used to half-apply (the server
+    recovers on PowerLoss only) and take the table out of service."""
+    import repro.errors
+    read = "SELECT T0.id FROM T0 WHERE T0.v1 < 40"
+    expected = fresh_db.reference_query(read)[1]
+    with serving(fresh_db) as server:
+        with GhostClient(server.host, server.port) as client:
+            stmt = client.prepare("SELECT T1.id FROM T1 WHERE T1.h1 = ?")
+            for call in (
+                    lambda: client.execute(
+                        "INSERT INTO T0 VALUES (0, 0, 'oops', 1, 5)"),
+                    lambda: client.execute(
+                        "INSERT INTO T0 VALUES (0, 0, 1, 1, 'x')"),
+                    lambda: client.execute(
+                        "DELETE FROM T0 WHERE h3 < 1.5"),
+                    lambda: client.execute(
+                        "SELECT T1.id FROM T1 WHERE T1.v1 < 'abc'"),
+                    lambda: client.exec_stmt(stmt, (None,))):
+                with pytest.raises(ServiceError) as exc:
+                    call()
+                assert issubclass(
+                    getattr(repro.errors, exc.value.error_type),
+                    repro.errors.GhostDBError)
+            assert client.server_stats()["service"]["errors_total"] == 5
+            # no recover() ran, none is needed: the same table reads on
+            assert client.execute(read).rows == expected
+            assert client.server_stats()["service"]["recoveries"] == 0
+
+
 def test_order_by_statements_admit_under_their_priced_claim(db):
     """ORDER BY through admission: the pledge covers the ordering step."""
     external = ("SELECT T0.id, T1.v1 FROM T0, T1 WHERE T0.fk1 = T1.id "

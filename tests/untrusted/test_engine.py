@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from repro.errors import StorageError
 from repro.hardware.token import SecureToken
+from repro.predicate import Predicate
 from repro.schema.ddl import schema_from_sql
-from repro.untrusted.engine import UntrustedEngine, VisPredicate
+from repro.untrusted.engine import UntrustedEngine
 from repro.untrusted.server import VisRequest, VisServer
 
 DDL = [
@@ -40,36 +41,36 @@ def test_load_wrong_width_rejected(engine):
 
 
 def test_select_ids_equality(engine):
-    ids = engine.select_ids("A", [VisPredicate("v1", "=", 3)])
+    ids = engine.select_ids("A", [("v1", Predicate("=", 3))])
     assert ids == [i for i in range(100) if i % 10 == 3]
     assert ids == sorted(ids)
 
 
 def test_select_ids_conjunction(engine):
     ids = engine.select_ids("A", [
-        VisPredicate("v1", "=", 3),
-        VisPredicate("v2", "=", "s0"),
+        ("v1", Predicate("=", 3)),
+        ("v2", Predicate("=", "s0")),
     ])
     assert ids == [i for i in range(100) if i % 10 == 3 and i % 3 == 0]
 
 
 def test_select_ids_range_ops(engine):
-    assert len(engine.select_ids("A", [VisPredicate("v1", "<", 2)])) == 20
-    assert len(engine.select_ids("A", [VisPredicate("v1", "<=", 2)])) == 30
-    assert len(engine.select_ids("A", [VisPredicate("v1", ">", 7)])) == 20
-    assert len(engine.select_ids("A", [VisPredicate("v1", ">=", 7)])) == 30
+    assert len(engine.select_ids("A", [("v1", Predicate("<", 2))])) == 20
+    assert len(engine.select_ids("A", [("v1", Predicate("<=", 2))])) == 30
+    assert len(engine.select_ids("A", [("v1", Predicate(">", 7))])) == 20
+    assert len(engine.select_ids("A", [("v1", Predicate(">=", 7))])) == 30
     between = engine.select_ids(
-        "A", [VisPredicate("v1", "between", 2, value2=4)]
+        "A", [("v1", Predicate("between", 2, value2=4))]
     )
     assert len(between) == 30
     in_list = engine.select_ids(
-        "A", [VisPredicate("v1", "in", values=(1, 5))]
+        "A", [("v1", Predicate("in", values=(1, 5)))]
     )
     assert len(in_list) == 20
 
 
 def test_select_rows_projects_columns(engine):
-    ids = engine.select_ids("A", [VisPredicate("v1", "=", 0)])
+    ids = engine.select_ids("A", [("v1", Predicate("=", 0))])
     rows = engine.project("A", ids, ["v2"])
     assert rows[0] == (0, "s0")
     assert all(len(r) == 2 for r in rows)
@@ -77,12 +78,7 @@ def test_select_rows_projects_columns(engine):
 
 def test_hidden_column_not_accessible(engine):
     with pytest.raises(StorageError):
-        engine.select_ids("A", [VisPredicate("h1", "=", 1)])
-
-
-def test_count(engine):
-    assert engine.count("A", [VisPredicate("v1", "=", 3)]) == 10
-    assert engine.count("A", []) == 100
+        engine.select_ids("A", [("h1", Predicate("=", 1))])
 
 
 # ---------------------------------------------------------------------------
@@ -95,9 +91,9 @@ def server(engine):
 
 
 def test_vis_ids_only_charges_id_bytes(server):
-    req = VisRequest("A", (VisPredicate("v1", "=", 3),))
+    req = VisRequest("A", (("v1", Predicate("=", 3)),))
     result = server.vis(req)
-    assert result.count == 10
+    assert len(result.ids) == 10
     assert result.rows == [(i,) for i in result.ids]
     stats = server.token.channel.stats
     assert stats.bytes_to_secure == 10 * 4
@@ -105,7 +101,7 @@ def test_vis_ids_only_charges_id_bytes(server):
 
 
 def test_vis_with_columns_charges_row_width(server):
-    req = VisRequest("A", (VisPredicate("v1", "=", 3),), ("v1", "v2"))
+    req = VisRequest("A", (("v1", Predicate("=", 3)),), ("v1", "v2"))
     result = server.vis(req)
     assert result.rows[0][1:] == (3, "s0")
     # id(4) + v1(4) + v2(8) per row
@@ -114,7 +110,7 @@ def test_vis_with_columns_charges_row_width(server):
 
 def test_vis_no_predicates_ships_whole_table(server):
     result = server.vis(VisRequest("A", ()))
-    assert result.count == 100
+    assert len(result.ids) == 100
 
 
 def test_vis_requests_are_audited(server):
@@ -150,7 +146,6 @@ def assert_answers_equal_the_scan(engine, rows, predicates, columns):
     positions = [COLUMNS.index(c) for c in columns]
     tuples = [(rid, *(rows[rid][p] for p in positions)) for rid in ids]
     assert engine.select_ids("A", predicates) == ids
-    assert engine.count("A", predicates) == len(ids)
     assert repr(engine.project("A", ids, columns)) == repr(tuples)
 
 
@@ -182,13 +177,12 @@ def predicates_st(draw, domain):
         if op == "in":
             values = tuple(constant(column) for _ in range(
                 draw(st.integers(min_value=0, max_value=4))))
-            predicates.append(VisPredicate(column, "in", values=values))
+            predicates.append((column, Predicate("in", values=values)))
         elif op == "between":   # bounds drawn apart: may be inverted
-            predicates.append(VisPredicate(
-                column, "between", constant(column),
-                value2=constant(column)))
+            predicates.append((column, Predicate(
+                "between", constant(column), value2=constant(column))))
         else:
-            predicates.append(VisPredicate(column, op, constant(column)))
+            predicates.append((column, Predicate(op, constant(column))))
     return predicates
 
 
@@ -250,25 +244,25 @@ def test_unorderable_column_falls_back_to_the_scan():
     engine = UntrustedEngine(schema_from_sql(INDEX_DDL))
     rows = [(None if i % 7 == 0 else i % 5, "x", 0.0) for i in range(50)]
     engine.load("A", rows)
-    for predicates in ([VisPredicate("v1", "=", 3)],
-                       [VisPredicate("v1", "=", None)],
-                       [VisPredicate("v1", "in", values=(None, 1))]):
+    for predicates in ([("v1", Predicate("=", 3))],
+                       [("v1", Predicate("=", None))],
+                       [("v1", Predicate("in", values=(None, 1)))]):
         engine.rows_examined = 0
         assert engine.select_ids("A", predicates) == scan(
             engine, rows, predicates)
         assert engine.rows_examined == len(rows)
     with pytest.raises(TypeError):     # exactly what the scan does
-        engine.select_ids("A", [VisPredicate("v1", "<", 3)])
+        engine.select_ids("A", [("v1", Predicate("<", 3))])
 
 
 def test_constant_of_another_type_is_left_to_the_scan(engine):
-    assert engine.select_ids("A", [VisPredicate("v1", "=", "3")]) == []
+    assert engine.select_ids("A", [("v1", Predicate("=", "3"))]) == []
     with pytest.raises(TypeError):
-        engine.select_ids("A", [VisPredicate("v1", "<", "3")])
+        engine.select_ids("A", [("v1", Predicate("<", "3"))])
     # ... whatever a second predicate's span says: an empty one must not
     # answer [] where the scan raises on the first row
-    foreign, nomatch = (VisPredicate("v1", "<", "3"),
-                        VisPredicate("v2", "=", "nomatch"))
+    foreign, nomatch = (("v1", Predicate("<", "3")),
+                        ("v2", Predicate("=", "nomatch")))
     rows = [(i % 10, f"s{i % 3}") for i in range(100)]
     engine.select_ids("A", [nomatch])       # both indexes are built
     with pytest.raises(TypeError):
@@ -297,17 +291,17 @@ def test_rows_examined_is_bounded_by_the_answer_not_the_table():
         ids = engine.select_ids("A", predicates)
         return engine.rows_examined - before, len(ids)
 
-    equality = [VisPredicate("v1", "=", 123)]
-    one_percent = [VisPredicate("v1", "<", 10)]
+    equality = [("v1", Predicate("=", 123))]
+    one_percent = [("v1", Predicate("<", 10))]
     examined(equality)                       # builds the index
     for predicates in (equality, one_percent):
         work, answer = examined(predicates)
         assert 0 < answer <= work <= answer + slack
     # a second predicate filters the narrowest span's candidates only
-    work, answer = examined(equality + [VisPredicate("v2", "=", "x")])
+    work, answer = examined(equality + [("v2", Predicate("=", "x"))])
     assert answer <= work <= 2 * answer + slack
     # however wide the span, there is no cut-over to the scan
-    work, answer = examined([VisPredicate("v1", ">=", 100)])
+    work, answer = examined([("v1", Predicate(">=", 100))])
     assert 0.8 * n < answer == work
     # appended rows are scanned until they are folded in ...
     engine.load("A", [(500, "x", 1.0)] * 10)
@@ -322,8 +316,8 @@ def test_rows_examined_is_bounded_by_the_answer_not_the_table():
     total = engine.n_rows("A")
     for predicates in (
             [],                                       # no predicate
-            [VisPredicate("v3", "=", 1.0)],           # NaN: unorderable
-            [VisPredicate("v1", "=", "123")],         # incomparable
-            [VisPredicate("v1", "<=", NAN)]):         # NaN constant
+            [("v3", Predicate("=", 1.0))],            # NaN: unorderable
+            [("v1", Predicate("=", "123"))],          # incomparable
+            [("v1", Predicate("<=", NAN))]):          # NaN constant
         work, _ = examined(predicates)
         assert work == total

@@ -43,11 +43,11 @@ def test_synthetic_visible_selectivity_exact(syn):
     n1 = syn.catalog.n_rows("T1")
     ids = syn.untrusted.select_ids("T1", [])
     assert len(ids) == n1
-    from repro.untrusted.engine import VisPredicate
+    from repro.predicate import Predicate
     for sv in (0.01, 0.1, 0.5):
         k = sv_to_v1_bound(sv)
-        count = syn.untrusted.count("T1", [VisPredicate("v1", "<", k)])
-        assert count == pytest.approx(sv * n1, abs=1)
+        ids = syn.untrusted.select_ids("T1", [("v1", Predicate("<", k))])
+        assert len(ids) == pytest.approx(sv * n1, abs=1)
 
 
 def test_synthetic_hidden_selectivity_exact(syn):
