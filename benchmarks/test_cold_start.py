@@ -2,11 +2,15 @@
 
 The tentpole claim of the durable token image: a restart is
 ``GhostDB.restore()`` -- header + metadata only, page payloads left
-mmap-backed -- and must be at least an order of magnitude faster than
-rebuilding the same database from its source rows, while answering the
-Figure 10 query mix bit-identically (rows *and* simulated costs).
+mmap-backed -- instead of a rebuild of the same database from its
+source rows, while answering the Figure 10 query mix bit-identically
+(rows *and* simulated costs).
 
-The wall-clock table is printed, never committed: wall numbers are
+What is asserted is what restore *does*, which no host can make flaky:
+every page is still image-backed when ``restore`` returns, the restored
+ledger equals the snapshotted one (zero replay), and the first queries
+copy out exactly the pages the cache missed on.  The wall-clock table
+is printed, never asserted or committed: wall numbers are
 ``perfbench``'s job (``setup_s``, ``persist.restore_ms``,
 ``persist.snapshot_s``).
 """
@@ -20,18 +24,12 @@ from repro.workloads.queries import query_q
 
 SELECTIVITIES = (0.001, 0.01, 0.1)
 
-#: a restore must beat the from-rows build by at least this factor
-MIN_SPEEDUP = 20.0
-
 RESTORE_ROUNDS = 3
 
 
-def _first_query_answers(db):
-    out = []
-    for sv in SELECTIVITIES:
-        result = db.execute(query_q(sv))
-        out.append((sorted(result.rows), result.stats.total_s))
-    return out
+def _answer(db, sv):
+    result = db.execute(query_q(sv))
+    return sorted(result.rows), result.stats
 
 
 def test_cold_start(tmp_path):
@@ -61,8 +59,22 @@ def test_cold_start(tmp_path):
             gc.enable()
     restore_s = sum(restore_times) / RESTORE_ROUNDS
 
-    # the restored database answers the fig10 mix bit-identically
-    assert _first_query_answers(restored) == _first_query_answers(db)
+    # restore copied nothing and replayed nothing
+    nand = restored.token.nand
+    assert nand.image_backed_pages() == summary["pages"] > 0
+    assert restored.token.ledger.snapshot() == db.token.ledger.snapshot()
+
+    for sv in SELECTIVITIES:
+        # the restored database answers the fig10 mix bit-identically ...
+        assert _answer(restored, sv) == _answer(db, sv)
+        # ... copying a page out of the image only on a cache miss; a
+        # miss re-reads an already copied page only after an eviction
+        cache = restored.token.store.cache_stats()
+        touched = summary["pages"] - nand.image_backed_pages()
+        assert 0 < touched <= cache["misses"]
+        assert touched == cache["misses"] \
+            or cache["cached_pages"] < cache["misses"]
+    assert touched < summary["pages"]
 
     speedup = build_s / restore_s if restore_s > 0 else float("inf")
     print("\n" + format_table([{
@@ -72,6 +84,5 @@ def test_cold_start(tmp_path):
         "speedup": round(speedup, 1),
         "image_kb": round(summary["bytes"] / 1024, 1),
         "pages": summary["pages"],
+        "pages_touched": touched,
     }], "Cold start: image restore vs from-rows rebuild (wall seconds)"))
-
-    assert speedup >= MIN_SPEEDUP

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
-"""Docs CI gate: links resolve, named API exists, state and the operator
-table have one owner each, examples run.
+"""Docs CI gate: links resolve, named API exists, state, the operator
+table and the simulated clock have one owner each, examples run.
 
-Five checks, all simple on purpose:
+Six checks, all simple on purpose:
 
 * every relative link target in a tracked ``*.md`` file (README.md,
   docs/, CHANGES.md, ...) must exist on disk -- links to headings
@@ -23,6 +23,13 @@ Five checks, all simple on purpose:
   names ``"between"`` or ``"<="``: every spelled-out operator table has
   those two branches, so a second copy of what ``col op constant``
   means cannot grow back beside ``repro/predicate.py`` unnoticed;
+* inside ``src/repro`` only ``flash/constants.py``, ``flash/stats.py``
+  and the estimator ``core/costmodel.py`` may call ``read_time_us`` /
+  ``write_time_us`` or do arithmetic on a Table-1 price
+  (``read_page_us``, ``write_page_us``, ``byte_transfer_ns``,
+  ``erase_block_us``), and no call of a method named ``charge`` may
+  pass a float literal: charge sites hand the ledger counts, and a new
+  one cannot start computing time again unnoticed;
 * with ``--run-examples``, every script under ``examples/`` is executed
   with ``PYTHONPATH=src`` and must exit 0.
 
@@ -66,6 +73,15 @@ _ORCHESTRATORS = ("src/repro/persist/", "src/repro/shard/persist.py",
 #: the modules that may spell out the seven-operator table
 _OPERATOR_OWNERS = ("src/repro/predicate.py", "src/repro/sql/lexer.py",
                     "src/repro/sql/parser.py", "src/repro/core/reference.py")
+
+
+#: the modules that may turn counts into simulated time (the ledger's
+#: derivation and the planner's estimates) and the prices they read
+_CLOCK_OWNERS = ("src/repro/flash/constants.py", "src/repro/flash/stats.py",
+                 "src/repro/core/costmodel.py")
+_TIME_METHODS = ("read_time_us", "write_time_us")
+_PRICES = ("read_page_us", "write_page_us", "byte_transfer_ns",
+           "erase_block_us")
 
 
 def iter_markdown_files() -> list:
@@ -160,6 +176,37 @@ def foreign_operator_chains() -> list:
     return found
 
 
+def _mentions(node: ast.AST, attrs: tuple) -> bool:
+    return any(isinstance(leaf, ast.Attribute) and leaf.attr in attrs
+               for leaf in ast.walk(node))
+
+
+def foreign_clock_arithmetic() -> list:
+    """Every ``(module, line, expr)`` where simulated time is computed
+    outside the clock's owners, or a ``charge`` call is handed a float
+    literal (a time) instead of counts."""
+    found = []
+    for module, tree in src_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "charge":
+                bad = any(isinstance(leaf, ast.Constant)
+                          and isinstance(leaf.value, float)
+                          for arg in (*node.args, *node.keywords)
+                          for leaf in ast.walk(arg))
+            elif module in _CLOCK_OWNERS:
+                continue
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)):
+                bad = _mentions(node, _PRICES)
+            else:
+                bad = isinstance(node, ast.Attribute) \
+                    and node.attr in _TIME_METHODS
+            if bad:
+                found.append((module, node.lineno, ast.unparse(node)))
+    return found
+
+
 def run_examples() -> list:
     """Run every examples/ script; returns the ones that failed."""
     failed = []
@@ -204,6 +251,10 @@ def main(argv: list) -> int:
           "gated): " + ", ".join(elsewhere))
     for module, lineno, expr in foreign_operator_chains():
         print(f"OPERATOR CHAIN OUTSIDE repro/predicate.py "
+              f"{module}:{lineno}: {expr}")
+        ok = False
+    for module, lineno, expr in foreign_clock_arithmetic():
+        print(f"SIMULATED TIME COMPUTED OUTSIDE flash/stats.py "
               f"{module}:{lineno}: {expr}")
         ok = False
     if "--run-examples" in argv:

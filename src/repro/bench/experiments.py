@@ -13,6 +13,7 @@ set; shapes, orderings and crossover points are preserved.
 
 from __future__ import annotations
 
+from math import fsum
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
@@ -435,7 +436,7 @@ def _decomposition(db: GhostDB, sql_of, sv_values) -> List[Dict]:
             for op in DECOMPOSITION_OPS:
                 row[op] = result.stats.operator_s(op)
             # the paper's histograms exclude communication time
-            row["total_excl_comm"] = sum(
+            row["total_excl_comm"] = fsum(
                 s for label, s in result.stats.by_operator.items()
                 if label not in ("Vis", "Plan")
             )
@@ -503,8 +504,14 @@ def compaction_churn(db: GhostDB, batches: int = CHURN_BATCHES,
     """
     sql = query_q(sv)
 
-    def compact_s() -> float:
-        return db.token.ledger.by_label_s().get("Compact", 0.0)
+    def compact(**limits):
+        """Advance the job; returns its progress and the ``Compact``
+        seconds this call spent (a ledger interval)."""
+        ledger = db.token.ledger
+        before = ledger.snapshot()
+        prog = db.compact("T0", **limits)
+        spent = ledger.snapshot() - before
+        return prog, spent.by_label_s().get("Compact", 0.0)
 
     def probe(batch, prog, spent_s) -> Dict:
         expected = db.reference_query(sql)[1]
@@ -534,11 +541,8 @@ def compaction_churn(db: GhostDB, batches: int = CHURN_BATCHES,
                 params=(i % 5, i % 7, (b * 37 + i) % V_DOMAIN,
                         (b * 11 + i) % V_DOMAIN, i % H_DOMAIN),
             )
-        before = compact_s()
-        prog = db.compact("T0", max_steps=CHURN_STEPS_PER_BATCH)
-        rows.append(probe(b, prog, compact_s() - before))
-    before = compact_s()
-    rows.append(probe("final", db.compact("T0"), compact_s() - before))
+        rows.append(probe(b, *compact(max_steps=CHURN_STEPS_PER_BATCH)))
+    rows.append(probe("final", *compact()))
     if any(status.dirty for status in db.compaction_status().values()):
         raise AssertionError("the finished job left compaction debt behind")
     return rows
@@ -686,9 +690,7 @@ def shard_scaling() -> List[Dict]:
     for n in SHARD_GRID:
         db = build_synthetic(cfg, shards=n)
         results = [db.execute(sql, **knobs) for sql, knobs in SHARD_MIX]
-        sim_s = 0.0
-        for result in results:
-            sim_s += result.stats.total_s
+        sim_s = fsum(result.stats.total_s for result in results)
         row_counts.add(sum(len(result.rows) for result in results))
         rows.append({"shards": n, "simulated_s": round(sim_s, 4),
                      "sim_qps": round(len(SHARD_MIX) / sim_s, 2)})

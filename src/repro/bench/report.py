@@ -32,14 +32,7 @@ def run_table(name: str, db_of: Callable[[str], object]
     file it owns (``<name>.txt``, plus ``<name>.json`` if it has one).
     ``db_of`` hands out the shared databases by ``DATABASES`` kind."""
     spec = TABLES[name]
-    dbs = [db_of(kind) for kind in spec.needs]
-    for db in dbs:
-        # statement costs are deltas of the cumulative ledger's floats:
-        # starting every table from the zeroed ledger of a fresh build
-        # keeps its last ulp -- hence a digit at a rounding boundary --
-        # independent of which tables ran on the database before it
-        db.token.reset_costs()
-    rows = spec.runner(*dbs)
+    rows = spec.runner(*(db_of(kind) for kind in spec.needs))
     files = {f"{name}.txt": format_table(rows, spec.title) + "\n"}
     if spec.json_of is not None:
         files[f"{name}.json"] = json.dumps(spec.json_of(rows),

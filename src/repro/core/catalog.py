@@ -66,7 +66,7 @@ class SecureCatalog:
         self.skts: Dict[str, SubtreeKeyTable] = {}
         self.attr_indexes: Dict[Tuple[str, str], ClimbingIndex] = {}
         self.id_indexes: Dict[str, ClimbingIndex] = {}
-        # raw loaded rows, kept for the reference oracle and rebuild();
+        # raw loaded rows, kept for the reference oracle and compaction;
         # DML appends here too so the oracle tracks the live database
         self.raw_rows: Dict[str, List[Tuple]] = {}
         # --- incremental-DML state (all append-only) ---
@@ -84,8 +84,8 @@ class SecureCatalog:
         self.stats_generations: Dict[str, int] = {
             name: 0 for name in schema.tables
         }
-        # generations as of this catalog's (re)build; a rebuild compares
-        # against them to find the tables mutated since
+        # generations as of the build or the last compaction; the next
+        # compaction compares against them to find what was mutated since
         self.built_generations: Dict[str, int] = dict(self.data_generations)
 
     # ------------------------------------------------------------------

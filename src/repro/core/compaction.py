@@ -49,8 +49,7 @@ restarts the job (shadow files freed, ``restarts`` counted) if any
 generation moved between steps.  ``data_generations[T]`` bumps only
 when ``T`` itself had DML folded in (appends or a remap), so cached
 plans of untouched tables survive; ``built_generations`` of the whole
-subtree syncs so a later ``GhostDB.rebuild(indexed_columns)`` still
-knows what is clean.
+subtree syncs so the next compaction still knows what is clean.
 """
 
 from __future__ import annotations
@@ -344,21 +343,19 @@ class CompactionJob:
         """Run one bounded step; True once the job completed (swapped)."""
         token = self.db.token
         ledger = token.ledger
-        before_us = ledger.total_time_us()
+        before = ledger.snapshot()
         before_pages = self.pages_rewritten
         with token.label(COMPACT_LABEL):
             try:
                 self.phase = next(self._gen)
             except StopIteration:
                 self.finished = True
-            self.steps_run += 1
-            self.last_step_us = ledger.total_time_us() - before_us
-            self.max_step_us = max(self.max_step_us, self.last_step_us)
-            ledger.charge(
-                "compact", 0.0, compaction_steps=1,
-                compaction_pages_rewritten=(self.pages_rewritten
-                                            - before_pages),
-            )
+        self.steps_run += 1
+        self.last_step_us = (ledger.snapshot() - before).total_time_us()
+        self.max_step_us = max(self.max_step_us, self.last_step_us)
+        ledger.count("compaction_steps")
+        ledger.count("compaction_pages_rewritten",
+                     self.pages_rewritten - before_pages)
         return self.finished
 
     def abort(self) -> None:
@@ -649,8 +646,7 @@ class CompactionManager:
                 job.abort()
                 self._jobs.pop(table, None)
                 job = None
-                db.token.ledger.charge("compact", 0.0,
-                                       compaction_restarts=1)
+                db.token.ledger.count("compaction_restarts")
             if job is None:
                 if not is_dirty(catalog, table):
                     return CompactionProgress(

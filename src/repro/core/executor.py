@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from math import fsum
 from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
                     Tuple)
 
@@ -65,67 +66,40 @@ class QueryStats:
         return self.by_operator.get(label, 0.0)
 
     @classmethod
-    def _fold(cls, parts: Iterable["QueryStats"]) -> "QueryStats":
-        """Sum the work of ``parts`` (per-operator seconds, counters,
-        bytes, rows) and take the largest ``ram_peak``; ``total_s`` is
-        left at zero for the caller's combination rule."""
-        by_op: Dict[str, float] = {}
-        counters: Dict[str, int] = {}
-        total = cls(
-            total_s=0.0, by_operator=by_op, counters=counters,
-            bytes_to_secure=0, bytes_to_untrusted=0, ram_peak=0,
-            result_rows=0,
-        )
-        for part in parts:
-            for label, seconds in part.by_operator.items():
-                by_op[label] = by_op.get(label, 0.0) + seconds
-            for key, value in part.counters.items():
-                counters[key] = counters.get(key, 0) + value
-            total.bytes_to_secure += part.bytes_to_secure
-            total.bytes_to_untrusted += part.bytes_to_untrusted
-            total.ram_peak = max(total.ram_peak, part.ram_peak)
-            total.result_rows += part.result_rows
-        return total
-
-    @classmethod
-    def aggregate(cls, parts: Iterable["QueryStats"]) -> "QueryStats":
-        """Combine per-query reports into one (batch execution).
-
-        Times, byte counts and row counts sum; ``ram_peak`` takes the
-        maximum, since the queries of a batch run sequentially on one
-        token and never hold RAM simultaneously.
-        """
-        parts = list(parts)
-        total = cls._fold(parts)
-        for part in parts:      # left fold: builtin sum() compensates
-            total.total_s += part.total_s
-        return total
-
-    @classmethod
     def parallel(cls, parts: Iterable["QueryStats"],
                  merge_s: float = 0.0,
                  result_rows: Optional[int] = None) -> "QueryStats":
         """Combine per-shard reports that ran on *independent* tokens.
 
-        Unlike :meth:`aggregate` (sequential batches on one token),
-        the shards of a fleet execute concurrently on disjoint
+        The shards of a fleet execute concurrently on disjoint
         hardware, so the simulated makespan is the *slowest* shard
-        plus the coordinator's ``merge_s``, while bytes and counters
-        still sum (they measure work, not time).  ``by_operator``
-        sums too -- it reports where fleet-wide work went, and
-        therefore may exceed ``total_s``.  ``ram_peak`` is the
-        largest single-token peak: shard RAM budgets are not fungible.
+        plus the coordinator's ``merge_s``, while bytes, rows and
+        counters sum (they measure work, not time).  ``by_operator``
+        sums too (``fsum``: the order of the shards cannot matter) --
+        it reports where fleet-wide work went, and therefore may
+        exceed ``total_s``.  ``ram_peak`` is the largest single-token
+        peak: shard RAM budgets are not fungible.
         """
         parts = list(parts)
-        combined = cls._fold(parts)
-        combined.total_s = merge_s + max(
-            (part.total_s for part in parts), default=0.0)
+        seconds: Dict[str, List[float]] = {}
+        counters: Dict[str, int] = {}
+        for part in parts:
+            for label, s in part.by_operator.items():
+                seconds.setdefault(label, []).append(s)
+            for key, value in part.counters.items():
+                counters[key] = counters.get(key, 0) + value
         if merge_s:
-            by_op = combined.by_operator
-            by_op["Gather"] = by_op.get("Gather", 0.0) + merge_s
-        if result_rows is not None:
-            combined.result_rows = result_rows
-        return combined
+            seconds.setdefault("Gather", []).append(merge_s)
+        return cls(
+            total_s=merge_s + max((p.total_s for p in parts), default=0.0),
+            by_operator={label: fsum(s) for label, s in seconds.items()},
+            counters=counters,
+            bytes_to_secure=sum(p.bytes_to_secure for p in parts),
+            bytes_to_untrusted=sum(p.bytes_to_untrusted for p in parts),
+            ram_peak=max((p.ram_peak for p in parts), default=0),
+            result_rows=sum(p.result_rows for p in parts)
+            if result_rows is None else result_rows,
+        )
 
 
 class CostWindow:
@@ -133,13 +107,14 @@ class CostWindow:
 
     The one place a :class:`QueryStats` is produced: opening the window
     snapshots the token's cost ledger and channel byte counters,
-    :meth:`stats` reports what was charged since.  The ledger/channel
-    deltas span everything between the two; secure-RAM attribution
-    windows open and close per *phase* (:meth:`ram_window` -- the
-    contextvar window stack is process-wide, so windows of different
-    shards must never nest) and the largest phase peak is kept --
-    phases drain their allocations before returning, so the max over
-    phases is the true peak.
+    :meth:`stats` reports what was charged since: the integer
+    difference of two ledger snapshots, from which time is derived.
+    The ledger/channel deltas span everything between the two;
+    secure-RAM attribution windows open and close per *phase*
+    (:meth:`ram_window` -- the contextvar window stack is process-wide,
+    so windows of different shards must never nest) and the largest
+    phase peak is kept -- phases drain their allocations before
+    returning, so the max over phases is the true peak.
     """
 
     def __init__(self, token):
@@ -166,24 +141,13 @@ class CostWindow:
 
     def stats(self, result_rows: int = 0) -> QueryStats:
         """Everything charged to the token since the window opened."""
-        before, after = self._before, self.token.ledger.snapshot()
-        by_op: Dict[str, float] = {}
-        for label, parts in after.time_us.items():
-            delta = sum(parts.values()) - sum(
-                before.time_us.get(label, {}).values()
-            )
-            if delta > 1e-12:
-                by_op[label] = delta / 1e6
-        counters = {
-            k: after.counters[k] - before.counters.get(k, 0)
-            for k in after.counters
-            if after.counters[k] != before.counters.get(k, 0)
-        }
+        spent = self.token.ledger.snapshot() - self._before
+        by_op = {label: s for label, s in spent.by_label_s().items() if s}
         ch = self.token.channel.stats
         return QueryStats(
-            total_s=sum(by_op.values()),
+            total_s=fsum(by_op.values()),
             by_operator=by_op,
-            counters=counters,
+            counters=dict(spent.counters),
             bytes_to_secure=ch.bytes_to_secure - self._in0,
             bytes_to_untrusted=ch.bytes_to_untrusted - self._out0,
             ram_peak=self._peak,

@@ -53,7 +53,6 @@ verifiable via ``db.audit_outbound()``.
 from __future__ import annotations
 
 import dataclasses
-import weakref
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.aggregate import apply_aggregates, effective_projections
@@ -108,7 +107,6 @@ class StatementFrontEnd:
     _statement_cls = PreparedStatement
 
     def __init__(self):
-        self._sessions: "weakref.WeakSet[Session]" = weakref.WeakSet()
         self._default_session: Optional[Session] = None
         # exactly-once DML: the service writer lane records responses
         # here under client idempotency keys (persisted in snapshots)
@@ -592,83 +590,6 @@ class GhostDB(StatementFrontEnd):
         output for the tables a query touches."""
         self._require_built()
         return self._compactor.status()
-
-    def rebuild(self, indexed_columns: Dict[str, Sequence[str]]) -> None:
-        """Re-provision the token under a new set of indexed columns.
-
-        Changing which attributes are indexed genuinely requires
-        rebuilding the token image from the (compacted) raw rows; every
-        other kind of DML debt is folded by :meth:`compact`.  Flushes
-        every session's plan cache when the selection changed.
-
-        Cache invalidation is otherwise routed through the per-table
-        generations: only tables whose own DML was folded bump, so
-        plans over untouched tables keep serving from every session's
-        cache.
-        """
-        self._require_built()
-        raw_rows = self._compacted_rows()
-        old = self.catalog
-        dirty = {
-            t for t in self.schema.tables
-            if old.data_generations[t] != old.built_generations[t]
-            or old.stats_generations[t] != 0
-        }
-        reindexed = indexed_columns != self._indexed_columns
-        self._indexed_columns = indexed_columns
-        self.token = SecureToken(self.token.config)
-        self.untrusted = UntrustedEngine(self.schema)
-        self._loader = Loader(self.schema, self.token, self.untrusted,
-                              self._indexed_columns)
-        for table, rows in raw_rows.items():
-            self._loader.add_rows(table, rows)
-        self.catalog = self._loader.build()
-        # carry the generation counters across the rebuild, bumping the
-        # mutated tables so their cached plans stale-drop selectively
-        for t in self.schema.tables:
-            gen = old.data_generations[t] + (1 if t in dirty else 0)
-            self.catalog.data_generations[t] = gen
-            self.catalog.built_generations[t] = gen
-        self._wire_engines()
-        self.token.reset_costs()
-        if reindexed:
-            for session in list(self._sessions):
-                session.invalidate()
-
-    def _compacted_rows(self) -> Dict[str, List[Tuple]]:
-        """Live raw rows with dense new ids and remapped foreign keys.
-
-        Deletes RESTRICT, so every live foreign key points at a live
-        child row and the remap is total.
-        """
-        tombstones = self.catalog.tombstones
-        id_maps: Dict[str, Dict[int, int]] = {}
-        for name, rows in self.catalog.raw_rows.items():
-            dead = tombstones[name]
-            id_maps[name] = {}
-            for rid in range(len(rows)):
-                if rid not in dead:
-                    id_maps[name][rid] = len(id_maps[name])
-        out: Dict[str, List[Tuple]] = {}
-        for name, rows in self.catalog.raw_rows.items():
-            table = self.schema.table(name)
-            fk_positions = [
-                (table.column_position(c.name), id_maps[c.references])
-                for c in table.foreign_keys
-            ]
-            dead = tombstones[name]
-            kept: List[Tuple] = []
-            for rid, row in enumerate(rows):
-                if rid in dead:
-                    continue
-                if fk_positions:
-                    cells = list(row)
-                    for pos, mapping in fk_positions:
-                        cells[pos] = mapping[cells[pos]]
-                    row = tuple(cells)
-                kept.append(row)
-            out[name] = kept
-        return out
 
     # ------------------------------------------------------------------
     # statistics catalog

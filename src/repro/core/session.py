@@ -11,8 +11,8 @@ SELECT of ``GhostDB.execute()`` runs through:
   reused via :meth:`QueryPlan.with_bound`.
 * :class:`PlanCache` -- an LRU cache of :class:`QueryPlan` objects
   keyed on the *normalized* SQL text plus the strategy knobs, so
-  whitespace or keyword-case variants of one query share a plan.  The
-  cache is explicitly invalidated when the index set is re-provisioned.
+  whitespace or keyword-case variants of one query share a plan;
+  entries go stale per table, through the data/stats generations.
 * :class:`Session` -- one client's view of a :class:`GhostDB` (or of a
   fleet: the session asks its database to plan and to run): its own
   plan cache and the batched execution path :meth:`Session.query_many`,
@@ -98,7 +98,6 @@ class PlanCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.invalidations = 0
         self.stale_drops = 0
 
     def __len__(self) -> int:
@@ -134,11 +133,6 @@ class PlanCache:
         while len(self._plans) > self.capacity:
             self._plans.popitem(last=False)
             self.evictions += 1
-
-    def invalidate(self) -> None:
-        """Drop every cached plan (the index set changed)."""
-        self._plans.clear()
-        self.invalidations += 1
 
 
 class PreparedStatement:
@@ -237,9 +231,7 @@ class Session:
 
     Sessions are cheap; a server would hold one per connection.  All
     sessions share the database's token and Untrusted engine -- only
-    the caching layer is per-session.  Re-provisioning under a new
-    index set (``GhostDB.rebuild(indexed_columns)``) calls
-    :meth:`invalidate` on every live session.
+    the caching layer is per-session.
     """
 
     def __init__(self, db: "GhostDB"):
@@ -247,10 +239,9 @@ class Session:
         self.db = db
         self.plan_cache = PlanCache()
         # bound templates are schema-derived (data-independent), so
-        # this cache survives DML and rebuilds
+        # this cache survives DML and compaction
         self._statements: "OrderedDict[PlanKey, PreparedStatement]" = \
             OrderedDict()
-        db._sessions.add(self)
 
     # ------------------------------------------------------------------
     def prepare(self, sql: str,
@@ -332,10 +323,6 @@ class Session:
         return self._run_sql_batch(list(sql), vis_strategy, cross,
                                    projection, order_method)
 
-    def invalidate(self) -> None:
-        """Drop cached plans (the index set was re-provisioned)."""
-        self.plan_cache.invalidate()
-
     # ------------------------------------------------------------------
     # snapshot-pinned execution (the service layer's isolation path)
     # ------------------------------------------------------------------
@@ -396,7 +383,7 @@ class Session:
         window = self._open_window()
         param_sets = [tuple(p) for p in param_sets]
         if not param_sets:
-            return BatchResult([], QueryStats.aggregate(()), 0, 0)
+            return BatchResult([], QueryStats.parallel(()), 0, 0)
         bounds = [stmt.template.substitute(p) for p in param_sets]
         plan = stmt.plan_for(bounds[0])
         plans = [plan.with_bound(b) for b in bounds]
@@ -412,7 +399,7 @@ class Session:
                        order_method: SortMethodLike) -> BatchResult:
         window = self._open_window()
         if not sqls:
-            return BatchResult([], QueryStats.aggregate(()), 0, 0)
+            return BatchResult([], QueryStats.parallel(()), 0, 0)
         plans = []
         for sql in sqls:
             stmt = self._statement(sql, vis_strategy, cross, projection,
@@ -490,11 +477,10 @@ class Session:
             for plan, seed in zip(plans, self._prefetch_vis(plans))
         ]
         cost, plans0, hits0 = window
-        per_query = QueryStats.aggregate(r.stats for r in results)
-        stats = cost.stats(per_query.result_rows)
+        stats = cost.stats(sum(len(r.rows) for r in results))
         # each query ran in its own RAM window; the batch peak is the
         # largest of them
-        stats.ram_peak = per_query.ram_peak
+        stats.ram_peak = max(r.stats.ram_peak for r in results)
         return BatchResult(
             results=results, stats=stats,
             plans_computed=db._planner.plans_built - plans0,

@@ -418,11 +418,9 @@ class OrderByExecutor:
             out = [rows[codec.position(r)]
                    for r in self._slice_iter(ordered)]
             if order.method is SortMethod.EXTERNAL:
-                self.ctx.token.ledger.charge(
-                    "sort", 0.0,
-                    sort_spill_runs=sorter.spilled_runs,
-                    sort_reductions=sorter.reductions,
-                )
+                ledger = self.ctx.token.ledger
+                ledger.count("sort_spill_runs", sorter.spilled_runs)
+                ledger.count("sort_reductions", sorter.reductions)
             return out
 
     # ------------------------------------------------------------------

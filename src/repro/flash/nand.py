@@ -208,6 +208,11 @@ class NandFlash:
             f"(torn write or corrupt image)"
         )
 
+    def image_backed_pages(self) -> int:
+        """Pages whose payload still lives only in the restored image
+        (never read since :meth:`from_meta`, so never copied out)."""
+        return len(self._backing)
+
     def discard_page(self, ppn: int) -> None:
         """Forget the payload of a page its owner invalidated.
 

@@ -2,9 +2,9 @@
 
 Models the USB link in two respects:
 
-* **time** -- transfers are charged to the cost ledger at the
-  configured throughput (the paper's Figure 14 sweeps 0.3-10 MBps;
-  USB 2.0 full speed is 12 Mb/s ~= 1.5 MB/s);
+* **time** -- the bytes of every transfer are counted in the cost
+  ledger at the configured throughput (the paper's Figure 14 sweeps
+  0.3-10 MBps; USB 2.0 full speed is 12 Mb/s ~= 1.5 MB/s);
 * **security** -- every outbound (Secure -> Untrusted) message is
   recorded in a ledger.  GhostDB's security argument is exactly that
   this ledger only ever contains the user's query (which is public by
@@ -65,8 +65,10 @@ class UsbChannel:
 
     # ------------------------------------------------------------------
     def _charge(self, nbytes: int) -> None:
-        time_us = nbytes / self.throughput_mbps  # bytes / (MB/s) == us
-        self.ledger.charge(COMM, time_us, comm_bytes=nbytes)
+        # one message of ``nbytes`` at the current throughput: the
+        # throughput is the cell's unit price, so bytes sent at another
+        # setting (the Figure 14 sweep) are simply other cells
+        self.ledger.charge(COMM, self.throughput_mbps, 1, nbytes)
 
     # ------------------------------------------------------------------
     def to_secure(self, nbytes: int, description: str = "") -> None:

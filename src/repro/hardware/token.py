@@ -72,7 +72,7 @@ class SecureToken:
         return self.ledger.total_time_s()
 
     def reset_costs(self) -> None:
-        """Zero timers/counters (storage content is preserved)."""
+        """Zero the cost counts (storage content is preserved)."""
         self.ledger.reset()
         self.channel.reset_counters()
 

@@ -56,7 +56,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle with ghostdb
     from repro.core.ghostdb import GhostDB
 
 IMAGE_MAGIC = b"GHOSTIMG"
-IMAGE_VERSION = 3
+IMAGE_VERSION = 4
 
 #: magic | version | meta_len | blob_len | total_size | sha(meta) | sha(blob)
 _HEADER = struct.Struct("!8sIQQQ32s32s")

@@ -1,6 +1,7 @@
 """Unit tests for the GhostDB facade: lifecycle, stats, errors."""
 
 import warnings
+from math import fsum
 
 import pytest
 
@@ -67,7 +68,7 @@ def test_query_stats_shape():
     assert stats.bytes_to_secure > 0
     assert stats.bytes_to_untrusted > 0
     assert stats.ram_peak <= db.token.ram.capacity
-    assert abs(sum(stats.by_operator.values()) - stats.total_s) < 1e-9
+    assert fsum(stats.by_operator.values()) == stats.total_s
 
 
 def test_stats_are_per_query_not_cumulative():

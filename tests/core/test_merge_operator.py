@@ -82,7 +82,7 @@ def test_reduction_writes_are_charged():
     ledger.reset()
     list(op.stream([group]))
     assert ledger.counters["pages_written"] > 0  # reduction temps
-    assert ledger.time_us_by_label["Merge"]
+    assert ledger.by_label_s()["Merge"] > 0
 
 
 def test_reduction_respects_reserved_buffers():

@@ -162,7 +162,7 @@ def test_sessions_have_isolated_caches():
 
 
 # ---------------------------------------------------------------------------
-# compaction / re-provisioning invalidation
+# compaction invalidation
 # ---------------------------------------------------------------------------
 
 def test_rebuild_keeps_plans_of_untouched_tables():
@@ -176,7 +176,6 @@ def test_rebuild_keeps_plans_of_untouched_tables():
     assert len(session.plan_cache) == 1
     assert db.compact("P").state == "clean"
     assert len(session.plan_cache) == 1
-    assert session.plan_cache.invalidations == 0
     again = session.query(sql)
     assert sorted(again.rows) == sorted(first.rows)
     assert session.plan_cache.hits == 1
@@ -198,7 +197,6 @@ def test_rebuild_stale_drops_only_mutated_tables():
     assert session.plan_cache.stale_drops == 1
 
     db.compact("P")                        # folds P; C is untouched
-    assert session.plan_cache.invalidations == 0
     assert len(session.plan_cache) == 2    # nothing flushed eagerly
 
     session.query(c_sql)                   # untouched table: cache hit
@@ -209,18 +207,7 @@ def test_rebuild_stale_drops_only_mutated_tables():
     assert sorted(result.rows) == sorted(expected)
 
 
-def test_rebuild_with_new_indexes_still_flushes_globally():
-    """Changing indexed_columns can invalidate any plan's assumptions,
-    so that path keeps the global flush."""
-    db = make_db()
-    session = db.session()
-    session.query("SELECT C.id FROM C WHERE C.h = 1")
-    db.rebuild(indexed_columns={"C": ("h",), "P": ("h",)})
-    assert session.plan_cache.invalidations == 1
-    assert len(session.plan_cache) == 0
-
-
-def test_rebuild_preserves_data_and_statements():
+def test_compact_preserves_data_and_statements():
     db = make_db()
     stmt = db.prepare(TEMPLATE)
     db.execute("INSERT INTO P VALUES (1, 7, 2)")   # debt for the fold
@@ -228,15 +215,6 @@ def test_rebuild_preserves_data_and_statements():
     assert db.compact("P").state == "done"
     after = stmt.execute((1, 30))
     assert sorted(after.rows) == sorted(before.rows)
-
-
-def test_rebuild_with_restricted_indexes():
-    db = make_db()
-    db.rebuild(indexed_columns={"C": ("h",), "P": ()})
-    result = db.execute("SELECT P.id FROM P, C WHERE P.fk = C.id "
-                      "AND C.h = 1 AND P.v < 30")
-    _, expected = db.reference_query(concrete(1, 30))
-    assert sorted(result.rows) == sorted(expected)
 
 
 # ---------------------------------------------------------------------------

@@ -116,12 +116,27 @@ def test_gc_preserves_all_live_data():
 
 def test_gc_traffic_is_charged():
     ftl, ledger = make_ftl(n_blocks=8, pages_per_block=4, threshold=1)
-    (lpn,) = ftl.allocate(1)
-    for i in range(200):
-        ftl.write(lpn, b"z" * 8)
-    assert ledger.counters.get("gc_pages_written", 0) + ftl.gc_pages_moved >= 0
-    # 200 user writes, but pages_written includes relocations too
-    assert ledger.counters["pages_written"] >= 200
+    *live, hot = ftl.allocate(7)
+    for lpn in live:                       # one live page per block ...
+        ftl.write(lpn, b"live" * 2)
+        for _ in range(3):                 # ... beside three dead ones
+            ftl.write(hot, b"z" * 8)
+    for _ in range(132):                   # churn makes GC relocate them
+        ftl.write(hot, b"z" * 8)
+    counters = ledger.counters
+    moved = ftl.gc_pages_moved
+    assert moved > 0
+    assert counters["gc_pages_read"] == counters["gc_pages_written"] == moved
+    # relocations count as page I/O and cost time, but move no user bytes
+    assert counters["pages_read"] == moved
+    assert counters["pages_written"] == 156 + moved
+    assert counters["bytes_from_ram"] == 156 * 8
+    assert counters["bytes_to_ram"] == 0
+    assert counters["blocks_erased"] == ftl.gc_runs
+    # Table 1 in whole nanoseconds: the derived time is exact
+    assert ledger.total_time_us() == (
+        moved * 25_000 + (156 + moved) * 200_000
+        + (156 + 2 * moved) * 8 * 50) / 1000
 
 
 def test_out_of_space_when_all_live():

@@ -52,8 +52,8 @@ def test_comm_charged_to_current_label():
     ch, ledger = make_channel()
     with ledger.label("Vis"):
         ch.to_secure(500)
-    assert ledger.label_time_us("Vis") > 0
-    assert ledger.time_us_by_label["Vis"][COMM] > 0
+    assert ledger.by_label_s() == {"Vis": 500e-6}
+    assert ledger.total_time_us(COMM) == 500.0
 
 
 def test_negative_size_rejected():

@@ -62,7 +62,7 @@ def test_synthetic_determinism():
     qa = a.execute(query_q(0.1))
     qb = b.execute(query_q(0.1))
     assert qa.rows == qb.rows
-    assert qa.stats.total_s == pytest.approx(qb.stats.total_s)
+    assert qa.stats == qb.stats
 
 
 def test_medical_schema_matches_paper(med):
