@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """Docs CI gate: links resolve, named API exists, state, the operator
-table and the simulated clock have one owner each, examples run.
+table and the simulated clock have one owner each, the library reads no
+environment, examples run.
 
-Six checks, all simple on purpose:
+Seven checks, all simple on purpose:
 
 * every relative link target in a tracked ``*.md`` file (README.md,
   docs/, CHANGES.md, ...) must exist on disk -- links to headings
@@ -17,7 +18,10 @@ Six checks, all simple on purpose:
   ``self`` / ``cls``: what a structure persists and rolls back is
   written down in its own class (``to_meta`` / ``from_meta`` /
   ``savepoint`` / ``rollback``), not in the module that calls it.  The
-  same count is printed, not gated, for the rest of ``src/``;
+  execution modules (``core/operators.py``, ``core/executor.py``,
+  ``core/merge.py``, ``core/sort.py``, ``storage/runs.py``) are held to
+  the same rule.  The same count is printed, not gated, for the rest of
+  ``src/``;
 * inside ``src/repro`` only the predicate module, the SQL lexer and
   parser, and the test oracle may compare anything with the operator
   names ``"between"`` or ``"<="``: every spelled-out operator table has
@@ -30,6 +34,10 @@ Six checks, all simple on purpose:
   ``erase_block_us``), and no call of a method named ``charge`` may
   pass a float literal: charge sites hand the ledger counts, and a new
   one cannot start computing time again unnoticed;
+* nothing under ``src/repro`` may read the process environment
+  (``os.environ`` / ``os.getenv``, however imported): the library is a
+  function of its arguments, and a behaviour switch has to be an
+  argument someone can see in a call;
 * with ``--run-examples``, every script under ``examples/`` is executed
   with ``PYTHONPATH=src`` and must exit 0.
 
@@ -65,9 +73,17 @@ _API_NAME = re.compile(r"(?<![\w.])(?:(GhostDB|Session)\.([A-Za-z_]\w*)"
                        r"|db\.([A-Za-z_]\w*)\()")
 
 
-#: modules whose job is orchestration: no foreign private access at all
-_ORCHESTRATORS = ("src/repro/persist/", "src/repro/shard/persist.py",
-                  "src/repro/core/recovery.py")
+#: modules gated on ownership: no foreign private access at all -- the
+#: persistence/recovery orchestrators and the execution modules
+_OWNERSHIP_GATED = ("src/repro/persist/", "src/repro/shard/persist.py",
+                    "src/repro/core/recovery.py",
+                    "src/repro/core/operators.py",
+                    "src/repro/core/executor.py",
+                    "src/repro/core/merge.py", "src/repro/core/sort.py",
+                    "src/repro/storage/runs.py")
+
+#: spellings of a process-environment read
+_ENVIRONMENT = ("environ", "environb", "getenv", "getenvb")
 
 
 #: the modules that may spell out the seven-operator table
@@ -207,6 +223,24 @@ def foreign_clock_arithmetic() -> list:
     return found
 
 
+def environment_reads() -> list:
+    """Every ``(module, line, expr)`` in ``src/`` that reaches for the
+    process environment, as an attribute (``os.environ``, ``os.getenv``)
+    or through ``from os import ...``."""
+    found = []
+    for module, tree in src_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                bad = node.attr in _ENVIRONMENT
+            else:
+                bad = isinstance(node, ast.ImportFrom) \
+                    and node.module == "os" \
+                    and any(a.name in _ENVIRONMENT for a in node.names)
+            if bad:
+                found.append((module, node.lineno, ast.unparse(node)))
+    return found
+
+
 def run_examples() -> list:
     """Run every examples/ script; returns the ones that failed."""
     failed = []
@@ -240,14 +274,14 @@ def main(argv: list) -> int:
         ok = False
     elsewhere = []
     for module, hits in foreign_private_accesses().items():
-        if not module.startswith(_ORCHESTRATORS):
+        if not module.startswith(_OWNERSHIP_GATED):
             elsewhere.append(f"{module.removeprefix('src/repro/')} "
                              f"{len(hits)}")
             continue
         for lineno, expr in hits:
             print(f"FOREIGN PRIVATE ACCESS {module}:{lineno}: {expr}")
             ok = False
-    print("foreign private accesses outside persist/recovery (not "
+    print("foreign private accesses outside the gated modules (not "
           "gated): " + ", ".join(elsewhere))
     for module, lineno, expr in foreign_operator_chains():
         print(f"OPERATOR CHAIN OUTSIDE repro/predicate.py "
@@ -256,6 +290,9 @@ def main(argv: list) -> int:
     for module, lineno, expr in foreign_clock_arithmetic():
         print(f"SIMULATED TIME COMPUTED OUTSIDE flash/stats.py "
               f"{module}:{lineno}: {expr}")
+        ok = False
+    for module, lineno, expr in environment_reads():
+        print(f"ENVIRONMENT READ IN src/ {module}:{lineno}: {expr}")
         ok = False
     if "--run-examples" in argv:
         for script, stderr in run_examples():

@@ -631,7 +631,7 @@ def merge_reduction(ram_buffers: int) -> Dict:
     ]
     token.reset_costs()
     op = MergeOperator(token.store, token.ram)
-    count = sum(1 for _ in op.stream([group]))
+    count = sum(len(chunk) for chunk in op.stream([group]))
     return {
         "ram_buffers": ram_buffers,
         "time_s": token.elapsed_s(),

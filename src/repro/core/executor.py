@@ -10,32 +10,34 @@ The global plan (paper Figure 6) is evaluated in two phases:
 * **QEPP** (:mod:`repro.core.project`): the projection algorithm.
 
 The executor owns the cost-label discipline that the decomposition
-figures (15/16) rely on.
+figures (15/16) rely on.  The pipeline moves ids in page-sized chunks,
+but nothing simulated depends on the chunking: Merge loads a run's page
+only when the id stream crosses it (one buffer per open run, charged to
+``Merge`` whoever pulls), SJoin reads each touched SKT page once (one
+buffer, ``SJoin``), Store writes each column page as it fills (one
+buffer per column, ``Store``).  Every operator exists once; what runs
+depends on the statement, the plan and the data only.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 from math import fsum
 from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
                     Tuple)
 
-from repro.core.execmode import scalar_exec
-from repro.core.merge import CHUNK, MergeOperator
+from repro.core.merge import MergeOperator
 from repro.core.operators import (
-    STORE_LABEL,
     ExecContext,
     PostSelectFilter,
     op_build_bf,
     op_ci,
     op_ci_ids,
     op_probe_bf,
-    op_probe_bf_chunks,
     op_sjoin,
-    op_sjoin_chunks,
     op_store_columns,
-    op_store_columns_chunks,
     op_vis,
 )
 from repro.core.plan import (
@@ -46,8 +48,7 @@ from repro.core.plan import (
 )
 from repro.hardware.ram import QueryWindow
 from repro.sql.binder import BoundQuery
-from repro.storage.runs import (IdRun, U32FileBuilder, U32View,
-                                difference_sorted)
+from repro.storage.runs import IDS_PER_PAGE, IdRun, difference_sorted
 
 
 @dataclass
@@ -215,25 +216,15 @@ class QepSjExecutor:
                 out.append(op_ci(ctx, sel, table))
         return out
 
-    def _vis_ids_after_cross(self, table: str, vp: VisPlan
-                             ) -> Tuple[List[int], bool]:
+    def _vis_ids_after_cross(self, table: str, vp: VisPlan) -> List[int]:
         """The Vis ID list, intersected at ``table`` level when Cross."""
-        ctx = self.ctx
-        vis_ids = op_vis(ctx, table).ids
-        if not vp.cross:
-            return vis_ids, False
-        cross_groups = self._cross_runs_at(table)
+        vis_ids = op_vis(self.ctx, table).ids
+        cross_groups = self._cross_runs_at(table) if vp.cross else []
         if not cross_groups:
-            return vis_ids, False
+            return vis_ids
         groups = [[IdRun.memory(vis_ids)]] + cross_groups
-        if scalar_exec():
-            reduced = list(self.merge.stream(groups, reserve_buffers=2))
-        else:
-            reduced = []
-            for chunk in self.merge.stream_chunks(groups,
-                                                  reserve_buffers=2):
-                reduced.extend(chunk)
-        return reduced, True
+        return list(chain.from_iterable(
+            self.merge.stream(groups, reserve_buffers=2)))
 
     # ------------------------------------------------------------------
     def execute(self, plan: QueryPlan) -> QepSjResult:
@@ -253,7 +244,7 @@ class QepSjExecutor:
             groups.append(op_ci(ctx, sel, anchor))
 
         for table, vp in plan.vis_plans.items():
-            ids, _crossed = self._vis_ids_after_cross(table, vp)
+            ids = self._vis_ids_after_cross(table, vp)
             if table == anchor:
                 # anchor Vis IDs are already anchor IDs: free Pre-Filter
                 groups.append([IdRun.memory(ids)])
@@ -273,37 +264,16 @@ class QepSjExecutor:
         order = [anchor] + extra_tables
         position = {t: i for i, t in enumerate(order)}
 
-        if scalar_exec():
-            anchor_stream = self._anchor_stream(groups)
-            if not extra_tables:
-                view = self._materialize_anchor(anchor_stream)
-                for _, bf in post_blooms:
-                    bf.free()
-                return QepSjResult(anchor=anchor, count=view.count,
-                                   anchor_ids=view,
-                                   columns={anchor: view},
-                                   approx_tables=approx)
-            tuples: Iterator[Tuple[int, ...]] = op_sjoin(
-                ctx, anchor, anchor_stream, extra_tables
-            )
+        anchor_chunks = self._anchor_chunks(groups)
+        if extra_tables:
+            chunks = op_sjoin(ctx, anchor, anchor_chunks, extra_tables)
             for table, bf in post_blooms:
-                tuples = op_probe_bf(ctx, bf, tuples, position[table])
-            columns, count = op_store_columns(ctx, tuples, order)
+                chunks = op_probe_bf(bf, chunks, position[table])
         else:
-            anchor_chunks = self._anchor_chunks(groups)
-            if not extra_tables:
-                view = self._materialize_anchor_chunks(anchor_chunks)
-                for _, bf in post_blooms:
-                    bf.free()
-                return QepSjResult(anchor=anchor, count=view.count,
-                                   anchor_ids=view,
-                                   columns={anchor: view},
-                                   approx_tables=approx)
-            chunks = op_sjoin_chunks(ctx, anchor, anchor_chunks,
-                                     extra_tables)
-            for table, bf in post_blooms:
-                chunks = op_probe_bf_chunks(bf, chunks, position[table])
-            columns, count = op_store_columns_chunks(ctx, chunks, order)
+            # nothing to join: the anchor id list alone is stored (no
+            # Post-filtered table either -- each would be an extra one)
+            chunks = ([chunk] for chunk in anchor_chunks)
+        columns, count = op_store_columns(ctx, chunks, order)
 
         for _, bf in post_blooms:
             bf.free()
@@ -316,60 +286,27 @@ class QepSjExecutor:
                            approx_tables=approx)
 
     # ------------------------------------------------------------------
-    def _anchor_stream(self, groups: List[List[IdRun]]) -> Iterator[int]:
+    def _anchor_chunks(self, groups: List[List[IdRun]]
+                       ) -> Iterator[List[int]]:
+        """Qualifying anchor ids, sorted, in roughly page-sized chunks."""
         anchor = self.ctx.bound.anchor
         if groups:
             # reserve: 1 SJoin page + output builders + slack
-            stream: Iterator[int] = self.merge.stream(groups,
-                                                      reserve_buffers=4)
+            chunks: Iterator[List[int]] = self.merge.stream(
+                groups, reserve_buffers=4)
         else:
             # no restricting predicate at all: every anchor tuple
             # qualifies
-            stream = iter(range(self.ctx.catalog.n_rows(anchor)))
+            n = self.ctx.catalog.n_rows(anchor)
+            chunks = (list(range(i, min(i + IDS_PER_PAGE, n)))
+                      for i in range(0, n, IDS_PER_PAGE))
         # tombstoned rows stay in every file (deletes are append-only)
         # and Untrusted keeps serving them; the token drops them here.
         # Deletes RESTRICT, so a live anchor never reaches a dead
         # descendant -- filtering the anchor ids suffices.
         dead = self.ctx.catalog.tombstones.get(anchor)
         if dead:
-            return (rid for rid in stream if rid not in dead)
-        return stream
-
-    def _anchor_chunks(self, groups: List[List[IdRun]]
-                       ) -> Iterator[List[int]]:
-        """Batch twin of :meth:`_anchor_stream`: qualifying anchor ids
-        in sorted page-sized chunks, tombstones dropped chunk-wise."""
-        anchor = self.ctx.bound.anchor
-        if groups:
-            chunks: Iterator[List[int]] = self.merge.stream_chunks(
-                groups, reserve_buffers=4)
-        else:
-            n = self.ctx.catalog.n_rows(anchor)
-            chunks = (list(range(i, min(i + CHUNK, n)))
-                      for i in range(0, n, CHUNK))
-        dead = self.ctx.catalog.tombstones.get(anchor)
-        if dead:
             # chunks are sorted and deduplicated, so the sorted set
-            # difference equals the scalar per-id filter
+            # difference is the per-id filter
             return (difference_sorted(chunk, dead) for chunk in chunks)
         return chunks
-
-    def _materialize_anchor(self, stream: Iterator[int]) -> U32View:
-        """Store the anchor ID list (the paper's ``Store`` cost)."""
-        ctx = self.ctx
-        builder = U32FileBuilder(ctx.store, ctx.ram, label="anchor ids")
-        with ctx.label(STORE_LABEL):
-            for value in stream:
-                builder.add(value)
-            return builder.finish()
-
-    def _materialize_anchor_chunks(self, chunks: Iterator[List[int]]
-                                   ) -> U32View:
-        """Batch twin of :meth:`_materialize_anchor` (same pages,
-        same ``Store`` charges, one append call per chunk)."""
-        ctx = self.ctx
-        builder = U32FileBuilder(ctx.store, ctx.ram, label="anchor ids")
-        with ctx.label(STORE_LABEL):
-            for chunk in chunks:
-                builder.append_words(chunk)
-            return builder.finish()

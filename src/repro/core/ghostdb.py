@@ -53,7 +53,9 @@ verifiable via ``db.audit_outbound()``.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from contextlib import contextmanager
+from typing import (Dict, Iterator, List, Optional, Sequence, Tuple,
+                    Union)
 
 from repro.core.aggregate import apply_aggregates, effective_projections
 from repro.core.catalog import SecureCatalog
@@ -74,7 +76,8 @@ from repro.core.reference import ReferenceEngine
 from repro.core.session import BatchResult, PreparedStatement, Session
 from repro.core.sort import (OrderByExecutor, dedup_rows, sort_projections,
                              strip_internal_columns)
-from repro.errors import BindError, GhostDBError, ImageError, SchemaError
+from repro.errors import (BindError, GhostDBError, ImageError, PowerLoss,
+                          SchemaError)
 from repro.hardware.token import SecureToken, TokenConfig
 from repro.schema.ddl import column_from_def
 from repro.schema.model import Schema, Table
@@ -466,6 +469,28 @@ class GhostDB(StatementFrontEnd):
         """
         return self._run_plan(plan, announce, None, finish=False)
 
+    @contextmanager
+    def _read_scope(self, cost: CostWindow) -> Iterator[None]:
+        """The RAM window of one SELECT, made harmless on failure.
+
+        A statement that raises mid-pipeline abandons its operators
+        where they stood, page buffers and half-written temporaries
+        included.  Before a :class:`GhostDBError` leaves, all of them
+        are handed back, so the next statement finds the token as this
+        one found it.  :class:`PowerLoss` is exempt: the dead NAND
+        refuses the frees, and its contract is :meth:`recover`.
+        """
+        store = self.token.store
+        mark = store.temp_mark()
+        with cost.ram_window() as window:
+            try:
+                yield
+            except GhostDBError as exc:
+                if not isinstance(exc, PowerLoss):
+                    window.free_all()
+                    store.free_temps_since(mark)
+                raise
+
     def _run_plan(self, plan: QueryPlan, announce: bool,
                   vis_seed: Optional[Dict], finish: bool) -> QueryResult:
         """QEPSJ + projection (+ ordering) inside one cost window;
@@ -474,7 +499,7 @@ class GhostDB(StatementFrontEnd):
         self._require_built()
         bound = plan.bound
         cost = CostWindow(self.token)
-        with cost.ram_window():
+        with self._read_scope(cost):
             if announce:
                 # the query text itself is the one thing Secure reveals
                 # (each shard's channel carries its own audited copy of

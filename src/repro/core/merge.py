@@ -12,110 +12,59 @@ sublists of a group through flash temporaries until the remainder fits.
 Reduction is linear in the merged sublists' sizes, which is why the
 smallest ones are the best candidates.
 
-Two engines share the planning/reduction logic:
-
-* the **batch** engine (default): :meth:`MergeOperator.stream_chunks`
-  unions and intersects decoded pages of ids at a time.  Union rounds
-  splice the in-RAM page portions below the smallest loaded page tail;
-  intersection runs the classic max-based pointer algorithm over the
-  union cursors, skipping inside a loaded page with ``bisect``.  Page
-  reads, buffer lifetimes and cost-label attribution are exactly the
-  scalar engine's -- pages are only ever loaded when the value stream
-  crosses them, in the same consumption order.
-* the **scalar** reference engine (``REPRO_SCALAR_EXEC=1``):
-  ``heapq.merge`` + id-at-a-time intersection, kept verbatim for the
-  differential tests.
+Ids move a decoded page at a time.  Union rounds splice the in-RAM
+page portions below the smallest loaded page tail; intersection runs
+the classic max-based pointer algorithm over the union cursors,
+skipping inside a loaded page by galloping.  The page order is
+data-dependent, and it is what the simulated cost is made of, so the
+contract is: a run's next page is loaded only when the value stream has
+consumed its current one (never ahead), each run holds exactly one page
+buffer from its first page until it is exhausted or the stream closes,
+the first exhausted group ends the intersection, and every input read
+is charged to the ``Merge`` label whichever downstream operator pulled
+the chunk.  ``tests/core/test_merge_operator.py`` checks all of it
+against an id-at-a-time ``heapq.merge`` oracle.
 """
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_right
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.execmode import scalar_exec
 from repro.errors import PlanError
 from repro.flash.store import FlashFile, FlashStore
 from repro.hardware.ram import SecureRam
-from repro.storage.runs import (IdRun, U32FileBuilder, dedupe_sorted,
-                                galloping_search, union_sorted)
+from repro.storage.runs import (IDS_PER_PAGE, IdRun, U32FileBuilder,
+                                dedupe_sorted, galloping_search,
+                                union_sorted)
 
 MERGE_LABEL = "Merge"
 
-#: output chunk size of the batch pipelines (one flash page of ids)
-CHUNK = 512
 
+def reduction_step(ram: SecureRam, reserve_buffers: int,
+                   n_runs: int) -> Tuple[int, int]:
+    """``(budget, fold)`` of a RAM-bounded merge over ``n_runs`` runs.
 
-def _dedupe(it: Iterator[int]) -> Iterator[int]:
-    prev = None
-    for x in it:
-        if x != prev:
-            yield x
-            prev = x
+    ``budget`` runs may be open at once: the free buffers less the
+    ``reserve_buffers`` promised downstream -- advisory at the floor, a
+    merge is never starved below one open run while RAM is physically
+    available.  One reduction pass merges ``fold`` runs: inputs plus
+    one output stay within the budget, except that a pass cannot use
+    fewer than 2 + 1 buffers, so a budget below 3 is transiently
+    exceeded rather than failing the plan.
+    """
+    free = ram.free_buffers
+    budget = max(free - reserve_buffers, min(1, free))
+    return budget, min(n_runs, max(2, budget - 1))
 
-
-def intersect_iters(iters: List[Iterator[int]]) -> Iterator[int]:
-    """Stream the intersection of sorted, deduplicated iterators."""
-    if not iters:
-        return
-    if len(iters) == 1:
-        yield from iters[0]
-        return
-    try:
-        heads = []
-        for it in iters:
-            heads.append(next(it))
-    except StopIteration:
-        _close_all(iters)
-        return
-    try:
-        while True:
-            top = max(heads)
-            matched = True
-            for i, it in enumerate(iters):
-                while heads[i] < top:
-                    heads[i] = next(it)
-                if heads[i] > top:
-                    matched = False
-            if matched:
-                yield top
-                for i, it in enumerate(iters):
-                    heads[i] = next(it)
-    except StopIteration:
-        return
-    finally:
-        _close_all(iters)
-
-
-def _close_all(iters: Iterable[Iterator]) -> None:
-    for it in iters:
-        close = getattr(it, "close", None)
-        if close:
-            close()
-
-
-def _flatten_chunks(chunks: Iterator[List[int]]) -> Iterator[int]:
-    """Scalar view of a chunk stream; closing it closes the source."""
-    try:
-        for chunk in chunks:
-            yield from chunk
-    finally:
-        close = getattr(chunks, "close", None)
-        if close:
-            close()
-
-
-# ---------------------------------------------------------------------------
-# batch (page-at-a-time) primitives
-# ---------------------------------------------------------------------------
 
 class _PageCursor:
     """Consumption-driven cursor over one run's page chunks.
 
     The next page is loaded only when the current one is fully
-    consumed -- the same on-demand pattern as an ``iterate()``
-    generator feeding ``heapq.merge``, so the set of pages read (and
-    the buffer's alloc/free points) match the scalar engine's.
+    consumed, so which pages are read -- and when the run's buffer is
+    allocated and freed -- follows the value stream, never the batch
+    size.
     """
 
     __slots__ = ("_pages", "chunk", "pos")
@@ -141,9 +90,9 @@ def union_pages(page_iters: List[Iterator[List[int]]]
     """Chunked, deduplicated union of sorted page-chunk streams.
 
     Each round takes every member's loaded portion up to the smallest
-    loaded tail and merges it with one sort -- members are refilled
-    only once their loaded page is consumed, exactly when a k-way
-    scalar merge would pull their next page.
+    loaded tail and merges it with one sort -- a member is refilled
+    only once its loaded page is consumed, which is when an
+    id-at-a-time k-way merge would pull its next page.
     """
     if len(page_iters) == 1:
         it = page_iters[0]
@@ -173,7 +122,7 @@ def union_pages(page_iters: List[Iterator[List[int]]]
             out = sorted(set().union(*portions))
         # a value equal to the previous round's tail can reappear at
         # the head of a freshly loaded page (duplicates inside one run
-        # straddling a page boundary); the scalar _dedupe drops it
+        # straddling a page boundary)
         if last is not None and out and out[0] == last:
             del out[0]
         if out:
@@ -222,27 +171,15 @@ class _UnionCursor:
             self.chunk = nxt
             self.pos = 0
 
-    def remaining_chunks(self) -> Iterator[List[int]]:
-        """The rest of the stream, chunk-wise (single-group fast path)."""
-        if self.pos < len(self.chunk):
-            yield self.chunk[self.pos:]
-            self.pos = len(self.chunk)
-        for chunk in self._chunks:
-            yield chunk
-
 
 def intersect_pages(cursors: List["_UnionCursor"]) -> Iterator[List[int]]:
-    """Chunked intersection of union cursors.
+    """Chunked intersection of two or more union cursors.
 
-    Runs the max-based pointer algorithm of :func:`intersect_iters`
-    (same advance order, same early-exit on first exhaustion) but
-    emits matches in chunks and skips within loaded pages via bisect.
+    The max-based pointer algorithm: advance every cursor below the
+    largest head up to it, in group order; emit when all heads agree,
+    then step every cursor; stop at the first exhausted cursor.
+    Matches leave in chunks of one page of ids.
     """
-    if not cursors:
-        return
-    if len(cursors) == 1:
-        yield from cursors[0].remaining_chunks()
-        return
     heads: List[int] = []
     for c in cursors:
         v = c.next()
@@ -265,7 +202,7 @@ def intersect_pages(cursors: List["_UnionCursor"]) -> Iterator[List[int]]:
                 matched = False
         if matched:
             out.append(top)
-            if len(out) >= CHUNK:
+            if len(out) >= IDS_PER_PAGE:
                 yield out
                 out = []
             for i, c in enumerate(cursors):
@@ -303,147 +240,95 @@ class MergeOperator:
         with self.ledger.label(MERGE_LABEL):
             builder = U32FileBuilder(self.store, self.ram,
                                      label="merge reduce")
-            if scalar_exec():
-                for value in _dedupe(heapq.merge(
-                        *(v.iterate(self.ram, label="merge reduce")
-                          for v in victims))):
-                    builder.add(value)
-            else:
-                its = [v.iter_pages(self.ram, label="merge reduce")
-                       for v in victims]
-                for chunk in union_pages(its):
-                    builder.append_words(chunk)
+            temps.append(builder.file)
+            its = [v.iter_pages(self.ram, label="merge reduce")
+                   for v in victims]
+            for chunk in union_pages(its):
+                builder.append_words(chunk)
             view = builder.finish()
         self.reductions += 1
         for victim in victims:
             if victim.view.file in temps:
                 temps.remove(victim.view.file)
                 victim.view.file.free()
-        temps.append(view.file)
         return memory + rest + [IdRun.flash(view)]
 
-    def _fit_to_budget(self, groups: List[List[IdRun]],
-                       reserve_buffers: int
-                       ) -> Tuple[List[List[IdRun]], List[FlashFile]]:
+    def _fit_to_budget(self, groups: Sequence[Sequence[IdRun]],
+                       reserve_buffers: int,
+                       temps: List[FlashFile]) -> List[List[IdRun]]:
         """Reduction phase: shrink run counts until buffers suffice.
 
-        Returns the fitted groups plus the reduction temporaries they
-        read from; the caller frees those once the merge is consumed.
+        Returns the fitted groups; the reduction temporaries they read
+        from are collected in ``temps`` for the caller to free.
         """
         groups = [list(g) for g in groups]
-        temps: List[FlashFile] = []
         while True:
-            needed = sum(r.buffers_needed for g in groups for r in g)
-            # the reserve is advisory: never starve Merge below one open
-            # run when RAM is physically available for it
-            budget = max(
-                self.ram.free_buffers - reserve_buffers,
-                min(1, self.ram.free_buffers),
-            )
-            if needed <= budget:
-                return groups, temps
-            # reduce the group holding the most flash runs
-            target = max(
-                range(len(groups)),
-                key=lambda i: sum(r.buffers_needed for r in groups[i]),
-            )
-            n_flash = sum(r.buffers_needed for r in groups[target])
-            if n_flash < 2:
+            n_flash = [sum(r.buffers_needed for r in g) for g in groups]
+            # a pass reduces the group holding the most flash runs
+            target = max(range(len(groups)), key=n_flash.__getitem__)
+            budget, fold = reduction_step(self.ram, reserve_buffers,
+                                          n_flash[target])
+            if sum(n_flash) <= budget:
+                return groups
+            if n_flash[target] < 2:
                 raise PlanError(
                     "Merge cannot fit in RAM even after reduction "
                     f"(budget {budget} buffers, reserve {reserve_buffers})"
                 )
-            # reduction itself needs fold inputs + 1 output buffer, and
-            # must stay within the reserve-aware budget: grabbing
-            # free_buffers - 1 inputs would transiently occupy buffers
-            # promised to downstream SJoin/Store operators.  Like the
-            # budget itself, this is advisory at the floor: a reduction
-            # pass cannot use fewer than 2 inputs + 1 output, so a
-            # budget below 3 buffers is transiently exceeded rather
-            # than failing the plan.
-            fold = min(n_flash, max(2, budget - 1))
             groups[target] = self._reduce_group(groups[target], fold,
                                                 temps)
 
     # ------------------------------------------------------------------
-    def stream_chunks(self, groups: Sequence[Sequence[IdRun]],
-                      reserve_buffers: int = 0) -> Iterator[List[int]]:
-        """Batch engine: the CNF result as sorted, deduplicated chunks.
+    def stream(self, groups: Sequence[Sequence[IdRun]],
+               reserve_buffers: int = 0) -> Iterator[List[int]]:
+        """The CNF ``AND over groups ( OR over runs )`` as sorted,
+        deduplicated, roughly page-sized chunks of ids.
 
-        Same contract as :meth:`stream`, page-at-a-time: each yielded
-        list holds up to one flash page of ids.  All input-scan I/O is
-        charged to the Merge label chunk-wise.
+        ``reserve_buffers`` page buffers are left free for downstream
+        pipelined operators (SJoin pages, output builders, Blooms).
+        The reduction phase runs here, before anything is consumed;
+        closing the returned stream -- at any point, started or not --
+        frees every open input buffer and every reduction temporary.
+        An empty group set is a contradiction-free no-op and yields
+        nothing -- callers handle the "no predicates" case themselves.
         """
         if not groups:
             return iter(())
-        fitted, temps = self._fit_to_budget(list(groups), reserve_buffers)
+        stream = self._stream(groups, reserve_buffers)
+        next(stream)
+        return stream
 
-        def _run() -> Iterator[List[int]]:
-            page_iters: List[Iterator[List[int]]] = []
-            union_cursors: List[_UnionCursor] = []
+    def _stream(self, groups: Sequence[Sequence[IdRun]],
+                reserve_buffers: int) -> Iterator[List[int]]:
+        temps: List[FlashFile] = []
+        page_iters: List[Iterator[List[int]]] = []
+        try:
+            fitted = self._fit_to_budget(groups, reserve_buffers, temps)
+            # :meth:`stream` advances to here: the generator is then
+            # suspended inside the ``try``, so a close() before the
+            # first chunk still runs the ``finally``
+            yield []
+            unions: List[Iterator[List[int]]] = []
             for g in fitted:
                 its = [run.iter_pages(self.ram, label="merge input")
                        for run in g]
                 page_iters.extend(its)
-                union_cursors.append(_UnionCursor(union_pages(its)))
-            inner = intersect_pages(union_cursors)
-            try:
-                while True:
-                    # charge input-scan I/O to the Merge label even
-                    # when a downstream operator pulls the chunk
-                    with self.ledger.label(MERGE_LABEL):
-                        chunk = next(inner, None)
-                    if chunk is None:
-                        break
-                    yield chunk
-            finally:
-                # free the buffers of any page not read to exhaustion,
-                # then the reduction runs those pages came from
-                _close_all(page_iters)
-                for temp in temps:
-                    temp.free()
-
-        return _run()
-
-    def stream(self, groups: Sequence[Sequence[IdRun]],
-               reserve_buffers: int = 0) -> Iterator[int]:
-        """Stream the CNF ``AND over groups ( OR over runs )``.
-
-        ``reserve_buffers`` page buffers are left free for downstream
-        pipelined operators (SJoin pages, output builders, Blooms).
-        An empty group set is a contradiction-free no-op and yields
-        nothing -- callers handle the "no predicates" case themselves.
-        """
-        if not scalar_exec():
-            return _flatten_chunks(self.stream_chunks(groups,
-                                                      reserve_buffers))
-        if not groups:
-            return iter(())
-        fitted, temps = self._fit_to_budget(list(groups), reserve_buffers)
-        leaf_iters: List[Iterator[int]] = []
-        union_iters: List[Iterator[int]] = []
-        for g in fitted:
-            its = [run.iterate(self.ram, label="merge input") for run in g]
-            leaf_iters.extend(its)
-            union_iters.append(_dedupe(heapq.merge(*its)))
-
-        def _run() -> Iterator[int]:
-            inner = intersect_iters(union_iters)
-            try:
-                while True:
-                    # charge input-scan I/O to the Merge label even when
-                    # a downstream operator (SJoin/Store) pulls the item
-                    with self.ledger.label(MERGE_LABEL):
-                        try:
-                            value = next(inner)
-                        except StopIteration:
-                            break
-                    yield value
-            finally:
-                # free the buffers of any leaf not read to exhaustion,
-                # then the reduction runs those leaves came from
-                _close_all(leaf_iters)
-                for temp in temps:
-                    temp.free()
-
-        return _run()
+                unions.append(union_pages(its))
+            # a single group is its union; several are intersected
+            inner = unions[0] if len(unions) == 1 else intersect_pages(
+                [_UnionCursor(union) for union in unions])
+            while True:
+                # charge input-scan I/O to the Merge label even when a
+                # downstream operator (SJoin/Store) pulls the chunk
+                with self.ledger.label(MERGE_LABEL):
+                    chunk = next(inner, None)
+                if chunk is None:
+                    break
+                yield chunk
+        finally:
+            # free the buffers of any page not read to exhaustion,
+            # then the reduction runs those pages came from
+            for pages in page_iters:
+                pages.close()
+            for temp in temps:
+                temp.free()

@@ -5,14 +5,15 @@ the executor can reproduce the paper's per-operator decomposition
 (Figures 15/16): ``Vis``, ``CI``, ``Merge``, ``SJoin``, ``Bloom``,
 ``Store``, ``Project``.
 
-Most operators exist in two granularities: the scalar id-at-a-time
-generators (the reference engine, ``REPRO_SCALAR_EXEC=1``) and the
-batch ``*_chunks`` pipelines that move one decoded page of ids per
-step.  A batch pipeline chunk is **column-major**: ``cols[0]`` is the
-anchor-id page, ``cols[i]`` the matching ids of the i-th joined table.
-Flash access patterns, RAM buffer lifetimes and cost labels are
-identical between the two engines -- only the host-Python work per id
-differs.
+The id-moving operators (``SJoin``, ``ProbeBF``, ``Store``,
+Post-Select) are pipelines that move one decoded page of ids per step.
+A pipeline chunk is **column-major**: ``cols[0]`` is the anchor-id
+page, ``cols[i]`` the matching ids of the i-th joined table.  The batch
+size is a host-Python matter only; what is simulated is fixed by each
+operator's contract, stated on the operator: which pages it reads
+(each once, when the id stream first reaches it), how many page
+buffers it holds and for how long, which pages it writes, and the
+label all of that is charged under.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from itertools import compress
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.catalog import SecureCatalog
-from repro.core.execmode import scalar_exec
 from repro.hardware.token import SecureToken
 from repro.index.bloom import BloomFilter
 from repro.predicate import Predicate
@@ -69,6 +69,24 @@ class ExecContext:
         requests in one round trip before running each query)."""
         self._vis_cache[(table, tuple(columns))] = result
 
+    def cached_vis(self, table: str,
+                   columns: Sequence[str] = ()) -> Optional[VisResult]:
+        """The cached Vis result of ``(table, columns)``, if any.
+
+        An id-only request (``columns=()``) is also served from any
+        cached result of the same table -- every cached entry was
+        computed under the same visible predicates and already carries
+        the sorted id list.
+        """
+        key = (table, tuple(columns))
+        hit = self._vis_cache.get(key)
+        if hit is None and not columns:
+            for (cached_table, _), cached in self._vis_cache.items():
+                if cached_table == table:
+                    hit = self._vis_cache[key] = VisResult(ids=cached.ids)
+                    break
+        return hit
+
 
 # ---------------------------------------------------------------------------
 # Vis
@@ -90,27 +108,19 @@ def op_vis(ctx: ExecContext, table: str,
            columns: Sequence[str] = ()) -> VisResult:
     """``Vis(Q, T, pi)``: fetch the visible selection of ``table``.
 
-    Results are cached per (table, columns): the paper notes the
-    redundant lookup in Cross-Post plans "can be easily avoided in
-    practice", and repeated identical Vis requests would be charged
-    twice otherwise.  An id-only request (``columns=()``) is also
-    served from any cached result of the same table -- every cached
-    entry was computed under the same visible predicates and already
-    carries the sorted id list, so paying a second channel round trip
-    for a subset would be pure waste.
+    Results are cached per (table, columns) in the execution context
+    (:meth:`ExecContext.cached_vis`): the paper notes the redundant
+    lookup in Cross-Post plans "can be easily avoided in practice", and
+    a repeated identical Vis request -- or an id-only one after a
+    request that carried columns -- would pay a second channel round
+    trip for nothing.
     """
-    key = (table, tuple(columns))
-    if key not in ctx._vis_cache:
-        if not columns:
-            # any cached superset of the same table serves pure ids
-            for (cached_table, _), cached in ctx._vis_cache.items():
-                if cached_table == table:
-                    ctx._vis_cache[key] = VisResult(ids=cached.ids)
-                    return ctx._vis_cache[key]
+    result = ctx.cached_vis(table, columns)
+    if result is None:
         with ctx.label(VIS_LABEL):
-            ctx._vis_cache[key] = ctx.vis.vis(
-                vis_request(ctx.bound, table, columns))
-    return ctx._vis_cache[key]
+            result = ctx.vis.vis(vis_request(ctx.bound, table, columns))
+        ctx.seed_vis(table, result, columns)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -157,43 +167,20 @@ def op_ci_ids(ctx: ExecContext, table: str, ids: Sequence[int],
 # SJoin
 # ---------------------------------------------------------------------------
 
-def op_sjoin(ctx: ExecContext, anchor: str, anchor_ids: Iterable[int],
-             tables: Sequence[str]) -> Iterator[Tuple[int, ...]]:
-    """Key semi-join of sorted anchor IDs against ``SKT(anchor)``.
+def op_sjoin(ctx: ExecContext, anchor: str,
+             anchor_chunks: Iterator[List[int]],
+             tables: Sequence[str]) -> Iterator[Chunk]:
+    """Key semi-join of sorted anchor ids against ``SKT(anchor)``.
 
-    Yields ``(anchor_id, id_of_tables[0], ...)``.  The SKT is walked in
-    id order; pages containing no qualifying row are skipped, which is
-    why Pre-Filter pays less I/O here at high selectivity and why the
-    benefit vanishes once most pages hold a match (sV > ~0.1).
-    Holds one RAM buffer for the current SKT page.
-    """
-    skt = ctx.catalog.skt(anchor)
-    positions = skt.column_positions(tables)
-    buf = ctx.ram.alloc_buffer("sjoin page")
-    try:
-        cur_page = -1
-        rows: Dict[int, Tuple[int, ...]] = {}
-        for aid in anchor_ids:
-            with ctx.label(SJOIN_LABEL):
-                page = skt.heap.page_of_row(aid)
-                if page != cur_page:
-                    rows = dict(skt.heap.read_rows_on_page(page))
-                    cur_page = page
-            row = rows[aid]
-            yield (aid, *(row[p] for p in positions))
-    finally:
-        buf.free()
-
-
-def op_sjoin_chunks(ctx: ExecContext, anchor: str,
-                    anchor_chunks: Iterator[List[int]],
-                    tables: Sequence[str]) -> Iterator[Chunk]:
-    """Batch SJoin: column-major pages of ``(anchor, *tables)`` ids.
-
-    Walks ``SKT(anchor)`` exactly like :func:`op_sjoin` -- each SKT
-    page read once when the sorted anchor stream first touches it, one
-    RAM buffer held, reads charged to ``SJoin`` -- but decodes only the
-    needed rows, one precompiled-struct call each.
+    Yields column-major pages of ``(anchor, *tables)`` ids.  The SKT is
+    walked in id order: each page holding a qualifying row is read
+    once, when the sorted anchor stream first touches it, and pages
+    holding none are skipped -- which is why Pre-Filter pays less I/O
+    here at high selectivity and why the benefit vanishes once most
+    pages hold a match (sV > ~0.1).  One RAM buffer (the current SKT
+    page) is held while the stream is open; reads are charged to
+    ``SJoin``.  Only the needed row fields are decoded, one
+    precompiled-struct call per row.
     """
     skt = ctx.catalog.skt(anchor)
     heap = skt.heap
@@ -239,19 +226,10 @@ def op_build_bf(ctx: ExecContext, ids: Iterable[int], n_items: int,
     return bf
 
 
-def op_probe_bf(ctx: ExecContext, bf: BloomFilter,
-                tuples: Iterator[Tuple[int, ...]],
-                position: int) -> Iterator[Tuple[int, ...]]:
-    """``ProbeBF``: keep tuples whose ``position``-th id may be in ``bf``."""
-    for tup in tuples:
-        if tup[position] in bf:
-            yield tup
-
-
-def op_probe_bf_chunks(bf: BloomFilter, chunks: Iterator[Chunk],
-                       position: int) -> Iterator[Chunk]:
-    """Batch ``ProbeBF``: filter column-major chunks by one Bloom probe
-    per id (identical bits to the scalar probe)."""
+def op_probe_bf(bf: BloomFilter, chunks: Iterator[Chunk],
+                position: int) -> Iterator[Chunk]:
+    """``ProbeBF``: keep the rows whose ``position``-th id may be in
+    ``bf`` -- one probe per id, the bits of ``id in bf``.  No I/O."""
     for cols in chunks:
         keep = bf.contains_many(cols[position])
         if 0 not in keep:
@@ -266,36 +244,17 @@ def op_probe_bf_chunks(bf: BloomFilter, chunks: Iterator[Chunk],
 # Store (materialization of the QEPSJ result, vertically partitioned)
 # ---------------------------------------------------------------------------
 
-def op_store_columns(ctx: ExecContext, tuples: Iterator[Tuple[int, ...]],
+def op_store_columns(ctx: ExecContext, chunks: Iterator[Chunk],
                      tables: Sequence[str]
                      ) -> Tuple[Dict[str, U32View], int]:
-    """Materialize a tuple stream as one U32 column file per table.
+    """Materialize a chunk stream as one U32 column file per table.
 
     The QEPSJ result is vertically partitioned "to avoid repetitive
     reads of unnecessary columns" during projection; all columns are in
-    the same (anchor-id) order and have the same cardinality.
-    """
-    builders = [
-        U32FileBuilder(ctx.store, ctx.ram, label=f"store {t}")
-        for t in tables
-    ]
-    count = 0
-    with ctx.label(STORE_LABEL):
-        for tup in tuples:
-            for value, builder in zip(tup, builders):
-                builder.add(value)
-            count += 1
-        views = {t: b.finish() for t, b in zip(tables, builders)}
-    return views, count
-
-
-def op_store_columns_chunks(ctx: ExecContext, chunks: Iterator[Chunk],
-                            tables: Sequence[str]
-                            ) -> Tuple[Dict[str, U32View], int]:
-    """Batch Store: append whole column pages per call.
-
-    Writes byte-identical column files to :func:`op_store_columns`
-    (same page flush points, same ``Store``-labelled charges).
+    the same (anchor-id) order and have the same cardinality.  Each
+    column holds one page buffer for the whole pass and writes
+    ``ceil(count / ids per page)`` pages, each when it fills (the tail
+    at the end), charged to ``Store``.
     """
     builders = [
         U32FileBuilder(ctx.store, ctx.ram, label=f"store {t}")
@@ -343,10 +302,14 @@ class PostSelectFilter:
     def filter_columns(self, columns: Dict[str, U32View], count: int,
                        table: str) -> Tuple[Dict[str, U32View], int]:
         """Rewrite the stored columns keeping rows whose ``table`` id is
-        (exactly) in the Vis ID list."""
+        (exactly) in the Vis ID list.
+
+        Scans ``table``'s stored column once per pass, then every
+        column once more to write the survivors out; one page buffer
+        per open scan or output column, charged to ``Project``.
+        """
         ctx = self.ctx
         tables = list(columns)
-        batch = not scalar_exec()
         for pass_no in range(self.n_passes):
             chunk = set(
                 self.ids[pass_no * self.chunk_size:
@@ -355,13 +318,8 @@ class PostSelectFilter:
             with ctx.ram.reserve(len(chunk) * 4, "post-select chunk"):
                 keep: List[bool] = []
                 with ctx.label(PROJECT_LABEL):
-                    if batch:
-                        contains = chunk.__contains__
-                        for page in columns[table].iter_pages(ctx.ram):
-                            keep.extend(map(contains, page))
-                    else:
-                        for value in columns[table].iterate(ctx.ram):
-                            keep.append(value in chunk)
+                    for page in columns[table].iter_pages(ctx.ram):
+                        keep.extend(map(chunk.__contains__, page))
                 if pass_no == 0:
                     survivors = keep
                 else:
@@ -371,18 +329,12 @@ class PostSelectFilter:
             for _ in tables
         ]
         with ctx.label(PROJECT_LABEL):
-            if batch:
-                for t, b in zip(tables, builders):
-                    pos = 0
-                    for page in columns[t].iter_pages(ctx.ram):
-                        b.append_words(list(compress(
-                            page, survivors[pos:pos + len(page)])))
-                        pos += len(page)
-            else:
-                for t, b in zip(tables, builders):
-                    for i, value in enumerate(columns[t].iterate(ctx.ram)):
-                        if survivors[i]:
-                            b.add(value)
+            for t, b in zip(tables, builders):
+                pos = 0
+                for page in columns[t].iter_pages(ctx.ram):
+                    b.append_words(list(compress(
+                        page, survivors[pos:pos + len(page)])))
+                    pos += len(page)
             views = {t: b.finish() for t, b in zip(tables, builders)}
         new_count = sum(survivors)
         return views, new_count

@@ -147,8 +147,8 @@ class ProjectionExecutor:
                              max_bytes=max(1024,
                                            ctx.ram.free_bytes - reserve),
                              label="project bloom")
-            # one add / one probe batch per page -- bit-identical to
-            # the scalar per-id loop, same column reads and charges
+            # one add / one probe batch per page: the bits of one
+            # ``bf.add(id)`` / ``id in bf`` per id
             for page in sj.columns[table].iter_pages(ctx.ram,
                                                      "qepsj column"):
                 bf.add_many(page)

@@ -13,8 +13,8 @@ Three execution methods (the planner picks per query, see
   u32 words and spilled as value-ordered runs through
   :class:`~repro.storage.runs.U32FileBuilder`; runs are merged with
   one page buffer per open run (reduction passes fold runs together
-  when they outnumber the buffer budget, exactly like
-  :class:`~repro.core.merge.MergeOperator`).
+  when they outnumber the buffer budget, under the Merge operator's
+  :func:`~repro.core.merge.reduction_step` policy).
 * :class:`TopKHeap` -- when ``offset + limit`` records fit in secure
   RAM, a bounded heap selects them in one pass with zero flash I/O.
 * :class:`IndexOrderScan` -- sort avoidance: when the ORDER BY key is
@@ -34,7 +34,7 @@ import heapq
 import itertools
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
-from repro.core.execmode import scalar_exec
+from repro.core.merge import reduction_step
 from repro.core.operators import ExecContext
 from repro.core.plan import OrderPlan, SortMethod
 from repro.errors import PlanError
@@ -206,21 +206,15 @@ class ExternalSorter:
                                      label="sort spill")
             files.append(builder.file)
             marks: List[Tuple[int, int]] = []
-            batch = not scalar_exec()
             chunk = first
             while chunk:
                 with self.ram.reserve(len(chunk) * self.codec.entry_bytes,
                                       "sort chunk"):
                     chunk.sort()
                     start = builder.mark()
-                    if batch:
-                        builder.append_words(
-                            [word for record in chunk for word in record]
-                        )
-                    else:
-                        for record in chunk:
-                            for word in record:
-                                builder.add(word)
+                    builder.append_words(
+                        [word for record in chunk for word in record]
+                    )
                     marks.append((start, builder.mark() - start))
                 chunk = list(itertools.islice(rest, capacity))
             builder.finish()
@@ -235,17 +229,14 @@ class ExternalSorter:
         return self._merge(runs, files)
 
     # ------------------------------------------------------------------
-    def _budget(self) -> int:
-        """Open-run buffers available to the merge (advisory floor 1)."""
-        return max(self.ram.free_buffers - self.RESERVE_BUFFERS,
-                   min(1, self.ram.free_buffers))
-
     def _fit_to_budget(self, runs: List[U32View],
                        files: List[FlashFile]) -> List[U32View]:
         """Reduction phase: fold runs until open buffers suffice."""
-        while len(runs) > max(1, self._budget()):
-            budget = self._budget()
-            fold = min(len(runs), max(2, budget - 1))
+        while True:
+            budget, fold = reduction_step(self.ram, self.RESERVE_BUFFERS,
+                                          len(runs))
+            if len(runs) <= max(1, budget):
+                return runs
             runs.sort(key=lambda v: v.count)
             victims, runs = runs[:fold], runs[fold:]
             builder = U32FileBuilder(self.store, self.ram,
@@ -253,41 +244,22 @@ class ExternalSorter:
             files.append(builder.file)
             iters = [self._records(v) for v in victims]
             try:
-                if scalar_exec():
-                    for record in heapq.merge(*iters):
-                        for word in record:
-                            builder.add(word)
-                else:
-                    pending: List[int] = []
-                    for record in heapq.merge(*iters):
-                        pending.extend(record)
-                        if len(pending) >= 512:
-                            builder.append_words(pending)
-                            pending = []
-                    builder.append_words(pending)
+                for record in heapq.merge(*iters):
+                    builder.append_words(record)
             finally:
                 for i in iters:
                     i.close()
             runs.append(builder.finish())
             self.reductions += 1
-        return runs
 
     def _records(self, view: U32View) -> Iterator[Record]:
-        """Group a run's packed words back into records (one buffer).
+        """Group a run's packed words back into records.
 
-        Batch mode regroups one decoded page per step (records may
-        straddle page boundaries, so a word carry is kept); the page
-        reads are :meth:`~repro.storage.runs.U32View.iterate`'s.
+        One page is read (and one buffer held) at a time, each page
+        once; records may straddle page boundaries, so a word carry is
+        kept between pages.
         """
         words = self.codec.words
-        if scalar_exec():
-            record: List[int] = []
-            for word in view.iterate(self.ram, label="sort run"):
-                record.append(word)
-                if len(record) == words:
-                    yield tuple(record)
-                    record = []
-            return
         pages = view.iter_pages(self.ram, label="sort run")
         try:
             carry: List[int] = []

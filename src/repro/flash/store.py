@@ -100,6 +100,11 @@ class FlashFile:
 
     # ------------------------------------------------------------------
     @property
+    def page_size(self) -> int:
+        """Bytes per page of the flash device holding the file."""
+        return self._store.ftl.params.page_size
+
+    @property
     def n_pages(self) -> int:
         """Number of pages currently in the file."""
         return len(self._lpns)
@@ -250,6 +255,19 @@ class FlashStore:
         name = f"__temp_{self._next_temp}"
         self._next_temp += 1
         return self.create(name)
+
+    def temp_mark(self) -> int:
+        """Where :meth:`free_temps_since` starts: after every
+        temporary created so far."""
+        return self._next_temp
+
+    def free_temps_since(self, mark: int) -> None:
+        """Free every still-live temporary created since ``mark`` (what
+        a statement that raised mid-pipeline left behind)."""
+        for n in range(mark, self._next_temp):
+            f = self._files.get(f"__temp_{n}")
+            if f is not None:
+                f.free()
 
     def _forget(self, name: str) -> None:
         self._files.pop(name, None)

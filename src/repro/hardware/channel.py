@@ -50,11 +50,12 @@ class UsbChannel:
     """Byte-accounted, leak-audited duplex link."""
 
     #: outbound message kinds carrying public information only: query
-    #: texts, Vis requests derived from them, released results, and the
-    #: visible halves of inserted rows (Visible data is public storage
-    #: on Untrusted by definition)
+    #: texts, Vis requests derived from them, and the visible halves of
+    #: inserted rows (Visible data is public storage on Untrusted by
+    #: definition).  A query result is not among them: nothing
+    #: releases one to Untrusted.
     SAFE_OUTBOUND_KINDS = frozenset({"query", "vis_request",
-                                     "result_release", "dml_visible"})
+                                     "dml_visible"})
 
     def __init__(self, ledger: CostLedger, throughput_mbps: float = 1.5):
         if throughput_mbps <= 0:

@@ -50,15 +50,23 @@ class QueryWindow:
     context* that are still live; ``peak`` is its high-water mark.
     Nested windows in the same context stack (a DML statement running
     a predicate QEPSJ, say) each see the allocation; windows opened by
-    other tasks never do.
+    other tasks never do.  The window also remembers the allocations
+    themselves, so a statement that raises mid-pipeline can hand back
+    what its abandoned operators still hold (:meth:`free_all`).
     """
 
-    __slots__ = ("held", "peak", "closed")
+    __slots__ = ("held", "peak", "closed", "allocations")
 
     def __init__(self) -> None:
         self.held = 0
         self.peak = 0
         self.closed = False
+        self.allocations: "list[Allocation]" = []
+
+    def free_all(self) -> None:
+        """Free every still-live allocation made through this window."""
+        for allocation in self.allocations:
+            allocation.free()
 
     def _charge(self, nbytes: int) -> None:
         self.held += nbytes
@@ -209,6 +217,8 @@ class SecureRam:
         self.live_allocations += 1
         allocation = Allocation(self, nbytes, label)
         self._live.add(allocation)
+        for window in _WINDOWS.get():
+            window.allocations.append(allocation)
         return allocation
 
     def alloc_buffer(self, label: str = "") -> Allocation:

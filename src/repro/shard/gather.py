@@ -4,7 +4,7 @@ Every scattered fragment returns its rows in *shard-local anchor
 order* carrying the anchor-id projection column; after translating
 local root ids to global ids (the router's maps are monotone, so
 translation preserves order) the streams here are plain sorted runs
-and merging them is the same k-way problem the batch engine already
+and merging them is the same k-way problem the execution core already
 solves for id runs (:func:`repro.storage.runs.union_sorted_many`).
 
 Three merge shapes cover every query:

@@ -13,18 +13,24 @@ well.  That is what makes the Merge operator's "one buffer per open
 (sub)list plus one output buffer" accounting real rather than
 aspirational.
 
-The vectorized execution core moves ids **a page at a time**:
-:meth:`U32View.iter_pages` / :meth:`U32View.read_page_words` decode a
-whole page of u32 words per call (zero-copy ``memoryview.cast("I")``
-on little-endian hosts) and :meth:`U32FileBuilder.append_words` packs
-a whole batch per call.  The sorted-run set primitives are the batch
-engine's in-RAM combinators: :func:`union_sorted` merges union rounds
+Ids move **a page at a time**: :meth:`U32View.iter_pages` /
+:meth:`U32View.read_page_words` decode a whole page of u32 words per
+call (zero-copy ``memoryview.cast("I")`` on little-endian hosts) and
+:meth:`U32FileBuilder.append_words` packs a whole batch per call.  The
+contract every reader and writer here keeps, because the simulated
+costs are defined by it: a page is read when the id stream first
+crosses it and never again, only the view's own bytes on that page are
+transferred (and charged), a full page is written the moment it fills,
+and the single page buffer is held from the first access until the
+iterator is exhausted or closed.
+
+The sorted-run set primitives are the in-RAM combinators of the
+execution core: :func:`union_sorted` merges union rounds
 (``core/merge.py``), :func:`difference_sorted` drops tombstoned ids
 from anchor chunks (``core/executor.py``), :func:`intersect_sorted`
 matches fk-delta candidates against base sublists
 (``index/climbing.py``), and :func:`galloping_search` drives the
-intersection cursor's in-page skips.  Page granularity, buffer
-accounting and flash charging are identical to the scalar paths.
+intersection cursor's in-page skips.
 """
 
 from __future__ import annotations
@@ -175,26 +181,18 @@ class U32FileBuilder:
                  name: Optional[str] = None, label: str = "u32 build"):
         self.file = store.create(name) if name else store.create_temp()
         self.page_size = store.ftl.params.page_size
-        self.per_page = self.page_size // ID_SIZE
         self._buf_alloc = ram.alloc_buffer(label) if ram else None
         self._buffer = bytearray()
         self.count = 0
         self._finished = False
 
-    def add(self, value: int) -> None:
-        """Append one unsigned 32-bit value."""
-        self._buffer += int(value).to_bytes(ID_SIZE, "little")
-        self.count += 1
-        if len(self._buffer) >= self.page_size:
-            self.file.append_page(bytes(self._buffer))
-            self._buffer.clear()
-
     def append_words(self, values: Sequence[int]) -> None:
-        """Append a whole batch of values in one encode call.
+        """Append a batch of unsigned 32-bit values in one encode call.
 
-        Flushes exactly the same full pages as a scalar ``add`` loop
-        would (the tail stays buffered), so the flash write pattern --
-        and its charges -- are identical.
+        Every page the batch fills is written at once; the tail stays
+        buffered until more values arrive or :meth:`finish` flushes it,
+        so the pages written depend on the values only, never on how
+        they were batched.
         """
         if not values:
             return
@@ -243,10 +241,10 @@ class U32View:
                    label: str = "run read") -> Iterator[List[int]]:
         """Yield the view's ids one decoded page-chunk at a time.
 
-        The flash access pattern is exactly :meth:`iterate`'s -- each
-        touched page read once, only the view's bytes transferred and
-        charged, one RAM buffer held while open -- but ids arrive as
-        whole ``List[int]`` pages decoded in a single call.
+        Each touched page is read once, when the consumer asks for it;
+        only the view's bytes on it are transferred to RAM (and
+        charged); one RAM buffer is held from the first page until the
+        iterator is exhausted or closed.
         """
         if self.count == 0:
             return
@@ -263,7 +261,7 @@ class U32View:
         """How many page-chunks the view spans (see :meth:`iter_pages`)."""
         if self.count == 0:
             return 0
-        page_size = self.file._store.ftl.params.page_size
+        page_size = self.file.page_size
         first = self.start * ID_SIZE // page_size
         last = (self.start + self.count - 1) * ID_SIZE // page_size
         return last - first + 1
@@ -275,7 +273,7 @@ class U32View:
         (it is built on this method); the read transfers (and charges)
         only the view's bytes on that page.
         """
-        page_size = self.file._store.ftl.params.page_size
+        page_size = self.file.page_size
         per_page = page_size // ID_SIZE
         first_page = self.start * ID_SIZE // page_size
         page_idx = first_page + chunk_index
@@ -298,23 +296,18 @@ class U32View:
 
     def iterate(self, ram: Optional[SecureRam] = None,
                 label: str = "run read") -> Iterator[int]:
-        """Yield the ids in order, holding one RAM buffer while open.
-
-        Each touched page is read once; only the bytes belonging to the
-        view are transferred to RAM (and charged).
-        """
+        """Yield the ids one by one (:meth:`iter_pages`, flattened)."""
         pages = self.iter_pages(ram, label)
         try:
             for page in pages:
                 yield from page
         finally:
             # closing this iterator must release the page buffer *now*
-            # (Merge frees unexhausted inputs deterministically)
             pages.close()
 
     def _read_at(self, index: int) -> int:
         """Point-read one id of the view (4 bytes moved, charged)."""
-        page_size = self.file._store.ftl.params.page_size
+        page_size = self.file.page_size
         per_page = page_size // ID_SIZE
         pos = self.start + index
         page_idx = pos // per_page
@@ -395,13 +388,6 @@ class IdRun:
     def ram_bytes(self) -> int:
         """Bytes of secure RAM this run occupies while *stored* (not read)."""
         return len(self.ids) * ID_SIZE if self.ids is not None else 0
-
-    def iterate(self, ram: Optional[SecureRam] = None,
-                label: str = "run read") -> Iterator[int]:
-        """Yield the ids in order (one RAM buffer while a view is open)."""
-        if self.ids is not None:
-            return iter(self.ids)
-        return self.view.iterate(ram, label)
 
     def iter_pages(self, ram: Optional[SecureRam] = None,
                    label: str = "run read") -> Iterator[List[int]]:

@@ -46,6 +46,10 @@ def test_unknown_outbound_kind_refused():
     ch, _ = make_channel()
     with pytest.raises(LeakError):
         ch.to_untrusted(8, kind="intermediate_result")
+    # results never travel to Untrusted: the kind is not on the list
+    with pytest.raises(LeakError):
+        ch.to_untrusted(8, kind="result_release")
+    assert ch.audit_outbound() == []
 
 
 def test_comm_charged_to_current_label():

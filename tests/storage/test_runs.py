@@ -82,7 +82,7 @@ def test_memory_run_iteration_costs_nothing():
     assert run.count == 3
     assert run.buffers_needed == 0
     assert run.ram_bytes == 12
-    assert list(run.iterate()) == [5, 6, 7]
+    assert list(run.iter_pages()) == [[5, 6, 7]]
 
 
 def test_flash_run_properties():
@@ -92,7 +92,7 @@ def test_flash_run_properties():
     assert run.count == 3
     assert run.buffers_needed == 1
     assert run.ram_bytes == 0
-    assert list(run.iterate()) == [1, 2, 3]
+    assert list(run.iter_pages()) == [[1, 2, 3]]
 
 
 def test_idrun_requires_exactly_one_source():
