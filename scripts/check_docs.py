@@ -19,8 +19,9 @@ Seven checks, all simple on purpose:
   written down in its own class (``to_meta`` / ``from_meta`` /
   ``savepoint`` / ``rollback``), not in the module that calls it.  The
   execution modules (``core/operators.py``, ``core/executor.py``,
-  ``core/merge.py``, ``core/sort.py``, ``storage/runs.py``) are held to
-  the same rule.  The same count is printed, not gated, for the rest of
+  ``core/merge.py``, ``core/sort.py``, ``storage/runs.py``), the flash
+  layer (``src/repro/flash/``) and ``storage/heap.py`` are held to the
+  same rule.  The same count is printed, not gated, for the rest of
   ``src/``;
 * inside ``src/repro`` only the predicate module, the SQL lexer and
   parser, and the test oracle may compare anything with the operator
@@ -74,13 +75,15 @@ _API_NAME = re.compile(r"(?<![\w.])(?:(GhostDB|Session)\.([A-Za-z_]\w*)"
 
 
 #: modules gated on ownership: no foreign private access at all -- the
-#: persistence/recovery orchestrators and the execution modules
+#: persistence/recovery orchestrators, the execution modules, the flash
+#: layer and the heap file over it
 _OWNERSHIP_GATED = ("src/repro/persist/", "src/repro/shard/persist.py",
                     "src/repro/core/recovery.py",
                     "src/repro/core/operators.py",
                     "src/repro/core/executor.py",
                     "src/repro/core/merge.py", "src/repro/core/sort.py",
-                    "src/repro/storage/runs.py")
+                    "src/repro/storage/runs.py", "src/repro/flash/",
+                    "src/repro/storage/heap.py")
 
 #: spellings of a process-environment read
 _ENVIRONMENT = ("environ", "environb", "getenv", "getenvb")

@@ -19,14 +19,16 @@ label all of that is charged under.
 from __future__ import annotations
 
 from itertools import compress
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.catalog import SecureCatalog
+from repro.errors import StorageError
 from repro.hardware.token import SecureToken
 from repro.index.bloom import BloomFilter
 from repro.predicate import Predicate
 from repro.sql.binder import BoundQuery, BoundSelection
-from repro.storage.runs import IdRun, U32FileBuilder, U32View
+from repro.storage.runs import IdRun, U32FileBuilder, U32View, word_view
 from repro.untrusted.server import VisRequest, VisResult, VisServer
 
 VIS_LABEL = "Vis"
@@ -179,35 +181,51 @@ def op_sjoin(ctx: ExecContext, anchor: str,
     here at high selectivity and why the benefit vanishes once most
     pages hold a match (sV > ~0.1).  One RAM buffer (the current SKT
     page) is held while the stream is open; reads are charged to
-    ``SJoin``.  Only the needed row fields are decoded, one
-    precompiled-struct call per row.
+    ``SJoin``.
+
+    A chunk's pages are fetched as one run (one read call, one label
+    push, one charge: every page of the run is consumed before the
+    chunk is yielded, which is what makes a run read legal -- see
+    :meth:`~repro.flash.store.FlashFile.read_pages`); the page the
+    previous chunk ended on is still held and is not read again.  An
+    SKT row is a fixed number of 4-byte ids, so the run is a strided
+    u32 array and each table's column is one C-level gather of the
+    qualifying rows.  The raw pages are host memory, unaccounted as
+    page-cache entries are.
     """
     skt = ctx.catalog.skt(anchor)
     heap = skt.heap
     rows_per_page = heap.rows_per_page
-    row_width = heap.codec.row_width
-    sub, reorder = skt.batch_decoder(tables)
-    unpack_from = sub.unpack_from
+    words_per_row = len(skt.columns)
+    positions = skt.column_positions(tables)
     buf = ctx.ram.alloc_buffer("sjoin page")
     try:
-        cur_page = -1
-        raw = b""
+        held_page, held = None, b""
         for chunk in anchor_chunks:
             if not chunk:
                 continue
-            cols: Chunk = [chunk] + [[] for _ in tables]
-            appends = [c.append for c in cols[1:]]
-            for aid in chunk:
-                page = aid // rows_per_page
-                if page != cur_page:
-                    with ctx.label(SJOIN_LABEL):
-                        raw = heap.read_page_raw(page)
-                    cur_page = page
-                row = unpack_from(raw, (aid - page * rows_per_page)
-                                  * row_width)
-                for append, slot in zip(appends, reorder):
-                    append(row[slot])
-            yield cols
+            if chunk[-1] >= heap.n_rows:
+                raise StorageError(
+                    f"anchor id {chunk[-1]} out of range for "
+                    f"SKT({anchor}) ({heap.n_rows} rows)"
+                )
+            pages = sorted({aid // rows_per_page for aid in chunk})
+            raws = [held] if pages[0] == held_page else []
+            if len(raws) < len(pages):
+                with ctx.label(SJOIN_LABEL):
+                    raws += heap.read_pages_raw(pages[len(raws):])
+            held_page, held = pages[-1], raws[-1]
+            # row k of the run's i-th page is row i * rows_per_page + k
+            # of the joined payloads (only a heap's last page is short)
+            shift = {page: (i - page) * rows_per_page
+                     for i, page in enumerate(pages)}
+            rows = [aid + shift[aid // rows_per_page] for aid in chunk]
+            # (an itemgetter of one index returns the item, not a tuple)
+            pick = (itemgetter(*rows) if len(rows) > 1
+                    else lambda column: (column[rows[0]],))
+            words = word_view(b"".join(raws))
+            yield [chunk] + [list(pick(words[pos::words_per_row]))
+                             for pos in positions]
     finally:
         buf.free()
 

@@ -251,66 +251,48 @@ class ProjectionExecutor:
                 if t not in id_iters:
                     id_iters[t] = sj.columns[t].iterate(ctx.ram, "id column")
 
-        # value position map for assembly
-        val_pos: Dict[Tuple[str, str], int] = {}
-        for table, attrs in per_table.items():
-            if table == anchor:
-                continue
-            for i, name in enumerate(attrs["vis"] + attrs["hid"]):
-                val_pos[(table, name)] = i
+        # where each projected column sits in a row's sources --
+        # [ids, anchor vis, anchor hid, *one value tuple per cursor] --
+        # compiled once: assembling a row is a plain tuple build
+        id_tables = [anchor, *id_iters]
+        value_tables = list(cursors)
+        plan: List[Tuple[int, int]] = []
+        for col in self.bound.projections:
+            kind, table, *name = _source_of(col)
+            if kind == "id":
+                plan.append((0, id_tables.index(table)))
+            elif table == anchor:
+                plan.append((1 if kind == "vis" else 2,
+                             anchor_attrs[kind].index(name[0])))
+            else:
+                attrs = per_table[table]
+                plan.append((3 + value_tables.index(table),
+                             (attrs["vis"] + attrs["hid"]).index(name[0])))
 
         rows: List[Tuple] = []
         anchor_iter = sj.anchor_ids.iterate(ctx.ram, "anchor ids")
         with ctx.label(PROJECT_LABEL):
             for pos, aid in enumerate(anchor_iter):
-                table_vals: Dict[str, Tuple] = {}
+                sources: List[Tuple] = [(), (), ()]
                 alive = True
-                for table, cursor in cursors.items():
+                for cursor in cursors.values():
                     head = cursor.head
                     if head is not None and head[0] == pos:
-                        table_vals[table] = head[1:]
+                        sources.append(head[1:])
                         cursor.advance()
                     else:
                         alive = False
-                ids_here = {t: next(it) for t, it in id_iters.items()}
+                sources[0] = (aid, *[next(it) for it in id_iters.values()])
                 if anchor_attrs["vis"]:
                     if aid in anchor_vis_map:
-                        anchor_vis = anchor_vis_map[aid]
+                        sources[1] = anchor_vis_map[aid]
                     else:
                         alive = False
-                        anchor_vis = ()
-                else:
-                    anchor_vis = ()
                 if not alive:
                     continue
-                anchor_hid = anchor_fetcher.fetch(aid)
-                rows.append(self._assemble(
-                    aid, ids_here, table_vals, anchor_attrs, anchor_vis,
-                    anchor_hid, val_pos,
-                ))
+                sources[2] = anchor_fetcher.fetch(aid)
+                rows.append(tuple([sources[s][i] for s, i in plan]))
         return rows
-
-    def _assemble(self, aid: int, ids_here: Dict[str, int],
-                  table_vals: Dict[str, Tuple],
-                  anchor_attrs: Dict[str, List[str]],
-                  anchor_vis: Tuple, anchor_hid: Tuple,
-                  val_pos: Dict[Tuple[str, str], int]) -> Tuple:
-        out: List = []
-        for col in self.bound.projections:
-            src = _source_of(col)
-            if src[0] == "id":
-                out.append(aid if src[1] == self.anchor
-                           else ids_here[src[1]])
-                continue
-            kind, table, name = src
-            if table == self.anchor:
-                if kind == "vis":
-                    out.append(anchor_vis[anchor_attrs["vis"].index(name)])
-                else:
-                    out.append(anchor_hid[anchor_attrs["hid"].index(name)])
-            else:
-                out.append(table_vals[table][val_pos[(table, name)]])
-        return tuple(out)
 
     # ------------------------------------------------------------------
     # Brute-Force (Figures 12/13 baseline)

@@ -172,14 +172,16 @@ class Ftl:
         ppn = self._l2p[lpn]
         return b"" if ppn == _UNMAPPED else self.nand.read_page(ppn)
 
-    def charge_read(self, nbytes: int) -> None:
-        """Charge one page read moving ``nbytes`` into RAM.
+    def charge_read(self, pages: int, nbytes: int) -> None:
+        """Charge ``pages`` page reads moving ``nbytes`` into RAM in all.
 
-        The exact Table-1 charge :meth:`read` applies -- used by the
-        page cache so a cache hit costs the same simulated time and
-        counters as the read it replaced.
+        The exact Table-1 charge ``pages`` calls of :meth:`read` apply
+        (the ledger holds integer counts, so one charge of a run equals
+        the sum of its pages') -- used by the page cache so a cache hit
+        costs the same simulated time and counters as the read it
+        replaced.
         """
-        self.ledger.charge(READ, self._read_price, 1, nbytes)
+        self.ledger.charge(READ, self._read_price, pages, nbytes)
 
     def trim(self, lpn: int) -> None:
         """Free logical page ``lpn``; its physical page becomes garbage."""

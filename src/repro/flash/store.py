@@ -17,7 +17,7 @@ bytes never live in accounted secure RAM and never save simulated I/O.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import BadAddressError, StorageError
 from repro.flash.ftl import Ftl
@@ -76,11 +76,12 @@ class PageCache:
 class FlashFile:
     """An ordered sequence of logical flash pages."""
 
-    def __init__(self, store: "FlashStore", name: str):
+    def __init__(self, store: "FlashStore", name: str,
+                 lpns: List[int], page_fill: List[int]):
         self._store = store
         self.name = name
-        self._lpns: list[int] = []
-        self._page_fill: list[int] = []  # bytes stored per page
+        self._lpns = lpns
+        self._page_fill = page_fill  # bytes stored per page
         self.closed = False
 
     def to_meta(self) -> Tuple[str, List[int], List[int]]:
@@ -93,10 +94,7 @@ class FlashFile:
                   meta: Tuple[str, List[int], List[int]]) -> "FlashFile":
         """An open file of ``store`` over :meth:`to_meta` output,
         adopted as is."""
-        name, lpns, fills = meta
-        f = cls(store, name)
-        f._lpns, f._page_fill = lpns, fills
-        return f
+        return cls(store, *meta)
 
     # ------------------------------------------------------------------
     @property
@@ -188,19 +186,50 @@ class FlashFile:
                 f"read of {nbytes} bytes at offset {offset} overruns "
                 f"page {index} of file {self.name!r} ({fill} bytes filled)"
             )
+        data = self._payload(index)
+        if offset:
+            data = data[offset:]
+        if nbytes is not None:
+            data = data[:nbytes]
+        self._store.ftl.charge_read(1, len(data))
+        return data
+
+    def _payload(self, index: int) -> bytes:
+        """Page ``index``'s full stored payload, read through the page
+        cache (probe, else verified NAND read and fill); uncharged --
+        the caller files the transfer."""
         lpn = self._lpns[index]
         cache = self._store.page_cache
         full = cache.get(lpn)
         if full is None:
             full = self._store.ftl.peek(lpn)
             cache.put(lpn, full)
-        data = full
-        if offset:
-            data = data[offset:]
-        if nbytes is not None:
-            data = data[:nbytes]
-        self._store.ftl.charge_read(len(data))
-        return data
+        return full
+
+    def read_pages(self, indices: Sequence[int]) -> List[bytes]:
+        """``[self.read_page(i) for i in indices]`` -- the same checks,
+        cache probes and verified reads, page by page in that order --
+        filed as **one** read charge for the run.  A run that dies at
+        page *k* has charged the *k* pages before it, as *k* single
+        reads would have.
+
+        Legal only where every page of the run is consumed before
+        control leaves the reader (an SJoin chunk).  A reader its
+        consumer drives -- a Merge cursor, ``U32View.iter_pages``,
+        ``HeapFile.scan``, a sort-run re-read -- reads page by page: a
+        consumer that stops early is never charged for a page it did
+        not ask for.
+        """
+        out: List[bytes] = []
+        try:
+            for index in indices:
+                self._check_open()
+                self._check_index(index)
+                out.append(self._payload(index))
+        finally:
+            if out:
+                self._store.ftl.charge_read(len(out), sum(map(len, out)))
+        return out
 
     def free(self) -> None:
         """Release every page of the file back to the FTL."""
@@ -213,7 +242,7 @@ class FlashFile:
         self._lpns.clear()
         self._page_fill.clear()
         self.closed = True
-        self._store._forget(self.name)
+        self._store.forget(self.name)
 
 
 class FlashStore:
@@ -234,7 +263,7 @@ class FlashStore:
         """Create a new, empty file called ``name``."""
         if name in self._files:
             raise StorageError(f"flash file {name!r} already exists")
-        f = FlashFile(self, name)
+        f = FlashFile(self, name, [], [])
         self._files[name] = f
         if self.journal is not None:
             self.journal.note_create(f)
@@ -269,7 +298,8 @@ class FlashStore:
             if f is not None:
                 f.free()
 
-    def _forget(self, name: str) -> None:
+    def forget(self, name: str) -> None:
+        """Drop ``name`` from the directory (its file freed itself)."""
         self._files.pop(name, None)
 
     def to_meta(self) -> Dict[str, Any]:

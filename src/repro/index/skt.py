@@ -69,23 +69,6 @@ class SubtreeKeyTable:
         """Random access to one row of descendant ids."""
         return self.heap.get_row(owner_id)
 
-    def batch_decoder(self, tables: Sequence[str]):
-        """A ``(struct, reorder)`` pair for the batch SJoin.
-
-        ``struct.unpack_from(raw, offset)`` decodes exactly the
-        ``tables`` columns of one packed SKT row in a single C call
-        (pad bytes skip the rest); ``reorder[i]`` maps the i-th
-        requested table to its slot in the decoded tuple, since the
-        struct requires increasing column offsets.
-        """
-        positions = self.column_positions(tables)
-        order = sorted(range(len(positions)), key=positions.__getitem__)
-        sub = self.heap.codec.column_struct([positions[i] for i in order])
-        reorder = [0] * len(positions)
-        for rank, i in enumerate(order):
-            reorder[i] = rank
-        return sub, reorder
-
     def append_row(self, descendant_ids: Sequence[int]) -> int:
         """Append the descendant ids of a newly inserted owner tuple.
 

@@ -16,7 +16,7 @@ loops.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
 from repro.flash.store import FlashFile, FlashStore
@@ -128,21 +128,16 @@ class HeapFile:
                                   offset=offset)
         return self.codec.unpack_columns(raw, columns)
 
-    def _rows_on_page(self, page_idx: int) -> int:
-        """How many rows page ``page_idx`` holds."""
-        first = page_idx * self.rows_per_page
-        return max(0, min(self.rows_per_page, self.n_rows - first))
+    def read_pages_raw(self, pages: Sequence[int]) -> List[bytes]:
+        """Read ``pages``' packed rows, raw, as one charged run
+        (:meth:`~repro.flash.store.FlashFile.read_pages`: the caller
+        consumes every page before it returns control).
 
-    def read_page_raw(self, page_idx: int) -> bytes:
-        """Read one page's packed rows, raw.
-
-        Transfers (and charges) exactly the bytes a
-        :meth:`read_rows_on_page` of the same page would -- callers
-        decode selectively (batch SJoin decodes only qualifying rows).
+        A page stores exactly its rows, so this transfers (and charges)
+        the bytes a :meth:`read_rows_on_page` of each page would --
+        callers decode selectively (SJoin gathers only qualifying rows).
         """
-        n_here = self._rows_on_page(page_idx)
-        return self.file.read_page(page_idx,
-                                   nbytes=n_here * self.codec.row_width)
+        return self.file.read_pages(pages)
 
     def scan(self, columns: Optional[Sequence[int]] = None) -> Iterator[Tuple]:
         """Sequential scan in id order, one page in RAM at a time."""

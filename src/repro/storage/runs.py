@@ -53,20 +53,28 @@ IDS_PER_PAGE = PAGE_SIZE // ID_SIZE
 _FAST_WORDS = sys.byteorder == "little" and array("I").itemsize == ID_SIZE
 
 
+def word_view(raw: bytes) -> Sequence[int]:
+    """Packed little-endian u32 words as an indexable, sliceable
+    sequence: a zero-copy ``memoryview`` on little-endian hosts (one C
+    call, nothing decoded until it is indexed), a decoded list
+    elsewhere."""
+    if len(raw) % ID_SIZE:
+        raise StorageError(
+            f"{len(raw)} bytes are not a whole number of u32 words"
+        )
+    if _FAST_WORDS:
+        return memoryview(raw).cast("I")
+    return [int.from_bytes(raw[i:i + ID_SIZE], "little")
+            for i in range(0, len(raw), ID_SIZE)]
+
+
 def decode_words(raw: bytes) -> List[int]:
     """Decode packed little-endian u32 words into a list of ints.
 
     Equals ``[int.from_bytes(raw[i:i+4], "little") ...]`` but one C
     call on little-endian hosts.
     """
-    if len(raw) % ID_SIZE:
-        raise StorageError(
-            f"{len(raw)} bytes are not a whole number of u32 words"
-        )
-    if _FAST_WORDS:
-        return list(memoryview(raw).cast("I"))
-    return [int.from_bytes(raw[i:i + ID_SIZE], "little")
-            for i in range(0, len(raw), ID_SIZE)]
+    return list(word_view(raw))
 
 
 def encode_words(values: Sequence[int]) -> bytes:

@@ -6,9 +6,12 @@ from contextlib import contextmanager
 from math import fsum
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.operators import (ExecContext, PostSelectFilter, op_sjoin,
                                   op_store_columns)
+from repro.errors import StorageError
 from repro.storage.runs import IDS_PER_PAGE, write_u32s
 from repro.workloads.queries import query_q
 
@@ -106,20 +109,106 @@ def in_chunks(values, size):
     return [values[i:i + size] for i in range(0, len(values), size)]
 
 
-def test_sjoin_reads_exactly_the_distinct_skt_pages_of_its_input(db):
+def test_sjoin_reads_exactly_the_distinct_skt_pages_of_its_input(
+        db, monkeypatch):
     heap = db.catalog.skt("T0").heap
     n = db.catalog.n_rows("T0")
-    # sparse at first (pages skipped), then a dense stretch
-    ids = list(range(0, n // 2, 97)) + list(range(n // 2, n // 2 + 900))
+    assert n % heap.rows_per_page               # the last page is short
+    # sparse at first (pages skipped), a dense stretch, the table's tail
+    ids = (list(range(0, n // 2, 97)) + list(range(n // 2, n // 2 + 900))
+           + list(range(n - 40, n)))
+    charges = []
+    charge = db.token.ledger.charge
+    monkeypatch.setattr(db.token.ledger, "charge",
+                        lambda *a: (charges.append(a), charge(*a)))
     for size in (1, 100, IDS_PER_PAGE):      # the chunking is not a cost
+        chunks = in_chunks(ids, size)
+        del charges[:]
         with metered(db) as cost:
-            out = list(op_sjoin(exec_context(db), "T0",
-                                iter(in_chunks(ids, size)), ["T1", "T12"]))
+            out = list(op_sjoin(exec_context(db), "T0", iter(chunks),
+                                ["T1", "T12"]))
         assert [aid for cols in out for aid in cols[0]] == ids
-        assert cost["pages_read"] == len({aid // heap.rows_per_page
-                                          for aid in ids})
+        pages = [sorted({aid // heap.rows_per_page for aid in chunk})
+                 for chunk in chunks]
+        assert cost["pages_read"] == len({p for run in pages for p in run})
         assert cost["labels"] == {"SJoin"}
         assert cost["peak"] == db.token.page_size
+        # one charge per chunk that reaches a page the previous chunk
+        # did not end on -- a run, never a page, is what is charged
+        new_runs = sum(run[-1] != held for run, held in
+                       zip(pages, [None] + [run[-1] for run in pages]))
+        assert len(charges) == new_runs
+        assert sum(ops for _, _, ops, _ in charges) == cost["pages_read"]
+    assert new_runs < cost["pages_read"] / 4
+
+
+def oracle_sjoin(ctx, anchor, anchor_chunks, tables):
+    """SJoin, one id at a time: the retired kernel -- one charged
+    ``read_page`` per SKT page, one ``unpack_from`` per id."""
+    skt = ctx.catalog.skt(anchor)
+    heap, per_page = skt.heap, skt.heap.rows_per_page
+    width = heap.codec.row_width
+    positions = skt.column_positions(tables)
+    order = sorted(range(len(tables)), key=positions.__getitem__)
+    sub = heap.codec.column_struct([positions[i] for i in order])
+    buf = ctx.ram.alloc_buffer("sjoin page")
+    try:
+        cur_page, raw = -1, b""
+        for chunk in anchor_chunks:
+            cols = [chunk] + [[] for _ in tables]
+            for aid in chunk:
+                page = aid // per_page
+                if page != cur_page:
+                    rows_here = min(per_page, heap.n_rows - page * per_page)
+                    with ctx.label("SJoin"):
+                        raw = heap.file.read_page(page,
+                                                  nbytes=rows_here * width)
+                    cur_page = page
+                row = sub.unpack_from(raw, (aid - page * per_page) * width)
+                for rank, i in enumerate(order):
+                    cols[1 + i].append(row[rank])
+            if chunk:
+                yield cols
+    finally:
+        buf.free()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_property_sjoin_equals_the_id_at_a_time_oracle(db, data):
+    skt = db.catalog.skt("T0")
+    last = skt.n_rows - 1
+    stretches = data.draw(st.lists(st.tuples(st.integers(0, last),
+                                             st.integers(1, 400)), max_size=4))
+    ids = sorted(data.draw(st.sets(st.integers(0, last), max_size=60)).union(
+        *(range(lo, min(lo + length, last + 1)) for lo, length in stretches)))
+    size = data.draw(st.sampled_from((1, 7, 100, IDS_PER_PAGE)))
+    tables = data.draw(st.permutations(skt.columns).flatmap(
+        lambda order: st.integers(1, len(order)).map(
+            lambda k: list(order[:k]))))
+    observed = []
+    for sjoin in (op_sjoin, oracle_sjoin):
+        with metered(db) as cost:
+            out = list(sjoin(exec_context(db), "T0",
+                             iter(in_chunks(ids, size) + [[]]), tables))
+        observed.append((out, cost))
+    assert observed[0] == observed[1]
+    if ids:
+        assert observed[0][1]["labels"] == {"SJoin"}
+        assert observed[0][1]["bytes_to_ram"] > 0
+
+
+def test_sjoin_refuses_an_anchor_id_past_the_table(db):
+    """One id past the rows of the SKT's last page: a ``StorageError``
+    before anything is read or charged (it was a bare ``struct.error``
+    from the decode)."""
+    n = db.catalog.n_rows("T0")
+    before = db.token.ledger.snapshot()
+    for chunks in ([[n]], [[0, n - 1, n]], [[n + 10**6]]):
+        with pytest.raises(StorageError, match="out of range"):
+            list(op_sjoin(exec_context(db), "T0", iter(chunks), ["T1"]))
+        db.token.ram.assert_all_freed()
+    assert db.token.ledger.snapshot() == before
 
 
 def test_store_writes_ceil_count_over_ids_per_page_pages_per_column(db):
