@@ -8,21 +8,17 @@ Seven checks, all simple on purpose:
 * every relative link target in a tracked ``*.md`` file (README.md,
   docs/, CHANGES.md, ...) must exist on disk -- links to headings
   (``path#anchor``) are checked for the file part;
-* every ``GhostDB.name``, ``db.name(`` and ``Session.name`` written in
-  an inline code span of README.md / docs/ARCHITECTURE.md must be an
-  attribute of that class, so the docs cannot describe a removed
-  method;
-* the modules that orchestrate persistence and recovery
-  (``src/repro/persist/``, ``shard/persist.py``, ``core/recovery.py``)
-  may not read or assign a ``_private`` attribute on anything but
-  ``self`` / ``cls``: what a structure persists and rolls back is
-  written down in its own class (``to_meta`` / ``from_meta`` /
-  ``savepoint`` / ``rollback``), not in the module that calls it.  The
-  execution modules (``core/operators.py``, ``core/executor.py``,
-  ``core/merge.py``, ``core/sort.py``, ``storage/runs.py``), the flash
-  layer (``src/repro/flash/``) and ``storage/heap.py`` are held to the
-  same rule.  The same count is printed, not gated, for the rest of
-  ``src/``;
+* every ``GhostDB.name``, ``ShardedGhostDB.name``, ``Session.name``,
+  ``db.name(`` and ``fleet.name(`` written in an inline code span of
+  README.md / docs/ARCHITECTURE.md must be an attribute of that class,
+  so the docs cannot describe a removed method;
+* no module under ``src/repro`` may read or assign a ``_private``
+  attribute that another module defines, on anything but ``self`` /
+  ``cls``.  The ownership unit is the module: a class may touch the
+  privates of classes defined in its own file (a ``from_meta``
+  filling in the object it builds, an allocation reporting to its
+  allocator), never another file's -- what a structure offers its
+  callers is written down in its own class as public names;
 * inside ``src/repro`` only the predicate module, the SQL lexer and
   parser, and the test oracle may compare anything with the operator
   names ``"between"`` or ``"<="``: every spelled-out operator table has
@@ -70,20 +66,9 @@ _EXTERNAL = ("http://", "https://", "mailto:", "#")
 _API_DOCS = ("README.md", "docs/ARCHITECTURE.md")
 _FENCE = re.compile(r"```.*?```", re.DOTALL)
 _SPAN = re.compile(r"`([^`\n]+)`")
-_API_NAME = re.compile(r"(?<![\w.])(?:(GhostDB|Session)\.([A-Za-z_]\w*)"
-                       r"|db\.([A-Za-z_]\w*)\()")
+_API_NAME = re.compile(r"(?<![\w.])(?:(GhostDB|ShardedGhostDB|Session)"
+                       r"\.([A-Za-z_]\w*)|(db|fleet)\.([A-Za-z_]\w*)\()")
 
-
-#: modules gated on ownership: no foreign private access at all -- the
-#: persistence/recovery orchestrators, the execution modules, the flash
-#: layer and the heap file over it
-_OWNERSHIP_GATED = ("src/repro/persist/", "src/repro/shard/persist.py",
-                    "src/repro/core/recovery.py",
-                    "src/repro/core/operators.py",
-                    "src/repro/core/executor.py",
-                    "src/repro/core/merge.py", "src/repro/core/sort.py",
-                    "src/repro/storage/runs.py", "src/repro/flash/",
-                    "src/repro/storage/heap.py")
 
 #: spellings of a process-environment read
 _ENVIRONMENT = ("environ", "environb", "getenv", "getenvb")
@@ -139,7 +124,9 @@ def stale_api_names() -> list:
     """Every (file, line, span) naming an attribute its class lacks."""
     from repro.core.ghostdb import GhostDB
     from repro.core.session import Session
-    classes = {"GhostDB": GhostDB, "Session": Session, "": GhostDB}
+    from repro.shard.fleet import ShardedGhostDB
+    classes = {"GhostDB": GhostDB, "Session": Session, "db": GhostDB,
+               "ShardedGhostDB": ShardedGhostDB, "fleet": ShardedGhostDB}
     stale = []
     for doc in _API_DOCS:
         # blank the fenced blocks but keep their newlines (line numbers)
@@ -147,8 +134,8 @@ def stale_api_names() -> list:
                           (REPO / doc).read_text())
         for lineno, line in enumerate(text.splitlines(), 1):
             for span in _SPAN.findall(line):
-                for cls, attr, db_attr in _API_NAME.findall(span):
-                    if not hasattr(classes[cls], attr or db_attr):
+                for cls, attr, var, var_attr in _API_NAME.findall(span):
+                    if not hasattr(classes[cls or var], attr or var_attr):
                         stale.append((doc, lineno, span))
     return stale
 
@@ -159,21 +146,42 @@ def src_modules() -> list:
             for path in sorted((REPO / "src").rglob("*.py"))]
 
 
-def foreign_private_accesses() -> dict:
-    """Per ``src/`` module, every ``(line, expr)`` that touches a
-    single-underscore attribute of a receiver other than self / cls."""
-    found = {}
+def _own(node: ast.Attribute) -> bool:
+    return isinstance(node.value, ast.Name) \
+        and node.value.id in ("self", "cls")
+
+
+def foreign_private_accesses() -> list:
+    """Every ``(module, line, expr)`` in ``src/`` that touches, on a
+    receiver other than self / cls, a single-underscore attribute the
+    module does not define itself: as a method or class-level name
+    of one of its classes, or by assigning it on self / cls.  (By
+    name -- nothing here infers the receiver's type.)"""
+    found = []
     for module, tree in src_modules():
-        hits = [
-            (node.lineno, ast.unparse(node))
+        owned = set()
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                owned.update(
+                    leaf.id for leaf in ast.walk(stmt)
+                    if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                    and isinstance(leaf, ast.Name)
+                    and isinstance(leaf.ctx, ast.Store))
+            for node in ast.walk(cls):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    owned.add(node.name)
+                elif isinstance(node, ast.Attribute) and _own(node) \
+                        and isinstance(node.ctx, ast.Store):
+                    owned.add(node.attr)
+        found += sorted(
+            (module, node.lineno, ast.unparse(node))
             for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)
             and node.attr.startswith("_") and not node.attr.startswith("__")
-            and not (isinstance(node.value, ast.Name)
-                     and node.value.id in ("self", "cls"))
-        ]
-        if hits:
-            found[module] = sorted(hits)
+            and not _own(node) and node.attr not in owned
+        )
     return found
 
 
@@ -275,17 +283,9 @@ def main(argv: list) -> int:
     for doc, lineno, span in stale_api_names():
         print(f"STALE API NAME {doc}:{lineno}: `{span}`")
         ok = False
-    elsewhere = []
-    for module, hits in foreign_private_accesses().items():
-        if not module.startswith(_OWNERSHIP_GATED):
-            elsewhere.append(f"{module.removeprefix('src/repro/')} "
-                             f"{len(hits)}")
-            continue
-        for lineno, expr in hits:
-            print(f"FOREIGN PRIVATE ACCESS {module}:{lineno}: {expr}")
-            ok = False
-    print("foreign private accesses outside the gated modules (not "
-          "gated): " + ", ".join(elsewhere))
+    for module, lineno, expr in foreign_private_accesses():
+        print(f"FOREIGN PRIVATE ACCESS {module}:{lineno}: {expr}")
+        ok = False
     for module, lineno, expr in foreign_operator_chains():
         print(f"OPERATOR CHAIN OUTSIDE repro/predicate.py "
               f"{module}:{lineno}: {expr}")

@@ -137,6 +137,10 @@ def is_dirty(catalog: "SecureCatalog", table: str) -> bool:
 # ----------------------------------------------------------------------
 # advisor
 # ----------------------------------------------------------------------
+#: advisor verdicts, mildest first
+VERDICTS = ("clean", "proceed", "defer", "decline")
+
+
 @dataclass
 class AdvisorReport:
     """Outcome of pricing one table's compaction against flash headroom."""
@@ -541,7 +545,7 @@ class CompactionJob:
         # ---- terminal step: swap shadows in, fold the metadata -------
         self.phase = "swap"
         if remap:
-            db._vis_server.push_compaction(T, sorted(dead))
+            db.vis_server.push_compaction(T, sorted(dead))
             if new_heap is not None:
                 old = image.heap
                 image.heap = new_heap

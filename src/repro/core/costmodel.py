@@ -39,26 +39,6 @@ from repro.index.climbing import ClimbingIndex
 from repro.sql.binder import BoundQuery, BoundSelection
 
 
-def gather_merge_s(n_rows: int, row_bytes: int, n_shards: int,
-                   throughput_mbps: float) -> float:
-    """Coordinator cost (seconds) of k-way merging shard result streams.
-
-    The scatter-gather executor funnels every shard's already-computed
-    result rows through the coordinator once: ``n_rows * row_bytes``
-    bytes at the channel throughput (same ``bytes / (MB/s) == us``
-    convention as :class:`~repro.hardware.channel.UsbChannel`), plus
-    one page-sized turnaround per shard stream for the merge cursors.
-    Priced here, next to the per-shard estimates, so ``EXPLAIN`` can
-    show per-shard candidate costs and the merge premium side by side.
-    """
-    if n_rows <= 0 or n_shards <= 0:
-        return 0.0
-    from repro.flash.constants import PAGE_SIZE
-    transfer_us = n_rows * max(1, row_bytes) / throughput_mbps
-    cursor_us = n_shards * (PAGE_SIZE / throughput_mbps)
-    return (transfer_us + cursor_us) / 1e6
-
-
 @dataclass(frozen=True)
 class Choice:
     """One candidate decision for a single visible selection."""

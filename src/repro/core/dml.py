@@ -15,6 +15,11 @@ append-only NAND writes, and every mutation here honors that:
   ids.  Files are never compacted in place; an incremental
   ``db.compact(table)`` reclaims the space in bounded steps.
 
+Every statement is two steps: :meth:`DmlExecutor.check` does everything
+that can refuse it and mutates nothing, :meth:`DmlExecutor.insert` /
+:meth:`DmlExecutor.delete` apply what the check resolved.  A fleet runs
+the check on every target shard before any shard applies.
+
 Cost discipline: an insert is O(appended bytes) -- a handful of tail
 pages re-programmed plus the channel transfer of the row itself --
 never a scan of the table.  DML costs are reported through the same
@@ -24,13 +29,13 @@ never a scan of the table.  DML costs are reported through the same
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Any, Dict, List, Tuple, Union
 
 from repro.core.catalog import SecureCatalog
-from repro.core.executor import QepSjExecutor, QueryStats
+from repro.core.executor import CostWindow, QepSjExecutor, QueryStats
 from repro.core.operators import ExecContext
 from repro.core.planner import Planner
-from repro.errors import BindError, GhostDBError, StorageError
+from repro.errors import GhostDBError, StorageError
 from repro.hardware.token import SecureToken
 from repro.schema.model import Schema, Table
 from repro.sql.binder import (BoundColumn, BoundDelete, BoundInsert,
@@ -50,8 +55,22 @@ class DmlResult:
     stats: QueryStats
 
 
+@dataclass
+class CheckedDml:
+    """A DML statement that passed its check and is not applied yet."""
+
+    bound: Union[BoundInsert, BoundDelete]
+    #: the statement's one cost window: opened before the check, read
+    #: after the apply
+    cost: CostWindow
+    #: what the check resolved for the apply step: an INSERT's column
+    #: positions, a DELETE's matching live ids
+    resolved: Any
+
+
 class DmlExecutor:
-    """Applies bound DML statements to the token-resident database."""
+    """Checks and applies bound DML statements on the token-resident
+    database."""
 
     def __init__(self, schema: Schema, token: SecureToken,
                  catalog: SecureCatalog, vis_server: VisServer,
@@ -62,13 +81,37 @@ class DmlExecutor:
         self.vis_server = vis_server
         self.planner = planner
 
+    def check(self, bound: Union[BoundInsert, BoundDelete]):
+        """Step one of a statement: everything that can refuse it,
+        nothing that mutates.
+
+        INSERT: :meth:`validate_insert`.  DELETE: announce the
+        statement, evaluate its predicates, run the RESTRICT scan --
+        all charged.  Returns what the apply step continues with.
+        """
+        bound.require_bound()
+        if isinstance(bound, BoundInsert):
+            return self.validate_insert(bound)
+        with self.token.label(DML_LABEL):
+            # a DELETE's predicates are query text: public by the same
+            # argument as SELECT predicates
+            self.token.channel.to_untrusted(
+                max(1, len(bound.sql)), kind="query",
+                description=bound.sql[:120],
+            )
+        ids = self._matching_ids(bound)
+        with self.token.label(DML_LABEL):
+            self._check_restrict(bound.table, ids)
+        return ids
+
     # ------------------------------------------------------------------
     # INSERT
     # ------------------------------------------------------------------
-    def insert(self, bound: BoundInsert) -> int:
-        """Append ``bound.rows``; returns the number of rows inserted."""
+    def insert(self, bound: BoundInsert, resolved) -> int:
+        """Append ``bound.rows`` (``resolved`` is what :meth:`check`
+        returned); returns the number of rows inserted."""
         table, hidden, hid_positions, vis_positions, fk_positions = \
-            self.validate_insert(bound)
+            resolved
 
         with self.token.label(DML_LABEL):
             # the redacted statement is the only text that leaves
@@ -103,18 +146,10 @@ class DmlExecutor:
         Validates *before* any side effect: every value must satisfy
         its column type's ``typed`` rule -- visible values as much as
         hidden ones, or one bad row would poison Untrusted's image and
-        the sketches -- and fk targets must exist and be live.  Split
-        out of :meth:`insert` so a multi-shard fleet can pre-validate
-        every shard's slice of a statement before applying any of them
-        (the all-or-nothing contract a single token gets for free).
+        the sketches -- and fk targets must exist and be live.
         Returns the resolved column-position tuple :meth:`insert`
         continues with.
         """
-        if bound.has_parameters:
-            raise BindError(
-                f"statement has {bound.param_count} unbound ? "
-                f"placeholder(s); pass params to execute()"
-            )
         table = self.schema.table(bound.table)
         hidden = [c for c in table.hidden_columns if not c.is_foreign_key]
         hid_positions = [table.column_position(c.name) for c in hidden]
@@ -194,40 +229,9 @@ class DmlExecutor:
     # ------------------------------------------------------------------
     # DELETE
     # ------------------------------------------------------------------
-    def delete(self, bound: BoundDelete) -> int:
-        """Tombstone every live row matching the predicates."""
-        if bound.has_parameters:
-            raise BindError(
-                f"statement has {bound.param_count} unbound ? "
-                f"placeholder(s); pass params to execute()"
-            )
-        ids = self.delete_candidates(bound)
-        self.check_restrict(bound.table, ids)
-        return self.apply_delete(bound, ids)
-
-    # The three DELETE phases are public on their own so a sharded
-    # fleet can interleave them across tokens: collect candidates on
-    # every shard, RESTRICT-check them all, and only then tombstone
-    # anywhere -- preserving the all-or-nothing behaviour a single
-    # token's sequential path gets for free.
-    def delete_candidates(self, bound: BoundDelete) -> List[int]:
-        """Announce the statement and evaluate its predicates."""
-        with self.token.label(DML_LABEL):
-            # a DELETE's predicates are query text: public by the same
-            # argument as SELECT predicates
-            self.token.channel.to_untrusted(
-                max(1, len(bound.sql)), kind="query",
-                description=bound.sql[:120],
-            )
-        return self._matching_ids(bound)
-
-    def check_restrict(self, table: str, ids: List[int]) -> None:
-        """RESTRICT scan (charged), raising before anything mutates."""
-        with self.token.label(DML_LABEL):
-            self._check_restrict(table, ids)
-
-    def apply_delete(self, bound: BoundDelete, ids: List[int]) -> int:
-        """Tombstone ``ids`` and bump the table's generations."""
+    def delete(self, bound: BoundDelete, ids: List[int]) -> int:
+        """Tombstone ``ids`` (the live matches :meth:`check` returned)
+        and bump the table's generations."""
         with self.token.label(DML_LABEL):
             n = self.catalog.mark_deleted(bound.table, ids)
         self.catalog.record_deleted_rows(bound.table, ids)

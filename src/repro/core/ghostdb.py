@@ -60,10 +60,10 @@ from typing import (Dict, Iterator, List, Optional, Sequence, Tuple,
 from repro.core.aggregate import apply_aggregates, effective_projections
 from repro.core.catalog import SecureCatalog
 from repro.core.compaction import (DEFAULT_HEADROOM_FACTOR,
-                                   DEFAULT_PAGES_PER_STEP,
+                                   DEFAULT_PAGES_PER_STEP, AdvisorReport,
                                    CompactionManager, CompactionProgress,
                                    TableCompactionStatus)
-from repro.core.dml import DmlExecutor, DmlResult
+from repro.core.dml import CheckedDml, DmlExecutor, DmlResult
 from repro.core.executor import CostWindow, QepSjExecutor, QueryResult
 from repro.core.loader import Loader
 from repro.core.operators import ExecContext
@@ -95,19 +95,20 @@ class StatementFrontEnd:
     sessions and prepared statements exist once, here.  A database
     class supplies only the hooks that differ between one token and N:
 
-    * ``_register_table(table)`` -- record one ``CREATE TABLE``;
+    * ``register_table(table)`` -- record one ``CREATE TABLE``;
     * ``_queue_rows(table, rows)`` -- queue pre-``build()`` rows;
-    * ``_run_dml(bound)`` -- apply one bound INSERT or DELETE;
-    * ``_plan(bound, *knobs)`` -- plan one bound SELECT;
+    * ``run_dml(bound)`` -- apply one bound INSERT or DELETE;
+    * ``plan_bound(bound, *knobs)`` -- plan one bound SELECT;
     * ``execute_plan(plan, announce=...)`` -- run one plan;
+    * ``_analyze_plan(plan)`` -- the executing half of EXPLAIN ANALYZE;
     * ``table_generations`` -- the per-table ``(data, stats)`` map plan
       caches and snapshot pins compare against;
-    * ``schema``, ``_binder``, ``_built``, ``_finalize_schema()`` --
+    * ``schema``, ``binder``, ``_built``, ``finalize_schema()`` --
       the schema state behind all of the above.
     """
 
     #: what :meth:`Session.prepare` hands out over this database
-    _statement_cls = PreparedStatement
+    statement_cls = PreparedStatement
 
     def __init__(self):
         self._default_session: Optional[Session] = None
@@ -115,7 +116,7 @@ class StatementFrontEnd:
         # here under client idempotency keys (persisted in snapshots)
         self.ikeys = IdempotencyLedger()
 
-    def _require_built(self) -> None:
+    def require_built(self) -> None:
         if not self._built:
             raise GhostDBError("call build() before querying")
 
@@ -157,49 +158,36 @@ class StatementFrontEnd:
         if isinstance(parsed, ast.CreateTable):
             if params:
                 raise BindError("DDL statements take no parameters")
-            self._register_table(Table(
+            self.register_table(Table(
                 parsed.name, [column_from_def(c) for c in parsed.columns]
             ))
             return None
         if isinstance(parsed, ast.SelectQuery):
-            self._require_built()
+            self.require_built()
             return self._session_default().query(
                 sql, params, vis_strategy, cross, projection,
                 order_method=order_method, parsed=parsed,
             )
-        self._finalize_schema()
+        self.finalize_schema()
         if isinstance(parsed, ast.InsertStatement):
-            bound = self._binder.bind_insert(parsed, sql)
-            bound = self._substitute_dml(bound, params)
+            bound = self.binder.bind_insert(parsed, sql) \
+                .substitute(tuple(params or ()))
             if not self._built:
                 # before build(): inserts ride the bulk provisioning path
                 self._queue_rows(bound.table, bound.rows)
                 return None
-            return self._run_dml(bound)
+            return self.run_dml(bound)
         if isinstance(parsed, ast.DeleteStatement):
-            self._require_built()
-            bound = self._binder.bind_delete(parsed, sql)
-            return self._run_dml(self._substitute_dml(bound, params))
+            self.require_built()
+            return self.run_dml(self.binder.bind_delete(parsed, sql)
+                                .substitute(tuple(params or ())))
         raise BindError(
             f"unsupported statement {type(parsed).__name__}"
         )  # pragma: no cover - parser is exhaustive
 
-    @staticmethod
-    def _substitute_dml(bound: Union[BoundInsert, BoundDelete],
-                        params: Optional[Sequence]
-                        ) -> Union[BoundInsert, BoundDelete]:
-        if params is None:
-            if bound.has_parameters:
-                raise BindError(
-                    f"statement has {bound.param_count} unbound ? "
-                    f"placeholder(s): pass params"
-                )
-            return bound
-        return bound.substitute(tuple(params))
-
     def load(self, table: str, rows: Sequence[Tuple]) -> None:
         """Queue rows for ``table`` (data columns only; ids are dense)."""
-        self._finalize_schema()
+        self.finalize_schema()
         if self._built:
             raise SchemaError("database already built")
         self._queue_rows(table, rows)
@@ -207,12 +195,12 @@ class StatementFrontEnd:
     # ------------------------------------------------------------------
     # binding and planning
     # ------------------------------------------------------------------
-    def _bind(self, sql: str, parsed: Optional[ast.SelectQuery] = None):
+    def bind(self, sql: str, parsed: Optional[ast.SelectQuery] = None):
         """Bind ``sql`` (or its already-parsed AST), normalizing
         aggregate projections and appending the ordering step's
         internal sort columns."""
-        bound = (self._binder.bind(parsed, sql) if parsed is not None
-                 else self._binder.bind_sql(sql))
+        bound = (self.binder.bind(parsed, sql) if parsed is not None
+                 else self.binder.bind_sql(sql))
         if bound.is_aggregate:
             bound = dataclasses.replace(
                 bound, projections=effective_projections(bound)
@@ -225,17 +213,42 @@ class StatementFrontEnd:
                    projection: Union[str, ProjectionMode] = "project",
                    order_method: SortMethodLike = None):
         """Bind and plan without executing."""
-        self._require_built()
-        bound = self._bind(sql)
-        if bound.has_parameters:
-            raise BindError(
-                f"statement has {bound.param_count} unbound ? "
-                f"placeholder(s): use prepare() and execute(params)"
-            )
-        return self._plan(bound, vis_strategy, cross, projection,
-                          order_method)
+        self.require_built()
+        bound = self.bind(sql)
+        bound.require_bound()
+        return self.plan_bound(bound, vis_strategy, cross, projection,
+                               order_method)
 
-    def _generations_for(self, tables) -> Tuple:
+    def explain(self, sql: str, analyze: bool = False, **kwargs) -> str:
+        """Human-readable plan description.
+
+        Cost-based plans (no ``vis_strategy`` override) include every
+        candidate assignment with its estimated simulated time, channel
+        bytes and secure-RAM peak; a scattered fleet plan shows each
+        shard's plan and the priced gather merge.  ``analyze=True``
+        additionally *executes* -- one token runs each candidate and
+        reports the measured simulated time next to the estimate (the
+        estimated-vs-measured view of the optimizer's decision
+        surface), a fleet runs its plan once and reports the per-shard
+        makespans -- and appends the compaction debt of the touched
+        tables.  (Analyze runs really charge the token's ledger; use it
+        as a tuning tool, not on a hot path.)
+        """
+        plan = self.plan_query(sql, **kwargs)
+        # measured first: the description prints what analysis recorded
+        measured = self._analyze_plan(plan) if analyze else []
+        lines = [plan.describe(), *measured]
+        if analyze:
+            # the maintenance counters a DBA would want next to the
+            # measured numbers: what compaction debt the touched tables
+            # carry and what the advisor would say about folding it
+            status = self.compaction_status()
+            lines.append("compaction status:")
+            lines += [f"  {status[t].describe()}"
+                      for t in sorted(plan.bound.tables)]
+        return "\n".join(lines)
+
+    def generations_for(self, tables) -> Tuple:
         """Snapshot of the (data, stats) generations a plan depends on."""
         gens = self.table_generations
         return tuple(sorted((t, gens[t]) for t in tables))
@@ -266,7 +279,7 @@ class StatementFrontEnd:
         template, not per query).  Uses the default session's plan
         cache -- create a dedicated :meth:`session` for isolation.
         """
-        self._require_built()
+        self.require_built()
         return self._session_default().prepare(sql, vis_strategy, cross,
                                                projection, order_method)
 
@@ -303,9 +316,9 @@ class GhostDB(StatementFrontEnd):
         self.untrusted: Optional[UntrustedEngine] = None
         self.catalog: Optional[SecureCatalog] = None
         self._loader: Optional[Loader] = None
-        self._binder: Optional[Binder] = None
-        self._vis_server: Optional[VisServer] = None
-        self._planner: Optional[Planner] = None
+        self.binder: Optional[Binder] = None
+        self.vis_server: Optional[VisServer] = None
+        self.planner: Optional[Planner] = None
         self._reference: Optional[ReferenceEngine] = None
         self._dml: Optional[DmlExecutor] = None
         self._compactor: Optional[CompactionManager] = None
@@ -317,9 +330,21 @@ class GhostDB(StatementFrontEnd):
     # ------------------------------------------------------------------
     # statement hooks (see StatementFrontEnd)
     # ------------------------------------------------------------------
-    def _run_dml(self, bound: Union[BoundInsert, BoundDelete]
-                 ) -> DmlResult:
-        """Apply one DML statement inside a per-statement cost window.
+    def check_dml(self, bound: Union[BoundInsert, BoundDelete]
+                  ) -> CheckedDml:
+        """Step one of a DML statement: open its cost window and run
+        every check that can refuse it; nothing is mutated.
+
+        The check is a read and fails like one (:meth:`_read_scope`).
+        A fleet runs this step on every target shard before any shard
+        runs :meth:`apply_dml`.
+        """
+        cost = CostWindow(self.token)
+        with self._read_scope(cost):
+            return CheckedDml(bound, cost, self._dml.check(bound))
+
+    def apply_dml(self, checked: CheckedDml) -> DmlResult:
+        """Step two: mutate what :meth:`check_dml` resolved.
 
         A :class:`StatementJournal` is armed around the mutation: if
         the statement dies mid-flight (power loss, out of space) the
@@ -328,24 +353,29 @@ class GhostDB(StatementFrontEnd):
         journal is kept until the next statement so a fleet-level abort
         can still undo this shard (:meth:`undo_last_dml`).
         """
-        cost = CostWindow(self.token)
+        bound, cost = checked.bound, checked.cost
         with StatementJournal(self, bound), cost.ram_window():
             if isinstance(bound, BoundInsert):
                 statement = "insert"
-                affected = self._dml.insert(bound)
+                affected = self._dml.insert(bound, checked.resolved)
             else:
                 statement = "delete"
-                affected = self._dml.delete(bound)
+                affected = self._dml.delete(bound, checked.resolved)
         return DmlResult(statement=statement, table=bound.table,
                          rows_affected=affected,
                          stats=cost.stats(affected))
 
-    def _plan(self, bound, vis_strategy: StrategyLike = None,
-              cross: Optional[bool] = None,
-              projection: Union[str, ProjectionMode] = "project",
-              order_method: SortMethodLike = None) -> QueryPlan:
-        return self._planner.plan(bound, vis_strategy, cross, projection,
-                                  order_method)
+    def run_dml(self, bound: Union[BoundInsert, BoundDelete]
+                ) -> DmlResult:
+        """One DML statement: check, then apply, in one cost window."""
+        return self.apply_dml(self.check_dml(bound))
+
+    def plan_bound(self, bound, vis_strategy: StrategyLike = None,
+                   cross: Optional[bool] = None,
+                   projection: Union[str, ProjectionMode] = "project",
+                   order_method: SortMethodLike = None) -> QueryPlan:
+        return self.planner.plan(bound, vis_strategy, cross, projection,
+                                 order_method)
 
     def _queue_rows(self, table: str, rows: Sequence[Tuple]) -> None:
         self._loader.add_rows(table, rows)
@@ -357,12 +387,12 @@ class GhostDB(StatementFrontEnd):
     # ------------------------------------------------------------------
     # schema definition and loading
     # ------------------------------------------------------------------
-    def _register_table(self, table: Table) -> None:
+    def register_table(self, table: Table) -> None:
         if self.schema is not None:
             raise SchemaError("schema already finalized (rows were loaded)")
         self._ddl_tables.append(table)
 
-    def _finalize_schema(self) -> None:
+    def finalize_schema(self) -> None:
         if self.schema is None:
             if not self._ddl_tables:
                 raise SchemaError("no tables declared")
@@ -370,7 +400,7 @@ class GhostDB(StatementFrontEnd):
             self.untrusted = UntrustedEngine(self.schema)
             self._loader = Loader(self.schema, self.token, self.untrusted,
                                   self._indexed_columns)
-            self._binder = Binder(self.schema)
+            self.binder = Binder(self.schema)
 
     def build(self) -> None:
         """Build hidden images, SKTs and climbing indexes on the token.
@@ -378,7 +408,7 @@ class GhostDB(StatementFrontEnd):
         Loading happens over a secure provisioning channel, so the cost
         ledger is reset afterwards: query costs start from zero.
         """
-        self._finalize_schema()
+        self.finalize_schema()
         if self.catalog is not None:
             raise SchemaError("database already built")
         self.catalog = self._loader.build()
@@ -387,13 +417,13 @@ class GhostDB(StatementFrontEnd):
 
     def _wire_engines(self) -> None:
         """(Re)create the engines that live on top of one catalog."""
-        self._vis_server = VisServer(self.untrusted, self.token)
-        self._planner = Planner(self.catalog)
+        self.vis_server = VisServer(self.untrusted, self.token)
+        self.planner = Planner(self.catalog)
         self._reference = ReferenceEngine(self.schema,
                                           self.catalog.raw_rows,
                                           self.catalog.tombstones)
         self._dml = DmlExecutor(self.schema, self.token, self.catalog,
-                                self._vis_server, self._planner)
+                                self.vis_server, self.planner)
         # fresh manager per catalog: any half-done compaction of a
         # previous catalog died with that catalog's token image
         self._compactor = CompactionManager(self)
@@ -401,20 +431,11 @@ class GhostDB(StatementFrontEnd):
     # ------------------------------------------------------------------
     # querying
     # ------------------------------------------------------------------
-    def explain(self, sql: str, analyze: bool = False, **kwargs) -> str:
-        """Human-readable plan description.
-
-        Cost-based plans (no ``vis_strategy`` override) include every
-        candidate assignment with its estimated simulated time, channel
-        bytes and secure-RAM peak.  ``analyze=True`` additionally
-        *executes* each candidate and reports the measured simulated
-        time next to the estimate -- the estimated-vs-measured view of
-        the optimizer's decision surface.  (Analyze runs really charge
-        the token's ledger; use it as a tuning tool, not on a hot
-        path.)
-        """
-        plan = self.plan_query(sql, **kwargs)
-        if analyze and plan.cost_report is not None:
+    def _analyze_plan(self, plan: QueryPlan) -> List[str]:
+        """EXPLAIN ANALYZE: execute every feasible candidate of a
+        cost-based plan and record its measured time beside the
+        estimate (``describe()`` prints both)."""
+        if plan.cost_report is not None:
             for cand in plan.cost_report.candidates:
                 if cand.estimate.infeasible:
                     continue   # the executor would exhaust secure RAM
@@ -428,17 +449,7 @@ class GhostDB(StatementFrontEnd):
                     cost_report=None,
                 )
                 cand.measured_s = self.execute_plan(trial).stats.total_s
-        text = plan.describe()
-        if analyze:
-            # the maintenance counters a DBA would want next to the
-            # measured numbers: what compaction debt the touched tables
-            # carry and what the advisor would say about folding it
-            status = self._compactor.status()
-            lines = ["", "compaction status:"]
-            lines += [f"  {status[t].describe()}"
-                      for t in sorted(plan.bound.tables)]
-            text += "\n".join(lines)
-        return text
+        return []
 
     def execute_plan(self, plan: QueryPlan, *, announce: bool = True,
                      vis_seed: Optional[Dict] = None) -> QueryResult:
@@ -496,7 +507,7 @@ class GhostDB(StatementFrontEnd):
         """QEPSJ + projection (+ ordering) inside one cost window;
         ``finish`` adds the whole-result stages a fragment leaves to
         the gather: aggregation / DISTINCT and internal-column strip."""
-        self._require_built()
+        self.require_built()
         bound = plan.bound
         cost = CostWindow(self.token)
         with self._read_scope(cost):
@@ -509,7 +520,7 @@ class GhostDB(StatementFrontEnd):
                         max(1, len(bound.sql)), kind="query",
                         description=bound.sql[:80],
                     )
-            ctx = ExecContext(self.token, self.catalog, self._vis_server,
+            ctx = ExecContext(self.token, self.catalog, self.vis_server,
                               bound)
             if vis_seed:
                 for (table, columns), result in vis_seed.items():
@@ -569,7 +580,7 @@ class GhostDB(StatementFrontEnd):
         :class:`BatchResult` carries per-query results plus one
         aggregated :class:`QueryStats`.
         """
-        self._require_built()
+        self.require_built()
         return self._session_default().query_many(sql, param_sets,
                                                   **kwargs)
 
@@ -604,16 +615,24 @@ class GhostDB(StatementFrontEnd):
         serving.  Once a table's delta logs are folded the planner's
         index-order ``ORDER BY`` path opens up again for it.
         """
-        self._require_built()
+        self.require_built()
         return self._compactor.compact(table, max_steps, pages_per_step,
                                        headroom_factor)
+
+    def compaction_advice(self, table: str,
+                          headroom_factor: float = DEFAULT_HEADROOM_FACTOR
+                          ) -> AdvisorReport:
+        """The advisor's verdict on folding ``table`` now -- what
+        :meth:`compact` acts on before it writes anything."""
+        self.require_built()
+        return self._compactor.advise(table, headroom_factor)
 
     def compaction_status(self) -> Dict[str, TableCompactionStatus]:
         """Per-table compaction debt: tombstone and delta-log volume,
         fk-delta edges, the advisor's verdict, and any in-flight job's
         phase.  The same block is appended to ``EXPLAIN ANALYZE``
         output for the tables a query touches."""
-        self._require_built()
+        self.require_built()
         return self._compactor.status()
 
     # ------------------------------------------------------------------
@@ -629,13 +648,13 @@ class GhostDB(StatementFrontEnd):
         changes invalidate exactly like data changes).  Returns the
         refreshed per-table summaries.
         """
-        self._require_built()
+        self.require_built()
         return self.catalog.analyze()
 
     def statistics(self) -> Dict[str, Dict]:
         """Per-table, per-column sketch summaries (n, distinct, bounds,
         most common values) as plain dicts."""
-        self._require_built()
+        self.require_built()
         return {
             name: stats.describe()
             for name, stats in self.catalog.stats.items()
@@ -719,7 +738,7 @@ class GhostDB(StatementFrontEnd):
                  indexed_columns=meta["indexed_columns"])
         db.token.from_meta(meta["token"], blob)
         db.schema = meta["schema"]
-        db._binder = Binder(db.schema)
+        db.binder = Binder(db.schema)
         db.untrusted = UntrustedEngine.from_meta(db.schema,
                                                  meta["untrusted"])
         db.catalog = SecureCatalog(db.schema, db.token)
@@ -744,7 +763,7 @@ class GhostDB(StatementFrontEnd):
         page cache (host-side only; cached bytes may predate the
         fault).  Returns a :class:`RecoveryReport` of what was done.
         """
-        self._require_built()
+        self.require_built()
         report = RecoveryReport()
         if self.token.nand.failed:
             report.power_cycled = True
@@ -772,7 +791,7 @@ class GhostDB(StatementFrontEnd):
     def undo_last_dml(self) -> Optional[str]:
         """Roll back the last *committed* DML statement, if undoable.
 
-        The fleet's two-phase abort path: when a sibling shard dies
+        The fleet's abort path: when a sibling shard fails or dies
         mid-statement, every shard that already applied its slice is
         rolled back so the whole fleet lands at its pre-statement
         generations.  Returns the rolled-back table name, or ``None``
@@ -790,8 +809,8 @@ class GhostDB(StatementFrontEnd):
     # ------------------------------------------------------------------
     def reference_query(self, sql: str) -> Tuple[List[str], List[Tuple]]:
         """Ground-truth evaluation (test oracle -- ignores the token)."""
-        self._require_built()
-        bound = self._binder.bind_sql(sql)
+        self.require_built()
+        bound = self.binder.bind_sql(sql)
         return self._reference.execute(bound)
 
     def audit_outbound(self):
@@ -800,7 +819,7 @@ class GhostDB(StatementFrontEnd):
 
     def storage_report(self) -> Dict[str, int]:
         """Flash bytes per stored component family."""
-        self._require_built()
+        self.require_built()
         return self.catalog.storage_report()
 
     def set_throughput(self, mbps: float) -> None:

@@ -12,7 +12,7 @@ inconsistent token" into "milliseconds of deterministic cleanup":
   mutations in reverse order and rolls the catalog back to the
   savepoint, leaving the database exactly at its pre-statement
   generations.  A journal from a *committed* statement is kept until
-  the next one so the fleet's two-phase DML can abort an
+  the next one so the fleet's check-all / apply-all DML can abort an
   already-applied shard
   (:meth:`~repro.core.ghostdb.GhostDB.undo_last_dml`).
 

@@ -154,8 +154,8 @@ class PreparedStatement:
         self._knobs = (vis_strategy, cross, projection, order_method)
         self._key = plan_key(sql, *self._knobs)
         db = session.db
-        db._require_built()
-        self.template: BoundQuery = db._bind(sql, parsed)
+        db.require_built()
+        self.template: BoundQuery = db.bind(sql, parsed)
         self.executions = 0
 
     @property
@@ -182,8 +182,8 @@ class PreparedStatement:
             else db.table_generations
         plan = cache.get(self._key, gens)
         if plan is None:
-            plan = db._plan(bound, *self._knobs)
-            cache.put(self._key, plan, db._generations_for(bound.tables))
+            plan = db.plan_bound(bound, *self._knobs)
+            cache.put(self._key, plan, db.generations_for(bound.tables))
         return plan
 
     def execute(self, params: Sequence = ()) -> QueryResult:
@@ -235,7 +235,7 @@ class Session:
     """
 
     def __init__(self, db: "GhostDB"):
-        db._require_built()
+        db.require_built()
         self.db = db
         self.plan_cache = PlanCache()
         # bound templates are schema-derived (data-independent), so
@@ -251,8 +251,8 @@ class Session:
                 order_method: SortMethodLike = None,
                 parsed=None) -> PreparedStatement:
         """Bind ``sql`` (which may contain ``?`` placeholders) once."""
-        return self.db._statement_cls(self, sql, vis_strategy, cross,
-                                      projection, order_method, parsed)
+        return self.db.statement_cls(self, sql, vis_strategy, cross,
+                                     projection, order_method, parsed)
 
     def query(self, sql: str, params: Optional[Sequence] = None,
               vis_strategy: StrategyLike = None,
@@ -424,7 +424,7 @@ class Session:
                 "batched execution (query_many/execute_many) runs on a "
                 "single token; execute fleet statements one by one"
             )
-        return (CostWindow(db.token), db._planner.plans_built,
+        return (CostWindow(db.token), db.planner.plans_built,
                 self.plan_cache.hits)
 
     def _announce_batch(self, nbytes: int, n: int, head_sql: str) -> None:
@@ -457,7 +457,7 @@ class Session:
                 per_plan.append(((table, ()), request))
             wanted.append(per_plan)
         requests = list(unique)
-        server = self.db._vis_server
+        server = self.db.vis_server
         with self.db.token.label("Vis"):
             for start in range(0, len(requests), VIS_BATCH_SIZE):
                 chunk = requests[start:start + VIS_BATCH_SIZE]
@@ -483,6 +483,6 @@ class Session:
         stats.ram_peak = max(r.stats.ram_peak for r in results)
         return BatchResult(
             results=results, stats=stats,
-            plans_computed=db._planner.plans_built - plans0,
+            plans_computed=db.planner.plans_built - plans0,
             cache_hits=self.plan_cache.hits - hits0,
         )

@@ -4,7 +4,7 @@ Attached to a :class:`~repro.shard.fleet.ShardedGhostDB` as
 ``fleet.faults``; the fleet calls :meth:`check` every time a statement
 is about to touch a shard, so ``kill_at=(shard, ordinal)`` kills that
 shard at a precise point *inside* a statement -- mid-scatter, between
-the phases of a two-phase DELETE, or during the compaction advisor's
+the check and apply rounds of a DML statement, or during a compaction's
 all-shard preflight.  :meth:`is_up` is the non-destructive health
 probe the fleet's :meth:`~repro.shard.fleet.ShardedGhostDB.fleet_health`
 uses.

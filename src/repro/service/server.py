@@ -138,7 +138,7 @@ class GhostServer:
 
     def __init__(self, db: GhostDB, host: str = "127.0.0.1",
                  port: int = 0, wire_faults=None):
-        db._require_built()
+        db.require_built()
         self.db = db
         self.host = host
         self._requested_port = port

@@ -14,10 +14,11 @@ semantics:
   the gather merges the streams back into exactly the row sequence a
   single token would produce.  Root-free SELECTs run whole on one
   deterministically chosen shard.
-* **DML** routes root inserts by the same hash, broadcasts replicated
-  writes, and splits deletes of root-referenced tables into the
-  executor's candidates / RESTRICT / apply phases so the fleet keeps
-  the single token's all-or-nothing behaviour.
+* **DML** gives every target shard its part of the statement (a root
+  insert's rows by the same hash, everything else whole) and runs the
+  token's own two steps fleet-wide: check on every target, and only
+  then apply on every target -- the single token's all-or-nothing
+  behaviour.
 * **Compaction** stays per-shard.  Compacting the root renumbers
   global ids exactly like a single token would (survivor rank in old
   global order) by rebuilding the router's local->global maps.
@@ -36,22 +37,22 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
 
 from repro.core.aggregate import apply_aggregates
 from repro.core.compaction import (DEFAULT_HEADROOM_FACTOR,
-                                   DEFAULT_PAGES_PER_STEP,
-                                   CompactionProgress)
+                                   DEFAULT_PAGES_PER_STEP, VERDICTS,
+                                   AdvisorReport, CompactionProgress,
+                                   TableCompactionStatus)
 from repro.core.dml import DmlResult
-from repro.core.executor import CostWindow, QueryResult, QueryStats
+from repro.core.executor import QueryResult, QueryStats
 from repro.core.ghostdb import GhostDB, StatementFrontEnd
 from repro.core.plan import (OrderPlan, ProjectionMode, QueryPlan,
                              SortMethod)
 from repro.core.planner import (SortMethodLike, StrategyLike,
                                 scatter_order)
-from repro.core.recovery import (IdempotencyLedger, RecoveryReport,
-                                 StatementJournal)
+from repro.core.recovery import IdempotencyLedger, RecoveryReport
 from repro.core.reference import ReferenceEngine
 from repro.core.session import PreparedStatement
 from repro.core.sort import dedup_rows, strip_internal_columns
 from repro.errors import (CompactionDeclined, GhostDBError, ImageError,
-                          SchemaError, ShardDown, ShardUnavailable)
+                          ShardDown, ShardUnavailable)
 from repro.hardware.token import (SecureToken, TokenConfig,
                                   fleet_admission_ram)
 from repro.schema.model import Table
@@ -73,12 +74,7 @@ class FleetToken:
     """
 
     def __init__(self, tokens: List[SecureToken]):
-        self.tokens = tokens
         self.ram = fleet_admission_ram(tokens)
-
-    def set_throughput(self, mbps: float) -> None:
-        for t in self.tokens:
-            t.set_throughput(mbps)
 
 
 @dataclasses.dataclass
@@ -108,6 +104,9 @@ class FleetQueryPlan:
     gather_order: Optional[OrderPlan] = None
     #: True when shards pre-sort and the gather merges by sort key
     order_pushdown: bool = False
+    #: the planner's estimate of the gather: rows merged, seconds
+    est_gather_rows: int = 0
+    est_gather_s: float = 0.0
 
     def subplans(self):
         """(fragment plan, that shard's RAM) pairs, for admission."""
@@ -150,6 +149,9 @@ class FleetQueryPlan:
         for k, plan in enumerate(self.shard_plans):
             lines.append(f"-- shard {k} --")
             lines.append(plan.describe())
+        lines.append(f"gather merge: ~{self.est_gather_rows} rows x "
+                     f"{len(self.scatter_bound.projections)} cols est -> "
+                     f"{self.est_gather_s * 1e3:.3f} ms")
         return "\n".join(lines)
 
 
@@ -174,18 +176,20 @@ class ShardedGhostDB(StatementFrontEnd):
     """N GhostDB shards behind the single-database statement API.
 
     The statement surface (``execute`` / ``prepare`` / ``session`` /
-    ``plan_query`` / ``load``) is the shared
+    ``plan_query`` / ``explain`` / ``load``) is the shared
     :class:`~repro.core.ghostdb.StatementFrontEnd`; this class supplies
-    its hooks -- ``_register_table`` (broadcast), ``_queue_rows``
-    (route root rows), ``_run_dml`` (route / broadcast / two-phase),
-    ``_plan`` (scatter or route), ``execute_plan`` (scatter-gather),
-    ``table_generations`` (summed) -- and the fleet-only operations.
+    its hooks -- ``register_table`` (broadcast), ``_queue_rows`` (route
+    root rows), ``run_dml`` (check everywhere, then apply everywhere),
+    ``plan_bound`` (scatter or route), ``execute_plan``
+    (scatter-gather), ``table_generations`` (summed) -- and the
+    fleet-only operations.  To this class a shard is a ``GhostDB`` and
+    nothing more: every per-shard step is one of its public operations.
 
     ``n_shards`` is the shard count, or the shards themselves when a
     fleet image is restored (:func:`repro.shard.persist.restore_fleet`).
     """
 
-    _statement_cls = FleetPreparedStatement
+    statement_cls = FleetPreparedStatement
 
     def __init__(self, n_shards: Union[int, Sequence[GhostDB]],
                  config: Optional[TokenConfig] = None,
@@ -215,6 +219,12 @@ class ShardedGhostDB(StatementFrontEnd):
         #: shards this fleet has observed dead (degraded mode)
         self._down: set = set()
 
+    def _map(self, op: Callable[[GhostDB], Any]) -> List[Any]:
+        """``op(shard)`` for every shard, in shard order: the fleet's
+        one fan-out.  A read-only fleet operation is this plus a way
+        to combine the answers."""
+        return [op(shard) for shard in self.shards]
+
     # ------------------------------------------------------------------
     # degraded-fleet plumbing
     # ------------------------------------------------------------------
@@ -224,6 +234,11 @@ class ShardedGhostDB(StatementFrontEnd):
         Raises :class:`ShardUnavailable` when the shard is already
         known dead, or when the fault injector kills it at this touch
         (in which case the death is remembered -- the fleet degrades).
+
+        The touch rule, for every statement kind: probe every target
+        shard before the statement does anything, then touch a shard
+        again right before each step it executes -- a fragment, a
+        charged DML check, a DML apply.
         """
         if k in self._down:
             raise ShardUnavailable(
@@ -293,16 +308,15 @@ class ShardedGhostDB(StatementFrontEnd):
         return self.shards[0].schema
 
     @property
-    def _binder(self):
-        return self.shards[0]._binder
+    def binder(self):
+        return self.shards[0].binder
 
     @property
     def root(self) -> str:
         return self.schema.root
 
-    def _finalize_schema(self) -> None:
-        for shard in self.shards:
-            shard._finalize_schema()
+    def finalize_schema(self) -> None:
+        self._map(GhostDB.finalize_schema)
 
     @property
     def _built(self) -> bool:
@@ -317,9 +331,7 @@ class ShardedGhostDB(StatementFrontEnd):
         unchanged -- including for root inserts that touch only one
         shard.
         """
-        if not self._built:
-            return {}
-        per_shard = [s.table_generations for s in self.shards]
+        per_shard = self._map(lambda shard: shard.table_generations)
         return {
             t: (sum(g[t][0] for g in per_shard),
                 sum(g[t][1] for g in per_shard))
@@ -329,43 +341,46 @@ class ShardedGhostDB(StatementFrontEnd):
     # ------------------------------------------------------------------
     # loading and building
     # ------------------------------------------------------------------
-    def _register_table(self, table: Table) -> None:
-        for shard in self.shards:
-            shard._register_table(table)
+    def register_table(self, table: Table) -> None:
+        self._map(lambda shard: shard.register_table(table))
 
     def _queue_rows(self, table: str, rows: Sequence[Tuple]) -> None:
         if table != self.root:
-            for shard in self.shards:
-                shard.load(table, rows)
+            self._map(lambda shard: shard.load(table, rows))
             return
-        per_shard: List[List[Tuple]] = [[] for _ in self.shards]
-        for row in rows:
-            gid = self._next_root_gid
-            k = self.router.shard_of(gid)
-            per_shard[k].append(row)
-            self._root_maps[k].append(gid)
-            self._next_root_gid += 1
-        for k, shard_rows in enumerate(per_shard):
-            if shard_rows:
-                self.shards[k].load(table, shard_rows)
+        for k, shard_rows in self._route_root_rows(rows).items():
+            self.shards[k].load(table, shard_rows)
+        self._adopt_root_rows(len(rows))
+
+    def _route_root_rows(self, rows: Sequence[Tuple]
+                         ) -> Dict[int, List[Tuple]]:
+        """``{home shard: its rows, in order}`` for root rows that will
+        take the next global ids (ascending shard order)."""
+        homes = [self.router.shard_of(self._next_root_gid + i)
+                 for i in range(len(rows))]
+        return {k: [row for row, home in zip(rows, homes) if home == k]
+                for k in sorted(set(homes))}
+
+    def _adopt_root_rows(self, n: int) -> None:
+        """Hand the next ``n`` global ids to the root rows the shards
+        just took in (:meth:`_route_root_rows` order)."""
+        for gid in range(self._next_root_gid, self._next_root_gid + n):
+            self._root_maps[self.router.shard_of(gid)].append(gid)
+        self._next_root_gid += n
 
     def build(self) -> None:
         """Provision every shard's token (costs start from zero)."""
-        self._finalize_schema()
-        if self._built:
-            raise SchemaError("database already built")
-        for shard in self.shards:
-            shard.build()
+        self._map(GhostDB.build)
 
     # ------------------------------------------------------------------
     # planning
     # ------------------------------------------------------------------
-    def _plan(self, bound: BoundQuery,
-              vis_strategy: StrategyLike = None,
-              cross: Optional[bool] = None,
-              projection: Union[str, ProjectionMode] = "project",
-              order_method: SortMethodLike = None,
-              ) -> FleetQueryPlan:
+    def plan_bound(self, bound: BoundQuery,
+                   vis_strategy: StrategyLike = None,
+                   cross: Optional[bool] = None,
+                   projection: Union[str, ProjectionMode] = "project",
+                   order_method: SortMethodLike = None,
+                   ) -> FleetQueryPlan:
         """Plan one SELECT across the fleet.
 
         A query whose table set avoids the root reads only replicated
@@ -373,10 +388,10 @@ class ShardedGhostDB(StatementFrontEnd):
         answer (rows *and* simulated costs) matches a single token's
         bit for bit.  Everything else scatters.
         """
-        rams = [s.token.ram for s in self.shards]
+        rams = self._map(lambda shard: shard.token.ram)
         if self.root not in bound.tables:
             k = self.router.shard_for_statement(bound.sql)
-            plan = self.shards[k]._planner.plan(
+            plan = self.shards[k].plan_bound(
                 bound, vis_strategy, cross, projection, order_method)
             return FleetQueryPlan(
                 bound=bound, scatter=False, shard_plans=[plan],
@@ -388,11 +403,8 @@ class ShardedGhostDB(StatementFrontEnd):
             i for i, col in enumerate(scatter_bound.projections)
             if col.table == self.root and col.is_id
         )
-        shard_plans = [
-            shard._planner.plan(scatter_bound, vis_strategy, cross,
-                                projection, order_method)
-            for shard in self.shards
-        ]
+        shard_plans = self._map(lambda shard: shard.plan_bound(
+            scatter_bound, vis_strategy, cross, projection, order_method))
         gather_order = shard_plans[0].order
         pushdown = (gather_order is not None
                     and not bound.is_aggregate and not bound.distinct)
@@ -415,52 +427,35 @@ class ShardedGhostDB(StatementFrontEnd):
                         index_table=None, index_column=None)
                 plan = dataclasses.replace(plan, order=order)
             rewritten.append(plan)
+        # the gather is priced from each shard's own cardinality
+        # estimate, whatever strategy was chosen or forced
+        est_rows = sum(self._map(lambda shard: max(1, round(
+            shard.planner.cost_model.estimate_result_rows(scatter_bound)))))
         return FleetQueryPlan(
             bound=bound, scatter=True, shard_plans=rewritten,
             shard_rams=rams, scatter_bound=scatter_bound,
             aid_pos=aid_pos, n_added=n_added,
             trans_positions=trans_positions,
             gather_order=gather_order, order_pushdown=pushdown,
+            est_gather_rows=est_rows,
+            est_gather_s=self._merge_cost_s(
+                est_rows, len(scatter_bound.projections)),
         )
 
-    def explain(self, sql: str, analyze: bool = False, **kwargs) -> str:
-        """Fleet plan description: per-shard candidate costs plus the
-        gather merge premium.  ``analyze=True`` executes the fleet
-        plan once and appends the measured per-shard makespans."""
-        plan = self.plan_query(sql, **kwargs)
-        text = plan.describe()
-        if plan.scatter:
-            est_rows = sum(self._estimate_rows(k, p)
-                           for k, p in enumerate(plan.shard_plans))
-            n_cols = len(plan.scatter_bound.projections)
-            merge_s = gather.merge_cost_s(
-                est_rows, n_cols, self.n_shards,
-                self.shards[0].token.channel.throughput_mbps)
-            text += (f"\ngather merge: ~{est_rows} rows x {n_cols} "
-                     f"cols est -> {merge_s * 1e3:.3f} ms")
-        if analyze:
-            result = self.execute_plan(plan)
-            per_shard = ", ".join(
-                f"shard{k}={s.total_s:.6f}s"
-                for k, s in enumerate(result.shard_stats))
-            text += (f"\nmeasured: fleet {result.stats.total_s:.6f}s "
-                     f"({per_shard})")
-        return text
+    def _merge_cost_s(self, n_rows: int, n_cols: int) -> float:
+        return gather.merge_cost_s(
+            n_rows, n_cols, self.n_shards,
+            self.shards[0].token.channel.throughput_mbps)
 
-    def _estimate_rows(self, k: int, plan: QueryPlan) -> int:
-        """Crude per-shard result-size estimate for EXPLAIN pricing."""
-        catalog = self.shards[k].catalog
-        anchor = plan.bound.anchor
-        live = catalog.n_rows(anchor) - len(catalog.tombstones[anchor])
-        report = plan.cost_report
-        if report is None:
-            return max(1, live)
-        sel = 1.0
-        for value in report.selectivities.values():
-            sel *= value
-        for value in report.hidden_selectivities.values():
-            sel *= value
-        return max(1, round(live * sel))
+    def _analyze_plan(self, plan: FleetQueryPlan) -> List[str]:
+        """EXPLAIN ANALYZE: execute the fleet plan once and report the
+        measured makespan per shard."""
+        result = self.execute_plan(plan)
+        per_shard = ", ".join(
+            f"shard{k}={s.total_s:.6f}s"
+            for k, s in enumerate(result.shard_stats))
+        return [f"measured: fleet {result.stats.total_s:.6f}s "
+                f"({per_shard})"]
 
     # ------------------------------------------------------------------
     # scatter-gather execution
@@ -483,28 +478,24 @@ class ShardedGhostDB(StatementFrontEnd):
                                  stats=result.stats, plan=plan)
             result.shard_stats = [result.stats]
             return result
-        # A scatter needs every shard: probe each one both before the
-        # scatter starts and again right before its fragment runs, so
-        # a token dying mid-scatter fails the statement cleanly (reads
-        # have no on-token side effects to undo) and names the shard.
+        # A scatter needs every shard, so a token dying mid-scatter
+        # fails the statement cleanly (reads have no on-token side
+        # effects to undo) and names the shard.
         for k in range(self.n_shards):
             self._touch_shard(k)
         frags = []
-        for k in range(self.n_shards):
+        for k, shard in enumerate(self.shards):
             self._touch_shard(k)
-            frags.append(
-                self.shards[k].execute_fragment(plan.shard_plans[k],
+            frags.append(shard.execute_fragment(plan.shard_plans[k],
                                                 announce=announce))
         streams = [
-            gather.translate_rows(frag.rows, plan.trans_positions,
-                                  self._root_maps[k])
-            for k, frag in enumerate(frags)
+            gather.translate_rows(frag.rows, plan.trans_positions, id_map)
+            for frag, id_map in zip(frags, self._root_maps)
         ]
         names, rows = self._gather(plan, frags[0].columns, streams)
-        merged_rows = sum(len(s) for s in streams)
-        merge_s = gather.merge_cost_s(
-            merged_rows, len(plan.scatter_bound.projections),
-            self.n_shards, self.shards[0].token.channel.throughput_mbps)
+        merge_s = self._merge_cost_s(
+            sum(len(s) for s in streams),
+            len(plan.scatter_bound.projections))
         stats = QueryStats.parallel(
             [f.stats for f in frags], merge_s=merge_s,
             result_rows=len(rows))
@@ -545,131 +536,61 @@ class ShardedGhostDB(StatementFrontEnd):
     # ------------------------------------------------------------------
     # DML
     # ------------------------------------------------------------------
-    def _run_dml(self, bound: Union[BoundInsert, BoundDelete]
-                 ) -> DmlResult:
-        if isinstance(bound, BoundInsert):
-            if bound.table == self.root:
-                return self._insert_root(bound)
-            return self._broadcast_dml(bound)
-        parent = self.schema.parent(bound.table)
-        if bound.table != self.root and parent == self.root:
-            return self._delete_two_phase(bound)
-        # root deletes (nothing references the root) and deletes of
-        # tables referenced only by replicated tables are safe to run
-        # independently per shard: every shard sees the same
-        # referencing rows, so RESTRICT verdicts agree everywhere
-        return self._broadcast_dml(
-            bound, sum_affected=(bound.table == self.root))
+    def run_dml(self, bound: Union[BoundInsert, BoundDelete]
+                ) -> DmlResult:
+        """The fleet's one write path: the token's two steps, each run
+        on every target shard before the next begins.
 
-    def _write_all_or_nothing(self, targets: Sequence[int],
-                              check: Callable[[], None],
-                              step: Callable[[int], Any]) -> List[Any]:
-        """The fleet's one write path: ``step(k)`` on every target
-        shard, or on none.
-
-        Every target is probed and ``check()`` validates the whole
-        statement before any shard mutates, as a single token does.
-        ``step(k)`` applies under an undo journal: when a later shard
-        fails or dies, the shards already written roll back to their
-        pre-statement generations before the error surfaces.
+        A root INSERT's rows go to their home shards; every other
+        statement runs whole on every shard.  Every target is probed,
+        then *every* target checks (charged, nothing mutated) -- a
+        refusal only one shard can see (a RESTRICT violation in its
+        slice of the root) surfaces after the round, so what each
+        channel carries is a function of the statement, not of which
+        shard refused.  Only then does any shard apply, under its undo
+        journal: when a later shard fails or dies, the shards already
+        written roll back before the error surfaces.
         """
+        root_insert = (isinstance(bound, BoundInsert)
+                       and bound.table == self.root)
+        if root_insert:
+            parts = {k: dataclasses.replace(bound, rows=tuple(rows))
+                     for k, rows in
+                     self._route_root_rows(bound.rows).items()}
+        else:
+            parts = dict.fromkeys(range(self.n_shards), bound)
+        targets = list(parts)
         for k in targets:
             self._touch_shard(k)
-        check()
-        results: List[Any] = []
+        checked, refusal = [], None
+        for k in targets:
+            self._touch_shard(k)
+            try:
+                checked.append(self.shards[k].check_dml(parts[k]))
+            except GhostDBError as exc:
+                refusal = refusal or exc
+        if refusal is not None:
+            raise refusal
+        results: List[DmlResult] = []
         try:
-            for k in targets:
+            for k, check in zip(targets, checked):
                 self._touch_shard(k)
-                results.append(step(k))
+                results.append(self.shards[k].apply_dml(check))
         except GhostDBError:
             for k in reversed(targets[:len(results)]):
                 self.shards[k].undo_last_dml()
             raise
-        return results
-
-    @staticmethod
-    def _dml_result(statement: str, table: str, affected: int,
-                    shard_stats: List[QueryStats]) -> DmlResult:
-        stats = QueryStats.parallel(shard_stats, result_rows=affected)
-        return DmlResult(statement=statement, table=table,
-                         rows_affected=affected, stats=stats)
-
-    def _insert_root(self, bound: BoundInsert) -> DmlResult:
-        start = self._next_root_gid
-        per_shard_gids: List[List[int]] = [[] for _ in self.shards]
-        per_shard_rows: List[List[Tuple]] = [[] for _ in self.shards]
-        for i, row in enumerate(bound.rows):
-            gid = start + i
-            k = self.router.shard_of(gid)
-            per_shard_gids[k].append(gid)
-            per_shard_rows[k].append(row)
-        sub = {
-            k: dataclasses.replace(bound, rows=tuple(rows))
-            for k, rows in enumerate(per_shard_rows) if rows
-        }
-
-        def validate_slices() -> None:
-            for k, sub_bound in sub.items():
-                self.shards[k]._dml.validate_insert(sub_bound)
-
-        results = self._write_all_or_nothing(
-            list(sub), validate_slices,
-            lambda k: self.shards[k]._run_dml(sub[k]))
-        for k, gids in enumerate(per_shard_gids):
-            self._root_maps[k].extend(gids)
-        self._next_root_gid = start + len(bound.rows)
-        return self._dml_result("insert", bound.table, len(bound.rows),
-                                [r.stats for r in results])
-
-    def _broadcast_dml(self, bound, sum_affected: bool = False
-                       ) -> DmlResult:
-        def validate_once() -> None:
-            if isinstance(bound, BoundInsert):
-                # the targets are replicated identically
-                self.shards[0]._dml.validate_insert(bound)
-
-        results = self._write_all_or_nothing(
-            range(self.n_shards), validate_once,
-            lambda k: self.shards[k]._run_dml(bound))
+        if root_insert:
+            self._adopt_root_rows(len(bound.rows))
+        # the root is partitioned, everything else replicated
         affected = (sum(r.rows_affected for r in results)
-                    if sum_affected else results[0].rows_affected)
-        return self._dml_result(results[0].statement, bound.table,
-                                affected, [r.stats for r in results])
-
-    def _delete_two_phase(self, bound: BoundDelete) -> DmlResult:
-        """Delete from a root-referenced table, fleet-atomically.
-
-        Each shard holds a different slice of the referencing root, so
-        a RESTRICT violation may exist on one shard only.  Phases:
-        candidates everywhere, RESTRICT-check everywhere, and only
-        then tombstone anywhere -- a failing check aborts before any
-        shard mutates, exactly like the single token's sequential
-        check-then-apply.
-        """
-        costs = [CostWindow(shard.token) for shard in self.shards]
-        ids: List[List[int]] = []
-
-        def candidates_then_restrict() -> None:
-            for k, (shard, cost) in enumerate(zip(self.shards, costs)):
-                self._touch_shard(k)
-                with cost.ram_window():
-                    ids.append(shard._dml.delete_candidates(bound))
-            for k, (shard, cost) in enumerate(zip(self.shards, costs)):
-                self._touch_shard(k)
-                with cost.ram_window():
-                    shard._dml.check_restrict(bound.table, ids[k])
-
-        def apply(k: int) -> int:
-            # arm an undo journal exactly like _run_dml does, so a
-            # later shard's failure can roll this apply back
-            with StatementJournal(self.shards[k], bound), \
-                    costs[k].ram_window():
-                return self.shards[k]._dml.apply_delete(bound, ids[k])
-
-        counts = self._write_all_or_nothing(
-            range(self.n_shards), candidates_then_restrict, apply)
-        return self._dml_result("delete", bound.table, counts[0],
-                                [c.stats() for c in costs])
+                    if bound.table == self.root
+                    else results[0].rows_affected)
+        return DmlResult(
+            statement=results[0].statement, table=bound.table,
+            rows_affected=affected,
+            stats=QueryStats.parallel([r.stats for r in results],
+                                      result_rows=affected))
 
     # ------------------------------------------------------------------
     # compaction
@@ -690,30 +611,28 @@ class ShardedGhostDB(StatementFrontEnd):
         shard declining after another folded would leave exactly that
         torn state, so the fleet declines as a whole first.
         """
-        self._require_built()
         # every shard must be reachable before any shard folds a page:
         # a token dying mid-preflight declines the whole compaction
         for k in range(self.n_shards):
             self._touch_shard(k)
         if table != self.root:
-            progs = [shard.compact(table, max_steps, pages_per_step,
-                                   headroom_factor)
-                     for shard in self.shards]
-            return _combine_progress(progs)
-        for k, shard in enumerate(self.shards):
-            self._touch_shard(k)
-            report = shard._compactor.advise(table, headroom_factor)
-            if report.verdict in ("defer", "decline"):
-                raise CompactionDeclined(
-                    f"compact({table}): shard {k} advisor verdict "
-                    f"{report.verdict!r}; the fleet declines as a "
-                    f"whole (root id renumbering is all-or-nothing)"
-                )
-        old_tombstones = [set(shard.catalog.tombstones[table])
-                          for shard in self.shards]
-        progs = [shard.compact(table, None, pages_per_step,
-                               headroom_factor)
-                 for shard in self.shards]
+            return _combine_progress(self._map(
+                lambda shard: shard.compact(table, max_steps,
+                                            pages_per_step,
+                                            headroom_factor)))
+        report = self.compaction_advice(table, headroom_factor)
+        if not report.ok:
+            raise CompactionDeclined(
+                f"compact({table}): advisor verdict {report.verdict!r} "
+                f"on at least one shard ({report.describe()}); the "
+                f"fleet declines as a whole (root id renumbering is "
+                f"all-or-nothing)"
+            )
+        old_tombstones = self._map(
+            lambda shard: set(shard.catalog.tombstones[table]))
+        progs = self._map(
+            lambda shard: shard.compact(table, None, pages_per_step,
+                                        headroom_factor))
         self._rebuild_root_maps(old_tombstones)
         return _combine_progress(progs)
 
@@ -740,48 +659,57 @@ class ShardedGhostDB(StatementFrontEnd):
         self._root_maps = new_maps
         self._next_root_gid = len(survivors)
 
-    def compaction_status(self):
-        """Shard 0's view (replicated tables carry identical debt)."""
-        self._require_built()
-        return self.shards[0].compaction_status()
+    def compaction_advice(self, table: str,
+                          headroom_factor: float = DEFAULT_HEADROOM_FACTOR
+                          ) -> AdvisorReport:
+        """The worst shard's advisor report on folding ``table``."""
+        return _worst_advice(self._map(
+            lambda shard: shard.compaction_advice(table, headroom_factor)))
+
+    def compaction_status(self) -> Dict[str, TableCompactionStatus]:
+        """Per-table compaction debt across the fleet.
+
+        Replicated tables carry identical debt on every shard, so
+        shard 0 speaks for them; the root is partitioned, so its debt
+        is combined (:func:`_combine_root_status`).
+        """
+        per_shard = self._map(GhostDB.compaction_status)
+        status = dict(per_shard[0])
+        status[self.root] = _combine_root_status(
+            [s[self.root] for s in per_shard])
+        return status
 
     # ------------------------------------------------------------------
     # statistics, audit, reports
     # ------------------------------------------------------------------
     def analyze(self) -> Dict[int, Dict[str, Dict]]:
-        self._require_built()
-        return {k: shard.analyze()
-                for k, shard in enumerate(self.shards)}
+        return dict(enumerate(self._map(GhostDB.analyze)))
 
     def statistics(self) -> Dict[int, Dict[str, Dict]]:
-        self._require_built()
-        return {k: shard.statistics()
-                for k, shard in enumerate(self.shards)}
+        return dict(enumerate(self._map(GhostDB.statistics)))
 
     def storage_report(self) -> Dict[str, int]:
         """Flash bytes per component family, summed over the fleet."""
-        self._require_built()
         combined: Dict[str, int] = {}
-        for shard in self.shards:
-            for key, value in shard.storage_report().items():
+        for report in self._map(GhostDB.storage_report):
+            for key, value in report.items():
                 combined[key] = combined.get(key, 0) + value
         return combined
 
     def audit_outbound(self) -> Dict[int, list]:
         """Per-channel audit logs: one independent log per shard."""
-        return {k: shard.audit_outbound()
-                for k, shard in enumerate(self.shards)}
+        return dict(enumerate(self._map(GhostDB.audit_outbound)))
 
     def set_throughput(self, mbps: float) -> None:
-        self.token.set_throughput(mbps)
+        self._map(lambda shard: shard.set_throughput(mbps))
 
     # ------------------------------------------------------------------
     # oracle
     # ------------------------------------------------------------------
     def reference_query(self, sql: str) -> Tuple[List[str], List[Tuple]]:
         """Ground truth over the reconstructed *global* state."""
-        self._require_built()
-        bound = self._binder.bind_sql(sql)
+        self.require_built()
+        bound = self.binder.bind_sql(sql)
         raw_rows, tombstones = self._global_state()
         engine = ReferenceEngine(self.schema, raw_rows, tombstones)
         return engine.execute(bound)
@@ -796,8 +724,7 @@ class ShardedGhostDB(StatementFrontEnd):
         root = self.root
         rows: List[Optional[Tuple]] = [None] * self._next_root_gid
         dead = set()
-        for k, shard in enumerate(self.shards):
-            id_map = self._root_maps[k]
+        for shard, id_map in zip(self.shards, self._root_maps):
             raw = shard.catalog.raw_rows[root]
             tombs = shard.catalog.tombstones[root]
             for local, gid in enumerate(id_map):
@@ -853,6 +780,26 @@ class ShardedGhostDB(StatementFrontEnd):
         fleet._next_root_gid = meta["next_root_gid"]
         fleet.ikeys = IdempotencyLedger.from_meta(meta["ikeys"])
         return fleet
+
+
+def _worst_advice(reports: List[AdvisorReport]) -> AdvisorReport:
+    """The report with the severest verdict (the first shard's among
+    equals) -- for the root, one reluctant shard speaks for the fleet."""
+    return max(reports, key=lambda r: VERDICTS.index(r.verdict))
+
+
+def _combine_root_status(per_shard: List[TableCompactionStatus]
+                         ) -> TableCompactionStatus:
+    """The partitioned root's debt: volumes sum over the shards, it is
+    dirty when any slice is, and the advisor answers with the worst
+    verdict -- the all-or-nothing rule ``compact`` applies to the root."""
+    summed = {name: sum(getattr(s, name) for s in per_shard)
+              for name in ("tombstones", "tombstone_log_bytes",
+                           "delta_entries", "delta_log_bytes",
+                           "fk_delta_edges")}
+    return dataclasses.replace(
+        per_shard[0], dirty=any(s.dirty for s in per_shard),
+        advisor=_worst_advice([s.advisor for s in per_shard]), **summed)
 
 
 def _combine_progress(progs: List[CompactionProgress]

@@ -27,8 +27,7 @@ Three merge shapes cover every query:
   position tie-break the token's sort operators use.
 
 The merge is coordinator work and is priced, not free:
-:func:`merge_cost_s` wraps the cost model's
-:func:`~repro.core.costmodel.gather_merge_s`.
+:func:`merge_cost_s`.
 """
 
 from __future__ import annotations
@@ -37,9 +36,9 @@ import heapq
 from itertools import islice
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.core.costmodel import gather_merge_s
 from repro.core.plan import OrderPlan, SortMethod
 from repro.core.sort import SortKeyCodec
+from repro.flash.constants import PAGE_SIZE
 
 Row = Tuple
 Rows = List[Row]
@@ -124,6 +123,19 @@ def finish_order(rows: Rows, order: Optional[OrderPlan]) -> Rows:
 
 def merge_cost_s(n_rows: int, n_cols: int, n_shards: int,
                  throughput_mbps: float) -> float:
-    """Simulated coordinator cost of gathering ``n_rows`` result rows."""
-    return gather_merge_s(n_rows, 4 * max(1, n_cols), n_shards,
-                          throughput_mbps)
+    """Simulated coordinator cost (seconds) of gathering ``n_rows``
+    result rows of ``n_cols`` 4-byte columns.
+
+    The scatter-gather executor funnels every shard's already-computed
+    result rows through the coordinator once: the row bytes at the
+    channel throughput (same ``bytes / (MB/s) == us`` convention as
+    :class:`~repro.hardware.channel.UsbChannel`), plus one page-sized
+    turnaround per shard stream for the merge cursors.  ``EXPLAIN``
+    prices its gather estimate with the same function, so per-shard
+    candidate costs and the merge premium show side by side.
+    """
+    if n_rows <= 0 or n_shards <= 0:
+        return 0.0
+    transfer_us = n_rows * 4 * max(1, n_cols) / throughput_mbps
+    cursor_us = n_shards * (PAGE_SIZE / throughput_mbps)
+    return (transfer_us + cursor_us) / 1e6

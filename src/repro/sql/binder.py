@@ -102,8 +102,33 @@ class BoundOrderItem:
         return f"{self.column} {'desc' if self.desc else 'asc'}"
 
 
+class _Parameterized:
+    """What the three bound statement kinds share about ``?``
+    placeholders: the one unbound-placeholder error and the arity check
+    every ``substitute`` starts with."""
+
+    param_count: int
+
+    def require_bound(self) -> None:
+        """Raise unless every ``?`` placeholder has been substituted."""
+        if self.param_count:
+            raise BindError(
+                f"statement has {self.param_count} unbound ? "
+                f"placeholder(s): pass params"
+            )
+
+    def _check_arity(self, params: Sequence) -> None:
+        if len(params) != self.param_count:
+            if not params:
+                self.require_bound()
+            raise BindError(
+                f"statement takes {self.param_count} parameter(s), "
+                f"got {len(params)}"
+            )
+
+
 @dataclass(frozen=True)
-class BoundQuery:
+class BoundQuery(_Parameterized):
     """A SELECT resolved against the schema, ready for planning.
 
     Carries the anchor table, the classified selections, the
@@ -140,10 +165,6 @@ class BoundQuery:
         return bool(self.order_by) or self.limit is not None \
             or self.offset > 0
 
-    @property
-    def has_parameters(self) -> bool:
-        return self.param_count > 0
-
     def substitute(self, params: Sequence) -> "BoundQuery":
         """Fill every ``?`` placeholder with the matching value.
 
@@ -151,11 +172,7 @@ class BoundQuery:
         0) sharing everything but the selection predicates; with no
         placeholders the query itself is returned unchanged.
         """
-        if len(params) != self.param_count:
-            raise BindError(
-                f"statement takes {self.param_count} parameter(s), "
-                f"got {len(params)}"
-            )
+        self._check_arity(params)
         if self.param_count == 0:
             return self
         return dataclasses.replace(
@@ -214,7 +231,7 @@ def _render_value(value) -> str:
 
 
 @dataclass(frozen=True)
-class BoundInsert:
+class BoundInsert(_Parameterized):
     """One INSERT, normalized to declaration order and split along the
     trust boundary.
 
@@ -230,17 +247,9 @@ class BoundInsert:
     public_text: str
     param_count: int = 0
 
-    @property
-    def has_parameters(self) -> bool:
-        return self.param_count > 0
-
     def substitute(self, params: Sequence) -> "BoundInsert":
         """Fill every ``?`` placeholder with the matching value."""
-        if len(params) != self.param_count:
-            raise BindError(
-                f"statement takes {self.param_count} parameter(s), "
-                f"got {len(params)}"
-            )
+        self._check_arity(params)
         if self.param_count == 0:
             return self
         rows = tuple(
@@ -252,7 +261,7 @@ class BoundInsert:
 
 
 @dataclass(frozen=True)
-class BoundDelete:
+class BoundDelete(_Parameterized):
     """One DELETE: a single table plus classified selections."""
 
     sql: str
@@ -260,17 +269,9 @@ class BoundDelete:
     selections: Tuple[BoundSelection, ...]
     param_count: int = 0
 
-    @property
-    def has_parameters(self) -> bool:
-        return self.param_count > 0
-
     def substitute(self, params: Sequence) -> "BoundDelete":
         """Fill every ``?`` placeholder with the matching value."""
-        if len(params) != self.param_count:
-            raise BindError(
-                f"statement takes {self.param_count} parameter(s), "
-                f"got {len(params)}"
-            )
+        self._check_arity(params)
         if self.param_count == 0:
             return self
         return dataclasses.replace(

@@ -101,8 +101,8 @@ def metered(db):
 
 
 def exec_context(db):
-    return ExecContext(db.token, db.catalog, db._vis_server,
-                       db._bind(query_q(0.05)))
+    return ExecContext(db.token, db.catalog, db.vis_server,
+                       db.bind(query_q(0.05)))
 
 
 def in_chunks(values, size):

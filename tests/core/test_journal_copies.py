@@ -122,7 +122,7 @@ def test_arming_a_journal_for_an_insert_copies_nothing_that_grows_with_debt():
     db = indebted_db()
     assert len(db.catalog.tombstones["P"]) == N_DEAD
     sql = f"INSERT INTO P VALUES {EIGHT_ROWS}"
-    bound = db._binder.bind_insert(parse(sql), sql)
+    bound = db.binder.bind_insert(parse(sql), sql)
     live = [db, *db.catalog.attr_indexes.values(),
             *db.catalog.id_indexes.values(), *db.schema.tables.values()]
     with StatementJournal(db, bound) as journal:

@@ -402,7 +402,7 @@ def test_external_estimate_prices_reductions_at_tiny_budgets():
     # runs exceed the merge budget, so the estimate must charge more
     # than the spill-once-read-once base: at least one extra full
     # read+write level (i.e. >= 2x the base cost)
-    model = db._planner.cost_model
+    model = db.planner.cost_model
     total_words = 9000 * 3        # int key: 2 key words + 1 position
     base_us = (model._t_ids_write(total_words)
                + model._t_ids_read(total_words))

@@ -53,9 +53,9 @@ def test_repeated_template_plans_at_most_once():
     db = make_db()
     param_sets = [(h, v) for h in (0, 1) for v in range(5, 55)]
     assert len(param_sets) == 100
-    planned_before = db._planner.plans_built
+    planned_before = db.planner.plans_built
     batch = db.query_many(TEMPLATE, param_sets)
-    assert db._planner.plans_built - planned_before == 1
+    assert db.planner.plans_built - planned_before == 1
     assert batch.plans_computed == 1
     assert len(batch) == 100
     for result, params in zip(batch, param_sets):

@@ -10,8 +10,8 @@ from repro.core.operators import ExecContext, op_vis
 
 
 def make_ctx(db, sql):
-    bound = db._bind(sql)
-    return ExecContext(db.token, db.catalog, db._vis_server, bound)
+    bound = db.bind(sql)
+    return ExecContext(db.token, db.catalog, db.vis_server, bound)
 
 
 SQL = ("SELECT T1.id, T1.v2 FROM T1 WHERE T1.v1 < 500")
@@ -19,15 +19,15 @@ SQL = ("SELECT T1.id, T1.v2 FROM T1 WHERE T1.v1 < 500")
 
 def test_id_only_request_served_from_cached_superset(db):
     ctx = make_ctx(db, SQL)
-    served_before = db._vis_server.requests_served
+    served_before = db.vis_server.requests_served
     with_cols = op_vis(ctx, "T1", ("v2",))
-    assert db._vis_server.requests_served == served_before + 1
+    assert db.vis_server.requests_served == served_before + 1
 
     bytes_in = db.token.channel.stats.bytes_to_secure
     bytes_out = db.token.channel.stats.bytes_to_untrusted
     ids_only = op_vis(ctx, "T1")
     # no second exchange happened, in either direction
-    assert db._vis_server.requests_served == served_before + 1
+    assert db.vis_server.requests_served == served_before + 1
     assert db.token.channel.stats.bytes_to_secure == bytes_in
     assert db.token.channel.stats.bytes_to_untrusted == bytes_out
     assert ids_only.ids == with_cols.ids
@@ -36,10 +36,10 @@ def test_id_only_request_served_from_cached_superset(db):
 
 def test_id_only_request_still_fetches_without_a_superset(db):
     ctx = make_ctx(db, SQL)
-    served_before = db._vis_server.requests_served
+    served_before = db.vis_server.requests_served
     ids_only = op_vis(ctx, "T1")
-    assert db._vis_server.requests_served == served_before + 1
+    assert db.vis_server.requests_served == served_before + 1
     assert ids_only.ids == sorted(ids_only.ids)
     # and the result is cached for repeats
     op_vis(ctx, "T1")
-    assert db._vis_server.requests_served == served_before + 1
+    assert db.vis_server.requests_served == served_before + 1

@@ -46,22 +46,21 @@ def test_undo_then_reinsert_at_the_same_id_is_not_answered_from_the_index():
     assert_reads_match_oracle(db)
 
 
-def test_fleet_undo_then_reinsert_at_the_same_id():
+def test_fleet_undo_then_reinsert_at_the_same_id(monkeypatch):
     """The same sequence through the fleet's all-or-nothing write path:
-    shard 0 applies A and serves a read before shard 1 fails, so the
-    undo truncates under an index that covers A."""
+    shard 0 applies A and serves a read before shard 1 fails at its
+    apply, so the undo truncates under an index that covers A."""
     fleet = build(shards=2)
 
-    def step(k):
-        if k == 1:
-            raise GhostDBError("second shard fails at its apply")
-        shard = fleet.shards[k]
-        shard.execute("INSERT INTO C VALUES (?, ?)", params=ROW_A)
-        assert shard.execute(READ, params=(ROW_A[0],)).rows == [
+    def failing_apply(checked):
+        assert fleet.shards[0].execute(READ, params=(ROW_A[0],)).rows == [
             (10, ROW_A[0])]
+        raise GhostDBError("second shard fails at its apply")
 
+    monkeypatch.setattr(fleet.shards[1], "apply_dml", failing_apply)
     with pytest.raises(GhostDBError):
-        fleet._write_all_or_nothing([0, 1], lambda: None, step)
+        fleet.execute("INSERT INTO C VALUES (?, ?)", params=ROW_A)
+    monkeypatch.undo()
     assert [s.untrusted.n_rows("C") for s in fleet.shards] == [10, 10]
     fleet.execute("INSERT INTO C VALUES (?, ?)", params=ROW_B)
     # a root-free read is served by one statement-hashed shard, so ask

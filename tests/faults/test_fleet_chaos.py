@@ -139,14 +139,14 @@ def test_root_insert_rolls_back_when_its_second_shard_dies_at_apply(
     first, second = targets[:2]
     before = _gens(fleet)
     maps_before = [list(m) for m in fleet._root_maps]
-    # touches: one probe per target, then one per apply, in target order
-    fleet.faults = FleetFaults(kill_at=(second, len(targets) + 1))
+    # touches: one probe per target, one per check, then one per apply
+    fleet.faults = FleetFaults(kill_at=(second, 2 * len(targets) + 1))
     sql = "INSERT INTO P VALUES " + ", ".join(["(?, ?, ?)"] * n_rows)
     params = [x for i in range(n_rows) for x in (i % 10, 900 + i, 1.5)]
     with pytest.raises(ShardUnavailable):
         fleet.execute(sql, params=params)
     assert fleet.faults.killed == [second]
-    assert fleet.faults.touches == len(targets) + 2   # died at its apply
+    assert fleet.faults.touches == 2 * len(targets) + 2   # at its apply
     assert _gens(fleet)[first] == before[first]       # undone
     assert _gens(fleet) == before
     assert fleet._root_maps == maps_before
@@ -159,4 +159,40 @@ def test_root_insert_rolls_back_when_its_second_shard_dies_at_apply(
     for probe in PROBES + ("SELECT P.id FROM P WHERE P.v >= 900",):
         assert_oracle(fleet, probe)
     assert fleet.execute("SELECT P.id FROM P WHERE P.v >= 900").rows == []
+    assert_no_leak(fleet)
+
+
+@pytest.mark.parametrize("sql, params", [
+    ("INSERT INTO C VALUES (?, ?)", (3, 4)),          # replicated insert
+    ("DELETE FROM P WHERE P.v < ?", (50,)),           # root delete
+    ("DELETE FROM C WHERE C.w = ?", (99,)),           # root-referenced
+])
+@pytest.mark.parametrize("step", ["check", "apply"])
+def test_a_shard_dying_at_check_or_apply_leaves_no_shard_moved(
+        fleet_image, sql, params, step):
+    """The touch rule: every target is probed, touched again before its
+    charged check and again before its apply.  A shard dying at its
+    check stops the statement before anything mutated; one dying at its
+    apply rolls back the shards that already applied."""
+    fleet = GhostDB.restore(fleet_image)
+    n = len(fleet.shards)
+    last = n - 1
+    before = _gens(fleet)
+    # ordinals: probes 0..n-1, checks n..2n-1, applies 2n..3n-1
+    ordinal = {"check": n, "apply": 2 * n}[step] + last
+    fleet.faults = FleetFaults(kill_at=(last, ordinal))
+    with pytest.raises(ShardUnavailable):
+        fleet.execute(sql, params=params)
+    assert fleet.faults.killed == [last]
+    assert fleet.faults.touches == ordinal + 1
+    assert _gens(fleet) == before
+
+    fleet.faults.kill_at = None
+    fleet.faults.revive(last)
+    fleet.recover()
+    for probe in PROBES:
+        assert_oracle(fleet, probe)
+    # the statement goes through once the shard is back
+    fleet.execute(sql, params=params)
+    assert all(g != b for g, b in zip(_gens(fleet), before))
     assert_no_leak(fleet)

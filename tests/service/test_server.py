@@ -5,9 +5,11 @@ import asyncio
 import pytest
 
 from repro.core.plan import SortMethod
+from repro.errors import BindError
 from repro.service.client import AsyncGhostClient, GhostClient, ServiceError
 from repro.service.server import plan_ram_claim
 from repro.workloads.queries import query_q
+from repro.workloads.synthetic import SyntheticConfig, build_synthetic
 
 from harness import serving
 
@@ -96,6 +98,34 @@ def test_error_responses_keep_connection_alive(db):
             assert client.ping()          # connection survived it all
             stats = client.server_stats()
             assert stats["service"]["errors_total"] == 4
+
+
+def test_a_missing_parameter_is_one_error_on_token_fleet_and_wire(fresh_db):
+    """SELECT / INSERT / DELETE with an unbound ``?``: the same
+    ``BindError`` text from one token, from a fleet and over the wire,
+    raised before anything leaves a token."""
+    statements = ("SELECT T0.id FROM T0 WHERE T0.v1 < ?",
+                  "INSERT INTO T0 VALUES (0, 0, ?, 1, 5)",
+                  "DELETE FROM T0 WHERE T0.v1 = ?")
+    fleet = build_synthetic(SyntheticConfig(scale=0.0005), shards=2)
+    channels = [db.token.channel for db in (fresh_db, *fleet.shards)]
+    sent = [len(ch.audit_outbound()) for ch in channels]
+    texts = set()
+    for db in (fresh_db, fleet):
+        for sql in statements:
+            with pytest.raises(BindError) as exc:
+                db.execute(sql)
+            texts.add(str(exc.value))
+    with serving(fresh_db) as server:
+        with GhostClient(server.host, server.port) as client:
+            for sql in statements:
+                with pytest.raises(ServiceError) as exc:
+                    client.execute(sql)
+                assert exc.value.error_type == "BindError"
+                texts.add(str(exc.value))
+    assert texts == {"statement has 1 unbound ? placeholder(s): "
+                     "pass params"}
+    assert [len(ch.audit_outbound()) for ch in channels] == sent
 
 
 def test_ill_typed_statements_are_error_responses_not_an_outage(fresh_db):

@@ -66,3 +66,43 @@ def test_set_throughput_reprices_every_shard_channel():
     assert slow.stats.total_s > fast.stats.total_s
     assert all(s.total_s > f.total_s
                for s, f in zip(slow.shard_stats, fast.shard_stats))
+
+
+def test_compaction_status_combines_the_partitioned_root():
+    """The root's debt lives on whichever shard homes the row: the
+    fleet view sums it (shard 0 alone used to answer, reporting a root
+    clean while another shard held its tombstones)."""
+    fleet = build_fleet(shards=4)
+    gid = next(g for g in range(60) if fleet.router.shard_of(g) != 0)
+    home = fleet.router.shard_of(gid)
+    assert fleet.execute(f"DELETE FROM P WHERE P.v = {gid}").rows_affected == 1
+    assert not fleet.shards[0].compaction_status()["P"].dirty
+    assert fleet.shards[home].compaction_status()["P"].tombstones == 1
+    status = fleet.compaction_status()["P"]
+    assert status.dirty and status.tombstones == 1
+    assert status.tombstone_log_bytes == sum(
+        s.compaction_status()["P"].tombstone_log_bytes
+        for s in fleet.shards)
+    assert status.advisor.verdict == "proceed"      # the worst verdict
+    assert "tombstones=1" in fleet.explain(
+        "SELECT P.id FROM P WHERE P.v < 5", analyze=True)
+    assert fleet.compact("P").done
+    assert not fleet.compaction_status()["P"].dirty
+
+
+def test_gather_estimate_under_a_forced_strategy_is_not_the_table():
+    """A forced ``vis_strategy`` leaves the plan without a cost report;
+    the gather line is priced from the cost model's cardinality
+    estimate all the same, not from every live row."""
+    fleet = GhostDB(shards=2)
+    fleet.execute("CREATE TABLE P (id int, v int, h int HIDDEN)")
+    fleet.load("P", [(i % 100, i % 4) for i in range(2000)])
+    fleet.build()
+    sql = "SELECT P.id, P.v FROM P WHERE P.v = 7"      # 1 % selective
+    executed = len(fleet.execute(sql).rows)
+    assert executed == 20
+    for knobs in ({}, {"vis_strategy": "pre"}):
+        line = next(ln for ln in fleet.explain(sql, **knobs).splitlines()
+                    if ln.startswith("gather merge:"))
+        estimate = int(line.split("~")[1].split()[0])
+        assert executed / 2 <= estimate <= executed * 2, line
