@@ -55,14 +55,20 @@ subtree syncs so the next compaction still knows what is clean.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from itertools import filterfalse, repeat
+from operator import itemgetter
+from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from repro.core.loader import ancestor_maps
 from repro.core.stats import TableStats
 from repro.errors import CompactionDeclined
+from repro.flash.constants import ID_SIZE
 from repro.index.climbing import ClimbingIndex
 from repro.storage.heap import HeapFile
+from repro.storage.runs import decode_words, encode_words
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle with ghostdb
     from repro.core.catalog import SecureCatalog
@@ -383,45 +389,74 @@ class CompactionJob:
 
     # ------------------------------------------------------------------
     def _copy_heap_batched(self, src: HeapFile, name: str,
-                           keep, transform) -> Iterator[str]:
+                           dead: Sequence[int],
+                           remap: Optional[Tuple[int, Dict[int, int]]] = None
+                           ) -> Iterator[str]:
         """Yield-per-batch copy of ``src`` into a new shadow heap.
 
-        ``keep(rid)`` filters rows, ``transform(rid, row)`` rewrites
-        them.  Old pages are read (and charged) page-wise; surviving
-        rows repack densely, so the shadow's layout is byte-identical
-        to a fresh bulk build of the same rows.  The shadow is left in
-        ``self._last_heap``.
+        Rows whose ids are in ``dead`` (sorted) are dropped; ``remap =
+        (pos, id_map)`` rewrites column ``pos`` of an SKT to
+        ``id_map.get(cell, 0)``.  Records are fixed width and the codec
+        round-trips every record it wrote (``pack(unpack(b)) == b`` for
+        ints, finite floats and NUL-padded chars), so rows move as
+        bytes: each page is read (and charged) once, exactly the bytes
+        its rows occupy; the runs between its dead rows' offsets are
+        appended to one output buffer, which is cut into full pages as
+        it fills.  An SKT row is a fixed number of u32 words (ids are
+        below 2**31, so the signed codec writes the same bytes), which
+        is what lets ``remap`` rewrite a strided slice of the page's
+        words.  The shadow's layout is byte-identical to a fresh bulk
+        build of the surviving rows; it is left in ``self._last_heap``.
         """
         store = self.db.catalog.token.store
         shadow = HeapFile(store.create(name), src.codec, src.page_size)
         self._shadow_heaps.append(shadow)
-        buf: List[Tuple] = []
-        per_page = shadow.rows_per_page
+        width = src.codec.row_width
+        per_page = src.rows_per_page
+        page_bytes = per_page * width
+        if remap is not None:
+            pos, id_map = remap
+            stride = width // ID_SIZE
+        buf = bytearray()
         n_pages = src.file.n_pages
         for first in range(0, n_pages, self.pages_per_step):
             last = min(first + self.pages_per_step, n_pages)
             for page in range(first, last):
-                for rid, row in src.read_rows_on_page(page):
-                    if keep(rid):
-                        buf.append(transform(rid, row))
-                while len(buf) >= per_page:
-                    chunk, buf = buf[:per_page], buf[per_page:]
-                    shadow.file.append_page(src.codec.pack_rows(chunk))
-                    shadow.n_rows += len(chunk)
+                lo = page * per_page
+                n_here = min(per_page, src.n_rows - lo)
+                if n_here <= 0:
+                    continue
+                raw = src.file.read_page(page, nbytes=n_here * width)
+                if remap is not None:
+                    words = decode_words(raw)
+                    words[pos::stride] = map(id_map.get, words[pos::stride],
+                                             repeat(0))
+                    raw = encode_words(words)
+                start = 0
+                for rid in dead[bisect_left(dead, lo):
+                                bisect_left(dead, lo + n_here)]:
+                    cut = (rid - lo) * width
+                    buf += raw[start:cut]
+                    start = cut + width
+                buf += raw[start:]
+                while len(buf) >= page_bytes:
+                    shadow.file.append_page(buf[:page_bytes])
+                    shadow.n_rows += per_page
+                    del buf[:page_bytes]
             self.pages_rewritten += last - first
             yield f"{name.split('~')[0]} pages {last}/{n_pages}"
         if buf:
-            shadow.file.append_page(src.codec.pack_rows(buf))
-            shadow.n_rows += len(buf)
+            shadow.file.append_page(buf)
+            shadow.n_rows += len(buf) // width
         self._last_heap = shadow
 
     def _charge_index_read(self, idx: ClimbingIndex) -> None:
-        """Stream the old index's pages -- the honest read cost of
+        """Read the old index's pages -- the honest read cost of
         folding it (the host rebuilds from retained raw rows, but a
-        real token would read tree, runs and delta log)."""
+        real token would read tree, runs and delta log).  Each file is
+        one run (one charge): nothing stops between its pages."""
         for f in idx.storage_files():
-            for page in range(f.n_pages):
-                f.read_page(page)
+            f.read_pages(range(f.n_pages))
 
     # ------------------------------------------------------------------
     def _steps(self) -> Iterator[str]:
@@ -449,9 +484,10 @@ class CompactionJob:
                 f"compact smaller tables first, then retry"
             )
         dead = set(catalog.tombstones[T])
-        live_ids = [rid for rid in range(catalog.n_rows(T))
-                    if rid not in dead]
-        id_map = {rid: new for new, rid in enumerate(live_ids)}
+        dead_sorted = sorted(dead)
+        live_ids = list(filterfalse(dead.__contains__,
+                                    range(catalog.n_rows(T))))
+        id_map = dict(zip(live_ids, range(len(live_ids))))
         remap = bool(dead)
         folds = [(key, idx) for key, idx in ripple_indexes(catalog, T)
                  if index_needs_fold(catalog, T, idx, remap)]
@@ -462,10 +498,7 @@ class CompactionJob:
         new_heap: Optional[HeapFile] = None
         if remap and image.heap is not None:
             yield from self._copy_heap_batched(
-                image.heap, f"hidden_{T}{tag}",
-                keep=lambda rid: rid not in dead,
-                transform=lambda rid, row: row,
-            )
+                image.heap, f"hidden_{T}{tag}", dead_sorted)
             new_heap = self._last_heap
 
         # ---- SKT(T): drop dead rows (descendant ids unchanged) -------
@@ -473,10 +506,7 @@ class CompactionJob:
         new_skt_heap: Optional[HeapFile] = None
         if remap and skt is not None:
             yield from self._copy_heap_batched(
-                skt.heap, f"skt_{T}{tag}",
-                keep=lambda rid: rid not in dead,
-                transform=lambda rid, row: row,
-            )
+                skt.heap, f"skt_{T}{tag}", dead_sorted)
             new_skt_heap = self._last_heap
 
         # ---- ancestor SKTs: remap the T column, keep every row -------
@@ -489,17 +519,8 @@ class CompactionJob:
                 if askt is None:
                     continue
                 pos = askt.column_positions([T])[0]
-
-                def remap_cell(rid: int, row: Tuple, pos: int = pos
-                               ) -> Tuple:
-                    cells = list(row)
-                    cells[pos] = id_map.get(cells[pos], 0)
-                    return tuple(cells)
-
                 yield from self._copy_heap_batched(
-                    askt.heap, f"skt_{anc}{tag}",
-                    keep=lambda rid: True, transform=remap_cell,
-                )
+                    askt.heap, f"skt_{anc}{tag}", (), remap=(pos, id_map))
                 new_anc_heaps[anc] = self._last_heap
 
         # ---- ripple indexes: one fresh bulk build per step -----------
@@ -512,21 +533,21 @@ class CompactionJob:
             self._charge_index_read(idx)
             t = schema.table(d_table)
             rows = catalog.raw_rows[d_table]
-            dead_d = dead if d_table == T else catalog.tombstones[d_table]
-
-            def out_id(rid: int, d: str = d_table) -> int:
-                return id_map[rid] if d == T else rid
-
+            # the live rows' old ids, and the ids the fresh build gives them
+            if d_table == T:
+                keep, out_ids = live_ids, range(len(live_ids))
+            else:
+                keep = out_ids = list(filterfalse(
+                    catalog.tombstones[d_table].__contains__,
+                    range(len(rows))))
             if kind == "attr":
-                pos = t.column_position(col)
-                items = [(row[pos], out_id(rid))
-                         for rid, row in enumerate(rows)
-                         if rid not in dead_d]
+                values = map(itemgetter(t.column_position(col)),
+                             map(rows.__getitem__, keep))
+                items = zip(values, out_ids)
                 ctype = t.column(col).type
                 name = f"{d_table}_{col}{tag}"
             else:
-                items = [(out_id(rid), out_id(rid))
-                         for rid in range(len(rows)) if rid not in dead_d]
+                items = zip(out_ids, out_ids)
                 ctype = t.column("id").type
                 name = f"{d_table}_id{tag}"
             ancestors = schema.ancestors(d_table)
@@ -545,7 +566,7 @@ class CompactionJob:
         # ---- terminal step: swap shadows in, fold the metadata -------
         self.phase = "swap"
         if remap:
-            db.vis_server.push_compaction(T, sorted(dead))
+            db.vis_server.push_compaction(T, dead_sorted)
             if new_heap is not None:
                 old = image.heap
                 image.heap = new_heap

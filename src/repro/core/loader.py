@@ -18,7 +18,7 @@ For each table the loader:
 
 from __future__ import annotations
 
-import heapq
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import StorageError
@@ -76,8 +76,8 @@ def ancestor_maps(schema: Schema, rows: Dict[str, List[Tuple]],
         maps[name][parent] = direct
         for higher, pmap in maps[parent].items():
             maps[name][higher] = {
-                i: sorted(heapq.merge(*(pmap[p] for p in parents)))
-                if parents else []
+                i: list(pmap[parents[0]]) if len(parents) == 1
+                else sorted(chain.from_iterable(pmap[p] for p in parents))
                 for i, parents in direct.items()
             }
     return maps

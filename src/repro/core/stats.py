@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.predicate import Predicate
@@ -61,7 +62,21 @@ class ColumnStats:
     @classmethod
     def from_values(cls, values: Iterable,
                     capacity: int = DEFAULT_CAPACITY) -> "ColumnStats":
-        """Gather a sketch over ``values`` from scratch."""
+        """Gather a sketch over ``values`` from scratch.
+
+        The :meth:`add` loop is the specification.  While ``values``
+        hold at most ``capacity`` distinct keys nothing can spill, and
+        the loop reduces to a ``Counter`` (keys in first-seen order, as
+        the loop inserts them) and ``min`` / ``max`` (both keep the
+        first of equal extremes, as the loop's strict comparisons do --
+        ``0.0`` / ``-0.0`` included).  Past capacity the loop runs.
+        """
+        values = list(values)
+        counts = Counter(values)
+        if len(counts) <= capacity:
+            return cls(capacity=capacity, n=len(values), counts=counts,
+                       min_key=min(values, default=None),
+                       max_key=max(values, default=None))
         stats = cls(capacity=capacity)
         for value in values:
             stats.add(value)
@@ -192,10 +207,12 @@ class TableStats:
     @classmethod
     def from_rows(cls, table: Table, rows: Sequence[Tuple],
                   capacity: int = DEFAULT_CAPACITY) -> "TableStats":
-        """Gather stats from scratch (build/rebuild/analyze path)."""
+        """Gather stats from scratch (build/rebuild/analyze path), one
+        column at a time."""
         stats = cls(table, capacity)
-        for row in rows:
-            stats.add_row(row)
+        for name, pos in stats._positions:
+            stats.columns[name] = ColumnStats.from_values(
+                map(itemgetter(pos), rows), capacity)
         return stats
 
     def copy(self) -> "TableStats":

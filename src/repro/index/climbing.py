@@ -26,8 +26,9 @@ through those edges at query time.
 
 from __future__ import annotations
 
-import heapq
-import itertools
+import struct
+from itertools import chain, groupby
+from operator import itemgetter
 from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
                     Set, Tuple)
 
@@ -43,7 +44,8 @@ from repro.storage.codec import ColumnType
 from repro.storage.heap import append_fixed_record
 from repro.storage.runs import U32FileBuilder, U32View, intersect_sorted
 
-_DESC_W = 8  # (start u32, count u32) per level
+_DESC = struct.Struct("<II")  # (start u32, count u32) per level
+_DESC_W = _DESC.size
 
 #: delta-key Bloom sizing: small, persistent, grown by rebuild-on-overflow
 _DELTA_BLOOM_ITEMS = 256
@@ -87,6 +89,9 @@ class ClimbingIndex:
         whose foreign-key chain reaches the ``levels[0]`` tuple ``id``.
         Entries for ``levels[0]`` itself are the ids of the matching
         tuples and need no mapping.
+
+        Each value is encoded once; one sort of ``(key, id)`` pairs
+        orders the entries and, within one key, its ids.
         """
         levels = list(levels)
         if not levels:
@@ -95,34 +100,29 @@ class ClimbingIndex:
             if level not in ancestor_ids:
                 raise IndexError_(f"missing ancestor id map for {level!r}")
         key_codec = KeyCodec(column_type)
+        encode = key_codec.encode
 
-        builders = {
-            level: U32FileBuilder(store, name=f"ci_{name}_runs_{level}")
-            for level in levels
-        }
-        sorted_items = sorted(items, key=lambda it: key_codec.encode(it[0]))
+        builders = [U32FileBuilder(store, name=f"ci_{name}_runs_{level}")
+                    for level in levels]
+        own = builders[0]
+        above = list(zip(builders[1:], (ancestor_ids[level]
+                                        for level in levels[1:])))
+        pairs = sorted([(encode(value), rid) for value, rid in items])
         entries: List[Tuple[bytes, bytes]] = []
-        for key_bytes, group in itertools.groupby(
-                sorted_items, key=lambda it: key_codec.encode(it[0])):
-            ids = sorted(i for _, i in group)
-            payload = bytearray()
-            for level in levels:
-                builder = builders[level]
-                start = builder.mark()
-                if level == levels[0]:
-                    builder.extend(ids)
-                else:
-                    mapping = ancestor_ids[level]
-                    merged = heapq.merge(
-                        *(mapping.get(i, ()) for i in ids)
-                    )
-                    builder.extend(merged)
-                payload += start.to_bytes(4, "little")
-                payload += (builder.mark() - start).to_bytes(4, "little")
-            entries.append((key_bytes, bytes(payload)))
+        for key_bytes, group in groupby(pairs, key=itemgetter(0)):
+            ids = [rid for _, rid in group]
+            payload = _DESC.pack(own.mark(), len(ids))
+            own.append_words(ids)
+            for builder, mapping in above:
+                run = (mapping.get(ids[0], ()) if len(ids) == 1 else
+                       sorted(chain.from_iterable(
+                           mapping.get(i, ()) for i in ids)))
+                payload += _DESC.pack(builder.mark(), len(run))
+                builder.append_words(run)
+            entries.append((key_bytes, payload))
 
         run_files = {level: builder.finish().file
-                     for level, builder in builders.items()}
+                     for level, builder in zip(levels, builders)}
         btree = BPlusTree.bulk_build(
             store, f"ci_{name}_tree", entries,
             key_width=key_codec.width,

@@ -96,6 +96,56 @@ def test_selectivity_exact_within_capacity(values):
         sum(1 for v in values if v in (probe, probe + 1)) / n)
 
 
+def loop_sketch(values, capacity):
+    """The specification: one :meth:`ColumnStats.add` per value."""
+    sketch = ColumnStats(capacity=capacity)
+    for value in values:
+        sketch.add(value)
+    return sketch
+
+
+def observable(sketch):
+    """Everything a sketch exposes, ``repr`` keeping ``-0.0`` apart
+    from ``0.0`` (and a key's insertion order, which breaks
+    ``most_common`` ties)."""
+    return (sketch.n, repr(list(sketch.counts.items())),
+            sketch.residual_count, sketch.residual_distinct,
+            repr(sketch.min_key), repr(sketch.max_key))
+
+
+@st.composite
+def column_values(draw):
+    """One column's values: ints, floats (``0.0`` / ``-0.0`` ties
+    likely) or chars, from a domain small enough to stay under a
+    capacity of 4 or wide enough to spill it."""
+    domain = draw(st.sampled_from((
+        st.integers(-3, 3),
+        st.integers(-10**6, 10**6),
+        st.sampled_from((0.0, -0.0, 1.5, -1.5)),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from(("", "a", "é", "b")),
+        st.text(max_size=3),
+    )))
+    return draw(st.lists(domain, max_size=60))
+
+
+@given(column_values(), st.sampled_from((1, 4, 1024)))
+@settings(max_examples=200, deadline=None)
+def test_from_values_equals_the_add_loop(values, capacity):
+    """Under capacity ``from_values`` takes the ``Counter`` / ``min``
+    / ``max`` path, over it the loop itself; both must be the loop."""
+    assert observable(ColumnStats.from_values(values, capacity)) == \
+        observable(loop_sketch(values, capacity))
+
+
+def test_from_values_keeps_the_first_of_equal_extremes():
+    sketch = ColumnStats.from_values([0.0, -0.0, 0.0, -0.0])
+    assert repr(sketch.min_key) == repr(sketch.max_key) == "0.0"
+    assert repr(list(sketch.counts)) == "[0.0]"
+    sketch = ColumnStats.from_values([-0.0, 0.0])
+    assert repr(sketch.min_key) == repr(sketch.max_key) == "-0.0"
+
+
 #: a spilled sketch spreads its untracked values uniformly over
 #: [min, max]; on uniform data that costs at most this much selectivity
 RESIDUAL_ERROR = 0.02
