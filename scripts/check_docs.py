@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """Docs CI gate: links resolve, named API exists, state, the operator
-table and the simulated clock have one owner each, the library reads no
-environment, examples run.
+table, the simulated clock and the Vis request have one owner each, the
+library reads no environment, examples run.
 
-Seven checks, all simple on purpose:
+Eight checks, all simple on purpose:
 
 * every relative link target in a tracked ``*.md`` file (README.md,
   docs/, CHANGES.md, ...) must exist on disk -- links to headings
@@ -35,6 +35,11 @@ Seven checks, all simple on purpose:
   (``os.environ`` / ``os.getenv``, however imported): the library is a
   function of its arguments, and a behaviour switch has to be an
   argument someone can see in a call;
+* inside ``src/repro`` only ``core/operators.py`` may construct a
+  ``VisRequest``: what Secure asks Untrusted is ``vis_request``'s
+  function of the statement, and a second request shape -- one that
+  could depend on a plan or on hidden data -- cannot grow back beside
+  it unnoticed;
 * with ``--run-examples``, every script under ``examples/`` is executed
   with ``PYTHONPATH=src`` and must exit 0.
 
@@ -86,6 +91,10 @@ _CLOCK_OWNERS = ("src/repro/flash/constants.py", "src/repro/flash/stats.py",
 _TIME_METHODS = ("read_time_us", "write_time_us")
 _PRICES = ("read_page_us", "write_page_us", "byte_transfer_ns",
            "erase_block_us")
+
+
+#: the module that owns the statement's Vis request set
+_VIS_REQUEST_OWNER = "src/repro/core/operators.py"
 
 
 def iter_markdown_files() -> list:
@@ -252,6 +261,21 @@ def environment_reads() -> list:
     return found
 
 
+def foreign_vis_requests() -> list:
+    """Every ``(module, line, expr)`` outside the request set's owner
+    that calls ``VisRequest(...)``, by bare or dotted name."""
+    found = []
+    for module, tree in src_modules():
+        if module == _VIS_REQUEST_OWNER:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "VisRequest" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None)):
+                found.append((module, node.lineno, ast.unparse(node)))
+    return found
+
+
 def run_examples() -> list:
     """Run every examples/ script; returns the ones that failed."""
     failed = []
@@ -296,6 +320,10 @@ def main(argv: list) -> int:
         ok = False
     for module, lineno, expr in environment_reads():
         print(f"ENVIRONMENT READ IN src/ {module}:{lineno}: {expr}")
+        ok = False
+    for module, lineno, expr in foreign_vis_requests():
+        print(f"VisRequest BUILT OUTSIDE core/operators.py "
+              f"{module}:{lineno}: {expr}")
         ok = False
     if "--run-examples" in argv:
         for script, stderr in run_examples():

@@ -15,10 +15,11 @@ leak-free.
 
 Each helper names the code path it prices in
 :mod:`repro.core.operators`, :mod:`repro.core.executor` and
-:mod:`repro.core.project`.  The rules both sides must agree on -- which
-tables QEPSJ carries, which values are projected, the Bloom, Post-Select
-and MJoin RAM envelopes -- are functions those modules own and this one
-calls with ``ram.capacity`` where the operator passes ``ram.free_bytes``.
+:mod:`repro.core.project`.  The rules both sides must agree on -- the
+Vis request set, which tables QEPSJ carries, which values are
+projected, the Bloom, Post-Select and MJoin RAM envelopes -- are
+functions those modules own and this one calls with ``ram.capacity``
+where the operator passes ``ram.free_bytes``.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.catalog import SecureCatalog
 from repro.core.executor import post_bloom_budget, tables_beyond_anchor
-from repro.core.operators import post_select_chunk_ids
+from repro.core.operators import (post_select_chunk_ids, projected_values,
+                                  vis_request, vis_tables)
 from repro.core.plan import ProjectionMode, SortMethod, VisStrategy
-from repro.core.project import mjoin_chunk_rows, projected_values
+from repro.core.project import mjoin_chunk_rows
 from repro.errors import PlanError
 from repro.hardware.token import SecureToken
 from repro.index.bloom import DEFAULT_HASHES, false_positive_rate
@@ -383,20 +385,21 @@ class CostModel:
         sH_all = 1.0
         for s in s_hidden.values():
             sH_all *= s
-        vis_tables = []
-        for sel in bound.visible_selections():
-            if sel.table not in vis_tables:
-                vis_tables.append(sel.table)
-        sV = {t: self.vis_selectivity(bound, t) for t in vis_tables}
-        nV = {t: sV[t] * self._live(t) for t in vis_tables}
+        requested = vis_tables(bound)
+        sV = {t: self.vis_selectivity(bound, t) for t in requested
+              if bound.visible_selections(t)}
+        # the rows each requested table's answer carries
+        nV = {t: sV.get(t, 1.0) * self._live(t) for t in requested}
 
-        # ---- Vis: one download per selected table (all strategies,
-        # NoFilter included -- the executor fetches the ids regardless)
-        for t in vis_tables:
-            req = 16 + 16 * len(bound.visible_selections(t))
-            inbound = round(nV[t]) * 4
-            acc.channel("Vis", self._t_chan(req + inbound),
-                        inbound=inbound, outbound=req)
+        # ---- Vis: the statement's request set, one exchange per
+        # table -- the same for every candidate and projection mode
+        for t in requested:
+            request = vis_request(bound, t)
+            outbound = request.wire_size()
+            inbound = round(nV[t]) * (
+                4 + self._width(t, list(request.columns)))
+            acc.channel("Vis", self._t_chan(outbound + inbound),
+                        inbound=inbound, outbound=outbound)
 
         # ---- hidden selections: op_ci climbed to the anchor --------
         for i, sel in enumerate(hidden):
@@ -423,7 +426,7 @@ class CostModel:
         flash_groups = len(hidden)
         ram_sj = 0                        # Bloom bytes held in the pipeline
 
-        for t in vis_tables:
+        for t in sV:
             if t == anchor:
                 continue
             choice = choices.get(t, Choice(VisStrategy.PRE, False))
@@ -487,7 +490,7 @@ class CostModel:
             count_final *= sV[t]
 
         # ---- Projection (QEPP) -------------------------------------
-        self._estimate_projection(acc, bound, choices, sV, nV,
+        self._estimate_projection(acc, bound, choices, nV,
                                   count_final, projection_mode)
 
         # ---- RAM peak and feasibility ------------------------------
@@ -497,7 +500,7 @@ class CostModel:
             merge_runs, self.token.ram.n_buffers - reserve))
         phase_sj = (open_buffers + pipeline) * self.page + ram_sj
         min_sj = (flash_groups + pipeline) * self.page + ram_sj
-        phase_ps = max((min(n * 4, capacity - 8192)
+        phase_ps = max((4 * min(round(n), post_select_chunk_ids(capacity))
                         for _, n in post_select), default=0)
         phase_proj = capacity // 2 if count_final else 0
         acc.est.ram_peak = min(capacity,
@@ -516,10 +519,10 @@ class CostModel:
 
     def _estimate_projection(self, acc: _Acc, bound: BoundQuery,
                              choices: Dict[str, Choice],
-                             sV: Dict[str, float], nV: Dict[str, float],
-                             count: float,
+                             nV: Dict[str, float], count: float,
                              mode: ProjectionMode) -> None:
-        """Price the QEPP phase of :mod:`repro.core.project`."""
+        """Price the QEPP phase of :mod:`repro.core.project`; ``nV``
+        holds the Vis rows of every requested table."""
         if count <= 0:
             return
         catalog = self.catalog
@@ -530,22 +533,16 @@ class CostModel:
         mjoined = (set(per_table) | approx) - {anchor}
 
         if mode is ProjectionMode.BRUTE_FORCE:
-            self._estimate_brute_force(acc, bound, per_table, approx,
-                                       count)
+            self._estimate_brute_force(acc, per_table, approx, nV, count)
             return
 
         for t in sorted(mjoined):
             attrs = per_table.get(t, {"vis": [], "hid": []})
-            has_vis_side = bool(attrs["vis"]) or t in sV
+            has_vis_side = t in nV
             candidates = count
             if has_vis_side:
-                # sigma_VH: Vis rows download (+ values), Bloom filter
-                width = self._width(t, attrs["vis"])
-                n_rows = nV.get(t, self._live(t))
-                if attrs["vis"]:
-                    inbound = round(n_rows) * (4 + width)
-                    acc.channel("Vis", self._t_chan(inbound),
-                                inbound=inbound)
+                # sigma_VH over the table's Vis rows: Bloom filter
+                n_rows = nV[t]
                 if mode is ProjectionMode.PROJECT:
                     # Bloom over the t column: one column read
                     acc.flash("Project", self._t_ids_read(round(count)))
@@ -587,13 +584,8 @@ class CostModel:
         id_cols.discard(anchor)
         acc.flash("Project",
                   (1 + len(id_cols)) * self._t_ids_read(round(count)))
-        # anchor-side values
+        # anchor-side hidden values
         anchor_attrs = per_table.get(anchor, {"vis": [], "hid": []})
-        if anchor_attrs["vis"]:
-            width = self._width(anchor, anchor_attrs["vis"])
-            n_rows = nV.get(anchor, self._live(anchor))
-            inbound = round(n_rows) * (4 + width)
-            acc.channel("Vis", self._t_chan(inbound), inbound=inbound)
         if anchor_attrs["hid"]:
             image = catalog.images.get(anchor)
             if image is not None and image.heap is not None:
@@ -718,20 +710,18 @@ class CostModel:
                 note=index_note or "(no usable index)"))
         return OrderReport(candidates, n_rows)
 
-    def _estimate_brute_force(self, acc: _Acc, bound: BoundQuery,
+    def _estimate_brute_force(self, acc: _Acc,
                               per_table: Dict[str, Dict[str, List]],
-                              approx: set, count: float) -> None:
+                              approx: set, nV: Dict[str, float],
+                              count: float) -> None:
         """Price the Figures 12/13 baseline: materialize Vis values at
         id positions, then random point reads per QEPSJ row."""
         needed = (set(per_table) | approx)
         for t in sorted(needed):
             attrs = per_table.get(t, {"vis": [], "hid": []})
             n_rows = self._live(t)
-            if attrs["vis"] or t in {s.table for s in
-                                     bound.visible_selections()}:
+            if t in nV:
                 width = max(1, self._width(t, attrs["vis"]))
-                inbound = round(n_rows * (4 + width))
-                acc.channel("Vis", self._t_chan(inbound), inbound=inbound)
                 pages = math.ceil(n_rows * width / max(1, self.page - 4))
                 acc.flash("Project",
                           pages * self.params.write_time_us(self.page))

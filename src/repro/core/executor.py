@@ -2,11 +2,13 @@
 
 The global plan (paper Figure 6) is evaluated in two phases:
 
-* **QEPSJ** (here): hidden selections via climbing indexes, visible
-  selections via the per-table strategy (Pre/Post/Post-Select/NoFilter,
-  optionally Cross-filtered), a RAM-bounded ``Merge`` producing sorted
-  anchor IDs, and -- when any other table's IDs are needed -- a
-  pipelined ``SJoin -> ProbeBF -> Store`` pass over ``SKT(anchor)``.
+* **QEPSJ** (here): first the statement's Vis request set (one request
+  per visible table, serving both phases), then hidden selections via
+  climbing indexes, visible selections via the per-table strategy
+  (Pre/Post/Post-Select/NoFilter, optionally Cross-filtered), a
+  RAM-bounded ``Merge`` producing sorted anchor IDs, and -- when any
+  other table's IDs are needed -- a pipelined ``SJoin -> ProbeBF ->
+  Store`` pass over ``SKT(anchor)``.
 * **QEPP** (:mod:`repro.core.project`): the projection algorithm.
 
 The executor owns the cost-label discipline that the decomposition
@@ -240,6 +242,9 @@ class QepSjExecutor:
         bloom_budget = post_bloom_budget(
             ctx.ram.free_bytes, len(extra_tables), ctx.token.page_size)
 
+        # what is asked of Untrusted depends on the statement alone;
+        # the strategies differ only in what Secure does with it
+        ctx.fetch_vis()
         for sel in bound.hidden_selections():
             groups.append(op_ci(ctx, sel, anchor))
 

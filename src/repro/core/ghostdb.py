@@ -457,9 +457,9 @@ class GhostDB(StatementFrontEnd):
 
         ``announce=False`` skips the per-query transmission of the
         query text (the batched path announces a whole batch in one
-        message); ``vis_seed`` pre-populates the execution context's
-        Vis cache with ``{(table, columns): VisResult}`` entries that a
-        batched prefetch already downloaded.
+        message); ``vis_seed`` hands the execution context the
+        ``{table: VisResult}`` answers a batched prefetch already
+        downloaded.
         """
         return self._run_plan(plan, announce, vis_seed, finish=True)
 
@@ -523,8 +523,8 @@ class GhostDB(StatementFrontEnd):
             ctx = ExecContext(self.token, self.catalog, self.vis_server,
                               bound)
             if vis_seed:
-                for (table, columns), result in vis_seed.items():
-                    ctx.seed_vis(table, result, columns)
+                for table, result in vis_seed.items():
+                    ctx.seed_vis(table, result)
             sj = QepSjExecutor(ctx).execute(plan)
             try:
                 names, rows = ProjectionExecutor(ctx).execute(

@@ -27,7 +27,7 @@ from repro.errors import StorageError
 from repro.hardware.token import SecureToken
 from repro.index.bloom import BloomFilter
 from repro.predicate import Predicate
-from repro.sql.binder import BoundQuery, BoundSelection
+from repro.sql.binder import BoundColumn, BoundQuery, BoundSelection
 from repro.storage.runs import IdRun, U32FileBuilder, U32View, word_view
 from repro.untrusted.server import VisRequest, VisResult, VisServer
 
@@ -51,7 +51,7 @@ class ExecContext:
         self.catalog = catalog
         self.vis = vis_server
         self.bound = bound
-        self._vis_cache: Dict[Tuple[str, Tuple[str, ...]], VisResult] = {}
+        self._vis_results: Dict[str, VisResult] = {}
 
     @property
     def ram(self):
@@ -64,65 +64,86 @@ class ExecContext:
     def label(self, name: str):
         return self.token.label(name)
 
-    def seed_vis(self, table: str, result: VisResult,
-                 columns: Sequence[str] = ()) -> None:
-        """Pre-populate the Vis cache with an already-downloaded result
-        (the batched-execution path prefetches whole batches of Vis
-        requests in one round trip before running each query)."""
-        self._vis_cache[(table, tuple(columns))] = result
+    def seed_vis(self, table: str, result: VisResult) -> None:
+        """Adopt ``table``'s already-downloaded answer (the batched
+        path prefetches whole batches of requests in one round trip
+        before running each query)."""
+        self._vis_results[table] = result
 
-    def cached_vis(self, table: str,
-                   columns: Sequence[str] = ()) -> Optional[VisResult]:
-        """The cached Vis result of ``(table, columns)``, if any.
-
-        An id-only request (``columns=()``) is also served from any
-        cached result of the same table -- every cached entry was
-        computed under the same visible predicates and already carries
-        the sorted id list.
-        """
-        key = (table, tuple(columns))
-        hit = self._vis_cache.get(key)
-        if hit is None and not columns:
-            for (cached_table, _), cached in self._vis_cache.items():
-                if cached_table == table:
-                    hit = self._vis_cache[key] = VisResult(ids=cached.ids)
-                    break
-        return hit
+    def fetch_vis(self) -> None:
+        """Ask Untrusted the statement's request set: one
+        :func:`vis_request` per table of :func:`vis_tables`, each
+        exactly once, seeded answers excepted."""
+        for table in vis_tables(self.bound):
+            if table not in self._vis_results:
+                with self.label(VIS_LABEL):
+                    self._vis_results[table] = self.vis.vis(
+                        vis_request(self.bound, table))
 
 
 # ---------------------------------------------------------------------------
-# Vis
+# Vis: the statement's request set
 # ---------------------------------------------------------------------------
 
-def vis_request(bound: BoundQuery, table: str,
-                columns: Sequence[str] = ()) -> VisRequest:
-    """The Vis request for ``table``: its visible selections as
-    ``(column, predicate)`` pairs, plus the columns to project."""
+def source_of(col: BoundColumn) -> Tuple:
+    """Classify a projected column: ('id', t) | ('vis'|'hid', t, name)."""
+    if col.column.is_id:
+        return ("id", col.table)
+    if col.column.is_foreign_key:
+        return ("id", col.column.references)
+    if col.column.hidden:
+        return ("hid", col.table, col.column.name)
+    return ("vis", col.table, col.column.name)
+
+
+def projected_values(bound: BoundQuery) -> Dict[str, Dict[str, List[str]]]:
+    """Per table: which vis/hid attribute names are projected."""
+    out: Dict[str, Dict[str, List[str]]] = {}
+    for col in bound.projections:
+        src = source_of(col)
+        if src[0] == "id":
+            continue
+        kind, table, name = src
+        entry = out.setdefault(table, {"vis": [], "hid": []})
+        if name not in entry[kind]:
+            entry[kind].append(name)
+    return out
+
+
+def vis_tables(bound: BoundQuery) -> List[str]:
+    """Every table Secure asks Untrusted about: those with a visible
+    selection, then those with a projected visible column."""
+    tables: List[str] = []
+    for sel in bound.visible_selections():
+        if sel.table not in tables:
+            tables.append(sel.table)
+    for table, attrs in projected_values(bound).items():
+        if attrs["vis"] and table not in tables:
+            tables.append(table)
+    return tables
+
+
+def vis_request(bound: BoundQuery, table: str) -> VisRequest:
+    """``Vis(Q, T, pi)`` with pi complete: ``table``'s visible
+    selections as ``(column, predicate)`` pairs plus every projected
+    visible column of ``table``.  A function of the statement alone,
+    so what crosses the channel never depends on the plan or on
+    hidden data."""
+    attrs = projected_values(bound).get(table)
     return VisRequest(
         table,
         tuple((s.column.name, s.predicate)
               for s in bound.visible_selections(table)),
-        tuple(columns),
+        tuple(attrs["vis"]) if attrs else (),
     )
 
 
-def op_vis(ctx: ExecContext, table: str,
-           columns: Sequence[str] = ()) -> VisResult:
-    """``Vis(Q, T, pi)``: fetch the visible selection of ``table``.
-
-    Results are cached per (table, columns) in the execution context
-    (:meth:`ExecContext.cached_vis`): the paper notes the redundant
-    lookup in Cross-Post plans "can be easily avoided in practice", and
-    a repeated identical Vis request -- or an id-only one after a
-    request that carried columns -- would pay a second channel round
-    trip for nothing.
-    """
-    result = ctx.cached_vis(table, columns)
-    if result is None:
-        with ctx.label(VIS_LABEL):
-            result = ctx.vis.vis(vis_request(ctx.bound, table, columns))
-        ctx.seed_vis(table, result, columns)
-    return result
+def op_vis(ctx: ExecContext, table: str) -> Optional[VisResult]:
+    """``table``'s answer from the request set
+    :meth:`ExecContext.fetch_vis` issued -- sorted ids, plus one
+    ``(id, col...)`` row per id when the request projects values --
+    or ``None`` when the statement asks nothing about ``table``."""
+    return ctx._vis_results.get(table)
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,10 @@ import heapq
 from itertools import compress
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.core.operators import PROJECT_LABEL, ExecContext, op_vis
+from repro.core.operators import (PROJECT_LABEL, ExecContext, op_vis,
+                                  projected_values, source_of)
 from repro.core.plan import ProjectionMode, QepSjResult
 from repro.index.bloom import BloomFilter
-from repro.sql.binder import BoundColumn, BoundQuery
 from repro.storage.codec import IntType, RowCodec
 from repro.storage.heap import HeapFile
 from repro.untrusted.server import VisResult
@@ -69,31 +69,6 @@ class _HiddenFetcher:
             self._rows = dict(heap.read_rows_on_page(page, self.positions))
             self._page = page
         return self._rows[rid]
-
-
-def _source_of(col: BoundColumn) -> Tuple:
-    """Classify a projected column: ('id', t) | ('vis'|'hid', t, name)."""
-    if col.column.is_id:
-        return ("id", col.table)
-    if col.column.is_foreign_key:
-        return ("id", col.column.references)
-    if col.column.hidden:
-        return ("hid", col.table, col.column.name)
-    return ("vis", col.table, col.column.name)
-
-
-def projected_values(bound: BoundQuery) -> Dict[str, Dict[str, List[str]]]:
-    """Per table: which vis/hid attribute names are projected."""
-    out: Dict[str, Dict[str, List[str]]] = {}
-    for col in bound.projections:
-        src = _source_of(col)
-        if src[0] == "id":
-            continue
-        kind, table, name = src
-        entry = out.setdefault(table, {"vis": [], "hid": []})
-        if name not in entry[kind]:
-            entry[kind].append(name)
-    return out
 
 
 def mjoin_chunk_rows(avail_bytes: int, page: int, entry_bytes: int) -> int:
@@ -164,12 +139,10 @@ class ProjectionExecutor:
         schema_table = ctx.catalog.schema.table(table)
         vis_types = [schema_table.column(c).type for c in vis_cols]
         hid_types = [schema_table.column(c).type for c in hid_cols]
-        has_vis_side = bool(vis_cols) or bool(
-            self.bound.visible_selections(table))
 
         fetcher = _HiddenFetcher(ctx, table, hid_cols)
-        if has_vis_side:
-            vis = op_vis(ctx, table, tuple(vis_cols))
+        vis = op_vis(ctx, table)
+        if vis is not None:
             rows = self._sigma_vh(sj, table, vis,
                                   use_bloom=mode is ProjectionMode.PROJECT)
             with ctx.label(PROJECT_LABEL):
@@ -232,7 +205,7 @@ class ProjectionExecutor:
         # anchor-side streams (all ordered by anchor id == position order)
         anchor_vis_map: Dict[int, Tuple] = {}
         if anchor_attrs["vis"]:
-            vis = op_vis(ctx, anchor, tuple(anchor_attrs["vis"]))
+            vis = op_vis(ctx, anchor)
             anchor_vis_map = {row[0]: row[1:] for row in vis.rows}
         anchor_fetcher = _HiddenFetcher(ctx, anchor, anchor_attrs["hid"])
 
@@ -245,7 +218,7 @@ class ProjectionExecutor:
         # id columns consumed position-by-position
         id_iters: Dict[str, Iterator[int]] = {}
         for col in self.bound.projections:
-            src = _source_of(col)
+            src = source_of(col)
             if src[0] == "id" and src[1] != anchor:
                 t = src[1]
                 if t not in id_iters:
@@ -258,7 +231,7 @@ class ProjectionExecutor:
         value_tables = list(cursors)
         plan: List[Tuple[int, int]] = []
         for col in self.bound.projections:
-            kind, table, *name = _source_of(col)
+            kind, table, *name = source_of(col)
             if kind == "id":
                 plan.append((0, id_tables.index(table)))
             elif table == anchor:
@@ -318,11 +291,9 @@ class ProjectionExecutor:
                     ctx.catalog.image(table).hidden_positions(attrs["hid"])
                     if attrs["hid"] else []
                 )
-                has_vis = bool(attrs["vis"]) or bool(
-                    self.bound.visible_selections(table))
-                if not has_vis:
+                vis = op_vis(ctx, table)
+                if vis is None:
                     continue
-                vis = op_vis(ctx, table, tuple(attrs["vis"]))
                 schema_table = ctx.catalog.schema.table(table)
                 types = [schema_table.column(c).type for c in attrs["vis"]]
                 n = ctx.catalog.n_rows(table)
@@ -374,7 +345,7 @@ class ProjectionExecutor:
                     continue
                 out: List = []
                 for col in self.bound.projections:
-                    src = _source_of(col)
+                    src = source_of(col)
                     if src[0] == "id":
                         out.append(current.get(src[1], aid))
                     else:

@@ -34,7 +34,7 @@ from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple, Union)
 
 from repro.core.executor import CostWindow, QueryResult, QueryStats
-from repro.core.operators import vis_request
+from repro.core.operators import vis_request, vis_tables
 from repro.core.plan import (ProjectionMode, QueryPlan, SortMethod,
                              VisStrategy)
 from repro.core.planner import SortMethodLike, StrategyLike, coerce
@@ -437,24 +437,22 @@ class Session:
             )
 
     def _prefetch_vis(self, plans: Sequence[QueryPlan]
-                      ) -> List[Dict[Tuple[str, Tuple[str, ...]],
-                                     VisResult]]:
-        """Download every plan's Vis ID lists in batched round trips.
+                      ) -> List[Dict[str, VisResult]]:
+        """Download every plan's Vis request set in batched round trips.
 
-        Identical requests (same table and predicate values -- common
-        when parameter sets repeat) are deduplicated and downloaded
-        once; each execution's context is seeded with its share.
+        Identical requests (same table, predicate values and columns --
+        common when parameter sets repeat) are deduplicated and
+        downloaded once; each execution's context is seeded with its
+        share, so it asks Untrusted nothing more.
         """
-        wanted: List[List[Tuple[Tuple[str, Tuple[str, ...]],
-                                VisRequest]]] = []
+        wanted: List[Dict[str, VisRequest]] = []
         unique: "OrderedDict[VisRequest, Optional[VisResult]]" = \
             OrderedDict()
         for plan in plans:
-            per_plan = []
-            for table in plan.vis_plans:
-                request = vis_request(plan.bound, table)
+            per_plan = {table: vis_request(plan.bound, table)
+                        for table in vis_tables(plan.bound)}
+            for request in per_plan.values():
                 unique.setdefault(request, None)
-                per_plan.append(((table, ()), request))
             wanted.append(per_plan)
         requests = list(unique)
         server = self.db.vis_server
@@ -465,7 +463,7 @@ class Session:
                                            server.vis_batch(chunk)):
                     unique[request] = result
         return [
-            {slot: unique[request] for slot, request in per_plan}
+            {table: unique[request] for table, request in per_plan.items()}
             for per_plan in wanted
         ]
 

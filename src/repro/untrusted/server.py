@@ -4,7 +4,10 @@
 The Secure token sends a *request* (derived solely from the public
 query text) out through the audited channel, Untrusted evaluates the
 visible predicates, and the result -- a list of IDs sorted on ``T.id``,
-optionally with visible attribute values -- flows back in.
+optionally with visible attribute values -- flows back in.  A
+statement asks once per table that has a visible selection or a
+projected visible column, with ``pi`` complete
+(``repro.core.operators.vis_request``), whatever the plan.
 
 Irrelevant visible rows (rows matching the visible predicates but
 doomed by hidden ones) cannot be filtered out before reaching Secure
