@@ -1,20 +1,19 @@
 #!/usr/bin/env python
-"""The query service, end to end: throughput and snapshot isolation.
+"""The query service, end to end: throughput and consistent reads.
 
 Boots the asyncio server over the paper's synthetic database and
 demonstrates the service layer's three promises:
 
 1. **Throughput** -- N pipelining clients drive the Query-Q template
    mix concurrently through one token; the load generator reports
-   queries/sec, latency percentiles and the admission counters.
-2. **Admission control** -- every statement pledged its planned
-   secure-RAM peak before running; the counters prove queries really
-   queued (FIFO) and the admitted set never over-pledged the 64 KB
-   budget.
-3. **Snapshot isolation** -- a reader's response carries the exact
-   per-table ``(data, stats)`` generations it was pinned to, a
-   writer's response carries its ``writer_seq`` and the post-write
-   generation map, and a read after a write observes the new pin.
+   queries/sec, latency percentiles and the lane's counters.
+2. **One token lane** -- every statement's token work is one turn,
+   taken in arrival order; the counters show statements really queued
+   (FIFO) for the token, each turn holding its whole 64 KB.
+3. **Consistent reads** -- a reader's response carries the exact
+   per-table ``(data, stats)`` generations it read, a writer's
+   response carries its ``writer_seq`` and the post-write generation
+   map, and a read after a write observes the new generations.
 
 Run:  PYTHONPATH=src python examples/service_demo.py
 """
@@ -27,12 +26,12 @@ from repro.workloads.synthetic import SyntheticConfig, build_synthetic
 
 
 async def snapshot_demo(db) -> None:
-    """One reader and one writer, generation pins made visible."""
+    """One reader and one writer, the generations they report."""
     async with GhostServer(db) as server:
         async with await AsyncGhostClient.connect(
                 "127.0.0.1", server.port) as client:
             before = await client.execute(query_q(0.05))
-            print(f"reader pinned generations: {before.generations}")
+            print(f"reader read generations: {before.generations}")
 
             write = await client.execute(
                 "INSERT INTO T0 VALUES (0, 0, 10, 10, 5)")
@@ -40,36 +39,34 @@ async def snapshot_demo(db) -> None:
                   f"{write.generations['T0']}")
 
             after = await client.execute(query_q(0.05))
-            print(f"reader now pinned:         {after.generations}")
+            print(f"reader now reads:        {after.generations}")
             assert after.generations["T0"] == write.generations["T0"]
             assert after.generations["T0"] != before.generations["T0"]
 
             stats = await client.server_stats()
             admission = stats["admission"]
-            print(f"admission: {admission['admitted']} admitted, "
-                  f"{admission['queued_total']} queued, peak pledge "
-                  f"{admission['peak_reserved']}/{admission['capacity']} "
-                  f"bytes")
-            assert admission["peak_reserved"] <= admission["capacity"]
+            print(f"lane: {admission['admitted']} turns, "
+                  f"{admission['queued_total']} queued, each holding "
+                  f"{admission['capacity']} bytes of secure RAM")
+            assert admission["reserved_now"] == 0
 
 
 def main() -> None:
     db = build_synthetic(SyntheticConfig(scale=0.002,
                                          full_indexing=True))
 
-    # -- 1 + 2: concurrent throughput under admission control --------
+    # -- 1 + 2: concurrent throughput through the token's lane -------
     report = run_loadgen(db, n_clients=6, n_queries=8)
     print(report.describe())
     assert report.errors == 0
-    assert report.admission["peak_reserved"] <= \
-        report.admission["capacity"]
-    print(f"every query pledged its planned ram_peak first; "
+    assert report.admission["queue_depth"] == 0
+    print(f"every statement ran in its own turn on the token; "
           f"{report.admission['queued_total']} waited their FIFO turn\n")
 
-    # -- 3: snapshot pins, writer_seq, generation maps ---------------
+    # -- 3: reported generations, writer_seq, generation maps --------
     asyncio.run(snapshot_demo(db))
-    print("\nsnapshot isolation verified: reads pin one consistent "
-          "generation state; writes serialize on the writer lane.")
+    print("\nconsistent reads verified: each read reports the one "
+          "generation state it read; writes take turns like reads.")
 
 
 if __name__ == "__main__":

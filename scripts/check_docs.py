@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs CI gate: links resolve, named API exists, state, the operator
-table, the simulated clock and the Vis request have one owner each, the
-library reads no environment, examples run.
+table, the simulated clock, the Vis request and the outbound channel
+have one owner each, the library reads no environment, examples run.
 
 Eight checks, all simple on purpose:
 
@@ -9,9 +9,11 @@ Eight checks, all simple on purpose:
   docs/, CHANGES.md, ...) must exist on disk -- links to headings
   (``path#anchor``) are checked for the file part;
 * every ``GhostDB.name``, ``ShardedGhostDB.name``, ``Session.name``,
-  ``db.name(`` and ``fleet.name(`` written in an inline code span of
-  README.md / docs/ARCHITECTURE.md must be an attribute of that class,
-  so the docs cannot describe a removed method;
+  ``GhostServer.name``, ``AdmissionController.name``,
+  ``SecureRam.name``, ``db.name(`` and ``fleet.name(`` written in an
+  inline code span of README.md / docs/ARCHITECTURE.md must be an
+  attribute of that class (or one its methods assign on ``self``), so
+  the docs cannot describe a removed method;
 * no module under ``src/repro`` may read or assign a ``_private``
   attribute that another module defines, on anything but ``self`` /
   ``cls``.  The ownership unit is the module: a class may touch the
@@ -39,7 +41,9 @@ Eight checks, all simple on purpose:
   ``VisRequest``: what Secure asks Untrusted is ``vis_request``'s
   function of the statement, and a second request shape -- one that
   could depend on a plan or on hidden data -- cannot grow back beside
-  it unnoticed;
+  it unnoticed; and only ``untrusted/server.py`` may call
+  ``to_untrusted``: every message Secure sends (announcement, Vis
+  request, visible row push) is one ``VisServer`` method;
 * with ``--run-examples``, every script under ``examples/`` is executed
   with ``PYTHONPATH=src`` and must exit 0.
 
@@ -53,11 +57,13 @@ Exits non-zero listing every broken link / stale name / failing example.
 from __future__ import annotations
 
 import ast
+import inspect
 import os
 import pathlib
 import re
 import subprocess
 import sys
+import textwrap
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -71,7 +77,8 @@ _EXTERNAL = ("http://", "https://", "mailto:", "#")
 _API_DOCS = ("README.md", "docs/ARCHITECTURE.md")
 _FENCE = re.compile(r"```.*?```", re.DOTALL)
 _SPAN = re.compile(r"`([^`\n]+)`")
-_API_NAME = re.compile(r"(?<![\w.])(?:(GhostDB|ShardedGhostDB|Session)"
+_API_NAME = re.compile(r"(?<![\w.])(?:(GhostDB|ShardedGhostDB|Session|"
+                       r"GhostServer|AdmissionController|SecureRam)"
                        r"\.([A-Za-z_]\w*)|(db|fleet)\.([A-Za-z_]\w*)\()")
 
 
@@ -93,8 +100,10 @@ _PRICES = ("read_page_us", "write_page_us", "byte_transfer_ns",
            "erase_block_us")
 
 
-#: the module that owns the statement's Vis request set
-_VIS_REQUEST_OWNER = "src/repro/core/operators.py"
+#: the one module that may call each boundary-crossing name: the
+#: statement's Vis request set, and the outbound channel itself
+_BOUNDARY_OWNERS = {"VisRequest": "src/repro/core/operators.py",
+                    "to_untrusted": "src/repro/untrusted/server.py"}
 
 
 def iter_markdown_files() -> list:
@@ -129,13 +138,33 @@ def broken_links() -> list:
     return broken
 
 
+def _attributes(cls) -> set:
+    """What an instance of ``cls`` has: its class attributes plus every
+    ``self.name`` its methods assign (instance state set in
+    ``__init__``, say)."""
+    names = set(dir(cls))
+    for klass in cls.__mro__[:-1]:
+        tree = ast.parse(textwrap.dedent(inspect.getsource(klass)))
+        names.update(node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and _own(node)
+                     and isinstance(node.ctx, ast.Store))
+    return names
+
+
 def stale_api_names() -> list:
     """Every (file, line, span) naming an attribute its class lacks."""
     from repro.core.ghostdb import GhostDB
     from repro.core.session import Session
+    from repro.hardware.ram import SecureRam
+    from repro.service.admission import AdmissionController
+    from repro.service.server import GhostServer
     from repro.shard.fleet import ShardedGhostDB
     classes = {"GhostDB": GhostDB, "Session": Session, "db": GhostDB,
-               "ShardedGhostDB": ShardedGhostDB, "fleet": ShardedGhostDB}
+               "ShardedGhostDB": ShardedGhostDB, "fleet": ShardedGhostDB,
+               "GhostServer": GhostServer,
+               "AdmissionController": AdmissionController,
+               "SecureRam": SecureRam}
+    attributes = {name: _attributes(cls) for name, cls in classes.items()}
     stale = []
     for doc in _API_DOCS:
         # blank the fenced blocks but keep their newlines (line numbers)
@@ -144,7 +173,7 @@ def stale_api_names() -> list:
         for lineno, line in enumerate(text.splitlines(), 1):
             for span in _SPAN.findall(line):
                 for cls, attr, var, var_attr in _API_NAME.findall(span):
-                    if not hasattr(classes[cls or var], attr or var_attr):
+                    if (attr or var_attr) not in attributes[cls or var]:
                         stale.append((doc, lineno, span))
     return stale
 
@@ -261,17 +290,19 @@ def environment_reads() -> list:
     return found
 
 
-def foreign_vis_requests() -> list:
-    """Every ``(module, line, expr)`` outside the request set's owner
-    that calls ``VisRequest(...)``, by bare or dotted name."""
+def foreign_boundary_calls() -> list:
+    """Every ``(module, line, expr)`` that calls ``VisRequest(...)`` or
+    ``....to_untrusted(...)``, by bare or dotted name, outside that
+    name's owner (:data:`_BOUNDARY_OWNERS`)."""
     found = []
     for module, tree in src_modules():
-        if module == _VIS_REQUEST_OWNER:
-            continue
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and "VisRequest" in (
-                    getattr(node.func, "id", None),
-                    getattr(node.func, "attr", None)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) \
+                or getattr(node.func, "attr", None)
+            owner = _BOUNDARY_OWNERS.get(name)
+            if owner is not None and module != owner:
                 found.append((module, node.lineno, ast.unparse(node)))
     return found
 
@@ -321,8 +352,8 @@ def main(argv: list) -> int:
     for module, lineno, expr in environment_reads():
         print(f"ENVIRONMENT READ IN src/ {module}:{lineno}: {expr}")
         ok = False
-    for module, lineno, expr in foreign_vis_requests():
-        print(f"VisRequest BUILT OUTSIDE core/operators.py "
+    for module, lineno, expr in foreign_boundary_calls():
+        print(f"TRUST-BOUNDARY CALL OUTSIDE ITS OWNER "
               f"{module}:{lineno}: {expr}")
         ok = False
     if "--run-examples" in argv:

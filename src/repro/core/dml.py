@@ -95,10 +95,7 @@ class DmlExecutor:
         with self.token.label(DML_LABEL):
             # a DELETE's predicates are query text: public by the same
             # argument as SELECT predicates
-            self.token.channel.to_untrusted(
-                max(1, len(bound.sql)), kind="query",
-                description=bound.sql[:120],
-            )
+            self.vis_server.announce(bound.sql, 120)
         ids = self._matching_ids(bound)
         with self.token.label(DML_LABEL):
             self._check_restrict(bound.table, ids)
@@ -115,10 +112,7 @@ class DmlExecutor:
 
         with self.token.label(DML_LABEL):
             # the redacted statement is the only text that leaves
-            self.token.channel.to_untrusted(
-                max(1, len(bound.public_text)), kind="query",
-                description=bound.public_text[:120],
-            )
+            self.vis_server.announce(bound.public_text, 120)
             # always push (possibly empty) visible tuples so Untrusted's
             # id space stays dense and in step with the token's
             self.vis_server.push_rows(

@@ -114,10 +114,9 @@ class CostWindow:
     difference of two ledger snapshots, from which time is derived.
     The ledger/channel deltas span everything between the two;
     secure-RAM attribution windows open and close per *phase*
-    (:meth:`ram_window` -- the contextvar window stack is process-wide,
-    so windows of different shards must never nest) and the largest
-    phase peak is kept -- phases drain their allocations before
-    returning, so the max over phases is the true peak.
+    (:meth:`ram_window`) and the largest phase peak is kept -- phases
+    drain their allocations before returning, so the max over phases
+    is the true peak.
     """
 
     def __init__(self, token):
@@ -130,12 +129,9 @@ class CostWindow:
 
     @contextmanager
     def ram_window(self) -> Iterator[QueryWindow]:
-        """One phase's per-query RAM attribution window.
-
-        Ensures the reported peak is the peak of *this* statement's
-        allocations, even when other statements interleave on the
-        shared token (service admission control).
-        """
+        """One phase's per-query RAM attribution window: the reported
+        peak is the peak of *this* statement's allocations, whatever
+        the token held when it opened."""
         with self.token.ram.query_window() as window:
             try:
                 yield window

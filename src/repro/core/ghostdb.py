@@ -102,18 +102,22 @@ class StatementFrontEnd:
     * ``execute_plan(plan, announce=...)`` -- run one plan;
     * ``_analyze_plan(plan)`` -- the executing half of EXPLAIN ANALYZE;
     * ``table_generations`` -- the per-table ``(data, stats)`` map plan
-      caches and snapshot pins compare against;
+      caches compare against and service reads report;
+    * ``ram_capacity`` -- the secure RAM one statement's turn holds;
     * ``schema``, ``binder``, ``_built``, ``finalize_schema()`` --
       the schema state behind all of the above.
     """
 
+    #: what :meth:`session` hands out over this database
+    session_cls = Session
     #: what :meth:`Session.prepare` hands out over this database
     statement_cls = PreparedStatement
 
     def __init__(self):
         self._default_session: Optional[Session] = None
-        # exactly-once DML: the service writer lane records responses
-        # here under client idempotency keys (persisted in snapshots)
+        # exactly-once DML: each service write records its response
+        # here under the client's idempotency key (persisted in
+        # snapshots)
         self.ikeys = IdempotencyLedger()
 
     def require_built(self) -> None:
@@ -258,11 +262,11 @@ class StatementFrontEnd:
     # ------------------------------------------------------------------
     def session(self) -> Session:
         """A new session (own plan cache) over this database."""
-        return Session(self)
+        return self.session_cls(self)
 
     def _session_default(self) -> Session:
         if self._default_session is None:
-            self._default_session = Session(self)
+            self._default_session = self.session()
         return self._default_session
 
     def prepare(self, sql: str,
@@ -383,6 +387,11 @@ class GhostDB(StatementFrontEnd):
     @property
     def _built(self) -> bool:
         return self.catalog is not None
+
+    @property
+    def ram_capacity(self) -> int:
+        """The token's secure RAM, in bytes."""
+        return self.token.ram.capacity
 
     # ------------------------------------------------------------------
     # schema definition and loading
@@ -516,10 +525,7 @@ class GhostDB(StatementFrontEnd):
                 # (each shard's channel carries its own audited copy of
                 # it: the no-leak invariant stays checkable per channel)
                 with self.token.label("Vis"):
-                    self.token.channel.to_untrusted(
-                        max(1, len(bound.sql)), kind="query",
-                        description=bound.sql[:80],
-                    )
+                    self.vis_server.announce(bound.sql)
             ctx = ExecContext(self.token, self.catalog, self.vis_server,
                               bound)
             if vis_seed:

@@ -17,7 +17,7 @@ inconsistent token" into "milliseconds of deterministic cleanup":
   (:meth:`~repro.core.ghostdb.GhostDB.undo_last_dml`).
 
 * :class:`IdempotencyLedger` -- the exactly-once half of the retry
-  contract.  The service writer lane records each DML response under
+  contract.  Each service write records its DML response under
   the client-supplied idempotency key; a retried statement whose key
   is already present gets the recorded response back instead of a
   second application.  The ledger is bounded (FIFO eviction) and

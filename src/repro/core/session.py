@@ -30,16 +30,15 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple, Union)
+from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.core.executor import CostWindow, QueryResult, QueryStats
 from repro.core.operators import vis_request, vis_tables
 from repro.core.plan import (ProjectionMode, QueryPlan, SortMethod,
                              VisStrategy)
 from repro.core.planner import SortMethodLike, StrategyLike, coerce
-from repro.errors import GhostDBError, SnapshotError
-from repro.hardware.token import SecureToken
+from repro.errors import GhostDBError
 from repro.sql.binder import BoundQuery
 from repro.sql.lexer import normalize_sql
 from repro.untrusted.server import VisRequest, VisResult
@@ -163,24 +162,14 @@ class PreparedStatement:
         return self.template.param_count
 
     # ------------------------------------------------------------------
-    def plan_for(self, bound: BoundQuery,
-                 generations: Optional[Dict[str, Tuple[int, int]]] = None
-                 ) -> QueryPlan:
-        """The template plan, from the session cache or planned fresh.
+    def plan_for(self, bound: BoundQuery) -> QueryPlan:
+        """The template plan, from the session cache or planned fresh."""
+        return self._cached_plan(bound)
 
-        ``generations`` validates the cache entry against a caller-held
-        (pinned) generation map instead of the live one -- the service
-        layer plans against the same snapshot it executes under.
-        """
-        return self._cached_plan(bound, generations)
-
-    def _cached_plan(self, bound: BoundQuery,
-                     generations: Optional[Dict[str, Tuple[int, int]]]):
+    def _cached_plan(self, bound: BoundQuery):
         db = self.session.db
         cache = self.session.plan_cache
-        gens = generations if generations is not None \
-            else db.table_generations
-        plan = cache.get(self._key, gens)
+        plan = cache.get(self._key, db.table_generations)
         if plan is None:
             plan = db.plan_bound(bound, *self._knobs)
             cache.put(self._key, plan, db.generations_for(bound.tables))
@@ -324,55 +313,22 @@ class Session:
                                    projection, order_method)
 
     # ------------------------------------------------------------------
-    # snapshot-pinned execution (the service layer's isolation path)
+    # the service layer's read: one turn on the token
     # ------------------------------------------------------------------
-    def pin_generations(self, tables: Optional[Iterable[str]] = None
-                        ) -> Dict[str, Tuple[int, int]]:
-        """Snapshot the per-table ``(data, stats)`` generations.
+    def execute_pinned(self, stmt: PreparedStatement, bound: BoundQuery
+                       ) -> Tuple[QueryResult, Dict[str, Tuple[int, int]]]:
+        """Pin, plan, execute; returns the result and the per-table
+        ``(data, stats)`` generations of every table it read.
 
-        The returned map is the statement's *snapshot pin*: pass it to
-        :meth:`execute_pinned` and the execution is guaranteed (by
-        assertion, not sampling) to have observed exactly these
-        generations for every touched table.
+        The service runs this as one job on the token's lane, so no
+        write can move a generation between the pin and the last page
+        read: the returned map *is* the state the rows came from.
         """
         gens = self.db.table_generations
-        if tables is None:
-            return dict(gens)
-        return {t: gens[t] for t in tables}
-
-    def execute_pinned(self, plan: QueryPlan,
-                       pinned: Dict[str, Tuple[int, int]]) -> QueryResult:
-        """Run an already-planned SELECT under a generation pin.
-
-        Raises :class:`~repro.errors.SnapshotError` if any touched
-        table's generations differ from ``pinned`` either at start or
-        after execution -- a reader can therefore never return rows
-        derived from a mixed-generation state.  (DML and compaction are
-        serialized on the writer lane and statements execute atomically
-        on the token, so under the service this assertion documents and
-        *enforces* the isolation the architecture provides.)
-        """
-        self._check_pin(plan, pinned, "at statement start")
-        result = self.db.execute_plan(plan)
-        self._check_pin(plan, pinned, "after execution")
-        return result
-
-    def _check_pin(self, plan: QueryPlan,
-                   pinned: Dict[str, Tuple[int, int]], when: str) -> None:
-        live = self.db.table_generations
-        moved = {
-            t: (gen, live.get(t))
-            for t, gen in pinned.items()
-            if t in plan.bound.tables and live.get(t) != gen
-        }
-        if moved:
-            raise SnapshotError(
-                f"pinned generations violated {when}: "
-                + ", ".join(
-                    f"{t} pinned {was} now {now}"
-                    for t, (was, now) in sorted(moved.items())
-                )
-            )
+        pinned = {t: gens[t] for t in bound.tables}
+        plan = stmt.plan_for(bound).with_bound(bound)
+        stmt.executions += 1
+        return self.db.execute_plan(plan), pinned
 
     # ------------------------------------------------------------------
     # batched execution
@@ -416,25 +372,17 @@ class Session:
         """Open the batch's cost window (plus the planner/cache marks).
 
         A batch amortizes round trips on *one* token's channel and Vis
-        server, so a fleet session has no batched path.
+        server (a fleet's session refuses here).
         """
         db = self.db
-        if not isinstance(db.token, SecureToken):
-            raise GhostDBError(
-                "batched execution (query_many/execute_many) runs on a "
-                "single token; execute fleet statements one by one"
-            )
         return (CostWindow(db.token), db.planner.plans_built,
                 self.plan_cache.hits)
 
     def _announce_batch(self, nbytes: int, n: int, head_sql: str) -> None:
         """The batch's query texts leave Secure in a single message."""
-        token = self.db.token
-        with token.label("Vis"):
-            token.channel.to_untrusted(
-                nbytes, kind="query",
-                description=f"batch[{n}] {head_sql[:60]}",
-            )
+        with self.db.token.label("Vis"):
+            self.db.vis_server.announce(f"batch[{n}] {head_sql[:60]}",
+                                        nbytes=nbytes)
 
     def _prefetch_vis(self, plans: Sequence[QueryPlan]
                       ) -> List[Dict[str, VisResult]]:

@@ -105,20 +105,6 @@ class CompactionDeclined(CompactionError):
     """
 
 
-class SnapshotError(GhostDBError):
-    """A pinned-generation read observed a concurrent mutation.
-
-    Raised by the snapshot-isolation guard when the per-table
-    ``(data, stats)`` generations a statement pinned at start no longer
-    hold when (or after) it executes -- the service layer's proof that
-    no reader ever sees a mixed-generation state.
-    """
-
-
-class AdmissionError(GhostDBError):
-    """A query can never be admitted (its claim exceeds the budget)."""
-
-
 class PersistError(GhostDBError):
     """Snapshot or restore of the durable token image failed or was
     refused (e.g. a snapshot requested mid-compaction)."""

@@ -10,57 +10,40 @@ plans honour the paper's 64 KB budget.
 The natural allocation unit is one *buffer* of one flash page (2 KB);
 the default budget is 32 such buffers.
 
-Two bookkeeping layers sit next to the allocator itself:
-
-* :class:`QueryWindow` (via :meth:`SecureRam.query_window`) attributes
-  allocations to the query that made them.  Windows are tracked
-  through a :mod:`contextvars` stack, so windows opened by different
-  asyncio tasks (or ``to_thread`` contexts) never see each other's
-  allocations: two interleaved queries each report their *own* peak
-  instead of smearing a shared high-water mark.  Every
-  per-statement report in the engine goes through windows;
-  :meth:`SecureRam.reset_peak` is the global (token-wide) window for
-  direct callers.
-* :class:`RamReservations` is the admission-control ledger used by the
-  query service: *planned* peak claims are reserved against the budget
-  before a query is allowed to run, and the ledger hard-asserts that
-  the admitted set never pledges more than the capacity.
+:class:`QueryWindow` (via :meth:`SecureRam.query_window`) attributes
+allocations to the statement that made them: the RAM keeps its open
+windows in a stack on itself, and every allocation charges each of
+them.  A token runs one statement at a time, so the windows open on it
+are that statement's phases and the statements nested in it (a DML
+statement running a predicate QEPSJ, say).  Every per-statement report
+in the engine goes through windows; :meth:`SecureRam.reset_peak` is
+the token-wide mark for direct callers.
 """
 
 from __future__ import annotations
 
-import contextvars
 from contextlib import contextmanager
-from typing import Iterator, Tuple
+from typing import Iterator, List
 
 from repro.errors import RamExhausted
 from repro.flash.constants import PAGE_SIZE, RAM_SIZE
-
-#: stack of open :class:`QueryWindow` objects for the current context.
-#: A ``ContextVar`` (not a plain attribute) so concurrent tasks each
-#: see only the windows they opened themselves.
-_WINDOWS: "contextvars.ContextVar[Tuple[QueryWindow, ...]]" = \
-    contextvars.ContextVar("secure_ram_windows", default=())
 
 
 class QueryWindow:
     """Per-query RAM attribution: bytes held and peak held.
 
-    ``held`` counts the bytes allocated *through this window's
-    context* that are still live; ``peak`` is its high-water mark.
-    Nested windows in the same context stack (a DML statement running
-    a predicate QEPSJ, say) each see the allocation; windows opened by
-    other tasks never do.  The window also remembers the allocations
+    ``held`` counts the bytes allocated while this window was open that
+    are still live; ``peak`` is its high-water mark.  Nested windows
+    each see the allocation.  The window also remembers the allocations
     themselves, so a statement that raises mid-pipeline can hand back
     what its abandoned operators still hold (:meth:`free_all`).
     """
 
-    __slots__ = ("held", "peak", "closed", "allocations")
+    __slots__ = ("held", "peak", "allocations")
 
     def __init__(self) -> None:
         self.held = 0
         self.peak = 0
-        self.closed = False
         self.allocations: "list[Allocation]" = []
 
     def free_all(self) -> None:
@@ -75,76 +58,6 @@ class QueryWindow:
 
     def _uncharge(self, nbytes: int) -> None:
         self.held = max(0, self.held - nbytes)
-
-
-class RamReservation:
-    """One admitted query's pledge against the RAM budget."""
-
-    __slots__ = ("ledger", "nbytes", "label", "released")
-
-    def __init__(self, ledger: "RamReservations", nbytes: int, label: str):
-        self.ledger = ledger
-        self.nbytes = nbytes
-        self.label = label
-        self.released = False
-
-    def release(self) -> None:
-        """Return the pledged bytes to the pool (idempotent)."""
-        if not self.released:
-            self.released = True
-            self.ledger._release(self)
-
-
-class RamReservations:
-    """Admission-control ledger of planned peak claims.
-
-    Unlike :class:`SecureRam` this never backs real allocations: it
-    accounts for the *pledged* peaks of admitted-but-possibly-running
-    queries, so an admission controller can refuse to start a query
-    whose planned ``ram_peak`` does not fit alongside the already
-    admitted set.  :meth:`reserve` hard-raises when a claim would push
-    the pledged total past the capacity -- the "admitted set never
-    exceeds the budget" invariant is asserted here, not sampled.
-    """
-
-    def __init__(self, capacity: int):
-        if capacity <= 0:
-            raise ValueError("reservation capacity must be positive")
-        self.capacity = capacity
-        self.reserved = 0
-        self.active = 0
-        self.peak_reserved = 0
-        self.max_coadmitted = 0
-        self.total_reservations = 0
-
-    @property
-    def free_bytes(self) -> int:
-        return self.capacity - self.reserved
-
-    def fits(self, nbytes: int) -> bool:
-        """Whether a claim of ``nbytes`` fits alongside the admitted set."""
-        return self.reserved + nbytes <= self.capacity
-
-    def reserve(self, nbytes: int, label: str = "") -> RamReservation:
-        """Pledge ``nbytes``; raises :class:`RamExhausted` over budget."""
-        if nbytes < 0:
-            raise ValueError("reservation size must be non-negative")
-        if not self.fits(nbytes):
-            raise RamExhausted(
-                f"admission would over-pledge secure RAM: {nbytes} bytes "
-                f"for {label or 'query'} with only {self.free_bytes} of "
-                f"{self.capacity} bytes unpledged"
-            )
-        self.reserved += nbytes
-        self.active += 1
-        self.total_reservations += 1
-        self.peak_reserved = max(self.peak_reserved, self.reserved)
-        self.max_coadmitted = max(self.max_coadmitted, self.active)
-        return RamReservation(self, nbytes, label)
-
-    def _release(self, reservation: RamReservation) -> None:
-        self.reserved -= reservation.nbytes
-        self.active -= 1
 
 
 class Allocation:
@@ -194,6 +107,8 @@ class SecureRam:
         #: references: a stranded buffer must stay reclaimable even
         #: after its owning operator is garbage-collected)
         self._live: "set[Allocation]" = set()
+        #: open :class:`QueryWindow` objects, outermost first
+        self._windows: List[QueryWindow] = []
 
     # ------------------------------------------------------------------
     @property
@@ -217,7 +132,7 @@ class SecureRam:
         self.live_allocations += 1
         allocation = Allocation(self, nbytes, label)
         self._live.add(allocation)
-        for window in _WINDOWS.get():
+        for window in self._windows:
             window.allocations.append(allocation)
         return allocation
 
@@ -245,15 +160,13 @@ class SecureRam:
             )
         self.used += nbytes
         self.peak_used = max(self.peak_used, self.used)
-        for window in _WINDOWS.get():
-            if not window.closed:
-                window._charge(nbytes)
+        for window in self._windows:
+            window._charge(nbytes)
 
     def _release(self, nbytes: int) -> None:
         self.used -= nbytes
-        for window in _WINDOWS.get():
-            if not window.closed:
-                window._uncharge(nbytes)
+        for window in self._windows:
+            window._uncharge(nbytes)
 
     # ------------------------------------------------------------------
     @contextmanager
@@ -262,24 +175,17 @@ class SecureRam:
 
         ``with ram.query_window() as win:`` opens a per-query
         attribution window; ``win.peak`` after (or during) the block is
-        the peak of *this* query's allocations only.  Windows nest
-        (inner statements charge every enclosing window of the same
-        context) but are invisible across tasks/threads, so
-        interleaved queries cannot smear each other's reported peaks
-        the way the global :meth:`reset_peak` window could.
+        the peak of the allocations made inside it, whatever was
+        already held when it opened.  Windows nest: an inner
+        statement's allocations charge every enclosing window too.  A
+        closed window is charged nothing more.
         """
         window = QueryWindow()
-        stack = _WINDOWS.get()
-        token = _WINDOWS.set(stack + (window,))
+        self._windows.append(window)
         try:
             yield window
         finally:
-            window.closed = True
-            _WINDOWS.reset(token)
-
-    def reservations(self) -> RamReservations:
-        """A fresh admission ledger sized to this RAM's capacity."""
-        return RamReservations(self.capacity)
+            self._windows.remove(window)
 
     def reset_peak(self) -> int:
         """Start a new peak-tracking window; returns the old peak.

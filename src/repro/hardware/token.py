@@ -100,22 +100,3 @@ class SecureToken:
         self.channel.from_meta(meta["channel"])
         self.ftl.from_meta(meta["ftl"], blob)
         self.store.from_meta(meta["store"])
-
-
-def fleet_admission_ram(tokens: "list[SecureToken]") -> SecureRam:
-    """One admission-control ledger spanning a fleet of tokens.
-
-    A sharded deployment runs N independent tokens; the service's
-    admission controller pledges against the *sum* of their RAM
-    budgets (a scattered query holds RAM on every shard at once, so
-    its claim is the sum of its per-shard claims).  The returned
-    :class:`SecureRam` is bookkeeping only -- real allocations still
-    happen on each shard's own token, which keeps the per-token 64 KB
-    invariant enforced where it physically lives.
-    """
-    if not tokens:
-        raise ValueError("a fleet needs at least one token")
-    return SecureRam(
-        capacity=sum(t.ram.capacity for t in tokens),
-        page_size=tokens[0].ram.page_size,
-    )

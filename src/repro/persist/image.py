@@ -35,9 +35,9 @@ them lazily, copying a page's bytes on its first read.
 
 Snapshots are refused while a compaction job is in flight: the shadow
 files of a half-done fold are not part of the live catalog and a
-restored image could not resume the job.  The service layer additionally
-routes snapshots through its writer lane so they never interleave with
-a DML statement.
+restored image could not resume the job.  The service layer runs a
+snapshot as one turn on the token, so no statement interleaves with
+it.
 """
 
 from __future__ import annotations

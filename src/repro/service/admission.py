@@ -1,180 +1,121 @@
-"""Admission control: pledge planned RAM peaks before running.
+"""The token's lane: one statement at a time, in arrival order.
 
-The secure token has one 64 KB RAM; the service lets many statements
-be *in flight* (admitted, possibly queued behind the token for actual
-execution) at once.  Before a statement may enter the execution
-pipeline it must pledge its planned ``ram_peak`` against the budget
-through :class:`AdmissionController`:
+The secure token has one 64 KB RAM and one channel, and it serves one
+statement at a time.  :class:`AdmissionController` is that fact as
+code: every statement's token work is one *job*, and the jobs run on
+one worker thread, strictly in arrival order (no later statement
+overtakes an earlier one, reader or writer), back to back, while the
+event loop keeps serving the wire.
 
-* If the claim fits alongside the already admitted set, the statement
-  is admitted immediately.
-* Otherwise it waits in a strictly FIFO queue -- *fair* in the sense
-  that no later, smaller statement can overtake and starve a large
-  one.  Queue depth and wait times are counted for the ``stats`` op.
-* A claim larger than the whole budget can never be satisfied and is
-  rejected up front with :class:`~repro.errors.AdmissionError` (the
-  planner raises :class:`~repro.errors.PlanError` for genuinely
-  infeasible plans long before this).
+A turn holds the whole token, so every statement's pledge is the
+database's total secure RAM -- a constant, never an estimate read off
+the plan.  What a caller learns from :meth:`AdmissionController.admit`
+besides the job's result is how long the job waited for its turn.
 
-The underlying ledger is
-:class:`~repro.hardware.ram.RamReservations`, which hard-raises if the
-admitted set would ever pledge more than the capacity -- the
-"admitted set never exceeds the 64 KB budget" invariant is asserted on
-every admission, not sampled by tests.
+A request cancelled before its turn never runs; a job that raises ends
+its turn like any other (the error goes to its caller, the count to
+``failed``) and the next job starts.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextvars
+import functools
 import time
-from collections import deque
-from typing import Callable, Deque, Dict
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
-from repro.errors import AdmissionError
-from repro.hardware.ram import RamReservation, SecureRam
-
-
-class AdmissionTicket:
-    """One admitted statement's pledge; release when the statement ends."""
-
-    __slots__ = ("controller", "reservation", "claim", "label", "waited_s")
-
-    def __init__(self, controller: "AdmissionController",
-                 reservation: RamReservation, claim: int, label: str,
-                 waited_s: float):
-        self.controller = controller
-        self.reservation = reservation
-        self.claim = claim
-        self.label = label
-        self.waited_s = waited_s
-
-    def release(self) -> None:
-        """Return the pledged RAM and admit eligible queued statements."""
-        if not self.reservation.released:
-            self.reservation.release()
-            self.controller._pump()
-
-    def __enter__(self) -> "AdmissionTicket":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.release()
-
-
-class _Waiter:
-    __slots__ = ("claim", "label", "future", "enqueued_at")
-
-    def __init__(self, claim: int, label: str,
-                 future: "asyncio.Future[RamReservation]",
-                 enqueued_at: float):
-        self.claim = claim
-        self.label = label
-        self.future = future
-        self.enqueued_at = enqueued_at
+T = TypeVar("T")
 
 
 class AdmissionController:
-    """FIFO fair admission of statements against one RAM budget."""
+    """FIFO turns on one token, run back to back on one worker thread."""
 
-    def __init__(self, ram: SecureRam,
+    def __init__(self, capacity: int,
                  clock: Callable[[], float] = time.monotonic):
-        self.ledger = ram.reservations()
-        self._queue: Deque[_Waiter] = deque()
+        #: what one turn holds: the database's whole secure RAM
+        self.capacity = capacity
         self._clock = clock
-        # counters surfaced by the server's ``stats`` op
+        self._worker: Optional[ThreadPoolExecutor] = None
+        #: jobs admitted and not finished, the running one included
+        self._pending = 0
+        # counters surfaced by the server's ``stats`` op (all of them,
+        # like ``_pending``, change on the event loop's thread only)
         self.admitted = 0
-        self.admitted_immediately = 0
         self.queued_total = 0
         self.max_queue_depth = 0
+        self.failed = 0
         self.wait_s_total = 0.0
         self.wait_s_max = 0.0
-        self.rejected = 0
 
     # ------------------------------------------------------------------
     @property
     def queue_depth(self) -> int:
-        """Statements currently waiting for admission."""
-        return len(self._queue)
+        """Jobs waiting behind the running one."""
+        return max(0, self._pending - 1)
 
     def describe(self) -> Dict[str, float]:
         """Counter snapshot for the ``stats`` response."""
         return {
-            "capacity": self.ledger.capacity,
-            "reserved_now": self.ledger.reserved,
-            "active_now": self.ledger.active,
-            "peak_reserved": self.ledger.peak_reserved,
-            "max_coadmitted": self.ledger.max_coadmitted,
+            "capacity": self.capacity,
+            "reserved_now": self.capacity if self._pending else 0,
+            "peak_reserved": self.capacity if self.admitted else 0,
             "admitted": self.admitted,
-            "admitted_immediately": self.admitted_immediately,
             "queued_total": self.queued_total,
             "queue_depth": self.queue_depth,
             "max_queue_depth": self.max_queue_depth,
             "wait_s_total": round(self.wait_s_total, 6),
             "wait_s_max": round(self.wait_s_max, 6),
-            "rejected": self.rejected,
+            "failed": self.failed,
         }
 
     # ------------------------------------------------------------------
-    async def admit(self, claim: int, label: str = "") -> AdmissionTicket:
-        """Admit a statement pledging ``claim`` bytes of secure RAM.
+    async def admit(self, job: Callable[[], T]) -> Tuple[T, float]:
+        """Run ``job`` on the token in its turn; ``(result, waited_s)``.
 
-        Returns immediately when the claim fits alongside the admitted
-        set *and* no earlier statement is still queued (FIFO: arrivals
-        never overtake).  Otherwise the caller waits until enough
-        pledges are released.
+        The job runs on the lane's worker thread, in the caller's
+        context; ``waited_s`` is the time it spent queued for the
+        token.  Once started, a job finishes even if its caller is
+        cancelled, and the next turn starts only after it.
         """
-        claim = int(claim)
-        if claim > self.ledger.capacity:
-            self.rejected += 1
-            raise AdmissionError(
-                f"{label or 'statement'} claims {claim} bytes of secure "
-                f"RAM; the whole budget is {self.ledger.capacity} bytes"
-            )
-        if not self._queue and self.ledger.fits(claim):
-            reservation = self.ledger.reserve(claim, label)
-            self.admitted += 1
-            self.admitted_immediately += 1
-            return AdmissionTicket(self, reservation, claim, label, 0.0)
-        loop = asyncio.get_running_loop()
-        waiter = _Waiter(claim, label, loop.create_future(), self._clock())
-        self._queue.append(waiter)
-        self.queued_total += 1
-        self.max_queue_depth = max(self.max_queue_depth, len(self._queue))
+        if self._worker is None:
+            self._worker = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="token-lane")
+        if self._pending:
+            self.queued_total += 1
+        self._pending += 1
+        self.max_queue_depth = max(self.max_queue_depth, self.queue_depth)
+        enqueued = self._clock()
+        waited: List[float] = []        # set on the worker as it starts
+
+        def turn() -> T:
+            waited.append(self._clock() - enqueued)
+            return job()
+
+        submitted = self._worker.submit(contextvars.copy_context().run,
+                                        turn)
+        run = asyncio.wrap_future(submitted)
+        run.add_done_callback(functools.partial(self._end_turn, waited))
         try:
-            reservation = await waiter.future
+            return await asyncio.shield(run), waited[0]
         except asyncio.CancelledError:
-            # a cancelled waiter must neither hold its queue slot nor,
-            # if it was granted concurrently, its reservation
-            try:
-                self._queue.remove(waiter)
-            except ValueError:
-                pass
-            if waiter.future.done() and not waiter.future.cancelled():
-                waiter.future.result().release()
-            self._pump()
+            if submitted.cancel():      # its turn had not come: never runs
+                self._pending -= 1
             raise
-        waited = self._clock() - waiter.enqueued_at
+
+    def _end_turn(self, waited: List[float], run: asyncio.Future) -> None:
+        if run.cancelled():
+            return                      # counted off by ``admit``
+        self._pending -= 1
         self.admitted += 1
-        self.wait_s_total += waited
-        self.wait_s_max = max(self.wait_s_max, waited)
-        return AdmissionTicket(self, reservation, waiter.claim, label,
-                               waited)
+        self.wait_s_total += waited[0]
+        self.wait_s_max = max(self.wait_s_max, waited[0])
+        if run.exception() is not None:
+            self.failed += 1
 
-    # ------------------------------------------------------------------
-    def _pump(self) -> None:
-        """Admit queued statements from the head while they fit.
-
-        The reservation is taken *here*, before the waiter wakes, so a
-        later arrival racing through :meth:`admit` can never steal the
-        space out from under an already granted waiter.
-        """
-        while self._queue:
-            head = self._queue[0]
-            if head.future.cancelled():
-                self._queue.popleft()
-                continue
-            if not self.ledger.fits(head.claim):
-                break
-            self._queue.popleft()
-            head.future.set_result(
-                self.ledger.reserve(head.claim, head.label))
+    def close(self) -> None:
+        """Stop the worker thread (the lane restarts on the next job)."""
+        if self._worker is not None:
+            self._worker.shutdown(wait=True)
+            self._worker = None

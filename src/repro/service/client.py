@@ -9,7 +9,7 @@
 
 Server-reported failures raise :class:`ServiceError`, which carries
 the server's ``error_type`` (the engine exception class name, e.g.
-``CompactionDeclined`` or ``SnapshotError``) for callers that branch
+``CompactionDeclined`` or ``PersistError``) for callers that branch
 on it.
 
 Failure handling: every request is bounded by ``timeout_s`` and raises
@@ -18,10 +18,10 @@ response is dropped by its request id).  With ``retries > 0`` the
 client transparently reconnects and retries transport-level failures
 (timeouts, drops, torn frames) with exponential backoff.  Retried
 ``execute`` DML carries an *idempotency key*, generated once per
-logical statement and resent verbatim on every attempt; the server's
-writer lane records the response under that key, so a statement whose
-response was lost on the wire is answered from the record instead of
-being applied twice (exactly-once).  Only ``execute``, ``ping`` and
+logical statement and resent verbatim on every attempt; the server
+records the response under that key in the write's own turn on the
+token, so a statement whose response was lost on the wire is answered
+from the record instead of being applied twice (exactly-once).  Only ``execute``, ``ping`` and
 ``server_stats`` are retried: prepared-statement ids are
 per-connection, and ``compact``/``snapshot`` carry no idempotency key.
 """

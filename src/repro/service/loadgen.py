@@ -9,8 +9,8 @@ client-observed wall-clock throughput and latency percentiles plus the
 server's admission counters (``benchmarks/test_service_loadgen.py``
 asserts on them and prints the wall numbers).
 
-Wall-clock here measures the *service*: framing, scheduling, admission
-and thread handoff around the simulated token.  The simulated-time
+Wall-clock here measures the *service*: framing, the wait for the
+token's lane and the thread hand-off around the simulated token.  The simulated-time
 cost of the queries themselves is the figure benchmarks' subject, not
 this one's.
 """
@@ -162,8 +162,6 @@ async def _run(db: GhostDB, n_clients: int, n_queries: int,
             "connections_total": server.connections_total,
             "requests_total": server.requests_total,
             "errors_total": server.errors_total,
-            "snapshot_retries": server.snapshot_retries,
-            "claim_underruns": server.claim_underruns,
         }
     latencies_ms.sort()
     done = len(latencies_ms)

@@ -1,120 +1,53 @@
 """The asyncio query server: many clients, one secure token.
 
 :class:`GhostServer` multiplexes any number of concurrent client
-connections onto one :class:`~repro.core.ghostdb.GhostDB` instance.
-Statements on the token itself execute one at a time (there is one
-64 KB secure RAM and one USB channel), but the service keeps many
-statements *in flight* and decides, per statement, when it may enter
-the pipeline:
+connections onto one :class:`~repro.core.ghostdb.GhostDB` (or one
+fleet).  The token serves one statement at a time -- there is one
+64 KB secure RAM and one USB channel -- so every piece of token work
+the server does is one job on the token's lane
+(:class:`~repro.service.admission.AdmissionController`), taken in
+arrival order:
 
-* **Admission control** -- every statement pledges its planned
-  ``ram_peak`` (see :func:`plan_ram_claim`) with the
-  :class:`~repro.service.admission.AdmissionController` before it may
-  run; statements that do not fit alongside the currently admitted set
-  wait in a FIFO queue.  The controller's ledger hard-raises if the
-  admitted set would ever exceed the budget, so the invariant is
-  asserted on every admission.
-* **Snapshot isolation for readers** -- a SELECT pins the per-table
-  ``(data, stats)`` generations of every table it touches, plans
-  against that pin, and executes through
-  :meth:`~repro.core.session.Session.execute_pinned`, which raises
-  :class:`~repro.errors.SnapshotError` the moment the pin is violated.
-  A pin broken while the statement waited for admission (a writer got
-  in between) transparently re-pins, re-plans and re-admits -- counted
-  in ``snapshot_retries``, never visible as a mixed-generation read.
-* **A single writer lane** -- INSERT/DELETE/compaction serialize on
-  one :class:`asyncio.Lock`; each write is tagged with a monotonically
-  increasing ``writer_seq`` and answers with the full post-write
-  generation map, which is what makes client-side oracles (and the
-  concurrency property suite) possible.
+* a **read** pins the generations of the tables it touches, plans (a
+  plan-cache hit unless a writer moved one of them) and executes, all
+  in one turn, so the ``generations`` its response carries are the
+  state it read;
+* a **write** (INSERT / DELETE / compaction step) checks its
+  idempotency key, applies, recovers on :class:`PowerLoss`, takes the
+  next monotone ``writer_seq`` and records its response in one turn,
+  and answers with the full post-write generation map -- what makes
+  client-side oracles (and the concurrency property suite) possible;
+* ``prepare`` and ``snapshot`` are turns too.
 
-Actual token execution happens in worker threads
-(``asyncio.to_thread``) under one :class:`threading.Lock`, keeping the
-event loop responsive while admission tickets genuinely overlap.
+A turn holds the whole token, so every response's ``ram_claim`` is the
+database's total secure RAM, and its ``admission_wait_s`` is the time
+the statement spent queued for the token.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
-import threading
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 from repro.core.ghostdb import GhostDB
-from repro.core.plan import QueryPlan
 from repro.core.session import PreparedStatement, Session
-from repro.errors import GhostDBError, PowerLoss, SnapshotError
-from repro.hardware.ram import SecureRam
+from repro.errors import GhostDBError, PowerLoss
 from repro.service.admission import AdmissionController
 from repro.service.protocol import FrameError, read_frame, write_frame
 from repro.sql import ast
 from repro.sql.parser import parse
 
-#: claim, in RAM pages, when a plan carries no costed estimate (plans
-#: whose visible selections all sit on the anchor table produce no
-#: cost report; measured peaks of such selects are ~2 pages, so 8 is a
-#: comfortably conservative pledge)
-FALLBACK_CLAIM_PAGES = 8
-
-#: claim, in RAM pages, for the writer lane (INSERT/DELETE/compaction
-#: steps measure <= 1 page of transient secure-RAM use; 8 pledges the
-#: same conservative envelope as un-costed reads)
-WRITER_CLAIM_PAGES = 8
-
-#: every statement pledges at least this much -- row assembly buffers
-#: exist even for plans the cost model prices at zero RAM
-MIN_CLAIM_PAGES = 2
-
-#: how many snapshot-pin violations one statement retries before the
-#: server gives up and reports the conflict to the client
-MAX_SNAPSHOT_RETRIES = 16
-
 #: per-connection in-flight request cap (backpressure on pipelining)
 MAX_INFLIGHT_PER_CONNECTION = 32
 
 
-def plan_ram_claim(plan: QueryPlan, ram: SecureRam) -> int:
-    """The secure-RAM pledge one planned SELECT admits under.
-
-    Uses the cost model's chosen estimate when the plan carries one
-    (``cost_report`` exists only for cost-based choices with free
-    tables), falling back to a conservative
-    :data:`FALLBACK_CLAIM_PAGES` envelope otherwise, and adding the
-    ordering step's priced peak on top of the floor.  Clamped into
-    ``[MIN_CLAIM_PAGES * page, capacity]`` so a pledge is always
-    satisfiable.
-    """
-    subplans = getattr(plan, "subplans", None)
-    if subplans is not None:
-        # a fleet plan pledges the sum of its per-shard claims against
-        # the fleet's pooled admission ledger (each fragment occupies
-        # its own shard's RAM for the whole statement)
-        total = sum(plan_ram_claim(sub, sub_ram)
-                    for sub, sub_ram in subplans())
-        return min(total, ram.capacity)
-    claim = MIN_CLAIM_PAGES * ram.page_size
-    chosen = plan.cost_report.chosen if plan.cost_report else None
-    if chosen is not None:
-        claim = max(claim, chosen.estimate.ram_peak)
-    else:
-        claim = max(claim, FALLBACK_CLAIM_PAGES * ram.page_size)
-    if plan.order is not None:
-        order_chosen = plan.order.report.chosen \
-            if plan.order.report else None
-        if order_chosen is not None:
-            claim = max(claim, order_chosen.ram_peak)
-        else:
-            claim = max(claim, FALLBACK_CLAIM_PAGES * ram.page_size)
-    return min(claim, ram.capacity)
-
-
-def _stats_block(stats, claim: int, waited_s: float) -> Dict[str, Any]:
-    """The compact per-response simulated-cost block."""
+def _stats_block(stats) -> Dict[str, Any]:
+    """The compact per-response simulated-cost block (what the turn
+    held and waited is stamped in by :meth:`GhostServer._on_token`)."""
     return {
         "total_s": stats.total_s,
         "ram_peak": stats.ram_peak,
-        "ram_claim": claim,
-        "admission_wait_s": round(waited_s, 6),
         "bytes_to_secure": stats.bytes_to_secure,
         "bytes_to_untrusted": stats.bytes_to_untrusted,
         "result_rows": stats.result_rows,
@@ -122,14 +55,12 @@ def _stats_block(stats, claim: int, waited_s: float) -> Dict[str, Any]:
 
 
 class _Connection:
-    """Per-connection state: session, prepared statements, write lock."""
+    """Per-connection state: session and prepared statements."""
 
-    def __init__(self, server: "GhostServer", session: Session):
-        self.server = server
+    def __init__(self, session: Session):
         self.session = session
         self.statements: Dict[int, PreparedStatement] = {}
         self.next_stmt_id = 1
-        self.write_lock = asyncio.Lock()
         self.inflight = asyncio.Semaphore(MAX_INFLIGHT_PER_CONNECTION)
 
 
@@ -142,14 +73,10 @@ class GhostServer:
         self.db = db
         self.host = host
         self._requested_port = port
-        self.admission = AdmissionController(db.token.ram)
+        self.admission = AdmissionController(db.ram_capacity)
         #: optional response-path fault injector (chaos harness only;
         #: see :class:`repro.faults.wire.WireFaults`)
         self.wire_faults = wire_faults
-        #: serializes all actual token access across worker threads
-        self._exec_lock = threading.Lock()
-        #: serializes DML and compaction (the single writer lane)
-        self._writer_lane = asyncio.Lock()
         self._writer_seq = 0
         self._server: Optional[asyncio.AbstractServer] = None
         self._conn_tasks: set = set()
@@ -162,8 +89,6 @@ class GhostServer:
         self.connections_now = 0
         self.requests_total = 0
         self.errors_total = 0
-        self.snapshot_retries = 0
-        self.claim_underruns = 0
         self.replays = 0
         self.recoveries = 0
 
@@ -185,11 +110,12 @@ class GhostServer:
     async def stop(self) -> None:
         """Stop accepting, drain in-flight requests, close connections.
 
-        In-flight statements -- the writer lane's in particular -- run
-        to completion and their responses are written *before* any
-        connection is torn down: a stop mid-write must deliver the
+        In-flight statements -- queued for the token or running on it
+        -- run to completion and their responses are written *before*
+        any connection is torn down: a stop mid-write must deliver the
         tagged ``writer_seq`` response, not drop it.  The drain is
         shielded so cancelling ``stop()`` itself cannot cut it short.
+        The lane's worker thread stops last.
         """
         if self._server is not None:
             self._server.close()
@@ -207,6 +133,7 @@ class GhostServer:
         if self._conn_tasks:
             await asyncio.gather(*self._conn_tasks,
                                  return_exceptions=True)
+        self.admission.close()
 
     async def serve_forever(self) -> None:
         """Start (if needed) and serve until cancelled."""
@@ -226,7 +153,7 @@ class GhostServer:
     # ------------------------------------------------------------------
     async def _serve_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
-        conn = _Connection(self, self.db.session())
+        conn = _Connection(self.db.session())
         self.connections_total += 1
         self.connections_now += 1
         self._conn_tasks.add(asyncio.current_task())
@@ -289,12 +216,12 @@ class GhostServer:
         finally:
             conn.inflight.release()
         response["id"] = req_id
-        async with conn.write_lock:
-            try:
-                await write_frame(writer, response,
-                                  fault=self.wire_faults)
-            except (ConnectionError, OSError):
-                pass   # client went away mid-response
+        try:
+            # one write call per frame: responses finishing together on
+            # one connection cannot split each other's frames
+            await write_frame(writer, response, fault=self.wire_faults)
+        except (ConnectionError, OSError):
+            pass   # client went away mid-response
 
     # ------------------------------------------------------------------
     # request dispatch
@@ -313,7 +240,7 @@ class GhostServer:
                 raise GhostDBError(
                     f"unknown prepared statement {request.get('stmt')!r}")
             params = tuple(request.get("params") or ())
-            return await self._run_select(conn, stmt, params)
+            return await self._run_select(conn, lambda: stmt, params)
         if op == "compact":
             return await self._op_compact(request)
         if op == "execute":
@@ -327,8 +254,8 @@ class GhostServer:
         parsed = parse(sql)
         if not isinstance(parsed, ast.SelectQuery):
             raise GhostDBError("prepare supports SELECT statements only")
-        stmt = await asyncio.to_thread(
-            self._locked, conn.session.prepare, sql)
+        stmt, _ = await self.admission.admit(
+            lambda: conn.session.prepare(sql, parsed=parsed))
         stmt_id = conn.next_stmt_id
         conn.next_stmt_id += 1
         conn.statements[stmt_id] = stmt
@@ -340,10 +267,9 @@ class GhostServer:
         params = tuple(request.get("params") or ())
         parsed = parse(sql)
         if isinstance(parsed, ast.SelectQuery):
-            stmt = await asyncio.to_thread(
-                self._locked, conn.session.prepare, sql, None, None,
-                "project", None, parsed)
-            return await self._run_select(conn, stmt, params)
+            return await self._run_select(
+                conn, lambda: conn.session.prepare(sql, parsed=parsed),
+                params)
         return await self._run_write(
             lambda: self.db.execute(sql, params or None),
             ikey=request.get("ikey"))
@@ -376,102 +302,72 @@ class GhostServer:
     async def snapshot(self, path: str) -> Dict[str, Any]:
         """Write a durable image of the served database to ``path``.
 
-        Holds the writer lane while the image is taken so no DML or
-        compaction step can interleave with the serialization; readers
-        keep flowing (they never mutate token state).  Inherits
-        :meth:`GhostDB.snapshot`'s refusal to snapshot while a bounded
-        compaction job is mid-flight
+        One turn on the token: no statement interleaves with the
+        serialization.  Inherits :meth:`GhostDB.snapshot`'s refusal to
+        snapshot while a bounded compaction job is mid-flight
         (:class:`~repro.errors.PersistError`), which the wire layer
         surfaces to the client like any other statement error.
         """
-        async with self._writer_lane:
-            return await asyncio.to_thread(
-                self._locked, self.db.snapshot, path)
+        summary, _ = await self.admission.admit(
+            lambda: self.db.snapshot(path))
+        return summary
 
     # ------------------------------------------------------------------
-    # the reader path: pin -> plan -> admit -> execute under the pin
+    # statements: one turn each
     # ------------------------------------------------------------------
+    async def _on_token(self, job: Callable[[], dict]) -> dict:
+        """Run ``job`` in its turn and stamp the turn into the
+        response's stats block: what it held (the whole token) and how
+        long it queued."""
+        response, waited = await self.admission.admit(job)
+        if "stats" in response:
+            response["stats"] = {**response["stats"],
+                                 "ram_claim": self.admission.capacity,
+                                 "admission_wait_s": round(waited, 6)}
+        return response
+
     async def _run_select(self, conn: _Connection,
-                          stmt: PreparedStatement,
-                          params: Tuple) -> dict:
-        bound = stmt.template.substitute(params)
-        label = stmt.sql[:40]
-        for _ in range(MAX_SNAPSHOT_RETRIES):
-            pinned, plan = await asyncio.to_thread(
-                self._pin_and_plan, conn.session, stmt, bound)
-            claim = plan_ram_claim(plan, self.db.token.ram)
-            with await self.admission.admit(claim, label) as ticket:
-                try:
-                    result = await asyncio.to_thread(
-                        self._locked, conn.session.execute_pinned,
-                        plan, pinned)
-                except SnapshotError:
-                    # a writer slipped in while we waited for
-                    # admission; re-pin and re-plan against the new
-                    # generations rather than surface a stale read
-                    self.snapshot_retries += 1
-                    continue
-            if result.stats.ram_peak > ticket.claim:
-                self.claim_underruns += 1
-            stmt.executions += 1
+                          statement: Callable[[], PreparedStatement],
+                          params: tuple) -> dict:
+        """One SELECT: bind the parameters, pin, plan and execute."""
+        def job() -> dict:
+            stmt = statement()
+            result, pinned = conn.session.execute_pinned(
+                stmt, stmt.template.substitute(params))
             return {
                 "ok": True, "kind": "rows",
                 "columns": list(result.columns),
                 "rows": [list(r) for r in result.rows],
                 "generations": {t: list(g) for t, g in pinned.items()},
-                "stats": _stats_block(result.stats, ticket.claim,
-                                      ticket.waited_s),
+                "stats": _stats_block(result.stats),
             }
-        raise SnapshotError(
-            f"statement {label!r} lost the snapshot race "
-            f"{MAX_SNAPSHOT_RETRIES} times"
-        )
 
-    def _pin_and_plan(self, session: Session, stmt: PreparedStatement,
-                      bound) -> Tuple[Dict[str, Tuple[int, int]],
-                                      QueryPlan]:
-        with self._exec_lock:
-            pinned = session.pin_generations(bound.tables)
-            plan = stmt.plan_for(bound, generations=pinned)
-            return pinned, plan.with_bound(bound)
+        return await self._on_token(job)
 
-    # ------------------------------------------------------------------
-    # the writer path: one lane, then admission, then the token
-    # ------------------------------------------------------------------
     async def _run_write(self, fn, ikey: Optional[str] = None) -> dict:
-        """One writer-lane statement, with the exactly-once contract.
+        """One write, with the exactly-once contract.
 
         A request whose idempotency key was already recorded is
         answered from the record -- marked ``replayed`` -- without
         touching the token: the earlier attempt applied, only its
-        response was lost on the wire.  The record is written inside
-        the writer lane, so no concurrent retry can observe a gap
-        between "applied" and "recorded".  A statement that dies on
+        response was lost on the wire.  The record is written in the
+        same turn as the write, so no concurrent retry can observe a
+        gap between "applied" and "recorded".  A statement that dies on
         :class:`PowerLoss` triggers an in-place recovery (power-cycle
         plus statement rollback) before the error is reported.
         """
-        claim = min(WRITER_CLAIM_PAGES * self.db.token.ram.page_size,
-                    self.db.token.ram.capacity)
-        async with self._writer_lane:
+        def job() -> dict:
             cached = self.db.ikeys.seen(ikey)
             if cached is not None:
                 self.replays += 1
-                response = dict(cached)
-                response["replayed"] = True
-                return response
-            with await self.admission.admit(claim, "writer") as ticket:
-                try:
-                    outcome = await asyncio.to_thread(self._locked, fn)
-                except PowerLoss:
-                    self.recoveries += 1
-                    await asyncio.to_thread(self._locked, self.db.recover)
-                    raise
-                self._writer_seq += 1
-                seq = self._writer_seq
-            generations = {
-                t: list(g)
-                for t, g in self.db.table_generations.items()
-            }
+                return {**cached, "replayed": True}
+            try:
+                outcome = fn()
+            except PowerLoss:
+                self.recoveries += 1
+                self.db.recover()
+                raise
+            self._writer_seq += 1
             if isinstance(outcome, dict):      # compact's ready response
                 response = outcome
             elif outcome is None:              # DDL
@@ -482,21 +378,19 @@ class GhostServer:
                     "statement": outcome.statement,
                     "table": outcome.table,
                     "rows_affected": outcome.rows_affected,
-                    "stats": _stats_block(outcome.stats, ticket.claim,
-                                          ticket.waited_s),
+                    "stats": _stats_block(outcome.stats),
                 }
-            response["writer_seq"] = seq
-            response["generations"] = generations
-            if ikey is not None and response.get("kind") == "dml":
+            response["writer_seq"] = self._writer_seq
+            response["generations"] = {
+                t: list(g) for t, g in self.db.table_generations.items()
+            }
+            if ikey is not None and response["kind"] == "dml":
                 self.db.ikeys.record(ikey, dict(response))
             return response
 
-    # ------------------------------------------------------------------
-    def _locked(self, fn, *args):
-        """Run ``fn`` holding the token execution lock (thread pool)."""
-        with self._exec_lock:
-            return fn(*args)
+        return await self._on_token(job)
 
+    # ------------------------------------------------------------------
     def _stats_response(self, conn: _Connection) -> dict:
         cache = conn.session.plan_cache
         return {
@@ -507,8 +401,6 @@ class GhostServer:
                 "connections_now": self.connections_now,
                 "requests_total": self.requests_total,
                 "errors_total": self.errors_total,
-                "snapshot_retries": self.snapshot_retries,
-                "claim_underruns": self.claim_underruns,
                 "writer_seq": self._writer_seq,
                 "replays": self.replays,
                 "recoveries": self.recoveries,

@@ -49,32 +49,16 @@ from repro.core.planner import (SortMethodLike, StrategyLike,
                                 scatter_order)
 from repro.core.recovery import IdempotencyLedger, RecoveryReport
 from repro.core.reference import ReferenceEngine
-from repro.core.session import PreparedStatement
+from repro.core.session import PreparedStatement, Session
 from repro.core.sort import dedup_rows, strip_internal_columns
 from repro.errors import (CompactionDeclined, GhostDBError, ImageError,
                           ShardDown, ShardUnavailable)
-from repro.hardware.token import (SecureToken, TokenConfig,
-                                  fleet_admission_ram)
+from repro.hardware.token import TokenConfig
 from repro.schema.model import Table
 from repro.shard import gather
 from repro.shard.router import ShardRouter
 from repro.sql.binder import (BoundDelete, BoundInsert, BoundQuery,
                               with_anchor_id_tail)
-
-
-class FleetToken:
-    """The coordinator's view of the fleet's hardware.
-
-    Real storage, channels and RAM live on each shard's own
-    :class:`~repro.hardware.token.SecureToken`; this facade only
-    aggregates what fleet-level callers need -- most importantly the
-    admission-control RAM ledger, whose capacity is the *sum* of the
-    shard budgets (a scattered query pledges RAM on every shard at
-    once).
-    """
-
-    def __init__(self, tokens: List[SecureToken]):
-        self.ram = fleet_admission_ram(tokens)
 
 
 @dataclasses.dataclass
@@ -87,8 +71,6 @@ class FleetQueryPlan:
     scatter: bool
     #: per-shard fragment plans (scatter) or the single routed plan
     shard_plans: List[QueryPlan]
-    #: admission ledgers the per-shard claims pledge against
-    shard_rams: List
     #: home shard of a non-scattered plan
     shard_id: Optional[int] = None
     #: ``bound`` extended with the anchor-id tail fragments carry
@@ -107,10 +89,6 @@ class FleetQueryPlan:
     #: the planner's estimate of the gather: rows merged, seconds
     est_gather_rows: int = 0
     est_gather_s: float = 0.0
-
-    def subplans(self):
-        """(fragment plan, that shard's RAM) pairs, for admission."""
-        return list(zip(self.shard_plans, self.shard_rams))
 
     def with_bound(self, bound: BoundQuery) -> "FleetQueryPlan":
         """Re-target every fragment at a parameter-substituted bound."""
@@ -163,13 +141,22 @@ class FleetPreparedStatement(PreparedStatement):
     fleet statement from the per-shard work nested inside it.
     """
 
-    def plan_for(self, bound: BoundQuery,
-                 generations: Optional[Dict[str, Tuple[int, int]]] = None
-                 ) -> FleetQueryPlan:
-        return self._cached_plan(bound, generations)
+    def plan_for(self, bound: BoundQuery) -> FleetQueryPlan:
+        return self._cached_plan(bound)
 
     def execute(self, params: Sequence = ()) -> QueryResult:
         return super().execute(params)
+
+
+class FleetSession(Session):
+    """A session over the fleet: prepared statements and plan cache,
+    but no batched path -- a batch amortizes *one* token's channel."""
+
+    def _open_window(self):
+        raise GhostDBError(
+            "batched execution (query_many/execute_many) runs on a "
+            "single token; execute fleet statements one by one"
+        )
 
 
 class ShardedGhostDB(StatementFrontEnd):
@@ -181,7 +168,8 @@ class ShardedGhostDB(StatementFrontEnd):
     its hooks -- ``register_table`` (broadcast), ``_queue_rows`` (route
     root rows), ``run_dml`` (check everywhere, then apply everywhere),
     ``plan_bound`` (scatter or route), ``execute_plan``
-    (scatter-gather), ``table_generations`` (summed) -- and the
+    (scatter-gather), ``table_generations`` (summed), ``ram_capacity``
+    (summed), ``session_cls`` (no batched path) -- and the
     fleet-only operations.  To this class a shard is a ``GhostDB`` and
     nothing more: every per-shard step is one of its public operations.
 
@@ -189,6 +177,7 @@ class ShardedGhostDB(StatementFrontEnd):
     fleet image is restored (:func:`repro.shard.persist.restore_fleet`).
     """
 
+    session_cls = FleetSession
     statement_cls = FleetPreparedStatement
 
     def __init__(self, n_shards: Union[int, Sequence[GhostDB]],
@@ -210,7 +199,6 @@ class ShardedGhostDB(StatementFrontEnd):
         self.n_shards = len(shards)
         self.shards: List[GhostDB] = shards
         self.router = ShardRouter(self.n_shards)
-        self.token = FleetToken([s.token for s in shards])
         #: per-shard monotone local root id -> global root id
         self._root_maps: List[List[int]] = [[] for _ in shards]
         self._next_root_gid = 0
@@ -323,13 +311,19 @@ class ShardedGhostDB(StatementFrontEnd):
         return self.shards[0].catalog is not None
 
     @property
+    def ram_capacity(self) -> int:
+        """The shards' secure RAM, summed: a fleet statement's turn
+        holds every shard."""
+        return sum(self._map(lambda shard: shard.ram_capacity))
+
+    @property
     def table_generations(self) -> Dict[str, Tuple[int, int]]:
         """Per-table generations, summed across shards.
 
-        Sums change whenever *any* shard's generation moves, so the
-        plan-cache staleness and snapshot-pin machinery keep working
-        unchanged -- including for root inserts that touch only one
-        shard.
+        Sums change whenever *any* shard's generation moves, so plan-
+        cache staleness and the generations service responses report
+        work unchanged -- including for root inserts that touch only
+        one shard.
         """
         per_shard = self._map(lambda shard: shard.table_generations)
         return {
@@ -388,14 +382,13 @@ class ShardedGhostDB(StatementFrontEnd):
         answer (rows *and* simulated costs) matches a single token's
         bit for bit.  Everything else scatters.
         """
-        rams = self._map(lambda shard: shard.token.ram)
         if self.root not in bound.tables:
             k = self.router.shard_for_statement(bound.sql)
             plan = self.shards[k].plan_bound(
                 bound, vis_strategy, cross, projection, order_method)
             return FleetQueryPlan(
                 bound=bound, scatter=False, shard_plans=[plan],
-                shard_rams=[rams[k]], shard_id=k,
+                shard_id=k,
             )
         scatter_bound, aid_pos, n_added = with_anchor_id_tail(
             bound, self.schema)
@@ -433,7 +426,7 @@ class ShardedGhostDB(StatementFrontEnd):
             shard.planner.cost_model.estimate_result_rows(scatter_bound)))))
         return FleetQueryPlan(
             bound=bound, scatter=True, shard_plans=rewritten,
-            shard_rams=rams, scatter_bound=scatter_bound,
+            scatter_bound=scatter_bound,
             aid_pos=aid_pos, n_added=n_added,
             trans_positions=trans_positions,
             gather_order=gather_order, order_pushdown=pushdown,

@@ -1,5 +1,9 @@
 """The Vis protocol: how Secure obtains Visible data.
 
+This module is the only one that sends anything Secure -> Untrusted:
+statement announcements, Vis requests, and the visible halves of
+inserted rows (``scripts/check_docs.py`` gates ``to_untrusted``).
+
 ``Vis(Q, T, pi)`` is the only operator that crosses the trust boundary.
 The Secure token sends a *request* (derived solely from the public
 query text) out through the audited channel, Untrusted evaluates the
@@ -102,6 +106,16 @@ class VisServer:
         nbytes = len(rows) * self._row_width(request.table, request.columns)
         self.token.channel.to_secure(nbytes, f"Vis({request.table})")
         return VisResult(ids=ids, rows=rows)
+
+    def announce(self, text: str, width: int = 80,
+                 nbytes: Optional[int] = None) -> None:
+        """Send one statement's public text to Untrusted: the message
+        that says which query is posed (``nbytes`` defaults to the
+        text's length; the audit description keeps ``width`` chars)."""
+        self.token.channel.to_untrusted(
+            max(1, len(text)) if nbytes is None else nbytes,
+            kind="query", description=text[:width],
+        )
 
     def vis(self, request: VisRequest) -> VisResult:
         """Execute one Vis exchange, charging both channel directions."""

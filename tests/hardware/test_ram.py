@@ -129,3 +129,37 @@ def test_negative_alloc_rejected():
     ram = SecureRam(capacity=4096)
     with pytest.raises(ValueError):
         ram.alloc(-1)
+
+
+def test_windows_nest():
+    ram = SecureRam(capacity=32 * 2048, page_size=2048)
+    with ram.query_window() as outer:
+        with ram.reserve(2048):
+            with ram.query_window() as inner:
+                with ram.reserve(2 * 2048):
+                    pass
+    assert inner.peak == 2 * 2048         # only its own statement
+    assert outer.peak == 3 * 2048         # everything below it
+
+
+def test_closed_window_stops_charging():
+    ram = SecureRam(capacity=32 * 2048, page_size=2048)
+    with ram.query_window() as window:
+        pass
+    with ram.reserve(2048):
+        pass
+    assert window.peak == 0
+
+
+def test_windows_belong_to_their_ram():
+    """An allocation on one token's RAM charges that RAM's windows
+    only, so one shard's statement never reports another's peak."""
+    a, b = SecureRam(capacity=8192), SecureRam(capacity=8192)
+    with a.query_window() as window_a:
+        with b.query_window() as window_b:
+            with b.reserve(4096):
+                pass
+        with a.reserve(1024):
+            pass
+    assert window_a.peak == 1024
+    assert window_b.peak == 4096

@@ -9,16 +9,23 @@ observer of the channel sees each outbound message (kind, size,
 description, order) and the inbound byte count; for every statement
 shape, strategy setting and projection mode those must be the same on
 all three twins -- on one token, on a two-shard fleet (per-shard
-channels) and through the batched path.
+channels) and through the batched path.  Through ``GhostServer`` the
+untrusted server also sees every response frame: its ``columns``,
+``generations`` and ``stats.ram_claim`` must be the same too, and the
+only ``stats`` fields that may differ are the caller's own result
+figures (:data:`CALLER_STATS`).
 
 In the possible-worlds reading of the hidden part, each difference
 would be an event an observer could condition the worlds on; here the
 transcript is constant over the worlds that agree on the visible part.
 """
 
+import asyncio
 import random
 
 from repro import GhostDB
+from repro.service.client import AsyncGhostClient
+from repro.service.server import GhostServer
 from repro.workloads.queries import (H_VALUE, query_q,
                                      query_q_with_hidden_projection)
 
@@ -119,6 +126,32 @@ def batch_transcripts(db):
     return out
 
 
+#: ``stats`` fields of a response that describe the caller's own result
+#: (by design, like its rows) or the wall clock, and so may differ
+CALLER_STATS = {"total_s", "ram_peak", "result_rows", "admission_wait_s"}
+
+
+def server_transcripts(db):
+    """One client prepares and executes every statement over the wire;
+    per statement: outbound messages, then the response's frame fields
+    an observer of the service sees besides the rows."""
+    async def run():
+        async with GhostServer(db) as server:
+            async with await AsyncGhostClient.connect(
+                    "127.0.0.1", server.port) as client:
+                out = []
+                for sql in STATEMENTS:
+                    since = len(db.audit_outbound())
+                    result = await client.exec_stmt(
+                        await client.prepare(sql), ())
+                    out.append((outbound(db.audit_outbound(), since),
+                                result.columns, result.generations,
+                                result.stats["ram_claim"], result.stats))
+                return out
+
+    return asyncio.run(run())
+
+
 def assert_twins_agree(transcripts):
     """Every twin's transcript equals the first twin's, case by case."""
     first, *others = transcripts
@@ -155,3 +188,14 @@ def test_fleet_transcripts_equal_across_twins():
 def test_batch_transcripts_equal_across_twins():
     assert_twins_agree([batch_transcripts(twin(seed, never))
                         for seed, never in SEEDS])
+
+
+def test_server_frames_equal_across_twins():
+    transcripts = [server_transcripts(twin(seed, never))
+                   for seed, never in SEEDS]
+    assert_twins_agree([[case[:4] for case in t] for t in transcripts])
+    first, *others = transcripts
+    differing = {key for i, case in enumerate(first)
+                 for key, value in case[4].items()
+                 if any(t[i][4][key] != value for t in others)}
+    assert differing <= CALLER_STATS, differing - CALLER_STATS

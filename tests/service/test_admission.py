@@ -1,204 +1,223 @@
-"""Admission control and per-query RAM attribution.
+"""The token's lane: one job at a time, in arrival order.
 
-Two invariants live here:
+:class:`AdmissionController` runs every statement's token work as one
+job on one worker thread.  What it promises, checked here:
 
-* the reservation ledger can *never* pledge past the 64 KB budget --
-  :meth:`RamReservations.reserve` hard-raises, so the "admitted set
-  fits" property is asserted on every admission, not sampled;
-* interleaved statements each report their own ``ram_peak``.  The old
-  ``reset_peak`` global window smears concurrent peaks into one
-  high-water mark; the per-context :meth:`SecureRam.query_window`
-  stack does not, which is what makes the service's per-response
-  ``ram_peak`` (and the ``claim_underruns`` counter built on it)
-  trustworthy.
+* jobs run strictly in arrival order, readers and writers alike, and
+  each reports how long it waited for its turn;
+* a job that raises ends its turn like any other -- the lane stays
+  usable and the failure is counted;
+* a request cancelled before its turn never runs, so its statement is
+  not applied; one cancelled *during* its turn still finishes before
+  the next turn starts;
+* ``describe()`` reads ``reserved_now`` and ``queue_depth`` 0 once the
+  lane drains (a turn holds the whole capacity while it runs);
+* through the server, a read queued behind a write of its table is
+  admitted once and reports the write's generations.
 """
 
 import asyncio
 import contextvars
+import threading
 
 import pytest
 
-from repro.errors import AdmissionError, RamExhausted
-from repro.hardware.ram import SecureRam
 from repro.service.admission import AdmissionController
+from repro.service.client import AsyncGhostClient
+from repro.service.server import GhostServer
 
-PAGE = 2048
-CAPACITY = 32 * PAGE
+from harness import build_db
 
-
-# ----------------------------------------------------------------------
-# per-query windows: attribution without smearing
-# ----------------------------------------------------------------------
-def _open_window(ram):
-    manager = ram.query_window()
-    return manager, manager.__enter__()
+CAPACITY = 65536
 
 
-def test_interleaved_windows_do_not_smear():
-    """Two interleaved queries each see only their own peak.
+class Gate:
+    """A job that holds the lane until released."""
 
-    The interleaving is the exact schedule that broke the legacy
-    ``reset_peak`` protocol: A allocates, B starts *before* A frees,
-    so the global high-water mark (6144) belongs to neither query.
-    """
-    ram = SecureRam(capacity=CAPACITY, page_size=PAGE)
-    ctx_a = contextvars.copy_context()
-    ctx_b = contextvars.copy_context()
+    def __init__(self):
+        self.started = threading.Event()
+        self.release = threading.Event()
 
-    manager_a, window_a = ctx_a.run(_open_window, ram)
-    alloc_a = ctx_a.run(ram.alloc, 2 * PAGE, "query A")
-    manager_b, window_b = ctx_b.run(_open_window, ram)
-    alloc_b = ctx_b.run(ram.alloc, PAGE, "query B")
-    ctx_a.run(alloc_a.free)
-    ctx_b.run(alloc_b.free)
-    ctx_a.run(manager_a.__exit__, None, None, None)
-    ctx_b.run(manager_b.__exit__, None, None, None)
+    def __call__(self):
+        self.started.set()
+        assert self.release.wait(10), "gate never released"
+        return "gate"
 
-    assert window_a.peak == 2 * PAGE
-    assert window_b.peak == PAGE
-    # the global mark smears (both queries were live at once); the
-    # per-query attribution is what the service must report instead
-    assert ram.peak_used == 3 * PAGE
+    async def entered(self):
+        assert await asyncio.to_thread(self.started.wait, 10)
 
 
-def test_windows_nest_within_one_context():
-    ram = SecureRam(capacity=CAPACITY, page_size=PAGE)
-    with ram.query_window() as outer:
-        with ram.reserve(PAGE):
-            with ram.query_window() as inner:
-                with ram.reserve(2 * PAGE):
-                    pass
-    assert inner.peak == 2 * PAGE        # only its own statement
-    assert outer.peak == 3 * PAGE        # everything below it
+async def until(predicate, what: str):
+    for _ in range(1000):
+        if predicate():
+            return
+        await asyncio.sleep(0.005)
+    raise AssertionError(f"timed out waiting for {what}")
 
 
-def test_closed_window_stops_charging():
-    ram = SecureRam(capacity=CAPACITY, page_size=PAGE)
-    with ram.query_window() as window:
-        pass
-    with ram.reserve(PAGE):
-        pass
-    assert window.peak == 0
-
-
-# ----------------------------------------------------------------------
-# the reservation ledger: over-pledge is impossible
-# ----------------------------------------------------------------------
-def test_ledger_overpledge_raises():
-    ram = SecureRam(capacity=CAPACITY, page_size=PAGE)
-    ledger = ram.reservations()
-    first = ledger.reserve(20 * PAGE, "q1")
-    second = ledger.reserve(12 * PAGE, "q2")
-    assert ledger.reserved == CAPACITY
-    assert not ledger.fits(1)
-    with pytest.raises(RamExhausted):
-        ledger.reserve(1, "q3")
-    first.release()
-    first.release()                       # idempotent
-    assert ledger.fits(20 * PAGE)
-    assert ledger.active == 1
-    second.release()
-    assert ledger.reserved == 0
-    assert ledger.peak_reserved == CAPACITY
-    assert ledger.max_coadmitted == 2
-    assert ledger.total_reservations == 2
-
-
-# ----------------------------------------------------------------------
-# the controller: FIFO fairness, counters, rejection
-# ----------------------------------------------------------------------
-def test_fifo_admission_no_overtake():
+def test_jobs_run_in_arrival_order_across_readers_and_writers():
     async def run():
-        controller = AdmissionController(
-            SecureRam(capacity=CAPACITY, page_size=PAGE))
-        big = await controller.admit(20 * PAGE, "big")
-        assert big.waited_s == 0.0
-
-        blocked = asyncio.ensure_future(
-            controller.admit(20 * PAGE, "blocked"))
-        # this small claim *would* fit right now, but FIFO means it
-        # must not overtake the earlier queued statement
-        small = asyncio.ensure_future(
-            controller.admit(2 * PAGE, "small"))
-        await asyncio.sleep(0)
-        assert controller.queue_depth == 2
-        assert not blocked.done() and not small.done()
-
-        big.release()
-        blocked_ticket = await blocked
-        small_ticket = await small
-        assert controller.queue_depth == 0
-        assert controller.ledger.reserved == 22 * PAGE
-        blocked_ticket.release()
-        small_ticket.release()
-        assert controller.ledger.reserved == 0
-        stats = controller.describe()
-        assert stats["admitted"] == 3
-        assert stats["admitted_immediately"] == 1
-        assert stats["queued_total"] == 2
-        assert stats["max_queue_depth"] == 2
-        assert stats["rejected"] == 0
+        lane = AdmissionController(CAPACITY)
+        gate = Gate()
+        holder = asyncio.ensure_future(lane.admit(gate))
+        await gate.entered()
+        ran = []
+        kinds = ["write", "read", "read", "write", "read"]
+        jobs = [asyncio.ensure_future(
+                    lane.admit(lambda i=i, k=k: ran.append((i, k)) or k))
+                for i, k in enumerate(kinds)]
+        await until(lambda: lane.queue_depth == len(kinds), "queued jobs")
+        assert ran == []                      # all parked behind the gate
+        gate.release.set()
+        assert await holder == ("gate", pytest.approx(0.0, abs=0.05))
+        results = [await job for job in jobs]
+        assert ran == list(enumerate(kinds))  # arrival order, no overtake
+        assert [r for r, _ in results] == kinds
+        assert all(waited > 0 for _, waited in results)
+        stats = lane.describe()
+        assert stats["admitted"] == len(kinds) + 1
+        assert stats["queued_total"] == len(kinds)
+        assert stats["max_queue_depth"] == len(kinds)
+        lane.close()
 
     asyncio.run(run())
 
 
-def test_admitted_set_bounded_always():
-    """The ledger raises if admission ever over-pledges -- asserted."""
+def test_a_raising_job_leaves_the_lane_usable_and_is_counted():
     async def run():
-        controller = AdmissionController(
-            SecureRam(capacity=CAPACITY, page_size=PAGE))
-        tickets = [await controller.admit(8 * PAGE, f"q{i}")
-                   for i in range(4)]
-        assert controller.ledger.reserved == CAPACITY
-        with pytest.raises(RamExhausted):
-            controller.ledger.reserve(1, "overflow")
-        for ticket in tickets:
-            ticket.release()
+        lane = AdmissionController(CAPACITY)
+
+        def boom():
+            raise ValueError("boom")
+
+        with pytest.raises(ValueError, match="boom"):
+            await lane.admit(boom)
+        assert (await lane.admit(lambda: 7))[0] == 7
+        assert lane.describe()["failed"] == 1
+        assert lane.describe()["reserved_now"] == 0
+        lane.close()
 
     asyncio.run(run())
 
 
-def test_impossible_claim_rejected_up_front():
+def test_a_request_cancelled_before_its_turn_never_runs():
+    db = build_db()
+    insert = "INSERT INTO T0 VALUES (0, 0, 1, 1, 5)"
+    before = db.table_generations["T0"]
+
     async def run():
-        controller = AdmissionController(
-            SecureRam(capacity=CAPACITY, page_size=PAGE))
-        with pytest.raises(AdmissionError):
-            await controller.admit(CAPACITY + 1, "oversized")
-        assert controller.describe()["rejected"] == 1
-        assert controller.ledger.reserved == 0
-
-    asyncio.run(run())
-
-
-def test_cancelled_waiter_leaks_nothing():
-    async def run():
-        controller = AdmissionController(
-            SecureRam(capacity=CAPACITY, page_size=PAGE))
-        holder = await controller.admit(30 * PAGE, "holder")
-        waiting = asyncio.ensure_future(
-            controller.admit(10 * PAGE, "doomed"))
-        await asyncio.sleep(0)
-        assert controller.queue_depth == 1
-        waiting.cancel()
+        lane = AdmissionController(CAPACITY)
+        gate = Gate()
+        holder = asyncio.ensure_future(lane.admit(gate))
+        await gate.entered()
+        doomed = asyncio.ensure_future(lane.admit(lambda: db.execute(insert)))
+        after = asyncio.ensure_future(lane.admit(lambda: "after"))
+        await until(lambda: lane.queue_depth == 2, "queued jobs")
+        doomed.cancel()
         with pytest.raises(asyncio.CancelledError):
-            await waiting
-        assert controller.queue_depth == 0
-        holder.release()
-        assert controller.ledger.reserved == 0
-        # the pool is fully usable again
-        ticket = await controller.admit(32 * PAGE, "all")
-        ticket.release()
+            await doomed
+        assert lane.queue_depth == 1
+        gate.release.set()
+        await holder
+        assert (await after)[0] == "after"   # the next job got the turn
+        assert lane.describe()["admitted"] == 2
+        lane.close()
 
     asyncio.run(run())
+    assert db.table_generations["T0"] == before   # never applied
 
 
-def test_ticket_context_manager_releases():
+def test_a_job_cancelled_during_its_turn_finishes_before_the_next():
     async def run():
-        controller = AdmissionController(
-            SecureRam(capacity=CAPACITY, page_size=PAGE))
-        with await controller.admit(4 * PAGE, "cm") as ticket:
-            assert controller.ledger.reserved == 4 * PAGE
-            assert ticket.claim == 4 * PAGE
-        assert controller.ledger.reserved == 0
+        lane = AdmissionController(CAPACITY)
+        gate = Gate()
+        holder = asyncio.ensure_future(lane.admit(gate))
+        await gate.entered()
+        holder.cancel()                       # the caller goes away ...
+        with pytest.raises(asyncio.CancelledError):
+            await holder
+        ran = []
+        nxt = asyncio.ensure_future(lane.admit(lambda: ran.append(1)))
+        await asyncio.sleep(0.05)
+        assert ran == [] and lane.describe()["reserved_now"] == CAPACITY
+        gate.release.set()                    # ... its job still owns
+        await nxt                             # the token until it ends
+        assert ran == [1]
+        lane.close()
 
     asyncio.run(run())
+
+
+def test_describe_reads_zero_once_drained():
+    async def run():
+        lane = AdmissionController(CAPACITY)
+        assert lane.describe()["peak_reserved"] == 0
+        gate = Gate()
+        holder = asyncio.ensure_future(lane.admit(gate))
+        await gate.entered()
+        queued = asyncio.ensure_future(lane.admit(lambda: None))
+        await until(lambda: lane.queue_depth == 1, "a queued job")
+        busy = lane.describe()
+        assert busy["reserved_now"] == CAPACITY   # a turn holds it all
+        assert busy["queue_depth"] == 1
+        gate.release.set()
+        await holder
+        await queued
+        drained = lane.describe()
+        assert drained["reserved_now"] == 0
+        assert drained["queue_depth"] == 0
+        assert drained["peak_reserved"] == drained["capacity"] == CAPACITY
+        lane.close()
+
+    asyncio.run(run())
+
+
+def test_a_job_runs_in_its_callers_context():
+    """Context variables (a tracer's current span, say) follow the job
+    onto the lane's worker thread."""
+    var = contextvars.ContextVar("var", default="unset")
+
+    async def run():
+        lane = AdmissionController(CAPACITY)
+        var.set("caller")
+        (seen, thread), _ = await lane.admit(
+            lambda: (var.get(), threading.current_thread()))
+        assert seen == "caller"
+        assert thread is not threading.current_thread()
+        lane.close()
+
+    asyncio.run(run())
+
+
+def test_a_read_queued_behind_a_write_runs_once_at_the_writes_state():
+    """Block the lane, send a write, then a read of the written table,
+    then release: the read is admitted once and its ``generations``
+    frame equals the write's -- no pin can go stale while it waits."""
+    db = build_db()
+    read = "SELECT T0.id, T0.v1 FROM T0 WHERE T0.v1 < 3"
+
+    async def run():
+        async with GhostServer(db) as server:
+            lane = server.admission
+            async with await AsyncGhostClient.connect(
+                    "127.0.0.1", server.port) as client:
+                before = await client.execute(read)
+                admitted = lane.describe()["admitted"]
+                gate = Gate()
+                holder = asyncio.ensure_future(lane.admit(gate))
+                await gate.entered()
+                write = asyncio.ensure_future(client.execute(
+                    "INSERT INTO T0 VALUES (0, 0, 1, 1, 5)"))
+                await until(lambda: lane.queue_depth == 1, "the write")
+                reader = asyncio.ensure_future(client.execute(read))
+                await until(lambda: lane.queue_depth == 2, "the read")
+                gate.release.set()
+                await holder
+                return before, await write, await reader, \
+                    lane.describe()["admitted"] - admitted
+
+    before, write, reader, admitted = asyncio.run(run())
+    assert admitted == 3                  # gate, write, read: once each
+    assert reader.generations["T0"] == write.generations["T0"]
+    assert reader.generations["T0"] != before.generations["T0"]
+    assert sorted(reader.rows) == sorted(db.reference_query(read)[1])

@@ -14,12 +14,11 @@ possible:
 3. for every SELECT, find the replay state whose generations contain
    the response's pinned map and compare the rows against the twin's
    ground-truth :meth:`reference_query` at exactly that state.  A
-   pinned map contained in *no* replay state is a mixed-generation
-   read -- the isolation violation the snapshot pins exist to prevent.
+   reported map contained in *no* replay state is a mixed-generation
+   read -- what running each read as one turn on the token rules out.
 
 A separate test forces the compaction advisor to decline and checks a
-declined job neither stalls the admission queue nor wedges the writer
-lane.
+declined job ends its turn without stalling the lane.
 """
 
 import asyncio
@@ -158,9 +157,8 @@ def test_concurrent_mixed_workload_matches_twin_replay():
             else:
                 twin2.compact(what[0], max_steps=what[1])
 
-    # the admitted set stayed within budget (hard-asserted, but the
-    # counters must agree) and the queue fully drained
-    assert admission["peak_reserved"] <= admission["capacity"]
+    # every turn held the whole token, and the lane fully drained
+    assert admission["peak_reserved"] == admission["capacity"]
     assert admission["queue_depth"] == 0
     assert admission["reserved_now"] == 0
 
@@ -190,7 +188,7 @@ def test_declined_compaction_never_stalls_admission():
             assert all(o.error_type == "CompactionDeclined"
                        for o in declined)
             assert len(rows) == 6        # readers sailed through
-            # the writer lane is free again: a real write goes through
+            # the lane moved on: a real write goes through
             ins = await client.execute(
                 "INSERT INTO T0 VALUES (0, 0, 1, 1, 1)")
             assert ins.writer_seq == 1

@@ -2,6 +2,7 @@
 idempotent replay, and the stop()-drains-writes contract."""
 
 import asyncio
+import threading
 
 import pytest
 
@@ -149,7 +150,7 @@ def test_resent_idempotency_key_replays_instead_of_reapplying():
     assert _count_v(db, 555) == 1        # applied exactly once
 
 
-def test_stop_drains_the_inflight_writer_lane_statement():
+def test_stop_drains_the_statement_queued_on_the_lane():
     db = _mini_db()
 
     async def run():
@@ -158,19 +159,23 @@ def test_stop_drains_the_inflight_writer_lane_statement():
         client = await AsyncGhostClient.connect(
             "127.0.0.1", server.port, timeout_s=5.0)
         try:
-            # hold the writer lane so the DML parks behind it, then
-            # stop the server while the statement is still in flight
-            await server._writer_lane.acquire()
+            # hold the token's lane with a blocked job so the DML parks
+            # behind it, then stop the server while it is still queued
+            release = threading.Event()
+            holder = asyncio.ensure_future(server.admission.admit(
+                lambda: release.wait(10)))
             write = asyncio.create_task(
                 client.execute("INSERT INTO P VALUES (2, 777)"))
             for _ in range(200):
-                if server._request_tasks:
+                if server.admission.queue_depth:
                     break
                 await asyncio.sleep(0.005)
-            assert server._request_tasks, "request never registered"
+            assert server.admission.queue_depth, "write never queued"
             stopper = asyncio.create_task(server.stop())
             await asyncio.sleep(0.02)
-            server._writer_lane.release()
+            assert not stopper.done()        # still draining the write
+            release.set()
+            await holder
             result = await write
             await stopper
             return result

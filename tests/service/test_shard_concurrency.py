@@ -6,14 +6,13 @@ a 2-shard fleet: N pipelining clients drive a mixed workload into a
 replayed in ``writer_seq`` order on an identically built twin fleet.
 The fleet-specific assertions on top of the single-token oracle:
 
-* admission pledges draw on the *pooled* per-shard RAM (capacity is
-  the sum of the shard budgets, and scattered statements pledge the
-  sum of their per-shard claims);
+* a turn on the lane holds every shard: the lane's capacity, and every
+  response's ``ram_claim``, is the sum of the shard budgets;
 * ``writer_seq`` ordering holds across shard-routed DML -- root
   inserts that land on different shards still replay to identical
   generation maps, because the fleet sums per-shard generations;
-* snapshot-pinned reads stay consistent: every SELECT's rows match
-  the twin's reconstructed-global ground truth at its pinned state.
+* reads stay consistent: every SELECT's rows match the twin's
+  reconstructed-global ground truth at the generations it reports.
 """
 
 import asyncio
@@ -99,10 +98,9 @@ def test_sharded_server_matches_twin_replay():
 
     logs, admission = asyncio.run(run())
 
-    # admission pledges sum per-shard RAM: the pooled capacity is the
-    # sum of the shard budgets, and it was never over-committed
+    # a turn holds every shard: the claim is the sum of the budgets
     assert admission["capacity"] == sum(per_shard_capacity)
-    assert admission["peak_reserved"] <= admission["capacity"]
+    assert admission["peak_reserved"] == admission["capacity"]
     assert admission["queue_depth"] == 0
     assert admission["reserved_now"] == 0
 
@@ -111,6 +109,8 @@ def test_sharded_server_matches_twin_replay():
                     key=lambda e: e[2].writer_seq)
     selects = [e for e in entries if e[0] == "select"]
     assert selects and writes
+    assert {e[2].stats["ram_claim"] for e in entries} == \
+        {sum(per_shard_capacity)}
 
     # writer_seq is a gapless total order across shard-routed DML
     seqs = [e[2].writer_seq for e in writes]
@@ -152,15 +152,3 @@ def test_sharded_server_matches_twin_replay():
         if i < len(writes):
             twin2.execute(writes[i][1])
 
-
-def test_scatter_claim_sums_per_shard_claims():
-    """A scattered plan pledges the sum of its per-shard claims."""
-    from repro.service.server import plan_ram_claim
-
-    db = build_fleet()
-    plan = db.plan_query(_select_sql(random.Random(1)))
-    total = plan_ram_claim(plan, db.token.ram)
-    parts = [plan_ram_claim(sub, ram) for sub, ram in plan.subplans()]
-    assert len(parts) == N_SHARDS
-    assert total == min(sum(parts), db.token.ram.capacity)
-    assert total > max(parts)  # genuinely more than any single shard

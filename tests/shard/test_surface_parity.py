@@ -9,8 +9,12 @@ compatible signature, or is named below as a single-token operation
 
 import inspect
 
+import pytest
+
 from repro.core.ghostdb import GhostDB
+from repro.errors import GhostDBError
 from repro.shard.fleet import ShardedGhostDB
+from repro.workloads.synthetic import SyntheticConfig, build_synthetic
 
 #: single-token operations that would be silently wrong on a fleet
 TOKEN_ONLY = (
@@ -50,3 +54,17 @@ def test_every_token_method_is_on_the_fleet_or_named_token_only():
         if isinstance(member, property) and not name.startswith("_"):
             assert isinstance(
                 inspect.getattr_static(ShardedGhostDB, name), property)
+
+
+def test_a_fleet_session_refuses_batches():
+    """Batching amortizes one token's channel: a fleet's session says
+    so in both batched shapes (the fleet's own ``FleetSession``)."""
+    fleet = build_synthetic(SyntheticConfig(scale=0.0005), shards=2)
+    session = fleet.session()
+    sql = "SELECT T0.id FROM T0 WHERE T0.v1 < ?"
+    for batch in (lambda: session.query_many(sql, [(3,), (5,)]),
+                  lambda: session.query_many([sql.replace("?", "3")]),
+                  lambda: session.prepare(sql).execute_many([(3,)])):
+        with pytest.raises(GhostDBError, match="single token"):
+            batch()
+    assert fleet.ram_capacity == sum(s.ram_capacity for s in fleet.shards)
