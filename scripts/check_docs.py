@@ -26,13 +26,16 @@ Eight checks, all simple on purpose:
   names ``"between"`` or ``"<="``: every spelled-out operator table has
   those two branches, so a second copy of what ``col op constant``
   means cannot grow back beside ``repro/predicate.py`` unnoticed;
-* inside ``src/repro`` only ``flash/constants.py``, ``flash/stats.py``
-  and the estimator ``core/costmodel.py`` may call ``read_time_us`` /
-  ``write_time_us`` or do arithmetic on a Table-1 price
-  (``read_page_us``, ``write_page_us``, ``byte_transfer_ns``,
-  ``erase_block_us``), and no call of a method named ``charge`` may
-  pass a float literal: charge sites hand the ledger counts, and a new
-  one cannot start computing time again unnoticed;
+* the simulated clock has one owner, ``flash/stats.py``: no other
+  module under ``src/repro`` -- the planner's estimator and the fleet's
+  gather pricing included -- may do arithmetic on a unit price (the
+  Table-1 ``read_page_us``, ``write_page_us``, ``byte_transfer_ns``,
+  ``erase_block_us``, the ``read_price`` / ``write_price`` /
+  ``erase_price`` tuples built from them, or a channel's
+  ``throughput_mbps``) or name a ``read_time_us`` / ``write_time_us``,
+  and no call of a method named ``charge`` may pass a float literal:
+  charge sites and estimates hand the ledger counts, so a second
+  pricing path cannot grow back unnoticed;
 * nothing under ``src/repro`` may read the process environment
   (``os.environ`` / ``os.getenv``, however imported): the library is a
   function of its arguments, and a behaviour switch has to be an
@@ -91,13 +94,14 @@ _OPERATOR_OWNERS = ("src/repro/predicate.py", "src/repro/sql/lexer.py",
                     "src/repro/sql/parser.py", "src/repro/core/reference.py")
 
 
-#: the modules that may turn counts into simulated time (the ledger's
-#: derivation and the planner's estimates) and the prices they read
-_CLOCK_OWNERS = ("src/repro/flash/constants.py", "src/repro/flash/stats.py",
-                 "src/repro/core/costmodel.py")
+#: the one module that turns counts into simulated time (the ledger's
+#: derivation, which prices measurements and estimates alike), and the
+#: prices and time helpers nobody else may compute with
+_CLOCK_OWNERS = ("src/repro/flash/stats.py",)
 _TIME_METHODS = ("read_time_us", "write_time_us")
 _PRICES = ("read_page_us", "write_page_us", "byte_transfer_ns",
-           "erase_block_us")
+           "erase_block_us", "read_price", "write_price", "erase_price",
+           "throughput_mbps")
 
 
 #: the one module that may call each boundary-crossing name: the
@@ -241,8 +245,10 @@ def foreign_operator_chains() -> list:
     return found
 
 
-def _mentions(node: ast.AST, attrs: tuple) -> bool:
-    return any(isinstance(leaf, ast.Attribute) and leaf.attr in attrs
+def _mentions(node: ast.AST, names: tuple) -> bool:
+    """``node`` reads one of ``names``, as an attribute or a variable."""
+    return any(isinstance(leaf, ast.Attribute) and leaf.attr in names
+               or isinstance(leaf, ast.Name) and leaf.id in names
                for leaf in ast.walk(node))
 
 

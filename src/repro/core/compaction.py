@@ -148,7 +148,7 @@ VERDICTS = ("clean", "proceed", "defer", "decline")
 
 
 @dataclass
-class AdvisorReport:
+class CompactionAdvice:
     """Outcome of pricing one table's compaction against flash headroom."""
 
     table: str
@@ -199,12 +199,12 @@ class CompactionAdvisor:
         self.catalog = catalog
         self.factor = factor
 
-    def assess(self, table: str) -> AdvisorReport:
+    def assess(self, table: str) -> CompactionAdvice:
         catalog = self.catalog
         if not is_dirty(catalog, table):
-            return AdvisorReport(table, "clean", factor=self.factor,
-                                 headroom_pages=catalog.token.ftl
-                                 .headroom_pages())
+            return CompactionAdvice(table, "clean", factor=self.factor,
+                                    headroom_pages=catalog.token.ftl
+                                    .headroom_pages())
         page_size = catalog.token.page_size
         schema = catalog.schema
         dead = catalog.tombstones[table]
@@ -244,8 +244,8 @@ class CompactionAdvisor:
             verdict = "defer"
         else:
             verdict = "decline"
-        return AdvisorReport(table, verdict, required, headroom,
-                             self.factor, " ".join(detail))
+        return CompactionAdvice(table, verdict, required, headroom,
+                                self.factor, " ".join(detail))
 
 
 # ----------------------------------------------------------------------
@@ -262,7 +262,7 @@ class TableCompactionStatus:
     delta_entries: int
     delta_log_bytes: int
     fk_delta_edges: int
-    advisor: AdvisorReport
+    advisor: CompactionAdvice
     job_phase: Optional[str] = None
 
     def describe(self) -> str:
@@ -293,7 +293,7 @@ class CompactionProgress:
     pages_rewritten: int = 0
     max_step_us: float = 0.0
     last_step_us: float = 0.0
-    advisor: Optional[AdvisorReport] = None
+    advisor: Optional[CompactionAdvice] = None
 
     @property
     def done(self) -> bool:
@@ -336,7 +336,7 @@ class CompactionJob:
         # data-generation snapshot; any movement means DML interleaved
         # and the frozen id_map / shadow contents may be stale
         self.guard = dict(db.catalog.data_generations)
-        self.advisor: Optional[AdvisorReport] = None
+        self.advisor: Optional[CompactionAdvice] = None
         self.finished = False
         self.steps_run = 0
         self.pages_rewritten = 0
@@ -676,7 +676,7 @@ class CompactionManager:
                 if not is_dirty(catalog, table):
                     return CompactionProgress(
                         table=table, state="clean", restarts=restarts,
-                        advisor=AdvisorReport(
+                        advisor=CompactionAdvice(
                             table, "clean", factor=headroom_factor,
                             headroom_pages=db.token.ftl.headroom_pages(),
                         ),
@@ -716,7 +716,7 @@ class CompactionManager:
 
     def advise(self, table: str,
                headroom_factor: float = DEFAULT_HEADROOM_FACTOR
-               ) -> AdvisorReport:
+               ) -> CompactionAdvice:
         return CompactionAdvisor(self._db.catalog, headroom_factor) \
             .assess(table)
 

@@ -2,43 +2,67 @@
 
 The paper charts the Pre/Post/Cross/NoFilter decision surface
 empirically (Figures 8-13) and leaves the optimizer to future work.
-This module closes that gap: for every candidate strategy assignment
-it predicts what the executor would charge -- channel bytes at the
-configured throughput, flash page reads and writes (including
-climbing-index descents, delta-log climbs gated by the delta-key
-Bloom's false-positive rate, SJoin page skipping, Store
-materialization, Post-Filter Bloom false positives, Post-Select
-passes and the projection phase) and the secure-RAM peak -- using
-only the statistics catalog and the token's hardware parameters.
-Nothing here touches flash or the channel: estimation is free and
-leak-free.
+For every candidate strategy assignment and ORDER BY method this
+module predicts the ledger the executor would leave -- climbing-index
+descents, delta-log climbs gated by the delta-key Bloom, the id runs
+Merge reads, SJoin page skipping, Store, Post-Filter Bloom false
+positives, Post-Select passes, projection, channel bytes -- from the
+statistics catalog and the token's hardware parameters alone: free
+and leak-free.
 
-Each helper names the code path it prices in
+An estimate is a :class:`~repro.flash.stats.LedgerSnapshot` of
+fractional counts under the executor's operator labels, at the unit
+prices the token charges.  This module never does arithmetic on a
+price: the ledger times an estimate and a measurement alike, so the
+two compare label by label.
+
+The rules both sides must agree on -- the Vis request set, which
+tables QEPSJ carries, which values are projected, the Bloom,
+Post-Select and MJoin RAM envelopes -- are functions of
 :mod:`repro.core.operators`, :mod:`repro.core.executor` and
-:mod:`repro.core.project`.  The rules both sides must agree on -- the
-Vis request set, which tables QEPSJ carries, which values are
-projected, the Bloom, Post-Select and MJoin RAM envelopes -- are
-functions those modules own and this one calls with ``ram.capacity``
-where the operator passes ``ram.free_bytes``.
+:mod:`repro.core.project`, called here with ``ram.capacity`` where
+the operator passes ``ram.free_bytes``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.catalog import SecureCatalog
-from repro.core.executor import post_bloom_budget, tables_beyond_anchor
-from repro.core.operators import (post_select_chunk_ids, projected_values,
+from repro.core.executor import (QueryStats, post_bloom_budget,
+                                 tables_beyond_anchor)
+from repro.core.merge import MERGE_LABEL
+from repro.core.operators import (BLOOM_LABEL, CI_LABEL, PROJECT_LABEL,
+                                  SJOIN_LABEL, STORE_LABEL, VIS_LABEL,
+                                  post_select_chunk_ids, projected_values,
                                   vis_request, vis_tables)
 from repro.core.plan import ProjectionMode, SortMethod, VisStrategy
 from repro.core.project import mjoin_chunk_rows
+from repro.core.sort import SORT_LABEL, SortKeyCodec
 from repro.errors import PlanError
+from repro.flash.stats import COMM, READ, WRITE, CellKey, LedgerSnapshot
 from repro.hardware.token import SecureToken
 from repro.index.bloom import DEFAULT_HASHES, false_positive_rate
 from repro.index.climbing import ClimbingIndex
 from repro.sql.binder import BoundQuery, BoundSelection
+
+#: the executor's operator labels, in pipeline order: every estimate
+#: cell is filed under one of them
+LABELS = (VIS_LABEL, CI_LABEL, MERGE_LABEL, SJOIN_LABEL, BLOOM_LABEL,
+          STORE_LABEL, PROJECT_LABEL, SORT_LABEL)
+
+#: ``(page operations, bytes moved)`` of one access pattern
+IO = Tuple[float, float]
+#: an estimate's ledger cells while it is being priced
+Cells = Dict[CellKey, Tuple[float, float]]
+
+
+def _add(cells: Cells, key: CellKey, ops: float, nbytes: float) -> None:
+    """Charge ``ops`` operations moving ``nbytes`` to cell ``key``."""
+    ops0, nbytes0 = cells.get(key, (0, 0))
+    cells[key] = (ops0 + ops, nbytes0 + nbytes)
 
 
 @dataclass(frozen=True)
@@ -61,25 +85,32 @@ class Choice:
 Assignment = Tuple[Tuple[str, Choice], ...]   # sorted by table
 
 
-@dataclass
-class PlanEstimate:
-    """Predicted cost of one fully decided plan."""
+class _Timed:
+    """An estimate's time: its ``cells`` timed by the ledger."""
 
-    total_us: float = 0.0
-    flash_us: float = 0.0
-    channel_us: float = 0.0
+    cells: LedgerSnapshot
+
+    @property
+    def total_us(self) -> float:
+        return self.cells.total_time_us()
+
+    @property
+    def total_s(self) -> float:
+        return self.cells.total_time_s()
+
+
+@dataclass
+class PlanEstimate(_Timed):
+    """Predicted cost of one fully decided plan: the ledger cells its
+    execution would charge (fractional counts)."""
+
+    cells: LedgerSnapshot
     bytes_to_secure: int = 0
     bytes_to_untrusted: int = 0
-    ram_peak: int = 0
-    by_phase: Dict[str, float] = field(default_factory=dict)
     #: the fully reduced pipeline cannot hold its buffers in secure
     #: RAM -- the executor would raise; never chosen over a feasible
     #: candidate and never executed by ``EXPLAIN ANALYZE``
     infeasible: bool = False
-
-    @property
-    def total_s(self) -> float:
-        return self.total_us / 1e6
 
 
 @dataclass
@@ -90,32 +121,25 @@ class CandidateCost:
     assignment: Assignment
     estimate: PlanEstimate
     chosen: bool = False
-    measured_s: Optional[float] = None
+    measured: Optional[QueryStats] = None
 
     def describe(self) -> str:
         return ", ".join(f"{t}={c.describe()}" for t, c in self.assignment)
 
 
-class _Acc:
-    """Accumulator for one candidate's estimate."""
-
-    def __init__(self) -> None:
-        self.est = PlanEstimate()
-
-    def flash(self, phase: str, us: float) -> None:
-        self.est.flash_us += us
-        self.est.by_phase[phase] = self.est.by_phase.get(phase, 0.0) + us
-
-    def channel(self, phase: str, us: float, inbound: int = 0,
-                outbound: int = 0) -> None:
-        self.est.channel_us += us
-        self.est.bytes_to_secure += inbound
-        self.est.bytes_to_untrusted += outbound
-        self.est.by_phase[phase] = self.est.by_phase.get(phase, 0.0) + us
-
-    def finish(self) -> PlanEstimate:
-        self.est.total_us = self.est.flash_us + self.est.channel_us
-        return self.est
+def label_lines(estimated: Dict[str, float],
+                measured: Dict[str, float]) -> List[str]:
+    """One ``est / measured`` line per label either side charged, in
+    pipeline order, with the ratio where both are non-zero."""
+    lines = []
+    for label in sorted(set(estimated) | set(measured), key=lambda name: (
+            LABELS.index(name) if name in LABELS else len(LABELS), name)):
+        est, meas = estimated.get(label, 0.0), measured.get(label, 0.0)
+        if est or meas:
+            ratio = f"  ({est / meas:.2f}x)" if est and meas else ""
+            lines.append(f"      {label:<8s} est {est:9.6f}s / measured "
+                         f"{meas:9.6f}s{ratio}")
+    return lines
 
 
 @dataclass
@@ -127,52 +151,47 @@ class CostReport:
     """
 
     candidates: List[CandidateCost]
-    selectivities: Dict[str, float]        # per-table visible sel
-    hidden_selectivities: Dict[str, float]  # per hidden predicate
 
     @property
     def chosen(self) -> Optional[CandidateCost]:
-        for cand in self.candidates:
-            if cand.chosen:
-                return cand
-        return None
+        return next((c for c in self.candidates if c.chosen), None)
 
     def describe(self) -> str:
         lines = ["candidates (cost-based):"]
-        show_measured = any(c.measured_s is not None
-                            for c in self.candidates)
         for cand in sorted(self.candidates,
                            key=lambda c: (c.estimate.infeasible,
                                           c.estimate.total_us)):
             est = cand.estimate
+            chan = est.bytes_to_secure + est.bytes_to_untrusted
             line = (f"  {cand.describe():<42s} est {est.total_s:9.4f}s"
-                    f"  chan {est.bytes_to_secure + est.bytes_to_untrusted:>9d}B"
-                    f"  ram {est.ram_peak:>6d}B")
+                    f"  chan {chan:>9d}B")
             if est.infeasible:
                 line += "  infeasible (RAM)"
-            elif show_measured and cand.measured_s is not None:
-                line += f"  measured {cand.measured_s:9.4f}s"
+            elif cand.measured is not None:
+                line += f"  measured {cand.measured.total_s:9.4f}s"
             if cand.chosen:
                 line += "  <- chosen"
             lines.append(line)
+            if cand.chosen and cand.measured is not None:
+                lines += label_lines(est.cells.by_label_s(),
+                                     cand.measured.by_operator)
         return "\n".join(lines)
 
 
+_NO_CELLS = LedgerSnapshot({}, {})
+
+
 @dataclass
-class OrderEstimate:
+class OrderEstimate(_Timed):
     """Predicted cost of one ORDER BY execution method."""
 
     method: SortMethod
-    total_us: float = 0.0
+    cells: LedgerSnapshot = _NO_CELLS
     ram_peak: int = 0
     n_runs: int = 0
     infeasible: bool = False
     note: str = ""
     chosen: bool = False
-
-    @property
-    def total_s(self) -> float:
-        return self.total_us / 1e6
 
 
 @dataclass
@@ -188,10 +207,7 @@ class OrderReport:
 
     @property
     def chosen(self) -> Optional[OrderEstimate]:
-        for cand in self.candidates:
-            if cand.chosen:
-                return cand
-        return None
+        return next((c for c in self.candidates if c.chosen), None)
 
     def describe(self) -> str:
         lines = [f"order candidates (est {self.est_rows:.0f} rows):"]
@@ -215,52 +231,56 @@ class CostModel:
     def __init__(self, catalog: SecureCatalog, token: SecureToken):
         self.catalog = catalog
         self.token = token
-        self.params = token.config.flash
+        # the unit prices the token's FTL charges, keying every cell
+        self.read_price = token.config.flash.read_price
+        self.write_price = token.config.flash.write_price
         self.page = token.page_size
         self.ids_per_page = token.ids_per_page
+        #: one full-page node read (SKT pages, hidden images, logs)
+        self.node: IO = (1, self.page)
 
     # ------------------------------------------------------------------
-    # hardware shorthands
+    # I/O shapes: (page operations, bytes moved) of one access
     # ------------------------------------------------------------------
-    def _t_node(self) -> float:
-        """One full-page node read (SKT pages, hidden images, logs)."""
-        return self.params.read_time_us(self.page)
-
-    def _leaf_read_us(self, tree) -> float:
+    def _leaf(self, tree) -> IO:
         """One B+-tree leaf read: only the node's fill crosses to RAM."""
         fill = 3 + math.ceil(
             tree.n_entries / max(1, tree.n_leaves)
         ) * (tree.key_width + tree.payload_width)
-        return self.params.read_time_us(min(self.page, fill))
+        return 1, min(self.page, fill)
 
-    def _descent_us(self, tree) -> float:
+    def _descent(self, tree) -> IO:
         """One root-to-leaf descent, internal-node fills included."""
         if tree.n_entries == 0 or tree.height <= 1:
-            return self._leaf_read_us(tree)
+            return self._leaf(tree)
         fanout = max(2.0, tree.n_leaves ** (1.0 / (tree.height - 1)))
         internal_fill = 3 + fanout * (tree.key_width + 4)
-        internal = self.params.read_time_us(
-            min(self.page, math.ceil(internal_fill)))
-        return (tree.height - 1) * internal + self._leaf_read_us(tree)
+        internal = min(self.page, math.ceil(internal_fill))
+        return tree.height, (tree.height - 1) * internal + self._leaf(tree)[1]
 
-    def _t_ids_read(self, n_ids: int) -> float:
-        """Reading ``n_ids`` packed u32s through a U32View cursor."""
+    def _ids(self, n_ids: int) -> IO:
+        """``n_ids`` packed u32s through a U32View cursor or a
+        U32FileBuilder."""
         if n_ids <= 0:
-            return 0.0
-        pages = math.ceil(n_ids / self.ids_per_page)
-        return (pages * self.params.read_page_us
-                + n_ids * 4 * self.params.byte_transfer_ns / 1000.0)
+            return 0, 0
+        return math.ceil(n_ids / self.ids_per_page), n_ids * 4
 
-    def _t_ids_write(self, n_ids: int) -> float:
-        """Writing ``n_ids`` packed u32s through a U32FileBuilder."""
-        if n_ids <= 0:
-            return 0.0
-        pages = math.ceil(n_ids / self.ids_per_page)
-        return (pages * self.params.write_page_us
-                + n_ids * 4 * self.params.byte_transfer_ns / 1000.0)
+    # ------------------------------------------------------------------
+    # charging an estimate: counts, at the prices the token charges
+    # ------------------------------------------------------------------
+    def _read(self, cells: Cells, label: str, io: IO,
+              times: float = 1) -> None:
+        """``times`` page reads of shape ``io``, under ``label``."""
+        if io[0] and times:
+            _add(cells, (label, READ, self.read_price),
+                 times * io[0], times * io[1])
 
-    def _t_chan(self, nbytes: int) -> float:
-        return nbytes / self.token.channel.throughput_mbps
+    def _write(self, cells: Cells, label: str, io: IO,
+               times: float = 1) -> None:
+        """``times`` page writes of shape ``io``, under ``label``."""
+        if io[0] and times:
+            _add(cells, (label, WRITE, self.write_price),
+                 times * io[0], times * io[1])
 
     @staticmethod
     def _pages_touched(n_probes: float, n_pages: int) -> float:
@@ -284,9 +304,6 @@ class CostModel:
                                             s.predicate)
         return sel
 
-    def vis_selectivity(self, bound: BoundQuery, table: str) -> float:
-        return self._sel(bound.visible_selections(table))
-
     def _fanout(self, high: str, low: str) -> float:
         """Average number of ``high`` rows per ``low`` row."""
         return self._live(high) / self._live(low)
@@ -294,64 +311,65 @@ class CostModel:
     # ------------------------------------------------------------------
     # per-operator estimators (each names the code path it prices)
     # ------------------------------------------------------------------
-    def _ci_lookup_us(self, index: ClimbingIndex, sel: BoundSelection,
-                      level_rows: int, selectivity: float) -> float:
-        """One ``op_ci`` call: descent + run read + delta-log climb."""
+    def _ci_lookup(self, cells: Cells, index: ClimbingIndex,
+                   sel: BoundSelection, level_rows: int,
+                   selectivity: float) -> None:
+        """One ``op_ci`` call: descent + delta-log climb under ``CI``,
+        then the matched id run, which Merge reads."""
         tree = index.btree
         points = sel.predicate.points()
         if points is not None:
-            descent = len(set(points)) * self._descent_us(tree)
+            self._read(cells, CI_LABEL, self._descent(tree),
+                       len(set(points)))
         else:
             # range(): one descent plus a leaf scan of the matched span
-            span_leaves = max(1.0, selectivity * tree.n_leaves)
-            descent = (self._descent_us(tree)
-                       + span_leaves * self._leaf_read_us(tree))
-        runs = self._t_ids_read(round(selectivity * level_rows))
-        # appended rows: the delta log is scanned unless the delta-key
-        # Bloom proves the sought key was never appended
-        delta = 0.0
-        if index.delta_entries:
-            if points is not None:
-                appended_frac = index.delta_entries / max(1, tree.n_entries)
-                p_scan = min(1.0, index.delta_bloom_fp + appended_frac)
-            else:
-                p_scan = 1.0
-            delta = p_scan * index.delta_log_pages * self._t_node()
-        return descent + runs + delta
+            self._read(cells, CI_LABEL, self._descent(tree))
+            self._read(cells, CI_LABEL, self._leaf(tree),
+                       max(1.0, selectivity * tree.n_leaves))
+        self._delta_log(cells, index, points is not None)
+        self._read(cells, MERGE_LABEL,
+                   self._ids(round(selectivity * level_rows)))
 
-    def _id_climb_us(self, table: str, anchor: str, n_ids: float) -> float:
-        """``op_ci_ids``: Pre-Filter's per-ID index descents plus the
-        per-entry anchor sublist reads (one small view per ID)."""
+    def _delta_log(self, cells: Cells, index: ClimbingIndex,
+                   point_probe: bool) -> None:
+        """Appended rows (``CI``): the delta log is scanned unless the
+        delta-key Bloom proves a sought point key was never appended."""
+        if not index.delta_entries:
+            return
+        p_scan = 1.0
+        if point_probe:
+            p_scan = min(1.0, index.delta_bloom_fp + index.delta_entries
+                         / max(1, index.btree.n_entries))
+        self._read(cells, CI_LABEL, self.node,
+                   p_scan * index.delta_log_pages)
+
+    def _id_climb(self, cells: Cells, table: str, anchor: str,
+                  n_ids: float) -> None:
+        """``op_ci_ids``: Pre-Filter's per-ID index descents under
+        ``CI``, then the per-entry anchor sublists (one small view per
+        ID), which Merge reads."""
         index = self.catalog.id_indexes.get(table)
         if index is None:                     # anchor ids need no climb
-            return 0.0
+            return
         fan = self._fanout(anchor, table)
-        per_view_pages = math.ceil(max(1.0, fan * 4 / self.page))
-        per_view = (per_view_pages * self.params.read_page_us
-                    + fan * 4 * self.params.byte_transfer_ns / 1000.0)
-        delta = 0.0
-        if index.delta_entries:
-            # an 'in' probe over appended ids: Bloom-gated log scan
-            p_scan = min(1.0, index.delta_bloom_fp
-                         + index.delta_entries / max(1, index.btree.n_entries))
-            delta = p_scan * index.delta_log_pages * self._t_node()
-        return n_ids * (self._descent_us(index.btree) + per_view) + delta
+        self._read(cells, CI_LABEL, self._descent(index.btree), n_ids)
+        self._delta_log(cells, index, True)   # an 'in' probe
+        self._read(cells, MERGE_LABEL,
+                   (math.ceil(max(1.0, fan * 4 / self.page)), fan * 4),
+                   n_ids)
 
-    def _merge_reduction_us(self, n_runs: float, total_ids: float,
-                            reserve_buffers: int) -> float:
+    def _merge_reduction(self, cells: Cells, n_runs: float,
+                         total_ids: float, reserve_buffers: int) -> None:
         """Reduction phase when open runs outnumber RAM buffers.
 
         Each reduction level folds ~(B-1) runs into one flash run, so
         the data is rewritten ``ceil(log_{B-1}(R/B))`` times."""
         budget = max(1, self.token.ram.n_buffers - reserve_buffers)
         if n_runs <= budget or budget < 3:
-            return 0.0
-        levels = math.ceil(
-            math.log(n_runs / budget) / math.log(budget - 1)
-        ) if n_runs > budget else 0
-        per_level = (self._t_ids_read(round(total_ids))
-                     + self._t_ids_write(round(total_ids)))
-        return levels * per_level
+            return
+        levels = math.ceil(math.log(n_runs / budget) / math.log(budget - 1))
+        self._read(cells, MERGE_LABEL, self._ids(round(total_ids)), levels)
+        self._write(cells, MERGE_LABEL, self._ids(round(total_ids)), levels)
 
     def _bloom_geometry(self, n_items: float,
                         n_extra: int) -> Tuple[int, float]:
@@ -369,8 +387,8 @@ class CostModel:
     def estimate(self, bound: BoundQuery, assignment: Assignment,
                  projection_mode: ProjectionMode = ProjectionMode.PROJECT,
                  ) -> PlanEstimate:
-        """Predict the executor's charges for one decided plan."""
-        acc = _Acc()
+        """Predict the executor's ledger cells for one decided plan."""
+        cells: Cells = {}
         catalog = self.catalog
         schema = catalog.schema
         anchor = bound.anchor
@@ -379,47 +397,43 @@ class CostModel:
 
         # ---- query-wide selectivities ------------------------------
         hidden = list(bound.hidden_selections())
-        s_hidden: Dict[int, float] = {
-            i: self._sel([sel]) for i, sel in enumerate(hidden)
-        }
-        sH_all = 1.0
-        for s in s_hidden.values():
-            sH_all *= s
+        s_hidden = [self._sel([sel]) for sel in hidden]
         requested = vis_tables(bound)
-        sV = {t: self.vis_selectivity(bound, t) for t in requested
+        sV = {t: self._sel(bound.visible_selections(t)) for t in requested
               if bound.visible_selections(t)}
         # the rows each requested table's answer carries
         nV = {t: sV.get(t, 1.0) * self._live(t) for t in requested}
 
         # ---- Vis: the statement's request set, one exchange per
         # table -- the same for every candidate and projection mode
+        to_secure = to_untrusted = 0
         for t in requested:
             request = vis_request(bound, t)
             outbound = request.wire_size()
             inbound = round(nV[t]) * (
                 4 + self._width(t, list(request.columns)))
-            acc.channel("Vis", self._t_chan(outbound + inbound),
-                        inbound=inbound, outbound=outbound)
+            # the request out and the answer back: two messages
+            _add(cells, (VIS_LABEL, COMM, self.token.channel.throughput_mbps),
+                 2, outbound + inbound)
+            to_secure += inbound
+            to_untrusted += outbound
 
         # ---- hidden selections: op_ci climbed to the anchor --------
         for i, sel in enumerate(hidden):
             index = catalog.attr_indexes.get((sel.table, sel.column.name))
-            if index is None:
-                continue
-            acc.flash("CI", self._ci_lookup_us(
-                index, sel, n_anchor, s_hidden[i]
-            ))
+            if index is not None:
+                self._ci_lookup(cells, index, sel, n_anchor, s_hidden[i])
 
         # ---- per-table strategies ----------------------------------
         extra_tables = tables_beyond_anchor(bound, choices)
         reserve = 4 + len(extra_tables)
-        count_sj = n_anchor * sH_all      # anchor ids entering SJoin
+        count_sj = n_anchor * math.prod(s_hidden)  # ids entering SJoin
         if anchor in sV:
             count_sj *= sV[anchor]
         post_factor = 1.0                 # Bloom-probe survival factor
         post_select: List[Tuple[str, float]] = []   # (table, nV_eff)
         merge_runs = float(len(hidden) + (1 if anchor in sV else 0))
-        merge_ids = n_anchor * (sum(s_hidden.values())
+        merge_ids = n_anchor * (sum(s_hidden)
                                 + (sV[anchor] if anchor in sV else 0.0))
         # flash-resident merge groups: each holds >= 1 open buffer even
         # after reductions (anchor Vis ids arrive as a RAM list: free)
@@ -438,12 +452,11 @@ class CostModel:
                             (sel.table, sel.column.name))
                         if index is not None:
                             # a second op_ci, this time at t's level
-                            acc.flash("CI", self._ci_lookup_us(
-                                index, sel, self._live(t), s_hidden[i]
-                            ))
+                            self._ci_lookup(cells, index, sel,
+                                            self._live(t), s_hidden[i])
                         n_eff *= s_hidden[i]
             if choice.strategy is VisStrategy.PRE:
-                acc.flash("CI", self._id_climb_us(t, anchor, n_eff))
+                self._id_climb(cells, t, anchor, n_eff)
                 count_sj *= sV[t]
                 fan = self._fanout(anchor, t)
                 merge_runs += n_eff
@@ -458,74 +471,65 @@ class CostModel:
                 post_select.append((t, n_eff))
             # NOFILTER: nothing happens until projection
 
-        # ---- Merge (stream + possible reduction phase) -------------
-        acc.flash("Merge", self._merge_reduction_us(
-            merge_runs, merge_ids, reserve_buffers=reserve
-        ))
+        # ---- Merge reduction phase ---------------------------------
+        self._merge_reduction(cells, merge_runs, merge_ids,
+                              reserve_buffers=reserve)
 
         # ---- SJoin + Store -----------------------------------------
         count_store = count_sj * post_factor
+        n_cols = 1 + len(extra_tables)
         if extra_tables:
             skt = catalog.skts.get(anchor)
-            skt_pages = skt.n_pages if skt is not None else 1
-            acc.flash("SJoin", self._pages_touched(count_sj, skt_pages)
-                      * self._t_node())
-            n_cols = 1 + len(extra_tables)
-        else:
-            n_cols = 1
-        acc.flash("Store", n_cols * self._t_ids_write(round(count_store)))
+            self._read(cells, SJOIN_LABEL, self.node, self._pages_touched(
+                count_sj, skt.n_pages if skt is not None else 1))
+        self._write(cells, STORE_LABEL, self._ids(round(count_store)),
+                    n_cols)
 
         # ---- Post-Select passes over the stored columns ------------
         count_final = count_store
         for t, n_eff in post_select:
             passes = math.ceil(max(1.0, n_eff) / post_select_chunk_ids(
                 self.token.ram.capacity))
-            acc.flash("Project",
-                      passes * self._t_ids_read(round(count_store)))
+            stored = self._ids(round(count_store))
+            self._read(cells, PROJECT_LABEL, stored, passes)
             # exact rewrite of every stored column
-            acc.flash("Project", n_cols * (
-                self._t_ids_read(round(count_store))
-                + self._t_ids_write(round(count_store * sV[t]))
-            ))
+            self._read(cells, PROJECT_LABEL, stored, n_cols)
+            self._write(cells, PROJECT_LABEL,
+                        self._ids(round(count_store * sV[t])), n_cols)
             count_final *= sV[t]
 
         # ---- Projection (QEPP) -------------------------------------
-        self._estimate_projection(acc, bound, choices, nV,
-                                  count_final, projection_mode)
+        self._estimate_projection(cells, bound, choices, nV, count_final,
+                                  projection_mode)
 
-        # ---- RAM peak and feasibility ------------------------------
-        capacity = self.token.ram.capacity
+        # ---- feasibility: even the fully reduced pipeline must hold
+        # its buffers, or the executor would exhaust secure RAM
         pipeline = (1 if extra_tables else 0) + n_cols
-        open_buffers = max(flash_groups, min(
-            merge_runs, self.token.ram.n_buffers - reserve))
-        phase_sj = (open_buffers + pipeline) * self.page + ram_sj
         min_sj = (flash_groups + pipeline) * self.page + ram_sj
-        phase_ps = max((4 * min(round(n), post_select_chunk_ids(capacity))
-                        for _, n in post_select), default=0)
-        phase_proj = capacity // 2 if count_final else 0
-        acc.est.ram_peak = min(capacity,
-                               round(max(phase_sj, phase_ps, phase_proj)))
-        if min_sj > capacity:
-            # even the fully reduced pipeline cannot hold its buffers:
-            # the executor would exhaust secure RAM
-            acc.est.ram_peak = round(min_sj)
-            acc.est.infeasible = True
-        return acc.finish()
+        return PlanEstimate(LedgerSnapshot(cells, {}), to_secure, to_untrusted,
+                            infeasible=min_sj > self.token.ram.capacity)
 
     # ------------------------------------------------------------------
     def _width(self, table: str, names: List[str]) -> int:
         columns = self.catalog.schema.table(table)
         return sum(columns.column(n).type.width for n in names)
 
-    def _estimate_projection(self, acc: _Acc, bound: BoundQuery,
+    def _heap_pages(self, table: str) -> int:
+        """Pages of ``table``'s hidden image heap (0 without one)."""
+        image = self.catalog.images.get(table)
+        if image is None or image.heap is None:
+            return 0
+        return image.heap.file.n_pages
+
+    def _estimate_projection(self, cells: Cells, bound: BoundQuery,
                              choices: Dict[str, Choice],
                              nV: Dict[str, float], count: float,
                              mode: ProjectionMode) -> None:
-        """Price the QEPP phase of :mod:`repro.core.project`; ``nV``
-        holds the Vis rows of every requested table."""
+        """Price the QEPP phase of :mod:`repro.core.project`, all of it
+        under ``Project``; ``nV`` holds the Vis rows of every requested
+        table."""
         if count <= 0:
             return
-        catalog = self.catalog
         anchor = bound.anchor
         per_table = projected_values(bound)
         approx = {t for t, c in choices.items()
@@ -533,7 +537,8 @@ class CostModel:
         mjoined = (set(per_table) | approx) - {anchor}
 
         if mode is ProjectionMode.BRUTE_FORCE:
-            self._estimate_brute_force(acc, per_table, approx, nV, count)
+            self._estimate_brute_force(cells, per_table, approx, nV,
+                                       count)
             return
 
         for t in sorted(mjoined):
@@ -545,35 +550,30 @@ class CostModel:
                 n_rows = nV[t]
                 if mode is ProjectionMode.PROJECT:
                     # Bloom over the t column: one column read
-                    acc.flash("Project", self._t_ids_read(round(count)))
+                    self._read(cells, PROJECT_LABEL, self._ids(round(count)))
                     candidates = min(n_rows, count) + 0.024 * n_rows
                 else:
                     candidates = n_rows
             else:
                 # hidden-only: sequential scan of the hidden image
-                image = catalog.images.get(t)
-                if image is not None and image.heap is not None:
-                    acc.flash("Project",
-                              image.heap.file.n_pages * self._t_node())
+                self._read(cells, PROJECT_LABEL, self.node,
+                           self._heap_pages(t))
                 candidates = count
             if attrs["hid"] and has_vis_side:
-                image = catalog.images.get(t)
-                if image is not None and image.heap is not None:
-                    acc.flash("Project", self._pages_touched(
-                        candidates, image.heap.file.n_pages
-                    ) * self._t_node())
+                self._read(cells, PROJECT_LABEL, self.node,
+                           self._pages_touched(candidates,
+                                               self._heap_pages(t)))
             # MJoin: RAM-bounded passes over the t column
             entry_bytes = 4 + self._width(t, attrs["vis"] + attrs["hid"])
             passes = math.ceil(max(1.0, candidates) / mjoin_chunk_rows(
                 self.token.ram.capacity, self.page, entry_bytes))
-            acc.flash("Project", passes * self._t_ids_read(round(count)))
+            self._read(cells, PROJECT_LABEL, self._ids(round(count)), passes)
             # matched <pos, values> heap writes + the final-join scan
             matched = min(candidates, count)
             heap_pages = math.ceil(
                 matched * entry_bytes / max(1, self.page - 4))
-            acc.flash("Project", heap_pages
-                      * (self.params.write_time_us(self.page)
-                         + self._t_node()))
+            self._write(cells, PROJECT_LABEL, (1, self.page), heap_pages)
+            self._read(cells, PROJECT_LABEL, self.node, heap_pages)
 
         # final position-ordered join: anchor ids + one id column per
         # projected non-anchor table
@@ -582,15 +582,12 @@ class CostModel:
                    for col in bound.projections
                    if col.column.is_id or col.column.is_foreign_key}
         id_cols.discard(anchor)
-        acc.flash("Project",
-                  (1 + len(id_cols)) * self._t_ids_read(round(count)))
+        self._read(cells, PROJECT_LABEL, self._ids(round(count)),
+                   1 + len(id_cols))
         # anchor-side hidden values
-        anchor_attrs = per_table.get(anchor, {"vis": [], "hid": []})
-        if anchor_attrs["hid"]:
-            image = catalog.images.get(anchor)
-            if image is not None and image.heap is not None:
-                acc.flash("Project", self._pages_touched(
-                    count, image.heap.file.n_pages) * self._t_node())
+        if per_table.get(anchor, {"hid": []})["hid"]:
+            self._read(cells, PROJECT_LABEL, self.node, self._pages_touched(
+                count, self._heap_pages(anchor)))
 
     # ------------------------------------------------------------------
     # result cardinality (run-count input for the ordering step)
@@ -629,8 +626,6 @@ class CostModel:
         the planner's gating reason into the report).  Run counts
         derive from the statistics catalog's cardinality estimates.
         """
-        from repro.core.sort import SortKeyCodec
-
         if not bound.order_by:
             raise PlanError("estimate_order needs ORDER BY keys")
         n_rows = (self.estimate_group_rows(bound) if bound.is_aggregate
@@ -649,8 +644,7 @@ class CostModel:
             ext.ram_peak = round(min(chunk_bytes, max(1.0, n_rows) * entry))
         else:
             total_words = round(n_rows) * words
-            ext.total_us = (self._t_ids_write(total_words)
-                            + self._t_ids_read(total_words))
+            passes = 1                    # spill once, read back once
             budget = max(1, self.token.ram.n_buffers - 2)
             if n_runs > budget:
                 # reduction passes: the sorter folds ~max(2, budget-1)
@@ -659,10 +653,12 @@ class CostModel:
                 # that is ~log2(n_runs) rewrites, which dominates
                 # exactly where RAM is scarcest
                 fold = max(2, budget - 1)
-                levels = math.ceil(math.log(n_runs / budget)
-                                   / math.log(fold))
-                ext.total_us += levels * (self._t_ids_read(total_words)
-                                          + self._t_ids_write(total_words))
+                passes += math.ceil(math.log(n_runs / budget)
+                                    / math.log(fold))
+            cells: Cells = {}
+            self._write(cells, SORT_LABEL, self._ids(total_words), passes)
+            self._read(cells, SORT_LABEL, self._ids(total_words), passes)
+            ext.cells = LedgerSnapshot(cells, {})
             ext.ram_peak = round(chunk_bytes + self.page)
             if self.token.ram.n_buffers < 3:
                 # merging spilled runs holds >= 2 open-run buffers plus
@@ -688,17 +684,18 @@ class CostModel:
 
         # ---- index-order scan (sort avoidance) ---------------------
         if index is not None:
-            scan = OrderEstimate(SortMethod.INDEX_ORDER)
             n_anchor = self._live(bound.anchor)
             k = (bound.offset + bound.limit if bound.limit is not None
                  else None)
             fraction = (min(1.0, k / max(1.0, n_rows)) if k is not None
                         else 1.0)
-            scan.total_us = (
-                fraction * index.btree.n_leaves
-                * self._leaf_read_us(index.btree)
-                + self._t_ids_read(round(fraction * n_anchor))
-            )
+            cells = {}
+            self._read(cells, SORT_LABEL, self._leaf(index.btree),
+                       fraction * index.btree.n_leaves)
+            self._read(cells, SORT_LABEL,
+                       self._ids(round(fraction * n_anchor)))
+            scan = OrderEstimate(SortMethod.INDEX_ORDER,
+                                 LedgerSnapshot(cells, {}))
             scan.ram_peak = round(min(capacity, n_rows * 8 + 2 * self.page))
             if n_rows * 8 + 2 * self.page > capacity:
                 scan.infeasible = True
@@ -710,7 +707,7 @@ class CostModel:
                 note=index_note or "(no usable index)"))
         return OrderReport(candidates, n_rows)
 
-    def _estimate_brute_force(self, acc: _Acc,
+    def _estimate_brute_force(self, cells: Cells,
                               per_table: Dict[str, Dict[str, List]],
                               approx: set, nV: Dict[str, float],
                               count: float) -> None:
@@ -723,9 +720,8 @@ class CostModel:
             if t in nV:
                 width = max(1, self._width(t, attrs["vis"]))
                 pages = math.ceil(n_rows * width / max(1, self.page - 4))
-                acc.flash("Project",
-                          pages * self.params.write_time_us(self.page))
+                self._write(cells, PROJECT_LABEL, (1, self.page), pages)
             # one random read per result row per touched table
-            acc.flash("Project", count * self._t_node())
-        acc.flash("Project", self._t_ids_read(round(count))
-                  * max(1, len(needed)))
+            self._read(cells, PROJECT_LABEL, self.node, count)
+        self._read(cells, PROJECT_LABEL, self._ids(round(count)),
+                   max(1, len(needed)))

@@ -53,6 +53,10 @@ from repro.sql.binder import BoundQuery
 from repro.storage.runs import IDS_PER_PAGE, IdRun, difference_sorted
 
 
+#: a fleet's coordinator merge (priced by ``shard.gather.merge_cost_s``)
+GATHER_LABEL = "Gather"
+
+
 @dataclass
 class QueryStats:
     """Simulated cost report for one executed query."""
@@ -92,7 +96,7 @@ class QueryStats:
             for key, value in part.counters.items():
                 counters[key] = counters.get(key, 0) + value
         if merge_s:
-            seconds.setdefault("Gather", []).append(merge_s)
+            seconds.setdefault(GATHER_LABEL, []).append(merge_s)
         return cls(
             total_s=merge_s + max((p.total_s for p in parts), default=0.0),
             by_operator={label: fsum(s) for label, s in seconds.items()},

@@ -60,7 +60,7 @@ from typing import (Dict, Iterator, List, Optional, Sequence, Tuple,
 from repro.core.aggregate import apply_aggregates, effective_projections
 from repro.core.catalog import SecureCatalog
 from repro.core.compaction import (DEFAULT_HEADROOM_FACTOR,
-                                   DEFAULT_PAGES_PER_STEP, AdvisorReport,
+                                   DEFAULT_PAGES_PER_STEP, CompactionAdvice,
                                    CompactionManager, CompactionProgress,
                                    TableCompactionStatus)
 from repro.core.dml import CheckedDml, DmlExecutor, DmlResult
@@ -442,8 +442,9 @@ class GhostDB(StatementFrontEnd):
     # ------------------------------------------------------------------
     def _analyze_plan(self, plan: QueryPlan) -> List[str]:
         """EXPLAIN ANALYZE: execute every feasible candidate of a
-        cost-based plan and record its measured time beside the
-        estimate (``describe()`` prints both)."""
+        cost-based plan and record its measured stats beside the
+        estimate (``describe()`` prints both, and per operator label
+        under the chosen candidate)."""
         if plan.cost_report is not None:
             for cand in plan.cost_report.candidates:
                 if cand.estimate.infeasible:
@@ -457,7 +458,7 @@ class GhostDB(StatementFrontEnd):
                     },
                     cost_report=None,
                 )
-                cand.measured_s = self.execute_plan(trial).stats.total_s
+                cand.measured = self.execute_plan(trial).stats
         return []
 
     def execute_plan(self, plan: QueryPlan, *, announce: bool = True,
@@ -627,7 +628,7 @@ class GhostDB(StatementFrontEnd):
 
     def compaction_advice(self, table: str,
                           headroom_factor: float = DEFAULT_HEADROOM_FACTOR
-                          ) -> AdvisorReport:
+                          ) -> CompactionAdvice:
         """The advisor's verdict on folding ``table`` now -- what
         :meth:`compact` acts on before it writes anything."""
         self.require_built()

@@ -152,18 +152,7 @@ class Planner:
         best = min(candidates, key=lambda c: (c.estimate.infeasible,
                                               c.estimate.total_us))
         best.chosen = True
-        return CostReport(
-            candidates=candidates,
-            selectivities={
-                t: self.cost_model.vis_selectivity(bound, t)
-                for t in self._vis_tables(bound)
-            },
-            hidden_selectivities={
-                f"{sel.table}.{sel.column.name}": self.catalog.selectivity(
-                    sel.table, sel.column.name, sel.predicate)
-                for sel in bound.hidden_selections()
-            },
-        )
+        return CostReport(candidates)
 
     def _greedy_assignments(self, bound: BoundQuery,
                             tables: Sequence[str],

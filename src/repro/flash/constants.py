@@ -22,6 +22,7 @@ range and read/write ratio of roughly 2.5x to 12x.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 ID_SIZE = 4
 """Size of a tuple identifier in bytes (paper Table 1)."""
@@ -46,13 +47,20 @@ class FlashParams:
     erase_block_us: float = 0.0  # the paper's cost model folds erases into writes
     gc_free_block_threshold: int = 4
 
-    def read_time_us(self, nbytes: int) -> float:
-        """Time to read one page and move ``nbytes`` of it into RAM."""
-        return self.read_page_us + nbytes * self.byte_transfer_ns / 1000.0
+    # unit prices ``(us per page or block, ns per byte)``: what the FTL
+    # charges the ledger with and what the planner's estimates are keyed
+    # by -- only ``repro.flash.stats`` turns them into time
+    @property
+    def read_price(self) -> Tuple[float, float]:
+        return (self.read_page_us, self.byte_transfer_ns)
 
-    def write_time_us(self, nbytes: int) -> float:
-        """Time to move ``nbytes`` to the data register and program a page."""
-        return self.write_page_us + nbytes * self.byte_transfer_ns / 1000.0
+    @property
+    def write_price(self) -> Tuple[float, float]:
+        return (self.write_page_us, self.byte_transfer_ns)
+
+    @property
+    def erase_price(self) -> Tuple[float, float]:
+        return (self.erase_block_us, 0.0)
 
 
 DEFAULT_PARAMS = FlashParams()

@@ -38,12 +38,6 @@ class Ftl:
         self.nand = nand
         self.ledger = ledger
         self.params = params or nand.params
-        # Table-1 unit prices, handed to the ledger with every count:
-        # (us per page or block, ns per byte through the data register)
-        p = self.params
-        self._read_price = (p.read_page_us, p.byte_transfer_ns)
-        self._write_price = (p.write_page_us, p.byte_transfer_ns)
-        self._erase_price = (p.erase_block_us, 0.0)
         n_logical = self.nand.n_pages  # logical space as big as physical
         self._l2p: list[int] = [_UNMAPPED] * n_logical
         self._p2l: Dict[int, int] = {}
@@ -138,7 +132,7 @@ class Ftl:
             self._invalidate(old)
         self._l2p[lpn] = ppn
         self._p2l[ppn] = lpn
-        self.ledger.charge(WRITE, self._write_price, 1, len(data))
+        self.ledger.charge(WRITE, self.params.write_price, 1, len(data))
 
     def read(self, lpn: int, nbytes: Optional[int] = None,
              offset: int = 0) -> bytes:
@@ -157,7 +151,7 @@ class Ftl:
             data = data[offset:]
         if nbytes is not None:
             data = data[:nbytes]
-        self.ledger.charge(READ, self._read_price, 1, len(data))
+        self.ledger.charge(READ, self.params.read_price, 1, len(data))
         return data
 
     def peek(self, lpn: int) -> bytes:
@@ -181,7 +175,7 @@ class Ftl:
         costs the same simulated time and counters as the read it
         replaced.
         """
-        self.ledger.charge(READ, self._read_price, pages, nbytes)
+        self.ledger.charge(READ, self.params.read_price, pages, nbytes)
 
     def trim(self, lpn: int) -> None:
         """Free logical page ``lpn``; its physical page becomes garbage."""
@@ -289,10 +283,11 @@ class Ftl:
                     continue
                 # relocate a valid page: read + program, both charged
                 data = self.nand.read_page(ppn)
-                self.ledger.charge(GC_READ, self._read_price, 1, len(data))
+                self.ledger.charge(GC_READ, self.params.read_price, 1,
+                                   len(data))
                 dest = self._claim_physical_page()
                 self.nand.program_page(dest, data)
-                self.ledger.charge(GC_WRITE, self._write_price, 1,
+                self.ledger.charge(GC_WRITE, self.params.write_price, 1,
                                    len(data))
                 self._p2l.pop(ppn)
                 self._p2l[dest] = lpn
@@ -300,5 +295,5 @@ class Ftl:
                 self.gc_pages_moved += 1
             self._invalid_per_block[victim] = 0
             self.nand.erase_block(victim)
-            self.ledger.charge(ERASE, self._erase_price, 1)
+            self.ledger.charge(ERASE, self.params.erase_price, 1)
             self._free_blocks.insert(0, victim)

