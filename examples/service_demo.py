@@ -48,7 +48,8 @@ async def snapshot_demo(db) -> None:
             print(f"lane: {admission['admitted']} turns, "
                   f"{admission['queued_total']} queued, each holding "
                   f"{admission['capacity']} bytes of secure RAM")
-            assert admission["reserved_now"] == 0
+            assert admission["admitted"] == 3    # read, write, read
+            assert admission["failed"] == 0
 
 
 def main() -> None:
@@ -59,7 +60,7 @@ def main() -> None:
     report = run_loadgen(db, n_clients=6, n_queries=8)
     print(report.describe())
     assert report.errors == 0
-    assert report.admission["queue_depth"] == 0
+    assert report.admission["admitted"] == 6 * 8   # one turn per query
     print(f"every statement ran in its own turn on the token; "
           f"{report.admission['queued_total']} waited their FIFO turn\n")
 

@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """Docs CI gate: links resolve, named API exists, state, the operator
 table, the simulated clock, the Vis request and the outbound channel
-have one owner each, the library reads no environment, examples run.
+have one owner each, the library reads no environment and runs on one
+thread, examples run.
 
-Eight checks, all simple on purpose:
+Nine checks, all simple on purpose:
 
 * every relative link target in a tracked ``*.md`` file (README.md,
   docs/, CHANGES.md, ...) must exist on disk -- links to headings
@@ -47,6 +48,12 @@ Eight checks, all simple on purpose:
   it unnoticed; and only ``untrusted/server.py`` may call
   ``to_untrusted``: every message Secure sends (announcement, Vis
   request, visible row push) is one ``VisServer`` method;
+* no module under ``src/repro`` may import ``threading`` or
+  ``concurrent.futures``, or call ``run_in_executor`` or
+  ``asyncio.to_thread``: the token serves one statement at a time, and
+  the service runs each statement's token work inline on its event
+  loop, so a second execution context for token work cannot come back
+  unnoticed;
 * with ``--run-examples``, every script under ``examples/`` is executed
   with ``PYTHONPATH=src`` and must exit 0.
 
@@ -108,6 +115,11 @@ _PRICES = ("read_page_us", "write_page_us", "byte_transfer_ns",
 #: statement's Vis request set, and the outbound channel itself
 _BOUNDARY_OWNERS = {"VisRequest": "src/repro/core/operators.py",
                     "to_untrusted": "src/repro/untrusted/server.py"}
+
+
+#: what would run code on a second thread: modules, and calls by name
+_THREAD_MODULES = ("threading", "concurrent.futures")
+_THREAD_CALLS = ("run_in_executor", "to_thread")
 
 
 def iter_markdown_files() -> list:
@@ -313,6 +325,33 @@ def foreign_boundary_calls() -> list:
     return found
 
 
+def _thread_module(name: str) -> bool:
+    return any(name == m or name.startswith(m + ".")
+               for m in _THREAD_MODULES)
+
+
+def second_threads() -> list:
+    """Every ``(module, line, expr)`` in ``src/`` that imports a thread
+    module (:data:`_THREAD_MODULES`, however spelled) or calls, or
+    imports by name, one of :data:`_THREAD_CALLS`."""
+    found = []
+    for module, tree in src_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bad = any(_thread_module(a.name) for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                bad = any(_thread_module(f"{node.module}.{a.name}")
+                          or a.name in _THREAD_CALLS for a in node.names)
+            elif isinstance(node, ast.Call):
+                bad = (getattr(node.func, "id", None)
+                       or getattr(node.func, "attr", None)) in _THREAD_CALLS
+            else:
+                bad = False
+            if bad:
+                found.append((module, node.lineno, ast.unparse(node)))
+    return found
+
+
 def run_examples() -> list:
     """Run every examples/ script; returns the ones that failed."""
     failed = []
@@ -361,6 +400,9 @@ def main(argv: list) -> int:
     for module, lineno, expr in foreign_boundary_calls():
         print(f"TRUST-BOUNDARY CALL OUTSIDE ITS OWNER "
               f"{module}:{lineno}: {expr}")
+        ok = False
+    for module, lineno, expr in second_threads():
+        print(f"SECOND THREAD IN src/ {module}:{lineno}: {expr}")
         ok = False
     if "--run-examples" in argv:
         for script, stderr in run_examples():

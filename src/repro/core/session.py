@@ -320,9 +320,10 @@ class Session:
         """Pin, plan, execute; returns the result and the per-table
         ``(data, stats)`` generations of every table it read.
 
-        The service runs this as one job on the token's lane, so no
-        write can move a generation between the pin and the last page
-        read: the returned map *is* the state the rows came from.
+        The service runs this as one job on the token's lane, on the
+        event loop and without yielding it, so no write can move a
+        generation between the pin and the last page read: the
+        returned map *is* the state the rows came from.
         """
         gens = self.db.table_generations
         pinned = {t: gens[t] for t in bound.tables}

@@ -6,8 +6,8 @@ turns it into a service many clients can drive at once:
 * :mod:`repro.service.protocol` -- the framed (length-prefixed JSON)
   wire format shared by server and clients.
 * :mod:`repro.service.admission` -- the token's lane: every statement's
-  token work is one job, run one at a time in arrival order on one
-  worker thread; each job holds the whole token.
+  token work is one job, run one at a time in arrival order, inline on
+  the server's event loop; each job holds the whole token.
 * :mod:`repro.service.server` -- the asyncio server multiplexing many
   concurrent client sessions onto one token (or fleet): a read pins,
   plans and executes in one turn and reports the generations it read;

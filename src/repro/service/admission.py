@@ -2,15 +2,22 @@
 
 The secure token has one 64 KB RAM and one channel, and it serves one
 statement at a time.  :class:`AdmissionController` is that fact as
-code: every statement's token work is one *job*, and the jobs run on
-one worker thread, strictly in arrival order (no later statement
-overtakes an earlier one, reader or writer), back to back, while the
-event loop keeps serving the wire.
+code: every statement's token work is one *job*, and a job runs
+synchronously on the event loop, at the first step of the task that
+asked for it.  asyncio then supplies the lane's guarantees itself:
+tasks start in the order they were created (the server creates one per
+request, in the order it decodes their frames), so no later statement
+overtakes an earlier one, reader or writer; and a job never awaits, so
+nothing else -- no other job, no wire I/O, no cancellation -- runs
+until it returns.  The price: while a job runs the server reads and
+answers nothing.
 
 A turn holds the whole token, so every statement's pledge is the
 database's total secure RAM -- a constant, never an estimate read off
 the plan.  What a caller learns from :meth:`AdmissionController.admit`
-besides the job's result is how long the job waited for its turn.
+besides the job's result is how long the job waited for its turn,
+counted from the :meth:`~AdmissionController.arrival` stamp the server
+takes as it decodes the request.
 
 A request cancelled before its turn never runs; a job that raises ends
 its turn like any other (the error goes to its caller, the count to
@@ -19,29 +26,25 @@ its turn like any other (the error goes to its caller, the count to
 
 from __future__ import annotations
 
-import asyncio
-import contextvars
-import functools
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Tuple, TypeVar
+from typing import Callable, Dict, Optional, Tuple, TypeVar
 
 T = TypeVar("T")
 
+#: when a request arrived: ``(clock reading, turns finished by then)``
+Arrival = Tuple[float, int]
+
 
 class AdmissionController:
-    """FIFO turns on one token, run back to back on one worker thread."""
+    """FIFO turns on one token, each run inline on the event loop."""
 
     def __init__(self, capacity: int,
                  clock: Callable[[], float] = time.monotonic):
         #: what one turn holds: the database's whole secure RAM
         self.capacity = capacity
         self._clock = clock
-        self._worker: Optional[ThreadPoolExecutor] = None
-        #: jobs admitted and not finished, the running one included
-        self._pending = 0
-        # counters surfaced by the server's ``stats`` op (all of them,
-        # like ``_pending``, change on the event loop's thread only)
+        self._running = False
+        # counters surfaced by the server's ``stats`` op
         self.admitted = 0
         self.queued_total = 0
         self.max_queue_depth = 0
@@ -50,72 +53,56 @@ class AdmissionController:
         self.wait_s_max = 0.0
 
     # ------------------------------------------------------------------
-    @property
-    def queue_depth(self) -> int:
-        """Jobs waiting behind the running one."""
-        return max(0, self._pending - 1)
-
     def describe(self) -> Dict[str, float]:
-        """Counter snapshot for the ``stats`` response."""
+        """Counter snapshot for the ``stats`` response.
+
+        ``queue_depth`` is always 0: the lane holds no job it has not
+        started -- a request waiting for its turn is a task the event
+        loop has not stepped yet.  ``max_queue_depth`` is the most
+        turns one job found ahead of it on arrival.
+        """
         return {
             "capacity": self.capacity,
-            "reserved_now": self.capacity if self._pending else 0,
+            "reserved_now": self.capacity if self._running else 0,
             "peak_reserved": self.capacity if self.admitted else 0,
             "admitted": self.admitted,
             "queued_total": self.queued_total,
-            "queue_depth": self.queue_depth,
+            "queue_depth": 0,
             "max_queue_depth": self.max_queue_depth,
             "wait_s_total": round(self.wait_s_total, 6),
             "wait_s_max": round(self.wait_s_max, 6),
             "failed": self.failed,
         }
 
+    def arrival(self) -> Arrival:
+        """Stamp a request as it arrives (the server: as it decodes the
+        frame), for :meth:`admit` to measure the wait from."""
+        return self._clock(), self.admitted
+
     # ------------------------------------------------------------------
-    async def admit(self, job: Callable[[], T]) -> Tuple[T, float]:
-        """Run ``job`` on the token in its turn; ``(result, waited_s)``.
+    def admit(self, job: Callable[[], T],
+              arrived: Optional[Arrival] = None) -> Tuple[T, float]:
+        """Run ``job`` on the token now; ``(result, waited_s)``.
 
-        The job runs on the lane's worker thread, in the caller's
-        context; ``waited_s`` is the time it spent queued for the
-        token.  Once started, a job finishes even if its caller is
-        cancelled, and the next turn starts only after it.
+        The caller's task is the turn: it calls this at its first step,
+        so the job runs in the caller's context without yielding the
+        loop.  ``waited_s`` is the time since ``arrived`` (default:
+        now), the time the statement queued for the token.
         """
-        if self._worker is None:
-            self._worker = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="token-lane")
-        if self._pending:
+        since, turns = arrived or self.arrival()
+        waited = self._clock() - since
+        ahead = self.admitted - turns
+        if ahead:
             self.queued_total += 1
-        self._pending += 1
-        self.max_queue_depth = max(self.max_queue_depth, self.queue_depth)
-        enqueued = self._clock()
-        waited: List[float] = []        # set on the worker as it starts
-
-        def turn() -> T:
-            waited.append(self._clock() - enqueued)
-            return job()
-
-        submitted = self._worker.submit(contextvars.copy_context().run,
-                                        turn)
-        run = asyncio.wrap_future(submitted)
-        run.add_done_callback(functools.partial(self._end_turn, waited))
+            self.max_queue_depth = max(self.max_queue_depth, ahead)
+        self._running = True
         try:
-            return await asyncio.shield(run), waited[0]
-        except asyncio.CancelledError:
-            if submitted.cancel():      # its turn had not come: never runs
-                self._pending -= 1
-            raise
-
-    def _end_turn(self, waited: List[float], run: asyncio.Future) -> None:
-        if run.cancelled():
-            return                      # counted off by ``admit``
-        self._pending -= 1
-        self.admitted += 1
-        self.wait_s_total += waited[0]
-        self.wait_s_max = max(self.wait_s_max, waited[0])
-        if run.exception() is not None:
+            return job(), waited
+        except Exception:
             self.failed += 1
-
-    def close(self) -> None:
-        """Stop the worker thread (the lane restarts on the next job)."""
-        if self._worker is not None:
-            self._worker.shutdown(wait=True)
-            self._worker = None
+            raise
+        finally:
+            self._running = False
+            self.admitted += 1
+            self.wait_s_total += waited
+            self.wait_s_max = max(self.wait_s_max, waited)

@@ -9,10 +9,10 @@ client-observed wall-clock throughput and latency percentiles plus the
 server's admission counters (``benchmarks/test_service_loadgen.py``
 asserts on them and prints the wall numbers).
 
-Wall-clock here measures the *service*: framing, the wait for the
-token's lane and the thread hand-off around the simulated token.  The simulated-time
-cost of the queries themselves is the figure benchmarks' subject, not
-this one's.
+Wall-clock here measures the *service*: framing and the wait for the
+token's lane around the simulated token.  The simulated-time cost of
+the queries themselves is the figure benchmarks' subject, not this
+one's.
 """
 
 from __future__ import annotations

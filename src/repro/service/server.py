@@ -5,8 +5,10 @@ connections onto one :class:`~repro.core.ghostdb.GhostDB` (or one
 fleet).  The token serves one statement at a time -- there is one
 64 KB secure RAM and one USB channel -- so every piece of token work
 the server does is one job on the token's lane
-(:class:`~repro.service.admission.AdmissionController`), taken in
-arrival order:
+(:class:`~repro.service.admission.AdmissionController`).  Everything
+runs on the event loop's one thread: the server starts one task per
+request in the order it decodes the frames, and each task runs its job
+at its first step, without yielding, so jobs run in arrival order:
 
 * a **read** pins the generations of the tables it touches, plans (a
   plan-cache hit unless a writer moved one of them) and executes, all
@@ -17,11 +19,13 @@ arrival order:
   next monotone ``writer_seq`` and records its response in one turn,
   and answers with the full post-write generation map -- what makes
   client-side oracles (and the concurrency property suite) possible;
-* ``prepare`` and ``snapshot`` are turns too.
+* ``snapshot`` is a turn too; ``prepare``, ``stats`` and ``ping``
+  only read server state, in arrival order like everything else.
 
 A turn holds the whole token, so every response's ``ram_claim`` is the
 database's total secure RAM, and its ``admission_wait_s`` is the time
-the statement spent queued for the token.
+from decoding its frame to the start of its turn.  While a job runs
+the server reads and answers nothing on the wire.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from typing import Any, Callable, Dict, Optional
 from repro.core.ghostdb import GhostDB
 from repro.core.session import PreparedStatement, Session
 from repro.errors import GhostDBError, PowerLoss
-from repro.service.admission import AdmissionController
+from repro.service.admission import AdmissionController, Arrival
 from repro.service.protocol import FrameError, read_frame, write_frame
 from repro.sql import ast
 from repro.sql.parser import parse
@@ -80,10 +84,6 @@ class GhostServer:
         self._writer_seq = 0
         self._server: Optional[asyncio.AbstractServer] = None
         self._conn_tasks: set = set()
-        # every in-flight request task, across connections: stop()
-        # drains these before tearing connections down so a stop
-        # mid-write never drops a tagged writer_seq response
-        self._request_tasks: set = set()
         # service counters (the ``stats`` op)
         self.connections_total = 0
         self.connections_now = 0
@@ -110,30 +110,22 @@ class GhostServer:
     async def stop(self) -> None:
         """Stop accepting, drain in-flight requests, close connections.
 
-        In-flight statements -- queued for the token or running on it
-        -- run to completion and their responses are written *before*
-        any connection is torn down: a stop mid-write must deliver the
-        tagged ``writer_seq`` response, not drop it.  The drain is
-        shielded so cancelling ``stop()`` itself cannot cut it short.
-        The lane's worker thread stops last.
+        Each connection finishes the statements it already decoded --
+        still waiting for their turn or already run -- and writes their
+        responses *before* it is torn down: a stop requested while a
+        write is queued must deliver its tagged ``writer_seq``
+        response, not drop it.  The drain is shielded so cancelling
+        ``stop()`` itself cannot cut it short.
         """
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if self._request_tasks:
-            drain = asyncio.gather(*list(self._request_tasks),
-                                   return_exceptions=True)
-            try:
-                await asyncio.shield(drain)
-            except asyncio.CancelledError:
-                await drain
         for task in list(self._conn_tasks):
             task.cancel()
         if self._conn_tasks:
             await asyncio.gather(*self._conn_tasks,
                                  return_exceptions=True)
-        self.admission.close()
 
     async def serve_forever(self) -> None:
         """Start (if needed) and serve until cancelled."""
@@ -160,35 +152,36 @@ class GhostServer:
         tasks: set = set()
         try:
             while True:
+                # the slot before the frame: a decoded request is
+                # handed to its task at once, so a cancel (stop())
+                # never lands while the handler holds one
+                await conn.inflight.acquire()
                 try:
                     request = await read_frame(reader)
                 except FrameError:
                     break   # corrupt peer: drop the connection
                 if request is None:
                     break
-                await conn.inflight.acquire()
-                task = asyncio.ensure_future(
-                    self._serve_request(conn, writer, request))
+                task = asyncio.ensure_future(self._serve_request(
+                    conn, writer, request, self.admission.arrival()))
                 tasks.add(task)
-                self._request_tasks.add(task)
                 task.add_done_callback(tasks.discard)
-                task.add_done_callback(self._request_tasks.discard)
         except asyncio.CancelledError:
             # server stopping: finish like a client disconnect so the
             # task ends cleanly (asyncio's stream glue logs handler
             # tasks that finish cancelled)
             pass
         finally:
-            self._conn_tasks.discard(asyncio.current_task())
             if tasks:
                 # shielded: a cancel delivered into this await must not
                 # skip the drain and close the writer under an
-                # in-flight response
+                # in-flight response (stop() drains through here)
                 drain = asyncio.gather(*tasks, return_exceptions=True)
                 try:
                     await asyncio.shield(drain)
                 except asyncio.CancelledError:
                     await drain
+            self._conn_tasks.discard(asyncio.current_task())
             self.connections_now -= 1
             writer.close()
             try:
@@ -200,11 +193,11 @@ class GhostServer:
 
     async def _serve_request(self, conn: _Connection,
                              writer: asyncio.StreamWriter,
-                             request: dict) -> None:
+                             request: dict, arrived: Arrival) -> None:
         req_id = request.get("id")
         self.requests_total += 1
         try:
-            response = await self._dispatch(conn, request)
+            response = self._dispatch(conn, request, arrived)
         except GhostDBError as exc:
             self.errors_total += 1
             response = {"ok": False, "error": str(exc),
@@ -226,55 +219,59 @@ class GhostServer:
     # ------------------------------------------------------------------
     # request dispatch
     # ------------------------------------------------------------------
-    async def _dispatch(self, conn: _Connection, request: dict) -> dict:
+    def _dispatch(self, conn: _Connection, request: dict,
+                  arrived: Arrival) -> dict:
+        """The response to ``request``; token work runs here, as one
+        turn (:meth:`_on_token`)."""
         op = request.get("op")
         if op == "ping":
             return {"ok": True, "kind": "pong"}
         if op == "stats":
             return self._stats_response(conn)
         if op == "prepare":
-            return await self._op_prepare(conn, request)
+            return self._op_prepare(conn, request)
         if op == "exec_stmt":
             stmt = conn.statements.get(request.get("stmt"))
             if stmt is None:
                 raise GhostDBError(
                     f"unknown prepared statement {request.get('stmt')!r}")
             params = tuple(request.get("params") or ())
-            return await self._run_select(conn, lambda: stmt, params)
-        if op == "compact":
-            return await self._op_compact(request)
-        if op == "execute":
-            return await self._op_execute(conn, request)
-        if op == "snapshot":
-            return await self._op_snapshot(request)
-        raise GhostDBError(f"unknown op {op!r}")
+            job = self._select_job(conn, stmt, params)
+        elif op == "compact":
+            job = self._op_compact(request)
+        elif op == "execute":
+            job = self._op_execute(conn, request)
+        elif op == "snapshot":
+            job = self._op_snapshot(request)
+        else:
+            raise GhostDBError(f"unknown op {op!r}")
+        return self._on_token(job, arrived)
 
-    async def _op_prepare(self, conn: _Connection, request: dict) -> dict:
+    def _op_prepare(self, conn: _Connection, request: dict) -> dict:
         sql = request.get("sql", "")
         parsed = parse(sql)
         if not isinstance(parsed, ast.SelectQuery):
             raise GhostDBError("prepare supports SELECT statements only")
-        stmt, _ = await self.admission.admit(
-            lambda: conn.session.prepare(sql, parsed=parsed))
+        stmt = conn.session.prepare(sql, parsed=parsed)
         stmt_id = conn.next_stmt_id
         conn.next_stmt_id += 1
         conn.statements[stmt_id] = stmt
         return {"ok": True, "kind": "prepared", "stmt": stmt_id,
                 "param_count": stmt.param_count}
 
-    async def _op_execute(self, conn: _Connection, request: dict) -> dict:
+    def _op_execute(self, conn: _Connection,
+                    request: dict) -> Callable[[], dict]:
         sql = request.get("sql", "")
         params = tuple(request.get("params") or ())
         parsed = parse(sql)
         if isinstance(parsed, ast.SelectQuery):
-            return await self._run_select(
-                conn, lambda: conn.session.prepare(sql, parsed=parsed),
-                params)
-        return await self._run_write(
+            return self._select_job(
+                conn, conn.session.prepare(sql, parsed=parsed), params)
+        return self._write_job(
             lambda: self.db.execute(sql, params or None),
             ikey=request.get("ikey"))
 
-    async def _op_compact(self, request: dict) -> dict:
+    def _op_compact(self, request: dict) -> Callable[[], dict]:
         table = request.get("table")
         kwargs: Dict[str, Any] = {}
         if request.get("max_steps") is not None:
@@ -290,48 +287,39 @@ class GhostServer:
                     "done": progress.done,
                     "pages_rewritten": progress.pages_rewritten}
 
-        return await self._run_write(run)
+        return self._write_job(run)
 
-    async def _op_snapshot(self, request: dict) -> dict:
+    def _op_snapshot(self, request: dict) -> Callable[[], dict]:
+        """A durable image of the served database, written in one turn:
+        no statement interleaves with the serialization.  A bounded
+        compaction job mid-flight makes :meth:`GhostDB.snapshot` refuse
+        (:class:`~repro.errors.PersistError`), answered like any other
+        statement error."""
         path = request.get("path")
         if not path:
             raise GhostDBError("snapshot requires a 'path'")
-        summary = await self.snapshot(path)
-        return {"ok": True, "kind": "snapshot", **summary}
-
-    async def snapshot(self, path: str) -> Dict[str, Any]:
-        """Write a durable image of the served database to ``path``.
-
-        One turn on the token: no statement interleaves with the
-        serialization.  Inherits :meth:`GhostDB.snapshot`'s refusal to
-        snapshot while a bounded compaction job is mid-flight
-        (:class:`~repro.errors.PersistError`), which the wire layer
-        surfaces to the client like any other statement error.
-        """
-        summary, _ = await self.admission.admit(
-            lambda: self.db.snapshot(path))
-        return summary
+        return lambda: {"ok": True, "kind": "snapshot",
+                        **self.db.snapshot(path)}
 
     # ------------------------------------------------------------------
     # statements: one turn each
     # ------------------------------------------------------------------
-    async def _on_token(self, job: Callable[[], dict]) -> dict:
+    def _on_token(self, job: Callable[[], dict],
+                  arrived: Arrival) -> dict:
         """Run ``job`` in its turn and stamp the turn into the
         response's stats block: what it held (the whole token) and how
         long it queued."""
-        response, waited = await self.admission.admit(job)
+        response, waited = self.admission.admit(job, arrived)
         if "stats" in response:
             response["stats"] = {**response["stats"],
                                  "ram_claim": self.admission.capacity,
                                  "admission_wait_s": round(waited, 6)}
         return response
 
-    async def _run_select(self, conn: _Connection,
-                          statement: Callable[[], PreparedStatement],
-                          params: tuple) -> dict:
+    def _select_job(self, conn: _Connection, stmt: PreparedStatement,
+                    params: tuple) -> Callable[[], dict]:
         """One SELECT: bind the parameters, pin, plan and execute."""
         def job() -> dict:
-            stmt = statement()
             result, pinned = conn.session.execute_pinned(
                 stmt, stmt.template.substitute(params))
             return {
@@ -342,9 +330,10 @@ class GhostServer:
                 "stats": _stats_block(result.stats),
             }
 
-        return await self._on_token(job)
+        return job
 
-    async def _run_write(self, fn, ikey: Optional[str] = None) -> dict:
+    def _write_job(self, fn,
+                   ikey: Optional[str] = None) -> Callable[[], dict]:
         """One write, with the exactly-once contract.
 
         A request whose idempotency key was already recorded is
@@ -388,7 +377,7 @@ class GhostServer:
                 self.db.ikeys.record(ikey, dict(response))
             return response
 
-        return await self._on_token(job)
+        return job
 
     # ------------------------------------------------------------------
     def _stats_response(self, conn: _Connection) -> dict:

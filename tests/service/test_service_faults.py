@@ -2,15 +2,16 @@
 idempotent replay, and the stop()-drains-writes contract."""
 
 import asyncio
-import threading
 
 import pytest
 
 from repro.core.ghostdb import GhostDB
 from repro.faults import WireFaults
+from repro.service import server as server_module
 from repro.service.client import (AsyncGhostClient, GhostClient,
                                   ServiceError, ServiceTimeout)
-from repro.service.server import GhostServer
+from repro.service.protocol import encode_frame, read_frame
+from repro.service.server import MAX_INFLIGHT_PER_CONNECTION, GhostServer
 
 from harness import serving
 
@@ -154,30 +155,30 @@ def test_stop_drains_the_statement_queued_on_the_lane():
     db = _mini_db()
 
     async def run():
-        server = GhostServer(db)
+        # the write's response is held on the wire for a while, so the
+        # stop reaches its connection with the answer still to write
+        server = GhostServer(
+            db, wire_faults=WireFaults(stall_every=1, stall_s=0.05))
         await server.start()
         client = await AsyncGhostClient.connect(
             "127.0.0.1", server.port, timeout_s=5.0)
+        stamp = server.admission.arrival
+        stop_requested = []
+
+        def arrival_then_stop():
+            # the server stamps each request as it decodes the frame:
+            # ask for the stop right then, while the write is queued
+            stop_requested.append((asyncio.ensure_future(server.stop()),
+                                   server.admission.admitted))
+            return stamp()
+
+        server.admission.arrival = arrival_then_stop
         try:
-            # hold the token's lane with a blocked job so the DML parks
-            # behind it, then stop the server while it is still queued
-            release = threading.Event()
-            holder = asyncio.ensure_future(server.admission.admit(
-                lambda: release.wait(10)))
-            write = asyncio.create_task(
-                client.execute("INSERT INTO P VALUES (2, 777)"))
-            for _ in range(200):
-                if server.admission.queue_depth:
-                    break
-                await asyncio.sleep(0.005)
-            assert server.admission.queue_depth, "write never queued"
-            stopper = asyncio.create_task(server.stop())
-            await asyncio.sleep(0.02)
-            assert not stopper.done()        # still draining the write
-            release.set()
-            await holder
-            result = await write
+            result = await client.execute("INSERT INTO P VALUES (2, 777)")
+            stopper, admitted_then = stop_requested[0]
             await stopper
+            assert admitted_then == 0        # the write had not run yet
+            assert server.wire_faults.stalled == 1
             return result
         finally:
             await client.close()
@@ -187,3 +188,53 @@ def test_stop_drains_the_statement_queued_on_the_lane():
     assert result.kind == "dml"
     assert result.raw.get("writer_seq") == 1
     assert _count_v(db, 777) == 1
+
+
+def test_stop_past_the_inflight_cap_answers_every_decoded_frame(
+        monkeypatch):
+    """A client pipelines more INSERTs than its connection's in-flight
+    cap, and the stop's cancel reaches the connection just as it
+    decodes the frame past the cap.  Every frame the server decoded is
+    answered, and every applied INSERT is one of them."""
+    db = _mini_db()
+    n_frames = MAX_INFLIGHT_PER_CONNECTION + 8
+    decoded = []
+
+    async def read_then_stop(reader):
+        request = await read_frame(reader)
+        if request is not None:
+            decoded.append(request["id"])
+            if len(decoded) == MAX_INFLIGHT_PER_CONNECTION + 1:
+                # what stop() does to each connection task
+                asyncio.current_task().cancel()
+        return request
+
+    monkeypatch.setattr(server_module, "read_frame", read_then_stop)
+
+    async def run():
+        server = GhostServer(db)
+        await server.start()
+        try:
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            # one write: every frame is buffered before the first
+            # decode, so the handler reaches the cap without yielding
+            writer.write(b"".join(
+                encode_frame({"op": "execute", "id": i,
+                              "sql": f"INSERT INTO P VALUES (1, {900 + i})"})
+                for i in range(n_frames)))
+            await writer.drain()
+            answered = []
+            while (response := await read_frame(reader)) is not None:
+                assert response["ok"], response
+                answered.append(response["id"])
+            writer.close()
+            return answered
+        finally:
+            await server.stop()
+
+    answered = asyncio.run(run())
+    assert len(decoded) > MAX_INFLIGHT_PER_CONNECTION
+    assert sorted(answered) == sorted(decoded)
+    applied = [i for i in range(n_frames) if _count_v(db, 900 + i)]
+    assert applied == sorted(answered)

@@ -101,8 +101,9 @@ def test_sharded_server_matches_twin_replay():
     # a turn holds every shard: the claim is the sum of the budgets
     assert admission["capacity"] == sum(per_shard_capacity)
     assert admission["peak_reserved"] == admission["capacity"]
-    assert admission["queue_depth"] == 0
-    assert admission["reserved_now"] == 0
+    # every statement took exactly one turn, and none failed
+    assert admission["admitted"] == N_CLIENTS * OPS_PER_CLIENT
+    assert admission["failed"] == 0
 
     entries = [e for log in logs for e in log]
     writes = sorted((e for e in entries if e[0] == "write"),
