@@ -10,11 +10,12 @@ Nine checks, all simple on purpose:
   docs/, CHANGES.md, ...) must exist on disk -- links to headings
   (``path#anchor``) are checked for the file part;
 * every ``GhostDB.name``, ``ShardedGhostDB.name``, ``Session.name``,
-  ``GhostServer.name``, ``AdmissionController.name``,
-  ``SecureRam.name``, ``db.name(`` and ``fleet.name(`` written in an
-  inline code span of README.md / docs/ARCHITECTURE.md must be an
-  attribute of that class (or one its methods assign on ``self``), so
-  the docs cannot describe a removed method;
+  ``PreparedStatement.name``, ``PlanCache.name``, ``GhostServer.name``,
+  ``AdmissionController.name``, ``SecureRam.name``, ``db.name(`` and
+  ``fleet.name(`` written in an inline code span of README.md /
+  docs/ARCHITECTURE.md must be an attribute of that class (or one its
+  methods assign on ``self``), so the docs cannot describe a removed
+  method;
 * no module under ``src/repro`` may read or assign a ``_private``
   attribute that another module defines, on anything but ``self`` /
   ``cls``.  The ownership unit is the module: a class may touch the
@@ -88,7 +89,8 @@ _API_DOCS = ("README.md", "docs/ARCHITECTURE.md")
 _FENCE = re.compile(r"```.*?```", re.DOTALL)
 _SPAN = re.compile(r"`([^`\n]+)`")
 _API_NAME = re.compile(r"(?<![\w.])(?:(GhostDB|ShardedGhostDB|Session|"
-                       r"GhostServer|AdmissionController|SecureRam)"
+                       r"PreparedStatement|PlanCache|GhostServer|"
+                       r"AdmissionController|SecureRam)"
                        r"\.([A-Za-z_]\w*)|(db|fleet)\.([A-Za-z_]\w*)\()")
 
 
@@ -170,12 +172,14 @@ def _attributes(cls) -> set:
 def stale_api_names() -> list:
     """Every (file, line, span) naming an attribute its class lacks."""
     from repro.core.ghostdb import GhostDB
-    from repro.core.session import Session
+    from repro.core.session import PlanCache, PreparedStatement, Session
     from repro.hardware.ram import SecureRam
     from repro.service.admission import AdmissionController
     from repro.service.server import GhostServer
     from repro.shard.fleet import ShardedGhostDB
     classes = {"GhostDB": GhostDB, "Session": Session, "db": GhostDB,
+               "PreparedStatement": PreparedStatement,
+               "PlanCache": PlanCache,
                "ShardedGhostDB": ShardedGhostDB, "fleet": ShardedGhostDB,
                "GhostServer": GhostServer,
                "AdmissionController": AdmissionController,

@@ -404,9 +404,13 @@ class CostModel:
         # the rows each requested table's answer carries
         nV = {t: sV.get(t, 1.0) * self._live(t) for t in requested}
 
-        # ---- Vis: the statement's request set, one exchange per
-        # table -- the same for every candidate and projection mode
-        to_secure = to_untrusted = 0
+        # ---- Vis: the statement's announcement (its text, one
+        # message) and request set, one exchange per table -- the same
+        # for every candidate and projection mode
+        to_untrusted = max(1, len(bound.sql))
+        _add(cells, (VIS_LABEL, COMM, self.token.channel.throughput_mbps),
+             1, to_untrusted)
+        to_secure = 0
         for t in requested:
             request = vis_request(bound, t)
             outbound = request.wire_size()

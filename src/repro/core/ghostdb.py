@@ -252,11 +252,6 @@ class StatementFrontEnd:
                       for t in sorted(plan.bound.tables)]
         return "\n".join(lines)
 
-    def generations_for(self, tables) -> Tuple:
-        """Snapshot of the (data, stats) generations a plan depends on."""
-        gens = self.table_generations
-        return tuple(sorted((t, gens[t]) for t in tables))
-
     # ------------------------------------------------------------------
     # sessions and prepared statements
     # ------------------------------------------------------------------
@@ -280,8 +275,9 @@ class StatementFrontEnd:
         ``?`` placeholders in predicates are substituted per call of
         :meth:`PreparedStatement.execute`; the plan is computed on the
         first execution and reused (one planner invocation per
-        template, not per query).  Uses the default session's plan
-        cache -- create a dedicated :meth:`session` for isolation.
+        template, not per query).  Returns the default session's
+        cached statement for the text -- create a dedicated
+        :meth:`session` for isolation.
         """
         self.require_built()
         return self._session_default().prepare(sql, vis_strategy, cross,

@@ -6,13 +6,15 @@ wasted host work.  This module is the reusable infrastructure every
 SELECT of ``GhostDB.execute()`` runs through:
 
 * :class:`PreparedStatement` -- bind once, execute many.  ``?``
-  placeholders in predicates are substituted per execution; the plan
-  (per-table Vis strategies, projection mode) is computed once and
-  reused via :meth:`QueryPlan.with_bound`.
-* :class:`PlanCache` -- an LRU cache of :class:`QueryPlan` objects
+  placeholders in predicates are substituted per execution; the
+  statement owns its plan (per-table Vis strategies, projection mode),
+  computed once and reused via :meth:`QueryPlan.with_bound` until a
+  table it reads moves a data/stats generation.
+* :class:`PlanCache` -- the session's one LRU of prepared statements,
   keyed on the *normalized* SQL text plus the strategy knobs, so
-  whitespace or keyword-case variants of one query share a plan;
-  entries go stale per table, through the data/stats generations.
+  whitespace or keyword-case variants of one query share a statement
+  (bound once, announced under the first text) and its plan; it counts
+  the plan lookups (hits, misses, stale drops, evictions).
 * :class:`Session` -- one client's view of a :class:`GhostDB` (or of a
   fleet: the session asks its database to plan and to run): its own
   plan cache and the batched execution path :meth:`Session.query_many`,
@@ -30,8 +32,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Optional,
+                    Sequence, Tuple, Union)
 
 from repro.core.executor import CostWindow, QueryResult, QueryStats
 from repro.core.operators import vis_request, vis_tables
@@ -68,94 +70,85 @@ def plan_key(sql: str, vis_strategy: StrategyLike, cross: Optional[bool],
     )
 
 
-#: per-table ``(data, stats)`` generation pairs a cached plan was
-#: computed against
+#: per-table ``(data, stats)`` generation pairs a plan was made against
 GenSnapshot = Tuple[Tuple[str, Tuple[int, int]], ...]
 
 
 class PlanCache:
-    """A bounded LRU cache of query plans with hit/miss accounting.
+    """A session's prepared statements: one bounded LRU keyed by
+    :func:`plan_key`, with the plan-lookup accounting.
 
-    Entries carry the per-table *(data, stats) generations* they were
-    planned against.  A lookup that passes the current generations
-    drops (and counts as a miss) any entry whose tables have since
-    been mutated by DML or whose statistics were refreshed -- so an
-    INSERT into ``Patients`` invalidates only plans touching
-    ``Patients``, never a cached ``Doctors``-only plan, and a stats
-    change that could flip a cost-based strategy choice invalidates
-    exactly like a data change.  Compaction relies on the same
-    mechanism: it bumps the generations of the tables whose DML it
-    folded instead of flushing the cache globally.
+    Each :class:`PreparedStatement` owns its plan and the per-table
+    *(data, stats) generations* that plan was made against; a lookup
+    that finds one of them moved re-plans (a miss, counted in
+    ``stale_drops`` too).  So an INSERT into ``Patients`` re-plans
+    only statements touching ``Patients``, never a ``Doctors``-only
+    one, and a stats refresh that could flip a cost-based strategy
+    choice re-plans exactly like a data change.  Compaction relies on
+    the same mechanism: it bumps the generations of the tables whose
+    DML it folded instead of flushing anything globally.  Every plan
+    lookup makes its statement the most recently used; past
+    ``capacity`` the least recently used one is evicted (a caller
+    still holding it keeps a working statement).
     """
 
     def __init__(self, capacity: int = 64):
         if capacity <= 0:
             raise ValueError("plan cache capacity must be positive")
         self.capacity = capacity
-        self._plans: "OrderedDict[PlanKey, Tuple[QueryPlan, GenSnapshot]]" \
-            = OrderedDict()
+        self._lru: "OrderedDict[PlanKey, PreparedStatement]" = \
+            OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.stale_drops = 0
 
     def __len__(self) -> int:
-        return len(self._plans)
+        return len(self._lru)
 
     def __contains__(self, key: PlanKey) -> bool:
-        return key in self._plans
+        return key in self._lru
 
-    def get(self, key: PlanKey,
-            current_gens: Optional[Dict[str, int]] = None
-            ) -> Optional[QueryPlan]:
-        entry = self._plans.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        plan, gens = entry
-        if current_gens is not None and any(
-                current_gens.get(table, gen) != gen
-                for table, gen in gens):
-            # a table this plan touches was mutated since planning
-            del self._plans[key]
-            self.stale_drops += 1
-            self.misses += 1
-            return None
-        self._plans.move_to_end(key)
-        self.hits += 1
-        return plan
+    def statement(self, key: PlanKey,
+                  make: Callable[[], "PreparedStatement"]
+                  ) -> "PreparedStatement":
+        """The statement cached under ``key``; on a miss, ``make()``'s,
+        cached as the most recent entry."""
+        stmt = self._lru.get(key)
+        if stmt is None:
+            stmt = self._lru[key] = make()
+            while len(self._lru) > self.capacity:
+                self._lru.popitem(last=False)
+                self.evictions += 1
+        return stmt
 
-    def put(self, key: PlanKey, plan: QueryPlan,
-            gens: GenSnapshot = ()) -> None:
-        self._plans[key] = (plan, gens)
-        self._plans.move_to_end(key)
-        while len(self._plans) > self.capacity:
-            self._plans.popitem(last=False)
-            self.evictions += 1
+    def touch(self, stmt: "PreparedStatement") -> None:
+        """Make ``stmt`` the most recent entry, if it is still cached."""
+        if self._lru.get(stmt.key) is stmt:
+            self._lru.move_to_end(stmt.key)
 
 
 class PreparedStatement:
     """One bound statement: plan once, execute with fresh parameters.
 
-    Obtained from :meth:`Session.prepare` (or ``GhostDB.prepare``).
-    ``?`` placeholders are numbered left to right; :meth:`execute`
-    takes one value per placeholder.
+    Obtained from :meth:`Session.prepare` (or ``GhostDB.prepare``),
+    which hands out one statement per :func:`plan_key`.  ``?``
+    placeholders are numbered left to right; :meth:`execute` takes one
+    value per placeholder.  The statement owns its plan: made at the
+    first execution, re-targeted at every later binding
+    (:meth:`QueryPlan.with_bound`), re-made when a table it reads moved
+    a generation.
     """
 
-    def __init__(self, session: "Session", sql: str,
-                 vis_strategy: StrategyLike = None,
-                 cross: Optional[bool] = None,
-                 projection: Union[str, ProjectionMode] = "project",
-                 order_method: SortMethodLike = None,
+    def __init__(self, session: "Session", key: PlanKey, sql: str,
                  parsed=None):
         self.session = session
+        self.key = key
         self.sql = sql
-        self._knobs = (vis_strategy, cross, projection, order_method)
-        self._key = plan_key(sql, *self._knobs)
-        db = session.db
-        db.require_built()
-        self.template: BoundQuery = db.bind(sql, parsed)
+        self.template: BoundQuery = session.db.bind(sql, parsed)
         self.executions = 0
+        self._plan: Optional[QueryPlan] = None
+        self._gens: GenSnapshot = ()
 
     @property
     def param_count(self) -> int:
@@ -163,23 +156,38 @@ class PreparedStatement:
 
     # ------------------------------------------------------------------
     def plan_for(self, bound: BoundQuery) -> QueryPlan:
-        """The template plan, from the session cache or planned fresh."""
-        return self._cached_plan(bound)
+        """The statement's plan, made afresh for ``bound`` when it has
+        none or a generation it was made against moved."""
+        return self._current_plan(bound)
 
-    def _cached_plan(self, bound: BoundQuery):
+    def _current_plan(self, bound: BoundQuery) -> QueryPlan:
         db = self.session.db
         cache = self.session.plan_cache
-        plan = cache.get(self._key, db.table_generations)
-        if plan is None:
-            plan = db.plan_bound(bound, *self._knobs)
-            cache.put(self._key, plan, db.generations_for(bound.tables))
-        return plan
+        gens = db.table_generations
+        if self._plan is not None and all(gens.get(table, gen) == gen
+                                          for table, gen in self._gens):
+            cache.hits += 1
+        else:
+            if self._plan is not None:     # a table it reads moved
+                cache.stale_drops += 1
+            cache.misses += 1
+            # the key's tail is the strategy knobs, coerced
+            self._plan = db.plan_bound(bound, *self.key[1:])
+            gens = db.table_generations
+            self._gens = tuple(sorted((t, gens[t]) for t in bound.tables))
+        cache.touch(self)
+        return self._plan
+
+    def _plans(self, bounds: Sequence[BoundQuery]) -> List[QueryPlan]:
+        """One plan lookup, re-targeted at each of ``bounds`` (one
+        execution each): the step every execution path shares."""
+        plan = self.plan_for(bounds[0])
+        self.executions += len(bounds)
+        return [plan.with_bound(b) for b in bounds]
 
     def execute(self, params: Sequence = ()) -> QueryResult:
         """Run once with ``params`` substituted for the placeholders."""
-        bound = self.template.substitute(tuple(params))
-        plan = self.plan_for(bound).with_bound(bound)
-        self.executions += 1
+        plan, = self._plans([self.template.substitute(tuple(params))])
         return self.session.db.execute_plan(plan)
 
     def execute_many(self, param_sets: Sequence[Sequence]
@@ -227,10 +235,6 @@ class Session:
         db.require_built()
         self.db = db
         self.plan_cache = PlanCache()
-        # bound templates are schema-derived (data-independent), so
-        # this cache survives DML and compaction
-        self._statements: "OrderedDict[PlanKey, PreparedStatement]" = \
-            OrderedDict()
 
     # ------------------------------------------------------------------
     def prepare(self, sql: str,
@@ -239,9 +243,17 @@ class Session:
                 projection: Union[str, ProjectionMode] = "project",
                 order_method: SortMethodLike = None,
                 parsed=None) -> PreparedStatement:
-        """Bind ``sql`` (which may contain ``?`` placeholders) once."""
-        return self.db.statement_cls(self, sql, vis_strategy, cross,
-                                     projection, order_method, parsed)
+        """The session's statement for ``sql`` (which may contain ``?``
+        placeholders): bound on first use, then served from the plan
+        cache, so a text that normalizes alike -- same knobs -- gets
+        the same statement (and announces the first text).
+
+        ``parsed`` lets callers that already parsed the statement
+        (``GhostDB.execute``, the server) skip the re-parse.
+        """
+        key = plan_key(sql, vis_strategy, cross, projection, order_method)
+        return self.plan_cache.statement(
+            key, lambda: self.db.statement_cls(self, key, sql, parsed))
 
     def query(self, sql: str, params: Optional[Sequence] = None,
               vis_strategy: StrategyLike = None,
@@ -249,31 +261,10 @@ class Session:
               projection: Union[str, ProjectionMode] = "project",
               order_method: SortMethodLike = None,
               parsed=None) -> QueryResult:
-        """Run one SELECT through the session's plan cache.
-
-        ``parsed`` lets callers that already parsed the statement
-        (``GhostDB.execute``) skip the re-parse; every call reuses a
-        cached bound template, so a hot loop re-binds nothing.
-        """
-        stmt = self._statement(sql, vis_strategy, cross, projection,
-                               order_method, parsed)
+        """Run one SELECT through the session's cached statement."""
+        stmt = self.prepare(sql, vis_strategy, cross, projection,
+                            order_method, parsed)
         return stmt.execute(params if params is not None else ())
-
-    def _statement(self, sql: str, vis_strategy: StrategyLike,
-                   cross: Optional[bool],
-                   projection: Union[str, ProjectionMode],
-                   order_method: SortMethodLike = None,
-                   parsed=None) -> PreparedStatement:
-        """The session's cached prepared statement for ``sql``."""
-        key = plan_key(sql, vis_strategy, cross, projection, order_method)
-        stmt = self._statements.get(key)
-        if stmt is None:
-            stmt = self.prepare(sql, vis_strategy, cross, projection,
-                                order_method, parsed)
-            self._statements[key] = stmt
-            while len(self._statements) > self.plan_cache.capacity:
-                self._statements.popitem(last=False)
-        return stmt
 
     def query_many(self,
                    sql: Union[str, Sequence[str]],
@@ -327,8 +318,7 @@ class Session:
         """
         gens = self.db.table_generations
         pinned = {t: gens[t] for t in bound.tables}
-        plan = stmt.plan_for(bound).with_bound(bound)
-        stmt.executions += 1
+        plan, = stmt._plans([bound])
         return self.db.execute_plan(plan), pinned
 
     # ------------------------------------------------------------------
@@ -342,12 +332,10 @@ class Session:
         if not param_sets:
             return BatchResult([], QueryStats.parallel(()), 0, 0)
         bounds = [stmt.template.substitute(p) for p in param_sets]
-        plan = stmt.plan_for(bounds[0])
-        plans = [plan.with_bound(b) for b in bounds]
+        plans = stmt._plans(bounds)
         # one audited message carries the template and every value set
         nbytes = max(1, len(stmt.sql)) + 8 * stmt.param_count * len(bounds)
         self._announce_batch(nbytes, len(plans), stmt.sql)
-        stmt.executions += len(plans)
         return self._execute_plans(plans, window)
 
     def _run_sql_batch(self, sqls: List[str],
@@ -359,11 +347,10 @@ class Session:
             return BatchResult([], QueryStats.parallel(()), 0, 0)
         plans = []
         for sql in sqls:
-            stmt = self._statement(sql, vis_strategy, cross, projection,
-                                   order_method)
+            stmt = self.prepare(sql, vis_strategy, cross, projection,
+                                order_method)
             # () fails the bind check when the text has ? placeholders
-            bound = stmt.template.substitute(())
-            plans.append(stmt.plan_for(bound).with_bound(bound))
+            plans += stmt._plans([stmt.template.substitute(())])
         nbytes = sum(max(1, len(s)) for s in sqls)
         self._announce_batch(nbytes, len(plans), sqls[0])
         return self._execute_plans(plans, window)
@@ -395,8 +382,7 @@ class Session:
         share, so it asks Untrusted nothing more.
         """
         wanted: List[Dict[str, VisRequest]] = []
-        unique: "OrderedDict[VisRequest, Optional[VisResult]]" = \
-            OrderedDict()
+        unique: Dict[VisRequest, Optional[VisResult]] = {}
         for plan in plans:
             per_plan = {table: vis_request(plan.bound, table)
                         for table in vis_tables(plan.bound)}

@@ -20,7 +20,9 @@ at its first step, without yielding, so jobs run in arrival order:
   and answers with the full post-write generation map -- what makes
   client-side oracles (and the concurrency property suite) possible;
 * ``snapshot`` is a turn too; ``prepare``, ``stats`` and ``ping``
-  only read server state, in arrival order like everything else.
+  only read server state, in arrival order like everything else
+  (``prepare`` binds a text only the first time the connection's
+  session sees it).
 
 A turn holds the whole token, so every response's ``ram_claim`` is the
 database's total secure RAM, and its ``admission_wait_s`` is the time
@@ -248,6 +250,9 @@ class GhostServer:
         return self._on_token(job, arrived)
 
     def _op_prepare(self, conn: _Connection, request: dict) -> dict:
+        """A new id for the session's statement for ``sql``: a text the
+        connection already prepared or executed (normalized alike) is
+        not bound again, so two ids may name one statement."""
         sql = request.get("sql", "")
         parsed = parse(sql)
         if not isinstance(parsed, ast.SelectQuery):
@@ -261,6 +266,9 @@ class GhostServer:
 
     def _op_execute(self, conn: _Connection,
                     request: dict) -> Callable[[], dict]:
+        """An ad-hoc statement: a SELECT runs as the session's cached
+        statement for its text (bound once per connection), anything
+        else as a write."""
         sql = request.get("sql", "")
         params = tuple(request.get("params") or ())
         parsed = parse(sql)

@@ -142,7 +142,7 @@ class FleetPreparedStatement(PreparedStatement):
     """
 
     def plan_for(self, bound: BoundQuery) -> FleetQueryPlan:
-        return self._cached_plan(bound)
+        return self._current_plan(bound)
 
     def execute(self, params: Sequence = ()) -> QueryResult:
         return super().execute(params)

@@ -6,9 +6,10 @@ merge reduction is covered in ``test_merge_operator``)."""
 import pytest
 
 from repro import GhostDB
-from repro.core.session import PlanCache, plan_key
+from repro.core.session import plan_key
 from repro.errors import BindError, GhostDBError
 from repro.service.loadgen import TEMPLATE_FIG10, TEMPLATE_FIG12
+from repro.sql.binder import Binder
 from repro.workloads.synthetic import (SyntheticConfig, build_synthetic,
                                        sv_to_v1_bound)
 
@@ -137,17 +138,72 @@ def test_plan_cache_key_separates_strategy_knobs():
 
 
 def test_plan_cache_lru_eviction():
-    cache = PlanCache(capacity=2)
-    k1, k2, k3 = (plan_key(f"SELECT C.id FROM C WHERE C.v = {i}",
-                           None, None, "project") for i in (1, 2, 3))
-    cache.put(k1, "p1")
-    cache.put(k2, "p2")
-    assert cache.get(k1) == "p1"      # k1 is now most recent
-    cache.put(k3, "p3")               # evicts k2
-    assert cache.evictions == 1
-    assert k2 not in cache
-    assert cache.get(k1) == "p1"
-    assert cache.get(k3) == "p3"
+    """One LRU of statements: a plan lookup refreshes its statement,
+    and past capacity the least recently used one is evicted."""
+    session = make_db().session()
+    session.plan_cache.capacity = 2
+    sqls = [f"SELECT C.id FROM C WHERE C.v = {i}" for i in (1, 2, 3)]
+    k1, k2, k3 = (plan_key(sql, None, None, "project") for sql in sqls)
+    session.query(sqls[0])
+    held = session.prepare(sqls[1])
+    held.execute()
+    session.query(sqls[0])          # k1 is now most recent
+    session.query(sqls[2])          # evicts k2
+    assert session.plan_cache.evictions == 1
+    assert k2 not in session.plan_cache
+    assert k1 in session.plan_cache and k3 in session.plan_cache
+    hits = session.plan_cache.hits
+    session.query(sqls[0])
+    session.query(sqls[2])
+    assert session.plan_cache.hits == hits + 2
+    # an evicted statement still works for whoever holds it
+    _, expected = session.db.reference_query(sqls[1])
+    assert held.execute().rows == expected
+    assert k2 not in session.plan_cache
+
+
+def count_binds(monkeypatch):
+    """Count ``Binder.bind`` calls from here on (the list's length)."""
+    calls = []
+    bind = Binder.bind
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return bind(self, *args, **kwargs)
+
+    monkeypatch.setattr(Binder, "bind", counting)
+    return calls
+
+
+def test_one_eviction_policy_binds_each_cached_text_once(monkeypatch):
+    """A, B, A, C, A at capacity 2: C evicts B (A was used since), so
+    the last A finds its statement -- bound and planned -- still
+    cached.  3 binds, 2 hits, 3 misses."""
+    db = make_db()
+    session = db.session()
+    session.plan_cache.capacity = 2
+    texts = {name: f"SELECT C.id FROM C WHERE C.v = {i}"
+             for i, name in enumerate("ABC")}
+    expected = {name: db.reference_query(sql)[1]
+                for name, sql in texts.items()}
+    binds = count_binds(monkeypatch)
+    for name in "ABACA":
+        assert session.query(texts[name]).rows == expected[name]
+    assert len(binds) == 3
+    assert (session.plan_cache.hits, session.plan_cache.misses) == (2, 3)
+
+
+def test_prepare_hands_out_the_cached_statement():
+    """``prepare`` and ``query`` share one statement per normalized
+    text and knobs; it keeps the first text."""
+    session = make_db().session()
+    sql = "SELECT C.id FROM C WHERE C.h = ?"
+    stmt = session.prepare(sql)
+    assert session.prepare("select  C.id FROM C where C.h = ? ;") is stmt
+    session.query(sql, params=(1,))
+    assert stmt.executions == 1
+    assert stmt.sql == sql
+    assert session.prepare(sql, vis_strategy="pre") is not stmt
 
 
 def test_sessions_have_isolated_caches():

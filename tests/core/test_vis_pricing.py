@@ -1,10 +1,10 @@
-"""The cost model prices the Vis requests the executor sends, exactly.
+"""The cost model prices what the executor sends Untrusted, exactly.
 
-``CostModel.estimate`` walks the same request set the executor issues
-(``vis_tables`` / ``vis_request``), so its outbound bytes are the sum
-of those requests' ``wire_size()`` -- for every candidate EXPLAIN lists
--- and that sum is what a run really sends after the query text.
-Every comparison is ``==``.
+``CostModel.estimate`` prices the statement's announcement (its text,
+one message) and walks the same request set the executor issues
+(``vis_tables`` / ``vis_request``), so its outbound bytes -- for every
+candidate EXPLAIN lists -- are what a run really sends: the text's
+length plus the requests' ``wire_size()``.  Every comparison is ``==``.
 """
 
 from repro.core.costmodel import Choice
@@ -44,10 +44,10 @@ def test_estimate_prices_the_requests_it_sends(db):
                     bound = plan.bound
                     requests = sum(vis_request(bound, t).wire_size()
                                    for t in vis_tables(bound))
-                    for estimate in estimates(db, plan):
-                        assert estimate.bytes_to_untrusted == requests
-                        checked += 1
                     sent = db.execute(sql, projection=projection,
                                       **knobs).stats.bytes_to_untrusted
-                    assert sent - max(1, len(bound.sql)) == requests
+                    assert sent == max(1, len(bound.sql)) + requests
+                    for estimate in estimates(db, plan):
+                        assert estimate.bytes_to_untrusted == sent
+                        checked += 1
     assert checked > len(SV_GRID) * 2 * len(KNOBS) * 3

@@ -7,6 +7,7 @@ import pytest
 from repro.core.plan import SortMethod
 from repro.errors import BindError
 from repro.service.client import AsyncGhostClient, GhostClient, ServiceError
+from repro.sql.binder import Binder
 from repro.workloads.queries import query_q
 from repro.workloads.synthetic import SyntheticConfig, build_synthetic
 
@@ -64,6 +65,40 @@ def test_prepare_exec_stmt_and_plan_reuse(fresh_db):
             assert len(first.rows) >= len(second.rows)
             stats = client.server_stats()
             assert stats["plan_cache"]["hits"] >= 1
+
+
+def count_binds(monkeypatch):
+    """Count ``Binder.bind`` calls from here on (the list's length)."""
+    calls = []
+    bind = Binder.bind
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return bind(self, *args, **kwargs)
+
+    monkeypatch.setattr(Binder, "bind", counting)
+    return calls
+
+
+def test_a_connection_binds_each_select_text_once(db, monkeypatch):
+    """Two ``execute`` frames with one SELECT text, then two
+    ``prepare``s of another: each text is bound once, because the
+    connection's session hands out its cached statement."""
+    with serving(db) as server:
+        with GhostClient(server.host, server.port) as client:
+            binds = count_binds(monkeypatch)
+            first = client.execute(SELECT_T0)
+            again = client.execute(SELECT_T0)
+            assert again.rows == first.rows
+            assert len(binds) == 1
+            a, b = client.prepare(TEMPLATE), client.prepare(TEMPLATE)
+            assert len(binds) == 2
+            assert client.exec_stmt(a, (10, 2)).rows == \
+                client.exec_stmt(b, (10, 2)).rows
+            stats = client.server_stats()
+            assert stats["plan_cache"]["hits"] == 2
+            assert stats["plan_cache"]["entries"] == 2
+    assert len(binds) == 2
 
 
 def test_compact_over_the_wire(fresh_db):
