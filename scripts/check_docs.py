@@ -4,7 +4,7 @@ table, the simulated clock, the Vis request and the outbound channel
 have one owner each, the library reads no environment and runs on one
 thread, examples run.
 
-Nine checks, all simple on purpose:
+Ten checks, all simple on purpose:
 
 * every relative link target in a tracked ``*.md`` file (README.md,
   docs/, CHANGES.md, ...) must exist on disk -- links to headings
@@ -55,6 +55,13 @@ Nine checks, all simple on purpose:
   the service runs each statement's token work inline on its event
   loop, so a second execution context for token work cannot come back
   unnoticed;
+* inside ``src/repro`` only ``sql/``, ``core/ghostdb.py`` and
+  ``schema/`` may import or call ``parse`` / ``tokenize``, and only
+  ``core/session.py`` may call ``normalize_sql``: a statement text is
+  lexed once for its cache key and parsed only on a miss (or, not
+  being a SELECT, once by the front end), so a second place that turns
+  text into tokens or a statement -- a server classifying a frame --
+  cannot grow back unnoticed;
 * with ``--run-examples``, every script under ``examples/`` is executed
   with ``PYTHONPATH=src`` and must exit 0.
 
@@ -117,6 +124,15 @@ _PRICES = ("read_page_us", "write_page_us", "byte_transfer_ns",
 #: statement's Vis request set, and the outbound channel itself
 _BOUNDARY_OWNERS = {"VisRequest": "src/repro/core/operators.py",
                     "to_untrusted": "src/repro/untrusted/server.py"}
+
+
+#: who may lex or parse SQL text: the SQL package, the statement front
+#: end (it parses what is not a SELECT), the DDL helpers -- and the
+#: plan cache's key, the one caller of ``normalize_sql``
+_PARSE_OWNERS = ("src/repro/sql/", "src/repro/core/ghostdb.py",
+                 "src/repro/schema/")
+_SQL_TEXT_OWNERS = {"parse": _PARSE_OWNERS, "tokenize": _PARSE_OWNERS,
+                    "normalize_sql": ("src/repro/core/session.py",)}
 
 
 #: what would run code on a second thread: modules, and calls by name
@@ -356,6 +372,26 @@ def second_threads() -> list:
     return found
 
 
+def foreign_sql_parsing() -> list:
+    """Every ``(module, line, expr)`` that imports or calls, by bare or
+    dotted name, one of :data:`_SQL_TEXT_OWNERS` outside its owners."""
+    found = []
+    for module, tree in src_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.Call):
+                names = [getattr(node.func, "id", None)
+                         or getattr(node.func, "attr", None)]
+            else:
+                continue
+            if any(name in _SQL_TEXT_OWNERS
+                   and not module.startswith(_SQL_TEXT_OWNERS[name])
+                   for name in names):
+                found.append((module, node.lineno, ast.unparse(node)))
+    return found
+
+
 def run_examples() -> list:
     """Run every examples/ script; returns the ones that failed."""
     failed = []
@@ -407,6 +443,10 @@ def main(argv: list) -> int:
         ok = False
     for module, lineno, expr in second_threads():
         print(f"SECOND THREAD IN src/ {module}:{lineno}: {expr}")
+        ok = False
+    for module, lineno, expr in foreign_sql_parsing():
+        print(f"SQL TEXT LEXED OR PARSED OUTSIDE ITS OWNERS "
+              f"{module}:{lineno}: {expr}")
         ok = False
     if "--run-examples" in argv:
         for script, stderr in run_examples():

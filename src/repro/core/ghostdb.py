@@ -24,7 +24,7 @@ Every statement goes through one entry point, ``db.execute()``::
     db.execute("INSERT INTO Patients VALUES (0, 44, 31.0)")
     db.execute("DELETE FROM Patients WHERE bodymassindex > 30")
 
-``execute()`` lexes, binds and dispatches any supported statement --
+``execute()`` routes, binds and dispatches any supported statement --
 ``CREATE TABLE``, ``INSERT INTO``, ``DELETE FROM`` and ``SELECT`` --
 and takes ``?`` placeholders via ``params``.  SELECTs run through the
 default session's plan cache; DML returns a
@@ -83,6 +83,7 @@ from repro.schema.ddl import column_from_def
 from repro.schema.model import Schema, Table
 from repro.sql import ast
 from repro.sql.binder import Binder, BoundDelete, BoundInsert
+from repro.sql.lexer import leading_keyword
 from repro.sql.parser import parse
 from repro.untrusted.engine import UntrustedEngine
 from repro.untrusted.server import VisServer
@@ -148,11 +149,15 @@ class StatementFrontEnd:
           (``vis_strategy``/``cross``/``projection``) apply here.
 
         ``?`` placeholders anywhere a literal is allowed are filled
-        from ``params``.
+        from ``params``.  A SELECT goes to the session as text (parsed
+        only on a cache miss); any other statement is parsed here, once.
         """
+        if leading_keyword(sql) == "SELECT":
+            self.require_built()
+            return self._session_default().query(
+                sql, params, vis_strategy, cross, projection, order_method)
         parsed = parse(sql)
-        if not isinstance(parsed, ast.SelectQuery) and \
-                order_method is not None:
+        if order_method is not None:
             # a forced ordering method on a statement that cannot sort
             # must raise, never be silently dropped
             raise BindError(
@@ -166,12 +171,6 @@ class StatementFrontEnd:
                 parsed.name, [column_from_def(c) for c in parsed.columns]
             ))
             return None
-        if isinstance(parsed, ast.SelectQuery):
-            self.require_built()
-            return self._session_default().query(
-                sql, params, vis_strategy, cross, projection,
-                order_method=order_method, parsed=parsed,
-            )
         self.finalize_schema()
         if isinstance(parsed, ast.InsertStatement):
             bound = self.binder.bind_insert(parsed, sql) \
@@ -181,13 +180,10 @@ class StatementFrontEnd:
                 self._queue_rows(bound.table, bound.rows)
                 return None
             return self.run_dml(bound)
-        if isinstance(parsed, ast.DeleteStatement):
-            self.require_built()
-            return self.run_dml(self.binder.bind_delete(parsed, sql)
-                                .substitute(tuple(params or ())))
-        raise BindError(
-            f"unsupported statement {type(parsed).__name__}"
-        )  # pragma: no cover - parser is exhaustive
+        # a DELETE: the parser yields nothing else for a non-SELECT
+        self.require_built()
+        return self.run_dml(self.binder.bind_delete(parsed, sql)
+                            .substitute(tuple(params or ())))
 
     def load(self, table: str, rows: Sequence[Tuple]) -> None:
         """Queue rows for ``table`` (data columns only; ids are dense)."""
@@ -199,12 +195,10 @@ class StatementFrontEnd:
     # ------------------------------------------------------------------
     # binding and planning
     # ------------------------------------------------------------------
-    def bind(self, sql: str, parsed: Optional[ast.SelectQuery] = None):
-        """Bind ``sql`` (or its already-parsed AST), normalizing
-        aggregate projections and appending the ordering step's
-        internal sort columns."""
-        bound = (self.binder.bind(parsed, sql) if parsed is not None
-                 else self.binder.bind_sql(sql))
+    def bind(self, sql: str):
+        """Bind the SELECT ``sql``, normalizing aggregate projections
+        and appending the ordering step's internal sort columns."""
+        bound = self.binder.bind_sql(sql)
         if bound.is_aggregate:
             bound = dataclasses.replace(
                 bound, projections=effective_projections(bound)
@@ -761,10 +755,11 @@ class GhostDB(StatementFrontEnd):
         power-loss latch), aborts any in-flight compaction jobs (their
         writes went to shadow files; abort-and-restart is the
         compaction crash contract), rolls back an uncommitted DML
-        statement via its :class:`StatementJournal`, runs the
-        checksum recovery scan over every mapped page, and drops the
-        page cache (host-side only; cached bytes may predate the
-        fault).  Returns a :class:`RecoveryReport` of what was done.
+        statement via its :class:`StatementJournal`, frees the
+        temporaries a cut read orphaned, runs the checksum recovery
+        scan over every mapped page, and drops the page cache
+        (host-side only; cached bytes may predate the fault).  Returns
+        a :class:`RecoveryReport` of what was done.
         """
         self.require_built()
         report = RecoveryReport()
@@ -782,6 +777,7 @@ class GhostDB(StatementFrontEnd):
             journal.rollback()
             report.rolled_back_table = journal.table
             self._journal = None
+        self.token.store.free_temps_since(0)
         report.corrupt_pages = self.token.ftl.scan_mapped()
         self.token.store.page_cache.clear()
         return report

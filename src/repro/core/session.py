@@ -30,6 +30,7 @@ GhostDB's security argument already assumes public.
 
 from __future__ import annotations
 
+import itertools
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Optional,
@@ -78,6 +79,9 @@ class PlanCache:
     """A session's prepared statements: one bounded LRU keyed by
     :func:`plan_key`, with the plan-lookup accounting.
 
+    The LRU numbers each statement it takes in (``stmt.id``, the wire's
+    handle); :meth:`by_id` finds it until it is evicted.
+
     Each :class:`PreparedStatement` owns its plan and the per-table
     *(data, stats) generations* that plan was made against; a lookup
     that finds one of them moved re-plans (a miss, counted in
@@ -98,6 +102,7 @@ class PlanCache:
         self.capacity = capacity
         self._lru: "OrderedDict[PlanKey, PreparedStatement]" = \
             OrderedDict()
+        self._ids = itertools.count(1)
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -117,10 +122,16 @@ class PlanCache:
         stmt = self._lru.get(key)
         if stmt is None:
             stmt = self._lru[key] = make()
+            stmt.id = next(self._ids)
             while len(self._lru) > self.capacity:
                 self._lru.popitem(last=False)
                 self.evictions += 1
         return stmt
+
+    def by_id(self, stmt_id: object) -> Optional["PreparedStatement"]:
+        """The cached statement numbered ``stmt_id``, else ``None``."""
+        return next((s for s in self._lru.values() if s.id == stmt_id),
+                    None)
 
     def touch(self, stmt: "PreparedStatement") -> None:
         """Make ``stmt`` the most recent entry, if it is still cached."""
@@ -140,12 +151,13 @@ class PreparedStatement:
     a generation.
     """
 
-    def __init__(self, session: "Session", key: PlanKey, sql: str,
-                 parsed=None):
+    def __init__(self, session: "Session", key: PlanKey, sql: str):
         self.session = session
         self.key = key
         self.sql = sql
-        self.template: BoundQuery = session.db.bind(sql, parsed)
+        self.template: BoundQuery = session.db.bind(sql)
+        #: the session's number for it, set when its cache takes it in
+        self.id = 0
         self.executions = 0
         self._plan: Optional[QueryPlan] = None
         self._gens: GenSnapshot = ()
@@ -241,29 +253,26 @@ class Session:
                 vis_strategy: StrategyLike = None,
                 cross: Optional[bool] = None,
                 projection: Union[str, ProjectionMode] = "project",
-                order_method: SortMethodLike = None,
-                parsed=None) -> PreparedStatement:
+                order_method: SortMethodLike = None) -> PreparedStatement:
         """The session's statement for ``sql`` (which may contain ``?``
         placeholders): bound on first use, then served from the plan
         cache, so a text that normalizes alike -- same knobs -- gets
         the same statement (and announces the first text).
 
-        ``parsed`` lets callers that already parsed the statement
-        (``GhostDB.execute``, the server) skip the re-parse.
+        A cached text is lexed once (its key) and never parsed.
         """
         key = plan_key(sql, vis_strategy, cross, projection, order_method)
         return self.plan_cache.statement(
-            key, lambda: self.db.statement_cls(self, key, sql, parsed))
+            key, lambda: self.db.statement_cls(self, key, sql))
 
     def query(self, sql: str, params: Optional[Sequence] = None,
               vis_strategy: StrategyLike = None,
               cross: Optional[bool] = None,
               projection: Union[str, ProjectionMode] = "project",
-              order_method: SortMethodLike = None,
-              parsed=None) -> QueryResult:
+              order_method: SortMethodLike = None) -> QueryResult:
         """Run one SELECT through the session's cached statement."""
         stmt = self.prepare(sql, vis_strategy, cross, projection,
-                            order_method, parsed)
+                            order_method)
         return stmt.execute(params if params is not None else ())
 
     def query_many(self,

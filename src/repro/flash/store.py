@@ -292,10 +292,10 @@ class FlashStore:
 
     def free_temps_since(self, mark: int) -> None:
         """Free every still-live temporary created since ``mark`` (what
-        a statement that raised mid-pipeline left behind)."""
-        for n in range(mark, self._next_temp):
-            f = self._files.get(f"__temp_{n}")
-            if f is not None:
+        a statement that raised mid-pipeline left behind; ``0`` for all
+        of them).  Walks the live files, not every number handed out."""
+        for name, f in list(self._files.items()):
+            if name.startswith("__temp_") and int(name[7:]) >= mark:
                 f.free()
 
     def forget(self, name: str) -> None:

@@ -16,14 +16,15 @@ Failure handling: every request is bounded by ``timeout_s`` and raises
 a clean :class:`ServiceTimeout` when the server goes quiet (a late
 response is dropped by its request id).  With ``retries > 0`` the
 client transparently reconnects and retries transport-level failures
-(timeouts, drops, torn frames) with exponential backoff.  Retried
-``execute`` DML carries an *idempotency key*, generated once per
-logical statement and resent verbatim on every attempt; the server
-records the response under that key in the write's own turn on the
-token, so a statement whose response was lost on the wire is answered
-from the record instead of being applied twice (exactly-once).  Only ``execute``, ``ping`` and
-``server_stats`` are retried: prepared-statement ids are
-per-connection, and ``compact``/``snapshot`` carry no idempotency key.
+(timeouts, drops, torn frames) with exponential backoff.  Every
+``execute`` carries an *idempotency key*, generated once per logical
+statement and resent verbatim on every attempt; the server records a
+DML response under it in the write's own turn, so a statement whose
+response was lost is answered from the record instead of being applied
+twice (exactly-once), and answers anything else afresh.  Only
+``execute``, ``ping`` and ``server_stats`` are retried:
+prepared-statement ids are per-connection, and ``compact``/``snapshot``
+carry no idempotency key.
 """
 
 from __future__ import annotations
@@ -59,11 +60,6 @@ class ServiceTimeout(ServiceError):
 
     def __init__(self, message: str):
         super().__init__(message, "ServiceTimeout")
-
-
-def _is_dml(sql: str) -> bool:
-    head = sql.lstrip()[:6].upper()
-    return head.startswith("INSERT") or head.startswith("DELETE")
 
 
 @dataclass
@@ -262,14 +258,13 @@ class AsyncGhostClient:
                       params: Optional[Sequence] = None) -> ServiceResult:
         """Run one statement of any supported kind.
 
-        DML statements carry an idempotency key (one per call, stable
-        across retries): the server applies each statement exactly
-        once however often the request is resent.
+        Every statement carries an idempotency key (one per call,
+        stable across retries): the server applies DML exactly once
+        however often the request is resent.
         """
         payload = {"op": "execute", "sql": sql,
-                   "params": list(params) if params else None}
-        if _is_dml(sql):
-            payload["ikey"] = uuid.uuid4().hex
+                   "params": list(params) if params else None,
+                   "ikey": uuid.uuid4().hex}
         return ServiceResult.from_response(
             await self._call_with_retries(payload))
 

@@ -13,9 +13,13 @@ one connection and match responses out of order.  Operations:
 ========== ==========================================================
 op          payload fields
 ========== ==========================================================
-execute     ``sql`` (any supported statement), optional ``params``
-prepare     ``sql`` with ``?`` placeholders -> ``{"stmt": id, ...}``
-exec_stmt   ``stmt`` (a prepare'd id), optional ``params``
+execute     ``sql`` (any supported statement), optional ``params``,
+            ``ikey`` (a DML response is recorded under it)
+prepare     SELECT ``sql`` with ``?`` placeholders -> ``{"stmt": id}``:
+            the session's id for its cached statement (one text, one id)
+exec_stmt   ``stmt`` (a prepare'd id), optional ``params``; an id whose
+            statement the session's LRU evicted is an error that says
+            to prepare it again
 compact     ``table``, optional ``max_steps``/``pages_per_step``
 stats       server counters (admission, plan cache, generations)
 ping        liveness probe

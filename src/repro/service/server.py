@@ -15,19 +15,23 @@ at its first step, without yielding, so jobs run in arrival order:
   in one turn, so the ``generations`` its response carries are the
   state it read;
 * a **write** (INSERT / DELETE / compaction step) checks its
-  idempotency key, applies, recovers on :class:`PowerLoss`, takes the
-  next monotone ``writer_seq`` and records its response in one turn,
-  and answers with the full post-write generation map -- what makes
-  client-side oracles (and the concurrency property suite) possible;
+  idempotency key, applies, takes the next monotone ``writer_seq`` and
+  records its response in one turn, and answers with the full
+  post-write generation map -- what makes client-side oracles (and
+  the concurrency property suite) possible;
 * ``snapshot`` is a turn too; ``prepare``, ``stats`` and ``ping``
   only read server state, in arrival order like everything else
   (``prepare`` binds a text only the first time the connection's
   session sees it).
 
-A turn holds the whole token, so every response's ``ram_claim`` is the
-database's total secure RAM, and its ``admission_wait_s`` is the time
-from decoding its frame to the start of its turn.  While a job runs
-the server reads and answers nothing on the wire.
+The server never parses: an ``execute`` text's first token routes it,
+and a prepared id is the session's number for its cached statement, so
+it dies with the statement.  A turn that dies on :class:`PowerLoss`
+recovers the token before the error is answered.  A turn holds the
+whole token, so every response's ``ram_claim`` is the database's total
+secure RAM, and its ``admission_wait_s`` is the time from decoding its
+frame to the start of its turn.  While a job runs the server reads and
+answers nothing on the wire.
 """
 
 from __future__ import annotations
@@ -41,8 +45,7 @@ from repro.core.session import PreparedStatement, Session
 from repro.errors import GhostDBError, PowerLoss
 from repro.service.admission import AdmissionController, Arrival
 from repro.service.protocol import FrameError, read_frame, write_frame
-from repro.sql import ast
-from repro.sql.parser import parse
+from repro.sql.lexer import leading_keyword
 
 #: per-connection in-flight request cap (backpressure on pipelining)
 MAX_INFLIGHT_PER_CONNECTION = 32
@@ -61,12 +64,10 @@ def _stats_block(stats) -> Dict[str, Any]:
 
 
 class _Connection:
-    """Per-connection state: session and prepared statements."""
+    """Per-connection state: session (it holds the statements)."""
 
     def __init__(self, session: Session):
         self.session = session
-        self.statements: Dict[int, PreparedStatement] = {}
-        self.next_stmt_id = 1
         self.inflight = asyncio.Semaphore(MAX_INFLIGHT_PER_CONNECTION)
 
 
@@ -233,10 +234,11 @@ class GhostServer:
         if op == "prepare":
             return self._op_prepare(conn, request)
         if op == "exec_stmt":
-            stmt = conn.statements.get(request.get("stmt"))
+            stmt = conn.session.plan_cache.by_id(request.get("stmt"))
             if stmt is None:
                 raise GhostDBError(
-                    f"unknown prepared statement {request.get('stmt')!r}")
+                    f"unknown or evicted prepared statement "
+                    f"{request.get('stmt')!r}: prepare it again")
             params = tuple(request.get("params") or ())
             job = self._select_job(conn, stmt, params)
         elif op == "compact":
@@ -250,18 +252,14 @@ class GhostServer:
         return self._on_token(job, arrived)
 
     def _op_prepare(self, conn: _Connection, request: dict) -> dict:
-        """A new id for the session's statement for ``sql``: a text the
+        """The id of the session's statement for ``sql``: a text the
         connection already prepared or executed (normalized alike) is
-        not bound again, so two ids may name one statement."""
+        not bound again and keeps its id."""
         sql = request.get("sql", "")
-        parsed = parse(sql)
-        if not isinstance(parsed, ast.SelectQuery):
+        if leading_keyword(sql) != "SELECT":
             raise GhostDBError("prepare supports SELECT statements only")
-        stmt = conn.session.prepare(sql, parsed=parsed)
-        stmt_id = conn.next_stmt_id
-        conn.next_stmt_id += 1
-        conn.statements[stmt_id] = stmt
-        return {"ok": True, "kind": "prepared", "stmt": stmt_id,
+        stmt = conn.session.prepare(sql)
+        return {"ok": True, "kind": "prepared", "stmt": stmt.id,
                 "param_count": stmt.param_count}
 
     def _op_execute(self, conn: _Connection,
@@ -271,10 +269,8 @@ class GhostServer:
         else as a write."""
         sql = request.get("sql", "")
         params = tuple(request.get("params") or ())
-        parsed = parse(sql)
-        if isinstance(parsed, ast.SelectQuery):
-            return self._select_job(
-                conn, conn.session.prepare(sql, parsed=parsed), params)
+        if leading_keyword(sql) == "SELECT":
+            return self._select_job(conn, conn.session.prepare(sql), params)
         return self._write_job(
             lambda: self.db.execute(sql, params or None),
             ikey=request.get("ikey"))
@@ -316,8 +312,14 @@ class GhostServer:
                   arrived: Arrival) -> dict:
         """Run ``job`` in its turn and stamp the turn into the
         response's stats block: what it held (the whole token) and how
-        long it queued."""
-        response, waited = self.admission.admit(job, arrived)
+        long it queued.  Any turn that dies on :class:`PowerLoss`
+        recovers the token before the error is reported."""
+        try:
+            response, waited = self.admission.admit(job, arrived)
+        except PowerLoss:
+            self.recoveries += 1
+            self.db.recover()
+            raise
         if "stats" in response:
             response["stats"] = {**response["stats"],
                                  "ram_claim": self.admission.capacity,
@@ -349,21 +351,14 @@ class GhostServer:
         touching the token: the earlier attempt applied, only its
         response was lost on the wire.  The record is written in the
         same turn as the write, so no concurrent retry can observe a
-        gap between "applied" and "recorded".  A statement that dies on
-        :class:`PowerLoss` triggers an in-place recovery (power-cycle
-        plus statement rollback) before the error is reported.
+        gap between "applied" and "recorded".
         """
         def job() -> dict:
             cached = self.db.ikeys.seen(ikey)
             if cached is not None:
                 self.replays += 1
                 return {**cached, "replayed": True}
-            try:
-                outcome = fn()
-            except PowerLoss:
-                self.recoveries += 1
-                self.db.recover()
-                raise
+            outcome = fn()
             self._writer_seq += 1
             if isinstance(outcome, dict):      # compact's ready response
                 response = outcome

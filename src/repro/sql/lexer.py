@@ -5,12 +5,15 @@ annotation and ``REFERENCES`` clauses, Select-Project-Join queries
 with conjunctive predicates (comparisons, ``BETWEEN``, ``IN``) plus the
 aggregate and ``ORDER BY`` / ``LIMIT`` extensions, and the incremental
 DML statements ``INSERT INTO`` and ``DELETE FROM``.
+
+:func:`tokenize`, :func:`normalize_sql` and the one-token probe
+:func:`leading_keyword` all lex through one compiled pattern.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+import re
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.errors import SqlSyntaxError
 
@@ -30,12 +33,18 @@ STRING = "string"
 OP = "op"
 EOF = "eof"
 
-_OPERATORS = ("<=", ">=", "<>", "!=", "=", "<", ">", "(", ")", ",", ".",
-              "*", ";", "?")
+#: one token, kind = the group that matched; ``bad`` takes any other
+#: character, so a scan skips only whitespace.  ``1.`` is ``1`` ``.``
+_TOKEN = re.compile(r"""
+      (?P<number>-?\d+(?:\.\d+)?)
+    | (?P<word>[^\W\d]\w*)
+    | (?P<string>'[^']*')
+    | (?P<op><=|>=|<>|!=|[=<>(),.*;?])
+    | (?P<bad>\S)
+""", re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexed token: kind, source text and position."""
 
     kind: str
@@ -46,58 +55,41 @@ class Token:
         return f"Token({self.kind}, {self.value!r})"
 
 
+def _scan(text: str) -> Iterator[Tuple[str, str, int]]:
+    """``(kind, text, pos)`` per token; a string keeps its quotes.
+
+    A leading ``-`` belongs to a number only at the start or after an
+    operator or keyword other than ``)``; anywhere else it is an
+    unexpected character, like any character no token starts with.
+    """
+    prev_kind, prev = OP, ""
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        value = m.group()
+        if kind == "word":
+            upper = value.upper()
+            if upper in KEYWORDS:
+                kind, value = KW, upper
+            else:
+                kind = IDENT
+        elif kind == "bad":
+            if value == "'":
+                raise SqlSyntaxError(
+                    f"unterminated string at position {m.start()}")
+            raise SqlSyntaxError(
+                f"unexpected character {value!r} at position {m.start()}")
+        elif value[0] == "-" and (prev_kind not in (OP, KW) or prev == ")"):
+            raise SqlSyntaxError(
+                f"unexpected character '-' at position {m.start()}")
+        yield kind, value, m.start()
+        prev_kind, prev = kind, value
+
+
 def tokenize(text: str) -> List[Token]:
     """Split ``text`` into tokens; raises :class:`SqlSyntaxError`."""
-    tokens: List[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "'":
-            j = text.find("'", i + 1)
-            if j < 0:
-                raise SqlSyntaxError(f"unterminated string at position {i}")
-            tokens.append(Token(STRING, text[i + 1:j], i))
-            i = j + 1
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()
-                            and _number_context(tokens)):
-            j = i + 1
-            seen_dot = False
-            while j < n and (text[j].isdigit()
-                             or (text[j] == "." and not seen_dot
-                                 and j + 1 < n and text[j + 1].isdigit())):
-                if text[j] == ".":
-                    seen_dot = True
-                j += 1
-            tokens.append(Token(NUMBER, text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if word.upper() in KEYWORDS:
-                tokens.append(Token(KW, word.upper(), i))
-            else:
-                tokens.append(Token(IDENT, word, i))
-            i = j
-            continue
-        matched = False
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(Token(OP, op, i))
-                i += len(op)
-                matched = True
-                break
-        if not matched:
-            raise SqlSyntaxError(
-                f"unexpected character {ch!r} at position {i}"
-            )
-    tokens.append(Token(EOF, "", n))
+    tokens = [Token(kind, value[1:-1] if kind == STRING else value, pos)
+              for kind, value, pos in _scan(text)]
+    tokens.append(Token(EOF, "", len(text)))
     return tokens
 
 
@@ -108,22 +100,15 @@ def normalize_sql(text: str) -> str:
     trailing semicolon normalize identically; string literals keep
     their quotes so they cannot collide with identifiers.
     """
-    parts: List[str] = []
-    for tok in tokenize(text):
-        if tok.kind == EOF:
-            break
-        if tok.kind == OP and tok.value == ";":
-            continue
-        if tok.kind == STRING:
-            parts.append(f"'{tok.value}'")
-        else:
-            parts.append(tok.value)
-    return " ".join(parts)
+    # only an operator lexes to a bare ";" (a string keeps its quotes)
+    return " ".join([value for _, value, _ in _scan(text) if value != ";"])
 
 
-def _number_context(tokens: List[Token]) -> bool:
-    """A leading '-' starts a number only after an operator/keyword."""
-    if not tokens:
-        return True
-    last = tokens[-1]
-    return last.kind in (OP, KW) and last.value not in (")",)
+def leading_keyword(text: str) -> Optional[str]:
+    """The upper-cased first token of ``text`` if it is a keyword (what
+    kind of statement the text is), else ``None``; lexes one token."""
+    m = _TOKEN.search(text)
+    if m is None or m.lastgroup != "word":
+        return None
+    word = m.group("word").upper()
+    return word if word in KEYWORDS else None

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.plan import SortMethod
 from repro.errors import BindError
+from repro.faults import FlashFaults
 from repro.service.client import AsyncGhostClient, GhostClient, ServiceError
 from repro.sql.binder import Binder
 from repro.workloads.queries import query_q
@@ -255,3 +256,56 @@ def test_reported_ram_peak_matches_solo_run(fresh_db):
         results = asyncio.run(run(server.port))
     for result in results:
         assert result.stats["ram_peak"] == solo_peak
+
+
+#: a read that spills: its ORDER BY writes sort runs to flash
+SPILL = ("SELECT T0.id, T1.v1 FROM T0, T1 WHERE T0.fk1 = T1.id "
+         "AND T1.v1 < 500 ORDER BY T1.v1, T0.id")
+
+
+def test_a_read_cut_by_power_loss_is_recovered_in_its_turn(fresh_db):
+    """The turn that dies on ``PowerLoss`` recovers the token, a read's
+    as much as a write's: the next read answers, and the cut read's
+    temporaries are gone."""
+    token = fresh_db.token
+    before = (token.store.n_files, token.ftl.mapped_pages())
+    expected = sorted(fresh_db.reference_query(SPILL)[1])
+    with serving(fresh_db) as server:
+        with GhostClient(server.host, server.port) as client:
+            faults = FlashFaults(token.nand, seed=1, cut_at_program=2)
+            faults.attach()
+            with pytest.raises(ServiceError) as exc:
+                client.execute(SPILL)
+            faults.detach()
+            assert exc.value.error_type == "PowerLoss"
+            assert sorted(client.execute(SPILL).rows) == expected
+            assert client.server_stats()["service"]["recoveries"] == 1
+    assert (token.store.n_files, token.ftl.mapped_pages()) == before
+
+
+def test_every_execute_carries_an_ikey_and_a_select_is_never_replayed(
+        fresh_db, monkeypatch):
+    """The client keys every ``execute`` without sniffing its text; the
+    server records only DML responses, so a SELECT resent under one key
+    is answered afresh."""
+    sent = []
+    call = AsyncGhostClient._call_with_retries
+
+    async def spy(self, payload):
+        sent.append(payload)
+        return await call(self, payload)
+
+    monkeypatch.setattr(AsyncGhostClient, "_call_with_retries", spy)
+    with serving(fresh_db) as server:
+        with GhostClient(server.host, server.port) as client:
+            client.execute(SELECT_T0)
+            client.execute("INSERT INTO T0 VALUES (0, 0, 1, 1, 5)")
+            assert all(p.get("ikey") for p in sent)
+            assert len({p["ikey"] for p in sent}) == 2
+            frame = {"op": "execute", "sql": SELECT_T0, "ikey": "k"}
+            first = client._call(frame)
+            client.execute("INSERT INTO T0 VALUES (0, 0, 1, 1, 2)")
+            second = client._call(frame)
+    assert not first.get("replayed") and not second.get("replayed")
+    assert len(second["rows"]) == len(first["rows"]) + 1
+    assert second["generations"]["T0"] != first["generations"]["T0"]

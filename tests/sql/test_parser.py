@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SqlSyntaxError
 from repro.sql import ast
-from repro.sql.lexer import tokenize
+from repro.sql.lexer import leading_keyword, normalize_sql, tokenize
 from repro.sql.parser import parse
 
 
@@ -16,13 +16,65 @@ def test_tokenize_basics():
 
 
 def test_tokenize_unterminated_string():
-    with pytest.raises(SqlSyntaxError):
+    with pytest.raises(SqlSyntaxError,
+                       match="^unterminated string at position 7$"):
         tokenize("SELECT 'oops")
 
 
 def test_tokenize_bad_char():
-    with pytest.raises(SqlSyntaxError):
+    with pytest.raises(SqlSyntaxError,
+                       match="^unexpected character '@' at position 7$"):
         tokenize("SELECT @")
+    with pytest.raises(SqlSyntaxError, match="'!' at position 2$"):
+        tokenize("a ! b")
+
+
+def lexed(text):
+    return [(t.kind, t.value, t.pos) for t in tokenize(text)]
+
+
+def test_tokenize_positions_and_keyword_case():
+    assert lexed("select T.a  From t") == [
+        ("kw", "SELECT", 0), ("ident", "T", 7), ("op", ".", 8),
+        ("ident", "a", 9), ("kw", "FROM", 12), ("ident", "t", 17),
+        ("eof", "", 18)]
+
+
+def test_tokenize_negative_number_only_after_operator_or_keyword():
+    assert lexed("-5")[0] == ("number", "-5", 0)
+    assert lexed("x = -5")[2] == ("number", "-5", 4)
+    assert lexed("IN (-1, -2)")[2:5] == [
+        ("number", "-1", 4), ("op", ",", 6), ("number", "-2", 8)]
+    assert lexed("AND -2.5")[1] == ("number", "-2.5", 4)
+    for text, pos in (("(1) -5", 4), ("x -5", 2), ("1 -5", 2),
+                      ("'s' -5", 4), ("x = - 5", 4)):
+        with pytest.raises(SqlSyntaxError,
+                           match=f"unexpected character '-' at position "
+                                 f"{pos}$"):
+            tokenize(text)
+
+
+def test_tokenize_a_number_takes_one_dot_with_a_digit_after_it():
+    assert lexed("1.5")[:1] == [("number", "1.5", 0)]
+    assert lexed("1.")[:2] == [("number", "1", 0), ("op", ".", 1)]
+    assert lexed("1.5.3")[:3] == [("number", "1.5", 0), ("op", ".", 3),
+                                  ("number", "3", 4)]
+    assert lexed("12ab")[:2] == [("number", "12", 0), ("ident", "ab", 2)]
+
+
+def test_normalize_drops_a_trailing_semicolon_and_keeps_quotes():
+    assert normalize_sql("select  a FROM t where b = ';' ;") == \
+        "SELECT a FROM t WHERE b = ';'"
+    assert lexed("SELECT a FROM t;")[-2] == ("op", ";", 15)
+    assert normalize_sql("SELECT 'a b'") != normalize_sql("SELECT a b")
+
+
+def test_leading_keyword_probes_one_token():
+    assert leading_keyword("  select a FROM t") == "SELECT"
+    assert leading_keyword("Insert INTO t VALUES (1)") == "INSERT"
+    assert leading_keyword("SELECT 'unterminated") == "SELECT"
+    for text in ("", "   ", "T0 SELECT", "@", "'s'", "-5"):
+        assert leading_keyword(text) is None
 
 
 def test_parse_paper_create_table():
