@@ -33,23 +33,26 @@ What compacting table ``T`` covers:
   ``T``, the fk deltas of ``T``'s subtree, the delta logs of folded
   indexes.
 
-Before any shadow page is written, a :class:`CompactionAdvisor` prices
-the job against the FTL's *headroom* (unmapped physical pages).  The
-rule is borrowed from CockroachDB's online schema changes, which
-refuse to start an index backfill unless the store could hold ~3x the
-projected footprint: running out of space mid-build is strictly worse
-than never starting.  Below ``headroom_factor`` x the priced shadow
-footprint the advisor *defers*; below 1x it *declines*.  Both raise
-:class:`~repro.errors.CompactionDeclined` up front -- never an FTL
-out-of-space error halfway through a fold.
+What the first three rewrite is worked out once, by
+:meth:`FoldPlan.of`; before any shadow page is written, :func:`advise`
+prices that plan against the FTL's *headroom* (unmapped physical
+pages).  The rule is borrowed from CockroachDB's online schema
+changes, which refuse to start an index backfill unless the store
+could hold ~3x the projected footprint: running out of space
+mid-build is strictly worse than never starting.  Below
+``HEADROOM_FACTOR`` x the priced footprint the advisor *defers*; below
+1x it *declines*.  Both raise :class:`~repro.errors.CompactionDeclined`
+up front -- never an FTL out-of-space error halfway through a fold.
 
 Interleaved DML is detected, not locked out: the job snapshots the
-per-table data generations when it starts, and the manager aborts and
-restarts the job (shadow files freed, ``restarts`` counted) if any
-generation moved between steps.  ``data_generations[T]`` bumps only
-when ``T`` itself had DML folded in (appends or a remap), so cached
-plans of untouched tables survive; ``built_generations`` of the whole
-subtree syncs so the next compaction still knows what is clean.
+data generations of *every* table when it starts, and the manager
+aborts and restarts it (shadow files freed, ``restarts`` counted) if
+any moved between steps.  Not just the tables the fold reads: a
+sibling's swap frees a shared ancestor SKT's heap mid-copy while only
+the sibling's own generation moves.  ``data_generations[T]`` bumps
+only when ``T`` itself had DML folded in (appends or a remap), so
+cached plans of untouched tables survive; ``built_generations`` of the
+whole subtree syncs so the next compaction still knows what is clean.
 """
 
 from __future__ import annotations
@@ -81,7 +84,7 @@ COMPACT_LABEL = "Compact"
 DEFAULT_PAGES_PER_STEP = 32
 
 #: advisor safety margin over the priced shadow footprint
-DEFAULT_HEADROOM_FACTOR = 3.0
+HEADROOM_FACTOR = 3.0
 
 
 # ----------------------------------------------------------------------
@@ -141,21 +144,89 @@ def is_dirty(catalog: "SecureCatalog", table: str) -> bool:
 
 
 # ----------------------------------------------------------------------
-# advisor
+# the fold plan and its price
 # ----------------------------------------------------------------------
+@dataclass
+class FoldPlan:
+    """The heaps and indexes folding ``table`` rewrites, worked out
+    only here.  ``dead``: its sorted tombstoned ids.  ``rewrites``:
+    ``(kind, owner, dead ids, remap column)`` in copy (and swap) order
+    -- ``owner.heap`` minus the dead rows (image, then SKT), then each
+    ancestor SKT with its ``table`` column remapped; none without
+    tombstones.  ``folds``: the ripple ``(key, index)`` pairs to fold.
+    """
+
+    table: str
+    dead: List[int]
+    rewrites: List[Tuple[str, object, Sequence[int], Optional[str]]]
+    folds: List[Tuple[Tuple, ClimbingIndex]]
+
+    @classmethod
+    def of(cls, catalog: "SecureCatalog", table: str) -> "FoldPlan":
+        dead = sorted(catalog.tombstones[table])
+        rewrites = []
+        if dead:
+            if catalog.images[table].heap is not None:
+                rewrites.append(("heap", catalog.images[table], dead, None))
+            if table in catalog.skts:
+                rewrites.append(("skt", catalog.skts[table], dead, None))
+            rewrites.extend(("ancestor-skts", catalog.skts[a], (), table)
+                            for a in catalog.schema.ancestors(table)
+                            if a in catalog.skts)
+        folds = [(key, idx) for key, idx in ripple_indexes(catalog, table)
+                 if index_needs_fold(catalog, table, idx, bool(dead))]
+        return cls(table, dead, rewrites, folds)
+
+    def price(self, catalog: "SecureCatalog") -> "CompactionAdvice":
+        """The advisor's verdict on this plan.  The footprint is every
+        shadow that coexists with its live original until the swap: a
+        heap minus its dead rows at its live rows, a remapped heap at
+        its current pages, a folded index at its current storage plus
+        one page of builder slack per level."""
+        pages: Dict[str, int] = {}
+        for kind, owner, dead, column in self.rewrites:
+            heap = owner.heap
+            n = (heap.file.n_pages if column else
+                 math.ceil((heap.n_rows - len(dead)) / heap.rows_per_page))
+            if n or not column:
+                pages[kind] = pages.get(kind, 0) + n
+        page_size = catalog.token.page_size
+        idx_pages = sum(math.ceil(idx.storage_bytes() / page_size)
+                        + len(idx.levels) for _, idx in self.folds)
+        if idx_pages:
+            pages["indexes"] = idx_pages
+        required = sum(pages.values())
+        headroom = catalog.token.ftl.headroom_pages()
+        # required == 0 is a pure fk-delta clear: no shadow writes
+        if required == 0 or headroom >= HEADROOM_FACTOR * required:
+            verdict = "proceed"
+        else:
+            verdict = "defer" if headroom >= required else "decline"
+        return CompactionAdvice(
+            self.table, verdict, required, headroom,
+            " ".join(f"{kind}={n}p" for kind, n in pages.items()))
+
+
 #: advisor verdicts, mildest first
 VERDICTS = ("clean", "proceed", "defer", "decline")
 
 
 @dataclass
 class CompactionAdvice:
-    """Outcome of pricing one table's compaction against flash headroom."""
+    """Outcome of pricing one table's compaction against flash headroom
+    (unmapped physical pages, what :meth:`Ftl.allocate` can still hand
+    out): ``clean`` -- no debt, no job; ``proceed`` -- headroom >=
+    ``HEADROOM_FACTOR`` x required; ``defer`` -- the job would fit now
+    but leaves less than that margin, retry after freeing space;
+    ``decline`` -- the shadows cannot fit at all.  ``defer`` and
+    ``decline`` raise :class:`~repro.errors.CompactionDeclined` before
+    the first shadow write, never an out-of-space error mid-fold.
+    """
 
     table: str
     verdict: str                 # clean | proceed | defer | decline
     required_pages: int = 0
     headroom_pages: int = 0
-    factor: float = DEFAULT_HEADROOM_FACTOR
     detail: str = ""
 
     @property
@@ -164,88 +235,20 @@ class CompactionAdvice:
 
     def describe(self) -> str:
         out = (f"advisor={self.verdict} required={self.required_pages}p "
-               f"headroom={self.headroom_pages}p x{self.factor:g}")
+               f"headroom={self.headroom_pages}p x{HEADROOM_FACTOR:g}")
         if self.detail:
             out += f" ({self.detail})"
         return out
 
 
-class CompactionAdvisor:
-    """Prices a compaction's shadow footprint before any page is written.
-
-    The footprint is the sum of every shadow structure that must coexist
-    with its live original until the swap: the rewritten heap and SKT of
-    the table (live rows only), the remapped ancestor SKTs, and one
-    freshly bulk-built replacement per ripple index that needs folding
-    (priced at its current storage plus one page of builder slack per
-    level).  The verdict compares FTL headroom -- unmapped physical
-    pages, which is what :meth:`Ftl.allocate` can still hand out --
-    against ``factor`` times that requirement:
-
-    * ``clean``   -- nothing to fold, no job needed;
-    * ``proceed`` -- headroom >= factor x required;
-    * ``defer``   -- the job *would* fit right now but leaves less than
-      the safety margin; retry after freeing space (or with a smaller
-      factor, accepting the risk);
-    * ``decline`` -- the shadow files cannot fit at all.
-
-    ``defer`` and ``decline`` both surface as
-    :class:`~repro.errors.CompactionDeclined` before the first shadow
-    write, never as an FTL out-of-space error mid-fold.
-    """
-
-    def __init__(self, catalog: "SecureCatalog",
-                 factor: float = DEFAULT_HEADROOM_FACTOR):
-        self.catalog = catalog
-        self.factor = factor
-
-    def assess(self, table: str) -> CompactionAdvice:
-        catalog = self.catalog
-        if not is_dirty(catalog, table):
-            return CompactionAdvice(table, "clean", factor=self.factor,
-                                    headroom_pages=catalog.token.ftl
-                                    .headroom_pages())
-        page_size = catalog.token.page_size
-        schema = catalog.schema
-        dead = catalog.tombstones[table]
-        live = catalog.n_rows(table) - len(dead)
-        required = 0
-        detail: List[str] = []
-        if dead:
-            image = catalog.images[table]
-            if image.heap is not None:
-                pages = math.ceil(live / image.heap.rows_per_page)
-                required += pages
-                detail.append(f"heap={pages}p")
-            skt = catalog.skts.get(table)
-            if skt is not None:
-                pages = math.ceil(live / skt.heap.rows_per_page)
-                required += pages
-                detail.append(f"skt={pages}p")
-            anc = sum(catalog.skts[a].n_pages
-                      for a in schema.ancestors(table) if a in catalog.skts)
-            if anc:
-                required += anc
-                detail.append(f"ancestor-skts={anc}p")
-        idx_pages = 0
-        for _key, idx in ripple_indexes(catalog, table):
-            if index_needs_fold(catalog, table, idx, bool(dead)):
-                idx_pages += (math.ceil(idx.storage_bytes() / page_size)
-                              + len(idx.levels))
-        if idx_pages:
-            required += idx_pages
-            detail.append(f"indexes={idx_pages}p")
-        headroom = catalog.token.ftl.headroom_pages()
-        if required == 0:
-            verdict = "proceed"      # pure fk-delta clear: no shadow writes
-        elif headroom >= self.factor * required:
-            verdict = "proceed"
-        elif headroom >= required:
-            verdict = "defer"
-        else:
-            verdict = "decline"
-        return CompactionAdvice(table, verdict, required, headroom,
-                                self.factor, " ".join(detail))
+def advise(catalog: "SecureCatalog", table: str) -> CompactionAdvice:
+    """The advisor's verdict on folding ``table`` now: ``clean`` when
+    it has no debt, else the price of its :class:`FoldPlan`."""
+    if not is_dirty(catalog, table):
+        return CompactionAdvice(
+            table, "clean",
+            headroom_pages=catalog.token.ftl.headroom_pages())
+    return FoldPlan.of(catalog, table).price(catalog)
 
 
 # ----------------------------------------------------------------------
@@ -326,11 +329,10 @@ class CompactionJob:
     """
 
     def __init__(self, db: "GhostDB", table: str, pages_per_step: int,
-                 factor: float, seq: int, restarts: int = 0):
+                 seq: int, restarts: int = 0):
         self.db = db
         self.table = table
         self.pages_per_step = max(1, pages_per_step)
-        self.factor = factor
         self.restarts = restarts
         self._tag = f"~c{seq}"             # unique shadow-file suffix
         # data-generation snapshot; any movement means DML interleaved
@@ -344,8 +346,8 @@ class CompactionJob:
         self.last_step_us = 0.0
         self.phase = "plan"
         self._shadow_indexes: List[ClimbingIndex] = []
+        # one shadow per started ``FoldPlan.rewrites`` entry, same order
         self._shadow_heaps: List[HeapFile] = []
-        self._last_heap: Optional[HeapFile] = None
         self._gen: Iterator[str] = self._steps()
 
     # ------------------------------------------------------------------
@@ -388,9 +390,8 @@ class CompactionJob:
         )
 
     # ------------------------------------------------------------------
-    def _copy_heap_batched(self, src: HeapFile, name: str,
-                           dead: Sequence[int],
-                           remap: Optional[Tuple[int, Dict[int, int]]] = None
+    def _copy_heap_batched(self, src: HeapFile, dead: Sequence[int],
+                           remap: Optional[Tuple[int, Dict[int, int]]]
                            ) -> Iterator[str]:
         """Yield-per-batch copy of ``src`` into a new shadow heap.
 
@@ -406,10 +407,12 @@ class CompactionJob:
         below 2**31, so the signed codec writes the same bytes), which
         is what lets ``remap`` rewrite a strided slice of the page's
         words.  The shadow's layout is byte-identical to a fresh bulk
-        build of the surviving rows; it is left in ``self._last_heap``.
+        build of the surviving rows; it is appended to
+        ``self._shadow_heaps``.
         """
-        store = self.db.catalog.token.store
-        shadow = HeapFile(store.create(name), src.codec, src.page_size)
+        base = src.file.name.split("~")[0]
+        shadow = HeapFile(self.db.catalog.token.store.create(
+            base + self._tag), src.codec, src.page_size)
         self._shadow_heaps.append(shadow)
         width = src.codec.row_width
         per_page = src.rows_per_page
@@ -444,11 +447,10 @@ class CompactionJob:
                     shadow.n_rows += per_page
                     del buf[:page_bytes]
             self.pages_rewritten += last - first
-            yield f"{name.split('~')[0]} pages {last}/{n_pages}"
+            yield f"{base} pages {last}/{n_pages}"
         if buf:
             shadow.file.append_page(buf)
             shadow.n_rows += len(buf) // width
-        self._last_heap = shadow
 
     def _charge_index_read(self, idx: ClimbingIndex) -> None:
         """Read the old index's pages -- the honest read cost of
@@ -469,11 +471,12 @@ class CompactionJob:
         tag = self._tag
 
         # ---- plan: price the job, freeze the dense remap -------------
-        self.advisor = CompactionAdvisor(catalog, self.factor).assess(T)
+        plan = FoldPlan.of(catalog, T)
+        self.advisor = plan.price(catalog)
         if not self.advisor.ok:
             need = self.advisor.required_pages
             deferred = self.advisor.verdict == "defer"
-            margin = (f"{self.factor:g}x the priced shadow footprint"
+            margin = (f"{HEADROOM_FACTOR:g}x the priced shadow footprint"
                       if deferred else "the priced shadow footprint")
             raise CompactionDeclined(
                 f"compaction of {T!r} "
@@ -483,53 +486,25 @@ class CompactionJob:
                 f"({need} pages: {self.advisor.detail}); free space or "
                 f"compact smaller tables first, then retry"
             )
-        dead = set(catalog.tombstones[T])
-        dead_sorted = sorted(dead)
+        dead = set(plan.dead)
         live_ids = list(filterfalse(dead.__contains__,
                                     range(catalog.n_rows(T))))
         id_map = dict(zip(live_ids, range(len(live_ids))))
-        remap = bool(dead)
-        folds = [(key, idx) for key, idx in ripple_indexes(catalog, T)
-                 if index_needs_fold(catalog, T, idx, remap)]
         yield "planned"
 
-        # ---- T's hidden heap: drop dead rows, batched ----------------
-        image = catalog.images[T]
-        new_heap: Optional[HeapFile] = None
-        if remap and image.heap is not None:
-            yield from self._copy_heap_batched(
-                image.heap, f"hidden_{T}{tag}", dead_sorted)
-            new_heap = self._last_heap
-
-        # ---- SKT(T): drop dead rows (descendant ids unchanged) -------
-        skt = catalog.skts.get(T)
-        new_skt_heap: Optional[HeapFile] = None
-        if remap and skt is not None:
-            yield from self._copy_heap_batched(
-                skt.heap, f"skt_{T}{tag}", dead_sorted)
-            new_skt_heap = self._last_heap
-
-        # ---- ancestor SKTs: remap the T column, keep every row -------
-        # (dangling T-cells of dead ancestor rows are never read; they
-        # map to 0 and disappear when that ancestor compacts)
-        new_anc_heaps: Dict[str, HeapFile] = {}
-        if remap:
-            for anc in schema.ancestors(T):
-                askt = catalog.skts.get(anc)
-                if askt is None:
-                    continue
-                pos = askt.column_positions([T])[0]
-                yield from self._copy_heap_batched(
-                    askt.heap, f"skt_{anc}{tag}", (), remap=(pos, id_map))
-                new_anc_heaps[anc] = self._last_heap
+        # ---- heaps: T's image and SKT without the dead rows, ancestor
+        # SKTs with the T column remapped -- batched page copies ------
+        for _, owner, dead_ids, column in plan.rewrites:
+            remap = (None if column is None else
+                     (owner.column_positions([column])[0], id_map))
+            yield from self._copy_heap_batched(owner.heap, dead_ids, remap)
 
         # ---- ripple indexes: one fresh bulk build per step -----------
-        new_indexes: List[Tuple[Tuple, ClimbingIndex]] = []
-        if folds:
+        if plan.folds:
             anc_maps = ancestor_maps(schema, catalog.raw_rows,
                                      catalog.tombstones, (T, id_map))
             yield "ancestor-maps"
-        for (kind, d_table, col), idx in folds:
+        for (kind, d_table, col), idx in plan.folds:
             self._charge_index_read(idx)
             t = schema.table(d_table)
             rows = catalog.raw_rows[d_table]
@@ -540,42 +515,32 @@ class CompactionJob:
                 keep = out_ids = list(filterfalse(
                     catalog.tombstones[d_table].__contains__,
                     range(len(rows))))
-            if kind == "attr":
-                values = map(itemgetter(t.column_position(col)),
-                             map(rows.__getitem__, keep))
-                items = zip(values, out_ids)
-                ctype = t.column(col).type
-                name = f"{d_table}_{col}{tag}"
-            else:
-                items = zip(out_ids, out_ids)
-                ctype = t.column("id").type
-                name = f"{d_table}_id{tag}"
+            keys = (out_ids if kind == "id" else
+                    map(itemgetter(t.column_position(col)),
+                        map(rows.__getitem__, keep)))
             ancestors = schema.ancestors(d_table)
             shadow_idx = ClimbingIndex.build(
-                store, name, ctype, [d_table] + ancestors, items,
+                store, f"{d_table}_{col or 'id'}{tag}",
+                t.column(col or "id").type, [d_table] + ancestors,
+                zip(keys, out_ids),
                 {a: anc_maps[d_table][a] for a in ancestors}, page_size,
             )
             self._shadow_indexes.append(shadow_idx)
-            new_indexes.append(((kind, d_table, col), shadow_idx))
-            self.pages_rewritten += sum(
-                f.n_pages for f in shadow_idx.storage_files()
-            )
+            self.pages_rewritten += sum(f.n_pages for f
+                                        in shadow_idx.storage_files())
             yield (f"fold {d_table}.{col or 'id'} "
                    f"({idx.delta_entries} delta entries)")
 
         # ---- terminal step: swap shadows in, fold the metadata -------
         self.phase = "swap"
+        remap = bool(plan.dead)
         if remap:
-            db.vis_server.push_compaction(T, dead_sorted)
-            if new_heap is not None:
-                old = image.heap
-                image.heap = new_heap
+            db.vis_server.push_compaction(T, plan.dead)
+            for (_, owner, _, _), shadow in zip(plan.rewrites,
+                                                self._shadow_heaps):
+                old, owner.heap = owner.heap, shadow
                 old.free()
-            image.n_rows = len(live_ids)
-            if new_skt_heap is not None:
-                skt.replace_heap(new_skt_heap)
-            for anc, aheap in new_anc_heaps.items():
-                catalog.skts[anc].replace_heap(aheap)
+            catalog.images[T].n_rows = len(live_ids)
             # retained raw rows follow: T's list shrinks to the live
             # rows (rebound in place -- the reference oracle shares the
             # dict), the parent's fk cells move to the new dense ids
@@ -600,8 +565,8 @@ class CompactionJob:
                     tp, [row for pid, row in enumerate(remapped)
                          if pid not in dead_p]
                 )
-        self._shadow_heaps.clear()
-        for (kind, d_table, col), shadow_idx in new_indexes:
+        for ((kind, d_table, col), _), shadow_idx in zip(
+                plan.folds, self._shadow_indexes):
             if kind == "attr":
                 old_idx = catalog.attr_indexes[(d_table, col)]
                 catalog.attr_indexes[(d_table, col)] = shadow_idx
@@ -609,6 +574,7 @@ class CompactionJob:
                 old_idx = catalog.id_indexes[d_table]
                 catalog.id_indexes[d_table] = shadow_idx
             old_idx.free()
+        self._shadow_heaps.clear()
         self._shadow_indexes.clear()
         # folded metadata: every consumer index of a subtree fk delta is
         # in the ripple set and was rebuilt above, so the deltas retire
@@ -648,8 +614,7 @@ class CompactionManager:
 
     # ------------------------------------------------------------------
     def compact(self, table: str, max_steps: Optional[int] = None,
-                pages_per_step: int = DEFAULT_PAGES_PER_STEP,
-                headroom_factor: float = DEFAULT_HEADROOM_FACTOR
+                pages_per_step: int = DEFAULT_PAGES_PER_STEP
                 ) -> CompactionProgress:
         """Advance ``table``'s compaction by up to ``max_steps`` steps.
 
@@ -676,14 +641,10 @@ class CompactionManager:
                 if not is_dirty(catalog, table):
                     return CompactionProgress(
                         table=table, state="clean", restarts=restarts,
-                        advisor=CompactionAdvice(
-                            table, "clean", factor=headroom_factor,
-                            headroom_pages=db.token.ftl.headroom_pages(),
-                        ),
-                    )
+                        advisor=advise(catalog, table))
                 self._seq += 1
-                job = CompactionJob(db, table, pages_per_step,
-                                    headroom_factor, self._seq, restarts)
+                job = CompactionJob(db, table, pages_per_step, self._seq,
+                                    restarts)
                 self._jobs[table] = job
             try:
                 done = job.step()
@@ -710,16 +671,6 @@ class CompactionManager:
             self._jobs.pop(table).abort()
 
     # ------------------------------------------------------------------
-    def dirty_tables(self) -> List[str]:
-        catalog = self._db.catalog
-        return [t for t in catalog.schema.tables if is_dirty(catalog, t)]
-
-    def advise(self, table: str,
-               headroom_factor: float = DEFAULT_HEADROOM_FACTOR
-               ) -> CompactionAdvice:
-        return CompactionAdvisor(self._db.catalog, headroom_factor) \
-            .assess(table)
-
     def in_flight(self) -> List[str]:
         """Tables with a started, unfinished job (sorted).  A restored
         image could not resume one: snapshots wait for this to be empty."""
@@ -756,7 +707,6 @@ class CompactionManager:
     def status(self) -> Dict[str, TableCompactionStatus]:
         """Per-table foldable debt + advisor verdicts, schema order."""
         catalog = self._db.catalog
-        advisor = CompactionAdvisor(catalog)
         out: Dict[str, TableCompactionStatus] = {}
         for table in catalog.schema.tables:
             own = catalog.indexes_on(table)
@@ -770,7 +720,7 @@ class CompactionManager:
                 fk_delta_edges=sum(
                     len(v) for v in catalog.fk_deltas[table].values()
                 ),
-                advisor=advisor.assess(table),
+                advisor=advise(catalog, table),
                 job_phase=self.job_phase(table),
             )
         return out

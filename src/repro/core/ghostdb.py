@@ -59,10 +59,9 @@ from typing import (Dict, Iterator, List, Optional, Sequence, Tuple,
 
 from repro.core.aggregate import apply_aggregates, effective_projections
 from repro.core.catalog import SecureCatalog
-from repro.core.compaction import (DEFAULT_HEADROOM_FACTOR,
-                                   DEFAULT_PAGES_PER_STEP, CompactionAdvice,
+from repro.core.compaction import (DEFAULT_PAGES_PER_STEP, CompactionAdvice,
                                    CompactionManager, CompactionProgress,
-                                   TableCompactionStatus)
+                                   TableCompactionStatus, advise)
 from repro.core.dml import CheckedDml, DmlExecutor, DmlResult
 from repro.core.executor import CostWindow, QepSjExecutor, QueryResult
 from repro.core.loader import Loader
@@ -582,8 +581,7 @@ class GhostDB(StatementFrontEnd):
                                                   **kwargs)
 
     def compact(self, table: str, max_steps: Optional[int] = None,
-                pages_per_step: int = DEFAULT_PAGES_PER_STEP,
-                headroom_factor: float = DEFAULT_HEADROOM_FACTOR
+                pages_per_step: int = DEFAULT_PAGES_PER_STEP
                 ) -> CompactionProgress:
         """Incrementally compact one table, in bounded steps.
 
@@ -602,7 +600,7 @@ class GhostDB(StatementFrontEnd):
         Before writing anything the compaction advisor prices the
         shadow footprint against FTL headroom and raises
         :class:`~repro.errors.CompactionDeclined` when space is short
-        (``headroom_factor`` is the safety margin) -- never an
+        (``HEADROOM_FACTOR`` is the safety margin) -- never an
         out-of-space error mid-fold.  DML interleaved between steps
         aborts and restarts the job; the restart is counted, not an
         error.
@@ -613,16 +611,13 @@ class GhostDB(StatementFrontEnd):
         index-order ``ORDER BY`` path opens up again for it.
         """
         self.require_built()
-        return self._compactor.compact(table, max_steps, pages_per_step,
-                                       headroom_factor)
+        return self._compactor.compact(table, max_steps, pages_per_step)
 
-    def compaction_advice(self, table: str,
-                          headroom_factor: float = DEFAULT_HEADROOM_FACTOR
-                          ) -> CompactionAdvice:
+    def compaction_advice(self, table: str) -> CompactionAdvice:
         """The advisor's verdict on folding ``table`` now -- what
         :meth:`compact` acts on before it writes anything."""
         self.require_built()
-        return self._compactor.advise(table, headroom_factor)
+        return advise(self.catalog, table)
 
     def compaction_status(self) -> Dict[str, TableCompactionStatus]:
         """Per-table compaction debt: tombstone and delta-log volume,

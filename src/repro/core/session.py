@@ -202,14 +202,6 @@ class PreparedStatement:
         plan, = self._plans([self.template.substitute(tuple(params))])
         return self.session.db.execute_plan(plan)
 
-    def execute_many(self, param_sets: Sequence[Sequence]
-                     ) -> "BatchResult":
-        """Run the template once per parameter set, batched.
-
-        See :meth:`Session.query_many` for the amortizations applied.
-        """
-        return self.session._run_template_batch(self, param_sets)
-
 
 @dataclass
 class BatchResult:

@@ -134,33 +134,13 @@ class Ftl:
         self._p2l[ppn] = lpn
         self.ledger.charge(WRITE, self.params.write_price, 1, len(data))
 
-    def read(self, lpn: int, nbytes: Optional[int] = None,
-             offset: int = 0) -> bytes:
-        """Read logical page ``lpn``; move ``nbytes`` of it into RAM.
-
-        Charges the Table-1 cost: 25us register load plus 50ns per byte
-        actually transferred to RAM (the whole page always reaches the
-        data register; only the transferred portion is charged per
-        byte).  ``nbytes=None`` transfers the full stored payload from
-        ``offset`` on.
-        """
-        self._check_lpn(lpn)
-        ppn = self._l2p[lpn]
-        data = b"" if ppn == _UNMAPPED else self.nand.read_page(ppn)
-        if offset:
-            data = data[offset:]
-        if nbytes is not None:
-            data = data[:nbytes]
-        self.ledger.charge(READ, self.params.read_price, 1, len(data))
-        return data
-
     def peek(self, lpn: int) -> bytes:
         """Uncharged read of a logical page's full stored payload.
 
-        Exists solely so the :class:`~repro.flash.store.PageCache` can
-        be filled read-through: the *user-visible* transfer is still
-        charged (:meth:`charge_read`) exactly as :meth:`read` would
-        charge it; peeking never moves simulated bytes on its own.
+        Reads go through :meth:`~repro.flash.store.FlashFile.read_page`,
+        which peeks (filling its page cache read-through) and files the
+        *user-visible* transfer with :meth:`charge_read`; peeking never
+        moves simulated bytes on its own.
         """
         self._check_lpn(lpn)
         ppn = self._l2p[lpn]
@@ -169,11 +149,11 @@ class Ftl:
     def charge_read(self, pages: int, nbytes: int) -> None:
         """Charge ``pages`` page reads moving ``nbytes`` into RAM in all.
 
-        The exact Table-1 charge ``pages`` calls of :meth:`read` apply
-        (the ledger holds integer counts, so one charge of a run equals
-        the sum of its pages') -- used by the page cache so a cache hit
-        costs the same simulated time and counters as the read it
-        replaced.
+        Table 1: 25us register load per page (the whole page always
+        reaches the data register) plus 50ns per byte actually
+        transferred to RAM.  The ledger holds integer counts, so one
+        charge of a run equals the sum of its pages' -- and a page-cache
+        hit costs the same simulated time and counters as a miss.
         """
         self.ledger.charge(READ, self.params.read_price, pages, nbytes)
 

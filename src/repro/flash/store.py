@@ -169,7 +169,7 @@ class FlashFile:
 
         Served through the store's :class:`PageCache`: the payload
         bytes may come from the cache, but the simulated transfer is
-        always charged exactly as an FTL read of the same ``nbytes``
+        always charged (:meth:`Ftl.charge_read`) for the same ``nbytes``
         from ``offset`` (the cache saves host-Python work, never
         simulated I/O).
         """

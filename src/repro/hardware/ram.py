@@ -15,9 +15,8 @@ allocations to the statement that made them: the RAM keeps its open
 windows in a stack on itself, and every allocation charges each of
 them.  A token runs one statement at a time, so the windows open on it
 are that statement's phases and the statements nested in it (a DML
-statement running a predicate QEPSJ, say).  Every per-statement report
-in the engine goes through windows; :meth:`SecureRam.reset_peak` is
-the token-wide mark for direct callers.
+statement running a predicate QEPSJ, say).  Every peak the engine
+reports is a window's.
 """
 
 from __future__ import annotations
@@ -76,19 +75,7 @@ class Allocation:
         if not self.freed:
             self.freed = True
             self.ram._release(self.nbytes)
-            self.ram.live_allocations = max(0, self.ram.live_allocations - 1)
             self.ram._live.discard(self)
-
-    def resize(self, nbytes: int) -> None:
-        """Grow or shrink the allocation in place."""
-        if self.freed:
-            raise RamExhausted("resize of a freed allocation")
-        delta = nbytes - self.nbytes
-        if delta > 0:
-            self.ram._acquire(delta, self.label)
-        elif delta < 0:
-            self.ram._release(-delta)
-        self.nbytes = nbytes
 
 
 class SecureRam:
@@ -100,8 +87,6 @@ class SecureRam:
         self.capacity = capacity
         self.page_size = page_size
         self.used = 0
-        self.peak_used = 0
-        self.live_allocations = 0
         #: registry of outstanding allocations so a power cycle can
         #: reclaim buffers stranded by a mid-statement crash (strong
         #: references: a stranded buffer must stay reclaimable even
@@ -128,11 +113,18 @@ class SecureRam:
     # ------------------------------------------------------------------
     def alloc(self, nbytes: int, label: str = "") -> Allocation:
         """Claim ``nbytes``; raises :class:`RamExhausted` when over budget."""
-        self._acquire(nbytes, label)
-        self.live_allocations += 1
+        if nbytes < 0:
+            raise ValueError("allocation size must be non-negative")
+        if self.used + nbytes > self.capacity:
+            raise RamExhausted(
+                f"cannot allocate {nbytes} bytes for {label or 'operator'}: "
+                f"{self.free_bytes} of {self.capacity} bytes free"
+            )
+        self.used += nbytes
         allocation = Allocation(self, nbytes, label)
         self._live.add(allocation)
         for window in self._windows:
+            window._charge(nbytes)
             window.allocations.append(allocation)
         return allocation
 
@@ -150,19 +142,6 @@ class SecureRam:
             allocation.free()
 
     # ------------------------------------------------------------------
-    def _acquire(self, nbytes: int, label: str) -> None:
-        if nbytes < 0:
-            raise ValueError("allocation size must be non-negative")
-        if self.used + nbytes > self.capacity:
-            raise RamExhausted(
-                f"cannot allocate {nbytes} bytes for {label or 'operator'}: "
-                f"{self.free_bytes} of {self.capacity} bytes free"
-            )
-        self.used += nbytes
-        self.peak_used = max(self.peak_used, self.used)
-        for window in self._windows:
-            window._charge(nbytes)
-
     def _release(self, nbytes: int) -> None:
         self.used -= nbytes
         for window in self._windows:
@@ -186,18 +165,6 @@ class SecureRam:
             yield window
         finally:
             self._windows.remove(window)
-
-    def reset_peak(self) -> int:
-        """Start a new peak-tracking window; returns the old peak.
-
-        ``peak_used`` is a high-water mark and never decays on its own,
-        so per-query reports must open a fresh window before executing
-        (otherwise every query reports the token's lifetime peak).
-        The new window starts at the currently allocated ``used``.
-        """
-        old = self.peak_used
-        self.peak_used = self.used
-        return old
 
     def power_cycle(self) -> int:
         """Reboot semantics: volatile RAM does not survive power loss.

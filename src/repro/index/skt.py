@@ -82,14 +82,3 @@ class SubtreeKeyTable:
                 f"descendant ids, got {len(descendant_ids)}"
             )
         return self.heap.append_row(tuple(descendant_ids))
-
-    def replace_heap(self, heap: HeapFile) -> None:
-        """Swap in a compacted heap, freeing the old one.
-
-        Incremental compaction builds the replacement as a shadow file
-        while queries keep reading the old rows; the swap itself is one
-        in-RAM pointer move, so readers never observe a partial table.
-        """
-        old = self.heap
-        self.heap = heap
-        old.free()

@@ -36,8 +36,7 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
                     Union)
 
 from repro.core.aggregate import apply_aggregates
-from repro.core.compaction import (DEFAULT_HEADROOM_FACTOR,
-                                   DEFAULT_PAGES_PER_STEP, VERDICTS,
+from repro.core.compaction import (DEFAULT_PAGES_PER_STEP, VERDICTS,
                                    CompactionAdvice, CompactionProgress,
                                    TableCompactionStatus)
 from repro.core.dml import DmlResult
@@ -154,7 +153,7 @@ class FleetSession(Session):
 
     def _open_window(self):
         raise GhostDBError(
-            "batched execution (query_many/execute_many) runs on a "
+            "batched execution (query_many) runs on a "
             "single token; execute fleet statements one by one"
         )
 
@@ -589,8 +588,7 @@ class ShardedGhostDB(StatementFrontEnd):
     # compaction
     # ------------------------------------------------------------------
     def compact(self, table: str, max_steps: Optional[int] = None,
-                pages_per_step: int = DEFAULT_PAGES_PER_STEP,
-                headroom_factor: float = DEFAULT_HEADROOM_FACTOR
+                pages_per_step: int = DEFAULT_PAGES_PER_STEP
                 ) -> CompactionProgress:
         """Compact ``table`` on every shard.
 
@@ -611,9 +609,8 @@ class ShardedGhostDB(StatementFrontEnd):
         if table != self.root:
             return _combine_progress(self._map(
                 lambda shard: shard.compact(table, max_steps,
-                                            pages_per_step,
-                                            headroom_factor)))
-        report = self.compaction_advice(table, headroom_factor)
+                                            pages_per_step)))
+        report = self.compaction_advice(table)
         if not report.ok:
             raise CompactionDeclined(
                 f"compact({table}): advisor verdict {report.verdict!r} "
@@ -624,8 +621,7 @@ class ShardedGhostDB(StatementFrontEnd):
         old_tombstones = self._map(
             lambda shard: set(shard.catalog.tombstones[table]))
         progs = self._map(
-            lambda shard: shard.compact(table, None, pages_per_step,
-                                        headroom_factor))
+            lambda shard: shard.compact(table, None, pages_per_step))
         self._rebuild_root_maps(old_tombstones)
         return _combine_progress(progs)
 
@@ -652,12 +648,10 @@ class ShardedGhostDB(StatementFrontEnd):
         self._root_maps = new_maps
         self._next_root_gid = len(survivors)
 
-    def compaction_advice(self, table: str,
-                          headroom_factor: float = DEFAULT_HEADROOM_FACTOR
-                          ) -> CompactionAdvice:
+    def compaction_advice(self, table: str) -> CompactionAdvice:
         """The worst shard's advisor report on folding ``table``."""
         return _worst_advice(self._map(
-            lambda shard: shard.compaction_advice(table, headroom_factor)))
+            lambda shard: shard.compaction_advice(table)))
 
     def compaction_status(self) -> Dict[str, TableCompactionStatus]:
         """Per-table compaction debt across the fleet.

@@ -16,6 +16,7 @@ from repro.core.plan import SortMethod
 from repro.errors import CompactionDeclined, PlanError, SchemaError
 from repro.flash.constants import FlashParams
 from repro.hardware.token import TokenConfig
+from repro.workloads.synthetic import SyntheticConfig, build_synthetic
 
 PROBES = (
     "SELECT P.id, C.w FROM P, C WHERE P.fk = C.id AND C.h = 1 "
@@ -37,6 +38,10 @@ def make_db(token_config=None, n_children=30, n_parents=200):
                   for i in range(n_parents)])
     db.build()
     return db
+
+
+def dirty_tables(db):
+    return [t for t, s in db.compaction_status().items() if s.dirty]
 
 
 def assert_oracle(db, sql):
@@ -78,7 +83,7 @@ def test_bounded_steps_with_oracle_identical_queries_between_them():
     assert progress.max_step_us > 0
     status = db.compaction_status()
     assert not status["P"].dirty and status["P"].job_phase is None
-    assert not db._compactor.dirty_tables()
+    assert not dirty_tables(db)
     for sql in PROBES:
         assert_oracle(db, sql)
     db.token.ram.assert_all_freed()
@@ -103,7 +108,7 @@ def test_compacting_parent_folds_the_whole_subtree():
     # P's compaction rebuilt C's rippled indexes and cleared the fk
     # deltas, so C has nothing left to fold
     assert db.compact("C").state == "clean"
-    assert not db._compactor.dirty_tables()
+    assert not dirty_tables(db)
 
 
 def test_parent_swap_aborts_the_child_job_it_left_without_work(tmp_path):
@@ -120,7 +125,7 @@ def test_parent_swap_aborts_the_child_job_it_left_without_work(tmp_path):
         if db.token.store.n_files > files_before:
             break
     assert db.compact("P").done and twin.compact("P").done
-    assert not db._compactor.dirty_tables()
+    assert not dirty_tables(db)
     assert not db._compactor._jobs
     # no shadow file survives: same files and pages as the twin that
     # never started the C job, and no restart was counted for it
@@ -141,9 +146,40 @@ def test_interleaved_dml_restarts_the_job():
     progress = db.compact("P")
     assert progress.done and progress.restarts == 1
     assert db.token.ledger.counters.get("compaction_restarts") == 1
-    assert not db._compactor.dirty_tables()
+    assert not dirty_tables(db)
     for sql in PROBES:
         assert_oracle(db, sql)
+
+
+def test_sibling_swap_restarts_a_job_copying_their_shared_ancestor_skt():
+    """T11 and T12 are siblings under T1, so both folds rewrite SKT(T1)
+    and SKT(T0).  T12's swap frees the skt_T0 heap a half-done T11 job
+    is copying, yet moves no generation of T11, T1 or T0 -- only T12's.
+    The guard must cover every table's generation to see it: narrowed
+    to the tables T11's fold reads, the next T11 step reads a freed
+    file (``StorageError: flash file 'skt_T0' already freed``)."""
+    db = build_synthetic(SyntheticConfig(scale=0.0005))
+    n12 = db.catalog.n_rows("T12")
+    marker = 10**6                      # v1 of every new row
+    for i in range(10):
+        db.execute("INSERT INTO T11 VALUES (?, ?)", params=(marker + i, 1))
+        db.execute("INSERT INTO T12 VALUES (?, ?, ?, ?)",
+                   params=(marker + i, 0, 1, 2))
+    for new_id in range(n12 + 5, n12 + 10):   # the last 5 new T12 rows
+        db.execute("INSERT INTO T1 VALUES (?, ?, ?, ?, ?)",
+                   params=(0, new_id, 0, 0, 1))
+    db.execute("DELETE FROM T11 WHERE T11.v1 >= ?", params=(marker,))
+    db.execute("DELETE FROM T12 WHERE T12.v1 >= ? AND T12.v1 < ?",
+               params=(marker, marker + 5))
+
+    progress = db.compact("T11", max_steps=4)
+    assert progress.state == "in-progress"
+    assert progress.phase == "skt_T0 pages 32/40"     # mid-copy
+    assert db.compact("T12").done
+    progress = db.compact("T11")
+    assert progress.done and progress.restarts == 1
+    assert_oracle(db, "SELECT T1.id, T12.v1, T12.h2 FROM T1, T12 "
+                      "WHERE T1.fk12 = T12.id")
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +201,7 @@ def test_advisor_declines_then_defers_then_proceeds():
     # a small delete: little log churn, but the fold must still shadow
     # the full heap/SKT/index footprint, so the priced job stays large
     db.execute("DELETE FROM P WHERE P.v = 3")
-    need = db._compactor.advise("P").required_pages
+    need = db.compaction_advice("P").required_pages
     assert need > 50         # big enough to sit above the GC reserve
 
     filler = _fill_headroom_down_to(db, need - 1)
@@ -187,10 +223,12 @@ def test_advisor_declines_then_defers_then_proceeds():
     with pytest.raises(CompactionDeclined) as err:
         db.compact("P")
     assert "deferred" in str(err.value)
-    # a caller accepting the risk can shrink the safety factor
-    progress = db.compact("P", headroom_factor=1.0)
+    # the margin is fixed: freeing the filler is what lets it proceed
+    filler.free()
+    assert db.compaction_advice("P").verdict == "proceed"
+    progress = db.compact("P")
     assert progress.done
-    assert not db._compactor.dirty_tables()
+    assert not dirty_tables(db)
     for sql in PROBES:
         assert_oracle(db, sql)
 
@@ -279,9 +317,9 @@ def test_compacting_every_dirty_table_converges():
     db.execute("INSERT INTO C VALUES (8, 3)")
     # one pass in any order converges: compact(T) never re-dirties
     # another table
-    for table in db._compactor.dirty_tables():
+    for table in dirty_tables(db):
         db.compact(table)
-    assert not db._compactor.dirty_tables()
+    assert not dirty_tables(db)
     for sql in PROBES:
         assert_oracle(db, sql)
 

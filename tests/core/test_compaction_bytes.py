@@ -196,7 +196,7 @@ def test_fold_reads_each_index_file_as_one_charged_run(monkeypatch):
                         lambda n, nbytes: (charges.append(n),
                                            real_charge(n, nbytes)))
 
-    job = CompactionJob(db, "G", 32, 3.0, seq=1)
+    job = CompactionJob(db, "G", 32, seq=1)
     start = ledger.snapshot()
     with db.token.label("Compact"):
         job._charge_index_read(idx)

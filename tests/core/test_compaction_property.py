@@ -84,9 +84,13 @@ def apply_random_op(db, rng):
                    pages_per_step=rng.choice((1, 2, 8)))
 
 
+def dirty_tables(db):
+    return [t for t, s in db.compaction_status().items() if s.dirty]
+
+
 def finish_all_compactions(db):
     for _ in range(10):
-        dirty = db._compactor.dirty_tables()
+        dirty = dirty_tables(db)
         if not dirty:
             return
         for table in dirty:
@@ -106,7 +110,7 @@ def test_property_interleavings_converge_to_the_from_scratch_image(seed):
         assert_oracle(db, rng.choice(PROBES))
 
     finish_all_compactions(db)
-    assert not db._compactor.dirty_tables()
+    assert not dirty_tables(db)
     status = db.compaction_status()
     assert all(not s.dirty and s.tombstones == 0 and s.delta_entries == 0
                and s.fk_delta_edges == 0 for s in status.values())
@@ -145,7 +149,7 @@ def test_property_single_step_slices_with_dml_induced_restarts(seed):
             apply_random_op(db, rng)
         assert_oracle(db, rng.choice(PROBES))
     finish_all_compactions(db)
-    assert not db._compactor.dirty_tables()
+    assert not dirty_tables(db)
     for sql in PROBES:
         assert_oracle(db, sql)
     db.token.ram.assert_all_freed()

@@ -111,11 +111,11 @@ def test_reduction_respects_reserved_buffers():
              for i in range(6)]
     reserve = 5
     budget_pages = ram.free_buffers - reserve  # 3 buffers for Merge
-    ram.reset_peak()
-    got = flat(op.stream([group], reserve_buffers=reserve))
+    with ram.query_window() as window:
+        got = flat(op.stream([group], reserve_buffers=reserve))
     assert got == sorted({i + 10 * k for i in range(6) for k in range(8)})
     assert op.reductions > 0
-    assert ram.peak_used <= budget_pages * PAGE
+    assert window.peak <= budget_pages * PAGE
 
 
 def test_impossible_budget_raises():
@@ -332,18 +332,18 @@ def _observe(merge_cls, group_lists, ram_pages, reserve, take):
     before = (store.n_files, store.ftl.mapped_pages())
     ledger = store.ftl.ledger
     ledger.reset()
-    ram.reset_peak()
-    try:
-        stream = merge_cls(store, ram).stream(groups,
-                                              reserve_buffers=reserve)
-        values = take(stream)
-        stream.close()
-    except GhostDBError as exc:
-        values = type(exc)
+    with ram.query_window() as window:
+        try:
+            stream = merge_cls(store, ram).stream(groups,
+                                                  reserve_buffers=reserve)
+            values = take(stream)
+            stream.close()
+        except GhostDBError as exc:
+            values = type(exc)
     ram.assert_all_freed()
     assert (store.n_files, store.ftl.mapped_pages()) == before
     return (values, dict(ledger.counters), ledger.total_time_us(),
-            ram.peak_used)
+            window.peak)
 
 
 @settings(max_examples=60, deadline=None)

@@ -390,8 +390,6 @@ def test_fleet_session_has_no_batched_path():
         session.query_many(TEMPLATE, [(1, 20)])
     with pytest.raises(GhostDBError):
         session.query_many([concrete(1, 20)])
-    with pytest.raises(GhostDBError):
-        session.prepare(TEMPLATE).execute_many([(1, 20)])
     result = session.query(TEMPLATE, params=(1, 20))
     assert result.rows == fleet.reference_query(concrete(1, 20))[1]
 

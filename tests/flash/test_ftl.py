@@ -8,6 +8,7 @@ from repro.flash.constants import FlashParams
 from repro.flash.ftl import Ftl
 from repro.flash.nand import NandFlash
 from repro.flash.stats import CostLedger
+from repro.flash.store import FlashStore
 
 
 def make_ftl(n_blocks=16, pages_per_block=4, threshold=2):
@@ -24,7 +25,7 @@ def test_write_read_roundtrip():
     ftl, _ = make_ftl()
     (lpn,) = ftl.allocate(1)
     ftl.write(lpn, b"payload")
-    assert ftl.read(lpn) == b"payload"
+    assert ftl.peek(lpn) == b"payload"
 
 
 def test_rewrite_is_out_of_place_and_visible():
@@ -32,7 +33,7 @@ def test_rewrite_is_out_of_place_and_visible():
     (lpn,) = ftl.allocate(1)
     ftl.write(lpn, b"v1")
     ftl.write(lpn, b"v2")
-    assert ftl.read(lpn) == b"v2"
+    assert ftl.peek(lpn) == b"v2"
 
 
 def test_invalidated_pages_hold_no_payload_before_their_erase():
@@ -50,23 +51,25 @@ def test_invalidated_pages_hold_no_payload_before_their_erase():
     assert set(nand._data) == set(ftl._p2l) == {ftl._l2p[b]}
     assert set(nand._spare) == set(nand._data)
     assert sum(nand._state) == 21
-    assert ftl.read(b) == b"kept"
+    assert ftl.peek(b) == b"kept"
 
 
 def test_partial_read_with_offset():
-    ftl, _ = make_ftl()
-    (lpn,) = ftl.allocate(1)
-    ftl.write(lpn, b"abcdefgh")
-    assert ftl.read(lpn, nbytes=3) == b"abc"
-    assert ftl.read(lpn, nbytes=3, offset=2) == b"cde"
+    ftl, ledger = make_ftl()
+    f = FlashStore(ftl).create("f")
+    f.append_page(b"abcdefgh")
+    ledger.reset()
+    assert f.read_page(0, nbytes=3) == b"abc"
+    assert f.read_page(0, nbytes=3, offset=2) == b"cde"
+    assert ledger.counters["bytes_to_ram"] == 6   # only what moved
 
 
 def test_read_charges_table1_cost():
     ftl, ledger = make_ftl()
-    (lpn,) = ftl.allocate(1)
-    ftl.write(lpn, b"x" * 2048)
+    f = FlashStore(ftl).create("f")
+    f.append_page(b"x" * 2048)
     ledger.reset()
-    ftl.read(lpn)  # full page: 25us + 2048*50ns = 127.4us
+    f.read_page(0)  # full page: 25us + 2048*50ns = 127.4us
     assert ledger.total_time_us() == pytest.approx(25 + 2048 * 0.05)
     assert ledger.counters["pages_read"] == 1
     assert ledger.counters["bytes_to_ram"] == 2048
@@ -97,7 +100,7 @@ def test_gc_reclaims_space_under_churn():
     # rewrite one logical page many more times than there are physical pages
     for i in range(200):
         ftl.write(lpn, bytes([i % 256]) * 16)
-    assert ftl.read(lpn, nbytes=1) == bytes([199 % 256])
+    assert ftl.peek(lpn)[:1] == bytes([199 % 256])
     assert ftl.gc_runs > 0
 
 
@@ -111,7 +114,7 @@ def test_gc_preserves_all_live_data():
     for i in range(150):
         ftl.write(hot, b"h" * 8)
     for i, lpn in enumerate(lpns):
-        assert ftl.read(lpn, nbytes=1) == bytes([i])
+        assert ftl.peek(lpn)[:1] == bytes([i])
 
 
 def test_gc_traffic_is_charged():

@@ -33,34 +33,62 @@ def test_exact_fit_allowed():
     assert ram.free_bytes == 0
 
 
-def test_peak_tracking():
+def test_window_peak_is_a_high_water_mark():
     ram = SecureRam(capacity=8192)
-    a = ram.alloc(5000)
-    a.free()
-    ram.alloc(100)
-    assert ram.peak_used == 5000
+    with ram.query_window() as window:
+        a = ram.alloc(5000)
+        a.free()
+        ram.alloc(100)
+    assert window.peak == 5000
 
 
-def test_reset_peak_opens_new_window():
-    ram = SecureRam(capacity=8192)
-    a = ram.alloc(5000)
-    a.free()
-    assert ram.reset_peak() == 5000
-    assert ram.peak_used == 0
-    b = ram.alloc(1200)
-    assert ram.peak_used == 1200
-    b.free()
-
-
-def test_reset_peak_starts_at_live_allocations():
+def test_window_peak_counts_only_its_own_allocations():
     ram = SecureRam(capacity=8192)
     held = ram.alloc(3000)
-    spike = ram.alloc(4000)
-    spike.free()
-    assert ram.reset_peak() == 7000
-    # the new window starts at what is still allocated, not at zero
-    assert ram.peak_used == 3000
+    with ram.query_window() as window:
+        # what was held before the window opened is not its peak
+        assert window.peak == 0
+        b = ram.alloc(1200)
+        b.free()
+    assert window.peak == 1200
     held.free()
+
+
+def test_window_unaffected_by_freeing_an_older_allocation():
+    ram = SecureRam(capacity=8192)
+    held = ram.alloc(3000)
+    with ram.query_window() as window:
+        held.free()                     # made before the window opened
+        assert window.held == 0
+        b = ram.alloc(1000)
+        assert (window.held, window.peak) == (1000, 1000)
+        b.free()
+    assert ram.used == 0
+
+
+def test_refused_alloc_charges_nothing():
+    ram = SecureRam(capacity=4096)
+    with ram.query_window() as window:
+        a = ram.alloc(4000)
+        with pytest.raises(RamExhausted):
+            ram.alloc(97)
+        assert ram.used == 4000
+        assert (window.held, window.peak) == (4000, 4000)
+        assert window.allocations == [a]
+        a.free()
+
+
+def test_window_free_all_and_power_cycle_reclaim_stranded_buffers():
+    ram = SecureRam(capacity=8192)
+    outside = ram.alloc(1000)
+    with ram.query_window() as window:
+        ram.alloc(2000)
+        ram.alloc(3000).free()
+    window.free_all()                   # only what the window made
+    assert ram.used == 1000 and not outside.freed
+    assert ram.power_cycle() == 1000
+    assert outside.freed
+    ram.assert_all_freed()
 
 
 def test_buffer_allocation():
@@ -80,25 +108,6 @@ def test_double_free_is_idempotent():
     a.free()
     a.free()
     assert ram.used == 0
-
-
-def test_resize_grow_and_shrink():
-    ram = SecureRam(capacity=4096)
-    a = ram.alloc(1024)
-    a.resize(2048)
-    assert ram.used == 2048
-    a.resize(512)
-    assert ram.used == 512
-    with pytest.raises(RamExhausted):
-        a.resize(8192)
-
-
-def test_resize_after_free_rejected():
-    ram = SecureRam(capacity=4096)
-    a = ram.alloc(10)
-    a.free()
-    with pytest.raises(RamExhausted):
-        a.resize(20)
 
 
 def test_reserve_context_manager():

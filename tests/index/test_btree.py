@@ -110,9 +110,10 @@ def test_traversal_holds_height_buffers():
     store = make_store()
     tree = build_tree(store, 500)
     ram = SecureRam(capacity=tree.height * 2048)
-    assert tree.lookup(encode_int(10), ram=ram) is not None
+    with ram.query_window() as window:
+        assert tree.lookup(encode_int(10), ram=ram) is not None
     assert ram.used == 0
-    assert ram.peak_used == tree.height * 2048
+    assert window.peak == tree.height * 2048
 
 
 def test_width_mismatch_rejected():

@@ -63,8 +63,7 @@ def test_a_fleet_session_refuses_batches():
     session = fleet.session()
     sql = "SELECT T0.id FROM T0 WHERE T0.v1 < ?"
     for batch in (lambda: session.query_many(sql, [(3,), (5,)]),
-                  lambda: session.query_many([sql.replace("?", "3")]),
-                  lambda: session.prepare(sql).execute_many([(3,)])):
+                  lambda: session.query_many([sql.replace("?", "3")])):
         with pytest.raises(GhostDBError, match="single token"):
             batch()
     assert fleet.ram_capacity == sum(s.ram_capacity for s in fleet.shards)
