@@ -67,7 +67,7 @@ from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence,
 
 from repro.core.loader import ancestor_maps
 from repro.core.stats import TableStats
-from repro.errors import CompactionDeclined
+from repro.errors import CompactionDeclined, CompactionError
 from repro.flash.constants import ID_SIZE
 from repro.index.climbing import ClimbingIndex
 from repro.storage.heap import HeapFile
@@ -600,6 +600,14 @@ class CompactionJob:
 # ----------------------------------------------------------------------
 # the manager
 # ----------------------------------------------------------------------
+def check_max_steps(max_steps: Optional[int]) -> None:
+    """Raise :class:`CompactionError` unless ``max_steps`` is ``None``
+    (run to completion) or at least one step."""
+    if max_steps is not None and max_steps < 1:
+        raise CompactionError(
+            f"max_steps must be at least 1 (or None), got {max_steps}")
+
+
 class CompactionManager:
     """Owns at most one in-flight :class:`CompactionJob` per table.
 
@@ -622,6 +630,7 @@ class CompactionManager:
         across calls; interleaved DML triggers an abort-and-restart
         (counted, shadow files freed) rather than a wrong image.
         """
+        check_max_steps(max_steps)
         db = self._db
         catalog = db.catalog
         catalog.schema.table(table)            # validates the name

@@ -592,7 +592,8 @@ class GhostDB(StatementFrontEnd):
         index), all writes go to shadow files, and queries issued
         between steps read the untouched old image.  Call with
         ``max_steps`` to bound a maintenance slice and call again later
-        to continue; ``max_steps=None`` runs to completion.  The
+        to continue; ``max_steps=None`` runs to completion (below 1 it
+        raises :class:`~repro.errors.CompactionError`).  The
         returned :class:`~repro.core.compaction.CompactionProgress`
         reports steps, pages rewritten, the worst per-step pause and
         the advisor verdict.

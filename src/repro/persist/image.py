@@ -42,6 +42,7 @@ it.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import mmap
 import os
@@ -69,7 +70,8 @@ _HEADER = struct.Struct("!8sIQQQ32s32s")
 def write_image(path: str, meta: Dict[str, Any],
                 blob: bytes = b"") -> Dict[str, Any]:
     """Atomically write ``meta`` and ``blob`` as one image at ``path``;
-    returns a size summary."""
+    returns a size summary.  An ``OSError`` on the way is raised as
+    :class:`PersistError`, and the temp file is removed."""
     meta_bytes = zlib.compress(pickle.dumps(meta, protocol=4), 6)
     total_size = _HEADER.size + len(meta_bytes) + len(blob)
     header = _HEADER.pack(
@@ -77,13 +79,22 @@ def write_image(path: str, meta: Dict[str, Any],
         hashlib.sha256(meta_bytes).digest(), hashlib.sha256(blob).digest(),
     )
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        fh.write(meta_bytes)
-        fh.write(blob)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header)
+            fh.write(meta_bytes)
+            fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException as exc:
+        # a failed write leaves no half-written temp file behind
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise PersistError(
+                f"cannot write image {path!r}: {exc}") from exc
+        raise
     return {"path": path, "bytes": total_size,
             "meta_bytes": len(meta_bytes), "blob_bytes": len(blob)}
 

@@ -1,16 +1,12 @@
 """Schema declaration: tables, HIDDEN columns, tree validation, DDL."""
 
-from repro.schema.advisor import AdvisorReport, HiddenPartAdvisor, rewrite_ddl
 from repro.schema.ddl import schema_from_sql, table_from_sql
 from repro.schema.model import Column, Schema, Table
 
 __all__ = [
-    "AdvisorReport",
     "Column",
-    "HiddenPartAdvisor",
     "Schema",
     "Table",
-    "rewrite_ddl",
     "schema_from_sql",
     "table_from_sql",
 ]

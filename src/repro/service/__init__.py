@@ -15,14 +15,14 @@ turns it into a service many clients can drive at once:
   in one turn.
 * :mod:`repro.service.client` -- the asyncio client and its blocking
   facade (one transport).
-* :mod:`repro.service.loadgen` -- the N-clients x template-mix load
-  generator behind ``benchmarks/test_service_loadgen.py``.
+* :mod:`repro.service.loadgen` -- Query Q's Figure 10/12 texts as
+  prepared templates (no generator: load is ``perfbench``'s
+  ``service_short``).
 """
 
 from repro.service.admission import AdmissionController
 from repro.service.client import (AsyncGhostClient, GhostClient,
                                   ServiceError, ServiceResult)
-from repro.service.loadgen import LoadgenReport, run_loadgen
 from repro.service.protocol import MAX_FRAME_BYTES, decode_frame, encode_frame
 from repro.service.server import GhostServer
 
@@ -31,11 +31,9 @@ __all__ = [
     "AsyncGhostClient",
     "GhostClient",
     "GhostServer",
-    "LoadgenReport",
     "MAX_FRAME_BYTES",
     "ServiceError",
     "ServiceResult",
     "decode_frame",
     "encode_frame",
-    "run_loadgen",
 ]

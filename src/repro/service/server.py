@@ -63,6 +63,21 @@ def _stats_block(stats) -> Dict[str, Any]:
     }
 
 
+def _field(request: dict, name: str, kind: type,
+           required: bool = False) -> Any:
+    """``request[name]``, checked to be a ``kind`` (``None`` when an
+    optional field is absent): a malformed request is answered with a
+    :class:`GhostDBError` naming the field, not an internal error."""
+    value = request.get(name)
+    if value is None and not required:
+        return None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise GhostDBError(
+            f"request field {name!r} must be {kind.__name__}, "
+            f"got {value!r}")
+    return value
+
+
 class _Connection:
     """Per-connection state: session (it holds the statements)."""
 
@@ -239,7 +254,7 @@ class GhostServer:
                 raise GhostDBError(
                     f"unknown or evicted prepared statement "
                     f"{request.get('stmt')!r}: prepare it again")
-            params = tuple(request.get("params") or ())
+            params = tuple(_field(request, "params", list) or ())
             job = self._select_job(conn, stmt, params)
         elif op == "compact":
             job = self._op_compact(request)
@@ -255,7 +270,7 @@ class GhostServer:
         """The id of the session's statement for ``sql``: a text the
         connection already prepared or executed (normalized alike) is
         not bound again and keeps its id."""
-        sql = request.get("sql", "")
+        sql = _field(request, "sql", str, required=True)
         if leading_keyword(sql) != "SELECT":
             raise GhostDBError("prepare supports SELECT statements only")
         stmt = conn.session.prepare(sql)
@@ -267,8 +282,8 @@ class GhostServer:
         """An ad-hoc statement: a SELECT runs as the session's cached
         statement for its text (bound once per connection), anything
         else as a write."""
-        sql = request.get("sql", "")
-        params = tuple(request.get("params") or ())
+        sql = _field(request, "sql", str, required=True)
+        params = tuple(_field(request, "params", list) or ())
         if leading_keyword(sql) == "SELECT":
             return self._select_job(conn, conn.session.prepare(sql), params)
         return self._write_job(
@@ -276,12 +291,12 @@ class GhostServer:
             ikey=request.get("ikey"))
 
     def _op_compact(self, request: dict) -> Callable[[], dict]:
-        table = request.get("table")
+        table = _field(request, "table", str, required=True)
         kwargs: Dict[str, Any] = {}
-        if request.get("max_steps") is not None:
-            kwargs["max_steps"] = int(request["max_steps"])
-        if request.get("pages_per_step") is not None:
-            kwargs["pages_per_step"] = int(request["pages_per_step"])
+        for name in ("max_steps", "pages_per_step"):
+            value = _field(request, name, int)
+            if value is not None:
+                kwargs[name] = value
 
         def run():
             progress = self.db.compact(table, **kwargs)
@@ -299,9 +314,7 @@ class GhostServer:
         compaction job mid-flight makes :meth:`GhostDB.snapshot` refuse
         (:class:`~repro.errors.PersistError`), answered like any other
         statement error."""
-        path = request.get("path")
-        if not path:
-            raise GhostDBError("snapshot requires a 'path'")
+        path = _field(request, "path", str, required=True)
         return lambda: {"ok": True, "kind": "snapshot",
                         **self.db.snapshot(path)}
 

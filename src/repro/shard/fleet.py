@@ -38,7 +38,7 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
 from repro.core.aggregate import apply_aggregates
 from repro.core.compaction import (DEFAULT_PAGES_PER_STEP, VERDICTS,
                                    CompactionAdvice, CompactionProgress,
-                                   TableCompactionStatus)
+                                   TableCompactionStatus, check_max_steps)
 from repro.core.dml import DmlResult
 from repro.core.executor import QueryResult, QueryStats
 from repro.core.ghostdb import GhostDB, StatementFrontEnd
@@ -602,6 +602,7 @@ class ShardedGhostDB(StatementFrontEnd):
         shard declining after another folded would leave exactly that
         torn state, so the fleet declines as a whole first.
         """
+        check_max_steps(max_steps)
         # every shard must be reachable before any shard folds a page:
         # a token dying mid-preflight declines the whole compaction
         for k in range(self.n_shards):

@@ -13,7 +13,8 @@ import pytest
 
 from repro.core.ghostdb import GhostDB
 from repro.core.plan import SortMethod
-from repro.errors import CompactionDeclined, PlanError, SchemaError
+from repro.errors import (CompactionDeclined, CompactionError, PlanError,
+                          SchemaError)
 from repro.flash.constants import FlashParams
 from repro.hardware.token import TokenConfig
 from repro.workloads.synthetic import SyntheticConfig, build_synthetic
@@ -97,6 +98,23 @@ def test_clean_table_is_a_noop_and_bad_names_raise():
     assert progress.advisor.verdict == "clean"
     with pytest.raises(SchemaError):
         db.compact("NoSuchTable")
+
+
+@pytest.mark.parametrize("max_steps", [0, -1])
+def test_max_steps_below_one_is_rejected_before_any_work(max_steps):
+    """``max_steps < 1`` never entered the step loop and then crashed
+    on the missing job (``AttributeError``), clean table or dirty."""
+    db = make_db()
+    with pytest.raises(CompactionError, match="max_steps"):
+        db.compact("P", max_steps=max_steps)
+    db.execute("DELETE FROM P WHERE P.v < 20")
+    pages = db.token.ledger.counters["pages_written"]
+    with pytest.raises(CompactionError, match="max_steps"):
+        db.compact("P", max_steps=max_steps)
+    assert db.token.ledger.counters["pages_written"] == pages
+    assert db.compactions_in_flight() == []
+    assert db.compaction_status()["P"].dirty
+    assert not db.compact("P", max_steps=1, pages_per_step=1).done
 
 
 def test_compacting_parent_folds_the_whole_subtree():

@@ -115,6 +115,18 @@ def test_image_info_and_atomic_write(tmp_path):
     assert raw.startswith(IMAGE_MAGIC)
 
 
+def test_failed_write_leaves_no_temp_file(tmp_path):
+    """A snapshot onto a directory used to raise a bare
+    ``IsADirectoryError`` and leave ``<path>.tmp`` on disk."""
+    db, _ = twin_dbs()
+    target = tmp_path / "taken"
+    target.mkdir()
+    with pytest.raises(PersistError) as exc:
+        db.snapshot(str(target))
+    assert isinstance(exc.value.__cause__, OSError)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
 def _flip_byte(path, offset):
     raw = bytearray(path.read_bytes())
     raw[offset] ^= 0xFF

@@ -136,6 +136,35 @@ def test_error_responses_keep_connection_alive(db):
             assert stats["service"]["errors_total"] == 4
 
 
+@pytest.mark.parametrize("request_, field", [
+    ({"op": "execute", "sql": None}, "sql"),
+    ({"op": "execute"}, "sql"),
+    ({"op": "execute", "sql": SELECT_T0, "params": 5}, "params"),
+    ({"op": "prepare", "sql": 5}, "sql"),
+    ({"op": "compact", "table": "T0", "max_steps": "x"}, "max_steps"),
+    ({"op": "compact", "table": "T0", "max_steps": True}, "max_steps"),
+    ({"op": "compact", "table": "T0", "pages_per_step": 1.5},
+     "pages_per_step"),
+    ({"op": "compact", "table": "T0", "max_steps": 0}, "max_steps"),
+    ({"op": "compact", "table": ["T0"]}, "table"),
+    ({"op": "snapshot", "path": 5}, "path"),
+], ids=["sql-null", "sql-missing", "params-int", "prepare-sql-int",
+        "max-steps-str", "max-steps-bool", "pages-float", "max-steps-0",
+        "table-list", "path-int"])
+def test_a_malformed_request_is_an_error_naming_its_field(db, request_,
+                                                          field):
+    """Ill-typed fields used to escape as ``internal: TypeError`` /
+    ``ValueError`` / ``AttributeError``; each is now the engine's own
+    error naming the field, and the connection keeps serving."""
+    with serving(db) as server:
+        with GhostClient(server.host, server.port) as client:
+            with pytest.raises(ServiceError) as exc:
+                client._call(request_)
+            assert not str(exc.value).startswith("internal")
+            assert field in str(exc.value)
+            assert client.ping()
+
+
 def test_a_missing_parameter_is_one_error_on_token_fleet_and_wire(fresh_db):
     """SELECT / INSERT / DELETE with an unbound ``?``: the same
     ``BindError`` text from one token, from a fleet and over the wire,

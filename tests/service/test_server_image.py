@@ -40,6 +40,18 @@ def test_snapshot_requires_a_path(db):
             assert client.ping()
 
 
+def test_a_failed_snapshot_write_is_a_persist_error(db, tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()
+    with serving(db) as server:
+        with GhostClient(server.host, server.port) as client:
+            with pytest.raises(ServiceError) as exc:
+                client.snapshot(str(target))
+            assert exc.value.error_type == "PersistError"
+            assert client.ping()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
 def test_snapshot_refused_mid_compaction(fresh_db, tmp_path):
     """A bounded compaction job left half-done must make the server
     refuse the snapshot (PersistError over the wire), and the snapshot

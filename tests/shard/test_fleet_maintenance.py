@@ -4,7 +4,11 @@
 
 import math
 
+import pytest
+
 from repro import GhostDB
+from repro.errors import CompactionError
+from repro.workloads.synthetic import SyntheticConfig, build_synthetic
 
 
 def build_fleet(shards=2):
@@ -106,3 +110,21 @@ def test_gather_estimate_under_a_forced_strategy_is_not_the_table():
                     if ln.startswith("gather merge:"))
         estimate = int(line.split("~")[1].split()[0])
         assert executed / 2 <= estimate <= executed * 2, line
+
+
+@pytest.mark.parametrize("table, dml", [
+    ("T0", "DELETE FROM T0 WHERE T0.v1 < 3"),
+    ("T1", "INSERT INTO T1 VALUES (0, 0, 1, 1, 5)"),
+], ids=["root", "replica"])
+def test_compact_rejects_max_steps_below_one_on_root_and_replica(table, dml):
+    """The root path used to hand ``None`` to every shard and fold the
+    whole table; a replicated table crashed on a missing job.  Both
+    now refuse before any shard is touched."""
+    fleet = build_synthetic(SyntheticConfig(scale=0.0005), shards=2)
+    fleet.execute(dml)
+    assert fleet.compaction_status()[table].dirty
+    for max_steps in (0, -1):
+        with pytest.raises(CompactionError, match="max_steps"):
+            fleet.compact(table, max_steps=max_steps)
+    assert fleet.compaction_status()[table].dirty
+    assert all(not s.compactions_in_flight() for s in fleet.shards)
