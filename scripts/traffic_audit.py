@@ -11,12 +11,29 @@ Runs, in this process and under :func:`sys.setprofile`:
 Then prints each ``def`` under ``src/repro`` that was never called,
 grouped by module with its line count.  An unreached function is a
 question, not a verdict: it may be reached only by tests, by an error
-path, or not at all.  Usage::
+path, or not at all.
 
-    python scripts/traffic_audit.py                  # everything
-    python scripts/traffic_audit.py --parts examples # one part
+When every part runs (the default, and what CI runs) the audit is a
+gate: it exits 1 unless every unreached function is covered by an
+entry of ``scripts/traffic_allow.txt`` and every pattern of an entry
+matches a ``def`` under ``src/repro``.  An entry is one reason: a line
+naming tier-1 tests of its code (comma separated, no spaces; checked
+only to exist, not to reach the patterns) and why no traffic should,
+then one indented ``module:qualname`` pattern per line::
 
-Takes a few minutes (the bench tables dominate).
+    tests/<file>.py::<test>[,...]   why no traffic reaches this code
+        repro.pkg.module:function
+        repro.pkg.module:Class.*
+
+``module:Class.*`` covers every method of ``Class``, and a plain
+qualname also covers the functions nested in it.  A pattern whose
+functions traffic does reach is reported, not failed (a timeout path
+may fire on a slow host).  Usage::
+
+    python scripts/traffic_audit.py                  # the gate
+    python scripts/traffic_audit.py --parts examples # one part, list only
+
+Takes about a minute (the bench tables dominate).
 """
 
 from __future__ import annotations
@@ -33,13 +50,13 @@ import tempfile
 import threading
 from collections import defaultdict
 from pathlib import Path
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Set, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
-sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 PARTS = ("perfbench", "examples", "tables")
+ALLOW = ROOT / "scripts" / "traffic_allow.txt"
 
 Key = Tuple[str, int]                  # (real path, first line)
 
@@ -73,6 +90,70 @@ def defined_functions() -> Dict[Key, Tuple[str, str, int]]:
     return out
 
 
+class Pattern(NamedTuple):
+    """``module:qualname``, or ``module:Class.*`` for a whole class."""
+
+    module: str
+    qualname: str
+
+    def covers(self, module: str, qualname: str) -> bool:
+        if module != self.module:
+            return False
+        if self.qualname.endswith(".*"):
+            return qualname.startswith(self.qualname[:-1])
+        return (qualname == self.qualname
+                or qualname.startswith(self.qualname + ".<locals>."))
+
+    def __str__(self) -> str:
+        return f"{self.module}:{self.qualname}"
+
+
+class Entry(NamedTuple):
+    """One allow-list reason: the tests, why, and what it covers."""
+
+    tests: List[str]           # ``tests/<file>.py::<test function>``
+    why: str
+    patterns: List[Pattern]
+
+
+def load_allow(path: Path = ALLOW) -> List[Entry]:
+    """Parse the allow-list (``#`` starts a comment line)."""
+    entries: List[Entry] = []
+    for n, line in enumerate(path.read_text().splitlines(), 1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        if line[0].isspace():
+            module, _, qualname = line.strip().partition(":")
+            if not entries or not qualname or " " in line.strip():
+                raise ValueError(f"{path.name}:{n}: expected an indented "
+                                 f"'module:qualname' under an entry")
+            entries[-1].patterns.append(Pattern(module, qualname))
+            continue
+        tests, _, why = line.partition(" ")
+        tests = tests.split(",")
+        if not all("::" in t for t in tests) or not why.strip():
+            raise ValueError(f"{path.name}:{n}: expected "
+                             f"'tests/<file>.py::<test>[,...] why'")
+        entries.append(Entry(tests, why.strip(), []))
+    return entries
+
+
+def judge(defined: Iterable[Tuple[str, str]],
+          unreached: Iterable[Tuple[str, str]], entries: List[Entry]
+          ) -> Tuple[List[Tuple[str, str]], List[Pattern], List[Pattern]]:
+    """``(uncovered, stale, idle)``: the unreached ``(module,
+    qualname)`` pairs no pattern covers, the patterns that match no
+    defined function, and the patterns that match only reached ones."""
+    defined, unreached = list(defined), set(unreached)
+    patterns = [p for e in entries for p in e.patterns]
+    uncovered = sorted(f for f in unreached
+                       if not any(p.covers(*f) for p in patterns))
+    stale = [p for p in patterns if not any(p.covers(*f) for f in defined)]
+    idle = [p for p in patterns if p not in stale
+            and not any(p.covers(*f) for f in unreached)]
+    return uncovered, stale, idle
+
+
 def run_perfbench(scale: float) -> None:
     from perfbench.harness import Harness
     from perfbench.workloads import WORKLOADS
@@ -98,16 +179,10 @@ def run_examples() -> None:
 
 
 def run_tables() -> None:
-    from repro.bench.experiments import DATABASES, TABLES
-    from repro.bench.report import run_table
+    from repro.bench.experiments import TABLES
+    from repro.bench.report import database_cache, run_table
 
-    databases: Dict[str, object] = {}
-
-    def db_of(kind: str):
-        if kind not in databases:
-            databases[kind] = DATABASES[kind]()
-        return databases[kind]
-
+    db_of = database_cache()
     for name in TABLES:
         run_table(name, db_of)
         print(f"  table {name}: ok", file=sys.stderr)
@@ -118,8 +193,10 @@ def main() -> int:
     ap.add_argument("--scale", type=float, default=0.3,
                     help="perfbench row/statement scale (default 0.3)")
     ap.add_argument("--parts", nargs="+", choices=PARTS, default=PARTS,
-                    help="which traffic to run (default: all)")
+                    help=f"which traffic to run (default: all, and "
+                         f"only then is {ALLOW.name} checked)")
     args = ap.parse_args()
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
     defined = defined_functions()
     called: Set[Key] = set()           # as the interpreter names them
@@ -155,7 +232,23 @@ def main() -> int:
               f"{sum(n for _, n in fns)} lines)")
         for name, lines in fns:
             print(f"  {name:60s} {lines:5d}")
-    return 0
+    if set(args.parts) != set(PARTS):
+        return 0
+
+    entries = load_allow()
+    uncovered, stale, idle = judge(
+        [(module, name) for module, name, _ in defined.values()],
+        [(module, name) for module, fns in unreached.items()
+         for name, _ in fns], entries)
+    print(f"\n{ALLOW.name}: {len(entries)} entries, "
+          f"{sum(len(e.patterns) for e in entries)} patterns")
+    for pattern in idle:
+        print(f"  reached by traffic (pattern may go): {pattern}")
+    for pattern in stale:
+        print(f"FAIL stale pattern, no such def: {pattern}")
+    for module, name in uncovered:
+        print(f"FAIL unreached and not allow-listed: {module}:{name}")
+    return 1 if stale or uncovered else 0
 
 
 if __name__ == "__main__":

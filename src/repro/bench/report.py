@@ -61,17 +61,23 @@ def check_golden(name: str, files: Dict[str, str],
             f"and commit the diff; otherwise it is a reproduction bug.")
 
 
-def regenerate(names: Optional[Sequence[str]] = None,
-               results_dir: pathlib.Path = RESULTS_DIR) -> None:
-    """(Re)write the named tables -- all of them by default."""
+def database_cache() -> Callable[[str], object]:
+    """A ``db_of`` for :func:`run_table` that builds each
+    ``DATABASES`` kind once, on first use."""
     databases: Dict[str, object] = {}
 
     def db_of(kind: str):
         if kind not in databases:
-            print(f"[building the {kind} database ...]")
             databases[kind] = DATABASES[kind]()
         return databases[kind]
 
+    return db_of
+
+
+def regenerate(names: Optional[Sequence[str]] = None,
+               results_dir: pathlib.Path = RESULTS_DIR) -> None:
+    """(Re)write the named tables -- all of them by default."""
+    db_of = database_cache()
     results_dir.mkdir(exist_ok=True)
     for name in names or TABLES:
         _, files = run_table(name, db_of)

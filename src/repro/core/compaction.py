@@ -302,17 +302,6 @@ class CompactionProgress:
     def done(self) -> bool:
         return self.state in ("clean", "done")
 
-    def describe(self) -> str:
-        out = f"compact({self.table}): {self.state}"
-        if self.steps_run:
-            out += (f" steps={self.steps_run} pages={self.pages_rewritten}"
-                    f" max_step={self.max_step_us:.0f}us")
-        if self.restarts:
-            out += f" restarts={self.restarts}"
-        if self.phase and self.state == "in-progress":
-            out += f" at[{self.phase}]"
-        return out
-
 
 # ----------------------------------------------------------------------
 # the job

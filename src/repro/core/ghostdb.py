@@ -78,7 +78,7 @@ from repro.core.sort import (OrderByExecutor, dedup_rows, sort_projections,
 from repro.errors import (BindError, GhostDBError, ImageError, PowerLoss,
                           SchemaError)
 from repro.hardware.token import SecureToken, TokenConfig
-from repro.schema.ddl import column_from_def
+from repro.schema.ddl import table_from_ast
 from repro.schema.model import Schema, Table
 from repro.sql import ast
 from repro.sql.binder import Binder, BoundDelete, BoundInsert
@@ -166,9 +166,7 @@ class StatementFrontEnd:
         if isinstance(parsed, ast.CreateTable):
             if params:
                 raise BindError("DDL statements take no parameters")
-            self.register_table(Table(
-                parsed.name, [column_from_def(c) for c in parsed.columns]
-            ))
+            self.register_table(table_from_ast(parsed))
             return None
         self.finalize_schema()
         if isinstance(parsed, ast.InsertStatement):

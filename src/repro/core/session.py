@@ -223,9 +223,6 @@ class BatchResult:
     def __iter__(self) -> Iterator[QueryResult]:
         return iter(self.results)
 
-    def __getitem__(self, i: int) -> QueryResult:
-        return self.results[i]
-
 
 class Session:
     """One client's prepared statements and plan cache over a GhostDB.

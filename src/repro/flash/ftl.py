@@ -215,26 +215,33 @@ class Ftl:
         self.nand.discard_page(ppn)
         self._invalid_per_block[self.nand.block_of(ppn)] += 1
 
+    def _frontier_full(self) -> bool:
+        return self._frontier >= \
+            (self._active_block + 1) * self.params.pages_per_block
+
     def _claim_physical_page(self) -> int:
-        ppb = self.params.pages_per_block
-        if self._frontier >= (self._active_block + 1) * ppb:
-            self._active_block = self._claim_free_block()
-            self._frontier = self._active_block * ppb
+        """The next page at the write frontier, opening a block when
+        the active one is full.  A GC run first: its relocations claim
+        pages through here and may open a block of their own, so the
+        frontier is re-read after it -- one active block at a time, and
+        no block is left partly programmed behind it."""
+        if self._frontier_full():
+            if (not self._in_gc and len(self._free_blocks)
+                    <= self.params.gc_free_block_threshold):
+                self._in_gc = True
+                try:
+                    self._garbage_collect()
+                finally:
+                    self._in_gc = False
+            if self._frontier_full():
+                if not self._free_blocks:
+                    raise OutOfSpaceError("no free flash blocks")
+                self._active_block = self._free_blocks.pop()
+                self._frontier = \
+                    self._active_block * self.params.pages_per_block
         ppn = self._frontier
         self._frontier += 1
         return ppn
-
-    def _claim_free_block(self) -> int:
-        if (not self._in_gc
-                and len(self._free_blocks) <= self.params.gc_free_block_threshold):
-            self._in_gc = True
-            try:
-                self._garbage_collect()
-            finally:
-                self._in_gc = False
-        if not self._free_blocks:
-            raise OutOfSpaceError("no free flash blocks")
-        return self._free_blocks.pop()
 
     def _pick_victim(self) -> Optional[int]:
         best: Optional[int] = None

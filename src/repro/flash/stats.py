@@ -137,11 +137,6 @@ class CostLedger:
     # ------------------------------------------------------------------
     # labels
     # ------------------------------------------------------------------
-    @property
-    def current_label(self) -> str:
-        """The operator label charges are currently attributed to."""
-        return self._label_stack[-1] if self._label_stack else UNLABELLED
-
     @contextmanager
     def label(self, name: str) -> Iterator[None]:
         """Attribute all charges inside the block to ``name``."""

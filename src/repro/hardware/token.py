@@ -28,10 +28,6 @@ class TokenConfig:
     throughput_mbps: float = 1.5
     flash: FlashParams = field(default_factory=FlashParams)
 
-    @property
-    def n_buffers(self) -> int:
-        return self.ram_bytes // self.flash.page_size
-
 
 class SecureToken:
     """A simulated tamper-resistant smart USB key."""

@@ -237,18 +237,13 @@ class BPlusTree:
         finally:
             self._free_buffers(bufs)
 
-    def scan(self, ram: Optional[SecureRam] = None
-             ) -> Iterator[Tuple[bytes, bytes]]:
-        """Full scan in key order."""
-        return self.range(ram=ram)
-
     def scan_reverse(self, ram: Optional[SecureRam] = None
                      ) -> Iterator[Tuple[bytes, bytes]]:
         """Full scan in descending key order.
 
         Leaves are laid out sequentially by :meth:`bulk_build`, so the
         reverse scan walks pages ``n_leaves-1 .. 0`` and reverses each
-        leaf in the page buffer -- same I/O as :meth:`scan`.
+        leaf in the page buffer -- same I/O as a full :meth:`range`.
         """
         if self.n_entries == 0:
             return

@@ -236,7 +236,7 @@ class ClimbingIndex:
         """
         pos = self._level_pos(level)
         entries = (self.btree.scan_reverse(ram) if reverse
-                   else self.btree.scan(ram))
+                   else self.btree.range(ram=ram))
         for _, payload in entries:
             yield self._view(payload, pos, level)
 

@@ -83,9 +83,6 @@ class IndexSizingModel:
     # ------------------------------------------------------------------
     # tree helpers
     # ------------------------------------------------------------------
-    def children(self, name: str) -> List[str]:
-        return self._children[name]
-
     def descendants(self, name: str) -> List[str]:
         out: List[str] = []
         stack = list(self._children[name])

@@ -48,10 +48,6 @@ class SubtreeKeyTable:
 
     # ------------------------------------------------------------------
     @property
-    def n_rows(self) -> int:
-        return self.heap.n_rows
-
-    @property
     def n_pages(self) -> int:
         return self.heap.file.n_pages
 

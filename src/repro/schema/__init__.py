@@ -1,6 +1,6 @@
 """Schema declaration: tables, HIDDEN columns, tree validation, DDL."""
 
-from repro.schema.ddl import schema_from_sql, table_from_sql
+from repro.schema.ddl import schema_from_sql, table_from_ast
 from repro.schema.model import Column, Schema, Table
 
 __all__ = [
@@ -8,5 +8,5 @@ __all__ = [
     "Schema",
     "Table",
     "schema_from_sql",
-    "table_from_sql",
+    "table_from_ast",
 ]

@@ -35,8 +35,7 @@ _TYPE_MAP = {
 }
 
 
-def column_from_def(cdef: ast.ColumnDef) -> Column:
-    """Translate one parsed column definition."""
+def _column(cdef: ast.ColumnDef) -> Column:
     if cdef.type_name == "CHAR":
         if not cdef.char_size:
             raise SchemaError(f"CHAR column {cdef.name!r} needs a size")
@@ -52,14 +51,17 @@ def column_from_def(cdef: ast.ColumnDef) -> Column:
                   references=cdef.references)
 
 
-def table_from_sql(sql: str) -> Table:
-    """Parse one CREATE TABLE statement into a :class:`Table`."""
-    parsed = parse(sql)
-    if not isinstance(parsed, ast.CreateTable):
-        raise SchemaError("expected a CREATE TABLE statement")
-    return Table(parsed.name, [column_from_def(c) for c in parsed.columns])
+def table_from_ast(stmt: ast.CreateTable) -> Table:
+    """Translate one parsed CREATE TABLE statement."""
+    return Table(stmt.name, [_column(c) for c in stmt.columns])
 
 
 def schema_from_sql(statements: Sequence[str]) -> Schema:
     """Build a validated schema from CREATE TABLE statements."""
-    return Schema([table_from_sql(s) for s in statements])
+    tables = []
+    for sql in statements:
+        parsed = parse(sql)
+        if not isinstance(parsed, ast.CreateTable):
+            raise SchemaError("expected a CREATE TABLE statement")
+        tables.append(table_from_ast(parsed))
+    return Schema(tables)

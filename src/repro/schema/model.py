@@ -68,6 +68,8 @@ class Table:
         id_col = self._by_name[ID_COLUMN]
         if not isinstance(id_col.type, IntType):
             raise SchemaError(f"{name}.id must be an integer column")
+        self._positions: Dict[str, int] = {
+            c.name: i for i, c in enumerate(self.data_columns)}
 
     # ------------------------------------------------------------------
     def column(self, name: str) -> Column:
@@ -102,10 +104,12 @@ class Table:
 
     def column_position(self, name: str) -> int:
         """Position of ``name`` among :attr:`data_columns`."""
-        for i, c in enumerate(self.data_columns):
-            if c.name == name:
-                return i
-        raise SchemaError(f"table {self.name!r} has no column {name!r}")
+        try:
+            return self._positions[name]
+        except KeyError:
+            raise SchemaError(
+                f"table {self.name!r} has no column {name!r}"
+            ) from None
 
 
 class Schema:

@@ -13,23 +13,21 @@ turns it into a service many clients can drive at once:
   plans and executes in one turn and reports the generations it read;
   a write applies, takes its ``writer_seq`` and records its response
   in one turn.
-* :mod:`repro.service.client` -- the asyncio client and its blocking
-  facade (one transport).
+* :mod:`repro.service.client` -- the asyncio client.
 * :mod:`repro.service.loadgen` -- Query Q's Figure 10/12 texts as
   prepared templates (no generator: load is ``perfbench``'s
   ``service_short``).
 """
 
 from repro.service.admission import AdmissionController
-from repro.service.client import (AsyncGhostClient, GhostClient,
-                                  ServiceError, ServiceResult)
+from repro.service.client import (AsyncGhostClient, ServiceError,
+                                  ServiceResult)
 from repro.service.protocol import MAX_FRAME_BYTES, decode_frame, encode_frame
 from repro.service.server import GhostServer
 
 __all__ = [
     "AdmissionController",
     "AsyncGhostClient",
-    "GhostClient",
     "GhostServer",
     "MAX_FRAME_BYTES",
     "ServiceError",

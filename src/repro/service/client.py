@@ -1,11 +1,10 @@
-"""Client library for the GhostDB query service: one transport.
+"""Client library for the GhostDB query service: one client.
 
-* :class:`AsyncGhostClient` -- the asyncio client.  It pipelines: many
-  coroutines may issue requests concurrently over one connection, and
-  a background reader task routes each response to its caller by the
-  echoed request id.
-* :class:`GhostClient` -- its blocking facade for scripts and tests:
-  the same methods, run one at a time on a private event loop.
+:class:`AsyncGhostClient` is the asyncio client.  It pipelines: many
+coroutines may issue requests concurrently over one connection, and a
+background reader task routes each response to its caller by the
+echoed request id.  A closed client raises :class:`ServiceError`
+(``ClientClosed``, never retried) instead of sending.
 
 Server-reported failures raise :class:`ServiceError`, which carries
 the server's ``error_type`` (the engine exception class name, e.g.
@@ -79,12 +78,6 @@ class ServiceResult:
     generations: Dict[str, Tuple[int, int]] = field(default_factory=dict)
     stats: Dict[str, Any] = field(default_factory=dict)
     raw: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def replayed(self) -> bool:
-        """Whether the server answered from its idempotency record
-        (an earlier attempt of this statement already applied)."""
-        return bool(self.raw.get("replayed"))
 
     @classmethod
     def from_response(cls, response: dict) -> "ServiceResult":
@@ -212,6 +205,8 @@ class AsyncGhostClient:
                 future.set_exception(ServiceError(why, "ConnectionLost"))
 
     async def _call(self, payload: dict) -> dict:
+        if self._writer is None:
+            raise ServiceError("client is closed", "ClientClosed")
         req_id = self._next_id
         self._next_id += 1
         request = dict(payload)
@@ -297,80 +292,3 @@ class AsyncGhostClient:
         return (await self._call_with_retries({"op": "ping"}))["kind"] == \
             "pong"
 
-
-def _forwarded(name: str) -> property:
-    return property(lambda self: getattr(self._client, name),
-                    lambda self, value: setattr(self._client, name, value))
-
-
-class GhostClient:
-    """Blocking client: one :class:`AsyncGhostClient` on a private loop.
-
-    Each method runs the coroutine of the same name (same arguments,
-    result and errors) to completion on an event loop this object
-    owns, and the five settings/counters below live on that client.
-    One caller at a time, never from inside a running event loop.
-    """
-
-    timeout_s = _forwarded("timeout_s")
-    retries = _forwarded("retries")
-    backoff_s = _forwarded("backoff_s")
-    timeouts_total = _forwarded("timeouts_total")
-    retries_total = _forwarded("retries_total")
-
-    def __init__(self, host: str, port: int,
-                 timeout_s: Optional[float] = DEFAULT_TIMEOUT_S,
-                 retries: int = 0, backoff_s: float = DEFAULT_BACKOFF_S):
-        self._loop = asyncio.new_event_loop()
-        try:
-            self._client = self._run(AsyncGhostClient.connect(
-                host, port, timeout_s, retries, backoff_s))
-        except BaseException:
-            self._loop.close()
-            raise
-
-    def _run(self, coro):
-        if self._loop.is_closed():
-            coro.close()
-            raise ServiceError("client is closed", "ConnectionLost")
-        return self._loop.run_until_complete(coro)
-
-    def close(self) -> None:
-        if not self._loop.is_closed():
-            self._run(self._client.close())
-            self._loop.close()
-
-    def __enter__(self) -> "GhostClient":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def reconnect(self) -> None:
-        self._run(self._client.reconnect())
-
-    def _call(self, payload: dict) -> dict:
-        return self._run(self._client._call(payload))
-
-    def execute(self, sql: str,
-                params: Optional[Sequence] = None) -> ServiceResult:
-        return self._run(self._client.execute(sql, params))
-
-    def prepare(self, sql: str) -> int:
-        return self._run(self._client.prepare(sql))
-
-    def exec_stmt(self, stmt: int, params: Sequence = ()) -> ServiceResult:
-        return self._run(self._client.exec_stmt(stmt, params))
-
-    def compact(self, table: str,
-                max_steps: Optional[int] = None) -> ServiceResult:
-        return self._run(self._client.compact(table, max_steps))
-
-    def snapshot(self, path: str) -> Dict[str, Any]:
-        return self._run(self._client.snapshot(path))
-
-    def server_stats(self) -> Dict[str, Any]:
-        return self._run(self._client.server_stats())
-
-    def ping(self) -> bool:
-        return self._run(self._client.ping())

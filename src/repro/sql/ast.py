@@ -18,9 +18,6 @@ class Parameter:
 
     index: int
 
-    def __str__(self) -> str:
-        return "?"
-
 
 @dataclass(frozen=True)
 class ColumnRef:
@@ -94,9 +91,6 @@ class OrderItem:
 
     column: ColumnRef
     desc: bool = False
-
-    def __str__(self) -> str:
-        return f"{self.column} {'DESC' if self.desc else 'ASC'}"
 
 
 @dataclass(frozen=True)

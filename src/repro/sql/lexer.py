@@ -51,9 +51,6 @@ class Token(NamedTuple):
     value: str
     pos: int
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Token({self.kind}, {self.value!r})"
-
 
 def _scan(text: str) -> Iterator[Tuple[str, str, int]]:
     """``(kind, text, pos)`` per token; a string keeps its quotes.

@@ -219,10 +219,6 @@ class U32FileBuilder:
         """Current position (in ids); use to delimit views."""
         return self.count
 
-    def view(self, start: int, count: int) -> "U32View":
-        """A view over ``[start, start+count)`` of the finished file."""
-        return U32View(self.file, start, count)
-
     def finish(self) -> "U32View":
         """Flush the tail page, free the buffer, return the full view."""
         if not self._finished:

@@ -175,12 +175,23 @@ def test_ledger_persists_integers_only(db, tmp_path):
     assert GhostDB.restore(str(path)).token.ledger.to_meta() == meta
 
 
-def test_version_3_image_is_refused(db, tmp_path):
-    assert IMAGE_VERSION == 4
-    path = tmp_path / "v4.img"
+def _with_version(db, tmp_path, version):
+    path = tmp_path / "current.img"
     db.snapshot(str(path))
     raw = path.read_bytes()
-    old = tmp_path / "v3.img"
-    old.write_bytes(raw[:8] + struct.pack("!I", 3) + raw[12:])
-    with pytest.raises(ImageError, match="version 3 .*version 4"):
-        GhostDB.restore(str(old))
+    old = tmp_path / f"v{version}.img"
+    old.write_bytes(raw[:8] + struct.pack("!I", version) + raw[12:])
+    return str(old)
+
+
+def test_version_3_image_is_refused(db, tmp_path):
+    assert IMAGE_VERSION == 5
+    with pytest.raises(ImageError, match="version 3 .*version 5"):
+        GhostDB.restore(_with_version(db, tmp_path, 3))
+
+
+def test_version_4_image_is_refused(db, tmp_path):
+    """A version-4 image pickles its tables without the name -> position
+    map, so restore refuses it instead of the first insert failing."""
+    with pytest.raises(ImageError, match="version 4 .*version 5"):
+        GhostDB.restore(_with_version(db, tmp_path, 4))

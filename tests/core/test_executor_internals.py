@@ -177,7 +177,7 @@ def oracle_sjoin(ctx, anchor, anchor_chunks, tables):
 @given(st.data())
 def test_property_sjoin_equals_the_id_at_a_time_oracle(db, data):
     skt = db.catalog.skt("T0")
-    last = skt.n_rows - 1
+    last = skt.heap.n_rows - 1
     stretches = data.draw(st.lists(st.tuples(st.integers(0, last),
                                              st.integers(1, 400)), max_size=4))
     ids = sorted(data.draw(st.sets(st.integers(0, last), max_size=60)).union(

@@ -3,12 +3,14 @@ garbage collection, wear levelling and I/O cost charging."""
 
 import pytest
 
+from repro.core.ghostdb import GhostDB
 from repro.errors import OutOfSpaceError
 from repro.flash.constants import FlashParams
 from repro.flash.ftl import Ftl
-from repro.flash.nand import NandFlash
+from repro.flash.nand import ERASED, NandFlash
 from repro.flash.stats import CostLedger
 from repro.flash.store import FlashStore
+from repro.hardware.token import TokenConfig
 
 
 def make_ftl(n_blocks=16, pages_per_block=4, threshold=2):
@@ -19,6 +21,16 @@ def make_ftl(n_blocks=16, pages_per_block=4, threshold=2):
     )
     ledger = CostLedger()
     return Ftl(NandFlash(params), ledger, params), ledger
+
+
+def partly_programmed_blocks(ftl):
+    """Blocks other than the active one that hold both programmed and
+    erased pages: write room no allocator will ever hand out again."""
+    ppb = ftl.params.pages_per_block
+    state = ftl.nand._state
+    return [b for b in range(ftl.params.n_blocks)
+            if b != ftl._active_block
+            and 0 < state[b * ppb:(b + 1) * ppb].count(ERASED) < ppb]
 
 
 def test_write_read_roundtrip():
@@ -115,6 +127,58 @@ def test_gc_preserves_all_live_data():
         ftl.write(hot, b"h" * 8)
     for i, lpn in enumerate(lpns):
         assert ftl.peek(lpn)[:1] == bytes([i])
+
+
+def test_gc_relocation_keeps_one_partly_programmed_block():
+    """GC runs inside the claim of a new block, and its relocations
+    open a block of their own; the claim must then write into that
+    block instead of opening a second one over it.  Checked after
+    every write of a hot/cold churn that relocates pages."""
+    ftl, _ = make_ftl(n_blocks=8, pages_per_block=4, threshold=1)
+    *cold, hot = ftl.allocate(7)
+    for i, lpn in enumerate(cold):         # one live page per block ...
+        ftl.write(lpn, bytes([i]) * 8)
+        for _ in range(3):                 # ... beside three dead ones
+            ftl.write(hot, b"h" * 8)
+            assert partly_programmed_blocks(ftl) == []
+    for _ in range(300):
+        ftl.write(hot, b"h" * 8)
+        assert partly_programmed_blocks(ftl) == []
+    assert ftl.gc_pages_moved > 0
+    for i, lpn in enumerate(cold):
+        assert ftl.peek(lpn)[:1] == bytes([i])
+
+
+def test_one_row_inserts_fill_a_small_flash_past_the_old_brick(
+        monkeypatch):
+    """An 8-block token (512 pages) under one-row INSERTs: GC runs
+    hundreds of times and never leaves a block partly programmed.
+    Before GC and its claim agreed on one active block, the 8 865th
+    INSERT raised OutOfSpaceError with only 136 pages mapped."""
+    db = GhostDB(config=TokenConfig(flash=FlashParams(n_blocks=8)),
+                 indexed_columns={"C": ("h",), "P": ("hp",)})
+    db.execute("CREATE TABLE P (id int, fk int HIDDEN REFERENCES C, "
+               "v int, hp float HIDDEN)")
+    db.execute("CREATE TABLE C (id int, h int HIDDEN, w int)")
+    db.load("C", [(i % 10, i % 7) for i in range(30)])
+    db.load("P", [(i % 30, (i * 37) % 100, (i * 13 % 97) / 3.0)
+                  for i in range(2000)])
+    db.build()
+    ftl = db.token.ftl
+    write = ftl.write
+
+    def checked_write(lpn, data):
+        write(lpn, data)
+        assert partly_programmed_blocks(ftl) == []
+
+    monkeypatch.setattr(ftl, "write", checked_write)
+    for i in range(9000):
+        db.execute("INSERT INTO P VALUES (?, ?, 1.5)",
+                   params=(i % 30, i % 100))
+    assert ftl.gc_runs > 500
+    sql = "SELECT P.id FROM P WHERE P.v = 7"
+    assert sorted(db.execute(sql).rows) == \
+        sorted(db.reference_query(sql)[1])
 
 
 def test_gc_traffic_is_charged():

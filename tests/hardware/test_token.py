@@ -11,7 +11,7 @@ def test_default_token_matches_paper():
     assert token.ram.capacity == 65536
     assert token.page_size == 2048
     assert token.ids_per_page == 512
-    assert token.config.n_buffers == 32
+    assert token.ram.n_buffers == 32
 
 
 def test_custom_config():
@@ -152,7 +152,6 @@ def test_throughput_is_part_of_the_cell_key():
 def test_unlabelled_charges_tracked():
     ledger = CostLedger()
     ledger.charge(READ, READ_PRICE, 1)
-    assert ledger.current_label == "(unlabelled)"
     assert ledger.by_label_s() == {"(unlabelled)": 25e-6}
 
 

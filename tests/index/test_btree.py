@@ -50,7 +50,7 @@ def test_tree_is_multilevel():
 def test_full_scan_in_key_order():
     store = make_store()
     tree = build_tree(store, 300)
-    keys = [k for k, _ in tree.scan()]
+    keys = [k for k, _ in tree.range()]
     assert keys == sorted(keys)
     assert len(keys) == 300
 
@@ -84,7 +84,7 @@ def test_empty_tree():
     store = make_store()
     tree = BPlusTree.bulk_build(store, "e", [], 8, 4, PAGE)
     assert tree.lookup(encode_int(0)) is None
-    assert list(tree.scan()) == []
+    assert list(tree.range()) == []
 
 
 def test_single_entry_tree():

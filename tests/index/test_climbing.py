@@ -160,7 +160,7 @@ def test_skt_build_and_get():
     store = make_store()
     rows = [(i % 4, i % 7, (i * 3) % 5) for i in range(30)]
     skt = SubtreeKeyTable.build(store, "T0", ["T1", "T11", "T12"], rows, PAGE)
-    assert skt.n_rows == 30
+    assert skt.heap.n_rows == 30
     assert skt.get(10) == rows[10]
 
 

@@ -34,7 +34,7 @@ REAL_INDEXED = {"Patients": 5, "Doctors": 2, "Drugs": 1, "Measurements": 0}
 def test_tree_helpers():
     m = synthetic_model()
     assert m.root == "T0"
-    assert sorted(m.children("T1")) == ["T11", "T12"]
+    assert sorted(m.descendants("T1")) == ["T11", "T12"]
     assert sorted(m.descendants("T0")) == ["T1", "T11", "T12", "T2"]
     assert m.ancestors("T12") == ["T1", "T0"]
     assert m.ancestors("T0") == []

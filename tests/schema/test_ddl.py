@@ -3,8 +3,13 @@
 import pytest
 
 from repro.errors import SchemaError
-from repro.schema.ddl import schema_from_sql, table_from_sql
+from repro.schema.ddl import schema_from_sql, table_from_ast
+from repro.sql.parser import parse
 from repro.storage.codec import CharType, FloatType, IntType
+
+
+def table_from_sql(sql):
+    return table_from_ast(parse(sql))
 
 
 def test_paper_create_table_translates():
@@ -44,7 +49,7 @@ def test_char_without_size_rejected_at_parse():
 
 def test_select_statement_rejected():
     with pytest.raises(SchemaError):
-        table_from_sql("SELECT a FROM b")
+        schema_from_sql(["SELECT a FROM b"])
 
 
 def test_schema_from_sql_validates_tree():

@@ -1,13 +1,12 @@
-"""Test harness: build databases and serve them for wire clients.
+"""Test harness: build databases and serve them to a wire client.
 
 Lives outside ``conftest.py`` so test modules can import the helpers
 directly (the repo's test tree is packageless).
 """
 
-import asyncio
-import threading
-from contextlib import contextmanager
+from contextlib import asynccontextmanager
 
+from repro.service.client import AsyncGhostClient
 from repro.service.server import GhostServer
 from repro.workloads.synthetic import SyntheticConfig, build_synthetic
 
@@ -18,23 +17,11 @@ def build_db(scale: float = 0.0005):
                                            full_indexing=True))
 
 
-@contextmanager
-def serving(db):
-    """Run a :class:`GhostServer` on a background event-loop thread.
-
-    Lets the blocking ``GhostClient`` drive the server from the test's
-    own thread; async tests may instead use ``async with GhostServer(db)``
-    inside their own event loop.
-    """
-    loop = asyncio.new_event_loop()
-    server = GhostServer(db)
-    thread = threading.Thread(target=loop.run_forever, daemon=True)
-    thread.start()
-    asyncio.run_coroutine_threadsafe(server.start(), loop).result(30)
-    try:
-        yield server
-    finally:
-        asyncio.run_coroutine_threadsafe(server.stop(), loop).result(30)
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(30)
-        loop.close()
+@asynccontextmanager
+async def connected(db):
+    """Serve ``db`` on the running event loop and connect one
+    :class:`AsyncGhostClient` to it; yields ``(server, client)``."""
+    async with GhostServer(db) as server:
+        async with await AsyncGhostClient.connect(
+                server.host, server.port) as client:
+            yield server, client

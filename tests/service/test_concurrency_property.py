@@ -30,7 +30,7 @@ from repro.service.server import GhostServer
 from repro.workloads.queries import H_VALUE
 from repro.workloads.synthetic import sv_to_v1_bound
 
-from harness import build_db, serving
+from harness import build_db, connected
 
 N_CLIENTS = 4
 OPS_PER_CLIENT = 12
@@ -174,9 +174,8 @@ def test_declined_compaction_never_stalls_admission():
 
     db._compactor.compact = declining_compact
 
-    async def drive(port):
-        async with await AsyncGhostClient.connect("127.0.0.1",
-                                                  port) as client:
+    async def drive():
+        async with connected(db) as (_, client):
             compactions = [client.compact("T0") for _ in range(3)]
             reads = [client.execute(_select_sql(random.Random(i)))
                      for i in range(6)]
@@ -196,8 +195,7 @@ def test_declined_compaction_never_stalls_admission():
             assert ins.writer_seq == 1
             return await client.server_stats()
 
-    with serving(db) as server:
-        stats = asyncio.run(drive(server.port))
+    stats = asyncio.run(drive())
     # 3 compactions, 6 reads, 1 INSERT: one turn each, the declined
     # compactions counted as the lane's failures
     assert stats["admission"]["admitted"] == 10

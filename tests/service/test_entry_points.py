@@ -8,14 +8,15 @@ wire ``prepare`` answers the id its session's LRU gave the statement,
 so one text keeps one id, and an evicted statement's id is refused.
 """
 
+import asyncio
 import sys
 
 import pytest
 
-from repro.service.client import GhostClient, ServiceError
+from repro.service.client import ServiceError
 from repro.sql import lexer, parser
 
-from harness import serving
+from harness import connected
 
 SELECT_T0 = "SELECT T0.id, T0.v1 FROM T0 WHERE T0.v1 < 3"
 TEMPLATE = ("SELECT T0.id, T1.id, T12.id, T1.v1 "
@@ -79,20 +80,28 @@ def test_each_entry_point_lexes_once_and_parses_only_what_it_must(
         run()
         return counts["lex"], counts["parse"]
 
+    async def measure_wire(request):
+        counts.update(lex=0, parse=0)
+        await request
+        return counts["lex"], counts["parse"]
+
     table = {}
     fresh_db.execute(SELECT_T0)                       # cache the statement
     table["db.execute SELECT (hit)"] = measure(
         lambda: fresh_db.execute(SELECT_T0))
-    with serving(fresh_db) as server:
-        with GhostClient(server.host, server.port) as client:
-            client.prepare(TEMPLATE)
-            table["wire prepare (hit)"] = measure(
-                lambda: client.prepare(TEMPLATE))
-            client.execute(SELECT_T0)
-            table["wire execute SELECT (hit)"] = measure(
-                lambda: client.execute(SELECT_T0))
-            table["wire execute INSERT"] = measure(
-                lambda: client.execute(INSERT_T0))
+
+    async def run():
+        async with connected(fresh_db) as (_, client):
+            await client.prepare(TEMPLATE)
+            table["wire prepare (hit)"] = await measure_wire(
+                client.prepare(TEMPLATE))
+            await client.execute(SELECT_T0)
+            table["wire execute SELECT (hit)"] = await measure_wire(
+                client.execute(SELECT_T0))
+            table["wire execute INSERT"] = await measure_wire(
+                client.execute(INSERT_T0))
+
+    asyncio.run(run())
     table["db.execute INSERT"] = measure(lambda: fresh_db.execute(INSERT_T0))
     assert table == {
         "db.execute SELECT (hit)": (1, 0),
@@ -105,36 +114,43 @@ def test_each_entry_point_lexes_once_and_parses_only_what_it_must(
 
 def test_prepares_of_one_text_share_one_id(db, monkeypatch):
     sessions = capture_sessions(db, monkeypatch)
-    with serving(db) as server:
-        with GhostClient(server.host, server.port) as client:
-            ids = {client.prepare(TEMPLATE) for _ in range(300)}
+
+    async def run():
+        async with connected(db) as (_, client):
+            ids = {await client.prepare(TEMPLATE) for _ in range(300)}
             assert len(ids) == 1
             # a text that normalizes alike is the same statement
             variant = "  " + TEMPLATE.replace("SELECT", "select") + " ;"
-            assert client.prepare(variant) in ids
+            assert await client.prepare(variant) in ids
             cache = sessions[0].plan_cache
             assert len(cache) == 1
             for v in range(cache.capacity + 6):
-                client.prepare(f"SELECT T0.id FROM T0 WHERE T0.v1 < {v}")
+                await client.prepare(
+                    f"SELECT T0.id FROM T0 WHERE T0.v1 < {v}")
             # everything the connection holds lives in its one LRU
             assert len(cache) == cache.capacity
+
+    asyncio.run(run())
 
 
 def test_an_evicted_statement_id_asks_to_prepare_again(db, monkeypatch):
     capture_sessions(db, monkeypatch, capacity=2)
     texts = [f"SELECT T0.id FROM T0 WHERE T0.v1 < {v}" for v in (1, 2, 3)]
-    with serving(db) as server:
-        with GhostClient(server.host, server.port) as client:
-            ids = [client.prepare(sql) for sql in texts]
+
+    async def run():
+        async with connected(db) as (_, client):
+            ids = [await client.prepare(sql) for sql in texts]
             assert len(set(ids)) == 3
             with pytest.raises(ServiceError) as exc:
-                client.exec_stmt(ids[0])
+                await client.exec_stmt(ids[0])
             assert exc.value.error_type == "GhostDBError"
             assert "prepare it again" in str(exc.value)
             # the connection stays usable, and the statement comes back
             # under a new id
-            again = client.prepare(texts[0])
+            again = await client.prepare(texts[0])
             assert again not in ids
-            assert sorted(client.exec_stmt(again).rows) == \
+            assert sorted((await client.exec_stmt(again)).rows) == \
                 sorted(db.reference_query(texts[0])[1])
-            assert client.ping()
+            assert await client.ping()
+
+    asyncio.run(run())

@@ -7,12 +7,12 @@ import pytest
 from repro.core.plan import SortMethod
 from repro.errors import BindError
 from repro.faults import FlashFaults
-from repro.service.client import AsyncGhostClient, GhostClient, ServiceError
+from repro.service.client import AsyncGhostClient, ServiceError
 from repro.sql.binder import Binder
 from repro.workloads.queries import query_q
 from repro.workloads.synthetic import SyntheticConfig, build_synthetic
 
-from harness import serving
+from harness import connected
 
 SELECT_T0 = "SELECT T0.id, T0.v1 FROM T0 WHERE T0.v1 < 3"
 TEMPLATE = ("SELECT T0.id, T1.id, T12.id, T1.v1 "
@@ -23,10 +23,11 @@ TEMPLATE = ("SELECT T0.id, T1.id, T12.id, T1.v1 "
 
 def test_ping_execute_and_oracle_parity(fresh_db):
     expected = sorted(fresh_db.reference_query(query_q(0.1))[1])
-    with serving(fresh_db) as server:
-        with GhostClient(server.host, server.port) as client:
-            assert client.ping()
-            result = client.execute(query_q(0.1))
+
+    async def run():
+        async with connected(fresh_db) as (_, client):
+            assert await client.ping()
+            result = await client.execute(query_q(0.1))
             assert result.kind == "rows"
             assert result.columns == ["T0.id", "T1.id", "T12.id", "T1.v1"]
             assert sorted(result.rows) == expected
@@ -36,36 +37,42 @@ def test_ping_execute_and_oracle_parity(fresh_db):
             # a turn holds the whole token: the claim is its RAM
             assert result.stats["ram_claim"] == fresh_db.ram_capacity
 
+    asyncio.run(run())
+
 
 def test_writes_carry_seq_and_generations(fresh_db):
-    with serving(fresh_db) as server:
-        with GhostClient(server.host, server.port) as client:
-            before = client.execute(SELECT_T0).generations["T0"]
-            ins = client.execute(
+    async def run():
+        async with connected(fresh_db) as (_, client):
+            before = (await client.execute(SELECT_T0)).generations["T0"]
+            ins = await client.execute(
                 "INSERT INTO T0 VALUES (0, 0, 1, 1, 5)")
             assert ins.kind == "dml"
             assert ins.writer_seq == 1
             assert ins.rows_affected == 1
             assert ins.generations["T0"][0] == before[0] + 1
-            dele = client.execute("DELETE FROM T0 WHERE T0.v1 = 1",)
+            dele = await client.execute("DELETE FROM T0 WHERE T0.v1 = 1")
             assert dele.writer_seq == 2
             assert dele.rows_affected >= 1
             assert dele.generations["T0"][0] == before[0] + 2
             # readers pin the post-write generations now
-            after = client.execute(SELECT_T0)
+            after = await client.execute(SELECT_T0)
             assert tuple(after.generations["T0"]) == \
                 tuple(dele.generations["T0"])
 
+    asyncio.run(run())
+
 
 def test_prepare_exec_stmt_and_plan_reuse(fresh_db):
-    with serving(fresh_db) as server:
-        with GhostClient(server.host, server.port) as client:
-            stmt = client.prepare(TEMPLATE)
-            first = client.exec_stmt(stmt, (100, 2))
-            second = client.exec_stmt(stmt, (10, 2))
+    async def run():
+        async with connected(fresh_db) as (_, client):
+            stmt = await client.prepare(TEMPLATE)
+            first = await client.exec_stmt(stmt, (100, 2))
+            second = await client.exec_stmt(stmt, (10, 2))
             assert len(first.rows) >= len(second.rows)
-            stats = client.server_stats()
+            stats = await client.server_stats()
             assert stats["plan_cache"]["hits"] >= 1
+
+    asyncio.run(run())
 
 
 def count_binds(monkeypatch):
@@ -85,55 +92,63 @@ def test_a_connection_binds_each_select_text_once(db, monkeypatch):
     """Two ``execute`` frames with one SELECT text, then two
     ``prepare``s of another: each text is bound once, because the
     connection's session hands out its cached statement."""
-    with serving(db) as server:
-        with GhostClient(server.host, server.port) as client:
+    async def run():
+        async with connected(db) as (_, client):
             binds = count_binds(monkeypatch)
-            first = client.execute(SELECT_T0)
-            again = client.execute(SELECT_T0)
+            first = await client.execute(SELECT_T0)
+            again = await client.execute(SELECT_T0)
             assert again.rows == first.rows
             assert len(binds) == 1
-            a, b = client.prepare(TEMPLATE), client.prepare(TEMPLATE)
+            a = await client.prepare(TEMPLATE)
+            b = await client.prepare(TEMPLATE)
             assert len(binds) == 2
-            assert client.exec_stmt(a, (10, 2)).rows == \
-                client.exec_stmt(b, (10, 2)).rows
-            stats = client.server_stats()
+            assert (await client.exec_stmt(a, (10, 2))).rows == \
+                (await client.exec_stmt(b, (10, 2))).rows
+            stats = await client.server_stats()
             assert stats["plan_cache"]["hits"] == 2
             assert stats["plan_cache"]["entries"] == 2
-    assert len(binds) == 2
+        return binds
+
+    assert len(asyncio.run(run())) == 2
 
 
 def test_compact_over_the_wire(fresh_db):
-    with serving(fresh_db) as server:
-        with GhostClient(server.host, server.port) as client:
-            client.execute("INSERT INTO T0 VALUES (1, 1, 2, 2, 3)")
-            client.execute("DELETE FROM T0 WHERE T0.v1 = 2")
-            result = client.compact("T0")
+    async def run():
+        async with connected(fresh_db) as (_, client):
+            await client.execute("INSERT INTO T0 VALUES (1, 1, 2, 2, 3)")
+            await client.execute("DELETE FROM T0 WHERE T0.v1 = 2")
+            result = await client.compact("T0")
             assert result.kind == "compacted"
             assert result.raw["done"]
             assert result.writer_seq == 3
             # post-compaction reads still agree with the oracle
-            rows = client.execute(SELECT_T0).rows
+            rows = (await client.execute(SELECT_T0)).rows
             assert sorted(rows) == sorted(
                 fresh_db.reference_query(SELECT_T0)[1])
 
+    asyncio.run(run())
+
 
 def test_error_responses_keep_connection_alive(db):
-    with serving(db) as server:
-        with GhostClient(server.host, server.port) as client:
+    async def run():
+        async with connected(db) as (_, client):
             with pytest.raises(ServiceError) as exc:
-                client.execute("SELEKT nonsense")
+                await client.execute("SELEKT nonsense")
             assert exc.value.error_type == "SqlSyntaxError"
             with pytest.raises(ServiceError) as exc:
-                client.prepare("INSERT INTO T0 VALUES (0, 0, 1, 1, 1)")
+                await client.prepare(
+                    "INSERT INTO T0 VALUES (0, 0, 1, 1, 1)")
             assert "SELECT" in str(exc.value)
             with pytest.raises(ServiceError):
-                client.exec_stmt(999, ())
+                await client.exec_stmt(999, ())
             with pytest.raises(ServiceError) as exc:
-                client._call({"op": "frobnicate"})
+                await client._call({"op": "frobnicate"})
             assert "unknown op" in str(exc.value)
-            assert client.ping()          # connection survived it all
-            stats = client.server_stats()
+            assert await client.ping()    # connection survived it all
+            stats = await client.server_stats()
             assert stats["service"]["errors_total"] == 4
+
+    asyncio.run(run())
 
 
 @pytest.mark.parametrize("request_, field", [
@@ -156,13 +171,15 @@ def test_a_malformed_request_is_an_error_naming_its_field(db, request_,
     """Ill-typed fields used to escape as ``internal: TypeError`` /
     ``ValueError`` / ``AttributeError``; each is now the engine's own
     error naming the field, and the connection keeps serving."""
-    with serving(db) as server:
-        with GhostClient(server.host, server.port) as client:
+    async def run():
+        async with connected(db) as (_, client):
             with pytest.raises(ServiceError) as exc:
-                client._call(request_)
+                await client._call(request_)
             assert not str(exc.value).startswith("internal")
             assert field in str(exc.value)
-            assert client.ping()
+            assert await client.ping()
+
+    asyncio.run(run())
 
 
 def test_a_missing_parameter_is_one_error_on_token_fleet_and_wire(fresh_db):
@@ -181,13 +198,16 @@ def test_a_missing_parameter_is_one_error_on_token_fleet_and_wire(fresh_db):
             with pytest.raises(BindError) as exc:
                 db.execute(sql)
             texts.add(str(exc.value))
-    with serving(fresh_db) as server:
-        with GhostClient(server.host, server.port) as client:
+
+    async def run():
+        async with connected(fresh_db) as (_, client):
             for sql in statements:
                 with pytest.raises(ServiceError) as exc:
-                    client.execute(sql)
+                    await client.execute(sql)
                 assert exc.value.error_type == "BindError"
                 texts.add(str(exc.value))
+
+    asyncio.run(run())
     assert texts == {"statement has 1 unbound ? placeholder(s): "
                      "pass params"}
     assert [len(ch.audit_outbound()) for ch in channels] == sent
@@ -199,9 +219,11 @@ def test_ill_typed_statements_are_error_responses_not_an_outage(fresh_db):
     import repro.errors
     read = "SELECT T0.id FROM T0 WHERE T0.v1 < 40"
     expected = fresh_db.reference_query(read)[1]
-    with serving(fresh_db) as server:
-        with GhostClient(server.host, server.port) as client:
-            stmt = client.prepare("SELECT T1.id FROM T1 WHERE T1.h1 = ?")
+
+    async def run():
+        async with connected(fresh_db) as (_, client):
+            stmt = await client.prepare(
+                "SELECT T1.id FROM T1 WHERE T1.h1 = ?")
             for call in (
                     lambda: client.execute(
                         "INSERT INTO T0 VALUES (0, 0, 'oops', 1, 5)"),
@@ -213,14 +235,18 @@ def test_ill_typed_statements_are_error_responses_not_an_outage(fresh_db):
                         "SELECT T1.id FROM T1 WHERE T1.v1 < 'abc'"),
                     lambda: client.exec_stmt(stmt, (None,))):
                 with pytest.raises(ServiceError) as exc:
-                    call()
+                    await call()
                 assert issubclass(
                     getattr(repro.errors, exc.value.error_type),
                     repro.errors.GhostDBError)
-            assert client.server_stats()["service"]["errors_total"] == 5
+            stats = await client.server_stats()
+            assert stats["service"]["errors_total"] == 5
             # no recover() ran, none is needed: the same table reads on
-            assert client.execute(read).rows == expected
-            assert client.server_stats()["service"]["recoveries"] == 0
+            assert (await client.execute(read)).rows == expected
+            stats = await client.server_stats()
+            assert stats["service"]["recoveries"] == 0
+
+    asyncio.run(run())
 
 
 def test_order_by_statements_over_the_wire(db):
@@ -235,10 +261,11 @@ def test_order_by_statements_over_the_wire(db):
                for q in (external, top_k, keyless)]
     assert methods == [SortMethod.EXTERNAL, SortMethod.TOP_K,
                        SortMethod.TRUNCATE]
-    with serving(db) as server:
-        with GhostClient(server.host, server.port) as client:
+
+    async def run():
+        async with connected(db) as (_, client):
             for sql in (external, top_k, keyless):
-                result = client.execute(sql)
+                result = await client.execute(sql)
                 assert result.rows == db.reference_query(sql)[1]
                 assert result.stats["ram_peak"] <= result.stats["ram_claim"]
                 if sql is external:
@@ -246,13 +273,14 @@ def test_order_by_statements_over_the_wire(db):
                     assert chosen.n_runs > 1       # a spilling sort
                     assert result.stats["ram_claim"] >= chosen.ram_peak
 
+    asyncio.run(run())
+
 
 def test_async_pipelining_many_concurrent_requests(db):
     expected = sorted(db.reference_query(query_q(0.01))[1])
 
-    async def run(port):
-        async with await AsyncGhostClient.connect("127.0.0.1",
-                                                  port) as client:
+    async def run():
+        async with connected(db) as (_, client):
             stmt = await client.prepare(TEMPLATE)
             results = await asyncio.gather(*[
                 client.exec_stmt(stmt, (10, 2)) for _ in range(16)
@@ -260,8 +288,7 @@ def test_async_pipelining_many_concurrent_requests(db):
             stats = await client.server_stats()
         return results, stats
 
-    with serving(db) as server:
-        results, stats = asyncio.run(run(server.port))
+    results, stats = asyncio.run(run())
     for result in results:
         assert sorted(result.rows) == expected
     assert stats["admission"]["admitted"] >= 16
@@ -274,15 +301,13 @@ def test_reported_ram_peak_matches_solo_run(fresh_db):
     plan = fresh_db.plan_query(query_q(0.1))
     solo_peak = fresh_db.execute_plan(plan).stats.ram_peak
 
-    async def run(port):
-        async with await AsyncGhostClient.connect("127.0.0.1",
-                                                  port) as client:
+    async def run():
+        async with connected(fresh_db) as (_, client):
             return await asyncio.gather(*[
                 client.execute(query_q(0.1)) for _ in range(6)
             ])
 
-    with serving(fresh_db) as server:
-        results = asyncio.run(run(server.port))
+    results = asyncio.run(run())
     for result in results:
         assert result.stats["ram_peak"] == solo_peak
 
@@ -299,16 +324,20 @@ def test_a_read_cut_by_power_loss_is_recovered_in_its_turn(fresh_db):
     token = fresh_db.token
     before = (token.store.n_files, token.ftl.mapped_pages())
     expected = sorted(fresh_db.reference_query(SPILL)[1])
-    with serving(fresh_db) as server:
-        with GhostClient(server.host, server.port) as client:
+
+    async def run():
+        async with connected(fresh_db) as (_, client):
             faults = FlashFaults(token.nand, seed=1, cut_at_program=2)
             faults.attach()
             with pytest.raises(ServiceError) as exc:
-                client.execute(SPILL)
+                await client.execute(SPILL)
             faults.detach()
             assert exc.value.error_type == "PowerLoss"
-            assert sorted(client.execute(SPILL).rows) == expected
-            assert client.server_stats()["service"]["recoveries"] == 1
+            assert sorted((await client.execute(SPILL)).rows) == expected
+            stats = await client.server_stats()
+            assert stats["service"]["recoveries"] == 1
+
+    asyncio.run(run())
     assert (token.store.n_files, token.ftl.mapped_pages()) == before
 
 
@@ -325,16 +354,19 @@ def test_every_execute_carries_an_ikey_and_a_select_is_never_replayed(
         return await call(self, payload)
 
     monkeypatch.setattr(AsyncGhostClient, "_call_with_retries", spy)
-    with serving(fresh_db) as server:
-        with GhostClient(server.host, server.port) as client:
-            client.execute(SELECT_T0)
-            client.execute("INSERT INTO T0 VALUES (0, 0, 1, 1, 5)")
+
+    async def run():
+        async with connected(fresh_db) as (_, client):
+            await client.execute(SELECT_T0)
+            await client.execute("INSERT INTO T0 VALUES (0, 0, 1, 1, 5)")
             assert all(p.get("ikey") for p in sent)
             assert len({p["ikey"] for p in sent}) == 2
             frame = {"op": "execute", "sql": SELECT_T0, "ikey": "k"}
-            first = client._call(frame)
-            client.execute("INSERT INTO T0 VALUES (0, 0, 1, 1, 2)")
-            second = client._call(frame)
+            first = await client._call(frame)
+            await client.execute("INSERT INTO T0 VALUES (0, 0, 1, 1, 2)")
+            return first, await client._call(frame)
+
+    first, second = asyncio.run(run())
     assert not first.get("replayed") and not second.get("replayed")
     assert len(second["rows"]) == len(first["rows"]) + 1
     assert second["generations"]["T0"] != first["generations"]["T0"]

@@ -1,54 +1,62 @@
 """Durable images through the service: snapshot op, --image serving,
 writer-lane coordination, and hostile-frame connection drops."""
 
-import socket
+import asyncio
 import struct
 
 import pytest
 
 from repro.core.ghostdb import GhostDB
-from repro.service.client import GhostClient, ServiceError
+from repro.service.client import AsyncGhostClient, ServiceError
 from repro.service.protocol import MAX_FRAME_BYTES
 from repro.workloads.queries import query_q
 
-from harness import serving
+from harness import connected
 
 SELECT_T0 = "SELECT T0.id, T0.v1 FROM T0 WHERE T0.v1 < 3"
 
 
 def test_snapshot_op_writes_a_restorable_image(fresh_db, tmp_path):
     path = str(tmp_path / "served.img")
-    with serving(fresh_db) as server:
-        with GhostClient(server.host, server.port) as client:
-            client.execute("INSERT INTO T0 VALUES (0, 0, 1, 1, 5)")
-            summary = client.snapshot(path)
+
+    async def run():
+        async with connected(fresh_db) as (_, client):
+            await client.execute("INSERT INTO T0 VALUES (0, 0, 1, 1, 5)")
+            summary = await client.snapshot(path)
             assert summary["kind"] == "snapshot"
             assert summary["bytes"] > 0
             # the server stays fully usable after the snapshot
-            assert client.ping()
-            live_rows = sorted(client.execute(SELECT_T0).rows)
+            assert await client.ping()
+            return sorted((await client.execute(SELECT_T0)).rows)
+
+    live_rows = asyncio.run(run())
     restored = GhostDB.restore(path)
     assert sorted(
         tuple(r) for r in restored.execute(SELECT_T0).rows) == live_rows
 
 
 def test_snapshot_requires_a_path(db):
-    with serving(db) as server:
-        with GhostClient(server.host, server.port) as client:
+    async def run():
+        async with connected(db) as (_, client):
             with pytest.raises(ServiceError):
-                client._call({"op": "snapshot"})
-            assert client.ping()
+                await client._call({"op": "snapshot"})
+            assert await client.ping()
+
+    asyncio.run(run())
 
 
 def test_a_failed_snapshot_write_is_a_persist_error(db, tmp_path):
     target = tmp_path / "taken"
     target.mkdir()
-    with serving(db) as server:
-        with GhostClient(server.host, server.port) as client:
+
+    async def run():
+        async with connected(db) as (_, client):
             with pytest.raises(ServiceError) as exc:
-                client.snapshot(str(target))
+                await client.snapshot(str(target))
             assert exc.value.error_type == "PersistError"
-            assert client.ping()
+            assert await client.ping()
+
+    asyncio.run(run())
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
@@ -57,18 +65,21 @@ def test_snapshot_refused_mid_compaction(fresh_db, tmp_path):
     refuse the snapshot (PersistError over the wire), and the snapshot
     must succeed once the job is finished."""
     path = str(tmp_path / "refused.img")
-    with serving(fresh_db) as server:
-        with GhostClient(server.host, server.port) as client:
-            client.execute("DELETE FROM T0 WHERE T0.v1 = 1")
-            progress = client.compact("T0", max_steps=1)
+
+    async def run():
+        async with connected(fresh_db) as (_, client):
+            await client.execute("DELETE FROM T0 WHERE T0.v1 = 1")
+            progress = await client.compact("T0", max_steps=1)
             assert not progress.raw["done"]
             with pytest.raises(ServiceError) as exc:
-                client.snapshot(path)
+                await client.snapshot(path)
             assert exc.value.error_type == "PersistError"
-            while not client.compact("T0").raw["done"]:
+            while not (await client.compact("T0")).raw["done"]:
                 pass
-            summary = client.snapshot(path)
+            summary = await client.snapshot(path)
             assert summary["pages"] > 0
+
+    asyncio.run(run())
     GhostDB.restore(path)       # and the image is genuinely loadable
 
 
@@ -81,14 +92,13 @@ def test_served_image_answers_like_the_original(fresh_db, tmp_path):
     fresh_db.snapshot(path)
     restored = GhostDB.restore(path)
 
-    def served_answer(database):
-        with serving(database) as server:
-            with GhostClient(server.host, server.port) as client:
-                result = client.execute(sql)
-                return sorted(result.rows), result.stats
+    async def served_answer(database):
+        async with connected(database) as (_, client):
+            result = await client.execute(sql)
+            return sorted(result.rows), result.stats
 
-    rows_a, stats_a = served_answer(fresh_db)
-    rows_b, stats_b = served_answer(restored)
+    rows_a, stats_a = asyncio.run(served_answer(fresh_db))
+    rows_b, stats_b = asyncio.run(served_answer(restored))
     assert rows_a == rows_b
     assert stats_a["total_s"] == stats_b["total_s"]
     assert stats_a["bytes_to_secure"] == stats_b["bytes_to_secure"]
@@ -98,17 +108,23 @@ def test_served_image_answers_like_the_original(fresh_db, tmp_path):
 def test_hostile_length_prefix_drops_the_connection(db):
     """A peer announcing a frame beyond MAX_FRAME_BYTES is dropped
     immediately -- the server must never try to read the body."""
-    with serving(db) as server:
-        sock = socket.create_connection((server.host, server.port),
-                                        timeout=5)
-        try:
-            sock.sendall(struct.pack("!I", MAX_FRAME_BYTES + 1))
-            assert sock.recv(1) == b""      # server closed on us
-        finally:
-            sock.close()
-        # and the listener itself survived the hostile peer
-        with GhostClient(server.host, server.port) as client:
-            assert client.ping()
+    async def run():
+        async with connected(db) as (server, _):
+            reader, writer = await asyncio.open_connection(server.host,
+                                                           server.port)
+            try:
+                writer.write(struct.pack("!I", MAX_FRAME_BYTES + 1))
+                await writer.drain()
+                # server closed on us
+                assert await asyncio.wait_for(reader.read(1), 5) == b""
+            finally:
+                writer.close()
+            # and the listener itself survived the hostile peer
+            async with await AsyncGhostClient.connect(
+                    server.host, server.port) as client:
+                assert await client.ping()
+
+    asyncio.run(run())
 
 
 def test_main_parses_image_flag(tmp_path, monkeypatch):

@@ -8,12 +8,10 @@ import pytest
 from repro.core.ghostdb import GhostDB
 from repro.faults import WireFaults
 from repro.service import server as server_module
-from repro.service.client import (AsyncGhostClient, GhostClient,
-                                  ServiceError, ServiceTimeout)
+from repro.service.client import (AsyncGhostClient, ServiceError,
+                                  ServiceTimeout)
 from repro.service.protocol import encode_frame, read_frame
 from repro.service.server import MAX_INFLIGHT_PER_CONNECTION, GhostServer
-
-from harness import serving
 
 
 def _mini_db():
@@ -32,44 +30,21 @@ def _count_v(db, v):
                           params=(v,)).rows)
 
 
-def test_sync_client_times_out_cleanly_on_a_stalled_server():
+def test_client_close_is_idempotent_and_final():
     db = _mini_db()
-    with serving(db) as server:
-        server.wire_faults = WireFaults(stall_every=1, stall_s=0.6)
-        client = GhostClient("127.0.0.1", server.port, timeout_s=0.1)
-        try:
-            with pytest.raises(ServiceTimeout):
-                client.execute("SELECT C.id FROM C")
-            assert client.timeouts_total == 1
-        finally:
-            client.close()
 
+    async def run():
+        async with GhostServer(db) as server:
+            client = await AsyncGhostClient.connect("127.0.0.1",
+                                                    server.port)
+            assert await client.ping()
+            await client.close()
+            await client.close()                 # a no-op, not an error
+            with pytest.raises(ServiceError) as exc:  # raises, never hangs
+                await client.ping()
+            assert exc.value.error_type == "ClientClosed"
 
-def test_sync_client_retries_dropped_frames_to_exactly_once():
-    db = _mini_db()
-    with serving(db) as server:
-        server.wire_faults = WireFaults(drop_every=2)
-        with GhostClient("127.0.0.1", server.port, timeout_s=2.0,
-                         retries=2, backoff_s=0.01) as client:
-            for i in range(4):
-                result = client.execute("INSERT INTO P VALUES (?, ?)",
-                                        params=(i % 4, 200 + i))
-                assert result.kind == "dml"
-            assert client.retries_total > 0      # the schedule dropped
-    for i in range(4):
-        assert _count_v(db, 200 + i) == 1        # applied exactly once
-
-
-def test_sync_client_close_is_idempotent_and_final():
-    db = _mini_db()
-    with serving(db) as server:
-        client = GhostClient("127.0.0.1", server.port)
-        assert client.ping()
-        client.close()
-        client.close()                           # a no-op, not an error
-        with pytest.raises(ServiceError) as exc:  # raises, never hangs
-            client.ping()
-        assert exc.value.error_type == "ConnectionLost"
+    asyncio.run(run())
 
 
 def test_async_client_times_out_cleanly_on_a_stalled_server():

@@ -10,7 +10,7 @@ from repro.flash.nand import NandFlash
 from repro.flash.stats import CostLedger
 from repro.flash.store import FlashStore
 from repro.hardware.ram import SecureRam
-from repro.storage.runs import IdRun, U32FileBuilder, write_u32s
+from repro.storage.runs import IdRun, U32FileBuilder, U32View, write_u32s
 
 PAGE = 64  # 16 ids per page
 
@@ -36,8 +36,9 @@ def test_views_within_shared_file():
     b.extend([10, 20, 30, 40])
     m2 = b.mark()
     b.finish()
-    assert list(b.view(m0, m1 - m0).iterate()) == [1, 2, 3]
-    assert list(b.view(m1, m2 - m1).iterate()) == [10, 20, 30, 40]
+    assert list(U32View(b.file, m0, m1 - m0).iterate()) == [1, 2, 3]
+    assert list(U32View(b.file, m1, m2 - m1).iterate()) == \
+        [10, 20, 30, 40]
 
 
 def test_view_crossing_page_boundaries():
