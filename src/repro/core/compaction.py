@@ -360,11 +360,9 @@ class CompactionJob:
         return self.finished
 
     def abort(self) -> None:
-        """Free every shadow structure; the live image was never touched."""
-        for idx in self._shadow_indexes:
-            idx.free()
-        for heap in self._shadow_heaps:
-            heap.free()
+        """Free every shadow file (all carry the job's tag), half-built
+        ones a power cut left included; the live image is untouched."""
+        self.db.catalog.token.store.free_tagged(self._tag)
         self._shadow_indexes.clear()
         self._shadow_heaps.clear()
         self._gen.close()

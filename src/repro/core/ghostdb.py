@@ -791,7 +791,7 @@ class GhostDB(StatementFrontEnd):
         when there is nothing to undo.
         """
         journal = self._journal
-        if journal is None or journal.rolled_back:
+        if journal is None:
             return None
         journal.rollback()
         self._journal = None

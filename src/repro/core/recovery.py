@@ -142,7 +142,6 @@ class StatementJournal:
         self.db = db
         self.table = bound.table
         self.committed = False
-        self.rolled_back = False
         # (op, file_name, *details), chronological
         self.ops: List[Tuple] = []
         self._savepoint = db.catalog.savepoint(
@@ -184,22 +183,22 @@ class StatementJournal:
     # ------------------------------------------------------------------
     def rollback(self) -> None:
         """Undo the statement: flash ops in reverse, then the catalog
-        savepoint and Untrusted's appended rows."""
-        if self.rolled_back:
-            return
+        savepoint and Untrusted's appended rows.  A rollback in progress
+        is uncommitted and an op leaves the log once undone, so after a
+        power cut (page rewrites program flash) recover() resumes it."""
+        self.committed = False
         self.detach()
         store = self.db.token.store
-        for op in reversed(self.ops):
-            name = op[1]
-            if not store.exists(name):
-                continue  # created and freed inside the statement
-            file = store.get(name)
-            if op[0] == "append":
-                file.truncate_last()
-            elif op[0] == "rewrite":
-                file.write_page(op[2], op[3])
-            else:  # create
-                file.free()
+        while self.ops:
+            op = self.ops[-1]
+            if store.exists(op[1]):   # else created and freed inside
+                file = store.get(op[1])
+                if op[0] == "append":
+                    file.truncate_last()
+                elif op[0] == "rewrite":
+                    file.write_page(op[2], op[3])
+                else:  # create
+                    file.free()
+            self.ops.pop()
         self.db.catalog.rollback(self._savepoint)
         self.db.untrusted.truncate(self.table, self._untrusted_rows)
-        self.rolled_back = True

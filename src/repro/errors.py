@@ -33,10 +33,10 @@ class PowerLoss(FlashError):
     Raised by the fault-injection layer at a chosen write ordinal and
     latched by :class:`~repro.flash.nand.NandFlash` until
     ``power_on()`` is called: every flash program/read after the cut
-    fails the same way, exactly as a dead token would behave.  The
-    optional ``partial`` payload is the prefix of the interrupted
-    page program that reached the array -- the torn write the per-page
-    checksums must detect on recovery.
+    fails the same way, exactly as a dead token would behave.
+    ``partial`` is what of the interrupted page program reached the
+    array: ``None`` (nothing), a prefix -- the torn write the per-page
+    checksums must detect -- or every byte, a page never mapped.
     """
 
     def __init__(self, message: str = "power loss", partial: bytes | None = None):

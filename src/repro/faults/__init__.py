@@ -1,4 +1,4 @@
-"""Deterministic, seeded fault injection.
+"""Deterministic fault injection, every fault named by an ordinal.
 
 Three injectors, one per layer of the deployment:
 
@@ -12,8 +12,8 @@ Three injectors, one per layer of the deployment:
   mid-scatter / mid-DML / mid-compaction-preflight, attached to a
   :class:`~repro.shard.fleet.ShardedGhostDB`.
 
-Every injector is seeded and counts what it injected, so a chaos
-schedule is reproducible from ``(seed, knobs)`` alone.  Production
+Every injector names a fault by the ordinal of the operation it hits
+and counts what it saw, so a test can fault every ordinal.  Production
 code never imports this package; the hooks it drives are no-ops when
 no injector is attached.
 """

@@ -1,50 +1,48 @@
 """Flash-layer fault injection: power cuts, torn writes, bit-flips.
 
 Attached to a :class:`~repro.flash.nand.NandFlash` as its
-``fault_hook``, the injector sees every page program and read.  A
-*power cut* at program ordinal ``cut_at_program`` interrupts that very
-program: a seeded prefix of the payload reaches the array (the torn
-write), the device latches dead, and :class:`~repro.errors.PowerLoss`
-propagates out of whatever statement was running.  *Read bit-flips*
-are transient -- they mangle one attempt and vanish on the NAND's
-internal retry, modelling the controller's ECC retry path.
+``fault_hook``, the injector sees every page program and read, and
+names each fault by the ordinal of the operation it hits.  A *power
+cut* interrupts one program: what of it reached the array is part of
+the cut's name (:data:`NOTHING`, :data:`TORN` or :data:`WHOLE`), the
+device latches dead, and :class:`~repro.errors.PowerLoss` propagates
+out of whatever statement was running.  *Read bit-flips* are transient
+-- they mangle one attempt and vanish on the NAND's internal retry,
+modelling the controller's ECC retry path.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Optional
+from typing import Iterable, Optional, Tuple
 
 from repro.errors import PowerLoss
 from repro.flash.nand import NandFlash
 
+#: what of the interrupted program reached the page: nothing (it stays
+#: erased), a strict prefix (the torn write), or every byte -- a
+#: program that completed under its intended CRC but was never mapped
+NOTHING, TORN, WHOLE = "nothing", "torn", "whole"
+LANDINGS = (NOTHING, TORN, WHOLE)
+
 
 class FlashFaults:
-    """Seeded fault schedule over one NAND array.
+    """Ordinal-named fault schedule over one NAND array.
 
-    ``cut_at_program=K`` cuts power during the K-th page program seen
-    by this injector (0-based); ``flip_read_every=N`` (N >= 2) flips
-    one seeded bit on every N-th read attempt.  Counters
-    (``programs``, ``reads``, ``cuts``, ``flips``) record what was
-    injected.
+    ``cut=(k, landing)`` cuts power during the k-th page program seen
+    by this injector (0-based), leaving ``landing`` on the page.
+    ``flip_reads`` names the read attempts (0-based) that come back
+    with one bit flipped.  Counters (``programs``, ``reads``,
+    ``flips``) record what was seen and injected.
     """
 
-    def __init__(self, nand: NandFlash, seed: int = 0,
-                 cut_at_program: Optional[int] = None,
-                 flip_read_every: Optional[int] = None):
-        if flip_read_every is not None and flip_read_every < 2:
-            raise ValueError(
-                "flip_read_every must be >= 2: consecutive retry "
-                "attempts of one read must not all flip, or the flip "
-                "is persistent, not transient"
-            )
+    def __init__(self, nand: NandFlash,
+                 cut: Optional[Tuple[int, str]] = None,
+                 flip_reads: Iterable[int] = ()):
         self.nand = nand
-        self.rng = random.Random(seed)
-        self.cut_at_program = cut_at_program
-        self.flip_read_every = flip_read_every
+        self.cut = cut
+        self.flip_reads = frozenset(flip_reads)
         self.programs = 0
         self.reads = 0
-        self.cuts = 0
         self.flips = 0
 
     def attach(self) -> "FlashFaults":
@@ -61,22 +59,18 @@ class FlashFaults:
         if op == "program":
             ordinal = self.programs
             self.programs += 1
-            if (self.cut_at_program is not None
-                    and ordinal >= self.cut_at_program):
-                self.cuts += 1
-                cut = self.rng.randrange(len(data) + 1) if data else 0
+            if self.cut is not None and ordinal == self.cut[0]:
+                landed = {NOTHING: None, TORN: data[:len(data) // 2],
+                          WHOLE: data}[self.cut[1]]
                 raise PowerLoss(
                     f"power cut during program #{ordinal} of page {ppn}",
-                    partial=data[:cut],
+                    partial=landed,
                 )
             return data
         # read attempt
+        ordinal = self.reads
         self.reads += 1
-        if (self.flip_read_every is not None and data
-                and self.reads % self.flip_read_every == 0):
+        if ordinal in self.flip_reads and data:
             self.flips += 1
-            flipped = bytearray(data)
-            bit = self.rng.randrange(len(flipped) * 8)
-            flipped[bit // 8] ^= 1 << (bit % 8)
-            return bytes(flipped)
+            return bytes([data[0] ^ 1]) + data[1:]
         return data

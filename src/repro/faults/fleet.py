@@ -18,7 +18,7 @@ from repro.errors import ShardDown
 
 
 class FleetFaults:
-    """Seeded shard-kill schedule over one fleet.
+    """Ordinal-named shard-kill schedule over one fleet.
 
     ``down`` lists shards dead from the start; ``kill_at=(k, n)``
     kills shard ``k`` at the ``n``-th shard-touch (0-based, counted

@@ -14,26 +14,26 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-from typing import Optional
+from typing import Iterable, Optional
 
 
 class WireFaults:
-    """Deterministic frame-fault schedule for one server.
+    """Ordinal-named frame-fault schedule for one server.
 
-    Every ``drop_every``-th / ``truncate_every``-th /
-    ``stall_every``-th outbound frame (1-based counting per knob) is
-    dropped / truncated / stalled by ``stall_s`` seconds.  Counters
-    (``frames``, ``dropped``, ``truncated``, ``stalled``) record the
-    injections.
+    The outbound response frames whose ordinals (0-based, counted
+    across the server's connections) are in ``drop`` / ``truncate`` /
+    ``stall`` are dropped / truncated / stalled by ``stall_s`` seconds.
+    Counters (``frames``, ``dropped``, ``truncated``, ``stalled``)
+    record the injections.
     """
 
-    def __init__(self, drop_every: Optional[int] = None,
-                 truncate_every: Optional[int] = None,
-                 stall_every: Optional[int] = None,
+    def __init__(self, drop: Iterable[int] = (),
+                 truncate: Iterable[int] = (),
+                 stall: Iterable[int] = (),
                  stall_s: float = 0.5):
-        self.drop_every = drop_every
-        self.truncate_every = truncate_every
-        self.stall_every = stall_every
+        self.drop = frozenset(drop)
+        self.truncate = frozenset(truncate)
+        self.stall = frozenset(stall)
         self.stall_s = stall_s
         self.frames = 0
         self.dropped = 0
@@ -42,20 +42,20 @@ class WireFaults:
 
     async def __call__(self, writer: asyncio.StreamWriter,
                        frame: bytes) -> Optional[bytes]:
-        self.frames += 1
         n = self.frames
-        if self.drop_every is not None and n % self.drop_every == 0:
+        self.frames += 1
+        if n in self.drop:
             self.dropped += 1
             writer.close()
             return None
-        if self.truncate_every is not None and n % self.truncate_every == 0:
+        if n in self.truncate:
             self.truncated += 1
             writer.write(frame[:max(1, len(frame) // 2)])
             with contextlib.suppress(Exception):
                 await writer.drain()
             writer.close()
             return None
-        if self.stall_every is not None and n % self.stall_every == 0:
+        if n in self.stall:
             self.stalled += 1
             await asyncio.sleep(self.stall_s)
         return frame

@@ -16,6 +16,7 @@ bytes never live in accounted secure RAM and never save simulated I/O.
 
 from __future__ import annotations
 
+import re
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -296,6 +297,13 @@ class FlashStore:
         of them).  Walks the live files, not every number handed out."""
         for name, f in list(self._files.items()):
             if name.startswith("__temp_") and int(name[7:]) >= mark:
+                f.free()
+
+    def free_tagged(self, tag: str) -> None:
+        """Free every file whose name carries ``tag`` (not followed by
+        a digit: ``~c1`` is not ``~c10``)."""
+        for name, f in list(self._files.items()):
+            if re.search(re.escape(tag) + r"(?!\d)", name):
                 f.free()
 
     def forget(self, name: str) -> None:

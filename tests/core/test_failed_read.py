@@ -13,7 +13,7 @@ import pytest
 
 from repro import GhostDB
 from repro.errors import GhostDBError, PowerLoss, RamExhausted
-from repro.faults import FlashFaults
+from repro.faults.flash import TORN, FlashFaults
 from repro.hardware.token import TokenConfig
 from repro.workloads.synthetic import SyntheticConfig, build_synthetic
 
@@ -108,7 +108,7 @@ def test_a_read_cut_by_power_loss_is_recovered_and_leaks_nothing():
     assert db.execute(SPILL).rows == expected
     before = footprint(db)
     for k in range(4):
-        faults = FlashFaults(db.token.nand, seed=1, cut_at_program=k)
+        faults = FlashFaults(db.token.nand, cut=(k, TORN))
         faults.attach()
         with pytest.raises(PowerLoss):
             db.execute(SPILL)

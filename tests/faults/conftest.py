@@ -1,10 +1,5 @@
-"""Fixtures: prebuilt durable images the chaos lanes restore from.
-
-Building the mini database is the expensive part of every Hypothesis
-example; restoring a snapshot is milliseconds.  Each lane therefore
-builds once per session, snapshots, and restores a fresh twin pair
-per example.
-"""
+"""Fixtures: durable images of the mini database on disk, for the
+suites that restore (or corrupt) a real image file."""
 
 import pytest
 
@@ -14,7 +9,7 @@ from chaos import build_pc
 @pytest.fixture(scope="session")
 def single_image(tmp_path_factory):
     db = build_pc()
-    path = str(tmp_path_factory.mktemp("chaos") / "single.img")
+    path = str(tmp_path_factory.mktemp("images") / "single.img")
     db.snapshot(path)
     return path
 
@@ -22,6 +17,6 @@ def single_image(tmp_path_factory):
 @pytest.fixture(scope="session")
 def fleet_image(tmp_path_factory):
     fleet = build_pc(shards=2)
-    path = str(tmp_path_factory.mktemp("chaos") / "fleet.img")
+    path = str(tmp_path_factory.mktemp("images") / "fleet.img")
     fleet.snapshot(path)
     return path

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.core.ghostdb import GhostDB
 from repro.core.recovery import IdempotencyLedger, RecoveryReport
 from repro.errors import (FlashCorruption, PowerLoss, ShardDown,
                           ShardUnavailable)
 from repro.faults import FlashFaults, FleetFaults
+from repro.faults.flash import LANDINGS, NOTHING, TORN, WHOLE
 from repro.flash.constants import FlashParams
-from repro.flash.nand import NandFlash
+from repro.flash.nand import READ_RETRIES, NandFlash
 
 from chaos import PROBES, assert_oracle, build_pc
 
@@ -20,33 +20,41 @@ def _nand():
 # ----------------------------------------------------------------------
 # NAND checksums: torn writes detected, transient flips healed
 # ----------------------------------------------------------------------
-def test_torn_write_is_detected_on_read():
+@pytest.mark.parametrize("landing", LANDINGS)
+def test_torn_write_is_detected_on_read(landing):
     nand = _nand()
-    faults = FlashFaults(nand, seed=3, cut_at_program=0)
-    faults.attach()
+    faults = FlashFaults(nand, cut=(1, landing)).attach()
+    nand.program_page(0, b"before the cut")
     with pytest.raises(PowerLoss):
-        nand.program_page(0, b"payload-that-gets-torn")
+        nand.program_page(1, b"payload-that-gets-torn")
     faults.detach()
     assert nand.failed
     nand.power_on()
-    # the spare-area checksum is of the *intended* bytes, so the torn
-    # page can never be read back as if it were whole
-    with pytest.raises(FlashCorruption):
-        nand.read_page(0)
+    assert nand.read_page(0) == b"before the cut"
+    if landing == TORN:
+        # the spare-area checksum is of the *intended* bytes, so the
+        # torn page can never be read back as if it were whole
+        with pytest.raises(FlashCorruption):
+            nand.read_page(1)
+    else:
+        # nothing landed (the page is still erased), or every byte did,
+        # under its CRC: a page only the FTL's map makes garbage
+        assert nand.read_page(1) == {
+            NOTHING: b"", WHOLE: b"payload-that-gets-torn"}[landing]
 
 
 def test_transient_read_flips_are_healed_by_retry():
     nand = _nand()
     nand.program_page(0, b"stable payload")
-    faults = FlashFaults(nand, seed=5, flip_read_every=2)
+    faults = FlashFaults(nand, flip_reads=(1, 3, 4))
     faults.attach()
-    # every 2nd read attempt flips one bit; the internal retry re-reads
+    # flipped attempts fail the checksum; the internal retry re-reads
     # and the checksum accepts the clean copy -- callers never see it
-    for _ in range(6):
+    for _ in range(4):
         assert nand.read_page(0) == b"stable payload"
     faults.detach()
-    assert faults.flips > 0
-    assert nand.read_retries > 0
+    assert faults.flips == 3
+    assert nand.read_retries == 3
 
 
 def test_failed_latch_blocks_until_power_on():
@@ -61,9 +69,15 @@ def test_failed_latch_blocks_until_power_on():
     assert nand.read_page(0) == b"x"
 
 
-def test_flash_faults_rejects_degenerate_flip_rate():
-    with pytest.raises(ValueError):
-        FlashFaults(_nand(), flip_read_every=1)
+def test_a_flip_on_every_retry_attempt_is_corruption():
+    nand = _nand()
+    nand.program_page(0, b"stable payload")
+    faults = FlashFaults(nand, flip_reads=range(READ_RETRIES)).attach()
+    with pytest.raises(FlashCorruption):
+        nand.read_page(0)
+    faults.detach()
+    assert faults.flips == READ_RETRIES
+    assert nand.read_page(0) == b"stable payload"
 
 
 # ----------------------------------------------------------------------
@@ -73,7 +87,7 @@ def test_recover_rolls_back_a_cut_insert():
     db = build_pc()
     before_stats = db.statistics()
     before_gens = dict(db.table_generations)
-    faults = FlashFaults(db.token.nand, seed=11, cut_at_program=0)
+    faults = FlashFaults(db.token.nand, cut=(0, TORN))
     faults.attach()
     with pytest.raises(PowerLoss):
         db.execute("INSERT INTO P VALUES (1, 55, 9.5)")

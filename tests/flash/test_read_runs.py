@@ -49,8 +49,9 @@ class Twin:
             self.file.read_page(corrupt_index)
             self.corrupt_ppn = self.seen[-1][1]
         if flip_read_every:
-            self.faults = FlashFaults(self.nand, seed=3,
-                                      flip_read_every=flip_read_every)
+            # every flip_read_every-th read attempt comes back flipped
+            self.faults = FlashFaults(self.nand, flip_reads=range(
+                flip_read_every - 1, 10_000, flip_read_every))
         self.store.page_cache.clear()
         self.store.page_cache.hits = self.store.page_cache.misses = 0
         self.ledger.reset()

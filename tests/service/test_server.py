@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.plan import SortMethod
 from repro.errors import BindError
-from repro.faults import FlashFaults
+from repro.faults.flash import TORN, FlashFaults
 from repro.service.client import AsyncGhostClient, ServiceError
 from repro.sql.binder import Binder
 from repro.workloads.queries import query_q
@@ -327,7 +327,7 @@ def test_a_read_cut_by_power_loss_is_recovered_in_its_turn(fresh_db):
 
     async def run():
         async with connected(fresh_db) as (_, client):
-            faults = FlashFaults(token.nand, seed=1, cut_at_program=2)
+            faults = FlashFaults(token.nand, cut=(2, TORN))
             faults.attach()
             with pytest.raises(ServiceError) as exc:
                 await client.execute(SPILL)
