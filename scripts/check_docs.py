@@ -31,10 +31,9 @@ Ten checks, all simple on purpose:
 * the simulated clock has one owner, ``flash/stats.py``: no other
   module under ``src/repro`` -- the planner's estimator and the fleet's
   gather pricing included -- may do arithmetic on a unit price (the
-  Table-1 ``read_page_us``, ``write_page_us``, ``byte_transfer_ns``,
-  ``erase_block_us``, the ``read_price`` / ``write_price`` /
-  ``erase_price`` tuples built from them, or a channel's
-  ``throughput_mbps``) or name a ``read_time_us`` / ``write_time_us``,
+  Table-1 ``READ_PRICE`` / ``WRITE_PRICE`` / ``ERASE_PRICE`` tuples of
+  ``flash/constants.py``, or a channel's ``throughput_mbps``) or name
+  a ``read_time_us`` / ``write_time_us``,
   and no call of a method named ``charge`` may pass a float literal:
   charge sites and estimates hand the ledger counts, so a second
   pricing path cannot grow back unnoticed;
@@ -115,9 +114,7 @@ _OPERATOR_OWNERS = ("src/repro/predicate.py", "src/repro/sql/lexer.py",
 #: prices and time helpers nobody else may compute with
 _CLOCK_OWNERS = ("src/repro/flash/stats.py",)
 _TIME_METHODS = ("read_time_us", "write_time_us")
-_PRICES = ("read_page_us", "write_page_us", "byte_transfer_ns",
-           "erase_block_us", "read_price", "write_price", "erase_price",
-           "throughput_mbps")
+_PRICES = ("READ_PRICE", "WRITE_PRICE", "ERASE_PRICE", "throughput_mbps")
 
 
 #: the one module that may call each boundary-crossing name: the

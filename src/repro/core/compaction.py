@@ -8,7 +8,7 @@ re-provisioning the database from raw rows.
 :class:`CompactionManager` compacts **one table at a time, in bounded
 steps**.  A :class:`CompactionJob` is a generator-backed state machine;
 each ``next()`` performs one bounded unit of work -- a batch of
-``pages_per_step`` page copies, or one climbing-index fold -- under the
+``PAGES_PER_STEP`` page copies, or one climbing-index fold -- under the
 ``"Compact"`` ledger label, then yields.  Everything the job writes is
 a *shadow* flash file; the live catalog is untouched until the final
 swap step, so queries interleaved between steps read the old, fully
@@ -80,8 +80,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle with ghostdb
 #: ledger label every compaction step runs under
 COMPACT_LABEL = "Compact"
 
-#: flash pages copied per heap/SKT step (an index fold is one step)
-DEFAULT_PAGES_PER_STEP = 32
+#: flash pages copied per heap/SKT step (an index fold is one step);
+#: read when a copy batches, so a test may patch it
+PAGES_PER_STEP = 32
 
 #: advisor safety margin over the priced shadow footprint
 HEADROOM_FACTOR = 3.0
@@ -317,11 +318,10 @@ class CompactionJob:
     returns.
     """
 
-    def __init__(self, db: "GhostDB", table: str, pages_per_step: int,
-                 seq: int, restarts: int = 0):
+    def __init__(self, db: "GhostDB", table: str, seq: int,
+                 restarts: int = 0):
         self.db = db
         self.table = table
-        self.pages_per_step = max(1, pages_per_step)
         self.restarts = restarts
         self._tag = f"~c{seq}"             # unique shadow-file suffix
         # data-generation snapshot; any movement means DML interleaved
@@ -409,8 +409,8 @@ class CompactionJob:
             stride = width // ID_SIZE
         buf = bytearray()
         n_pages = src.file.n_pages
-        for first in range(0, n_pages, self.pages_per_step):
-            last = min(first + self.pages_per_step, n_pages)
+        for first in range(0, n_pages, PAGES_PER_STEP):
+            last = min(first + PAGES_PER_STEP, n_pages)
             for page in range(first, last):
                 lo = page * per_page
                 n_here = min(per_page, src.n_rows - lo)
@@ -608,8 +608,7 @@ class CompactionManager:
         self._seq = 0
 
     # ------------------------------------------------------------------
-    def compact(self, table: str, max_steps: Optional[int] = None,
-                pages_per_step: int = DEFAULT_PAGES_PER_STEP
+    def compact(self, table: str, max_steps: Optional[int] = None
                 ) -> CompactionProgress:
         """Advance ``table``'s compaction by up to ``max_steps`` steps.
 
@@ -639,8 +638,7 @@ class CompactionManager:
                         table=table, state="clean", restarts=restarts,
                         advisor=advise(catalog, table))
                 self._seq += 1
-                job = CompactionJob(db, table, pages_per_step, self._seq,
-                                    restarts)
+                job = CompactionJob(db, table, self._seq, restarts)
                 self._jobs[table] = job
             try:
                 done = job.step()

@@ -42,6 +42,7 @@ from repro.core.plan import ProjectionMode, SortMethod, VisStrategy
 from repro.core.project import mjoin_chunk_rows
 from repro.core.sort import SORT_LABEL, SortKeyCodec
 from repro.errors import PlanError
+from repro.flash.constants import READ_PRICE, WRITE_PRICE
 from repro.flash.stats import COMM, READ, WRITE, CellKey, LedgerSnapshot
 from repro.hardware.token import SecureToken
 from repro.index.bloom import DEFAULT_HASHES, false_positive_rate
@@ -231,9 +232,6 @@ class CostModel:
     def __init__(self, catalog: SecureCatalog, token: SecureToken):
         self.catalog = catalog
         self.token = token
-        # the unit prices the token's FTL charges, keying every cell
-        self.read_price = token.config.flash.read_price
-        self.write_price = token.config.flash.write_price
         self.page = token.page_size
         self.ids_per_page = token.ids_per_page
         #: one full-page node read (SKT pages, hidden images, logs)
@@ -272,14 +270,14 @@ class CostModel:
               times: float = 1) -> None:
         """``times`` page reads of shape ``io``, under ``label``."""
         if io[0] and times:
-            _add(cells, (label, READ, self.read_price),
+            _add(cells, (label, READ, READ_PRICE),
                  times * io[0], times * io[1])
 
     def _write(self, cells: Cells, label: str, io: IO,
                times: float = 1) -> None:
         """``times`` page writes of shape ``io``, under ``label``."""
         if io[0] and times:
-            _add(cells, (label, WRITE, self.write_price),
+            _add(cells, (label, WRITE, WRITE_PRICE),
                  times * io[0], times * io[1])
 
     @staticmethod

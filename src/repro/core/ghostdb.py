@@ -59,8 +59,8 @@ from typing import (Dict, Iterator, List, Optional, Sequence, Tuple,
 
 from repro.core.aggregate import apply_aggregates, effective_projections
 from repro.core.catalog import SecureCatalog
-from repro.core.compaction import (DEFAULT_PAGES_PER_STEP, CompactionAdvice,
-                                   CompactionManager, CompactionProgress,
+from repro.core.compaction import (CompactionAdvice, CompactionManager,
+                                   CompactionProgress,
                                    TableCompactionStatus, advise)
 from repro.core.dml import CheckedDml, DmlExecutor, DmlResult
 from repro.core.executor import CostWindow, QepSjExecutor, QueryResult
@@ -278,27 +278,12 @@ class StatementFrontEnd:
 class GhostDB(StatementFrontEnd):
     """A GhostDB instance: one secure token plus one Untrusted engine.
 
-    ``GhostDB(shards=N)`` with ``N > 1`` returns a
-    :class:`~repro.shard.fleet.ShardedGhostDB` instead: N independent
-    tokens behind the same statement API, with SELECTs scattered and
-    gathered across them (see :mod:`repro.shard`).
+    N independent tokens behind the same statement API are a
+    :class:`~repro.shard.fleet.ShardedGhostDB` (see :mod:`repro.shard`).
     """
 
-    def __new__(cls, config: Optional[TokenConfig] = None,
-                indexed_columns: Optional[Dict[str, Sequence[str]]] = None,
-                shards: Optional[int] = None):
-        if cls is GhostDB and shards is not None and shards > 1:
-            from repro.shard.fleet import ShardedGhostDB
-            # not a GhostDB subclass, so __init__ below is skipped
-            return ShardedGhostDB(shards, config=config,
-                                  indexed_columns=indexed_columns)
-        return super().__new__(cls)
-
     def __init__(self, config: Optional[TokenConfig] = None,
-                 indexed_columns: Optional[Dict[str, Sequence[str]]] = None,
-                 shards: Optional[int] = None):
-        if shards is not None and shards < 1:
-            raise ValueError("shards must be >= 1")
+                 indexed_columns: Optional[Dict[str, Sequence[str]]] = None):
         super().__init__()
         self.token = SecureToken(config)
         self._ddl_tables: List[Table] = []
@@ -578,15 +563,14 @@ class GhostDB(StatementFrontEnd):
         return self._session_default().query_many(sql, param_sets,
                                                   **kwargs)
 
-    def compact(self, table: str, max_steps: Optional[int] = None,
-                pages_per_step: int = DEFAULT_PAGES_PER_STEP
+    def compact(self, table: str, max_steps: Optional[int] = None
                 ) -> CompactionProgress:
         """Incrementally compact one table, in bounded steps.
 
         Folds the table's accumulated DML debt -- tombstones, climbing-
         index delta logs, subtree fk deltas -- back into densely built
         structures *without* stopping the world: each step copies at
-        most ``pages_per_step`` flash pages (or folds one climbing
+        most ``PAGES_PER_STEP`` flash pages (or folds one climbing
         index), all writes go to shadow files, and queries issued
         between steps read the untouched old image.  Call with
         ``max_steps`` to bound a maintenance slice and call again later
@@ -610,7 +594,7 @@ class GhostDB(StatementFrontEnd):
         index-order ``ORDER BY`` path opens up again for it.
         """
         self.require_built()
-        return self._compactor.compact(table, max_steps, pages_per_step)
+        return self._compactor.compact(table, max_steps)
 
     def compaction_advice(self, table: str) -> CompactionAdvice:
         """The advisor's verdict on folding ``table`` now -- what
@@ -684,7 +668,7 @@ class GhostDB(StatementFrontEnd):
 
         The file is read once; its metadata says what ``kind`` of image
         it is.  A fleet manifest (written by
-        ``GhostDB(shards=N).snapshot()``) restores to a
+        ``ShardedGhostDB.snapshot``) restores to a
         :class:`~repro.shard.fleet.ShardedGhostDB` -- one entry point
         for both deployment shapes.
         """
@@ -816,5 +800,6 @@ class GhostDB(StatementFrontEnd):
         return self.catalog.storage_report()
 
     def set_throughput(self, mbps: float) -> None:
-        """Change the simulated channel throughput (Figure 14)."""
+        """Change the simulated channel throughput (Figure 14); a
+        throughput that is not positive raises ``ValueError``."""
         self.token.set_throughput(mbps)

@@ -53,8 +53,8 @@ IKEY_CAPACITY = 4096
 class IdempotencyLedger:
     """Bounded ikey -> recorded-response map (exactly-once DML)."""
 
-    def __init__(self, capacity: int = IKEY_CAPACITY):
-        self.capacity = capacity
+    def __init__(self):
+        self.capacity = IKEY_CAPACITY
         self._entries: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
 
     def seen(self, ikey: Optional[str]) -> Optional[Dict[str, Any]]:

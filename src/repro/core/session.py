@@ -52,6 +52,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: how many Vis requests ride in one prefetch round trip
 VIS_BATCH_SIZE = 64
 
+#: prepared statements one session's LRU holds
+PLAN_CACHE_CAPACITY = 64
+
 #: cache key: (normalized sql, strategy, cross, projection, order method)
 PlanKey = Tuple[str, Optional[str], Optional[bool], str, Optional[str]]
 
@@ -96,10 +99,8 @@ class PlanCache:
     still holding it keeps a working statement).
     """
 
-    def __init__(self, capacity: int = 64):
-        if capacity <= 0:
-            raise ValueError("plan cache capacity must be positive")
-        self.capacity = capacity
+    def __init__(self):
+        self.capacity = PLAN_CACHE_CAPACITY
         self._lru: "OrderedDict[PlanKey, PreparedStatement]" = \
             OrderedDict()
         self._ids = itertools.count(1)

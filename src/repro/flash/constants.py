@@ -22,7 +22,6 @@ range and read/write ratio of roughly 2.5x to 12x.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 ID_SIZE = 4
 """Size of a tuple identifier in bytes (paper Table 1)."""
@@ -33,34 +32,29 @@ PAGE_SIZE = 2048
 RAM_SIZE = 65536
 """Secure RAM budget in bytes (64 KB = 32 buffers of 2 KB)."""
 
+# unit prices ``(us per page or block, ns per byte)``: what the FTL
+# charges the ledger with and what the planner's estimates are keyed
+# by -- only ``repro.flash.stats`` turns them into time
+
+READ_PRICE = (25.0, 50.0)
+"""Page read: register load (us) plus transfer to RAM (ns per byte)."""
+
+WRITE_PRICE = (200.0, 50.0)
+"""Page program (us) plus transfer from RAM (ns per byte)."""
+
+ERASE_PRICE = (0.0, 0.0)
+"""Block erase: the paper's cost model folds erases into writes."""
+
 
 @dataclass(frozen=True)
 class FlashParams:
-    """Timing and geometry parameters of the simulated NAND module."""
+    """Geometry and GC threshold of the simulated NAND module (its
+    timings are the Table-1 prices above)."""
 
     page_size: int = PAGE_SIZE
     pages_per_block: int = 64
     n_blocks: int = 4096
-    read_page_us: float = 25.0
-    write_page_us: float = 200.0
-    byte_transfer_ns: float = 50.0
-    erase_block_us: float = 0.0  # the paper's cost model folds erases into writes
     gc_free_block_threshold: int = 4
-
-    # unit prices ``(us per page or block, ns per byte)``: what the FTL
-    # charges the ledger with and what the planner's estimates are keyed
-    # by -- only ``repro.flash.stats`` turns them into time
-    @property
-    def read_price(self) -> Tuple[float, float]:
-        return (self.read_page_us, self.byte_transfer_ns)
-
-    @property
-    def write_price(self) -> Tuple[float, float]:
-        return (self.write_page_us, self.byte_transfer_ns)
-
-    @property
-    def erase_price(self) -> Tuple[float, float]:
-        return (self.erase_block_us, 0.0)
 
 
 DEFAULT_PARAMS = FlashParams()

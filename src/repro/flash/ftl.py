@@ -22,7 +22,8 @@ from array import array
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import BadAddressError, OutOfSpaceError
-from repro.flash.constants import FlashParams
+from repro.flash.constants import (ERASE_PRICE, READ_PRICE, WRITE_PRICE,
+                                   FlashParams)
 from repro.flash.nand import NandFlash
 from repro.flash.stats import (ERASE, GC_READ, GC_WRITE, READ, WRITE,
                                CostLedger)
@@ -120,19 +121,19 @@ class Ftl:
         *before* the old one is invalidated or the mapping updated, so
         a power loss mid-program leaves the logical page still mapped
         to its previous, intact payload -- the torn page is unmapped
-        garbage the next GC erases.  The old mapping is re-read after
-        the claim because claiming may trigger GC, which can relocate
-        the very page we are about to invalidate.
+        garbage, counted for GC (:meth:`_program`).  The old mapping is
+        re-read after the claim because claiming may trigger GC, which
+        can relocate the very page we are about to invalidate.
         """
         self._check_lpn(lpn)
         ppn = self._claim_physical_page()
-        self.nand.program_page(ppn, data)
+        self._program(ppn, data)
         old = self._l2p[lpn]
         if old != _UNMAPPED:
             self._invalidate(old)
         self._l2p[lpn] = ppn
         self._p2l[ppn] = lpn
-        self.ledger.charge(WRITE, self.params.write_price, 1, len(data))
+        self.ledger.charge(WRITE, WRITE_PRICE, 1, len(data))
 
     def peek(self, lpn: int) -> bytes:
         """Uncharged read of a logical page's full stored payload.
@@ -155,7 +156,7 @@ class Ftl:
         charge of a run equals the sum of its pages' -- and a page-cache
         hit costs the same simulated time and counters as a miss.
         """
-        self.ledger.charge(READ, self.params.read_price, pages, nbytes)
+        self.ledger.charge(READ, READ_PRICE, pages, nbytes)
 
     def trim(self, lpn: int) -> None:
         """Free logical page ``lpn``; its physical page becomes garbage."""
@@ -215,6 +216,16 @@ class Ftl:
         self.nand.discard_page(ppn)
         self._invalid_per_block[self.nand.block_of(ppn)] += 1
 
+    def _program(self, ppn: int, data: bytes) -> None:
+        """Program a page the frontier just passed.  A program that
+        raises (a power cut) leaves it unmapped, so it is counted
+        invalid at once: GC sees it and reclaims its block."""
+        try:
+            self.nand.program_page(ppn, data)
+        except Exception:
+            self._invalid_per_block[self.nand.block_of(ppn)] += 1
+            raise
+
     def _frontier_full(self) -> bool:
         return self._frontier >= \
             (self._active_block + 1) * self.params.pages_per_block
@@ -270,17 +281,18 @@ class Ftl:
                     continue
                 # relocate a valid page: read + program, both charged
                 data = self.nand.read_page(ppn)
-                self.ledger.charge(GC_READ, self.params.read_price, 1,
-                                   len(data))
+                self.ledger.charge(GC_READ, READ_PRICE, 1, len(data))
                 dest = self._claim_physical_page()
-                self.nand.program_page(dest, data)
-                self.ledger.charge(GC_WRITE, self.params.write_price, 1,
-                                   len(data))
+                self._program(dest, data)
+                self.ledger.charge(GC_WRITE, WRITE_PRICE, 1, len(data))
                 self._p2l.pop(ppn)
                 self._p2l[dest] = lpn
                 self._l2p[lpn] = dest
+                # the source is garbage now: counted, in case a cut
+                # stops this run before the erase below
+                self._invalid_per_block[victim] += 1
                 self.gc_pages_moved += 1
             self._invalid_per_block[victim] = 0
             self.nand.erase_block(victim)
-            self.ledger.charge(ERASE, self.params.erase_price, 1)
+            self.ledger.charge(ERASE, ERASE_PRICE, 1)
             self._free_blocks.insert(0, victim)

@@ -23,7 +23,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.errors import BadAddressError, StorageError
 from repro.flash.ftl import Ftl
 
-#: default page-cache capacity, in pages
+#: page-cache capacity, in pages
 PAGE_CACHE_CAPACITY = 512
 
 
@@ -39,8 +39,8 @@ class PageCache:
 
     __slots__ = ("capacity", "hits", "misses", "_pages")
 
-    def __init__(self, capacity: int = PAGE_CACHE_CAPACITY):
-        self.capacity = capacity
+    def __init__(self):
+        self.capacity = PAGE_CACHE_CAPACITY
         self.hits = 0
         self.misses = 0
         self._pages: "OrderedDict[int, bytes]" = OrderedDict()
@@ -249,10 +249,9 @@ class FlashFile:
 class FlashStore:
     """Directory of :class:`FlashFile` objects over one FTL instance."""
 
-    def __init__(self, ftl: Ftl,
-                 page_cache_capacity: int = PAGE_CACHE_CAPACITY):
+    def __init__(self, ftl: Ftl):
         self.ftl = ftl
-        self.page_cache = PageCache(page_cache_capacity)
+        self.page_cache = PageCache()
         self._files: Dict[str, FlashFile] = {}
         self._next_temp = 0
         # armed StatementJournal (repro.core.recovery) during a DML

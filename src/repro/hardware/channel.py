@@ -57,12 +57,18 @@ class UsbChannel:
     SAFE_OUTBOUND_KINDS = frozenset({"query", "vis_request",
                                      "dml_visible"})
 
-    def __init__(self, ledger: CostLedger, throughput_mbps: float = 1.5):
-        if throughput_mbps <= 0:
-            raise ValueError("throughput must be positive")
+    def __init__(self, ledger: CostLedger):
         self.ledger = ledger
-        self.throughput_mbps = throughput_mbps
+        #: MB/s; USB 2.0 full speed until :meth:`set_throughput`
+        self.throughput_mbps = 1.5
         self.stats = ChannelStats()
+
+    def set_throughput(self, mbps: float) -> None:
+        """Change the simulated throughput (the Figure 14 sweep); it
+        prices every later transfer, so it must be positive."""
+        if mbps <= 0:
+            raise ValueError("throughput must be positive")
+        self.throughput_mbps = mbps
 
     # ------------------------------------------------------------------
     def _charge(self, nbytes: int) -> None:

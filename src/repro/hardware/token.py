@@ -25,7 +25,6 @@ class TokenConfig:
     """Hardware configuration of the smart USB key (paper section 2.2)."""
 
     ram_bytes: int = RAM_SIZE
-    throughput_mbps: float = 1.5
     flash: FlashParams = field(default_factory=FlashParams)
 
 
@@ -42,7 +41,7 @@ class SecureToken:
         self.nand = NandFlash(self.config.flash)
         self.ftl = Ftl(self.nand, self.ledger, self.config.flash)
         self.store = FlashStore(self.ftl)
-        self.channel = UsbChannel(self.ledger, self.config.throughput_mbps)
+        self.channel = UsbChannel(self.ledger)
 
     # ------------------------------------------------------------------
     @property
@@ -60,7 +59,7 @@ class SecureToken:
 
     def set_throughput(self, mbps: float) -> None:
         """Change the simulated USB throughput (Figure 14 sweep)."""
-        self.channel.throughput_mbps = mbps
+        self.channel.set_throughput(mbps)
 
     # ------------------------------------------------------------------
     def elapsed_s(self) -> float:

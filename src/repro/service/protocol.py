@@ -20,7 +20,7 @@ prepare     SELECT ``sql`` with ``?`` placeholders -> ``{"stmt": id}``:
 exec_stmt   ``stmt`` (a prepare'd id), optional ``params``; an id whose
             statement the session's LRU evicted is an error that says
             to prepare it again
-compact     ``table``, optional ``max_steps``/``pages_per_step``
+compact     ``table``, optional ``max_steps``
 stats       server counters (admission, plan cache, generations)
 ping        liveness probe
 ========== ==========================================================

@@ -292,14 +292,10 @@ class GhostServer:
 
     def _op_compact(self, request: dict) -> Callable[[], dict]:
         table = _field(request, "table", str, required=True)
-        kwargs: Dict[str, Any] = {}
-        for name in ("max_steps", "pages_per_step"):
-            value = _field(request, name, int)
-            if value is not None:
-                kwargs[name] = value
+        max_steps = _field(request, "max_steps", int)
 
         def run():
-            progress = self.db.compact(table, **kwargs)
+            progress = self.db.compact(table, max_steps)
             return {"ok": True, "kind": "compacted", "table": table,
                     "state": progress.state,
                     "steps": progress.steps_run,

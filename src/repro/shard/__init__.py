@@ -1,8 +1,8 @@
 """Scale-out GhostDB: a hash-partitioned fleet of secure tokens.
 
 One secure token caps throughput at a single 64 KB chip and one USB
-channel.  :class:`~repro.shard.fleet.ShardedGhostDB` -- reachable as
-``GhostDB(shards=N)`` -- runs N fully independent tokens:
+channel.  :class:`~repro.shard.fleet.ShardedGhostDB` -- built as
+``ShardedGhostDB(N)`` -- runs N fully independent tokens:
 
 * the **root** table's rows are hash-partitioned by global id
   (:class:`~repro.shard.router.ShardRouter`); every non-root table is

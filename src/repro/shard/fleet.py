@@ -1,8 +1,8 @@
 """``ShardedGhostDB``: N independent tokens behind the GhostDB API.
 
-Construction goes through the ordinary facade -- ``GhostDB(shards=N)``
-returns one of these -- and every statement kind keeps its single-token
-semantics:
+``ShardedGhostDB(N)`` builds N identical tokens (a plain ``GhostDB()``
+is the one-token shape), and every statement kind keeps its
+single-token semantics:
 
 * **DDL** broadcasts to every shard (identical schemas everywhere).
 * **Loading** routes root rows by hashed global id and replicates
@@ -36,8 +36,8 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
                     Union)
 
 from repro.core.aggregate import apply_aggregates
-from repro.core.compaction import (DEFAULT_PAGES_PER_STEP, VERDICTS,
-                                   CompactionAdvice, CompactionProgress,
+from repro.core.compaction import (VERDICTS, CompactionAdvice,
+                                   CompactionProgress,
                                    TableCompactionStatus, check_max_steps)
 from repro.core.dml import DmlResult
 from repro.core.executor import QueryResult, QueryStats
@@ -587,8 +587,7 @@ class ShardedGhostDB(StatementFrontEnd):
     # ------------------------------------------------------------------
     # compaction
     # ------------------------------------------------------------------
-    def compact(self, table: str, max_steps: Optional[int] = None,
-                pages_per_step: int = DEFAULT_PAGES_PER_STEP
+    def compact(self, table: str, max_steps: Optional[int] = None
                 ) -> CompactionProgress:
         """Compact ``table`` on every shard.
 
@@ -609,8 +608,7 @@ class ShardedGhostDB(StatementFrontEnd):
             self._touch_shard(k)
         if table != self.root:
             return _combine_progress(self._map(
-                lambda shard: shard.compact(table, max_steps,
-                                            pages_per_step)))
+                lambda shard: shard.compact(table, max_steps)))
         report = self.compaction_advice(table)
         if not report.ok:
             raise CompactionDeclined(
@@ -621,8 +619,7 @@ class ShardedGhostDB(StatementFrontEnd):
             )
         old_tombstones = self._map(
             lambda shard: set(shard.catalog.tombstones[table]))
-        progs = self._map(
-            lambda shard: shard.compact(table, None, pages_per_step))
+        progs = self._map(lambda shard: shard.compact(table))
         self._rebuild_root_maps(old_tombstones)
         return _combine_progress(progs)
 

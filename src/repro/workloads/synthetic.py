@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Union
 
 from repro.core.ghostdb import GhostDB
 from repro.hardware.token import TokenConfig
+from repro.shard.fleet import ShardedGhostDB
 
 #: paper cardinalities before scaling
 PAPER_CARDINALITIES = {
@@ -80,17 +81,20 @@ class SyntheticConfig:
 
 def build_synthetic(config: Optional[SyntheticConfig] = None,
                     token_config: Optional[TokenConfig] = None,
-                    shards: int = 1) -> GhostDB:
+                    shards: int = 1) -> Union[GhostDB, ShardedGhostDB]:
     """Create, load and build a GhostDB over the synthetic data set.
 
     ``shards > 1`` builds the same data set on a hash-partitioned
-    fleet (``GhostDB(shards=N)``) instead of a single token.
+    fleet (``ShardedGhostDB(shards)``) instead of a single token.
     """
     cfg = config or SyntheticConfig()
     rng = random.Random(cfg.seed)
     indexes = FULL_INDEXES if cfg.full_indexing else EXPERIMENT_INDEXES
-    db = GhostDB(config=token_config, indexed_columns=dict(indexes),
-                 shards=shards)
+    if shards == 1:
+        db = GhostDB(config=token_config, indexed_columns=dict(indexes))
+    else:   # the fleet refuses a size below 2
+        db = ShardedGhostDB(shards, config=token_config,
+                            indexed_columns=dict(indexes))
     for ddl in DDL:
         db.execute(ddl)
 

@@ -9,8 +9,11 @@ a table's delta logs re-opens the planner's index-order ORDER BY path
 -- whose gating reason ``EXPLAIN`` must spell out, never swallow.
 """
 
+from unittest.mock import patch
+
 import pytest
 
+from repro.core import compaction
 from repro.core.ghostdb import GhostDB
 from repro.core.plan import SortMethod
 from repro.errors import (CompactionDeclined, CompactionError, PlanError,
@@ -67,18 +70,19 @@ def test_bounded_steps_with_oracle_identical_queries_between_them():
                    params=(i % 30, 50 + i, i / 4.0))
     assert db.compaction_status()["P"].dirty
     steps = 0
-    while True:
-        progress = db.compact("P", max_steps=1, pages_per_step=1)
-        steps += 1
-        assert steps < 400, "compaction did not converge"
-        if progress.done:
-            break
-        assert progress.state == "in-progress"
-        # the half-done job is visible in the status report ...
-        assert db.compaction_status()["P"].job_phase is not None
-        # ... and every query against the old image stays correct
-        for sql in PROBES:
-            assert_oracle(db, sql)
+    with patch.object(compaction, "PAGES_PER_STEP", 1):
+        while True:
+            progress = db.compact("P", max_steps=1)
+            steps += 1
+            assert steps < 400, "compaction did not converge"
+            if progress.done:
+                break
+            assert progress.state == "in-progress"
+            # the half-done job is visible in the status report ...
+            assert db.compaction_status()["P"].job_phase is not None
+            # ... and every query against the old image stays correct
+            for sql in PROBES:
+                assert_oracle(db, sql)
     assert steps > 3                      # genuinely incremental
     assert progress.pages_rewritten > 0
     assert progress.max_step_us > 0
@@ -114,7 +118,8 @@ def test_max_steps_below_one_is_rejected_before_any_work(max_steps):
     assert db.token.ledger.counters["pages_written"] == pages
     assert db.compactions_in_flight() == []
     assert db.compaction_status()["P"].dirty
-    assert not db.compact("P", max_steps=1, pages_per_step=1).done
+    with patch.object(compaction, "PAGES_PER_STEP", 1):
+        assert not db.compact("P", max_steps=1).done
 
 
 def test_compacting_parent_folds_the_whole_subtree():
@@ -138,10 +143,11 @@ def test_parent_swap_aborts_the_child_job_it_left_without_work(tmp_path):
         side.execute("INSERT INTO P VALUES (1, 90, 0.25)")
         side.execute("DELETE FROM P WHERE P.v < 10")
     files_before = db.token.store.n_files
-    while True:                       # step C until it owns shadow files
-        assert not db.compact("C", max_steps=1, pages_per_step=1).done
-        if db.token.store.n_files > files_before:
-            break
+    with patch.object(compaction, "PAGES_PER_STEP", 1):
+        while True:                   # step C until it owns shadow files
+            assert not db.compact("C", max_steps=1).done
+            if db.token.store.n_files > files_before:
+                break
     assert db.compact("P").done and twin.compact("P").done
     assert not dirty_tables(db)
     assert not db._compactor._jobs
@@ -158,7 +164,8 @@ def test_parent_swap_aborts_the_child_job_it_left_without_work(tmp_path):
 def test_interleaved_dml_restarts_the_job():
     db = make_db()
     db.execute("DELETE FROM P WHERE P.v < 30")
-    first = db.compact("P", max_steps=1, pages_per_step=1)
+    with patch.object(compaction, "PAGES_PER_STEP", 1):
+        first = db.compact("P", max_steps=1)
     assert not first.done
     db.execute("INSERT INTO P VALUES (0, 99, 1.5)")   # stale remap now
     progress = db.compact("P")

@@ -20,10 +20,12 @@ the only check available for an ancestor with tombstones of its own.
 """
 
 import sys
+from unittest.mock import patch
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import compaction
 from repro.core.compaction import CompactionJob
 from repro.core.ghostdb import GhostDB
 from repro.flash.constants import FlashParams
@@ -110,14 +112,14 @@ def delete_plans(draw):
     dead_g = draw(st.sets(st.sampled_from(
         [i for i in range(N_G) if i not in held_g])))
     order = draw(st.permutations(["P", "C", "G"]))
-    pages_per_step = draw(st.sampled_from((1, 3, 32)))
-    return {"P": dead_p, "C": dead_c, "G": dead_g}, order, pages_per_step
+    batch = draw(st.sampled_from((1, 3, 32)))
+    return {"P": dead_p, "C": dead_c, "G": dead_g}, order, batch
 
 
 @given(delete_plans())
 @settings(max_examples=30, deadline=None)
 def test_compacted_image_equals_a_fresh_build(plan):
-    dead, order, pages_per_step = plan
+    dead, order, batch = plan
     db = build(initial_rows())
     for table in ("P", "C", "G"):          # parents first: RESTRICT
         for k in sorted(dead[table]):
@@ -139,7 +141,8 @@ def test_compacted_image_equals_a_fresh_build(plan):
         before = indexes(catalog)
         had_tombstones = bool(tomb[T])
 
-        assert db.compact(T, pages_per_step=pages_per_step).done
+        with patch.object(compaction, "PAGES_PER_STEP", batch):
+            assert db.compact(T).done
         fresh = build(catalog.raw_rows).catalog
 
         if had_tombstones:
@@ -196,7 +199,7 @@ def test_fold_reads_each_index_file_as_one_charged_run(monkeypatch):
                         lambda n, nbytes: (charges.append(n),
                                            real_charge(n, nbytes)))
 
-    job = CompactionJob(db, "G", 32, seq=1)
+    job = CompactionJob(db, "G", seq=1)
     start = ledger.snapshot()
     with db.token.label("Compact"):
         job._charge_index_read(idx)

@@ -12,10 +12,12 @@ Three properties, checked on randomized operation sequences:
 """
 
 import random
+from unittest.mock import patch
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import compaction
 from repro.core.ghostdb import GhostDB
 from repro.errors import GhostDBError
 
@@ -79,9 +81,11 @@ def apply_random_op(db, rng):
         except GhostDBError:
             pass
     else:
-        db.compact(rng.choice(("P", "C")),
-                   max_steps=rng.randint(1, 4),
-                   pages_per_step=rng.choice((1, 2, 8)))
+        table = rng.choice(("P", "C"))
+        max_steps = rng.randint(1, 4)
+        with patch.object(compaction, "PAGES_PER_STEP",
+                          rng.choice((1, 2, 8))):
+            db.compact(table, max_steps=max_steps)
 
 
 def dirty_tables(db):
@@ -141,7 +145,8 @@ def test_property_single_step_slices_with_dml_induced_restarts(seed):
     db.execute("DELETE FROM P WHERE P.v < 30")
     restarts_seen = 0
     for _ in range(12):
-        progress = db.compact("P", max_steps=1, pages_per_step=1)
+        with patch.object(compaction, "PAGES_PER_STEP", 1):
+            progress = db.compact("P", max_steps=1)
         restarts_seen = max(restarts_seen, progress.restarts)
         if progress.done:
             break

@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 
 from repro import DmlResult, GhostDB
 from repro.errors import BindError, GhostDBError, StorageError
+from repro.shard import ShardedGhostDB
 
 
-def make_db(shards=None):
-    db = GhostDB(shards=shards)
+def make_db(shards=1):
+    db = ShardedGhostDB(shards) if shards > 1 else GhostDB()
     db.execute("CREATE TABLE P (id int, fk int HIDDEN REFERENCES C, "
                "v int, h int HIDDEN)")
     db.execute("CREATE TABLE C (id int, v int, h int HIDDEN)")
@@ -76,7 +77,7 @@ def test_execute_with_params_everywhere():
 
 def test_unbound_dml_placeholders_rejected():
     # one front end serves a token and a fleet: check both shapes
-    for shards in (None, 2):
+    for shards in (1, 2):
         db = make_db(shards)
         with pytest.raises(BindError):
             db.execute("INSERT INTO C VALUES (?, 1)")
@@ -85,8 +86,8 @@ def test_unbound_dml_placeholders_rejected():
 
 
 def test_ddl_takes_no_parameters():
-    for shards in (None, 2):
-        db = GhostDB(shards=shards)
+    for shards in (1, 2):
+        db = ShardedGhostDB(shards) if shards > 1 else GhostDB()
         with pytest.raises(BindError):
             db.execute("CREATE TABLE T (id int, v int)", params=(1,))
         # the rejected statement registered nothing

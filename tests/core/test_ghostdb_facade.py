@@ -80,7 +80,8 @@ def test_stats_are_per_query_not_cumulative():
 
 
 def test_custom_token_config():
-    db = GhostDB(config=TokenConfig(ram_bytes=32768, throughput_mbps=0.5))
+    db = GhostDB(config=TokenConfig(ram_bytes=32768))
+    db.set_throughput(0.5)
     assert db.token.ram.capacity == 32768
     assert db.token.channel.throughput_mbps == 0.5
 
@@ -93,6 +94,20 @@ def test_set_throughput_changes_comm_time():
     db.set_throughput(10.0)
     fast = db.execute(sql).stats.total_s
     assert slow > fast
+
+
+@pytest.mark.parametrize("mbps", [0, -1.5])
+def test_set_throughput_refuses_a_throughput_that_is_not_positive(mbps):
+    """A zero throughput would divide by zero on the next transfer and
+    a negative one would price it below nothing: both are refused, and
+    the channel keeps the throughput it had."""
+    db = make_db()
+    sql = "SELECT C.id FROM C WHERE C.v < 8 AND C.h = 1"
+    before = db.execute(sql).stats.total_s
+    with pytest.raises(ValueError):
+        db.set_throughput(mbps)
+    assert db.token.channel.throughput_mbps == 1.5
+    assert db.execute(sql).stats.total_s == before
 
 
 def test_result_columns_named():

@@ -15,16 +15,19 @@ from repro.core.ghostdb import GhostDB
 from repro.core.plan import SortMethod
 from repro.errors import BindError, PlanError, SqlSyntaxError
 from repro.hardware.token import TokenConfig
+from repro.shard import ShardedGhostDB
 
 ORDER_METHODS = ("external-sort", "top-k-heap", "index-order")
 
 
 def build_small_db(token_config=None, n_children=40, n_parents=300,
-                   shards=None):
+                   shards=1):
     """A two-table database with an indexed hidden float column."""
-    db = GhostDB(config=token_config,
-                 indexed_columns={"C": ("h",), "P": ("hp",)},
-                 shards=shards)
+    indexes = {"C": ("h",), "P": ("hp",)}
+    db = (ShardedGhostDB(shards, config=token_config,
+                         indexed_columns=indexes)
+          if shards > 1 else
+          GhostDB(config=token_config, indexed_columns=indexes))
     db.execute("CREATE TABLE P (id int, fk int HIDDEN REFERENCES C, "
                "v int, hp float HIDDEN)")
     db.execute("CREATE TABLE C (id int, h int HIDDEN, w int)")
@@ -374,7 +377,7 @@ def test_two_buffer_token_fails_at_plan_time_not_mid_sort():
 
 
 def test_order_method_rejected_on_dml():
-    for shards in (None, 2):
+    for shards in (1, 2):
         db = build_small_db(n_children=10, n_parents=20, shards=shards)
         with pytest.raises(BindError):
             db.execute("INSERT INTO P VALUES (1, 2, 3.0)",

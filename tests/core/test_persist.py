@@ -10,10 +10,12 @@ import os
 import struct
 import subprocess
 import sys
+from unittest.mock import patch
 
 import pytest
 
 import repro
+from repro.core import compaction
 from repro.core.ghostdb import GhostDB
 from repro.errors import ImageError, PersistError
 from repro.persist import IMAGE_MAGIC, image_info
@@ -85,7 +87,8 @@ def test_snapshot_refused_mid_compaction(tmp_path):
     db, _ = twin_dbs()
     path = str(tmp_path / "db.img")
     db.execute("DELETE FROM P WHERE P.v < 50")
-    progress = db.compact("P", max_steps=1, pages_per_step=1)
+    with patch.object(compaction, "PAGES_PER_STEP", 1):
+        progress = db.compact("P", max_steps=1)
     assert not progress.done
     with pytest.raises(PersistError):
         db.snapshot(path)

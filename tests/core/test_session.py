@@ -9,13 +9,14 @@ from repro import GhostDB
 from repro.core.session import plan_key
 from repro.errors import BindError, GhostDBError
 from repro.service.loadgen import TEMPLATE_FIG10, TEMPLATE_FIG12
+from repro.shard import ShardedGhostDB
 from repro.sql.binder import Binder
 from repro.workloads.synthetic import (SyntheticConfig, build_synthetic,
                                        sv_to_v1_bound)
 
 
-def make_db(shards=None):
-    db = GhostDB(shards=shards)
+def make_db(shards=1):
+    db = ShardedGhostDB(shards) if shards > 1 else GhostDB()
     db.execute("CREATE TABLE P (id int, fk int HIDDEN REFERENCES C, "
                    "v int, h int HIDDEN)")
     db.execute("CREATE TABLE C (id int, v int, h int HIDDEN)")

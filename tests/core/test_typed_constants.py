@@ -3,7 +3,7 @@ raises ``BindError`` -- on both sides of the trust boundary alike.
 
 The matrix is column type x visible/hidden x operator x constant kind,
 as a literal and as ``?``, for SELECT and DELETE, on one token and on
-``GhostDB(shards=2)``.  An accepted constant must give the rows a plain
+``ShardedGhostDB(2)``.  An accepted constant must give the rows a plain
 Python comparison over the loaded values gives (and ``reference_query``
 agrees); a rejected one must raise ``BindError`` before anything left
 the token and before anything changed.  The six failures that motivated
@@ -18,6 +18,7 @@ from repro import GhostDB
 from repro.core.reference import ReferenceEngine
 from repro.errors import BindError, GhostDBError
 from repro.predicate import OPS, Predicate
+from repro.shard import ShardedGhostDB
 from repro.workloads.synthetic import SyntheticConfig, build_synthetic
 
 DDL = ("CREATE TABLE C (id int, vi int, vf float, vc char(4), "
@@ -47,15 +48,15 @@ ACCEPTED = {"int": {"int", "integral float"},
 ANCHOR = {"int": (1, "1"), "float": (0.5, "0.5"), "char": ("ab", "'ab'")}
 
 
-def make_db(shards=None):
-    db = GhostDB(shards=shards)
+def make_db(shards=1):
+    db = ShardedGhostDB(shards) if shards > 1 else GhostDB()
     db.execute(DDL)
     db.load("C", ROWS)
     db.build()
     return db
 
 
-@pytest.fixture(scope="module", params=[None, 2], ids=["token", "fleet"])
+@pytest.fixture(scope="module", params=[1, 2], ids=["token", "fleet"])
 def db(request):
     return make_db(request.param)
 
@@ -134,7 +135,7 @@ def test_select_matrix_equals_the_oracle_or_raises_bind_error(db):
 
 
 def test_delete_matrix_deletes_the_oracles_rows_or_raises_bind_error():
-    for shards in (None, 2):
+    for shards in (1, 2):
         db = make_db(shards)
         everything = "SELECT C.vi, C.vf, C.vc, C.hi, C.hf, C.hc FROM C"
         for column, op, constants, ok, where, params in statements():
@@ -167,8 +168,8 @@ P_DDL = ["CREATE TABLE P (id int, fk int HIDDEN REFERENCES C, v int, "
          "CREATE TABLE C (id int, v int, h int HIDDEN)"]
 
 
-def make_p_db(shards=None):
-    db = GhostDB(shards=shards)
+def make_p_db(shards=1):
+    db = ShardedGhostDB(shards) if shards > 1 else GhostDB()
     for ddl in P_DDL:
         db.execute(ddl)
     db.load("C", [(i, i % 2) for i in range(6)])
@@ -184,7 +185,7 @@ def p_state(db):
             [s.storage_report() for s in shards])
 
 
-@pytest.mark.parametrize("shards", [None, 2], ids=["token", "fleet"])
+@pytest.mark.parametrize("shards", [1, 2], ids=["token", "fleet"])
 @pytest.mark.parametrize("sql, params", [
     ("INSERT INTO P VALUES (1, 'oops', 1.0, 'ab')", None),
     ("INSERT INTO P VALUES (1, 5, 'x', 'ab')", None),

@@ -6,6 +6,7 @@ import pytest
 
 from repro import GhostDB
 from repro.errors import GhostDBError
+from repro.shard import ShardedGhostDB
 from repro.untrusted.engine import UntrustedEngine
 from repro.workloads.queries import query_q
 
@@ -13,8 +14,8 @@ READ = "SELECT C.id, C.v FROM C WHERE C.v = ?"
 ROW_A, ROW_B = (777, 1), (888, 0)
 
 
-def build(shards=None):
-    db = GhostDB(shards=shards) if shards else GhostDB()
+def build(shards=1):
+    db = ShardedGhostDB(shards) if shards > 1 else GhostDB()
     db.execute("CREATE TABLE P (id int, fk int HIDDEN REFERENCES C, "
                "v int, h int HIDDEN)")
     db.execute("CREATE TABLE C (id int, v int, h int HIDDEN)")

@@ -9,6 +9,7 @@ case reruns identically by its name alone.
 
 from repro.core.ghostdb import GhostDB
 from repro.hardware.channel import UsbChannel
+from repro.shard.fleet import ShardedGhostDB
 
 #: probes every fault case answers; each is checked against the
 #: reference oracle
@@ -20,14 +21,17 @@ PROBES = (
 )
 
 
-def build_pc(shards=None, config=None):
-    """The mini parent/child database the fault suites mutate.
+def build_pc(shards=1, config=None):
+    """The mini parent/child database the fault suites mutate, on one
+    token or a fleet of ``shards``.
 
     ``P`` is the root (it holds the fk), ``C`` the referenced table;
     both carry one hidden column so the no-leak audit is load-bearing.
     """
-    db = GhostDB(config=config, shards=shards,
-                 indexed_columns={"C": ("h",), "P": ("hp",)})
+    indexes = {"C": ("h",), "P": ("hp",)}
+    db = (ShardedGhostDB(shards, config=config, indexed_columns=indexes)
+          if shards > 1 else
+          GhostDB(config=config, indexed_columns=indexes))
     db.execute("CREATE TABLE P (id int, fk int HIDDEN REFERENCES C, "
                "v int, hp float HIDDEN)")
     db.execute("CREATE TABLE C (id int, h int HIDDEN, w int)")

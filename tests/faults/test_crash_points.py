@@ -11,6 +11,8 @@ n).  Every case makes the checks of :func:`check`:
 * ``statistics()``, each shard's generations, file count and mapped
   pages, and a fleet's root maps equal the twin's;
 * secure RAM is all freed, and only safe message kinds left a token;
+* every page the write frontier passed is mapped or counted invalid,
+  so GC can reclaim a page a cut interrupted;
 * the state survives an image round trip: one case per path through
   ``snapshot`` -> ``restore(verify=True)`` on disk, the others through
   the pickled durable form in memory;
@@ -101,6 +103,24 @@ def twin(db):
     return now, view(db)
 
 
+def assert_pages_accounted(ftl):
+    """In every block that is not free, mapped pages plus the pages
+    counted invalid are the pages the write frontier has passed."""
+    ppb = ftl.params.pages_per_block
+    mapped = [0] * ftl.params.n_blocks
+    for ppn in ftl._p2l:
+        mapped[ppn // ppb] += 1
+    free = set(ftl._free_blocks)
+    for block in range(ftl.params.n_blocks):
+        if block in free:
+            continue
+        passed = (ftl._frontier - block * ppb
+                  if block == ftl._active_block else ppb)
+        assert mapped[block] + ftl._invalid_per_block[block] == passed, \
+            f"block {block}: {mapped[block]} mapped + " \
+            f"{ftl._invalid_per_block[block]} invalid != {passed} passed"
+
+
 def check(db, expected, disk=None):
     """The checks every case makes against its twin's views."""
     now, settled = expected
@@ -108,6 +128,7 @@ def check(db, expected, disk=None):
     assert now["rows"] == [rows(db, sql, oracle=True) for sql in PROBES]
     for shard in shards_of(db):
         shard.token.ram.assert_all_freed()
+        assert_pages_accounted(shard.token.ftl)
     assert_no_leak(db)
     if disk is None:
         copy = revive(durable(db))

@@ -130,7 +130,8 @@ def test_recover_on_a_healthy_database_is_a_no_op():
 # idempotency ledger
 # ----------------------------------------------------------------------
 def test_ledger_records_replays_and_evicts_fifo():
-    ledger = IdempotencyLedger(capacity=2)
+    ledger = IdempotencyLedger()
+    ledger.capacity = 2
     assert ledger.seen(None) is None
     ledger.record(None, {"ok": True})          # ignored
     assert len(ledger) == 0

@@ -17,7 +17,9 @@ def make_store(capacity=8):
     params = FlashParams(n_blocks=64)
     ledger = CostLedger()
     ftl = Ftl(NandFlash(params), ledger, params)
-    return FlashStore(ftl, page_cache_capacity=capacity), ledger, params
+    store = FlashStore(ftl)
+    store.page_cache.capacity = capacity
+    return store, ledger, params
 
 
 def test_cache_hit_charges_exactly_like_a_miss():
@@ -118,7 +120,8 @@ def test_free_invalidation_is_targeted_not_a_clear():
 
 
 def test_page_cache_unit_behavior():
-    cache = PageCache(capacity=2)
+    cache = PageCache()
+    cache.capacity = 2
     assert cache.get(1) is None
     cache.put(1, b"one")
     cache.put(2, b"two")

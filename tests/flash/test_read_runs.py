@@ -32,8 +32,8 @@ class Twin:
         params = FlashParams(n_blocks=64)
         self.ledger = CostLedger()
         self.nand = NandFlash(params)
-        self.store = FlashStore(Ftl(self.nand, self.ledger, params),
-                                page_cache_capacity=capacity)
+        self.store = FlashStore(Ftl(self.nand, self.ledger, params))
+        self.store.page_cache.capacity = capacity
         self.file = self.store.create("t")
         for i in range(N_PAGES - 1):
             self.file.append_page(bytes([i]) * (params.page_size - 8 * i))

@@ -9,7 +9,9 @@ from repro.hardware.channel import UsbChannel
 
 def make_channel(mbps=1.0):
     ledger = CostLedger()
-    return UsbChannel(ledger, throughput_mbps=mbps), ledger
+    channel = UsbChannel(ledger)
+    channel.set_throughput(mbps)
+    return channel, ledger
 
 
 def test_inbound_transfer_time():
@@ -67,5 +69,8 @@ def test_negative_size_rejected():
 
 
 def test_zero_throughput_rejected():
-    with pytest.raises(ValueError):
-        make_channel(mbps=0)
+    ch, _ = make_channel(mbps=2.0)
+    for mbps in (0, -1.5):
+        with pytest.raises(ValueError):
+            ch.set_throughput(mbps)
+    assert ch.throughput_mbps == 2.0

@@ -16,9 +16,9 @@ def test_default_token_matches_paper():
 
 def test_custom_config():
     token = SecureToken(TokenConfig(
-        ram_bytes=32768, throughput_mbps=10.0,
-        flash=FlashParams(page_size=1024, n_blocks=64),
+        ram_bytes=32768, flash=FlashParams(page_size=1024, n_blocks=64),
     ))
+    token.set_throughput(10.0)
     assert token.ram.capacity == 32768
     assert token.page_size == 1024
     assert token.channel.throughput_mbps == 10.0

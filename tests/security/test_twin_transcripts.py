@@ -26,6 +26,7 @@ import random
 from repro import GhostDB
 from repro.service.client import AsyncGhostClient
 from repro.service.server import GhostServer
+from repro.shard import ShardedGhostDB
 from repro.workloads.queries import (H_VALUE, query_q,
                                      query_q_with_hidden_projection)
 
@@ -67,7 +68,8 @@ def twin(seed, never_matches=False, shards=1):
     rng = random.Random(seed)
     h2_domain = [v for v in range(10)
                  if not (never_matches and v == H_VALUE)]
-    db = GhostDB(indexed_columns=INDEXES, shards=shards)
+    db = (ShardedGhostDB(shards, indexed_columns=INDEXES) if shards > 1
+          else GhostDB(indexed_columns=INDEXES))
     for ddl in DDL:
         db.execute(ddl)
     db.load("T12", [(i * 37 % 1000, i * 11 % 50, rng.randrange(10),

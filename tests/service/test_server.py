@@ -158,13 +158,11 @@ def test_error_responses_keep_connection_alive(db):
     ({"op": "prepare", "sql": 5}, "sql"),
     ({"op": "compact", "table": "T0", "max_steps": "x"}, "max_steps"),
     ({"op": "compact", "table": "T0", "max_steps": True}, "max_steps"),
-    ({"op": "compact", "table": "T0", "pages_per_step": 1.5},
-     "pages_per_step"),
     ({"op": "compact", "table": "T0", "max_steps": 0}, "max_steps"),
     ({"op": "compact", "table": ["T0"]}, "table"),
     ({"op": "snapshot", "path": 5}, "path"),
 ], ids=["sql-null", "sql-missing", "params-int", "prepare-sql-int",
-        "max-steps-str", "max-steps-bool", "pages-float", "max-steps-0",
+        "max-steps-str", "max-steps-bool", "max-steps-0",
         "table-list", "path-int"])
 def test_a_malformed_request_is_an_error_naming_its_field(db, request_,
                                                           field):

@@ -2,7 +2,7 @@
 
 The twin-replay oracle of ``test_concurrency_property`` re-run against
 a 2-shard fleet: N pipelining clients drive a mixed workload into a
-``GhostServer`` wrapping ``GhostDB(shards=2)``, and every write is
+``GhostServer`` wrapping ``ShardedGhostDB(2)``, and every write is
 replayed in ``writer_seq`` order on an identically built twin fleet.
 The fleet-specific assertions on top of the single-token oracle:
 

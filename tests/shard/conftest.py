@@ -1,9 +1,5 @@
-"""Shared fixtures for the shard differential suite.
-
-``GHOSTDB_SHARDS`` (comma-separated shard counts, e.g. ``1,4``)
-overrides the default grid -- CI's shard-smoke matrix uses this to run
-the same suite once per fleet size.
-"""
+"""Shared fixtures for the shard differential suite: one fleet per
+size in ``SHARD_COUNTS``, each compared with a single-token twin."""
 
 import pytest
 

@@ -1,19 +1,9 @@
 """Shared constants for the shard suite (uniquely named: test files
 across directories share one flat import namespace under pytest)."""
 
-import os
-
 #: one scale for the whole suite: large enough that every shard of a
 #: 5-way fleet holds root rows, small enough to stay fast
 SCALE = 0.001
 
-
-def shard_counts(default=(1, 2, 3, 5)):
-    """The shard-count grid; ``GHOSTDB_SHARDS=1,4`` overrides it."""
-    env = os.environ.get("GHOSTDB_SHARDS")
-    if not env:
-        return tuple(default)
-    return tuple(int(tok) for tok in env.split(",") if tok.strip())
-
-
-SHARD_COUNTS = shard_counts()
+#: every fleet size the suite builds (1 is the plain single token)
+SHARD_COUNTS = (1, 2, 3, 4, 5)

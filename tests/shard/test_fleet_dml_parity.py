@@ -12,13 +12,14 @@ import pytest
 
 from repro import GhostDB
 from repro.errors import GhostDBError
+from repro.shard import ShardedGhostDB
 
 N_SHARDS = 3
 
 
 def build_fleet():
-    fleet = GhostDB(shards=N_SHARDS,
-                    indexed_columns={"C": ("h",), "P": ("hp",)})
+    fleet = ShardedGhostDB(N_SHARDS,
+                           indexed_columns={"C": ("h",), "P": ("hp",)})
     fleet.execute("CREATE TABLE P (id int, fk int HIDDEN REFERENCES C, "
                   "v int, hp int HIDDEN)")
     fleet.execute("CREATE TABLE C (id int, fk int HIDDEN REFERENCES L, "

@@ -1,18 +1,18 @@
 """Fleet smoke for the maintenance surface no other suite drives:
 ``analyze()``, ``compaction_status()`` and ``set_throughput()`` on a
-``GhostDB(shards=N)``."""
+``ShardedGhostDB(N)``."""
 
 import math
 
 import pytest
 
-from repro import GhostDB
 from repro.errors import CompactionError
+from repro.shard import ShardedGhostDB
 from repro.workloads.synthetic import SyntheticConfig, build_synthetic
 
 
 def build_fleet(shards=2):
-    db = GhostDB(shards=shards)
+    db = ShardedGhostDB(shards)
     db.execute("CREATE TABLE P (id int, fk int HIDDEN REFERENCES C, "
                "v int, h int HIDDEN)")
     db.execute("CREATE TABLE C (id int, v int, h int HIDDEN)")
@@ -72,6 +72,15 @@ def test_set_throughput_reprices_every_shard_channel():
                for s, f in zip(slow.shard_stats, fast.shard_stats))
 
 
+@pytest.mark.parametrize("mbps", [0, -1.5])
+def test_set_throughput_refuses_a_throughput_that_is_not_positive(mbps):
+    fleet = build_fleet()
+    with pytest.raises(ValueError):
+        fleet.set_throughput(mbps)
+    assert [s.token.channel.throughput_mbps for s in fleet.shards] == \
+        [1.5, 1.5]
+
+
 def test_compaction_status_combines_the_partitioned_root():
     """The root's debt lives on whichever shard homes the row: the
     fleet view sums it (shard 0 alone used to answer, reporting a root
@@ -98,7 +107,7 @@ def test_gather_estimate_under_a_forced_strategy_is_not_the_table():
     """A forced ``vis_strategy`` leaves the plan without a cost report;
     the gather line is priced from the cost model's cardinality
     estimate all the same, not from every live row."""
-    fleet = GhostDB(shards=2)
+    fleet = ShardedGhostDB(2)
     fleet.execute("CREATE TABLE P (id int, v int, h int HIDDEN)")
     fleet.load("P", [(i % 100, i % 4) for i in range(2000)])
     fleet.build()

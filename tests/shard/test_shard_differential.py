@@ -2,9 +2,9 @@
 token, row for row.
 
 Every test drives an identically built single-token oracle and a
-hash-partitioned fleet (1/2/3/5 shards -- override with
-``GHOSTDB_SHARDS``) with the same statements and asserts byte-identical
-results: same columns, same rows, same row *order*.  The grids cover
+hash-partitioned fleet (1/2/3/4/5 shards, ``SHARD_COUNTS``) with the
+same statements and asserts byte-identical results: same columns,
+same rows, same row *order*.  The grids cover
 
 * every fig10/fig12 strategy combination (the four Vis strategies x
   Cross on/off) and every projection mode on the paper's Query Q,
