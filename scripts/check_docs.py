@@ -19,9 +19,9 @@ Ten checks, all simple on purpose:
 * no module under ``src/repro`` may read or assign a ``_private``
   attribute that another module defines, on anything but ``self`` /
   ``cls``.  The ownership unit is the module: a class may touch the
-  privates of classes defined in its own file (a ``from_meta``
-  filling in the object it builds, an allocation reporting to its
-  allocator), never another file's -- what a structure offers its
+  privates of classes defined in its own file (a store walking its
+  files' page lists, an allocation reporting to its allocator), never
+  another file's -- what a structure offers its
   callers is written down in its own class as public names;
 * inside ``src/repro`` only the predicate module, the SQL lexer and
   parser, and the test oracle may compare anything with the operator

@@ -38,7 +38,6 @@ from repro.flash.constants import ID_SIZE
 from repro.flash.store import FlashFile
 from repro.predicate import Predicate
 from repro.schema.model import Column, Schema, Table
-from repro.storage.codec import ColumnType, IntType, RowCodec
 from repro.storage.heap import HeapFile, append_fixed_record
 
 
@@ -87,77 +86,6 @@ class SecureCatalog:
         # generations as of the build or the last compaction; the next
         # compaction compares against them to find what was mutated since
         self.built_generations: Dict[str, int] = dict(self.data_generations)
-
-    # ------------------------------------------------------------------
-    # durable form
-    # ------------------------------------------------------------------
-    def to_meta(self) -> Dict[str, Any]:
-        """Durable form of everything the catalog tracks.
-
-        Flash-resident structures go as file name plus header (row ``i``
-        of an image heap or an SKT is tuple ``i``: the table's row count
-        is theirs too; tombstone logs are found by name), in-RAM state
-        as is -- except that tombstone sets are sorted and indexes
-        listed in key order, so image bytes depend on the statements
-        executed, never on hash seeds or insertion history.
-        """
-        return {
-            "images": {
-                name: (img.n_rows, [c.name for c in img.hidden_columns],
-                       img.heap.file.name if img.heap else None)
-                for name, img in self.images.items()
-            },
-            "skts": {owner: (skt.columns, skt.heap.file.name)
-                     for owner, skt in self.skts.items()},
-            "attr_indexes": [(key, ci.to_meta()) for key, ci
-                             in sorted(self.attr_indexes.items())],
-            "id_indexes": [(table, ci.to_meta()) for table, ci
-                           in sorted(self.id_indexes.items())],
-            "raw_rows": self.raw_rows,
-            "tombstones": {t: sorted(s)
-                           for t, s in self.tombstones.items()},
-            "fk_deltas": self.fk_deltas,
-            "generations": (self.data_generations, self.stats_generations,
-                            self.built_generations),
-            "stats": self.stats,
-        }
-
-    def from_meta(self, meta: Dict[str, Any]) -> None:
-        """Adopt :meth:`to_meta` output over this catalog's schema and
-        token (whose flash store already holds the files)."""
-        store = self.token.store
-
-        def heap(file_name: str, types: List[ColumnType],
-                 n_rows: int) -> HeapFile:
-            opened = HeapFile(store.get(file_name), RowCodec(types),
-                              self.token.page_size)
-            opened.n_rows = n_rows
-            return opened
-
-        for name, (n_rows, hidden, heap_file) in meta["images"].items():
-            table = self.schema.table(name)
-            columns = [table.column(c) for c in hidden]
-            self.images[name] = TableImage(
-                table, n_rows, columns,
-                heap(heap_file, [c.type for c in columns], n_rows)
-                if heap_file else None)
-        for owner, (columns, heap_file) in meta["skts"].items():
-            self.skts[owner] = SubtreeKeyTable(
-                owner, columns, heap(heap_file, [IntType(4)] * len(columns),
-                                     self.images[owner].n_rows))
-        for key, index_meta in meta["attr_indexes"]:
-            self.attr_indexes[key] = ClimbingIndex.from_meta(store,
-                                                             index_meta)
-        for table, index_meta in meta["id_indexes"]:
-            self.id_indexes[table] = ClimbingIndex.from_meta(store,
-                                                             index_meta)
-        self.raw_rows = meta["raw_rows"]
-        self.tombstones = {t: set(ids)
-                           for t, ids in meta["tombstones"].items()}
-        self.fk_deltas = meta["fk_deltas"]
-        (self.data_generations, self.stats_generations,
-         self.built_generations) = meta["generations"]
-        self.stats = meta["stats"]
 
     # ------------------------------------------------------------------
     # savepoints (statement rollback)

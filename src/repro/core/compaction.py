@@ -598,8 +598,9 @@ def check_max_steps(max_steps: Optional[int]) -> None:
 class CompactionManager:
     """Owns at most one in-flight :class:`CompactionJob` per table.
 
-    Created per catalog wiring; a full re-provision drops it (and any
-    half-done shadows) together with the token image it indexed.
+    Created by ``build()``; an image carries its shadow-tag sequence,
+    so compaction after a restore never reuses a ``~cN`` tag already
+    live in the store (snapshots wait for :meth:`in_flight` to empty).
     """
 
     def __init__(self, db: "GhostDB"):
@@ -669,15 +670,6 @@ class CompactionManager:
         """Tables with a started, unfinished job (sorted).  A restored
         image could not resume one: snapshots wait for this to be empty."""
         return sorted(self._jobs)
-
-    def to_meta(self) -> int:
-        """Durable form: the shadow-tag sequence, so compaction after a
-        restore never reuses a ``~cN`` tag already live in the store."""
-        return self._seq
-
-    def from_meta(self, meta: int) -> None:
-        """Adopt :meth:`to_meta` output."""
-        self._seq = meta
 
     def job_phase(self, table: str) -> Optional[str]:
         job = self._jobs.get(table)

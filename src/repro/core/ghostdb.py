@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import dataclasses
 from contextlib import contextmanager
-from typing import (Dict, Iterator, List, Optional, Sequence, Tuple,
+from typing import (Any, Dict, Iterator, List, Optional, Sequence, Tuple,
                     Union)
 
 from repro.core.aggregate import apply_aggregates, effective_projections
@@ -75,8 +75,7 @@ from repro.core.reference import ReferenceEngine
 from repro.core.session import BatchResult, PreparedStatement, Session
 from repro.core.sort import (OrderByExecutor, dedup_rows, sort_projections,
                              strip_internal_columns)
-from repro.errors import (BindError, GhostDBError, ImageError, PowerLoss,
-                          SchemaError)
+from repro.errors import (BindError, GhostDBError, PowerLoss, SchemaError)
 from repro.hardware.token import SecureToken, TokenConfig
 from repro.schema.ddl import table_from_ast
 from repro.schema.model import Schema, Table
@@ -86,6 +85,10 @@ from repro.sql.lexer import leading_keyword
 from repro.sql.parser import parse
 from repro.untrusted.engine import UntrustedEngine
 from repro.untrusted.server import VisServer
+
+#: what a GhostDB image leaves out (see GhostDB.__getstate__)
+_REWIRED = frozenset({"_default_session", "_loader", "_journal", "binder",
+                      "vis_server", "planner", "_reference", "_dml"})
 
 
 class StatementFrontEnd:
@@ -394,10 +397,11 @@ class GhostDB(StatementFrontEnd):
             raise SchemaError("database already built")
         self.catalog = self._loader.build()
         self._wire_engines()
+        self._compactor = CompactionManager(self)
         self.token.reset_costs()
 
     def _wire_engines(self) -> None:
-        """(Re)create the engines that live on top of one catalog."""
+        """Create the engines that live on top of the catalog."""
         self.vis_server = VisServer(self.untrusted, self.token)
         self.planner = Planner(self.catalog)
         self._reference = ReferenceEngine(self.schema,
@@ -405,9 +409,6 @@ class GhostDB(StatementFrontEnd):
                                           self.catalog.tombstones)
         self._dml = DmlExecutor(self.schema, self.token, self.catalog,
                                 self.vis_server, self.planner)
-        # fresh manager per catalog: any half-done compaction of a
-        # previous catalog died with that catalog's token image
-        self._compactor = CompactionManager(self)
 
     # ------------------------------------------------------------------
     # querying
@@ -636,7 +637,7 @@ class GhostDB(StatementFrontEnd):
         }
 
     # ------------------------------------------------------------------
-    # durable token image
+    # durable image
     # ------------------------------------------------------------------
     def snapshot(self, path: str) -> Dict[str, int]:
         """Write the database to a durable image file at ``path``.
@@ -651,11 +652,14 @@ class GhostDB(StatementFrontEnd):
         (:class:`~repro.errors.PersistError`).  Returns a size summary.
         """
         from repro.persist.image import snapshot_db
-        return snapshot_db(self, path)
+        return snapshot_db(self, [self], path)
 
     @classmethod
-    def restore(cls, path: str, verify: bool = False) -> "GhostDB":
-        """Load a database from a :meth:`snapshot` image.
+    def restore(cls, path: str, verify: bool = False):
+        """Load the database a :meth:`snapshot` image holds -- a
+        ``GhostDB``, or the :class:`~repro.shard.fleet.ShardedGhostDB`
+        a fleet's ``snapshot`` wrote: one entry point for both
+        deployment shapes.
 
         Restore cost is O(metadata): page payloads stay in the
         ``mmap``-ed image until first read.  The restored database is
@@ -665,63 +669,31 @@ class GhostDB(StatementFrontEnd):
         (touches the whole file).  Raises
         :class:`~repro.errors.ImageError` on torn, truncated or
         corrupt images.
-
-        The file is read once; its metadata says what ``kind`` of image
-        it is.  A fleet manifest (written by
-        ``ShardedGhostDB.snapshot``) restores to a
-        :class:`~repro.shard.fleet.ShardedGhostDB` -- one entry point
-        for both deployment shapes.
         """
         from repro.persist.image import read_image
-        meta, blob = read_image(path, verify)
-        kind = meta.get("kind")
-        if kind == "fleet":
-            from repro.shard.persist import restore_fleet
-            return restore_fleet(path, meta, verify)
-        if kind != "token":
-            raise ImageError(f"image {path!r} is of unknown kind {kind!r}")
-        return cls.from_meta(meta, blob)
+        return read_image(path, verify)
 
     def compactions_in_flight(self) -> List[str]:
         """Tables with a started, unfinished compaction job (sorted);
         :meth:`snapshot` refuses until there is none."""
         return self._compactor.in_flight() if self._built else []
 
-    def to_meta(self) -> Tuple[Dict, bytes]:
-        """Durable form of the database, as ``(meta, blob)``: each
-        layer's own ``to_meta`` under its name, the token's page
-        payloads as the blob.  The engines wired over the catalog
-        (planner, DML, Vis server, oracle) hold no state of their own
-        and sessions belong to their clients."""
-        token_meta, blob = self.token.to_meta()
-        meta = {
-            "token": token_meta,
-            "schema": self.schema,
-            "indexed_columns": self._indexed_columns,
-            "untrusted": self.untrusted.to_meta(),
-            "catalog": self.catalog.to_meta(),
-            "compactor": self._compactor.to_meta(),
-            "ikeys": self.ikeys.to_meta(),
-        }
-        return meta, blob
+    def __getstate__(self) -> Dict[str, Any]:
+        """The image form: token, schema, ``indexed_columns``, Untrusted,
+        catalog, compaction manager and idempotency ledger.  Sessions
+        belong to their clients, the loader to the build, the last
+        journal to its statement, and the engines wired over the
+        catalog (binder, Vis server, planner, DML, oracle) hold no
+        state of their own: :meth:`__setstate__` re-wires them."""
+        return {name: value for name, value in self.__dict__.items()
+                if name not in _REWIRED}
 
-    @classmethod
-    def from_meta(cls, meta: Dict, blob) -> "GhostDB":
-        """A built database from :meth:`to_meta` output; ``blob`` backs
-        the token's flash pages lazily."""
-        db = cls(config=meta["token"]["config"],
-                 indexed_columns=meta["indexed_columns"])
-        db.token.from_meta(meta["token"], blob)
-        db.schema = meta["schema"]
-        db.binder = Binder(db.schema)
-        db.untrusted = UntrustedEngine.from_meta(db.schema,
-                                                 meta["untrusted"])
-        db.catalog = SecureCatalog(db.schema, db.token)
-        db.catalog.from_meta(meta["catalog"])
-        db._wire_engines()
-        db._compactor.from_meta(meta["compactor"])
-        db.ikeys = IdempotencyLedger.from_meta(meta["ikeys"])
-        return db
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)   # as __init__ does (image.py)
+        self._default_session = self._loader = self._journal = None
+        self.binder = Binder(self.schema)
+        self._wire_engines()
 
     # ------------------------------------------------------------------
     # crash recovery

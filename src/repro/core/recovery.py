@@ -75,19 +75,6 @@ class IdempotencyLedger:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def to_meta(self) -> List[List[Any]]:
-        """JSON-able form for the durable image."""
-        return [[k, v] for k, v in self._entries.items()]
-
-    @classmethod
-    def from_meta(cls, entries: Optional[List[List[Any]]]
-                  ) -> "IdempotencyLedger":
-        """Rebuild from :meth:`to_meta` output (None -> empty)."""
-        ledger = cls()
-        for key, response in entries or []:
-            ledger.record(key, response)
-        return ledger
-
 
 @dataclass
 class RecoveryReport:

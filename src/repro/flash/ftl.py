@@ -18,8 +18,7 @@ block.
 
 from __future__ import annotations
 
-from array import array
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.errors import BadAddressError, OutOfSpaceError
 from repro.flash.constants import (ERASE_PRICE, READ_PRICE, WRITE_PRICE,
@@ -54,46 +53,27 @@ class Ftl:
         self.gc_runs = 0
         self.gc_pages_moved = 0
 
-    # ------------------------------------------------------------------
-    # durable form
-    # ------------------------------------------------------------------
-    #: allocator, write-frontier and GC state: scalars / int vectors
-    _DURABLE_SCALARS = ("_active_block", "_frontier", "_next_lpn",
-                        "gc_runs", "gc_pages_moved")
-    _DURABLE_VECTORS = ("_invalid_per_block", "_free_blocks", "_free_lpns")
+    def __getstate__(self) -> Dict[str, Any]:
+        """The image form: every field but the physical->logical map
+        (the inverse), with the logical->physical map cut at the
+        allocation frontier -- every lpn past ``_next_lpn`` was never
+        allocated and is unmapped, so the big vector of a mostly-empty
+        device stays tiny."""
+        state = self.__dict__.copy()
+        del state["_p2l"]
+        state["_l2p"] = self._l2p[:self._next_lpn]
+        return state
 
-    def to_meta(self) -> Tuple[Dict[str, Any], bytes]:
-        """Durable form of the mapping and of the array below it, as
-        ``(meta, blob)``: the logical->physical map, the fields named
-        above, and :meth:`NandFlash.to_meta` over exactly the mapped
-        pages (ascending ``ppn``).
-
-        Every lpn at or past ``_next_lpn`` was never allocated and is
-        unmapped, so only the allocated prefix of the map is stored --
-        the big vector of a mostly-empty device stays tiny.  The
-        physical->logical map is the inverse and is not stored.
-        """
-        nand_meta, blob = self.nand.to_meta(sorted(self._p2l))
-        meta = {"nand": nand_meta,
-                "l2p": array("q", self._l2p[:self._next_lpn]).tobytes()}
-        for name in self._DURABLE_SCALARS:
-            meta[name] = getattr(self, name)
-        for name in self._DURABLE_VECTORS:
-            meta[name] = array("q", getattr(self, name)).tobytes()
-        return meta, blob
-
-    def from_meta(self, meta: Dict[str, Any], blob) -> None:
-        """Adopt :meth:`to_meta` output (``blob`` backs the NAND lazily):
-        same mapping, same free lists, same future GC behaviour."""
-        self.nand.from_meta(meta["nand"], blob)
-        prefix = array("q", meta["l2p"]).tolist()
-        self._l2p = prefix + [_UNMAPPED] * (self.nand.n_pages - len(prefix))
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        """Adopt :meth:`__getstate__` output: same mapping, same free
+        lists, same future GC behaviour."""
+        for name, value in state.items():
+            setattr(self, name, value)   # as __init__ does (image.py)
+        prefix = self._l2p
+        n_logical = self.params.n_blocks * self.params.pages_per_block
+        self._l2p = prefix + [_UNMAPPED] * (n_logical - len(prefix))
         self._p2l = {ppn: lpn for lpn, ppn in enumerate(prefix)
                      if ppn != _UNMAPPED}
-        for name in self._DURABLE_SCALARS:
-            setattr(self, name, meta[name])
-        for name in self._DURABLE_VECTORS:
-            setattr(self, name, array("q", meta[name]).tolist())
 
     # ------------------------------------------------------------------
     # logical page allocation
@@ -218,12 +198,13 @@ class Ftl:
 
     def _program(self, ppn: int, data: bytes) -> None:
         """Program a page the frontier just passed.  A program that
-        raises (a power cut) leaves it unmapped, so it is counted
-        invalid at once: GC sees it and reclaims its block."""
+        raises (a power cut) leaves it unmapped, so it is invalidated
+        at once: GC sees it and reclaims its block, and no image holds
+        the torn payload."""
         try:
             self.nand.program_page(ppn, data)
         except Exception:
-            self._invalid_per_block[self.nand.block_of(ppn)] += 1
+            self._invalidate(ppn)
             raise
 
     def _frontier_full(self) -> bool:
@@ -285,12 +266,11 @@ class Ftl:
                 dest = self._claim_physical_page()
                 self._program(dest, data)
                 self.ledger.charge(GC_WRITE, WRITE_PRICE, 1, len(data))
-                self._p2l.pop(ppn)
-                self._p2l[dest] = lpn
-                self._l2p[lpn] = dest
                 # the source is garbage now: counted, in case a cut
                 # stops this run before the erase below
-                self._invalid_per_block[victim] += 1
+                self._invalidate(ppn)
+                self._p2l[dest] = lpn
+                self._l2p[lpn] = dest
                 self.gc_pages_moved += 1
             self._invalid_per_block[victim] = 0
             self.nand.erase_block(victim)

@@ -25,12 +25,12 @@ a persistent mismatch surfaces as :class:`~repro.errors.FlashCorruption`.
 
 from __future__ import annotations
 
+import pickle
 import zlib
-from array import array
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
-from repro.errors import (BadAddressError, FlashCorruption, ImageError,
-                          PowerLoss, ProgramError)
+from repro.errors import (BadAddressError, FlashCorruption, PowerLoss,
+                          ProgramError)
 from repro.flash.constants import FlashParams
 
 #: page states
@@ -67,59 +67,40 @@ class NandFlash:
         #: reads healed by the internal retry loop (visible to tests)
         self.read_retries = 0
 
-    def to_meta(self, ppns: Iterable[int]) -> Tuple[Dict[str, bytes], bytes]:
-        """Durable form of the array, as ``(meta, blob)``: every page's
-        ERASED/PROGRAMMED state, the wear counters, and for the pages
-        ``ppns`` -- the ones their owner, the FTL, still maps -- a
-        directory of flattened ``(ppn, offset, length, crc)`` quadruples
-        into ``blob``, their payloads back to back.
+    def __getstate__(self) -> Dict[str, Any]:
+        """The image form: page states and wear counters as they are,
+        and the pages with a payload -- the FTL keeps those to exactly
+        the pages it maps -- as a lazy backing: their payloads back to
+        back in one out-of-band :class:`pickle.PickleBuffer`, with each
+        page's ``(offset, length)`` and spare CRC.
 
-        Invalid pages keep their state but drop payload and CRC: no
-        read path reaches them before their block is erased, and a
+        Invalid pages keep their state but not payload or CRC: no read
+        path reaches them before their block is erased, and a
         host-visible image must not hold what was logically deleted.
         Fault hook, power latch and ``read_retries`` belong to the
         running device, not to its content.
+
+        Restored, a backed page behaves exactly like a programmed one:
+        its bytes are copied out of the buffer (typically a
+        ``memoryview`` over an ``mmap`` of the image) on its first
+        :meth:`read_page`, an :meth:`erase_block` drops the backing
+        entry, and its spare CRC came back with it, so torn writes that
+        predate the snapshot are still detected.
         """
-        pages = array("q")
-        parts = []
+        spare = dict(sorted(self._spare.items()))
+        backing, parts = {}, []
         offset = 0
-        for ppn in ppns:
+        for ppn in spare:
             # the verified physical accessor: falls through to the lazy
             # backing, so re-snapshotting a restored array works
             payload = self.read_page(ppn)
-            pages.extend((ppn, offset, len(payload), self._spare[ppn]))
+            backing[ppn] = (offset, len(payload))
             parts.append(payload)
             offset += len(payload)
-        meta = {
-            "state": bytes(self._state),
-            "erase_counts": array("q", self.erase_counts).tobytes(),
-            "pages": pages.tobytes(),
-        }
-        return meta, b"".join(parts)
-
-    def from_meta(self, meta: Dict[str, bytes], blob) -> None:
-        """Adopt :meth:`to_meta` output; payloads stay in ``blob``
-        (typically a ``memoryview`` over an ``mmap`` of the image).
-
-        A backed page behaves exactly like a programmed one: its bytes
-        are copied into the in-memory array on first :meth:`read_page`,
-        an :meth:`erase_block` drops the backing entry, and its spare
-        CRC came back with the directory, so torn writes that predate
-        the snapshot are still detected.
-        """
-        if len(meta["state"]) != self.n_pages:
-            raise ImageError(
-                f"image flash geometry ({len(meta['state'])} pages) does "
-                f"not match its own config ({self.n_pages} pages)"
-            )
-        self._state = bytearray(meta["state"])
-        self.erase_counts = array("q", meta["erase_counts"]).tolist()
-        pages = array("q", meta["pages"])
-        self._data = {}
-        self._backing_buf = blob
-        ppns = pages[0::4]
-        self._backing = dict(zip(ppns, zip(pages[1::4], pages[2::4])))
-        self._spare = dict(zip(ppns, pages[3::4]))
+        return {**self.__dict__, "_data": {}, "_spare": spare,
+                "_backing": backing,
+                "_backing_buf": pickle.PickleBuffer(b"".join(parts)),
+                "fault_hook": None, "failed": False, "read_retries": 0}
 
     def power_on(self) -> None:
         """Clear the power-loss latch; the array accepts I/O again."""
@@ -210,7 +191,7 @@ class NandFlash:
 
     def image_backed_pages(self) -> int:
         """Pages whose payload still lives only in the restored image
-        (never read since :meth:`from_meta`, so never copied out)."""
+        (never read since the restore, so never copied out)."""
         return len(self._backing)
 
     def discard_page(self, ppn: int) -> None:

@@ -196,14 +196,3 @@ class CostLedger:
         """Zero every count (the label stack is preserved)."""
         self._cells.clear()
         self._events.clear()
-
-    def to_meta(self) -> LedgerSnapshot:
-        """Durable form: the counts (the label stack is a statement's)."""
-        return self.snapshot()
-
-    def from_meta(self, meta: LedgerSnapshot) -> None:
-        """Adopt :meth:`to_meta` output as this ledger's counts."""
-        self.reset()
-        for key, cell in meta.cells.items():
-            self._cells[key] = list(cell)
-        self._events.update(meta.events)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import BadAddressError, StorageError
 from repro.flash.ftl import Ftl
@@ -84,18 +84,6 @@ class FlashFile:
         self._lpns = lpns
         self._page_fill = page_fill  # bytes stored per page
         self.closed = False
-
-    def to_meta(self) -> Tuple[str, List[int], List[int]]:
-        """Durable form: name, logical pages in order, bytes per page
-        (the lists are not copied)."""
-        return self.name, self._lpns, self._page_fill
-
-    @classmethod
-    def from_meta(cls, store: "FlashStore",
-                  meta: Tuple[str, List[int], List[int]]) -> "FlashFile":
-        """An open file of ``store`` over :meth:`to_meta` output,
-        adopted as is."""
-        return cls(store, *meta)
 
     # ------------------------------------------------------------------
     @property
@@ -309,18 +297,11 @@ class FlashStore:
         """Drop ``name`` from the directory (its file freed itself)."""
         self._files.pop(name, None)
 
-    def to_meta(self) -> Dict[str, Any]:
-        """Durable form: the file directory (creation order) and the
+    def __getstate__(self) -> Dict[str, Any]:
+        """The image form: the file directory (creation order) and the
         temp-name counter.  The page cache is host-side only and the
         armed journal belongs to a statement; neither is kept."""
-        return {"files": [f.to_meta() for f in self._files.values()],
-                "next_temp": self._next_temp}
-
-    def from_meta(self, meta: Dict[str, Any]) -> None:
-        """Adopt :meth:`to_meta` output over this store's FTL."""
-        self._files = {f.name: f for f in
-                       (FlashFile.from_meta(self, m) for m in meta["files"])}
-        self._next_temp = meta["next_temp"]
+        return {**self.__dict__, "page_cache": PageCache(), "journal": None}
 
     # ------------------------------------------------------------------
     @property

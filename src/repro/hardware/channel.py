@@ -20,7 +20,7 @@ downloads from Untrusted consume no secure RAM (paper section 3.4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List
 
 from repro.errors import LeakError
 from repro.flash.stats import COMM, CostLedger
@@ -109,14 +109,6 @@ class UsbChannel:
     def reset_counters(self) -> None:
         """Zero the byte and message counters; the audit log stays."""
         self.stats = ChannelStats(outbound_log=self.stats.outbound_log)
-
-    def to_meta(self) -> Tuple[float, ChannelStats]:
-        """Durable form: throughput, counters and the audit log."""
-        return self.throughput_mbps, self.stats
-
-    def from_meta(self, meta: Tuple[float, ChannelStats]) -> None:
-        """Adopt :meth:`to_meta` output."""
-        self.throughput_mbps, self.stats = meta
 
     def audit_outbound(self) -> List[OutboundMessage]:
         """Everything that ever left the Secure token, for leak checks."""

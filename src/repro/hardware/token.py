@@ -9,7 +9,6 @@ off one object.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Tuple
 
 from repro.flash.constants import ID_SIZE, RAM_SIZE, FlashParams
 from repro.flash.ftl import Ftl
@@ -70,28 +69,3 @@ class SecureToken:
         """Zero the cost counts (storage content is preserved)."""
         self.ledger.reset()
         self.channel.reset_counters()
-
-    # ------------------------------------------------------------------
-    # durable form
-    # ------------------------------------------------------------------
-    def to_meta(self) -> Tuple[Dict[str, Any], bytes]:
-        """Durable form of the whole key, as ``(meta, blob)``: each
-        layer's own ``to_meta`` under its name, plus the page payloads.
-        Secure RAM is volatile and holds nothing between statements."""
-        ftl_meta, blob = self.ftl.to_meta()
-        meta = {
-            "config": self.config,
-            "ledger": self.ledger.to_meta(),
-            "channel": self.channel.to_meta(),
-            "ftl": ftl_meta,
-            "store": self.store.to_meta(),
-        }
-        return meta, blob
-
-    def from_meta(self, meta: Dict[str, Any], blob) -> None:
-        """Adopt :meth:`to_meta` output on a token built from the same
-        ``config``; ``blob`` backs the NAND pages lazily."""
-        self.ledger.from_meta(meta["ledger"])
-        self.channel.from_meta(meta["channel"])
-        self.ftl.from_meta(meta["ftl"], blob)
-        self.store.from_meta(meta["store"])

@@ -14,7 +14,8 @@ modified: appended keys go to the climbing index's delta log.
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from repro.errors import IndexError_
 from repro.flash.store import FlashFile, FlashStore
@@ -258,17 +259,10 @@ class BPlusTree:
             self._free_buffers(bufs)
 
     # ------------------------------------------------------------------
-    def to_meta(self) -> Tuple:
-        """Durable form: the node file's name and the tree header (the
-        parsed-node memo is a host-side cache and is not kept)."""
-        return (self.file.name, self.key_width, self.payload_width,
-                self.page_size, self.root_page, self.height,
-                self.n_entries, self.n_leaves)
-
-    @classmethod
-    def from_meta(cls, store: FlashStore, meta: Tuple) -> "BPlusTree":
-        """The tree over ``store``'s node file, from :meth:`to_meta`."""
-        return cls(store.get(meta[0]), *meta[1:])
+    def __getstate__(self) -> Dict[str, Any]:
+        """The image form: the node file and the tree header; the
+        parsed-node memo is a host-side cache and is not kept."""
+        return {**self.__dict__, "_node_cache": {}}
 
     def free(self) -> None:
         self.file.free()

@@ -29,7 +29,7 @@ from __future__ import annotations
 import struct
 from itertools import chain, groupby
 from operator import itemgetter
-from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
                     Set, Tuple)
 
 from repro.errors import IndexError_
@@ -132,34 +132,8 @@ class ClimbingIndex:
         return cls(name, levels, key_codec, btree, run_files, store)
 
     # ------------------------------------------------------------------
-    # durable form, savepoints
+    # savepoints
     # ------------------------------------------------------------------
-    def to_meta(self) -> Dict[str, Any]:
-        """Durable form: identity, the tree header, the run files'
-        names and the delta log's logical entries (not copied).  The
-        delta file is found by name and the delta Bloom filter is
-        recomputed from the entries, so neither is stored."""
-        return {
-            "name": self.name,
-            "levels": self.levels,
-            "column_type": self.key_codec.column_type,
-            "btree": self.btree.to_meta(),
-            "runs": {level: f.name for level, f in self._runs.items()},
-            "delta": self._delta,
-        }
-
-    @classmethod
-    def from_meta(cls, store: FlashStore,
-                  meta: Dict[str, Any]) -> "ClimbingIndex":
-        """The index over ``store``'s files, from :meth:`to_meta`."""
-        ci = cls(meta["name"], meta["levels"],
-                 KeyCodec(meta["column_type"]),
-                 BPlusTree.from_meta(store, meta["btree"]),
-                 {level: store.get(name)
-                  for level, name in meta["runs"].items()}, store)
-        ci._replay_delta(meta["delta"])
-        return ci
-
     def _replay_delta(self, entries: Sequence[Tuple[bytes, int]]) -> None:
         """Make ``entries`` the delta log's in-RAM state.  Replaying the
         appends through :meth:`_bloom_add` reproduces the delta-key

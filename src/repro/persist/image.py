@@ -7,31 +7,33 @@ File layout::
     |   magic "GHOSTIMG" | version | meta_len | blob_len |         |
     |   total_size | sha256(meta) | sha256(blob)                   |
     +--------------------------------------------------------------+
-    | meta: a pickled, compressed dict; meta["kind"] says what the |
-    |   image holds ("token": one database; "fleet": a manifest)   |
+    | meta: zlib of the out-of-band buffer count and lengths       |
+    |   (!I, then !Q each) followed by the pickled database        |
     +--------------------------------------------------------------+
-    | blob: raw bytes the meta points into (a token's page         |
-    |   payloads; empty for a fleet manifest)                      |
+    | blob: the out-of-band buffers back to back (one per token:   |
+    |   the payloads of its mapped flash pages)                    |
     +--------------------------------------------------------------+
 
 :func:`write_image` and :func:`read_image` are the only writer and the
 only reader of that container.  Writing is atomic (temp file, fsync,
 rename over the target): a crash mid-snapshot leaves either the previous
-image or none, never a torn one.  Reading validates the header, the file size
-and the metadata checksum eagerly (O(metadata)) and hands the blob back
-as a ``memoryview`` over an ``mmap``; its checksum is verified only
-under ``verify=True`` (it would touch every byte of the image) -- or
-when the blob is empty, where checking costs nothing.  Checksums detect
-corruption, they do not authenticate: restore unpickles, so only load
-images this program wrote.
+image or none, never a torn one -- a fleet too, since it is one file.
+Reading validates the header, the file size and the metadata checksum
+eagerly (O(metadata)) and hands the unpickler the blob's buffers as
+``memoryview`` slices of an ``mmap``; the blob checksum is verified
+only under ``verify=True`` (it would touch every byte of the image) --
+or when the blob is empty, where checking costs nothing.  Checksums
+detect corruption, they do not authenticate: restore unpickles, so only
+load images this program wrote.
 
-What goes *into* an image is not decided here: every layer exports and
-imports its own durable form (``to_meta`` / ``from_meta``), and
-:meth:`GhostDB.to_meta <repro.core.ghostdb.GhostDB.to_meta>` names the
-layers in order.  Only pages reachable through the FTL's map reach the
-blob, so the host-visible image holds exactly the live flash content
-and nothing that was ever logically deleted; on restore the NAND serves
-them lazily, copying a page's bytes on its first read.
+What goes *into* an image is not decided here: it is ``pickle`` of the
+database object, and each class that holds something an image must not
+carry leaves it out in its own ``__getstate__``.  The NAND array hands
+its page payloads over as one :class:`pickle.PickleBuffer`, which
+travels out of band into the blob, so the host-visible image holds
+exactly the live flash content and nothing that was ever logically
+deleted; on restore the NAND serves those pages lazily, copying a
+page's bytes on its first read.
 
 Snapshots are refused while a compaction job is in flight: the shadow
 files of a half-done fold are not part of the live catalog and a
@@ -43,13 +45,16 @@ it.
 from __future__ import annotations
 
 import contextlib
+import copyreg
 import hashlib
+import io
 import mmap
 import os
 import pickle
 import struct
 import zlib
-from typing import TYPE_CHECKING, Any, Dict, Tuple
+from itertools import accumulate
+from typing import TYPE_CHECKING, Any, Dict, List, Sequence, Tuple
 
 from repro.errors import ImageError, PersistError
 
@@ -57,33 +62,63 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle with ghostdb
     from repro.core.ghostdb import GhostDB
 
 IMAGE_MAGIC = b"GHOSTIMG"
-IMAGE_VERSION = 5
+IMAGE_VERSION = 6
 
 #: magic | version | meta_len | blob_len | total_size | sha(meta) | sha(blob)
 _HEADER = struct.Struct("!8sIQQQ32s32s")
+#: the out-of-band buffer count that opens the metadata
+_COUNT = struct.Struct("!I")
+
+
+class _Pickler(pickle.Pickler):
+    """Pickles a plain object's attributes as slot state, which the
+    unpickler sets one by one, as a constructor does: filled into a
+    ``__dict__`` instead, they read about twice as slowly (CPython 3.11
+    loses its inline-values fast path)."""
+
+    def reducer_override(self, obj: Any) -> Any:
+        cls = type(obj)
+        if cls.__module__.startswith("repro.") and hasattr(obj, "__dict__") \
+                and cls.__setattr__ is object.__setattr__ \
+                and cls.__reduce__ is object.__reduce__ \
+                and not hasattr(cls, "__setstate__"):
+            return copyreg.__newobj__, (cls,), (None, obj.__getstate__())
+        return NotImplemented
 
 
 # ---------------------------------------------------------------------------
 # the container
 # ---------------------------------------------------------------------------
 
-def write_image(path: str, meta: Dict[str, Any],
-                blob: bytes = b"") -> Dict[str, Any]:
-    """Atomically write ``meta`` and ``blob`` as one image at ``path``;
+def write_image(path: str, db: Any) -> Dict[str, Any]:
+    """Atomically write ``db``, pickled, as one image at ``path``;
     returns a size summary.  An ``OSError`` on the way is raised as
     :class:`PersistError`, and the temp file is removed."""
-    meta_bytes = zlib.compress(pickle.dumps(meta, protocol=4), 6)
-    total_size = _HEADER.size + len(meta_bytes) + len(blob)
+    buffers: List[pickle.PickleBuffer] = []
+    out = io.BytesIO()
+    _Pickler(out, protocol=5, buffer_callback=buffers.append).dump(db)
+    payload = out.getvalue()
+    blobs = [buf.raw() for buf in buffers]
+    lengths = [blob.nbytes for blob in blobs]
+    meta_bytes = zlib.compress(
+        _COUNT.pack(len(lengths)) +
+        struct.pack(f"!{len(lengths)}Q", *lengths) + payload, 6)
+    blob_len = sum(lengths)
+    blob_sha = hashlib.sha256()
+    for blob in blobs:
+        blob_sha.update(blob)
+    total_size = _HEADER.size + len(meta_bytes) + blob_len
     header = _HEADER.pack(
-        IMAGE_MAGIC, IMAGE_VERSION, len(meta_bytes), len(blob), total_size,
-        hashlib.sha256(meta_bytes).digest(), hashlib.sha256(blob).digest(),
+        IMAGE_MAGIC, IMAGE_VERSION, len(meta_bytes), blob_len, total_size,
+        hashlib.sha256(meta_bytes).digest(), blob_sha.digest(),
     )
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(header)
             fh.write(meta_bytes)
-            fh.write(blob)
+            for blob in blobs:
+                fh.write(blob)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -96,7 +131,7 @@ def write_image(path: str, meta: Dict[str, Any],
                 f"cannot write image {path!r}: {exc}") from exc
         raise
     return {"path": path, "bytes": total_size,
-            "meta_bytes": len(meta_bytes), "blob_bytes": len(blob)}
+            "meta_bytes": len(meta_bytes), "blob_bytes": blob_len}
 
 
 def _read_header(raw: bytes, actual_size: int) -> Tuple[int, int, bytes, bytes]:
@@ -123,10 +158,9 @@ def _read_header(raw: bytes, actual_size: int) -> Tuple[int, int, bytes, bytes]:
     return meta_len, blob_len, meta_sha, blob_sha
 
 
-def read_image(path: str, verify: bool = False
-               ) -> Tuple[Dict[str, Any], memoryview]:
-    """Validate the image at ``path``; returns ``(meta, blob)`` with the
-    blob left in the file behind an ``mmap``."""
+def read_image(path: str, verify: bool = False) -> Any:
+    """Validate the image at ``path`` and unpickle what it holds; the
+    blob stays in the file behind an ``mmap``."""
     try:
         size = os.path.getsize(path)
         fh = open(path, "rb")
@@ -147,10 +181,15 @@ def read_image(path: str, verify: bool = False
                 hashlib.sha256(blob).digest() != blob_sha:
             raise ImageError("image page-blob checksum mismatch")
     try:
-        meta = pickle.loads(zlib.decompress(meta_bytes))
+        meta = zlib.decompress(meta_bytes)
+        (count,) = _COUNT.unpack_from(meta)
+        lengths = struct.unpack_from(f"!{count}Q", meta, _COUNT.size)
+        ends = list(accumulate(lengths))
+        return pickle.loads(
+            memoryview(meta)[_COUNT.size + 8 * count:],
+            buffers=[blob[end - n:end] for end, n in zip(ends, lengths)])
     except Exception as exc:
         raise ImageError(f"image metadata undecodable: {exc}") from exc
-    return meta, blob
 
 
 def image_info(path: str) -> Dict[str, Any]:
@@ -167,28 +206,26 @@ def image_info(path: str) -> Dict[str, Any]:
 # one database -> one image (the way back is GhostDB.restore)
 # ---------------------------------------------------------------------------
 
-def require_quiescent(db: "GhostDB", what: str = "snapshot") -> None:
-    """Raise :class:`PersistError` unless ``db`` is built and no
-    incremental compaction job is in flight."""
-    if db.catalog is None:
-        raise PersistError(f"{what} requires a built database: "
-                           "call build() first")
-    busy = db.compactions_in_flight()
-    if busy:
-        raise PersistError(
-            f"{what} refused: compaction in flight for {busy} -- "
-            f"finish or abort the jobs first"
-        )
-
-
-def snapshot_db(db: "GhostDB", path: str) -> Dict[str, Any]:
-    """Serialize ``db`` into one durable image file at ``path``.
+def snapshot_db(db: Any, tokens: Sequence["GhostDB"],
+                path: str) -> Dict[str, Any]:
+    """Write ``db`` -- one token, or a fleet over ``tokens`` -- as one
+    image file at ``path``, once every token is built and has no
+    compaction job in flight (:class:`PersistError` otherwise).
 
     Returns a summary dict (sizes, page and file counts).
     """
-    require_quiescent(db)
-    meta, blob = db.to_meta()
-    summary = write_image(path, {"kind": "token", **meta}, blob)
-    summary["pages"] = db.token.ftl.mapped_pages()
-    summary["files"] = db.token.store.n_files
+    for k, token_db in enumerate(tokens):
+        what = "snapshot" if len(tokens) == 1 else f"snapshot (shard {k})"
+        if token_db.catalog is None:
+            raise PersistError(f"{what} requires a built database: "
+                               "call build() first")
+        busy = token_db.compactions_in_flight()
+        if busy:
+            raise PersistError(
+                f"{what} refused: compaction in flight for {busy} -- "
+                f"finish or abort the jobs first"
+            )
+    summary = write_image(path, db)
+    summary["pages"] = sum(t.token.ftl.mapped_pages() for t in tokens)
+    summary["files"] = sum(t.token.store.n_files for t in tokens)
     return summary

@@ -19,7 +19,10 @@ channel.  :class:`~repro.shard.fleet.ShardedGhostDB` -- built as
   tombstones;
 * the no-leak audit stays **per channel**: each shard's token audits
   its own outbound traffic, so the single-token security argument
-  applies shard-wise without a fleet-level trusted party.
+  applies shard-wise without a fleet-level trusted party;
+* ``snapshot`` writes the whole fleet -- shards and root maps -- as
+  one image file by one atomic rename (:mod:`repro.persist`), and
+  ``GhostDB.restore`` hands it back.
 """
 
 from repro.shard.fleet import FleetQueryPlan, ShardedGhostDB

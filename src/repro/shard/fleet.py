@@ -46,12 +46,12 @@ from repro.core.plan import (OrderPlan, ProjectionMode, QueryPlan,
                              SortMethod)
 from repro.core.planner import (SortMethodLike, StrategyLike,
                                 scatter_order)
-from repro.core.recovery import IdempotencyLedger, RecoveryReport
+from repro.core.recovery import RecoveryReport
 from repro.core.reference import ReferenceEngine
 from repro.core.session import PreparedStatement, Session
 from repro.core.sort import dedup_rows, strip_internal_columns
-from repro.errors import (CompactionDeclined, GhostDBError, ImageError,
-                          ShardDown, ShardUnavailable)
+from repro.errors import (CompactionDeclined, GhostDBError, ShardDown,
+                          ShardUnavailable)
 from repro.hardware.token import TokenConfig
 from repro.schema.model import Table
 from repro.shard import gather
@@ -171,35 +171,28 @@ class ShardedGhostDB(StatementFrontEnd):
     (summed), ``session_cls`` (no batched path) -- and the
     fleet-only operations.  To this class a shard is a ``GhostDB`` and
     nothing more: every per-shard step is one of its public operations.
-
-    ``n_shards`` is the shard count, or the shards themselves when a
-    fleet image is restored (:func:`repro.shard.persist.restore_fleet`).
     """
 
     session_cls = FleetSession
     statement_cls = FleetPreparedStatement
 
-    def __init__(self, n_shards: Union[int, Sequence[GhostDB]],
+    def __init__(self, n_shards: int,
                  config: Optional[TokenConfig] = None,
                  indexed_columns: Optional[Dict[str, Sequence[str]]] = None):
         super().__init__()
-        if isinstance(n_shards, int):
-            shards = [
-                GhostDB(config=config, indexed_columns=indexed_columns)
-                for _ in range(n_shards)
-            ]
-        else:
-            shards = list(n_shards)
-        if len(shards) < 2:
+        if n_shards < 2:
             raise ValueError(
                 "ShardedGhostDB needs shards >= 2; use GhostDB() for "
                 "a single token"
             )
-        self.n_shards = len(shards)
-        self.shards: List[GhostDB] = shards
-        self.router = ShardRouter(self.n_shards)
+        self.n_shards = n_shards
+        self.shards: List[GhostDB] = [
+            GhostDB(config=config, indexed_columns=indexed_columns)
+            for _ in range(n_shards)
+        ]
+        self.router = ShardRouter(n_shards)
         #: per-shard monotone local root id -> global root id
-        self._root_maps: List[List[int]] = [[] for _ in shards]
+        self._root_maps: List[List[int]] = [[] for _ in self.shards]
         self._next_root_gid = 0
         #: optional :class:`repro.faults.fleet.FleetFaults` injector
         self.faults = None
@@ -730,41 +723,21 @@ class ShardedGhostDB(StatementFrontEnd):
     # durable fleet image
     # ------------------------------------------------------------------
     def snapshot(self, path: str) -> Dict[str, int]:
-        """Write one manifest plus one image per shard (see
-        :mod:`repro.shard.persist`)."""
-        from repro.shard.persist import snapshot_fleet
-        return snapshot_fleet(self, path)
+        """Write the whole fleet -- every shard and the coordinator
+        state -- as one image file at ``path``, by one atomic rename;
+        refuses while any shard has a compaction job in flight.
+        ``GhostDB.restore`` reads it back."""
+        from repro.persist.image import snapshot_db
+        return {**snapshot_db(self, self.shards, path),
+                "shards": self.n_shards}
 
-    def to_meta(self) -> Dict[str, Any]:
-        """Durable form of the coordinator: what the shards' own images
-        cannot reconstruct."""
-        return {
-            "n_shards": self.n_shards,
-            "root": self.root,
-            "next_root_gid": self._next_root_gid,
-            "root_maps": self._root_maps,
-            "ikeys": self.ikeys.to_meta(),
-        }
-
-    @classmethod
-    def from_meta(cls, meta: Dict[str, Any],
-                  shards: Sequence[GhostDB]) -> "ShardedGhostDB":
-        """The fleet over restored ``shards``, from :meth:`to_meta`."""
-        if not len(shards) == len(meta["root_maps"]) == meta["n_shards"]:
-            raise ImageError(
-                f"fleet manifest for {meta['n_shards']} shard(s) holds "
-                f"{len(meta['root_maps'])} root map(s)"
-            )
-        fleet = cls(shards)
-        if fleet.root != meta["root"]:
-            raise ImageError(
-                f"fleet manifest root {meta['root']!r} does not match "
-                f"restored schema root {fleet.root!r}"
-            )
-        fleet._root_maps = meta["root_maps"]
-        fleet._next_root_gid = meta["next_root_gid"]
-        fleet.ikeys = IdempotencyLedger.from_meta(meta["ikeys"])
-        return fleet
+    def __getstate__(self) -> Dict[str, Any]:
+        """The image form: shards, router, root maps, the global-id
+        counter and the idempotency ledger.  Sessions belong to their
+        clients, and the fault injector and the degraded set to the
+        running fleet."""
+        return {**self.__dict__, "_default_session": None,
+                "faults": None, "_down": set()}
 
 
 def _worst_advice(reports: List[CompactionAdvice]) -> CompactionAdvice:

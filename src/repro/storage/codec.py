@@ -174,6 +174,10 @@ class RowCodec:
         ]
         self._column_structs: Dict[Tuple[int, ...], struct.Struct] = {}
 
+    def __reduce__(self):
+        # a struct.Struct does not pickle: an image rebuilds the codec
+        return RowCodec, (self.types,)
+
     # ------------------------------------------------------------------
     # scalar access (reference semantics)
     # ------------------------------------------------------------------

@@ -26,7 +26,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from itertools import islice
 from operator import itemgetter, le
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
 from repro.predicate import Predicate
@@ -152,18 +152,11 @@ class UntrustedEngine:
             del rows[n:]
             self._indexes[table].clear()
 
-    def to_meta(self) -> Dict[str, List[Tuple]]:
-        """Durable form: every table's row list, not copied (indexes
-        are rebuilt on demand)."""
-        return self._rows
-
-    @classmethod
-    def from_meta(cls, schema: Schema,
-                  meta: Dict[str, List[Tuple]]) -> "UntrustedEngine":
-        """An engine over :meth:`to_meta` output, adopted as is."""
-        restored = cls(schema)
-        restored._rows = meta
-        return restored
+    def __getstate__(self) -> Dict[str, Any]:
+        """The image form: the rows; indexes are rebuilt on demand and
+        ``rows_examined`` counts this process's work."""
+        return {**self.__dict__, "rows_examined": 0,
+                "_indexes": {name: {} for name in self._indexes}}
 
     def visible_columns(self, table: str) -> List[Column]:
         return list(self._visible_cols[table])

@@ -16,27 +16,34 @@ from repro.workloads.synthetic import sv_to_v1_bound
 
 H_VALUE = 2  # h2 = 2 selects exactly 10% (values cycle 0..9)
 
+#: Query Q's joins and selections, its two constants as ``?``
+#: placeholders: ``(v1 bound, h2 value)``
+_Q_FROM_WHERE = ("FROM T0, T1, T12 "
+                 "WHERE T0.fk1 = T1.id AND T1.fk12 = T12.id "
+                 "AND T1.v1 < ? AND T12.h2 = ?")
+
+#: Query Q (Figure 10) as a prepared template
+TEMPLATE_FIG10 = "SELECT T0.id, T1.id, T12.id, T1.v1 " + _Q_FROM_WHERE
+
+#: Query Q with a hidden projection (Figure 12) as a prepared template
+TEMPLATE_FIG12 = ("SELECT T0.id, T1.id, T12.id, T1.v1, T1.h1 "
+                  + _Q_FROM_WHERE)
+
+
+def _fill(template: str, sv: float) -> str:
+    """``template`` with Query Q's constants at Visible selectivity
+    ``sv``."""
+    return template.replace("?", "{}").format(sv_to_v1_bound(sv), H_VALUE)
+
 
 def query_q(sv: float) -> str:
     """The paper's Query Q at Visible selectivity ``sv``."""
-    k = sv_to_v1_bound(sv)
-    return (
-        "SELECT T0.id, T1.id, T12.id, T1.v1 "
-        "FROM T0, T1, T12 "
-        "WHERE T0.fk1 = T1.id AND T1.fk12 = T12.id "
-        f"AND T1.v1 < {k} AND T12.h2 = {H_VALUE}"
-    )
+    return _fill(TEMPLATE_FIG10, sv)
 
 
 def query_q_with_hidden_projection(sv: float) -> str:
     """Query Q augmented with a projection on T1.h1 (Figures 12/13)."""
-    k = sv_to_v1_bound(sv)
-    return (
-        "SELECT T0.id, T1.id, T12.id, T1.v1, T1.h1 "
-        "FROM T0, T1, T12 "
-        "WHERE T0.fk1 = T1.id AND T1.fk12 = T12.id "
-        f"AND T1.v1 < {k} AND T12.h2 = {H_VALUE}"
-    )
+    return _fill(TEMPLATE_FIG12, sv)
 
 
 def query_q_projections(sv: float, n_visible_attrs: int) -> str:
@@ -49,12 +56,7 @@ def query_q_projections(sv: float, n_visible_attrs: int) -> str:
     """
     extra = ["T12.v1", "T12.v2", "T1.v1"][:n_visible_attrs]
     cols = ", ".join(["T0.id", "T1.id", "T12.id"] + extra)
-    k = sv_to_v1_bound(sv)
-    return (
-        f"SELECT {cols} FROM T0, T1, T12 "
-        "WHERE T0.fk1 = T1.id AND T1.fk12 = T12.id "
-        f"AND T1.v1 < {k} AND T12.h2 = {H_VALUE}"
-    )
+    return _fill(f"SELECT {cols} " + _Q_FROM_WHERE, sv)
 
 
 def medical_query_q(sv: float) -> str:

@@ -8,6 +8,7 @@ how the interval was summed -- all asserted here with ``==``, never
 with a tolerance.
 """
 
+import pickle
 import struct
 
 import pytest
@@ -16,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro import GhostDB
 from repro.errors import ImageError
-from repro.flash.stats import CostLedger
 from repro.persist import IMAGE_VERSION
 from repro.workloads.queries import (query_q, query_q_projections,
                                      query_q_with_hidden_projection)
@@ -104,7 +104,7 @@ def test_cost_after_snapshot_and_restore(db, fresh, tmp_path):
     path = str(tmp_path / "clock.img")
     db.snapshot(path)
     restored = GhostDB.restore(path)
-    assert restored.token.ledger.to_meta() == db.token.ledger.to_meta()
+    assert restored.token.ledger.snapshot() == db.token.ledger.snapshot()
     assert_costs_as_fresh(restored, fresh)
 
 
@@ -129,7 +129,7 @@ def in_list_order(db):
     db.token.reset_costs()
     stats = [run(db, case) for case in SHAPES]
     assert stats[-1].counters["sort_spill_runs"] >= 2
-    return stats, db.token.ledger.to_meta()
+    return stats, db.token.ledger.snapshot()
 
 
 @settings(max_examples=10, deadline=None)
@@ -140,7 +140,7 @@ def test_statement_costs_do_not_depend_on_execution_order(
     db.token.reset_costs()
     for i in order:
         assert run(db, SHAPES[i]) == expected_stats[i], SHAPES[i][0]
-    assert db.token.ledger.to_meta() == expected_ledger
+    assert db.token.ledger.snapshot() == expected_ledger
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +157,7 @@ def test_ledger_persists_integers_only(db, tmp_path):
     db.set_throughput(original)
     run(db, SHAPES[-1])
 
-    meta = db.token.ledger.to_meta()
+    meta = db.token.ledger.snapshot()
     assert meta.cells and meta.events
     for ops, nbytes in meta.cells.values():
         assert type(ops) is int and type(nbytes) is int
@@ -165,14 +165,13 @@ def test_ledger_persists_integers_only(db, tmp_path):
     assert {price for _, component, price in meta.cells
             if component == "comm"} == {original, 10.0}
 
-    adopted = CostLedger()
-    adopted.from_meta(meta)
-    assert adopted.to_meta() == meta
+    adopted = pickle.loads(pickle.dumps(db.token.ledger))
+    assert adopted.snapshot() == meta
     assert adopted.by_label_s() == db.token.ledger.by_label_s()
 
     path = tmp_path / "ledger.img"
     db.snapshot(str(path))
-    assert GhostDB.restore(str(path)).token.ledger.to_meta() == meta
+    assert GhostDB.restore(str(path)).token.ledger.snapshot() == meta
 
 
 def _with_version(db, tmp_path, version):
@@ -185,13 +184,20 @@ def _with_version(db, tmp_path, version):
 
 
 def test_version_3_image_is_refused(db, tmp_path):
-    assert IMAGE_VERSION == 5
-    with pytest.raises(ImageError, match="version 3 .*version 5"):
+    assert IMAGE_VERSION == 6
+    with pytest.raises(ImageError, match="version 3 .*version 6"):
         GhostDB.restore(_with_version(db, tmp_path, 3))
 
 
 def test_version_4_image_is_refused(db, tmp_path):
     """A version-4 image pickles its tables without the name -> position
     map, so restore refuses it instead of the first insert failing."""
-    with pytest.raises(ImageError, match="version 4 .*version 5"):
+    with pytest.raises(ImageError, match="version 4 .*version 6"):
         GhostDB.restore(_with_version(db, tmp_path, 4))
+
+
+def test_version_5_image_is_refused(db, tmp_path):
+    """A version-5 image holds each class's hand-written metadata
+    dict, not the pickled database; restore refuses it by version."""
+    with pytest.raises(ImageError, match="version 5 .*version 6"):
+        GhostDB.restore(_with_version(db, tmp_path, 5))

@@ -23,16 +23,20 @@ Nothing is sampled -- no Hypothesis, no seed, no environment variable
 """
 
 import asyncio
+import contextlib
+import os
 import pickle
 from dataclasses import dataclass
+from unittest.mock import patch
 
 import pytest
 
 from repro.core.dml import DmlResult
 from repro.core.ghostdb import GhostDB
-from repro.errors import GhostDBError, PowerLoss, ShardUnavailable
+from repro.errors import (GhostDBError, PersistError, PowerLoss,
+                          ShardUnavailable)
 from repro.faults import FlashFaults, FleetFaults, WireFaults
-from repro.faults.flash import LANDINGS
+from repro.faults.flash import LANDINGS, TORN
 from repro.flash.constants import FlashParams
 from repro.hardware.token import TokenConfig
 from repro.service.client import AsyncGhostClient
@@ -54,17 +58,14 @@ def shards_of(db):
 
 
 def durable(db) -> bytes:
-    """``db``'s durable form, pickled as an image stores it."""
-    fleet = db.to_meta() if isinstance(db, ShardedGhostDB) else None
-    return pickle.dumps((fleet, [s.to_meta() for s in shards_of(db)]))
+    """``db`` pickled through the ``__getstate__`` an image uses (the
+    page payloads in band, not in a blob)."""
+    return pickle.dumps(db, protocol=5)
 
 
 def revive(raw: bytes):
     """A fresh database from :func:`durable` output."""
-    fleet, metas = pickle.loads(raw)
-    shards = [GhostDB.from_meta(meta, blob) for meta, blob in metas]
-    return shards[0] if fleet is None else \
-        ShardedGhostDB.from_meta(fleet, shards)
+    return pickle.loads(raw)
 
 
 def rows(db, sql, oracle=False):
@@ -431,6 +432,126 @@ def test_a_shard_death_at_every_touch_is_all_or_nothing(
             assert outcome(run, fleet) == answer
         check(fleet, after, disk)
         disk = None
+
+
+# ----------------------------------------------------------------------
+# images: a failed snapshot, and what an image holds
+# ----------------------------------------------------------------------
+class FileFaults:
+    """Counts a snapshot's durable file operations -- ``os.fsync`` and
+    ``os.replace`` -- and raises at ordinal ``fail_at``."""
+
+    def __init__(self, fail_at=None):
+        self.fail_at = fail_at
+        self.ops = 0
+
+    def patches(self):
+        return [patch.object(os, name, self.wrap(getattr(os, name)))
+                for name in ("fsync", "replace")]
+
+    def wrap(self, real):
+        def op(*args):
+            k, self.ops = self.ops, self.ops + 1
+            if k == self.fail_at:
+                raise OSError(f"file operation {k} failed")
+            return real(*args)
+        return op
+
+
+def snapshot_with(faults, db, path):
+    with contextlib.ExitStack() as stack:
+        for p in faults.patches():
+            stack.enter_context(p)
+        return db.snapshot(str(path))
+
+
+def test_a_fleet_snapshot_failing_at_every_file_operation_leaves_one_image(
+        tmp_path):
+    """Re-snapshot a changed fleet over its image and fail the k-th
+    file operation: the image restores to the old fleet or the new
+    one -- never shards of both -- and agrees with its own oracle."""
+    old_fleet, fleet = build_pc(shards=2), build_pc(shards=2)
+    old = view(old_fleet)
+    fleet.execute("DELETE FROM P WHERE P.v < 50")
+    while not fleet.compact("P").done:
+        pass
+    fleet.execute("INSERT INTO P VALUES (1, 51, 2.5), (2, 52, 12.5)")
+    new = view(fleet)
+    assert new != old
+    counted = FileFaults()
+    snapshot_with(counted, fleet, tmp_path / "counted.img")
+    assert counted.ops > 0
+    for k in range(counted.ops + 1):        # the last case: no fault
+        path = tmp_path / f"case{k}.img"
+        old_fleet.snapshot(str(path))
+        if k < counted.ops:
+            with pytest.raises(PersistError):
+                snapshot_with(FileFaults(k), fleet, path)
+        else:
+            snapshot_with(FileFaults(), fleet, path)
+        restored = GhostDB.restore(str(path), verify=True)
+        assert view(restored) == (new if k == counted.ops else old)
+        for sql in PROBES:
+            assert rows(restored, sql) == rows(restored, sql, oracle=True)
+
+
+def after(sql, base=build_pc):
+    def build():
+        db = base()
+        db.execute(sql)
+        return db
+    return build
+
+
+def after_compaction():
+    db = build_pc()
+    db.execute("DELETE FROM P WHERE P.v < 30")
+    compact_in_steps(db)
+    return db
+
+
+def after_gc_relocation():
+    path = next(p for p in PATHS if p.name == "gc_relocation")
+    db = path.base()
+    moved = db.token.ftl.gc_pages_moved
+    path.run(db)
+    assert db.token.ftl.gc_pages_moved > moved
+    return db
+
+
+def after_cut_insert():
+    db = build_pc()
+    with pytest.raises(PowerLoss):
+        faulted(db.token.nand, lambda: db.execute(FILL), cut=(0, TORN))
+    assert db.recover().power_cycled
+    return db
+
+
+IMAGED_STATES = {
+    "delete": after("DELETE FROM P WHERE P.v < 25"),
+    "compaction": after_compaction,
+    "gc_relocation": after_gc_relocation,
+    "cut_insert": after_cut_insert,
+    "fleet": after("DELETE FROM P WHERE P.v < 25",
+                   base=lambda: build_pc(shards=2)),
+}
+
+
+@pytest.mark.parametrize("name", IMAGED_STATES)
+def test_an_image_holds_exactly_the_mapped_pages_and_no_cache(name,
+                                                              tmp_path):
+    """Every page a restored token's NAND holds is still in the image
+    (none read yet), and they are exactly the pages its FTL maps: no
+    invalid, torn or relocated page, and no page-cache entry."""
+    db = IMAGED_STATES[name]()
+    path = tmp_path / "state.img"
+    db.snapshot(str(path))
+    restored = GhostDB.restore(str(path))
+    for shard, twin_shard in zip(shards_of(restored), shards_of(db)):
+        token = shard.token
+        assert token.nand.image_backed_pages() == \
+            token.ftl.mapped_pages() == twin_shard.token.ftl.mapped_pages()
+        assert token.store.cache_stats()["cached_pages"] == 0
 
 
 # ----------------------------------------------------------------------

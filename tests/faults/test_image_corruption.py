@@ -5,10 +5,7 @@ Restore must reject each mutation with :class:`PersistError` (or its
 the pristine image must keep restoring bit-identically afterwards.
 """
 
-import os
-import pickle
 import shutil
-import zlib
 
 import pytest
 
@@ -84,32 +81,19 @@ def test_pristine_image_still_restores(single_image):
 
 
 # ----------------------------------------------------------------------
-# the fleet manifest (the same container, kind "fleet") and its shards
+# the fleet: every shard and the coordinator state in one image file
 # ----------------------------------------------------------------------
 def _fleet_copy(fleet_image, tmp_path):
-    """Copy the manifest and its shard images into ``tmp_path``."""
+    """A private copy of the fleet's image file."""
     dst = str(tmp_path / "fleet.img")
     shutil.copy(fleet_image, dst)
-    k = 0
-    while os.path.exists(f"{fleet_image}.shard{k}"):
-        shutil.copy(f"{fleet_image}.shard{k}", f"{dst}.shard{k}")
-        k += 1
     return dst
-
-
-def _rewrite_manifest(path, fn):
-    """Edit the manifest's metadata and write it back as a *valid*
-    container (fresh checksums): only restore's own cross-checks stand
-    between such a manifest and a wrong fleet."""
-    meta, _ = read_image(path)
-    fn(meta)
-    write_image(path, meta)
 
 
 @pytest.mark.parametrize("boundary", sorted(IMAGE_MUTATIONS))
 def test_corrupt_fleet_manifest_is_rejected(fleet_image, tmp_path,
                                             boundary):
-    """The manifest is a GHOSTIMG like any other: the same table of
+    """A fleet image is a GHOSTIMG like any other: the same table of
     structural mutations, the same rejections."""
     dst = _fleet_copy(fleet_image, tmp_path)
     _mutate(dst, dst, IMAGE_MUTATIONS[boundary])
@@ -139,35 +123,21 @@ def test_fleet_manifest_wrong_version(fleet_image, tmp_path):
         GhostDB.restore(dst)
 
 
-def test_fleet_manifest_shard_count_mismatch(fleet_image, tmp_path):
-    dst = _fleet_copy(fleet_image, tmp_path)
-    _rewrite_manifest(dst, lambda m: m.update(n_shards=1))
-    with pytest.raises(ImageError, match="1 shard"):
-        GhostDB.restore(dst)
-    _rewrite_manifest(dst, lambda m: m.update(n_shards=3))
-    with pytest.raises(ImageError):         # no third shard image
-        GhostDB.restore(dst)
-
-
-def test_fleet_manifest_root_mismatch(fleet_image, tmp_path):
-    dst = _fleet_copy(fleet_image, tmp_path)
-    _rewrite_manifest(dst, lambda m: m.update(root="C"))
-    with pytest.raises(ImageError, match="root"):
-        GhostDB.restore(dst)
-
-
 @pytest.mark.parametrize("verify", [False, True])
 def test_fleet_manifest_edited_root_maps_are_rejected(fleet_image, tmp_path,
                                                       verify):
-    """The hole the JSON manifest had: swap two ``root_maps`` entries
-    between the shards -- still well-formed -- and the fleet restored,
-    answering with the wrong rows.  The maps are now under the
-    container's metadata checksum like every token image's state."""
+    """Swap two ``root_maps`` entries between the shards -- still
+    well-formed -- and a fleet would restore answering with the wrong
+    rows, agreeing with its own oracle, which reassembles global ids
+    from the same maps.  The maps are under the metadata checksum."""
     dst = _fleet_copy(fleet_image, tmp_path)
-    meta, _ = read_image(dst)
-    maps = meta["root_maps"]
+    fleet = read_image(dst)
+    maps = fleet._root_maps
     maps[0][0], maps[1][0] = maps[1][0], maps[0][0]
-    edited = zlib.compress(pickle.dumps(meta, protocol=4), 6)
+    edited_path = str(tmp_path / "edited.img")
+    write_image(edited_path, fleet)
+    raw = open(edited_path, "rb").read()
+    edited = raw[_H:_H + _meta_blob_lens(raw)[0]]
 
     def splice(raw):
         # a careful editor: lengths fixed up, content hashes left alone
@@ -180,41 +150,36 @@ def test_fleet_manifest_edited_root_maps_are_rejected(fleet_image, tmp_path,
         GhostDB.restore(dst, verify=verify)
 
 
+#: the header's sha256(blob): like the blob, checked only by verify=True
+_BLOB_SHA = range(_H - 32, _H)
+
+
 @pytest.mark.parametrize("verify", [False, True])
 def test_fleet_manifest_any_flipped_byte_is_rejected(fleet_image, tmp_path,
                                                      verify):
+    """Flip each byte of the fleet image in turn: every header and
+    metadata byte is rejected in both modes, every page-blob byte and
+    the blob's checksum under ``verify=True`` (without it, a flipped
+    page fails its NAND CRC on first read)."""
     dst = _fleet_copy(fleet_image, tmp_path)
     pristine = open(dst, "rb").read()
+    meta_len, _ = _meta_blob_lens(pristine)
+    checked = range(len(pristine) if verify else _H + meta_len)
     # flip and restore each byte in place: a truncating rewrite of the
     # whole file per offset costs tens of ms on some filesystems
     with open(dst, "r+b") as fh:
-        for off in range(len(pristine)):
+        for off in checked:
             fh.seek(off)
             fh.write(bytes([pristine[off] ^ 0xFF]))
             fh.flush()
-            with pytest.raises(ImageError):
-                GhostDB.restore(dst, verify=verify)
+            if verify or off not in _BLOB_SHA:
+                with pytest.raises(ImageError):
+                    GhostDB.restore(dst, verify=verify)
             fh.seek(off)
             fh.write(pristine[off:off + 1])
             fh.flush()
     assert open(dst, "rb").read() == pristine
     GhostDB.restore(dst, verify=verify)       # pristine again: restores
-
-
-def test_fleet_missing_shard_image(fleet_image, tmp_path):
-    dst = _fleet_copy(fleet_image, tmp_path)
-    os.remove(f"{dst}.shard0")
-    with pytest.raises(PersistError):
-        GhostDB.restore(dst)
-
-
-def test_fleet_corrupt_shard_image(fleet_image, tmp_path):
-    dst = _fleet_copy(fleet_image, tmp_path)
-    raw = bytearray(open(f"{dst}.shard1", "rb").read())
-    raw[_H + 5] ^= 0xFF                      # meta byte of shard 1
-    open(f"{dst}.shard1", "wb").write(bytes(raw))
-    with pytest.raises(PersistError):
-        GhostDB.restore(dst)
 
 
 def test_pristine_fleet_still_restores(fleet_image):

@@ -1,5 +1,7 @@
 """Unit coverage of the fault injectors and the recovery machinery."""
 
+import pickle
+
 import pytest
 
 from repro.core.recovery import IdempotencyLedger, RecoveryReport
@@ -141,9 +143,9 @@ def test_ledger_records_replays_and_evicts_fifo():
     ledger.record("c", {"n": 3})               # evicts "a"
     assert ledger.seen("a") is None
     assert ledger.seen("c") == {"n": 3}
-    rebuilt = IdempotencyLedger.from_meta(ledger.to_meta())
+    rebuilt = pickle.loads(pickle.dumps(ledger))
     assert rebuilt.seen("b") == {"n": 2}
-    assert IdempotencyLedger.from_meta(None).seen("b") is None
+    assert rebuilt.seen("a") is None and len(rebuilt) == 2
 
 
 # ----------------------------------------------------------------------

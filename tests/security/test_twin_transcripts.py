@@ -170,7 +170,7 @@ SEEDS = ((1, False), (2, False), (3, True))
 
 def test_twins_differ_only_in_the_hidden_part():
     a, b = twin(1), twin(3, never_matches=True)
-    assert a.untrusted.to_meta() == b.untrusted.to_meta()
+    assert a.untrusted._rows == b.untrusted._rows
     assert a.catalog.raw_rows != b.catalog.raw_rows
     grid = STATEMENTS[:6]                      # the fig10/fig12 grid
     assert any(a.execute(sql).rows for sql in grid)

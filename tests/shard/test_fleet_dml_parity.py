@@ -5,7 +5,7 @@ every shard's part of a fleet statement must cost -- ``QueryStats`` and
 cost ledger, compared with ``==`` -- and send -- the per-channel audit
 log -- exactly what the same bound statement costs and sends on a
 standalone ``GhostDB`` holding that shard's rows.  The standalone twins
-are the fleet's own shard images, restored as plain tokens.
+are the shards of the fleet's restored image, driven as plain tokens.
 """
 
 import pytest
@@ -41,8 +41,7 @@ def twins(tmp_path):
     fleet = build_fleet()
     path = str(tmp_path / "fleet.img")
     fleet.snapshot(path)
-    return fleet, [GhostDB.restore(f"{path}.shard{k}")
-                   for k in range(N_SHARDS)]
+    return fleet, GhostDB.restore(path).shards
 
 
 def audit(db, since=0):

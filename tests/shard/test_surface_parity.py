@@ -24,15 +24,14 @@ TOKEN_ONLY = (
     "undo_last_dml",          # the fleet's abort path, per shard
     "keep_journal",           # StatementJournal's hand-over
     "query_many",             # batching amortizes one token's channel
-    "compactions_in_flight",  # the shard images ask each shard
+    "compactions_in_flight",  # a fleet snapshot asks each shard
     "restore",                # GhostDB.restore is the one entry point;
-                              # it dispatches on the image kind
+                              # it returns what the image holds
 )
 
 #: token parameters a fleet method may lack, per method
 TOKEN_ONLY_PARAMETERS = {
     "execute_plan": {"vis_seed"},   # seeds a batch's Vis prefetch
-    "from_meta": {"blob"},          # a fleet manifest has no page blob
 }
 
 
