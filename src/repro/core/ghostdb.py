@@ -652,7 +652,7 @@ class GhostDB(StatementFrontEnd):
         (:class:`~repro.errors.PersistError`).  Returns a size summary.
         """
         from repro.persist.image import snapshot_db
-        return snapshot_db(self, [self], path)
+        return snapshot_db(self, path)
 
     @classmethod
     def restore(cls, path: str, verify: bool = False):
@@ -689,8 +689,7 @@ class GhostDB(StatementFrontEnd):
                 if name not in _REWIRED}
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)   # as __init__ does (image.py)
+        self.__dict__.update(state)
         self._default_session = self._loader = self._journal = None
         self.binder = Binder(self.schema)
         self._wire_engines()

@@ -67,8 +67,7 @@ class Ftl:
     def __setstate__(self, state: Dict[str, Any]) -> None:
         """Adopt :meth:`__getstate__` output: same mapping, same free
         lists, same future GC behaviour."""
-        for name, value in state.items():
-            setattr(self, name, value)   # as __init__ does (image.py)
+        self.__dict__.update(state)
         prefix = self._l2p
         n_logical = self.params.n_blocks * self.params.pages_per_block
         self._l2p = prefix + [_UNMAPPED] * (n_logical - len(prefix))

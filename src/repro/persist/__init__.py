@@ -1,7 +1,8 @@
 """Durable images: snapshot/restore of a built GhostDB or fleet.
 
 :mod:`repro.persist.image` is the one checksummed, atomically written
-container (``write_image`` / ``read_image``).  What it holds is
+container (``dumps`` / ``loads`` in memory, ``write_image`` /
+``read_image`` on disk).  What it holds is
 ``pickle`` of the database object itself -- one token or a whole
 fleet, in one file -- with each class leaving out what an image must
 not carry in its own ``__getstate__``.  The flash page payloads travel

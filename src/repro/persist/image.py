@@ -14,8 +14,9 @@ File layout::
     |   the payloads of its mapped flash pages)                    |
     +--------------------------------------------------------------+
 
-:func:`write_image` and :func:`read_image` are the only writer and the
-only reader of that container.  Writing is atomic (temp file, fsync,
+:func:`dumps` and :func:`loads` are the only encoder and the only
+decoder of that container, in memory; :func:`write_image` and
+:func:`read_image` keep it in a file.  Writing is atomic (temp file, fsync,
 rename over the target): a crash mid-snapshot leaves either the previous
 image or none, never a torn one -- a fleet too, since it is one file.
 Reading validates the header, the file size and the metadata checksum
@@ -45,21 +46,16 @@ it.
 from __future__ import annotations
 
 import contextlib
-import copyreg
 import hashlib
-import io
 import mmap
 import os
 import pickle
 import struct
 import zlib
 from itertools import accumulate
-from typing import TYPE_CHECKING, Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.errors import ImageError, PersistError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle with ghostdb
-    from repro.core.ghostdb import GhostDB
 
 IMAGE_MAGIC = b"GHOSTIMG"
 IMAGE_VERSION = 6
@@ -70,34 +66,15 @@ _HEADER = struct.Struct("!8sIQQQ32s32s")
 _COUNT = struct.Struct("!I")
 
 
-class _Pickler(pickle.Pickler):
-    """Pickles a plain object's attributes as slot state, which the
-    unpickler sets one by one, as a constructor does: filled into a
-    ``__dict__`` instead, they read about twice as slowly (CPython 3.11
-    loses its inline-values fast path)."""
-
-    def reducer_override(self, obj: Any) -> Any:
-        cls = type(obj)
-        if cls.__module__.startswith("repro.") and hasattr(obj, "__dict__") \
-                and cls.__setattr__ is object.__setattr__ \
-                and cls.__reduce__ is object.__reduce__ \
-                and not hasattr(cls, "__setstate__"):
-            return copyreg.__newobj__, (cls,), (None, obj.__getstate__())
-        return NotImplemented
-
-
 # ---------------------------------------------------------------------------
 # the container
 # ---------------------------------------------------------------------------
 
-def write_image(path: str, db: Any) -> Dict[str, Any]:
-    """Atomically write ``db``, pickled, as one image at ``path``;
-    returns a size summary.  An ``OSError`` on the way is raised as
-    :class:`PersistError`, and the temp file is removed."""
+def dumps(db: Any) -> bytes:
+    """``db`` pickled into the bytes of one image: header, metadata
+    and blob."""
     buffers: List[pickle.PickleBuffer] = []
-    out = io.BytesIO()
-    _Pickler(out, protocol=5, buffer_callback=buffers.append).dump(db)
-    payload = out.getvalue()
+    payload = pickle.dumps(db, protocol=5, buffer_callback=buffers.append)
     blobs = [buf.raw() for buf in buffers]
     lengths = [blob.nbytes for blob in blobs]
     meta_bytes = zlib.compress(
@@ -107,18 +84,51 @@ def write_image(path: str, db: Any) -> Dict[str, Any]:
     blob_sha = hashlib.sha256()
     for blob in blobs:
         blob_sha.update(blob)
-    total_size = _HEADER.size + len(meta_bytes) + blob_len
     header = _HEADER.pack(
-        IMAGE_MAGIC, IMAGE_VERSION, len(meta_bytes), blob_len, total_size,
+        IMAGE_MAGIC, IMAGE_VERSION, len(meta_bytes), blob_len,
+        _HEADER.size + len(meta_bytes) + blob_len,
         hashlib.sha256(meta_bytes).digest(), blob_sha.digest(),
     )
+    return b"".join([header, meta_bytes, *blobs])
+
+
+def loads(data: Any, verify: bool = False) -> Any:
+    """The database the image bytes ``data`` hold -- any buffer, such
+    as :func:`dumps` output or the ``mmap`` :func:`read_image` passes.
+    The unpickler gets the blob's buffers as ``memoryview`` slices of
+    ``data``, so no page is copied here."""
+    view = memoryview(data)
+    meta_len, blob_len, meta_sha, blob_sha = _read_header(view, len(view))
+    blob_off = _HEADER.size + meta_len
+    meta_bytes = view[_HEADER.size:blob_off]
+    if hashlib.sha256(meta_bytes).digest() != meta_sha:
+        raise ImageError("image metadata checksum mismatch")
+    blob = view[blob_off:]
+    if (verify or not blob_len) and \
+            hashlib.sha256(blob).digest() != blob_sha:
+        raise ImageError("image page-blob checksum mismatch")
+    try:
+        meta = zlib.decompress(meta_bytes)
+        (count,) = _COUNT.unpack_from(meta)
+        lengths = struct.unpack_from(f"!{count}Q", meta, _COUNT.size)
+        ends = list(accumulate(lengths))
+        return pickle.loads(
+            memoryview(meta)[_COUNT.size + 8 * count:],
+            buffers=[blob[end - n:end] for end, n in zip(ends, lengths)])
+    except Exception as exc:
+        raise ImageError(f"image metadata undecodable: {exc}") from exc
+
+
+def write_image(path: str, db: Any) -> Dict[str, Any]:
+    """Atomically write ``db`` as one image at ``path``; returns a size
+    summary.  An ``OSError`` on the way is raised as
+    :class:`PersistError`, and the temp file is removed."""
+    image = dumps(db)
+    meta_len, blob_len, _, _ = _read_header(image, len(image))
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(header)
-            fh.write(meta_bytes)
-            for blob in blobs:
-                fh.write(blob)
+            fh.write(image)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -130,11 +140,11 @@ def write_image(path: str, db: Any) -> Dict[str, Any]:
             raise PersistError(
                 f"cannot write image {path!r}: {exc}") from exc
         raise
-    return {"path": path, "bytes": total_size,
-            "meta_bytes": len(meta_bytes), "blob_bytes": blob_len}
+    return {"path": path, "bytes": len(image),
+            "meta_bytes": meta_len, "blob_bytes": blob_len}
 
 
-def _read_header(raw: bytes, actual_size: int) -> Tuple[int, int, bytes, bytes]:
+def _read_header(raw: Any, actual_size: int) -> Tuple[int, int, bytes, bytes]:
     if len(raw) < _HEADER.size:
         raise ImageError(
             f"image truncated: {len(raw)} bytes is smaller than the "
@@ -159,37 +169,16 @@ def _read_header(raw: bytes, actual_size: int) -> Tuple[int, int, bytes, bytes]:
 
 
 def read_image(path: str, verify: bool = False) -> Any:
-    """Validate the image at ``path`` and unpickle what it holds; the
-    blob stays in the file behind an ``mmap``."""
+    """:func:`loads` the image at ``path``; the blob stays in the file
+    behind an ``mmap``."""
     try:
-        size = os.path.getsize(path)
-        fh = open(path, "rb")
+        with open(path, "rb") as fh:   # the mmap keeps its own reference
+            size = os.fstat(fh.fileno()).st_size
+            data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) \
+                if size else b""
     except OSError as exc:
         raise ImageError(f"cannot read image {path!r}: {exc}") from exc
-    with fh:   # the mmap keeps its own reference to the file
-        meta_len, blob_len, meta_sha, blob_sha = _read_header(
-            fh.read(_HEADER.size), size
-        )
-        meta_bytes = fh.read(meta_len)
-        if len(meta_bytes) != meta_len or \
-                hashlib.sha256(meta_bytes).digest() != meta_sha:
-            raise ImageError("image metadata checksum mismatch")
-        blob_off = _HEADER.size + meta_len
-        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-        blob = memoryview(mapped)[blob_off:blob_off + blob_len]
-        if (verify or not blob_len) and \
-                hashlib.sha256(blob).digest() != blob_sha:
-            raise ImageError("image page-blob checksum mismatch")
-    try:
-        meta = zlib.decompress(meta_bytes)
-        (count,) = _COUNT.unpack_from(meta)
-        lengths = struct.unpack_from(f"!{count}Q", meta, _COUNT.size)
-        ends = list(accumulate(lengths))
-        return pickle.loads(
-            memoryview(meta)[_COUNT.size + 8 * count:],
-            buffers=[blob[end - n:end] for end, n in zip(ends, lengths)])
-    except Exception as exc:
-        raise ImageError(f"image metadata undecodable: {exc}") from exc
+    return loads(data, verify)
 
 
 def image_info(path: str) -> Dict[str, Any]:
@@ -206,16 +195,16 @@ def image_info(path: str) -> Dict[str, Any]:
 # one database -> one image (the way back is GhostDB.restore)
 # ---------------------------------------------------------------------------
 
-def snapshot_db(db: Any, tokens: Sequence["GhostDB"],
-                path: str) -> Dict[str, Any]:
-    """Write ``db`` -- one token, or a fleet over ``tokens`` -- as one
-    image file at ``path``, once every token is built and has no
-    compaction job in flight (:class:`PersistError` otherwise).
+def snapshot_db(db: Any, path: str) -> Dict[str, Any]:
+    """Write ``db`` -- one token, or a fleet of them -- as one image
+    file at ``path``, once every token is built and has no compaction
+    job in flight (:class:`PersistError` otherwise).
 
     Returns a summary dict (sizes, page and file counts).
     """
+    tokens = getattr(db, "shards", [db])
     for k, token_db in enumerate(tokens):
-        what = "snapshot" if len(tokens) == 1 else f"snapshot (shard {k})"
+        what = "snapshot" if token_db is db else f"snapshot (shard {k})"
         if token_db.catalog is None:
             raise PersistError(f"{what} requires a built database: "
                                "call build() first")

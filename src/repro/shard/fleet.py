@@ -728,8 +728,7 @@ class ShardedGhostDB(StatementFrontEnd):
         refuses while any shard has a compaction job in flight.
         ``GhostDB.restore`` reads it back."""
         from repro.persist.image import snapshot_db
-        return {**snapshot_db(self, self.shards, path),
-                "shards": self.n_shards}
+        return {**snapshot_db(self, path), "shards": self.n_shards}
 
     def __getstate__(self) -> Dict[str, Any]:
         """The image form: shards, router, root maps, the global-id

@@ -15,7 +15,7 @@ n).  Every case makes the checks of :func:`check`:
   so GC can reclaim a page a cut interrupted;
 * the state survives an image round trip: one case per path through
   ``snapshot`` -> ``restore(verify=True)`` on disk, the others through
-  the pickled durable form in memory;
+  the same image bytes in memory;
 * one more fault-free INSERT and DELETE keep it equal to the twin.
 
 Nothing is sampled -- no Hypothesis, no seed, no environment variable
@@ -25,7 +25,6 @@ Nothing is sampled -- no Hypothesis, no seed, no environment variable
 import asyncio
 import contextlib
 import os
-import pickle
 from dataclasses import dataclass
 from unittest.mock import patch
 
@@ -39,6 +38,7 @@ from repro.faults import FlashFaults, FleetFaults, WireFaults
 from repro.faults.flash import LANDINGS, TORN
 from repro.flash.constants import FlashParams
 from repro.hardware.token import TokenConfig
+from repro.persist.image import dumps, loads
 from repro.service.client import AsyncGhostClient
 from repro.service.server import GhostServer
 from repro.shard.fleet import ShardedGhostDB
@@ -51,21 +51,10 @@ SETTLE = ("INSERT INTO P VALUES (4, 61, 7.5)",
 
 
 # ----------------------------------------------------------------------
-# twins: durable forms, views and the per-case check
+# twins: image bytes, views and the per-case check
 # ----------------------------------------------------------------------
 def shards_of(db):
     return db.shards if isinstance(db, ShardedGhostDB) else [db]
-
-
-def durable(db) -> bytes:
-    """``db`` pickled through the ``__getstate__`` an image uses (the
-    page payloads in band, not in a blob)."""
-    return pickle.dumps(db, protocol=5)
-
-
-def revive(raw: bytes):
-    """A fresh database from :func:`durable` output."""
-    return pickle.loads(raw)
 
 
 def rows(db, sql, oracle=False):
@@ -132,7 +121,7 @@ def check(db, expected, disk=None):
         assert_pages_accounted(shard.token.ftl)
     assert_no_leak(db)
     if disk is None:
-        copy = revive(durable(db))
+        copy = loads(dumps(db))
     else:
         db.snapshot(str(disk))
         copy = GhostDB.restore(str(disk), verify=True)
@@ -235,7 +224,7 @@ PATHS = [
 
 def fresh(raw, path):
     """``path``'s starting database, revived from ``raw``."""
-    db = revive(raw)
+    db = loads(raw)
     for sql in path.prepare:
         db.execute(sql)
     return db
@@ -256,7 +245,7 @@ def paths():
     with the path run."""
     out = {}
     for path in PATHS:
-        raw = durable(path.base())
+        raw = dumps(path.base())
         done = fresh(raw, path)
         path.run(done)
         out[path.name] = raw, twin(fresh(raw, path)), twin(done)
@@ -321,7 +310,7 @@ FLEET_CUTS = [ROOT_INSERT, "DELETE FROM P WHERE P.v < 25"]
 def fleet_raw():
     fleet = build_pc(shards=2)
     fleet.execute("DELETE FROM P WHERE P.v < 10")   # debt to compact
-    return durable(fleet)
+    return dumps(fleet)
 
 
 @pytest.mark.parametrize("sql", FLEET_CUTS,
@@ -330,19 +319,19 @@ def test_every_power_cut_on_either_shard_aborts_the_fleet_statement(
         sql, fleet_raw, tmp_path):
     """A shard that loses power mid-statement fails it on every shard:
     the ones that applied roll back, the cut one recovers."""
-    before = twin(revive(fleet_raw))
-    done = revive(fleet_raw)
+    before = twin(loads(fleet_raw))
+    done = loads(fleet_raw)
     done.execute(sql)
     after = twin(done)
     disk = tmp_path / "fleet.img"
     for s in range(2):
-        fleet = revive(fleet_raw)
+        fleet = loads(fleet_raw)
         nand = fleet.shards[s].token.nand
         n = faulted(nand, lambda: fleet.execute(sql)).programs
         assert n > 0
         check(fleet, after)
         for k in range(n):
-            fleet = revive(fleet_raw)
+            fleet = loads(fleet_raw)
             nand = fleet.shards[s].token.nand
             with pytest.raises(PowerLoss):
                 faulted(nand, lambda: fleet.execute(sql),
@@ -399,11 +388,11 @@ def test_a_shard_death_at_every_touch_is_all_or_nothing(
     shard is back -- or, a root-free read rerouted, answers as if
     nothing died."""
     run = FLEET_STATEMENTS[name]
-    before = view(revive(fleet_raw))
-    done = revive(fleet_raw)
+    before = view(loads(fleet_raw))
+    done = loads(fleet_raw)
     answer = outcome(run, done)
     after = twin(done)
-    fleet = revive(fleet_raw)
+    fleet = loads(fleet_raw)
     fleet.faults = touches = Touches()
     assert outcome(run, fleet) == answer
     fleet.faults = None
@@ -411,7 +400,7 @@ def test_a_shard_death_at_every_touch_is_all_or_nothing(
     assert touches.order
     disk = tmp_path / "dead.img"
     for t, dead in enumerate(touches.order):
-        fleet = revive(fleet_raw)
+        fleet = loads(fleet_raw)
         pre = marks(fleet)
         fleet.faults = FleetFaults(kill_at=(dead, t))
         try:
@@ -428,7 +417,7 @@ def test_a_shard_death_at_every_touch_is_all_or_nothing(
         fleet.recover()
         assert all(h["up"] for h in fleet.fleet_health().values())
         if aborted:
-            assert view(fleet) == view(revive(durable(fleet))) == before
+            assert view(fleet) == view(loads(dumps(fleet))) == before
             assert outcome(run, fleet) == answer
         check(fleet, after, disk)
         disk = None
@@ -562,13 +551,13 @@ def test_a_flip_at_every_read_attempt_is_healed(sql, paths, tmp_path):
     """Flip one bit at each read attempt of a probe: the NAND's retry
     heals it and the answer is the fault-free one."""
     raw, before = paths["insert"][:2]
-    db = revive(raw)
-    clean = rows(revive(raw), sql)
+    db = loads(raw)
+    clean = rows(loads(raw), sql)
     n = faulted(db.token.nand, lambda: assert_rows(db, sql, clean)).reads
     flips = 0
     disk = tmp_path / "flip.img"
     for i in range(n):
-        db = revive(raw)
+        db = loads(raw)
         faults = faulted(db.token.nand,
                          lambda: assert_rows(db, sql, clean),
                          flip_reads={i})
@@ -615,13 +604,13 @@ def test_a_fault_at_every_response_frame_applies_exactly_once(
     """Drop, truncate or stall each response frame of a 3-INSERT
     script: the retried INSERT lands exactly once."""
     raw = paths["insert"][0]
-    done, wire = revive(raw), WireFaults()
+    done, wire = loads(raw), WireFaults()
     assert asyncio.run(insert_markers(done, wire)).retries_total == 0
     after = twin(done)
     disk = tmp_path / "wire.img"
     for k in range(wire.frames):
         for kind, counter in COUNTERS.items():
-            db = revive(raw)
+            db = loads(raw)
             faults = WireFaults(stall_s=STALL_S, **{kind: {k}})
             client = asyncio.run(insert_markers(
                 db, faults, TIMEOUT_S if kind == "stall" else 5.0))
