@@ -38,7 +38,7 @@ from repro.flash.constants import ID_SIZE
 from repro.flash.store import FlashFile
 from repro.predicate import Predicate
 from repro.schema.model import Column, Schema, Table
-from repro.storage.heap import HeapFile, append_fixed_record
+from repro.storage.heap import HeapFile
 
 
 @dataclass
@@ -46,7 +46,6 @@ class TableImage:
     """The hidden side of one table."""
 
     table: Table
-    n_rows: int
     hidden_columns: List[Column]          # non-fk hidden attributes
     heap: Optional[HeapFile]              # None when no hidden attributes
 
@@ -103,7 +102,7 @@ class SecureCatalog:
         """
         return {
             "table": table,
-            "n_rows": self.images[table].n_rows,
+            "n_rows": self.n_rows(table),
             "tombstones": set(self.tombstones[table]) if deleting else None,
             "stats": self.stats[table].copy(),
             "generations": (self.data_generations[table],
@@ -114,14 +113,8 @@ class SecureCatalog:
 
     def rollback(self, savepoint: Dict[str, Any]) -> None:
         """Back to :meth:`savepoint`: what the catalog keeps in RAM (the
-        flash content is the statement journal's to undo, first)."""
+        flash content is the statement journal's to cut back, first)."""
         table, n_rows = savepoint["table"], savepoint["n_rows"]
-        image = self.images[table]
-        image.n_rows = n_rows
-        if image.heap is not None:
-            image.heap.n_rows = n_rows
-        if table in self.skts:
-            self.skts[table].heap.n_rows = n_rows
         del self.raw_rows[table][n_rows:]
         # edges the statement recorded lead to its own rows: parent ids
         # at or past the old row count, at the tail of each edge list
@@ -151,7 +144,10 @@ class SecureCatalog:
             raise PlanError(f"no hidden image loaded for {table!r}") from None
 
     def n_rows(self, table: str) -> int:
-        return self.image(table).n_rows
+        """Rows ``table`` holds, tombstoned ones included: row ``i`` of
+        its raw rows, hidden image, SKT and visible image is tuple
+        ``i``, so the raw rows' length is the one count."""
+        return len(self.raw_rows[table])
 
     def skt(self, table: str) -> SubtreeKeyTable:
         try:
@@ -210,8 +206,7 @@ class SecureCatalog:
         n_before = len(dead)
         for rid in ids:
             if rid not in dead:
-                append_fixed_record(log, rid.to_bytes(ID_SIZE, "little"),
-                                    len(dead), self.token.page_size)
+                log.append_record(rid.to_bytes(ID_SIZE, "little"))
                 dead.add(rid)
         return len(dead) - n_before
 

@@ -431,13 +431,11 @@ class CompactionJob:
                 buf += raw[start:]
                 while len(buf) >= page_bytes:
                     shadow.file.append_page(buf[:page_bytes])
-                    shadow.n_rows += per_page
                     del buf[:page_bytes]
             self.pages_rewritten += last - first
             yield f"{base} pages {last}/{n_pages}"
         if buf:
             shadow.file.append_page(buf)
-            shadow.n_rows += len(buf) // width
 
     def _charge_index_read(self, idx: ClimbingIndex) -> None:
         """Read the old index's pages -- the honest read cost of
@@ -527,7 +525,6 @@ class CompactionJob:
                                                 self._shadow_heaps):
                 old, owner.heap = owner.heap, shadow
                 old.free()
-            catalog.images[T].n_rows = len(live_ids)
             # retained raw rows follow: T's list shrinks to the live
             # rows (rebound in place -- the reference oracle shares the
             # dict), the parent's fk cells move to the new dense ids

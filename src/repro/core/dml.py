@@ -182,10 +182,9 @@ class DmlExecutor:
                     hid_positions: List[int], fk_positions) -> int:
         catalog = self.catalog
         image = catalog.image(table.name)
-        new_id = image.n_rows
+        new_id = catalog.n_rows(table.name)
         if image.heap is not None:
             image.heap.append_row(tuple(row[p] for p in hid_positions))
-        image.n_rows += 1
         if table.name in catalog.skts:
             skt = catalog.skts[table.name]
             skt.append_row(self._descendant_ids(table, row, skt.columns))

@@ -178,7 +178,7 @@ class Loader:
                     self.token.page_size,
                 )
             catalog.images[name] = TableImage(
-                table=t, n_rows=len(rows), hidden_columns=hidden, heap=heap
+                table=t, hidden_columns=hidden, heap=heap
             )
 
     # ------------------------------------------------------------------

@@ -3,17 +3,19 @@
 Three small pieces turn a power loss mid-DML from "silently
 inconsistent token" into "milliseconds of deterministic cleanup":
 
-* :class:`StatementJournal` -- armed around every INSERT/DELETE.  The
-  flash store notifies it after each successful page mutation (append,
-  out-of-place rewrite, file create); the engine side is one
+* :class:`StatementJournal` -- armed around every INSERT/DELETE.  A
+  statement only appends to flash, so its undo is a cut back to the
+  lengths it found: each file reports itself before it mutates (the
+  journal keeps its page count and tail fill from the first report),
+  the store each file it creates; the engine side is one
   :meth:`SecureCatalog.savepoint
   <repro.core.catalog.SecureCatalog.savepoint>` of the statement's
-  table plus Untrusted's row count.  ``rollback()`` undoes the flash
-  mutations in reverse order and rolls the catalog back to the
-  savepoint, leaving the database exactly at its pre-statement
-  generations.  A journal from a *committed* statement is kept until
-  the next one so the fleet's check-all / apply-all DML can abort an
-  already-applied shard
+  table plus Untrusted's row count.  ``rollback()`` frees the created
+  files, cuts every other touched file back to its mark and rolls the
+  catalog back to the savepoint, leaving the database exactly at its
+  pre-statement generations.  A journal from a *committed* statement
+  is kept until the next one so the fleet's check-all / apply-all DML
+  can abort an already-applied shard
   (:meth:`~repro.core.ghostdb.GhostDB.undo_last_dml`).
 
 * :class:`IdempotencyLedger` -- the exactly-once half of the retry
@@ -28,10 +30,6 @@ inconsistent token" into "milliseconds of deterministic cleanup":
   :meth:`~repro.core.ghostdb.GhostDB.recover` did: power cycle,
   compactions aborted, statement rolled back, corrupt pages found by
   the checksum scan.
-
-The journal's flash rollback is itself charged I/O (restoring a
-rewritten tail page programs a new out-of-place page) -- recovery work
-is real work on a real token.
 """
 
 from __future__ import annotations
@@ -104,18 +102,17 @@ class RecoveryReport:
 
 
 class StatementJournal:
-    """Undo log for one DML statement.
+    """Undo record for one DML statement: lengths, not old bytes.
 
     Armed before the statement ``bound`` mutates anything: takes a
     catalog savepoint of the statement's table -- which records only
     what that kind of statement can change -- notes Untrusted's row
-    count, and registers itself with the token's flash store, which
-    calls :meth:`note_append` / :meth:`note_rewrite` /
-    :meth:`note_create` after each successful page mutation.
-    :meth:`rollback` replays the flash ops in reverse and rolls the
-    catalog back.  Ops against files that no longer exist (a
-    statement's temporary merge runs) are skipped -- they were created
-    and freed inside the journaled window.
+    count, and registers itself with the token's flash store.  A file
+    calls :meth:`mark` before each mutation (the first call keeps the
+    file's ``(pages, tail fill)``) and the store calls
+    :meth:`note_create` for each file it creates.  :meth:`rollback`
+    frees the created files still alive, cuts every other marked file
+    back to its mark and rolls the catalog back.
 
     Used as a context manager around the mutation: leaving the block
     stops the flash notifications and hands the journal to the database
@@ -129,8 +126,9 @@ class StatementJournal:
         self.db = db
         self.table = bound.table
         self.committed = False
-        # (op, file_name, *details), chronological
-        self.ops: List[Tuple] = []
+        # file name -> (pages, tail fill) before its first mutation
+        self.marks: Dict[str, Tuple[int, int]] = {}
+        self.created: List[str] = []
         self._savepoint = db.catalog.savepoint(
             self.table, deleting=isinstance(bound, BoundDelete))
         self._untrusted_rows = db.untrusted.n_rows(self.table)
@@ -139,21 +137,17 @@ class StatementJournal:
     # ------------------------------------------------------------------
     # flash-store notification hooks
     # ------------------------------------------------------------------
-    def note_append(self, file: "FlashFile") -> None:
-        """A page was appended to ``file``."""
-        self.ops.append(("append", file.name))
-
-    def note_rewrite(self, file: "FlashFile", index: int,
-                     old: bytes) -> None:
-        """Page ``index`` of ``file`` was rewritten (was ``old``)."""
-        self.ops.append(("rewrite", file.name, index, old))
+    def mark(self, file: "FlashFile") -> None:
+        """``file`` is about to mutate: keep its first mark."""
+        if file.name not in self.marks:
+            self.marks[file.name] = (file.n_pages, file.tail_fill)
 
     def note_create(self, file: "FlashFile") -> None:
         """``file`` was created."""
-        self.ops.append(("create", file.name))
+        self.created.append(file.name)
 
     def detach(self) -> None:
-        """Stop receiving flash notifications (keeps the undo log)."""
+        """Stop receiving flash notifications (keeps the marks)."""
         if self.db.token.store.journal is self:
             self.db.token.store.journal = None
 
@@ -169,23 +163,21 @@ class StatementJournal:
     # rollback
     # ------------------------------------------------------------------
     def rollback(self) -> None:
-        """Undo the statement: flash ops in reverse, then the catalog
-        savepoint and Untrusted's appended rows.  A rollback in progress
-        is uncommitted and an op leaves the log once undone, so after a
-        power cut (page rewrites program flash) recover() resumes it."""
+        """Undo the statement: free the files it created, cut the
+        others back to their marks, then roll back the catalog
+        savepoint and Untrusted's appended rows.  Files no longer alive
+        (a statement's temporary merge runs) are skipped.  A rollback
+        in progress is uncommitted and every step of it is idempotent,
+        so after a power cut (a cut re-programs a tail page) recover()
+        simply runs it again."""
         self.committed = False
         self.detach()
         store = self.db.token.store
-        while self.ops:
-            op = self.ops[-1]
-            if store.exists(op[1]):   # else created and freed inside
-                file = store.get(op[1])
-                if op[0] == "append":
-                    file.truncate_last()
-                elif op[0] == "rewrite":
-                    file.write_page(op[2], op[3])
-                else:  # create
-                    file.free()
-            self.ops.pop()
+        for name in self.created:
+            if store.exists(name):
+                store.get(name).free()
+        for name, (n_pages, tail_fill) in self.marks.items():
+            if store.exists(name):    # else created, or freed inside
+                store.get(name).cut(n_pages, tail_fill)
         self.db.catalog.rollback(self._savepoint)
         self.db.untrusted.truncate(self.table, self._untrusted_rows)

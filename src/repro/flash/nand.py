@@ -90,10 +90,15 @@ class NandFlash:
         spare = dict(sorted(self._spare.items()))
         backing, parts = {}, []
         offset = 0
-        for ppn in spare:
-            # the verified physical accessor: falls through to the lazy
-            # backing, so re-snapshotting a restored array works
-            payload = self.read_page(ppn)
+        for ppn, crc in spare.items():
+            # a still-backed page is sliced out of its image, not copied
+            # in: a snapshot leaves the array as lazy as it found it
+            payload = self._data.get(ppn)
+            if payload is None:
+                start, length = self._backing[ppn]
+                payload = self._backing_buf[start:start + length]
+            if zlib.crc32(payload) != crc:
+                raise FlashCorruption(f"page {ppn} failed checksum")
             backing[ppn] = (offset, len(payload))
             parts.append(payload)
             offset += len(payload)

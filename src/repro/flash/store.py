@@ -3,7 +3,8 @@
 Everything the Secure token persists -- hidden table images, SKTs,
 B+-tree nodes, climbing-index ID runs, temporary merge runs -- is a
 :class:`FlashFile`: an ordered sequence of logical flash pages that can
-be appended to, rewritten page-wise, and freed.  :class:`FlashStore`
+be appended to (a page, or a record at its tail), cut back to an
+earlier length, and freed.  :class:`FlashStore`
 is the directory of those files.
 
 Reads go through a small read-through :class:`PageCache` keyed on the
@@ -101,6 +102,11 @@ class FlashFile:
         """Total payload bytes stored in the file."""
         return sum(self._page_fill)
 
+    @property
+    def tail_fill(self) -> int:
+        """Payload bytes on the file's last page (0 when it has none)."""
+        return self._page_fill[-1] if self._page_fill else 0
+
     def _check_open(self) -> None:
         if self.closed:
             raise StorageError(f"flash file {self.name!r} already freed")
@@ -116,41 +122,59 @@ class FlashFile:
     def append_page(self, data: bytes) -> int:
         """Append one page of payload; returns its index in the file."""
         self._check_open()
+        if self._store.journal is not None:
+            self._store.journal.mark(self)
         (lpn,) = self._store.ftl.allocate(1)
         data = bytes(data)
         self._store.ftl.write(lpn, data)
         self._store.page_cache.put(lpn, data)
         self._lpns.append(lpn)
         self._page_fill.append(len(data))
-        journal = self._store.journal
-        if journal is not None:
-            journal.note_append(self)
         return len(self._lpns) - 1
 
     def write_page(self, index: int, data: bytes) -> None:
         """Rewrite page ``index`` (out of place, via the FTL)."""
         self._check_open()
         self._check_index(index)
+        if self._store.journal is not None:
+            self._store.journal.mark(self)
         data = bytes(data)
-        journal = self._store.journal
-        old = self._store.ftl.peek(self._lpns[index]) if journal is not None else None
         self._store.ftl.write(self._lpns[index], data)
         self._store.page_cache.put(self._lpns[index], data)
         self._page_fill[index] = len(data)
-        if journal is not None:
-            journal.note_rewrite(self, index, old)
 
-    def truncate_last(self) -> None:
-        """Drop the file's last page (statement-journal rollback path)."""
+    def append_record(self, record: bytes) -> None:
+        """Append one fixed-width record after the file's last one.
+
+        The NAND tail-append of heap files, climbing-index delta logs
+        and tombstone logs: a fresh page when the tail page has no room
+        for the record, otherwise an out-of-place re-program (via the
+        FTL) of the tail page -- its filled bytes, read charged, with
+        the record added.  Cost is O(one page) regardless of file size.
+        """
+        fill = self.tail_fill
+        if not self._lpns or fill + len(record) > self.page_size:
+            self.append_page(record)
+        else:
+            last = len(self._lpns) - 1
+            self.write_page(last, self.read_page(last, nbytes=fill) + record)
+
+    def cut(self, n_pages: int, tail_fill: int) -> None:
+        """Cut the file back to ``n_pages`` pages, the last holding
+        ``tail_fill`` bytes: the mark a statement journal took before
+        the file's first append.  Every write since was an append, so
+        the pages past the mark are dropped and, if the tail page grew,
+        its prefix -- read charged -- is re-programmed once.  A second
+        cut to the same mark does nothing, so a rollback a power cut
+        interrupted simply runs again."""
         self._check_open()
-        if not self._lpns:
-            raise BadAddressError(
-                f"truncate_last on empty flash file {self.name!r}"
-            )
-        lpn = self._lpns.pop()
-        self._page_fill.pop()
-        self._store.ftl.trim(lpn)
-        self._store.page_cache.invalidate(lpn)
+        for lpn in self._lpns[n_pages:]:
+            self._store.ftl.trim(lpn)
+            self._store.page_cache.invalidate(lpn)
+        del self._lpns[n_pages:], self._page_fill[n_pages:]
+        if self.tail_fill > tail_fill:
+            last = n_pages - 1
+            self.write_page(last, self.read_page(last, nbytes=tail_fill))
 
     def read_page(self, index: int, nbytes: Optional[int] = None,
                   offset: int = 0) -> bytes:
@@ -224,12 +248,7 @@ class FlashFile:
         """Release every page of the file back to the FTL."""
         if self.closed:
             return
-        cache = self._store.page_cache
-        for lpn in self._lpns:
-            self._store.ftl.trim(lpn)
-            cache.invalidate(lpn)
-        self._lpns.clear()
-        self._page_fill.clear()
+        self.cut(0, 0)
         self.closed = True
         self._store.forget(self.name)
 
@@ -243,8 +262,9 @@ class FlashStore:
         self._files: Dict[str, FlashFile] = {}
         self._next_temp = 0
         # armed StatementJournal (repro.core.recovery) during a DML
-        # statement; None otherwise -- files notify it after every
-        # successful mutation so a crashed statement can be rolled back
+        # statement; None otherwise -- a file reports itself before it
+        # mutates, a created file on creation, so a crashed statement
+        # can be cut back
         self.journal = None
 
     def create(self, name: str) -> FlashFile:

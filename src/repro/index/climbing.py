@@ -41,7 +41,6 @@ from repro.index.btree import BPlusTree
 from repro.index.keys import KeyCodec
 from repro.predicate import Predicate
 from repro.storage.codec import ColumnType
-from repro.storage.heap import append_fixed_record
 from repro.storage.runs import U32FileBuilder, U32View, intersect_sorted
 
 _DESC = struct.Struct("<II")  # (start u32, count u32) per level
@@ -154,13 +153,11 @@ class ClimbingIndex:
 
     def rollback(self, savepoint: int) -> None:
         """Forget the entries appended since :meth:`savepoint` (their
-        flash pages are the statement journal's to truncate)."""
-        if len(self._delta) != savepoint:
+        flash pages are the statement journal's to cut back).  Back
+        at 0, the file a first append created is gone even if the
+        append died before its entry was recorded."""
+        if len(self._delta) != savepoint or not savepoint:
             self._replay_delta(self._delta[:savepoint])
-        elif not savepoint:
-            # a first append that died before its entry was recorded
-            # may have created the file; the journal frees it
-            self._delta_file = None
 
     # ------------------------------------------------------------------
     # lookups
@@ -259,8 +256,7 @@ class ClimbingIndex:
         entry = key + int(own_id).to_bytes(ID_SIZE, "little")
         if self._delta_file is None:
             self._delta_file = self._store.create(f"ci_{self.name}_delta")
-        append_fixed_record(self._delta_file, entry, len(self._delta),
-                            self._store.ftl.params.page_size)
+        self._delta_file.append_record(entry)
         self._delta.append((key, own_id))
         self._bloom_add(key)
 

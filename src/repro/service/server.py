@@ -134,16 +134,20 @@ class GhostServer:
         write is queued must deliver its tagged ``writer_seq``
         response, not drop it.  The drain is shielded so cancelling
         ``stop()`` itself cannot cut it short.
+
+        The connections are drained before ``wait_closed()``, which
+        from Python 3.12.1 on waits for every connection to close.
         """
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
         for task in list(self._conn_tasks):
             task.cancel()
         if self._conn_tasks:
             await asyncio.gather(*self._conn_tasks,
                                  return_exceptions=True)
+        if server is not None:
+            await server.wait_closed()
 
     async def serve_forever(self) -> None:
         """Start (if needed) and serve until cancelled."""

@@ -24,27 +24,6 @@ from repro.hardware.ram import SecureRam
 from repro.storage.codec import RowCodec
 
 
-def append_fixed_record(file: FlashFile, record: bytes, n_existing: int,
-                        page_size: int) -> None:
-    """Append one fixed-width record after ``n_existing`` others.
-
-    The shared NAND tail-append: a fresh page when the tail page is
-    full, otherwise an out-of-place re-program (via the FTL) of the
-    tail page with the record added.  Cost is O(one page) regardless
-    of file size.  Used by heap files, climbing-index delta logs and
-    tombstone logs.
-    """
-    width = len(record)
-    per_page = max(1, page_size // width)
-    slot = n_existing % per_page
-    if slot == 0:
-        file.append_page(record)
-    else:
-        last = file.n_pages - 1
-        tail = file.read_page(last, nbytes=slot * width)
-        file.write_page(last, tail + record)
-
-
 class HeapFile:
     """Fixed-width rows, addressed by dense row id."""
 
@@ -55,7 +34,13 @@ class HeapFile:
         self.codec = codec
         self.page_size = page_size
         self.rows_per_page = page_size // codec.row_width
-        self.n_rows = 0
+
+    @property
+    def n_rows(self) -> int:
+        """Rows stored: every page but the last is full."""
+        n_pages = self.file.n_pages
+        return n_pages and ((n_pages - 1) * self.rows_per_page
+                            + self.file.tail_fill // self.codec.row_width)
 
     # ------------------------------------------------------------------
     # building
@@ -81,7 +66,6 @@ class HeapFile:
                 if not chunk:
                     break
                 heap.file.append_page(codec.pack_rows(chunk))
-                heap.n_rows += len(chunk)
         finally:
             if buf:
                 buf.free()
@@ -93,15 +77,14 @@ class HeapFile:
     def append_row(self, row: Sequence) -> int:
         """Append one row after the current tail; returns its new id.
 
-        Cost is O(one page): a fresh page is appended when the tail
-        page is full, otherwise the tail page is re-programmed
-        (out-of-place via the FTL, as NAND requires) with the row
-        added.  Nothing else in the file moves, so DML cost scales
-        with the appended bytes, not the table size.
+        Cost is O(one page) (:meth:`FlashFile.append_record
+        <repro.flash.store.FlashFile.append_record>`): a fresh page is
+        appended when the tail page is full, otherwise the tail page is
+        re-programmed (out-of-place via the FTL, as NAND requires) with
+        the row added.  Nothing else in the file moves, so DML cost
+        scales with the appended bytes, not the table size.
         """
-        append_fixed_record(self.file, self.codec.pack(row), self.n_rows,
-                            self.rows_per_page * self.codec.row_width)
-        self.n_rows += 1
+        self.file.append_record(self.codec.pack(row))
         return self.n_rows - 1
 
     # ------------------------------------------------------------------

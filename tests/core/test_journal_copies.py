@@ -7,6 +7,7 @@ debt; and rolling a statement back must land exactly on the
 pre-statement export."""
 
 import copy
+import hashlib
 
 from repro.core.ghostdb import GhostDB
 from repro.core.recovery import StatementJournal
@@ -130,13 +131,26 @@ def test_arming_a_journal_for_an_insert_copies_nothing_that_grows_with_debt():
     assert sizes and max(sizes) <= len(bound.rows) == 8
 
 
+def flash_files(store):
+    """Per live file: its page count, page fills and a digest of its
+    payload bytes -- a cut must land on the pre-statement bytes."""
+    out = {}
+    for name, f in store._files.items():
+        digest = hashlib.sha256()
+        for page in range(f.n_pages):
+            digest.update(f._payload(page))
+        out[name] = (f.n_pages, list(f._page_fill), digest.hexdigest())
+    return out
+
+
 def engine_export(db):
     """Everything a statement can change, comparable with ``==``: the
     catalog's fields (sketches and delta Blooms spelled out, they
-    define no equality), Untrusted's row counts, flash occupancy."""
+    define no equality), Untrusted's row counts, flash occupancy and
+    every file's bytes."""
     catalog = db.catalog
     meta = copy.deepcopy({
-        "images": {t: (img.n_rows, img.heap and img.heap.n_rows)
+        "images": {t: (catalog.n_rows(t), img.heap and img.heap.n_rows)
                    for t, img in catalog.images.items()},
         "skts": {t: skt.heap.n_rows for t, skt in catalog.skts.items()},
         "indexes": [(ci.name, ci.btree.n_entries, ci._delta)
@@ -159,7 +173,7 @@ def engine_export(db):
     }
     visible = {t: db.untrusted.n_rows(t) for t in db.schema.tables}
     return (meta, blooms, visible, db.storage_report(),
-            db.token.store.n_files, db.table_generations)
+            flash_files(db.token.store), db.table_generations)
 
 
 def test_rollback_lands_on_the_pre_statement_export():

@@ -83,6 +83,21 @@ def test_resnapshot_of_a_restored_db(tmp_path):
     assert_twins_identical(again, twin)
 
 
+def test_a_snapshot_leaves_a_restored_db_lazy(tmp_path):
+    """Every page of a restored database stays in the image it came
+    from through a snapshot: the new image slices the cold pages out
+    of the old one, it does not copy them into the array."""
+    db, _ = twin_dbs()
+    first = str(tmp_path / "first.img")
+    db.snapshot(first)
+    restored = GhostDB.restore(first)
+    nand = restored.token.nand
+    backed = nand.image_backed_pages()
+    assert backed == restored.token.ftl.mapped_pages() > 0
+    restored.snapshot(str(tmp_path / "second.img"))
+    assert nand.image_backed_pages() == backed
+
+
 def test_snapshot_refused_mid_compaction(tmp_path):
     db, _ = twin_dbs()
     path = str(tmp_path / "db.img")

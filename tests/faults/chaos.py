@@ -43,6 +43,13 @@ def build_pc(shards=1, config=None):
     return db
 
 
+def file_shapes(db):
+    """Each live flash file of a token's store: its page count and
+    tail fill (a rollback cuts every file back to these)."""
+    return {name: (f.n_pages, f.tail_fill)
+            for name, f in db.token.store._files.items()}
+
+
 def assert_oracle(db, sql):
     """One probe must match the reference oracle exactly."""
     result = db.execute(sql)

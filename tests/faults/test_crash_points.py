@@ -8,8 +8,9 @@ result with a twin that never saw a fault (the fault-free run is case
 n).  Every case makes the checks of :func:`check`:
 
 * each probe's rows equal the twin's, and the oracle's;
-* ``statistics()``, each shard's generations, file count and mapped
-  pages, and a fleet's root maps equal the twin's;
+* ``statistics()``, each shard's generations, files (each one's page
+  count and tail fill) and mapped pages, and a fleet's root maps equal
+  the twin's;
 * secure RAM is all freed, and only safe message kinds left a token;
 * every page the write frontier passed is mapped or counted invalid,
   so GC can reclaim a page a cut interrupted;
@@ -43,7 +44,7 @@ from repro.service.client import AsyncGhostClient
 from repro.service.server import GhostServer
 from repro.shard.fleet import ShardedGhostDB
 
-from chaos import PROBES, assert_no_leak, build_pc
+from chaos import PROBES, assert_no_leak, build_pc, file_shapes
 
 #: the fault-free statements every case ends with
 SETTLE = ("INSERT INTO P VALUES (4, 61, 7.5)",
@@ -76,7 +77,7 @@ def view(db):
     return {"rows": [rows(db, sql) for sql in PROBES],
             "statistics": db.statistics(),
             "marks": marks(db),
-            "files": [(s.token.store.n_files, s.token.ftl.mapped_pages())
+            "files": [(s.token.ftl.mapped_pages(), file_shapes(s))
                       for s in shards_of(db)]}
 
 
@@ -201,18 +202,20 @@ PATHS = [
     Path("insert", statement("INSERT INTO P VALUES (3, 55, 9.5)"),
          twice=True),
     # its first row opens a page, its second rewrites that page: the
-    # rollback truncates before it rewrites, and a rerun of a cut
-    # rollback must not truncate twice
+    # rollback drops the page, and a rerun of a cut rollback must not
+    # cut twice
     Path("insert_opening_a_page", statement(f"{FILL}, (6, 43, 4.5)"),
          base=filled(lambda db: db.token.ftl.mapped_pages()), twice=True),
     Path("delete_visible", statement("DELETE FROM P WHERE P.v < 25")),
     Path("delete_hidden", statement("DELETE FROM P WHERE P.hp < 5")),
     Path("delete_mixed",
          statement("DELETE FROM P WHERE P.v < 50 AND P.hp < 10")),
-    # its recovery programs the most pages (the DELETEs' recoveries run
-    # the same rollback on fewer, so they are cut once)
+    # the undone DELETE extends the tombstone log an earlier one
+    # created, so its rollback re-programs the log's tail (undoing the
+    # DELETE that created the log frees it and programs nothing)
     Path("undo_last_dml", GhostDB.undo_last_dml, finishes=True,
-         prepare=("DELETE FROM P WHERE P.v < 25",), twice=True),
+         prepare=("DELETE FROM P WHERE P.v >= 95",
+                  "DELETE FROM P WHERE P.v < 25"), twice=True),
     Path("compact", compact_in_steps, prepare=(
         "DELETE FROM P WHERE P.v < 30",
         "INSERT INTO P VALUES (1, 31, 2.5), (2, 32, 12.5)")),

@@ -12,7 +12,7 @@ from repro.faults.flash import LANDINGS, NOTHING, TORN, WHOLE
 from repro.flash.constants import FlashParams
 from repro.flash.nand import READ_RETRIES, NandFlash
 
-from chaos import PROBES, assert_oracle, build_pc
+from chaos import PROBES, assert_oracle, build_pc, file_shapes
 
 
 def _nand():
@@ -113,6 +113,46 @@ def test_undo_last_dml_reverts_a_committed_statement():
     assert db.statistics() == before
     # nothing left to undo
     assert db.undo_last_dml() is None
+    for sql in PROBES:
+        assert_oracle(db, sql)
+
+
+def counted(db, run):
+    """``run()`` under a fault-free :class:`FlashFaults`: its NAND
+    program and read counts."""
+    faults = FlashFaults(db.token.nand).attach()
+    try:
+        run()
+    finally:
+        faults.detach()
+    return faults
+
+
+def test_a_statement_is_journaled_without_reads_and_undone_by_a_cut():
+    """Journaling a DELETE reads nothing from NAND beyond its
+    page-cache misses, and undoing a statement programs at most one
+    page per file it found and changed: none for a DELETE whose
+    tombstone log it created (the log is freed)."""
+    db = build_pc()
+    cache = db.token.store.page_cache
+    misses = cache.misses
+    faults = counted(db, lambda: db.execute("DELETE FROM P WHERE P.v < 25"))
+    assert db.catalog.live_rows("P") == 59          # 21 rows tombstoned
+    assert faults.reads == cache.misses - misses
+    assert counted(db, db.undo_last_dml).programs == 0
+    assert db.catalog.live_rows("P") == 80
+
+    db.execute("DELETE FROM P WHERE P.v < 25")          # kept: opens the log
+    db.execute("INSERT INTO P VALUES (1, 61, 2.5)")     # kept: delta logs
+    for sql in ("DELETE FROM P WHERE P.v >= 95",
+                "INSERT INTO P VALUES (2, 62, 3.5), (3, 63, 4.5)"):
+        before = file_shapes(db)
+        db.execute(sql)
+        after = file_shapes(db)
+        touched = [n for n in before if after.get(n) != before[n]]
+        programs = counted(db, db.undo_last_dml).programs
+        assert 0 < programs <= len(touched), sql
+        assert file_shapes(db) == before
     for sql in PROBES:
         assert_oracle(db, sql)
 

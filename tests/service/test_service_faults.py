@@ -165,6 +165,27 @@ def test_stop_drains_the_statement_queued_on_the_lane():
     assert _count_v(db, 777) == 1
 
 
+def test_stop_returns_while_an_idle_client_stays_connected():
+    """``stop()`` closes an idle client's connection instead of waiting
+    for the client to leave: from Python 3.12.1 on,
+    ``asyncio.Server.wait_closed()`` waits for every connection."""
+    db = _mini_db()
+
+    async def run():
+        server = GhostServer(db)
+        await server.start()
+        client = await AsyncGhostClient.connect("127.0.0.1", server.port)
+        try:
+            assert await client.ping()
+            assert server.connections_now == 1
+            await asyncio.wait_for(server.stop(), timeout=2.0)
+            return server.connections_now
+        finally:
+            await client.close()
+
+    assert asyncio.run(run()) == 0
+
+
 def test_stop_past_the_inflight_cap_answers_every_decoded_frame(
         monkeypatch):
     """A client pipelines more INSERTs than its connection's in-flight
