@@ -191,8 +191,9 @@ class SecureCatalog:
         return self.n_rows(table) - len(self.tombstones[table])
 
     def mark_deleted(self, table: str, ids: Iterable[int]) -> int:
-        """Tombstone ``ids``; appends each to the flash tombstone log
-        (tail-page appends, charged like any NAND write).
+        """Tombstone ``ids``; appends the new ones to the flash
+        tombstone log in one tail append (one program per page they
+        fill, charged like any NAND write).
 
         Returns how many previously live rows died.  Files are never
         compacted in place -- an incremental
@@ -203,12 +204,11 @@ class SecureCatalog:
         log = self._tombstone_log(table)
         if log is None:
             log = self.token.store.create(f"tombstones_{table}")
-        n_before = len(dead)
-        for rid in ids:
-            if rid not in dead:
-                log.append_record(rid.to_bytes(ID_SIZE, "little"))
-                dead.add(rid)
-        return len(dead) - n_before
+        fresh = [rid for rid in dict.fromkeys(ids) if rid not in dead]
+        log.append_records([rid.to_bytes(ID_SIZE, "little")
+                            for rid in fresh])
+        dead.update(fresh)
+        return len(fresh)
 
     def _tombstone_log(self, table: str) -> Optional[FlashFile]:
         """``table``'s tombstone log, if a delete ever created it (the

@@ -20,9 +20,10 @@ that can refuse it and mutates nothing, :meth:`DmlExecutor.insert` /
 :meth:`DmlExecutor.delete` apply what the check resolved.  A fleet runs
 the check on every target shard before any shard applies.
 
-Cost discipline: an insert is O(appended bytes) -- a handful of tail
-pages re-programmed plus the channel transfer of the row itself --
-never a scan of the table.  DML costs are reported through the same
+Cost discipline: an insert is O(appended bytes) -- one tail page
+re-programmed per file it extends, a fresh page per further page the
+rows fill, plus the channel transfer of the rows themselves -- never a
+scan of the table.  DML costs are reported through the same
 :class:`~repro.core.executor.QueryStats` as queries.
 """
 
@@ -127,9 +128,8 @@ class DmlExecutor:
                     hidden_width * len(bound.rows),
                     f"provision({bound.table})",
                 )
-            for row in bound.rows:
-                self._append_row(table, row, hidden, hid_positions,
-                                 fk_positions)
+            self._append_rows(table, bound.rows, hidden, hid_positions,
+                              fk_positions)
         self.catalog.record_inserted_rows(bound.table, bound.rows)
         self.catalog.bump_generation(bound.table)
         return len(bound.rows)
@@ -178,26 +178,34 @@ class DmlExecutor:
                         f"a deleted {child} row"
                     )
 
-    def _append_row(self, table: Table, row: Tuple, hidden,
-                    hid_positions: List[int], fk_positions) -> int:
+    def _append_rows(self, table: Table, rows: List[Tuple], hidden,
+                     hid_positions: List[int], fk_positions) -> None:
+        """Append ``rows`` to every file of ``table`` with one tail
+        append per file -- the heap, the SKT, each climbing index's
+        delta log -- then do the in-RAM bookkeeping row by row."""
         catalog = self.catalog
+        first = catalog.n_rows(table.name)
+        ids = range(first, first + len(rows))
         image = catalog.image(table.name)
-        new_id = catalog.n_rows(table.name)
         if image.heap is not None:
-            image.heap.append_row(tuple(row[p] for p in hid_positions))
+            image.heap.append_rows(
+                [tuple(row[p] for p in hid_positions) for row in rows])
         if table.name in catalog.skts:
             skt = catalog.skts[table.name]
-            skt.append_row(self._descendant_ids(table, row, skt.columns))
-        for col, pos in fk_positions:
-            catalog.record_fk_delta(col.references, row[pos], new_id)
+            skt.append_rows([self._descendant_ids(table, row, skt.columns)
+                             for row in rows])
         for col in hidden:
             index = catalog.attr_indexes.get((table.name, col.name))
             if index is not None:
-                index.append(row[table.column_position(col.name)], new_id)
+                pos = table.column_position(col.name)
+                index.append([(row[pos], new_id)
+                              for row, new_id in zip(rows, ids)])
         if table.name in catalog.id_indexes:
-            catalog.id_indexes[table.name].append(new_id, new_id)
-        catalog.raw_rows[table.name].append(tuple(row))
-        return new_id
+            catalog.id_indexes[table.name].append(list(zip(ids, ids)))
+        for row, new_id in zip(rows, ids):
+            for col, pos in fk_positions:
+                catalog.record_fk_delta(col.references, row[pos], new_id)
+            catalog.raw_rows[table.name].append(tuple(row))
 
     def _descendant_ids(self, table: Table, row: Tuple,
                         skt_columns: List[str]) -> List[int]:

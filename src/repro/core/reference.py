@@ -31,10 +31,9 @@ class ReferenceEngine:
         self.tombstones = tombstones or {}
 
     # ------------------------------------------------------------------
-    def _descend_id(self, table: str, rid: int, target: str) -> int:
-        """The single ``target`` id below tuple ``rid`` of ``table``."""
-        if table == target:
-            return rid
+    def _descent(self, table: str, target: str) -> List[Tuple[str, int]]:
+        """The ``(table, fk position)`` steps from a tuple of ``table``
+        down to the single ``target`` id below it (none when equal)."""
         path: List[str] = []
         cur = target
         while cur != table:
@@ -43,13 +42,19 @@ class ReferenceEngine:
                 raise PlanError(f"{target} is not below {table}")
             path.append(cur)
             cur = parent
-        current_table, current_id = table, rid
+        steps: List[Tuple[str, int]] = []
         for child in reversed(path):
-            fk = self.schema.fk_to(current_table, child)
-            pos = self.schema.table(current_table).column_position(fk.name)
-            current_id = self.rows[current_table][current_id][pos]
-            current_table = child
-        return current_id
+            fk = self.schema.fk_to(cur, child)
+            pos = self.schema.table(cur).column_position(fk.name)
+            steps.append((cur, pos))
+            cur = child
+        return steps
+
+    def _descend_id(self, steps: List[Tuple[str, int]], rid: int) -> int:
+        """Follow :meth:`_descent`'s ``steps`` down from id ``rid``."""
+        for table, pos in steps:
+            rid = self.rows[table][rid][pos]
+        return rid
 
     def _value(self, col: BoundColumn, ids: Dict[str, int]):
         rid = ids[col.table]
@@ -86,14 +91,15 @@ class ReferenceEngine:
         projections = (effective_projections(bound) if bound.is_aggregate
                        else bound.projections)
         dead = self.tombstones.get(anchor, ())
+        descents = {t: self._descent(anchor, t) for t in bound.tables}
         out: List[Tuple] = []
         keys: List[Tuple] = []          # ORDER BY values per output row
         for rid in range(len(self.rows[anchor])):
             if rid in dead:
                 # deletes RESTRICT, so skipping dead anchors suffices
                 continue
-            ids = {t: self._descend_id(anchor, rid, t)
-                   for t in bound.tables}
+            ids = {t: self._descend_id(steps, rid)
+                   for t, steps in descents.items()}
             ok = True
             for sel in bound.selections:
                 value = self._value(

@@ -3,7 +3,7 @@
 Everything the Secure token persists -- hidden table images, SKTs,
 B+-tree nodes, climbing-index ID runs, temporary merge runs -- is a
 :class:`FlashFile`: an ordered sequence of logical flash pages that can
-be appended to (a page, or a record at its tail), cut back to an
+be appended to (a page, or records at its tail), cut back to an
 earlier length, and freed.  :class:`FlashStore`
 is the directory of those files.
 
@@ -143,21 +143,30 @@ class FlashFile:
         self._store.page_cache.put(self._lpns[index], data)
         self._page_fill[index] = len(data)
 
-    def append_record(self, record: bytes) -> None:
-        """Append one fixed-width record after the file's last one.
+    def append_records(self, records: Sequence[bytes]) -> None:
+        """Append fixed-width ``records`` after the file's last one, no
+        record split across pages.
 
         The NAND tail-append of heap files, climbing-index delta logs
-        and tombstone logs: a fresh page when the tail page has no room
-        for the record, otherwise an out-of-place re-program (via the
-        FTL) of the tail page -- its filled bytes, read charged, with
-        the record added.  Cost is O(one page) regardless of file size.
+        and tombstone logs, one program per page it fills: the records
+        that fit on the tail page re-program it once (out of place, via
+        the FTL) with its filled bytes, read charged, plus them; the
+        rest go to fresh pages.  Pages and fills are those a loop
+        appending one record at a time would leave; the cost is
+        O(appended pages), whatever the file's size.
         """
-        fill = self.tail_fill
-        if not self._lpns or fill + len(record) > self.page_size:
-            self.append_page(record)
-        else:
+        if not records:
+            return
+        page_size, fill = self.page_size, self.tail_fill
+        width = len(records[0])
+        room = (page_size - fill) // width if self._lpns else 0
+        if room:
             last = len(self._lpns) - 1
-            self.write_page(last, self.read_page(last, nbytes=fill) + record)
+            tail = self.read_page(last, nbytes=fill)
+            self.write_page(last, tail + b"".join(records[:room]))
+        per_page = page_size // width
+        for start in range(room, len(records), per_page):
+            self.append_page(b"".join(records[start:start + per_page]))
 
     def cut(self, n_pages: int, tail_fill: int) -> None:
         """Cut the file back to ``n_pages`` pages, the last holding

@@ -242,23 +242,27 @@ class ClimbingIndex:
             return 0.0
         return self._delta_bloom.expected_fp_rate
 
-    def append(self, value, own_id: int) -> None:
-        """Record one newly inserted ``(value, levels[0]-id)`` pair.
+    def append(self, entries: Sequence[Tuple[object, int]]) -> None:
+        """Record newly inserted ``(value, levels[0]-id)`` pairs, in
+        id order.
 
-        The entry goes to the tail of the flash delta log (one page
-        touched) and into the delta-key Bloom filter; the bulk-built
-        tree and run files are never rewritten.  Ancestor ids are not
-        stored: parents of a new row are by definition inserted later,
-        and :meth:`lookup_all` finds them through the catalog's fk
-        deltas.
+        The entries go to the tail of the flash delta log (one program
+        per page they fill) and into the delta-key Bloom filter; the
+        bulk-built tree and run files are never rewritten.  Ancestor
+        ids are not stored: parents of a new row are by definition
+        inserted later, and :meth:`lookup_all` finds them through the
+        catalog's fk deltas.
         """
-        key = self.key_codec.encode(value)
-        entry = key + int(own_id).to_bytes(ID_SIZE, "little")
+        keyed = [(self.key_codec.encode(value), own_id)
+                 for value, own_id in entries]
         if self._delta_file is None:
             self._delta_file = self._store.create(f"ci_{self.name}_delta")
-        self._delta_file.append_record(entry)
-        self._delta.append((key, own_id))
-        self._bloom_add(key)
+        self._delta_file.append_records(
+            [key + int(own_id).to_bytes(ID_SIZE, "little")
+             for key, own_id in keyed])
+        for key, own_id in keyed:
+            self._delta.append((key, own_id))
+            self._bloom_add(key)
 
     def _bloom_add(self, key: bytes) -> None:
         """Track delta keys; rebuild a doubled filter on overflow."""

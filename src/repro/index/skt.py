@@ -65,16 +65,17 @@ class SubtreeKeyTable:
         """Random access to one row of descendant ids."""
         return self.heap.get_row(owner_id)
 
-    def append_row(self, descendant_ids: Sequence[int]) -> int:
-        """Append the descendant ids of a newly inserted owner tuple.
+    def append_rows(self, rows: Sequence[Sequence[int]]) -> None:
+        """Append the descendant ids of newly inserted owner tuples.
 
         SKT rows are stored in ``owner.id`` order and ids are dense,
-        so an insert is a pure tail append -- O(one page), never a
-        rebuild.  Returns the owner id the row now describes.
+        so an insert is a pure tail append -- O(appended pages), never
+        a rebuild.
         """
-        if len(descendant_ids) != len(self.columns):
-            raise IndexError_(
-                f"SKT({self.owner}) rows carry {len(self.columns)} "
-                f"descendant ids, got {len(descendant_ids)}"
-            )
-        return self.heap.append_row(tuple(descendant_ids))
+        for descendant_ids in rows:
+            if len(descendant_ids) != len(self.columns):
+                raise IndexError_(
+                    f"SKT({self.owner}) rows carry {len(self.columns)} "
+                    f"descendant ids, got {len(descendant_ids)}"
+                )
+        self.heap.append_rows(rows)

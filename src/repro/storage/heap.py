@@ -74,18 +74,17 @@ class HeapFile:
     # ------------------------------------------------------------------
     # incremental append
     # ------------------------------------------------------------------
-    def append_row(self, row: Sequence) -> int:
-        """Append one row after the current tail; returns its new id.
+    def append_rows(self, rows: Sequence[Sequence]) -> None:
+        """Append ``rows`` after the current tail, in id order.
 
-        Cost is O(one page) (:meth:`FlashFile.append_record
-        <repro.flash.store.FlashFile.append_record>`): a fresh page is
-        appended when the tail page is full, otherwise the tail page is
-        re-programmed (out-of-place via the FTL, as NAND requires) with
-        the row added.  Nothing else in the file moves, so DML cost
+        Cost is O(appended pages) (:meth:`FlashFile.append_records
+        <repro.flash.store.FlashFile.append_records>`): the tail page is
+        re-programmed once (out-of-place via the FTL, as NAND requires)
+        with the rows that fit on it, and each further page is
+        programmed once.  Nothing else in the file moves, so DML cost
         scales with the appended bytes, not the table size.
         """
-        self.file.append_record(self.codec.pack(row))
-        return self.n_rows - 1
+        self.file.append_records([self.codec.pack(row) for row in rows])
 
     # ------------------------------------------------------------------
     # access

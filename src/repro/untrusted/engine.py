@@ -57,7 +57,9 @@ class _ColumnIndex(NamedTuple):
             # the sort is stable, so equal values stay in id order
             order = sorted(range(len(column)), key=column.__getitem__)
             keys = [column[rid] for rid in order]
-            if not all(map(le, keys, islice(keys, 1, None))):
+            # a NaN fails ``le`` with every value, itself included
+            if not all(map(le, keys, islice(keys, 1, None))) or (
+                    keys and not le(keys[0], keys[0])):
                 return None
         except TypeError:
             return None

@@ -179,10 +179,10 @@ def compact_in_steps(db):
 FILL = "INSERT INTO P VALUES (5, 42, 3.5)"
 
 
-def filled(moves, config=None):
+def filled(moves, config=None, short=0):
     """A base: ``build_pc(config)`` plus the :data:`FILL` INSERTs that
     precede the first one (after the very first, which opens P's delta
-    log) to change ``moves(db)``."""
+    log) to change ``moves(db)``, ``short`` of them left out."""
     def build():
         scout = build_pc(config=config)
         scout.execute(FILL)
@@ -191,25 +191,50 @@ def filled(moves, config=None):
             scout.execute(FILL)
             if moves(scout) != mark:
                 db = build_pc(config=config)
-                for _ in range(n):
+                for _ in range(n - short):
                     db.execute(FILL)
                 return db
         raise AssertionError("no INSERT changed moves(db)")
     return build
 
 
+def crossing(sql, name):
+    """``sql`` as a path that must re-program the tail page of file
+    ``name`` and open the page after it."""
+    def run(db):
+        log = db.token.store.get(name)
+        pages, before = log.n_pages, log.n_bytes
+        answer = statement(sql)(db)
+        assert log.n_pages == pages + 1
+        assert log.n_bytes - log.tail_fill > before   # the tail grew
+        return answer
+    return run
+
+
+#: a 64-id tombstone page, so an 80-row table's deletions cross pages
+SMALL_PAGES = TokenConfig(flash=FlashParams(page_size=256))
+
+
 PATHS = [
     Path("insert", statement("INSERT INTO P VALUES (3, 55, 9.5)"),
          twice=True),
-    # its first row opens a page, its second rewrites that page: the
-    # rollback drops the page, and a rerun of a cut rollback must not
-    # cut twice
-    Path("insert_opening_a_page", statement(f"{FILL}, (6, 43, 4.5)"),
-         base=filled(lambda db: db.token.ftl.mapped_pages()), twice=True),
+    # its first row fills the tail page of P's delta log, its second
+    # opens the next page: the rollback drops that page and cuts the
+    # tail back, and a rerun of a cut rollback must not cut twice
+    Path("insert_opening_a_page",
+         crossing(f"{FILL}, (6, 43, 4.5)", "ci_P_hp_delta"),
+         base=filled(lambda db: db.token.ftl.mapped_pages(), short=1),
+         twice=True),
     Path("delete_visible", statement("DELETE FROM P WHERE P.v < 25")),
     Path("delete_hidden", statement("DELETE FROM P WHERE P.hp < 5")),
     Path("delete_mixed",
          statement("DELETE FROM P WHERE P.v < 50 AND P.hp < 10")),
+    # its tombstones fill the tail page of the log an earlier DELETE
+    # opened and open the next page: cuts land on both programs
+    Path("delete_opening_a_page",
+         crossing("DELETE FROM P WHERE P.v < 25", "tombstones_P"),
+         base=lambda: build_pc(config=SMALL_PAGES),
+         prepare=("DELETE FROM P WHERE P.v >= 40",), twice=True),
     # the undone DELETE extends the tombstone log an earlier one
     # created, so its rollback re-programs the log's tail (undoing the
     # DELETE that created the log frees it and programs nothing)

@@ -254,6 +254,15 @@ def test_unorderable_column_falls_back_to_the_scan():
         engine.select_ids("A", [("v1", Predicate("<", 3))])
 
 
+def test_a_lone_nan_is_not_indexed():
+    """One row and its float a NaN: no pair of keys to compare, yet
+    the column does not order, so ``v3 = 0.0`` matches nothing."""
+    engine = UntrustedEngine(schema_from_sql(INDEX_DDL))
+    engine.load("A", [(0, "s000", NAN)])
+    for p in (Predicate("=", 0.0), Predicate("<=", 1.0)):
+        assert engine.select_ids("A", [("v3", p)]) == []
+
+
 def test_constant_of_another_type_is_left_to_the_scan(engine):
     assert engine.select_ids("A", [("v1", Predicate("=", "3"))]) == []
     with pytest.raises(TypeError):
